@@ -493,8 +493,13 @@ func BenchmarkDaemonAdmission(b *testing.B) {
 // the bounded queue for every decision; sharded mode (workers>1) executes
 // decisions inline on the submitting goroutines — Propose concurrently,
 // capacity arbitrated by the concurrent ledger — which removes the
-// handoff entirely and lets decisions overlap. The decisions/sec metric
-// is the one scripts/bench.sh records.
+// handoff entirely and lets decisions overlap.
+//
+// It measures the reject-heavy path: the 500 requests are recycled into a
+// ledger that never ticks, so once the first pass has filled it nearly
+// every decision is a rejection that writes nothing. Steady-state
+// admission (ticking clock, expiry, a stated admit ratio) is measured by
+// benchmark/, not here.
 func BenchmarkParallelAdmission(b *testing.B) {
 	inst := benchInstance(b, 500)
 	reqs := make([]serve.AdmissionRequest, len(inst.Trace))

@@ -39,7 +39,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		fig       = fs.String("fig", "all", "figure to regenerate: 1a|1b|2a|2b|ablations|chains|theory|shared|all")
 		csv       = fs.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonOut   = fs.Bool("json", false, "shared figure only: emit one JSON row per scheme instead of a table (for scripts/bench.sh)")
+		jsonOut   = fs.Bool("json", false, "shared figure only: emit one JSON row per scheme instead of a table")
 		poolSize  = fs.Int("poolsize", 0, "shared figure: requests per pooled backup instance (0 = default)")
 		topo      = fs.String("topology", "", "embedded topology name (default from setup)")
 		cloudlets = fs.Int("cloudlets", 0, "cloudlet count (default from setup)")

@@ -459,7 +459,7 @@ func post(ctx context.Context, client *http.Client, target string, req wireReque
 }
 
 // summary is the replay outcome; with -json it is emitted verbatim as
-// one JSON object (the shape scripts/bench.sh records in BENCH_wire.json).
+// one JSON object.
 type summary struct {
 	Proto           string  `json:"proto"`
 	Conns           int     `json:"conns"`

@@ -621,35 +621,10 @@ func (e *Engine) decideLocked(ar AdmissionRequest) AdmissionResult {
 	if err := placement.Validate(e.network, req); err != nil {
 		return reject(ReasonInvalid)
 	}
-	demand := e.network.Catalog[req.VNF].Demand
-	reserved := make([]core.Assignment, 0, len(placement.Assignments))
-	for _, a := range placement.Assignments {
-		var err error
-		if e.cfg.AllowViolations {
-			err = e.ledger.ForceReserve(a.Cloudlet, req.Arrival, req.Duration, a.Units(demand))
-		} else {
-			err = e.ledger.Reserve(a.Cloudlet, req.Arrival, req.Duration, a.Units(demand))
-		}
-		if err != nil {
-			// The scheduler placed more than the ledger holds: roll the
-			// partial reservation back and refuse. (Its dual state has
-			// already moved; that only makes it more conservative.)
-			for _, r := range reserved {
-				_ = e.ledger.Release(r.Cloudlet, req.Arrival, req.Duration, r.Units(demand))
-			}
-			return reject(ReasonOverbooked)
-		}
-		reserved = append(reserved, a)
-	}
-	if b := placement.Backup; b != nil {
-		// Shared scheme: join the pooled backup. The pool reserves the
-		// group's ledger row only for slots no other member covers yet.
-		if err := e.pool.Acquire(b.Group, b.Cloudlet, req.Arrival, req.Duration, demand); err != nil {
-			for _, r := range reserved {
-				_ = e.ledger.Release(r.Cloudlet, req.Arrival, req.Duration, r.Units(demand))
-			}
-			return reject(ReasonOverbooked)
-		}
+	if !e.reserveAll(req, placement, e.network.Catalog[req.VNF].Demand) {
+		// The scheduler placed more than the ledger holds. (Its dual state
+		// has already moved; that only makes it more conservative.)
+		return reject(ReasonOverbooked)
 	}
 	e.recordAdmissionLocked(req, placement, e.slot)
 	e.recordOutcome(req, e.slot, trace.ReasonAdmitted, placement)
@@ -761,35 +736,40 @@ func (e *Engine) decideSharded(ctx context.Context, ar AdmissionRequest, id int,
 
 // reserveAll reserves the placement's whole footprint — the assignments
 // plus any pooled shared backup — rolling back on the first refusal. Each
-// per-cloudlet reservation is atomic in the ledger; the rollback makes
-// the multi-cloudlet footprint all-or-nothing.
+// per-cloudlet reservation is atomic in the ledger; the rollback, over the
+// prefix of assignments already booked, makes the multi-cloudlet footprint
+// all-or-nothing. Both decision paths and repairs reserve through here.
 func (e *Engine) reserveAll(req core.Request, placement core.Placement, demand int) bool {
-	reserved := placement.Assignments[:0:0]
-	for _, a := range placement.Assignments {
+	for i, a := range placement.Assignments {
+		ok, err := true, error(nil)
 		if e.cfg.AllowViolations {
-			if err := e.ledger.ForceReserve(a.Cloudlet, req.Arrival, req.Duration, a.Units(demand)); err != nil {
-				return false
-			}
+			err = e.ledger.ForceReserve(a.Cloudlet, req.Arrival, req.Duration, a.Units(demand))
 		} else {
-			ok, err := e.ledger.ReserveWindow(a.Cloudlet, req.Arrival, req.Duration, a.Units(demand))
-			if err != nil || !ok {
-				for _, r := range reserved {
-					_ = e.ledger.Release(r.Cloudlet, req.Arrival, req.Duration, r.Units(demand))
-				}
-				return false
-			}
+			ok, err = e.ledger.ReserveWindow(a.Cloudlet, req.Arrival, req.Duration, a.Units(demand))
 		}
-		reserved = append(reserved, a)
+		if err != nil || !ok {
+			e.releaseAll(req, placement.Assignments[:i], demand)
+			return false
+		}
 	}
 	if b := placement.Backup; b != nil {
+		// Shared scheme: join the pooled backup. The pool reserves the
+		// group's ledger row only for slots no other member covers yet.
 		if err := e.pool.Acquire(b.Group, b.Cloudlet, req.Arrival, req.Duration, demand); err != nil {
-			for _, r := range reserved {
-				_ = e.ledger.Release(r.Cloudlet, req.Arrival, req.Duration, r.Units(demand))
-			}
+			e.releaseAll(req, placement.Assignments, demand)
 			return false
 		}
 	}
 	return true
+}
+
+// releaseAll undoes the reservations reserveAll made for the assignments
+// before a later part of the footprint was refused.
+func (e *Engine) releaseAll(req core.Request, reserved []core.Assignment, demand int) {
+	for _, r := range reserved {
+		// Releasing exactly what this decision just reserved cannot fail.
+		_ = e.ledger.Release(r.Cloudlet, req.Arrival, req.Duration, r.Units(demand))
+	}
 }
 
 // recordAdmissionLocked books one admitted placement. Caller holds e.mu.

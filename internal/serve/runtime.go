@@ -232,7 +232,8 @@ func (e *Engine) repairLocked(rec *PlacementRecord) bool {
 	rec.ReservedFrom = e.slot
 	// Re-base the expiry index entry: the released old footprint no longer
 	// pins the rolling window open, so the base may advance past it on the
-	// next tick.
+	// next tick. (Add does not look for a live ID, hence the Remove.)
+	e.expiry.Remove(rec.ID)
 	e.expiry.Add(rec.ID, rec.ReservedFrom, end)
 	rt.injector.Rewatch(rec.ID, watchedAssignments(placement))
 	return true

@@ -28,7 +28,7 @@ package shared
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 
 	"revnf/internal/core"
@@ -42,54 +42,65 @@ var (
 	ErrBadPoolSize = errors.New("shared: invalid pool size")
 )
 
-// groupKey identifies the pool a member may join: backup groups are
-// homogeneous in (backup cloudlet, VNF type) — same pooled instance
-// footprint and failure model — while members' primaries may sit on any
-// cloudlet, because availability is validated with peers contending at
-// the network-wide floor (core.SharedContentionFloor). Opening membership
-// to every primary is what makes pools actually fill: keying on the
-// primary too would fragment the m·|F| keys into m²·|F|.
-type groupKey struct {
-	backup, vnf int
-}
-
 // group tracks one backup group's membership for join decisions: the
 // per-slot count of concurrently active members (a member counts toward
 // every slot of its window) and the furthest slot any member covers.
 type group struct {
-	id  int
-	key groupKey
-	ref map[int]int // slot → concurrently active members; protected by Scheduler.mu
-	end int         // max covered slot; stale groups (end < arrival) are retired
+	id int
+	// ref counts the members active at each slot: a ring over the live
+	// window indexed by Scheduler.lidx, like the dual prices, so a group
+	// holds one cell per live slot however long it keeps being joined.
+	// Protected by Scheduler.mu.
+	ref []uint16
+	end int // max covered slot; stale groups (end < arrival) are retired
 }
+
+// stackCloudlets is the network size up to which Propose keeps its
+// per-cloudlet scratch on the stack.
+const stackCloudlets = 32
 
 // Scheduler is the shared-scheme primal-dual scheduler. It implements
 // core.TwoPhaseScheduler: Propose reads dual prices and group state under
-// the read lock without mutating anything; Commit applies the dual
-// updates and the group join under the write lock. ConcurrentPropose
-// reports false — a proposal carries a tentative group ID whose
-// uniqueness needs the Propose→Commit pairs serialized — so engines drive
-// it through their serial path.
+// the read lock without mutating anything (its scratch lives on its own
+// stack); Commit applies the dual updates and the group join under the
+// write lock. ConcurrentPropose reports false — a proposal carries a
+// tentative group ID whose uniqueness needs the Propose→Commit pairs
+// serialized — so engines drive it through their serial path. All state
+// keyed by slot is a ring over the live window (DESIGN.md §10): λ and the
+// groups' refcounts share the index lidx, and AdvanceWindow is the one
+// place a retired cell is cleared.
 type Scheduler struct {
 	network  *core.Network
 	horizon  int
 	poolSize int
 	rel      *core.ReliabilityTable
-	// mu guards lambda, base, lstart, groups, open, and nextGroup:
-	// Propose reads, Commit and AdvanceWindow write.
+	// mu guards everything below it: Propose reads, Commit and
+	// AdvanceWindow write.
 	mu sync.RWMutex
 	// lambda[j] is a ring of dual prices: λ_{tj} lives at ring index
 	// lstart + (t - base) mod horizon, exactly the off-site layout.
 	lambda [][]float64 // guarded by mu
 	base   int         // guarded by mu
 	lstart int         // guarded by mu
-	// groups holds the joinable backup groups; open indexes their IDs per
-	// key in ascending order (the join scan is deterministic).
-	groups    map[int]*group     // guarded by mu
-	open      map[groupKey][]int // guarded by mu
-	nextGroup int                // guarded by mu
-	name      string
-	rec       trace.Recorder
+	// open[backup·|F|+vnf] lists the joinable groups of one key in
+	// ascending ID order (the join scan is deterministic). Backup groups
+	// are homogeneous in (backup cloudlet, VNF type) — same pooled instance
+	// footprint and failure model — while members' primaries may sit on any
+	// cloudlet, because availability is validated with peers contending at
+	// the network-wide floor (core.SharedContentionFloor). Opening
+	// membership to every primary is what makes pools actually fill: keying
+	// on the primary too would fragment the m·|F| keys into m²·|F|.
+	open      [][]*group // guarded by mu
+	nextGroup int        // guarded by mu
+	// minEnd is a lower bound on the smallest end among the open groups
+	// (math.MaxInt without any): retireLocked scans only past it.
+	minEnd int // guarded by mu
+	// free holds retired groups, rings zeroed, for the next new group.
+	free []*group // guarded by mu
+	// covered is Commit's scratch: the ring cells its member covered first.
+	covered []bool // guarded by mu
+	name    string
+	rec     trace.Recorder
 }
 
 // Option configures the scheduler.
@@ -138,9 +149,10 @@ func NewScheduler(network *core.Network, horizon int, opts ...Option) (*Schedule
 		poolSize:  core.DefaultSharedPoolSize,
 		rel:       rel,
 		lambda:    make([][]float64, len(network.Cloudlets)),
-		groups:    make(map[int]*group),
-		open:      make(map[groupKey][]int),
+		open:      make([][]*group, len(network.Cloudlets)*len(network.Catalog)),
 		nextGroup: 1,
+		minEnd:    math.MaxInt,
+		covered:   make([]bool, horizon),
 		name:      "pd-shared",
 		rec:       trace.Nop,
 		base:      1,
@@ -151,7 +163,8 @@ func NewScheduler(network *core.Network, horizon int, opts ...Option) (*Schedule
 	for _, opt := range opts {
 		opt(s)
 	}
-	if s.poolSize < 1 {
+	if s.poolSize < 1 || s.poolSize > math.MaxUint16 {
+		// The upper bound is the width of a group's refcount cell.
 		return nil, fmt.Errorf("%w: %d", ErrBadPoolSize, s.poolSize)
 	}
 	return s, nil
@@ -193,8 +206,9 @@ func (s *Scheduler) lidx(slot int) int {
 // AdvanceWindow implements core.WindowAdvancer exactly as the off-site
 // scheduler does for λ, and additionally retires backup groups whose
 // coverage ended before the new base — they can never be joined by a
-// request arriving inside the window, and dropping them keeps group state
-// bounded in continuous operation.
+// request arriving inside the window — and zeroes the surviving groups'
+// refcounts on the retiring slots, whose cells the slots entering the
+// window inherit. That bounds group state in continuous operation.
 func (s *Scheduler) AdvanceWindow(base int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -207,37 +221,49 @@ func (s *Scheduler) AdvanceWindow(base int) {
 		n = s.horizon
 	}
 	for j := range s.lambda {
-		i := s.lstart
-		for k := 0; k < n; k++ {
-			s.lambda[j][i] = 0
-			if i++; i == s.horizon {
-				i = 0
-			}
+		clearRing(s.lambda[j], s.lstart, n)
+	}
+	s.retireLocked(base)
+	for _, groups := range s.open {
+		for _, g := range groups {
+			clearRing(g.ref, s.lstart, n)
 		}
 	}
 	s.lstart = (s.lstart + retire%s.horizon) % s.horizon
 	s.base = base
-	s.retireLocked(base)
+}
+
+// clearRing zeroes the n ≤ len(ring) cells from index start on, wrapping.
+func clearRing[T any](ring []T, start, n int) {
+	k := min(n, len(ring)-start)
+	clear(ring[start : start+k])
+	clear(ring[:n-k])
 }
 
 // retireLocked drops groups whose last covered slot is before limit from
-// the join index. Caller holds the write lock.
+// the join index, recycling them. It scans only when the limit has passed
+// minEnd, that is, when some group may retire. Caller holds the write
+// lock.
 func (s *Scheduler) retireLocked(limit int) {
-	for id, g := range s.groups {
-		if g.end >= limit {
-			continue
-		}
-		delete(s.groups, id)
-		ids := s.open[g.key]
-		for i, oid := range ids {
-			if oid == id {
-				s.open[g.key] = append(ids[:i], ids[i+1:]...)
-				break
+	if limit <= s.minEnd {
+		return
+	}
+	s.minEnd = math.MaxInt
+	for key, groups := range s.open {
+		kept := groups[:0]
+		for _, g := range groups {
+			if g.end < limit {
+				clear(g.ref)
+				s.free = append(s.free, g)
+				continue
+			}
+			kept = append(kept, g)
+			if g.end < s.minEnd {
+				s.minEnd = g.end
 			}
 		}
-		if len(s.open[g.key]) == 0 {
-			delete(s.open, g.key)
-		}
+		clear(groups[len(kept):])
+		s.open[key] = kept
 	}
 }
 
@@ -322,8 +348,16 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 		return core.Placement{}, false
 	}
 	// Per-cloudlet dual-price sums over the window, computed once and
-	// reused for every pair.
-	sums := make([]float64, len(s.network.Cloudlets))
+	// reused for every pair. This and joins below are scratch a pure
+	// Propose cannot keep on the receiver.
+	var sumsBuf [stackCloudlets]float64
+	var joinsBuf [stackCloudlets]joinInfo
+	sums, joins := sumsBuf[:], joinsBuf[:]
+	if m := len(s.network.Cloudlets); m <= stackCloudlets {
+		sums, joins = sums[:m], joins[:m]
+	} else {
+		sums, joins = make([]float64, m), make([]joinInfo, m)
+	}
 	for j := range s.network.Cloudlets {
 		sum := 0.0
 		i := s.lidx(req.Arrival)
@@ -341,7 +375,6 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 	anyCapacity := false
 	// Join info depends only on the backup cloudlet; resolve each lazily
 	// and share it across every primary.
-	joins := make([]joinInfo, len(s.network.Cloudlets))
 	for a := range s.network.Cloudlets {
 		primaryOK := view.ResidualWindow(a, req.Arrival, req.Duration) >= demand
 		bestForA := -1.0
@@ -358,7 +391,7 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 			}
 			if !joins[b].resolved {
 				joins[b].gid, joins[b].isNew, joins[b].uncovered, joins[b].ok =
-					s.joinableLocked(groupKey{b, req.VNF}, req, view, demand)
+					s.joinableLocked(b, req, view, demand)
 				joins[b].resolved = true
 			}
 			gid, isNew, uncovered, ok := joins[b].gid, joins[b].isNew, joins[b].uncovered, joins[b].ok
@@ -394,16 +427,25 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 	if !admit {
 		return core.Placement{}, false
 	}
+	// The placement's two heap parts share one allocation.
+	parts := &struct {
+		primary [1]core.Assignment
+		backup  core.SharedBackup
+	}{
+		primary: [1]core.Assignment{{Cloudlet: best.primary, Instances: 1}},
+		backup:  core.SharedBackup{Group: best.groupID, Cloudlet: best.backup, PoolSize: k},
+	}
 	return core.Placement{
 		Request:     req.ID,
 		Scheme:      core.Shared,
-		Assignments: []core.Assignment{{Cloudlet: best.primary, Instances: 1}},
-		Backup: &core.SharedBackup{
-			Group:    best.groupID,
-			Cloudlet: best.backup,
-			PoolSize: k,
-		},
+		Assignments: parts.primary[:],
+		Backup:      &parts.backup,
 	}, true
+}
+
+// openKey is the index of the (backup cloudlet, VNF type) key in open.
+func (s *Scheduler) openKey(backup, vnf int) int {
+	return backup*len(s.network.Catalog) + vnf
 }
 
 // joinableLocked finds the group the request would join for the key, or
@@ -416,10 +458,9 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 // group) — the marginal footprint the pair is priced by. Among joinable
 // groups the one with the cheapest marginal footprint wins. Caller holds
 // mu (read side).
-func (s *Scheduler) joinableLocked(key groupKey, req core.Request, view core.CapacityView, demand int) (id int, isNew bool, uncovered float64, ok bool) {
+func (s *Scheduler) joinableLocked(backup int, req core.Request, view core.CapacityView, demand int) (id int, isNew bool, uncovered float64, ok bool) {
 	bestGid, bestSum, foundJoin := 0, 0.0, false
-	for _, gid := range s.open[key] {
-		g := s.groups[gid]
+	for _, g := range s.open[s.openKey(backup, req.VNF)] {
 		if g.end < req.Arrival {
 			// Stale group: never joinable by an in-order arrival stream;
 			// Commit retires these lazily.
@@ -430,32 +471,32 @@ func (s *Scheduler) joinableLocked(key groupKey, req core.Request, view core.Cap
 		i := s.lidx(req.Arrival)
 		for t := req.Arrival; t <= req.End() && fits; t++ {
 			switch {
-			case g.ref[t] >= s.poolSize:
+			case int(g.ref[i]) >= s.poolSize:
 				fits = false
-			case g.ref[t] == 0:
-				if view.Residual(key.backup, t) < demand {
+			case g.ref[i] == 0:
+				if view.Residual(backup, t) < demand {
 					fits = false
 				}
-				sum += s.lambda[key.backup][i]
+				sum += s.lambda[backup][i]
 			}
 			if i++; i == s.horizon {
 				i = 0
 			}
 		}
 		if fits && (!foundJoin || sum < bestSum) {
-			bestGid, bestSum, foundJoin = gid, sum, true
+			bestGid, bestSum, foundJoin = g.id, sum, true
 		}
 	}
 	if foundJoin {
 		return bestGid, false, bestSum, true
 	}
-	if view.ResidualWindow(key.backup, req.Arrival, req.Duration) < demand {
+	if view.ResidualWindow(backup, req.Arrival, req.Duration) < demand {
 		return 0, false, 0, false
 	}
 	sum := 0.0
 	i := s.lidx(req.Arrival)
 	for t := req.Arrival; t <= req.End(); t++ {
-		sum += s.lambda[key.backup][i]
+		sum += s.lambda[backup][i]
 		if i++; i == s.horizon {
 			i = 0
 		}
@@ -527,8 +568,8 @@ func (s *Scheduler) Commit(req core.Request, p core.Placement) {
 	demand := float64(s.network.Catalog[req.VNF].Demand)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	covered := s.joinGroupLocked(groupKey{backup, req.VNF}, p.Backup.Group, req)
-	s.retireLocked(req.Arrival)
+	// Clamp to the live window before touching any ring: a slot outside it
+	// has no cell of its own.
 	lo, hi := req.Arrival, req.End()
 	if lo < s.base {
 		lo = s.base
@@ -539,21 +580,22 @@ func (s *Scheduler) Commit(req core.Request, p core.Placement) {
 	if lo > hi {
 		return
 	}
+	s.joinGroupLocked(s.openKey(backup, req.VNF), p.Backup.Group, lo, hi)
+	s.retireLocked(req.Arrival)
 	s.bumpLocked(primary, demand, req, lo, hi, nil)
-	s.bumpLocked(backup, demand/float64(s.poolSize), req, lo, hi, covered)
+	s.bumpLocked(backup, demand/float64(s.poolSize), req, lo, hi, s.covered)
 }
 
 // bumpLocked applies the dual update for units on one cloudlet's window.
-// A non-nil slots set restricts the update to those slots within the
-// clamped range. Caller holds the write lock and has clamped [lo, hi] to
-// the live window.
-func (s *Scheduler) bumpLocked(cloudlet int, units float64, req core.Request, lo, hi int, slots map[int]bool) {
+// A non-nil only restricts the update to the ring cells it marks. Caller
+// holds the write lock and has clamped [lo, hi] to the live window.
+func (s *Scheduler) bumpLocked(cloudlet int, units float64, req core.Request, lo, hi int, only []bool) {
 	capj := float64(s.network.Cloudlets[cloudlet].Capacity)
 	growth := 1 + units/capj
 	additive := units * req.Payment / (float64(req.Duration) * capj)
 	i := s.lidx(lo)
 	for t := lo; t <= hi; t++ {
-		if slots == nil || slots[t] {
+		if only == nil || only[i] {
 			s.lambda[cloudlet][i] = s.lambda[cloudlet][i]*growth + additive
 		}
 		if i++; i == s.horizon {
@@ -562,46 +604,56 @@ func (s *Scheduler) bumpLocked(cloudlet int, units float64, req core.Request, lo
 	}
 }
 
-// joinGroupLocked records the request's membership: joining increments
-// the per-slot active counts of the existing group; a tentative new ID
-// creates the group. It returns the set of slots this member newly
-// covered (refcount 0 → 1) — the slots whose backup capacity the member
-// actually consumed, which Commit restricts the backup dual update to. A
-// tentative ID that no longer matches (a foreign group appeared under it,
-// which serialized Propose→Commit pairs never produce) falls back to a
-// fresh ID — the placement's recorded group then differs from scheduler
-// bookkeeping, which only affects future join density, never
+// joinGroupLocked records a membership over the in-window slots [lo, hi]:
+// joining increments the per-slot active counts of the existing group; a
+// tentative new ID creates the group. It marks in s.covered the slots this
+// member newly covered (refcount 0 → 1) — the slots whose backup capacity
+// the member actually consumed, which Commit restricts the backup dual
+// update to. A tentative ID that does not name an open group of the key
+// although it was already issued (to a group of another key or one since
+// retired, which serialized Propose→Commit pairs never produce) falls
+// back to a fresh ID — the placement's recorded group then differs from
+// scheduler bookkeeping, which only affects future join density, never
 // availability. Caller holds the write lock.
-func (s *Scheduler) joinGroupLocked(key groupKey, gid int, req core.Request) map[int]bool {
-	g, ok := s.groups[gid]
-	if ok && g.key != key {
-		g, ok = nil, false
-		gid = s.nextGroup
-	}
-	if !ok {
-		g = &group{id: gid, key: key, ref: make(map[int]int)}
-		s.groups[gid] = g
-		ids := s.open[key]
-		pos := sort.SearchInts(ids, gid)
-		ids = append(ids, 0)
-		copy(ids[pos+1:], ids[pos:])
-		ids[pos] = gid
-		s.open[key] = ids
-		if gid >= s.nextGroup {
-			s.nextGroup = gid + 1
+func (s *Scheduler) joinGroupLocked(key, gid, lo, hi int) {
+	var g *group
+	for _, og := range s.open[key] {
+		if og.id == gid {
+			g = og
+			break
 		}
 	}
-	covered := make(map[int]bool, req.Duration)
-	for t := req.Arrival; t <= req.End(); t++ {
-		if g.ref[t] == 0 {
-			covered[t] = true
+	if g == nil {
+		if gid < s.nextGroup {
+			gid = s.nextGroup
 		}
-		g.ref[t]++
+		s.nextGroup = gid + 1
+		if n := len(s.free); n > 0 {
+			g, s.free = s.free[n-1], s.free[:n-1]
+		} else {
+			g = &group{ref: make([]uint16, s.horizon)}
+		}
+		g.id, g.end = gid, hi
+		// The new ID is the largest issued, so appending keeps the key's
+		// groups in ascending ID order.
+		s.open[key] = append(s.open[key], g)
+		if hi < s.minEnd {
+			s.minEnd = hi
+		}
 	}
-	if req.End() > g.end {
-		g.end = req.End()
+	i := s.lidx(lo)
+	for t := lo; t <= hi; t++ {
+		s.covered[i] = g.ref[i] == 0
+		if g.ref[i] < math.MaxUint16 {
+			g.ref[i]++
+		}
+		if i++; i == s.horizon {
+			i = 0
+		}
 	}
-	return covered
+	if hi > g.end {
+		g.end = hi
+	}
 }
 
 // Abort implements core.TwoPhaseScheduler. Propose acquires nothing, so

@@ -17,85 +17,174 @@ func RequestFor(trace []core.Request, p core.Placement) (core.Request, error) {
 	return trace[p.Request], nil
 }
 
+// slotDeque holds one cell per slot of a contiguous slot range
+// [lo, lo+n-1] in a ring buffer, so that state keyed by slot costs an
+// index rather than a hash and its storage is reused lap after lap. Cells
+// outside the range are in their empty state (the zero value, or what
+// popFront's caller reset them to), so the range grows over them as-is.
+type slotDeque[T any] struct {
+	cells []T // ring; the cell of slot lo sits at index head
+	head  int
+	n     int // slots in range
+	lo    int // first slot in range; meaningless while n == 0
+}
+
+// at returns the cell of slot, growing the range (at either end) to
+// include it.
+func (d *slotDeque[T]) at(slot int) *T {
+	switch {
+	case d.n == 0:
+		d.reserve(1)
+		d.lo, d.n = slot, 1
+	case slot < d.lo:
+		grow := d.lo - slot
+		d.reserve(d.n + grow)
+		if d.head -= grow; d.head < 0 {
+			d.head += len(d.cells)
+		}
+		d.lo, d.n = slot, d.n+grow
+	case slot >= d.lo+d.n:
+		d.reserve(slot - d.lo + 1)
+		d.n = slot - d.lo + 1
+	}
+	i := d.head + slot - d.lo
+	if i >= len(d.cells) {
+		i -= len(d.cells)
+	}
+	return &d.cells[i]
+}
+
+// reserve makes room for n cells, keeping every cell (the empty ones too:
+// their backing arrays are what the ring recycles).
+func (d *slotDeque[T]) reserve(n int) {
+	if n <= len(d.cells) {
+		return
+	}
+	cells := make([]T, max(n, 2*len(d.cells), 8))
+	k := copy(cells, d.cells[d.head:])
+	copy(cells[k:], d.cells[:d.head])
+	d.cells, d.head = cells, 0
+}
+
+// front returns the cell of slot lo; the range must not be empty.
+func (d *slotDeque[T]) front() *T { return &d.cells[d.head] }
+
+// popFront drops slot lo from the range. The caller has already returned
+// its cell to the empty state.
+func (d *slotDeque[T]) popFront() {
+	if d.head++; d.head == len(d.cells) {
+		d.head = 0
+	}
+	d.lo++
+	d.n--
+}
+
+// liveWindow is one registered window inside its end slot's bucket.
+type liveWindow struct{ id, start int }
+
 // WindowIndex tracks execution windows by their last covered slot so that
 // expirations can be drained as a slot clock advances: a placement for
 // request ρ = (f, R, a, d, pay) covers slots [a, a+d-1] and expires the
 // moment the clock reaches slot a+d. The timeline simulator uses the same
 // end-of-window convention when it scores delivered uptime; the serving
 // engine (internal/serve) uses this index to release ledger capacity on
-// every tick. The zero value is not usable; construct with
-// NewWindowIndex. Not safe for concurrent use.
+// every tick.
+//
+// Like all per-slot state on the admission path (DESIGN.md §10) the index
+// is a ring over the slots in use: a bucket of windows per end slot and a
+// count of windows per start slot, each in a deque whose front follows the
+// clock. Add and OldestStart are O(1), ExpireBefore is linear in what it
+// returns; there is no per-id table, so Remove, End and Start — repairs
+// and tests only — scan the live windows. Memory follows the span of
+// slots between the oldest and the newest live window, which callers keep
+// bounded (the engine: by its horizon). Not safe for concurrent use.
 type WindowIndex struct {
-	byEnd  map[int][]int
-	ends   map[int]int
-	starts map[int]int
+	ends   slotDeque[[]liveWindow] // windows bucketed by end slot
+	starts slotDeque[int]          // live windows per start slot; the front count is never 0
+	live   int
+	out    []int // ExpireBefore's result, reused call after call
 }
 
 // NewWindowIndex returns an empty index.
-func NewWindowIndex() *WindowIndex {
-	return &WindowIndex{
-		byEnd:  make(map[int][]int),
-		ends:   make(map[int]int),
-		starts: make(map[int]int),
-	}
-}
+func NewWindowIndex() *WindowIndex { return &WindowIndex{} }
 
 // Add registers id holding resources over [start, end] (both covered
 // slots). The end drives expiry draining; the start is what a rolling
 // ledger's window base must not pass while the window is live (see
-// OldestStart). Re-adding a live id — a repair that re-based the footprint
-// — first removes the stale entry. Add panics on an inverted window, which
-// can only be a caller bug.
+// OldestStart). The id must not be live: Add does not look for it, so a
+// caller that moves a live window (a repair that re-based the footprint)
+// calls Remove first. Add panics on an inverted window, which can only be
+// a caller bug.
 func (x *WindowIndex) Add(id, start, end int) {
 	if start > end {
 		panic(fmt.Sprintf("simulate: WindowIndex.Add id %d inverted window [%d,%d]", id, start, end))
 	}
-	if _, ok := x.ends[id]; ok {
-		x.Remove(id)
+	if x.live == 0 {
+		// Every bucket is empty: restart the range at this window rather
+		// than stretch it from wherever the last one drained.
+		x.ends.n = 0
 	}
-	x.ends[id] = end
-	x.starts[id] = start
-	x.byEnd[end] = append(x.byEnd[end], id)
+	b := x.ends.at(end)
+	*b = append(*b, liveWindow{id, start})
+	*x.starts.at(start)++
+	x.live++
+}
+
+// find scans the live windows for id and returns its bucket, its position
+// there and its end slot; the bucket is nil for an unknown id.
+func (x *WindowIndex) find(id int) (b *[]liveWindow, i, end int) {
+	for end = x.ends.lo; end < x.ends.lo+x.ends.n; end++ {
+		b = x.ends.at(end)
+		for i, w := range *b {
+			if w.id == id {
+				return b, i, end
+			}
+		}
+	}
+	return nil, 0, 0
+}
+
+// dropStart forgets one window starting at slot and moves the front of
+// the start counts up to the oldest slot that still has one.
+func (x *WindowIndex) dropStart(slot int) {
+	*x.starts.at(slot)--
+	x.live--
+	for x.starts.n > 0 && *x.starts.front() == 0 {
+		x.starts.popFront()
+	}
 }
 
 // Remove unregisters id; unknown ids are ignored.
 func (x *WindowIndex) Remove(id int) {
-	end, ok := x.ends[id]
-	if !ok {
+	b, i, _ := x.find(id)
+	if b == nil {
 		return
 	}
-	delete(x.ends, id)
-	delete(x.starts, id)
-	ids := x.byEnd[end]
-	for i, v := range ids {
-		if v == id {
-			ids[i] = ids[len(ids)-1]
-			ids = ids[:len(ids)-1]
-			break
-		}
-	}
-	if len(ids) == 0 {
-		delete(x.byEnd, end)
-	} else {
-		x.byEnd[end] = ids
-	}
+	start := (*b)[i].start
+	last := len(*b) - 1
+	(*b)[i] = (*b)[last]
+	*b = (*b)[:last]
+	x.dropStart(start)
 }
 
 // Len returns the number of live windows.
-func (x *WindowIndex) Len() int { return len(x.ends) }
+func (x *WindowIndex) Len() int { return x.live }
 
 // End returns the registered last covered slot of id and whether it is
 // live.
 func (x *WindowIndex) End(id int) (int, bool) {
-	end, ok := x.ends[id]
-	return end, ok
+	b, _, end := x.find(id)
+	return end, b != nil
 }
 
 // Start returns the registered first covered slot of id and whether it is
 // live.
 func (x *WindowIndex) Start(id int) (int, bool) {
-	start, ok := x.starts[id]
-	return start, ok
+	b, i, _ := x.find(id)
+	if b == nil {
+		return 0, false
+	}
+	return (*b)[i].start, true
 }
 
 // OldestStart returns the smallest first-covered slot across all live
@@ -103,35 +192,28 @@ func (x *WindowIndex) Start(id int) (int, bool) {
 // its ledger base to min(clock, OldestStart): live reservations pin the
 // window open so their eventual release still addresses live slots.
 func (x *WindowIndex) OldestStart() (int, bool) {
-	if len(x.starts) == 0 {
+	if x.live == 0 {
 		return 0, false
 	}
-	first := true
-	oldest := 0
-	for _, s := range x.starts {
-		if first || s < oldest {
-			oldest, first = s, false
-		}
-	}
-	return oldest, true
+	return x.starts.lo, true
 }
 
 // ExpireBefore removes and returns, in ascending id order, every id whose
 // window ended before slot now — that is, every window with end < now. A
 // window ending at slot e therefore expires exactly when the clock
-// advances to slot e+1 (= arrival + duration).
+// advances to slot e+1 (= arrival + duration). The returned slice is the
+// index's own scratch: it is valid until the next ExpireBefore.
 func (x *WindowIndex) ExpireBefore(now int) []int {
-	var out []int
-	for end, ids := range x.byEnd {
-		if end < now {
-			out = append(out, ids...)
-			for _, id := range ids {
-				delete(x.ends, id)
-				delete(x.starts, id)
-			}
-			delete(x.byEnd, end)
+	x.out = x.out[:0]
+	for x.ends.n > 0 && x.ends.lo < now {
+		b := x.ends.front()
+		for _, w := range *b {
+			x.out = append(x.out, w.id)
+			x.dropStart(w.start)
 		}
+		*b = (*b)[:0]
+		x.ends.popFront()
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(x.out)
+	return x.out
 }

@@ -34,6 +34,13 @@ var (
 // member either holds its whole window or nothing — the same all-or-
 // nothing contract ReserveWindow gives dedicated placements.
 //
+// A group's refcounts are a ring of Window() counters, slot t at cell
+// t mod Window(): live slots map to distinct cells whatever the base, and
+// both calls refuse slots outside the window before touching the ring. No
+// cell needs clearing when the window moves: Ledger.Advance refuses to
+// retire a slot that holds units, which by the invariant above every cell
+// with references does, so a slot entering the window inherits a zero.
+//
 // The pool serializes itself with one mutex and calls into the ledger
 // (which takes per-row locks) while holding it; nothing calls back into
 // the pool from the ledger, so the order pool.mu → ledger row is acyclic.
@@ -44,6 +51,9 @@ type Pool struct {
 
 	mu     sync.Mutex
 	groups map[int]*poolGroup // guarded by mu
+	// free holds emptied groups (every ring cell zero) for the next group
+	// to reuse, so steady-state churn allocates nothing.
+	free []*poolGroup // guarded by mu
 }
 
 // poolGroup is one backup group's footprint: the hosting cloudlet, the
@@ -52,7 +62,8 @@ type Pool struct {
 type poolGroup struct {
 	cloudlet int
 	units    int
-	ref      map[int]int // slot → covering members; protected by Pool.mu
+	ref      []int32 // ring: covering members of slot t at t mod len; protected by Pool.mu
+	held     int     // cells with ref > 0; the group is dropped at 0
 }
 
 // NewPool returns a pool over the ledger. The ledger must be non-nil; the
@@ -68,50 +79,81 @@ func NewPool(led *Ledger) *Pool {
 // this call reserved and returns the ledger's error (ErrOverCapacity,
 // ErrBadSlot, ...) with the pool unchanged.
 func (p *Pool) Acquire(group, cloudlet, start, duration, units int) error {
-	if duration < 1 {
-		return fmt.Errorf("%w: duration %d", ErrBadSlot, duration)
-	}
-	if units < 1 {
-		return fmt.Errorf("%w: %d", ErrBadUnits, units)
+	if cloudlet < 0 || cloudlet >= p.led.Cloudlets() {
+		return fmt.Errorf("%w: %d", ErrBadCloudlet, cloudlet)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	// The ledger's own argument check, up front: a slot outside the live
+	// window would alias a live slot's cell.
+	if err := p.led.checkArgsAt(start, duration, units, p.led.Base()); err != nil {
+		return err
+	}
 	g, ok := p.groups[group]
-	if !ok {
-		g = &poolGroup{cloudlet: cloudlet, units: units, ref: make(map[int]int)}
-	} else if g.cloudlet != cloudlet || g.units != units {
+	if ok && (g.cloudlet != cloudlet || g.units != units) {
 		return fmt.Errorf("%w: group %d is %d units on cloudlet %d, acquire wants %d on %d",
 			ErrPoolMismatch, group, g.units, g.cloudlet, units, cloudlet)
 	}
-	// Reserve the uncovered slots one at a time so a mid-window refusal
-	// can roll back exactly what this call took.
-	reserved := make([]int, 0, duration)
-	for t := start; t < start+duration; t++ {
-		if g.ref[t] > 0 {
+	if !ok {
+		if n := len(p.free); n > 0 {
+			g, p.free = p.free[n-1], p.free[:n-1]
+		} else {
+			g = &poolGroup{ref: make([]int32, p.led.Window())}
+		}
+		g.cloudlet, g.units = cloudlet, units
+	}
+	// Reserve the uncovered slots one at a time; the refcounts move only
+	// once all are booked, so a mid-window refusal rolls back by walking
+	// the same prefix again.
+	w := len(g.ref)
+	for t, i := start, start%w; t < start+duration; t++ {
+		if g.ref[i] == 0 {
+			if err := p.led.Reserve(cloudlet, t, 1, units); err != nil {
+				p.rollbackLocked(g, start, t)
+				if !ok {
+					p.free = append(p.free, g)
+				}
+				return err
+			}
+		}
+		if i++; i == w {
+			i = 0
+		}
+	}
+	for t, i := start, start%w; t < start+duration; t++ {
+		if g.ref[i] == 0 {
+			g.held++
+		}
+		g.ref[i]++
+		if i++; i == w {
+			i = 0
+		}
+	}
+	if !ok {
+		p.groups[group] = g
+	}
+	return nil
+}
+
+// rollbackLocked releases what a refused Acquire reserved over [start,
+// end-1]: the group's uncovered slots there. Caller holds mu.
+func (p *Pool) rollbackLocked(g *poolGroup, start, end int) {
+	for t := start; t < end; t++ {
+		if g.ref[t%len(g.ref)] != 0 {
 			continue
 		}
-		if err := p.led.Reserve(cloudlet, t, 1, units); err != nil {
-			for _, rt := range reserved {
-				if rerr := p.led.Release(cloudlet, rt, 1, units); rerr != nil {
-					panic(fmt.Sprintf("timeslot: pool rollback failed: %v", rerr))
-				}
-			}
-			return err
+		if err := p.led.Release(g.cloudlet, t, 1, g.units); err != nil {
+			panic(fmt.Sprintf("timeslot: pool rollback failed: %v", err))
 		}
-		reserved = append(reserved, t)
 	}
-	for t := start; t < start+duration; t++ {
-		g.ref[t]++
-	}
-	p.groups[group] = g
-	return nil
 }
 
 // Release drops one member's references over [start, start+duration-1].
 // Slots whose refcount reaches zero release their ledger reservation; the
 // group itself is dropped when its last reference goes. Releasing a slot
-// the group does not cover returns ErrNotCovered with the already-
-// processed prefix undone, so a failed Release is also all-or-nothing.
+// the group does not cover (a slot outside the live window is covered by
+// nobody) returns ErrNotCovered with the already-processed prefix undone,
+// so a failed Release is also all-or-nothing.
 func (p *Pool) Release(group, start, duration int) error {
 	if duration < 1 {
 		return fmt.Errorf("%w: duration %d", ErrBadSlot, duration)
@@ -122,26 +164,34 @@ func (p *Pool) Release(group, start, duration int) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownGroup, group)
 	}
-	for t := start; t < start+duration; t++ {
-		if g.ref[t] < 1 {
+	w := len(g.ref)
+	base := p.led.Base()
+	for t, i := start, start%w; t < start+duration; t++ {
+		if t < base || t >= base+w || g.ref[i] < 1 {
 			for rt := start; rt < t; rt++ {
-				g.ref[rt]++
+				g.ref[rt%w]++
 			}
 			return fmt.Errorf("%w: group %d slot %d", ErrNotCovered, group, t)
 		}
-		g.ref[t]--
-	}
-	for t := start; t < start+duration; t++ {
-		if g.ref[t] > 0 {
-			continue
-		}
-		delete(g.ref, t)
-		if err := p.led.Release(g.cloudlet, t, 1, g.units); err != nil {
-			panic(fmt.Sprintf("timeslot: pool release desynced from ledger: %v", err))
+		g.ref[i]--
+		if i++; i == w {
+			i = 0
 		}
 	}
-	if len(g.ref) == 0 {
+	for t, i := start, start%w; t < start+duration; t++ {
+		if g.ref[i] == 0 {
+			g.held--
+			if err := p.led.Release(g.cloudlet, t, 1, g.units); err != nil {
+				panic(fmt.Sprintf("timeslot: pool release desynced from ledger: %v", err))
+			}
+		}
+		if i++; i == w {
+			i = 0
+		}
+	}
+	if g.held == 0 {
 		delete(p.groups, group)
+		p.free = append(p.free, g)
 	}
 	return nil
 }
@@ -149,10 +199,7 @@ func (p *Pool) Release(group, start, duration int) error {
 // Covered reports whether the group holds the slot for at least one
 // member (and therefore holds ledger capacity there).
 func (p *Pool) Covered(group, slot int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	g, ok := p.groups[group]
-	return ok && g.ref[slot] > 0
+	return p.Refs(group, slot) > 0
 }
 
 // Refs returns the member refcount of the group at the slot (0 when the
@@ -164,7 +211,10 @@ func (p *Pool) Refs(group, slot int) int {
 	if !ok {
 		return 0
 	}
-	return g.ref[slot]
+	if base := p.led.Base(); slot < base || slot >= base+len(g.ref) {
+		return 0
+	}
+	return int(g.ref[slot%len(g.ref)])
 }
 
 // Groups returns the number of groups currently holding capacity.

@@ -106,6 +106,147 @@ func TestPoolRefcountConservation(t *testing.T) {
 	}
 }
 
+// TestPoolRollingRefcountConservation is the same audit over a rolling
+// ledger whose window laps the groups' refcount rings several times:
+// members join near the clock, leave when their window ends (or early, at
+// random), and the base advances behind them. A cell inherited from a
+// retired slot must read as uncovered, and a group emptied and recycled
+// must come back clean.
+func TestPoolRollingRefcountConservation(t *testing.T) {
+	const (
+		window   = 8
+		capacity = 9
+		units    = 2
+		groups   = 6
+		laps     = 8
+	)
+	for seed := int64(1); seed <= 10; seed++ {
+		led, err := NewRolling([]int{capacity}, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := NewPool(led)
+		model := &poolModel{units: units, cloudlet: 0, members: map[int][][2]int{}}
+		rng := rand.New(rand.NewSource(seed))
+		refused, outside := 0, 0
+		for clock := 1; clock <= laps*window; clock++ {
+			// Leave: every member whose window ended, and now and then one
+			// that has not.
+			base := clock
+			for g, ws := range model.members {
+				kept := ws[:0]
+				for _, w := range ws {
+					if w[1] >= clock && rng.Intn(8) != 0 {
+						kept = append(kept, w)
+						if w[0] < base {
+							base = w[0]
+						}
+						continue
+					}
+					if err := pool.Release(g, w[0], w[1]-w[0]+1); err != nil {
+						t.Fatalf("seed %d clock %d: release group %d %v: %v", seed, clock, g, w, err)
+					}
+				}
+				if model.members[g] = kept; len(kept) == 0 {
+					delete(model.members, g)
+				}
+			}
+			if err := led.Advance(base); err != nil {
+				t.Fatalf("seed %d clock %d: advance to %d: %v", seed, clock, base, err)
+			}
+			for k := 0; k < 4; k++ {
+				group := 1 + rng.Intn(groups)
+				start := clock + rng.Intn(3)
+				duration := 1 + rng.Intn(5)
+				want := error(nil)
+				if start+duration-1 > base+window-1 {
+					want = ErrBadSlot
+				}
+				for slot := start; slot < start+duration && want == nil; slot++ {
+					if model.refs(group, slot) == 0 && model.usedAt(slot)+units > capacity {
+						want = ErrOverCapacity
+					}
+				}
+				err := pool.Acquire(group, 0, start, duration, units)
+				if !errors.Is(err, want) {
+					t.Fatalf("seed %d clock %d: acquire group %d [%d,+%d): %v, want %v", seed, clock, group, start, duration, err, want)
+				}
+				if err != nil {
+					if want == ErrBadSlot {
+						outside++
+					} else {
+						refused++
+					}
+					continue
+				}
+				model.members[group] = append(model.members[group], [2]int{start, start + duration - 1})
+			}
+			for slot := base - window; slot <= base+2*window; slot++ {
+				if got, want := led.Used(0, slot), model.usedAt(slot); got != want {
+					t.Fatalf("seed %d clock %d slot %d: ledger used %d, model %d", seed, clock, slot, got, want)
+				}
+				for g := 1; g <= groups; g++ {
+					if got, want := pool.Refs(g, slot), model.refs(g, slot); got != want {
+						t.Fatalf("seed %d clock %d group %d slot %d: refs %d, model %d", seed, clock, g, slot, got, want)
+					}
+				}
+			}
+			if pool.Groups() != len(model.members) {
+				t.Fatalf("seed %d clock %d: pool holds %d groups, model %d", seed, clock, pool.Groups(), len(model.members))
+			}
+		}
+		if refused == 0 || outside == 0 {
+			t.Fatalf("seed %d: %d acquires refused for capacity, %d for the window; want some of each", seed, refused, outside)
+		}
+	}
+}
+
+// TestPoolWindowLongerThanRing pins that a window longer than the ring —
+// whose slots would alias the cells of live ones — is refused before any
+// cell is touched, by Acquire and by Release.
+func TestPoolWindowLongerThanRing(t *testing.T) {
+	led, err := NewRolling([]int{10}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPool(led)
+	if err := pool.Acquire(1, 0, 2, 3, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Acquire(1, 0, 1, led.Window()+1, 2); !errors.Is(err, ErrBadSlot) {
+		t.Fatalf("acquire past the window err = %v, want ErrBadSlot", err)
+	}
+	if err := pool.Acquire(2, 0, 1, 3*led.Window(), 2); !errors.Is(err, ErrBadSlot) {
+		t.Fatalf("acquire of three laps err = %v, want ErrBadSlot", err)
+	}
+	// Slot 10 shares slot 2's cell; a release reaching it must not count
+	// slot 2's member as covering it.
+	if err := pool.Release(1, 2, led.Window()+1); !errors.Is(err, ErrNotCovered) {
+		t.Fatalf("release past the window err = %v, want ErrNotCovered", err)
+	}
+	if err := pool.Release(1, 10, 1); !errors.Is(err, ErrNotCovered) {
+		t.Fatalf("release of an aliased slot err = %v, want ErrNotCovered", err)
+	}
+	for slot := 1; slot <= 8; slot++ {
+		want := 0
+		if slot >= 2 && slot <= 4 {
+			want = 1
+		}
+		if got := pool.Refs(1, slot); got != want {
+			t.Fatalf("slot %d: refs %d after refused calls, want %d", slot, got, want)
+		}
+		if got := led.Used(0, slot); got != 2*want {
+			t.Fatalf("slot %d: used %d after refused calls, want %d", slot, got, 2*want)
+		}
+	}
+	if pool.Refs(1, 10) != 0 || pool.Groups() != 1 {
+		t.Fatalf("refs(10) = %d, groups = %d", pool.Refs(1, 10), pool.Groups())
+	}
+	if err := pool.Release(1, 2, 3); err != nil {
+		t.Fatalf("exact release after refused calls: %v", err)
+	}
+}
+
 // TestPoolSharing pins the whole point: two members with overlapping
 // windows cost the ledger one reservation on the overlap.
 func TestPoolSharing(t *testing.T) {
