@@ -9,6 +9,7 @@ import (
 	"revnf/internal/core"
 	"revnf/internal/offsite"
 	"revnf/internal/onsite"
+	"revnf/internal/shared"
 	"revnf/internal/simulate"
 	"revnf/internal/workload"
 )
@@ -24,7 +25,8 @@ type goldenEntry struct {
 	revenue  float64
 	// placementSum is Σ over admitted requests i of
 	// (i+1)·(cloudlet + 3·instances) across the placement's assignments —
-	// position-sensitive, so any reordering or re-placement changes it.
+	// position-sensitive, so any reordering or re-placement changes it. A
+	// shared placement adds (i+1)·(backup cloudlet + 3·group).
 	placementSum int
 	// decisions is the '1'/'0' admit bitstring in arrival order.
 	decisions string
@@ -39,7 +41,23 @@ type goldenEntry struct {
 // must match. A diff here means the refactor changed decisions, not just
 // structure.
 func TestGoldenTraces(t *testing.T) {
-	entries := []goldenEntry{
+	inst, err := revnf.NewInstance(revnf.DefaultInstanceConfig(500), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range goldenEntries() {
+		t.Run(e.name, func(t *testing.T) {
+			sched, err := e.make(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.check(t, inst, sched)
+		})
+	}
+}
+
+func goldenEntries() []goldenEntry {
+	return []goldenEntry{
 		{
 			name: "pd-onsite",
 			make: func(i *workload.Instance) (core.Scheduler, error) {
@@ -70,6 +88,16 @@ func TestGoldenTraces(t *testing.T) {
 			revenue:      16112.53050347029,
 			placementSum: 470463,
 			decisions:    "11111111111111111111110011000111010100100001110001110011000000111000111111011011011100100110101000100110011111000010010001000001110110011001100111110100001100000000100000101110000110010111111001011111100111010100010011111010000010000101010011111100000001011000100101011011011011100010001000011100001010001101101000000011001101100001101011000110101000001001111011010001000000111010000111000000111011111110011111110110110111100110100110010000000011100000001000010110100000010101110011001101110101010101",
+		},
+		{
+			name: "pd-shared",
+			make: func(i *workload.Instance) (core.Scheduler, error) {
+				return shared.NewScheduler(i.Network, i.Horizon)
+			},
+			admitted:     231,
+			revenue:      13237.419546763424,
+			placementSum: 6730093,
+			decisions:    "11111111111111111111110001001110010000100001110001010010001010110000111101011111000110000100111010000110100111000011010001100001111110111001110111110100001000001001000000100010000110010111110000011001100011110110100111110000100010100001010111101110000001111100101101100010010101100000000011000000101010100101011110010010000101100001101111000011001000000000111011001000010011111011000001100000111011111010001111101110110101100101000110000000101010100100000000111011100000000101010011001101101000001001",
 		},
 		{
 			name: "greedy-onsite",
@@ -112,91 +140,79 @@ func TestGoldenTraces(t *testing.T) {
 			decisions:    "11111111111111111111111111111111110000100010010001111110010000111110111111111111111111100000111101000111110111010001011000000001111110111111110111111110000101001111010000001111111111011111111100011111100111111111100111111101000110001111110000111111000001110010111101111100010011101110010001110000111110100101111100011011001100000001111111000111101100000010101000011111000011111111101001100000011011111111111111101011111111100110000111100010000110100110000000011111100000000111110010011111101111101111",
 		},
 	}
+}
 
+// check runs sched over the golden instance and requires e's constants.
+func (e goldenEntry) check(t *testing.T, inst *workload.Instance, sched core.Scheduler) {
+	var opts []simulate.Option
+	if e.allow {
+		opts = append(opts, simulate.AllowViolations())
+	}
+	res, err := simulate.Run(inst, sched, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Admitted != e.admitted {
+		t.Errorf("admitted: got %d, golden %d", res.Admitted, e.admitted)
+	}
+	if res.Revenue != e.revenue {
+		t.Errorf("revenue: got %v, golden %v (must be bit-identical)", res.Revenue, e.revenue)
+	}
+	bits := make([]byte, len(res.Decisions))
+	sum := 0
+	for i, d := range res.Decisions {
+		if d.Admitted {
+			bits[i] = '1'
+			for _, a := range d.Placement.Assignments {
+				sum += (i + 1) * (a.Cloudlet + 3*a.Instances)
+			}
+			if b := d.Placement.Backup; b != nil {
+				sum += (i + 1) * (b.Cloudlet + 3*b.Group)
+			}
+		} else {
+			bits[i] = '0'
+		}
+	}
+	if sum != e.placementSum {
+		t.Errorf("placement checksum: got %d, golden %d", sum, e.placementSum)
+	}
+	if got := string(bits); got != e.decisions {
+		for i := range got {
+			if got[i] != e.decisions[i] {
+				t.Errorf("decision trace diverges at request %d: got %c, golden %c", i, got[i], e.decisions[i])
+				break
+			}
+		}
+	}
+}
+
+// decideOnly hides a scheduler's two-phase methods, so simulate.Run takes
+// its Decide branch.
+type decideOnly struct{ core.Scheduler }
+
+// TestGoldenDecide drives the three primal-dual schedulers through Decide
+// alone and requires the goldens the two-phase path meets in
+// TestGoldenTraces: Decide ≡ Propose;Commit, the equivalence the scheduler
+// contract promises and core.Decide states.
+func TestGoldenDecide(t *testing.T) {
 	inst, err := revnf.NewInstance(revnf.DefaultInstanceConfig(500), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
+	for _, e := range goldenEntries() {
+		if e.name != "pd-onsite" && e.name != "pd-offsite" && e.name != "pd-shared" {
+			continue
+		}
 		t.Run(e.name, func(t *testing.T) {
 			sched, err := e.make(inst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var res *simulate.Result
-			if e.allow {
-				res, err = simulate.Run(inst, sched, simulate.AllowViolations())
-			} else {
-				res, err = simulate.Run(inst, sched)
+			var serial core.Scheduler = decideOnly{sched}
+			if _, ok := serial.(core.TwoPhaseScheduler); ok {
+				t.Fatal("decideOnly still exposes the two-phase methods")
 			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Admitted != e.admitted {
-				t.Errorf("admitted: got %d, golden %d", res.Admitted, e.admitted)
-			}
-			if res.Revenue != e.revenue {
-				t.Errorf("revenue: got %v, golden %v (must be bit-identical)", res.Revenue, e.revenue)
-			}
-			bits := make([]byte, len(res.Decisions))
-			sum := 0
-			for i, d := range res.Decisions {
-				if d.Admitted {
-					bits[i] = '1'
-					for _, a := range d.Placement.Assignments {
-						sum += (i + 1) * (a.Cloudlet + 3*a.Instances)
-					}
-				} else {
-					bits[i] = '0'
-				}
-			}
-			if sum != e.placementSum {
-				t.Errorf("placement checksum: got %d, golden %d", sum, e.placementSum)
-			}
-			if got := string(bits); got != e.decisions {
-				for i := range got {
-					if got[i] != e.decisions[i] {
-						t.Errorf("decision trace diverges at request %d: got %c, golden %c", i, got[i], e.decisions[i])
-						break
-					}
-				}
-			}
+			e.check(t, inst, serial)
 		})
-	}
-}
-
-// TestGoldenSerialAdapter drives the two-phase schedulers through
-// core.SerialAdapter and requires the identical golden trace: the adapter
-// packages the Decide ≡ Propose;Commit equivalence the scheduler contract
-// promises.
-func TestGoldenSerialAdapter(t *testing.T) {
-	inst, err := revnf.NewInstance(revnf.DefaultInstanceConfig(500), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := onsite.NewScheduler(inst.Network, inst.Horizon, onsite.WithCapacityEnforcement())
-	if err != nil {
-		t.Fatal(err)
-	}
-	adapted, err := onsite.NewScheduler(inst.Network, inst.Horizon, onsite.WithCapacityEnforcement())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := simulate.Run(inst, direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := simulate.Run(inst, core.NewSerialAdapter(adapted))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Admitted != want.Admitted || got.Revenue != want.Revenue {
-		t.Fatalf("SerialAdapter diverged: got (%d, %v), want (%d, %v)",
-			got.Admitted, got.Revenue, want.Admitted, want.Revenue)
-	}
-	for i := range want.Decisions {
-		if got.Decisions[i].Admitted != want.Decisions[i].Admitted {
-			t.Fatalf("SerialAdapter decision %d diverged", i)
-		}
 	}
 }

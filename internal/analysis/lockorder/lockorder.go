@@ -4,7 +4,7 @@
 //
 // Invariant: the serving stack nests locks in one global order —
 //
-//	Engine.closeMu → Engine.mu → SerialAdapter.mu → sched.mu
+//	Engine.closeMu → Engine.mu → sched.mu
 //	  → Ledger.advMu → Ledger.mus[*] → leaf mutexes
 //
 // (the full ranked list lives in `canonical` below and in DESIGN.md §12;
@@ -79,6 +79,7 @@ const schedMu lockset.Class = "sched.mu"
 var aliases = map[lockset.Class]lockset.Class{
 	"revnf/internal/onsite.Scheduler.mu":       schedMu,
 	"revnf/internal/offsite.Scheduler.mu":      schedMu,
+	"revnf/internal/shared.Scheduler.mu":       schedMu,
 	"revnf/internal/chain.OnsiteScheduler.mu":  schedMu,
 	"revnf/internal/chain.OffsiteScheduler.mu": schedMu,
 }
@@ -89,7 +90,6 @@ var aliases = map[lockset.Class]lockset.Class{
 var canonical = []lockset.Class{
 	"revnf/internal/serve.Engine.closeMu",
 	"revnf/internal/serve.Engine.mu",
-	"revnf/internal/core.SerialAdapter.mu",
 	schedMu,
 	"revnf/internal/timeslot.Ledger.advMu",
 	"revnf/internal/timeslot.Ledger.mus[*]",
@@ -115,16 +115,12 @@ var rank = func() map[lockset.Class]int {
 // summary is the cross-package acquisition model: for a call on a
 // receiver of the keyed type ("pkgpath.TypeName", concrete or interface),
 // the classes the callee may acquire. Interface entries union over their
-// repository implementations. TwoPhaseScheduler and WindowAdvancer omit
-// SerialAdapter.mu deliberately: the adapter implements both so that it
-// can stand in for the scheduler it wraps, but an adapter never wraps
-// another adapter — including it would make the adapter's own forwarding
-// calls look like same-class self-nesting.
+// repository implementations.
 var summary = map[string][]lockset.Class{
 	"revnf/internal/timeslot.Ledger":   {"revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]"},
 	"revnf/internal/core.CapacityView": {"revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]"},
 	"revnf/internal/core.Scheduler": {
-		"revnf/internal/core.SerialAdapter.mu", schedMu,
+		schedMu,
 		"revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]",
 		"revnf/internal/trace.Store.mu", "revnf/internal/baseline.RandomOnsite.mu",
 	},
@@ -135,13 +131,9 @@ var summary = map[string][]lockset.Class{
 	},
 	"revnf/internal/core.WindowAdvancer": {schedMu},
 	"revnf/internal/core.LambdaReader":   {schedMu},
-	"revnf/internal/core.SerialAdapter": {
-		"revnf/internal/core.SerialAdapter.mu", schedMu,
-		"revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]",
-		"revnf/internal/trace.Store.mu",
-	},
-	"revnf/internal/onsite.Scheduler":  {schedMu, "revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]"},
-	"revnf/internal/offsite.Scheduler": {schedMu, "revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]"},
+	"revnf/internal/onsite.Scheduler":    {schedMu, "revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]"},
+	"revnf/internal/offsite.Scheduler":   {schedMu, "revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]"},
+	"revnf/internal/shared.Scheduler":    {schedMu, "revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]"},
 	"revnf/internal/chain.OnsiteScheduler": {
 		schedMu, "revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]", "revnf/internal/trace.Store.mu",
 	},

@@ -6,6 +6,7 @@ package serve
 import (
 	"sync"
 
+	"revnf/internal/shared"
 	"revnf/internal/timeslot"
 )
 
@@ -36,4 +37,12 @@ func (s *StreamServer) Bad() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.e.ledger.Advance() // want `acquires timeslot\.Ledger\.advMu while holding serve\.StreamServer\.mu` `acquires timeslot\.Ledger\.mus\[\*\] while holding serve\.StreamServer\.mu`
+}
+
+// BadAdvance advances a pd-shared scheduler under the leaf lock: the
+// summary attributes sched.mu to the call, which ranks before it.
+func (s *StreamServer) BadAdvance(sched *shared.Scheduler) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sched.AdvanceWindow(2) // want `acquires sched\.mu while holding serve\.StreamServer\.mu` `acquires timeslot\.Ledger\.advMu while holding serve\.StreamServer\.mu` `acquires timeslot\.Ledger\.mus\[\*\] while holding serve\.StreamServer\.mu`
 }

@@ -20,9 +20,12 @@
 //     Release — the refcounted shared-backup layer reserves ledger
 //     capacity under the covers) — reserving capacity is the engine's
 //     job, after arbitration;
+//   - calls to the dual-price kernel's writers: dual.Table.Update and
+//     Advance (the λ update and the window aging live in another package,
+//     where the receiver-write rule cannot see them), and dual.ClearRing
+//     on a ring rooted in the receiver;
 //   - calls to same-package methods reachable through the receiver (for
-//     example s.updateDuals(...), the λ update) that transitively do
-//     either of the above.
+//     example s.updateDuals(...)) that transitively do any of the above.
 //
 // Method calls that merely read, and calls into other packages (for
 // example the mutex RLock/RUnlock pair or a guarded rng draw, both
@@ -54,32 +57,64 @@ var (
 	InterfaceName = "TwoPhaseScheduler"
 )
 
-// LedgerPkgPath and CapacityMutators identify the capacity-mutating API
-// calls Propose must never make, per guarded type in the timeslot
-// package: the Ledger's reserve/release methods and the refcounted
-// Pool's acquire/release methods (a Pool.Acquire reserves ledger rows
-// under the covers).
-var (
-	LedgerPkgPath    = "revnf/internal/timeslot"
-	CapacityMutators = map[string]map[string]bool{
-		"Ledger": {"Reserve": true, "ReserveWindow": true, "ForceReserve": true, "Release": true},
-		"Pool":   {"Acquire": true, "Release": true},
-	}
-)
+// MutatorSet is one package's API that Propose must never call.
+type MutatorSet struct {
+	// Methods lists the mutating methods per type name.
+	Methods map[string]map[string]bool
+	// Funcs lists package-level functions that write through their first
+	// argument; a call is flagged when that argument is rooted in the
+	// receiver (scratch on Propose's own stack is not scheduler state).
+	Funcs map[string]bool
+	// Why completes the diagnostic at a direct call; What describes the
+	// mutation when it is reached through a same-package helper.
+	Why, What string
+}
 
-// capacityMutator reports whether fn is a mutating method of one of the
-// guarded timeslot types, returning the type's name.
-func capacityMutator(fn *types.Func) (string, bool) {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return "", false
-	}
-	for typeName, methods := range CapacityMutators {
-		if astq.IsNamedType(sig.Recv().Type(), LedgerPkgPath, typeName) && methods[fn.Name()] {
-			return typeName, true
+// Mutators is the mutating API Propose must never reach, keyed by package
+// path: the timeslot Ledger's reserve/release methods and the refcounted
+// Pool's acquire/release methods (a Pool.Acquire reserves ledger rows
+// under the covers), and the dual-price table's writers (the read side —
+// Sum, At, Index, Contains, Row — stays allowed).
+var Mutators = map[string]MutatorSet{
+	"revnf/internal/timeslot": {
+		Methods: map[string]map[string]bool{
+			"Ledger": {"Reserve": true, "ReserveWindow": true, "ForceReserve": true, "Release": true},
+			"Pool":   {"Acquire": true, "Release": true},
+		},
+		Why:  "reserving capacity is the engine's job after ledger arbitration",
+		What: "mutates timeslot capacity state",
+	},
+	"revnf/internal/dual": {
+		Methods: map[string]map[string]bool{
+			"Table":  {"Update": true, "Advance": true},
+			"Window": {"Advance": true},
+		},
+		Funcs: map[string]bool{"ClearRing": true},
+		Why:   "all scheduler mutation belongs in Commit (serialized)",
+		What:  "writes dual-price state",
+	},
+}
+
+// mutatorCall reports whether the call is to one of Mutators' methods, or
+// to one of its functions on a ring rooted in the receiver, returning the
+// callee's qualified name and its package's set.
+func (c *checker) mutatorCall(call *ast.CallExpr, recvVar *types.Var) (string, MutatorSet, bool) {
+	if fn, _ := astq.MethodCallee(c.pass.TypesInfo, call); fn != nil {
+		named := astq.Named(fn.Type().(*types.Signature).Recv().Type())
+		if named == nil || named.Obj().Pkg() == nil {
+			return "", MutatorSet{}, false
 		}
+		path, typeName := named.Obj().Pkg().Path(), named.Obj().Name()
+		set := Mutators[path]
+		return path + "." + typeName + "." + fn.Name(), set, set.Methods[typeName][fn.Name()]
 	}
-	return "", false
+	fn := astq.PkgFunc(c.pass.TypesInfo, call)
+	if fn == nil || fn.Pkg() == nil || len(call.Args) == 0 {
+		return "", MutatorSet{}, false
+	}
+	set := Mutators[fn.Pkg().Path()]
+	return fn.Pkg().Path() + "." + fn.Name(), set,
+		set.Funcs[fn.Name()] && c.rootedInReceiver(call.Args[0], recvVar)
 }
 
 // Analyzer is the purepropose pass.
@@ -190,17 +225,15 @@ func (c *checker) checkPropose(fd *ast.FuncDecl) {
 	})
 }
 
-// checkCall flags ledger mutators and transitively mutating same-package
+// checkCall flags the Mutators API and transitively mutating same-package
 // methods called through the receiver.
 func (c *checker) checkCall(call *ast.CallExpr, recvVar *types.Var) {
-	callee, recvExpr := astq.MethodCallee(c.pass.TypesInfo, call)
-	if callee == nil {
+	if name, set, ok := c.mutatorCall(call, recvVar); ok {
+		c.pass.Reportf(call.Pos(), "Propose calls %s; %s", name, set.Why)
 		return
 	}
-	if typeName, ok := capacityMutator(callee); ok {
-		c.pass.Reportf(call.Pos(),
-			"Propose calls %s.%s.%s; reserving capacity is the engine's job after ledger arbitration",
-			LedgerPkgPath, typeName, callee.Name())
+	callee, recvExpr := astq.MethodCallee(c.pass.TypesInfo, call)
+	if callee == nil {
 		return
 	}
 	// Same-package method reached through the receiver: follow it.
@@ -215,8 +248,8 @@ func (c *checker) checkCall(call *ast.CallExpr, recvVar *types.Var) {
 }
 
 // mutates reports whether the method (or anything it calls through its own
-// receiver within this package) writes receiver state or mutates the
-// ledger. Results are memoized; cycles resolve to "no mutation" for the
+// receiver within this package) writes receiver state or calls the
+// Mutators API. Results are memoized; cycles resolve to "no mutation" for the
 // back edge, which is sound for this use because any real write on the
 // cycle is found when its own frame is walked.
 func (c *checker) mutates(fn *types.Func) *mutation {
@@ -254,12 +287,12 @@ func (c *checker) mutates(fn *types.Func) *mutation {
 				found = &mutation{what: "writes receiver state"}
 			}
 		case *ast.CallExpr:
-			callee, recvExpr := astq.MethodCallee(c.pass.TypesInfo, x)
-			if callee == nil {
+			if _, set, ok := c.mutatorCall(x, recvVar); ok {
+				found = &mutation{what: set.What}
 				return true
 			}
-			if _, ok := capacityMutator(callee); ok {
-				found = &mutation{what: "mutates timeslot capacity state"}
+			callee, recvExpr := astq.MethodCallee(c.pass.TypesInfo, x)
+			if callee == nil {
 				return true
 			}
 			if callee.Pkg() == c.pass.Pkg && recvVar != nil && c.rootedInReceiver(recvExpr, recvVar) {

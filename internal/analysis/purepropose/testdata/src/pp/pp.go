@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"revnf/internal/core"
+	"revnf/internal/dual"
 	"revnf/internal/timeslot"
 	"revnf/internal/trace"
 )
@@ -165,3 +166,54 @@ func (s *PoolRead) Propose(req core.Request, view core.CapacityView) (core.Place
 
 func (s *PoolRead) Commit(req core.Request, p core.Placement) {}
 func (s *PoolRead) Abort(req core.Request, p core.Placement)  {}
+
+// PriceWrite updates, ages and clears dual-price state inside Propose. The
+// writes happen in the dual package, where the receiver-write rule cannot
+// see them; the analyzer knows the kernel's writers by name.
+type PriceWrite struct {
+	prices dual.Table
+	ref    []uint16
+}
+
+func (s *PriceWrite) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
+	s.prices.Update(0, 1, 2, 1.5, 0.5) // want `Propose calls revnf/internal/dual\.Table\.Update; all scheduler mutation belongs in Commit`
+	s.prices.Advance(3)                // want `Propose calls revnf/internal/dual\.Table\.Advance`
+	s.prices.Window.Advance(3)         // want `Propose calls revnf/internal/dual\.Window\.Advance`
+	dual.ClearRing(s.ref, 0, 1)        // want `Propose calls revnf/internal/dual\.ClearRing`
+	s.bump()                           // want `Propose calls bump, which writes dual-price state`
+	return core.Placement{}, true
+}
+
+func (s *PriceWrite) bump() { s.prices.Update(0, 1, 2, 1.5, 0.5) }
+
+func (s *PriceWrite) Commit(req core.Request, p core.Placement) { s.bump() }
+func (s *PriceWrite) Abort(req core.Request, p core.Placement)  {}
+
+// PriceRead is the blessed shape over the kernel: the window test, price
+// sums, point reads and a lockstep walk over Row/Index only read, and
+// clearing scratch on Propose's own stack is not scheduler state. Nothing
+// is flagged.
+type PriceRead struct {
+	mu     sync.RWMutex
+	prices dual.Table
+	ref    []uint16
+}
+
+func (s *PriceRead) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if !s.prices.Contains(1, 2) {
+		return core.Placement{}, false
+	}
+	price := s.prices.Sum(0, 1, 2, 1) + s.prices.At(0, 1)
+	row, i := s.prices.Row(0), s.prices.Index(1)
+	if s.ref[i] == 0 {
+		price += row[i]
+	}
+	var scratch [4]float64
+	dual.ClearRing(scratch[:], 0, 1)
+	return core.Placement{}, price <= 1
+}
+
+func (s *PriceRead) Commit(req core.Request, p core.Placement) {}
+func (s *PriceRead) Abort(req core.Request, p core.Placement)  {}

@@ -23,6 +23,8 @@ import (
 var DeterministicPkgs = map[string]bool{
 	"revnf/internal/onsite":   true,
 	"revnf/internal/offsite":  true,
+	"revnf/internal/shared":   true,
+	"revnf/internal/dual":     true,
 	"revnf/internal/baseline": true,
 	"revnf/internal/chain":    true,
 	"revnf/internal/pool":     true,

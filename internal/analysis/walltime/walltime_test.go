@@ -10,5 +10,6 @@ import (
 func TestWalltime(t *testing.T) {
 	analysistest.Run(t, "testdata", walltime.Analyzer,
 		"revnf/internal/onsite", "revnf/internal/experiments",
-		"revnf/internal/chaos", "revnf/internal/repair", "revnf/internal/slo")
+		"revnf/internal/chaos", "revnf/internal/repair", "revnf/internal/slo",
+		"revnf/internal/shared")
 }

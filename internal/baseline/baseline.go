@@ -5,13 +5,12 @@
 // (Section VI-A); it never reasons about opportunity cost, which is
 // exactly what the primal-dual algorithms add.
 //
-// Every baseline implements core.TwoPhaseScheduler. Their Propose methods
-// are pure functions of (request, capacity view) — no dual prices, no
-// learned state — so Commit and Abort are no-ops and concurrent Propose is
-// trivially safe. The one exception is RandomOnsite, whose RNG draw is
-// guarded by a mutex: concurrent proposals stay race-free, though the
-// chosen cloudlet then depends on goroutine interleaving (serial driving
-// remains deterministic).
+// Every baseline implements core.TwoPhaseScheduler by embedding
+// core.Stateless: their Propose methods are pure functions of (request,
+// capacity view) — no dual prices, no learned state — so Commit and Abort
+// are no-ops and concurrent Propose is trivially safe. The one exception is
+// RandomOnsite, whose RNG draw order is observable: it overrides
+// ConcurrentPropose to false.
 package baseline
 
 import (
@@ -61,6 +60,7 @@ func applyOptions(opts []Option) options {
 // GreedyOnsite admits every request it can, choosing the most reliable
 // cloudlet with sufficient residual capacity (on-site scheme).
 type GreedyOnsite struct {
+	core.Stateless
 	network *core.Network
 	rel     *core.ReliabilityTable
 	// order is the cloudlet IDs sorted by reliability descending.
@@ -131,19 +131,11 @@ func (g *GreedyOnsite) Propose(req core.Request, view core.CapacityView) (core.P
 	return core.Placement{}, false
 }
 
-// Commit implements core.TwoPhaseScheduler (no scheduler state).
-func (g *GreedyOnsite) Commit(core.Request, core.Placement) {}
-
-// Abort implements core.TwoPhaseScheduler (no scheduler state).
-func (g *GreedyOnsite) Abort(core.Request, core.Placement) {}
-
-// ConcurrentPropose implements core.TwoPhaseScheduler.
-func (g *GreedyOnsite) ConcurrentPropose() bool { return true }
-
 // GreedyOffsite admits every request it can, accumulating the most
 // reliable cloudlets with space until the reliability requirement is met
 // (off-site scheme).
 type GreedyOffsite struct {
+	core.Stateless
 	network *core.Network
 	rel     *core.ReliabilityTable
 	order   []int
@@ -217,19 +209,11 @@ func (g *GreedyOffsite) Propose(req core.Request, view core.CapacityView) (core.
 	return core.Placement{}, false
 }
 
-// Commit implements core.TwoPhaseScheduler (no scheduler state).
-func (g *GreedyOffsite) Commit(core.Request, core.Placement) {}
-
-// Abort implements core.TwoPhaseScheduler (no scheduler state).
-func (g *GreedyOffsite) Abort(core.Request, core.Placement) {}
-
-// ConcurrentPropose implements core.TwoPhaseScheduler.
-func (g *GreedyOffsite) ConcurrentPropose() bool { return true }
-
 // FirstFitOnsite places each request in the lowest-ID feasible cloudlet.
 // It ignores reliability ordering entirely and serves as an ablation
 // baseline isolating the value of reliability awareness.
 type FirstFitOnsite struct {
+	core.Stateless
 	network *core.Network
 	rel     *core.ReliabilityTable
 	rec     trace.Recorder
@@ -297,18 +281,10 @@ func (f *FirstFitOnsite) Propose(req core.Request, view core.CapacityView) (core
 	return core.Placement{}, false
 }
 
-// Commit implements core.TwoPhaseScheduler (no scheduler state).
-func (f *FirstFitOnsite) Commit(core.Request, core.Placement) {}
-
-// Abort implements core.TwoPhaseScheduler (no scheduler state).
-func (f *FirstFitOnsite) Abort(core.Request, core.Placement) {}
-
-// ConcurrentPropose implements core.TwoPhaseScheduler.
-func (f *FirstFitOnsite) ConcurrentPropose() bool { return true }
-
 // RandomOnsite places each request in a uniformly random feasible
 // cloudlet. It lower-bounds what any sensible on-site policy should earn.
 type RandomOnsite struct {
+	core.Stateless
 	network *core.Network
 	rel     *core.ReliabilityTable
 	// mu keeps a misused concurrent Propose race-free, but the scheduler
@@ -401,13 +377,7 @@ func (r *RandomOnsite) Propose(req core.Request, view core.CapacityView) (core.P
 	}, true
 }
 
-// Commit implements core.TwoPhaseScheduler (no scheduler state).
-func (r *RandomOnsite) Commit(core.Request, core.Placement) {}
-
-// Abort implements core.TwoPhaseScheduler (no scheduler state).
-func (r *RandomOnsite) Abort(core.Request, core.Placement) {}
-
-// ConcurrentPropose implements core.TwoPhaseScheduler. The draw order of
+// ConcurrentPropose overrides core.Stateless. The draw order of
 // the shared RNG is part of the observable behaviour (a seed must
 // reproduce a trace), so proposals may not interleave.
 func (r *RandomOnsite) ConcurrentPropose() bool { return false }
@@ -415,6 +385,7 @@ func (r *RandomOnsite) ConcurrentPropose() bool { return false }
 // RejectAll rejects everything; it anchors the revenue floor in sanity
 // checks.
 type RejectAll struct {
+	core.Stateless
 	scheme core.Scheme
 }
 
@@ -441,15 +412,6 @@ func (r *RejectAll) Decide(core.Request, core.CapacityView) (core.Placement, boo
 func (r *RejectAll) Propose(core.Request, core.CapacityView) (core.Placement, bool) {
 	return core.Placement{}, false
 }
-
-// Commit implements core.TwoPhaseScheduler (no scheduler state).
-func (r *RejectAll) Commit(core.Request, core.Placement) {}
-
-// Abort implements core.TwoPhaseScheduler (no scheduler state).
-func (r *RejectAll) Abort(core.Request, core.Placement) {}
-
-// ConcurrentPropose implements core.TwoPhaseScheduler.
-func (r *RejectAll) ConcurrentPropose() bool { return true }
 
 // recordBaseline emits one single-attempt decision trace for a baseline
 // scheduler. Baselines carry no dual prices, so BestCost stays zero; the

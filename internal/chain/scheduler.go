@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"revnf/internal/core"
+	"revnf/internal/dual"
 )
 
 // Scheduler is an online admission algorithm for chain requests,
@@ -39,6 +40,26 @@ type TwoPhaseScheduler interface {
 	ConcurrentPropose() bool
 }
 
+// decide is core.Decide for the chain request and placement types: the
+// body of the stateful chain schedulers' Decide.
+func decide(s TwoPhaseScheduler, req Request, view core.CapacityView) (Placement, bool) {
+	p, ok := s.Propose(req, view)
+	if !ok {
+		return Placement{}, false
+	}
+	s.Commit(req, p)
+	return p, true
+}
+
+// stateless is core.Stateless for the chain placement types: the Commit,
+// Abort and ConcurrentPropose of a scheduler whose Propose is a pure
+// function of the request and the view.
+type stateless struct{}
+
+func (stateless) Commit(Request, Placement) {}
+func (stateless) Abort(Request, Placement)  {}
+func (stateless) ConcurrentPropose() bool   { return true }
+
 // OnsiteScheduler is the chain generalization of Algorithm 1: one dual
 // price per (slot, cloudlet), an admission test comparing payment against
 // the cheapest cloudlet's dual cost for the whole chain allocation, and
@@ -47,9 +68,8 @@ type TwoPhaseScheduler interface {
 // under the write lock.
 type OnsiteScheduler struct {
 	network *core.Network
-	horizon int
 	mu      sync.RWMutex
-	lambda  [][]float64 // guarded by mu
+	prices  dual.Table // guarded by mu
 }
 
 // NewOnsiteScheduler creates the chain on-site primal-dual scheduler. It
@@ -58,15 +78,10 @@ func NewOnsiteScheduler(network *core.Network, horizon int) (*OnsiteScheduler, e
 	if err := checkNetwork(network, horizon); err != nil {
 		return nil, err
 	}
-	s := &OnsiteScheduler{
+	return &OnsiteScheduler{
 		network: network,
-		horizon: horizon,
-		lambda:  make([][]float64, len(network.Cloudlets)),
-	}
-	for j := range s.lambda {
-		s.lambda[j] = make([]float64, horizon)
-	}
-	return s, nil
+		prices:  dual.NewTable(len(network.Cloudlets), horizon),
+	}, nil
 }
 
 // Name implements Scheduler.
@@ -77,24 +92,23 @@ func (s *OnsiteScheduler) Scheme() core.Scheme { return core.OnSite }
 
 // Decide implements Scheduler: Propose immediately followed by Commit.
 func (s *OnsiteScheduler) Decide(req Request, view core.CapacityView) (Placement, bool) {
-	p, ok := s.Propose(req, view)
-	if !ok {
-		return Placement{}, false
-	}
-	s.Commit(req, p)
-	return p, true
+	return decide(s, req, view)
 }
 
 // Propose implements TwoPhaseScheduler: the argmin over cloudlets and the
 // payment test, reading λ under the read lock.
 func (s *OnsiteScheduler) Propose(req Request, view core.CapacityView) (Placement, bool) {
-	if req.Arrival < 1 || req.End() > s.horizon || len(req.VNFs) == 0 {
+	if len(req.VNFs) == 0 {
 		return Placement{}, false
 	}
 	bestCloudlet := -1
 	var bestAlloc Allocation
 	bestPrice := 0.0
 	s.mu.RLock()
+	if !s.prices.Contains(req.Arrival, req.End()) {
+		s.mu.RUnlock()
+		return Placement{}, false
+	}
 	for j, cl := range s.network.Cloudlets {
 		alloc, err := OnsiteAllocation(s.network.Catalog, req.VNFs, cl.Reliability, req.Reliability)
 		if err != nil {
@@ -104,10 +118,7 @@ func (s *OnsiteScheduler) Propose(req Request, view core.CapacityView) (Placemen
 		if view.ResidualWindow(j, req.Arrival, req.Duration) < units {
 			continue
 		}
-		price := 0.0
-		for t := req.Arrival; t <= req.End(); t++ {
-			price += float64(units) * s.lambda[j][t-1]
-		}
+		price := s.prices.Sum(j, req.Arrival, req.End(), float64(units))
 		if bestCloudlet < 0 || price < bestPrice {
 			bestCloudlet, bestAlloc, bestPrice = j, alloc, price
 		}
@@ -143,9 +154,7 @@ func (s *OnsiteScheduler) Commit(req Request, p Placement) {
 	growth := 1 + float64(units)/capj
 	additive := float64(units) * req.Payment / (float64(req.Duration) * capj)
 	s.mu.Lock()
-	for t := req.Arrival; t <= req.End(); t++ {
-		s.lambda[cloudlet][t-1] = s.lambda[cloudlet][t-1]*growth + additive
-	}
+	s.prices.Update(cloudlet, req.Arrival, req.End(), growth, additive)
 	s.mu.Unlock()
 }
 
@@ -162,9 +171,8 @@ func (s *OnsiteScheduler) ConcurrentPropose() bool { return true }
 // Propose reads λ under the read lock; Commit writes under the write lock.
 type OffsiteScheduler struct {
 	network *core.Network
-	horizon int
 	mu      sync.RWMutex
-	lambda  [][]float64 // guarded by mu
+	prices  dual.Table // guarded by mu
 }
 
 // NewOffsiteScheduler creates the chain off-site primal-dual scheduler.
@@ -172,15 +180,10 @@ func NewOffsiteScheduler(network *core.Network, horizon int) (*OffsiteScheduler,
 	if err := checkNetwork(network, horizon); err != nil {
 		return nil, err
 	}
-	s := &OffsiteScheduler{
+	return &OffsiteScheduler{
 		network: network,
-		horizon: horizon,
-		lambda:  make([][]float64, len(network.Cloudlets)),
-	}
-	for j := range s.lambda {
-		s.lambda[j] = make([]float64, horizon)
-	}
-	return s, nil
+		prices:  dual.NewTable(len(network.Cloudlets), horizon),
+	}, nil
 }
 
 // Name implements Scheduler.
@@ -191,18 +194,13 @@ func (s *OffsiteScheduler) Scheme() core.Scheme { return core.OffSite }
 
 // Decide implements Scheduler: Propose immediately followed by Commit.
 func (s *OffsiteScheduler) Decide(req Request, view core.CapacityView) (Placement, bool) {
-	p, ok := s.Propose(req, view)
-	if !ok {
-		return Placement{}, false
-	}
-	s.Commit(req, p)
-	return p, true
+	return decide(s, req, view)
 }
 
 // Propose implements TwoPhaseScheduler: the staged dual-price accumulation
 // without the updates, reading λ under the read lock.
 func (s *OffsiteScheduler) Propose(req Request, view core.CapacityView) (Placement, bool) {
-	if req.Arrival < 1 || req.End() > s.horizon || len(req.VNFs) == 0 {
+	if len(req.VNFs) == 0 {
 		return Placement{}, false
 	}
 	targets, err := OffsiteStageTargets(req.Reliability, len(req.VNFs))
@@ -218,6 +216,9 @@ func (s *OffsiteScheduler) Propose(req Request, view core.CapacityView) (Placeme
 	stages := make([]StagePlacement, len(req.VNFs))
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if !s.prices.Contains(req.Arrival, req.End()) {
+		return Placement{}, false
+	}
 	for k, f := range req.VNFs {
 		st, ok := s.placeStage(req, f, targets[k], stagePay, used, view)
 		if !ok {
@@ -271,11 +272,7 @@ func (s *OffsiteScheduler) placeStage(req Request, vnf int, target, stagePay flo
 	candidates := make([]candidate, 0, len(s.network.Cloudlets))
 	for j, cl := range s.network.Cloudlets {
 		w := core.OffsiteWeight(rf, cl.Reliability)
-		sumLambda := 0.0
-		for t := req.Arrival; t <= req.End(); t++ {
-			sumLambda += s.lambda[j][t-1]
-		}
-		price := sumLambda / w
+		price := s.prices.Sum(j, req.Arrival, req.End(), 1) / w
 		if stagePay-needWeight*float64(demand)*price <= 0 {
 			continue
 		}
@@ -315,17 +312,14 @@ func (s *OffsiteScheduler) updateDuals(req Request, st StagePlacement, target, s
 		w := core.OffsiteWeight(rf, s.network.Cloudlets[a.Cloudlet].Reliability)
 		capj := float64(s.network.Cloudlets[a.Cloudlet].Capacity)
 		ratio := needWeight * demand / (w * capj)
-		growth := 1 + ratio
-		additive := ratio * stagePay / float64(req.Duration)
-		for t := req.Arrival; t <= req.End(); t++ {
-			s.lambda[a.Cloudlet][t-1] = s.lambda[a.Cloudlet][t-1]*growth + additive
-		}
+		s.prices.Update(a.Cloudlet, req.Arrival, req.End(), 1+ratio, ratio*stagePay/float64(req.Duration))
 	}
 }
 
 // GreedyOnsite is the chain version of the paper's greedy baseline: admit
 // everything possible, preferring reliable cloudlets.
 type GreedyOnsite struct {
+	stateless
 	network *core.Network
 	order   []int
 }
@@ -377,18 +371,10 @@ func (g *GreedyOnsite) Propose(req Request, view core.CapacityView) (Placement, 
 	return Placement{}, false
 }
 
-// Commit implements TwoPhaseScheduler (no scheduler state).
-func (g *GreedyOnsite) Commit(Request, Placement) {}
-
-// Abort implements TwoPhaseScheduler (no scheduler state).
-func (g *GreedyOnsite) Abort(Request, Placement) {}
-
-// ConcurrentPropose implements TwoPhaseScheduler.
-func (g *GreedyOnsite) ConcurrentPropose() bool { return true }
-
 // GreedyOffsite is the greedy off-site chain baseline: per-stage targets
 // R^{1/K}, most reliable cloudlets first.
 type GreedyOffsite struct {
+	stateless
 	network *core.Network
 	order   []int
 }
@@ -453,15 +439,6 @@ func (g *GreedyOffsite) Propose(req Request, view core.CapacityView) (Placement,
 	}
 	return Placement{Request: req.ID, Scheme: core.OffSite, Stages: stages}, true
 }
-
-// Commit implements TwoPhaseScheduler (no scheduler state).
-func (g *GreedyOffsite) Commit(Request, Placement) {}
-
-// Abort implements TwoPhaseScheduler (no scheduler state).
-func (g *GreedyOffsite) Abort(Request, Placement) {}
-
-// ConcurrentPropose implements TwoPhaseScheduler.
-func (g *GreedyOffsite) ConcurrentPropose() bool { return true }
 
 func checkNetwork(network *core.Network, horizon int) error {
 	if network == nil {

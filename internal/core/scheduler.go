@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 // CapacityView exposes the authoritative resource state to online
 // schedulers. The engine (batch simulator or admission daemon) owns the
 // underlying ledger; schedulers query residual capacity through this
@@ -54,9 +52,9 @@ type Scheduler interface {
 //	... engine reserves p's footprint atomically in the ledger ...
 //	s.Commit(req, p)                // applies dual/heuristic state updates
 //
-// Every scheduler in this repository implements Decide as Propose followed
-// immediately by Commit, so the two interfaces agree decision-for-decision
-// when driven serially (SerialAdapter packages that equivalence).
+// Every stateful scheduler in this repository implements Decide as a call
+// to core.Decide — Propose followed immediately by Commit — so the two
+// interfaces agree decision-for-decision when driven serially.
 //
 // Concurrency rule: Propose must not mutate scheduler state observable by
 // other calls; when ConcurrentPropose reports true, any number of Propose
@@ -141,87 +139,28 @@ type WindowAdvancer interface {
 	AdvanceWindow(base int)
 }
 
-// SerialAdapter drives a TwoPhaseScheduler through the serialized Decide
-// contract: every Decide is Propose immediately followed by Commit under
-// one adapter-owned mutex. The adapter reproduces the scheduler's own
-// Decide behavior decision-for-decision (same admit/reject sequence, same
-// revenue) and additionally makes the pair safe to call from multiple
-// goroutines, at the cost of full serialization.
-type SerialAdapter struct {
-	mu sync.Mutex
-	s  TwoPhaseScheduler
-}
-
-// NewSerialAdapter wraps a two-phase scheduler in the serialized Decide
-// contract. It returns nil for a nil scheduler.
-func NewSerialAdapter(s TwoPhaseScheduler) *SerialAdapter {
-	if s == nil {
-		return nil
-	}
-	return &SerialAdapter{s: s}
-}
-
-// Name implements Scheduler.
-func (a *SerialAdapter) Name() string { return a.s.Name() }
-
-// Scheme implements Scheduler.
-func (a *SerialAdapter) Scheme() Scheme { return a.s.Scheme() }
-
-// Decide implements Scheduler: Propose then Commit atomically.
-func (a *SerialAdapter) Decide(req Request, view CapacityView) (Placement, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	p, ok := a.s.Propose(req, view)
+// Decide is the serialized form of the two-phase protocol, and the body of
+// every stateful scheduler's Decide method: Propose immediately followed
+// by Commit. Like any Decide it is not safe for concurrent use.
+func Decide(s TwoPhaseScheduler, req Request, view CapacityView) (Placement, bool) {
+	p, ok := s.Propose(req, view)
 	if !ok {
 		return Placement{}, false
 	}
-	a.s.Commit(req, p)
+	s.Commit(req, p)
 	return p, true
 }
 
-// Propose implements TwoPhaseScheduler by forwarding under the adapter's
-// mutex. The adapter therefore satisfies TwoPhaseScheduler itself, so an
-// engine that insists on the propose/commit protocol (for its explicit
-// abort path) can still drive a scheduler through full serialization:
-// ConcurrentPropose reports false, which such engines must honor by
-// keeping at most one Propose→Commit/Abort sequence in flight.
-func (a *SerialAdapter) Propose(req Request, view CapacityView) (Placement, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.s.Propose(req, view)
-}
+// Stateless is embedded by schedulers whose Propose is a pure function of
+// the request and the capacity view: with no state to update or release,
+// Commit and Abort are no-ops and proposals may run concurrently.
+type Stateless struct{}
 
-// Commit implements TwoPhaseScheduler, forwarding under the mutex.
-func (a *SerialAdapter) Commit(req Request, p Placement) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.s.Commit(req, p)
-}
+// Commit implements TwoPhaseScheduler.
+func (Stateless) Commit(Request, Placement) {}
 
-// Abort implements TwoPhaseScheduler, forwarding under the mutex. It must
-// leave the wrapped scheduler exactly as if the Propose had never
-// happened, which holds because the wrapped Abort promises the same.
-func (a *SerialAdapter) Abort(req Request, p Placement) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.s.Abort(req, p)
-}
+// Abort implements TwoPhaseScheduler.
+func (Stateless) Abort(Request, Placement) {}
 
-// ConcurrentPropose implements TwoPhaseScheduler: always false — the
-// adapter's entire purpose is serialization.
-func (a *SerialAdapter) ConcurrentPropose() bool { return false }
-
-// AdvanceWindow forwards to the wrapped scheduler when it implements
-// WindowAdvancer (under the adapter's mutex, like every other call) and is
-// a no-op otherwise, so engines can advance through the adapter without
-// re-discovering the wrapped type.
-func (a *SerialAdapter) AdvanceWindow(base int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if wa, ok := a.s.(WindowAdvancer); ok {
-		wa.AdvanceWindow(base)
-	}
-}
-
-// Unwrap returns the adapted two-phase scheduler.
-func (a *SerialAdapter) Unwrap() TwoPhaseScheduler { return a.s }
+// ConcurrentPropose implements TwoPhaseScheduler.
+func (Stateless) ConcurrentPropose() bool { return true }

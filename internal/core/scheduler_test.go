@@ -1,38 +1,25 @@
 package core
 
-import (
-	"sync"
-	"testing"
-)
-
-// SerialAdapter must itself satisfy the two-phase contract it adapts.
-var _ TwoPhaseScheduler = (*SerialAdapter)(nil)
+import "testing"
 
 // countingTwoPhase is a fake scheduler recording the calls it receives.
 // admitEvery controls Propose's verdict: request IDs divisible by it are
-// admitted, the rest rejected.
+// admitted, the rest rejected. Abort and ConcurrentPropose come from
+// Stateless; Commit is its own, like a primal-dual scheduler's.
 type countingTwoPhase struct {
-	mu                        sync.Mutex
-	proposes, commits, aborts int
-	admitEvery                int
-	state                     int // mutated only by Commit/Abort, like real duals
+	Stateless
+	proposes, commits int
+	admitEvery        int
 }
 
 func (c *countingTwoPhase) Name() string   { return "counting" }
 func (c *countingTwoPhase) Scheme() Scheme { return OnSite }
 
 func (c *countingTwoPhase) Decide(req Request, view CapacityView) (Placement, bool) {
-	p, ok := c.Propose(req, view)
-	if !ok {
-		return Placement{}, false
-	}
-	c.Commit(req, p)
-	return p, true
+	return Decide(c, req, view)
 }
 
 func (c *countingTwoPhase) Propose(req Request, _ CapacityView) (Placement, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.proposes++
 	if c.admitEvery == 0 || req.ID%c.admitEvery != 0 {
 		return Placement{}, false
@@ -41,85 +28,27 @@ func (c *countingTwoPhase) Propose(req Request, _ CapacityView) (Placement, bool
 		Assignments: []Assignment{{Cloudlet: 0, Instances: 1}}}, true
 }
 
-func (c *countingTwoPhase) Commit(Request, Placement) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.commits++
-	c.state++
-}
+func (c *countingTwoPhase) Commit(Request, Placement) { c.commits++ }
 
-func (c *countingTwoPhase) Abort(Request, Placement) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.aborts++
-}
-
-func (c *countingTwoPhase) ConcurrentPropose() bool { return true }
-
-func (c *countingTwoPhase) snapshot() (proposes, commits, aborts, state int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.proposes, c.commits, c.aborts, c.state
-}
-
-func TestSerialAdapterDecidePairsProposeCommit(t *testing.T) {
+// TestDecidePairsProposeCommit pins core.Decide: every call proposes once,
+// an admitted proposal is committed exactly once and returned unchanged, a
+// rejected one is not committed and yields the zero placement.
+func TestDecidePairsProposeCommit(t *testing.T) {
 	fake := &countingTwoPhase{admitEvery: 2}
-	a := NewSerialAdapter(fake)
-	if a.Name() != "counting" || a.Scheme() != OnSite {
-		t.Fatalf("identity not forwarded: %q %v", a.Name(), a.Scheme())
+	var s TwoPhaseScheduler = fake
+	if !s.ConcurrentPropose() {
+		t.Fatal("Stateless.ConcurrentPropose() = false, want true")
 	}
-	if a.ConcurrentPropose() {
-		t.Fatal("SerialAdapter.ConcurrentPropose() = true, want false: the adapter serializes")
+	p, ok := s.Decide(Request{ID: 2}, nil)
+	if !ok || p.Request != 2 || len(p.Assignments) != 1 {
+		t.Fatalf("Decide(ID=2) = %+v, %v; fake admits even IDs", p, ok)
 	}
-	if _, ok := a.Decide(Request{ID: 2}, nil); !ok {
-		t.Fatal("Decide(ID=2) rejected, fake admits even IDs")
+	p, ok = s.Decide(Request{ID: 3}, nil)
+	if ok || p.Request != 0 || p.Assignments != nil {
+		t.Fatalf("Decide(ID=3) = %+v, %v; fake rejects odd IDs", p, ok)
 	}
-	if _, ok := a.Decide(Request{ID: 3}, nil); ok {
-		t.Fatal("Decide(ID=3) admitted, fake rejects odd IDs")
-	}
-	proposes, commits, aborts, state := fake.snapshot()
-	if proposes != 2 || commits != 1 || aborts != 0 {
-		t.Errorf("after Decide×2: proposes=%d commits=%d aborts=%d, want 2/1/0",
-			proposes, commits, aborts)
-	}
-	if state != 1 {
-		t.Errorf("state = %d, want 1 (exactly the admitted decision moved state)", state)
-	}
-}
-
-// TestSerialAdapterAbortPath drives the adapter through the explicit
-// two-phase protocol, the way an engine that lost a ledger reservation
-// would: Propose then Abort must forward both calls and leave the wrapped
-// scheduler's state untouched.
-func TestSerialAdapterAbortPath(t *testing.T) {
-	fake := &countingTwoPhase{admitEvery: 1}
-	a := NewSerialAdapter(fake)
-	p, ok := a.Propose(Request{ID: 1}, nil)
-	if !ok {
-		t.Fatal("Propose rejected, fake admits everything")
-	}
-	a.Abort(Request{ID: 1}, p)
-	proposes, commits, aborts, state := fake.snapshot()
-	if proposes != 1 || commits != 0 || aborts != 1 {
-		t.Errorf("after Propose+Abort: proposes=%d commits=%d aborts=%d, want 1/0/1",
-			proposes, commits, aborts)
-	}
-	if state != 0 {
-		t.Errorf("state = %d after abort, want 0 (as if the Propose never happened)", state)
-	}
-	// A committed proposal, by contrast, moves state exactly once.
-	p, ok = a.Propose(Request{ID: 2}, nil)
-	if !ok {
-		t.Fatal("Propose rejected")
-	}
-	a.Commit(Request{ID: 2}, p)
-	if _, commits, _, state = fake.snapshot(); commits != 1 || state != 1 {
-		t.Errorf("after Commit: commits=%d state=%d, want 1/1", commits, state)
-	}
-}
-
-func TestNewSerialAdapterNil(t *testing.T) {
-	if a := NewSerialAdapter(nil); a != nil {
-		t.Fatalf("NewSerialAdapter(nil) = %v, want nil", a)
+	s.Abort(Request{ID: 3}, p)
+	if fake.proposes != 2 || fake.commits != 1 {
+		t.Errorf("after Decide×2: proposes=%d commits=%d, want 2/1", fake.proposes, fake.commits)
 	}
 }

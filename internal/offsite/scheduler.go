@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"revnf/internal/core"
+	"revnf/internal/dual"
 	"revnf/internal/topology"
 	"revnf/internal/trace"
 )
@@ -39,20 +40,13 @@ var (
 // keeping the λ trajectory sequentially consistent in Commit order.
 type Scheduler struct {
 	network *core.Network
-	horizon int
 	// rel caches the per-(VNF, cloudlet) off-site weights.
 	rel *core.ReliabilityTable
-	// mu guards lambda, base, and lstart: Propose reads, Commit and
-	// AdvanceWindow write.
+	// mu guards prices: Propose reads, Commit and AdvanceWindow write.
 	mu sync.RWMutex
-	// lambda[j] is a ring of dual prices: λ_{tj} lives at ring index
-	// lstart + (t - base) mod horizon. With base pinned at 1 (every fixed
-	// -horizon caller) the index is exactly t-1, the historical layout.
-	lambda [][]float64 // guarded by mu
-	// base is the first slot of the live window; lstart its ring index.
-	// AdvanceWindow moves them forward, re-initializing retired prices.
-	base    int // guarded by mu
-	lstart  int // guarded by mu
+	// prices holds λ_{tj} over the live window, which stays [1, horizon]
+	// until AdvanceWindow moves it.
+	prices  dual.Table // guarded by mu
 	sortKey SortKey
 	name    string
 	// Latency awareness (WithLatencyPenalty): normalized cloudlet-pair
@@ -131,16 +125,11 @@ func NewScheduler(network *core.Network, horizon int, opts ...Option) (*Schedule
 	}
 	s := &Scheduler{
 		network: network,
-		horizon: horizon,
 		rel:     rel,
-		lambda:  make([][]float64, len(network.Cloudlets)),
+		prices:  dual.NewTable(len(network.Cloudlets), horizon),
 		sortKey: SortByPrice,
 		name:    "pd-offsite",
 		rec:     trace.Nop,
-		base:    1,
-	}
-	for j := range s.lambda {
-		s.lambda[j] = make([]float64, horizon)
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -158,18 +147,11 @@ func (s *Scheduler) Name() string { return s.name }
 func (s *Scheduler) Scheme() core.Scheme { return core.OffSite }
 
 // Lambda returns the current dual price λ_{tj}, or 0 for a slot outside
-// the live window [base, base+horizon-1]; exported for tests and
-// diagnostics.
+// the live window; exported for tests and diagnostics.
 func (s *Scheduler) Lambda(cloudlet, slot int) float64 {
-	if cloudlet < 0 || cloudlet >= len(s.lambda) {
-		return 0
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if slot < s.base || slot > s.base+s.horizon-1 {
-		return 0
-	}
-	return s.lambda[cloudlet][s.lidx(slot)]
+	return s.prices.At(cloudlet, slot)
 }
 
 // WindowBase returns the first slot of the live dual-price window (always
@@ -177,47 +159,18 @@ func (s *Scheduler) Lambda(cloudlet, slot int) float64 {
 func (s *Scheduler) WindowBase() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.base
-}
-
-// lidx maps an in-window absolute slot onto its λ ring index. Caller holds
-// mu (either side) and has range-checked slot.
-func (s *Scheduler) lidx(slot int) int {
-	i := s.lstart + (slot - s.base)
-	if i >= s.horizon {
-		i -= s.horizon
-	}
-	return i
+	return s.prices.Base()
 }
 
 // AdvanceWindow implements core.WindowAdvancer: it moves the dual-price
-// window forward so it starts at base, re-initializing λ for each retired
-// slot to zero so the slot entering at the far edge starts at a fresh
-// initial price instead of inheriting the retired slot's accumulated one.
-// In-window prices are untouched (the bit-identity argument of DESIGN.md
-// §10). Moving backward or not at all is a no-op.
+// window forward so it starts at base. A slot entering at the far edge
+// starts at a fresh initial price and in-window prices are untouched (the
+// bit-identity argument of DESIGN.md §10). Moving backward or not at all is
+// a no-op.
 func (s *Scheduler) AdvanceWindow(base int) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if base <= s.base {
-		return
-	}
-	retire := base - s.base
-	n := retire
-	if n > s.horizon {
-		n = s.horizon
-	}
-	for j := range s.lambda {
-		i := s.lstart
-		for k := 0; k < n; k++ {
-			s.lambda[j][i] = 0
-			if i++; i == s.horizon {
-				i = 0
-			}
-		}
-	}
-	s.lstart = (s.lstart + retire%s.horizon) % s.horizon
-	s.base = base
+	s.prices.Advance(base)
+	s.mu.Unlock()
 }
 
 // candidate is one cloudlet surviving the payment filter.
@@ -227,15 +180,10 @@ type candidate struct {
 	price    float64 // Σ_t λ_{tj} / w_j
 }
 
-// Decide implements core.Scheduler: Propose immediately followed by
-// Commit, the serialized form of lines 3–23 of Algorithm 2.
+// Decide implements core.Scheduler: the serialized form of lines 3–23 of
+// Algorithm 2.
 func (s *Scheduler) Decide(req core.Request, view core.CapacityView) (core.Placement, bool) {
-	p, ok := s.Propose(req, view)
-	if !ok {
-		return core.Placement{}, false
-	}
-	s.Commit(req, p)
-	return p, true
+	return core.Decide(s, req, view)
 }
 
 // Propose implements core.TwoPhaseScheduler: the payment filter, candidate
@@ -257,26 +205,17 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 	s.mu.RLock()
 	// The window check lives inside the same read-side critical section as
 	// the candidate scan so one proposal sees one consistent base even
-	// while AdvanceWindow races it. With base pinned at 1 (fixed horizon)
-	// this is the historical [1, horizon] check.
-	if req.Arrival < s.base || req.End() > s.base+s.horizon-1 {
+	// while AdvanceWindow races it.
+	if !s.prices.Contains(req.Arrival, req.End()) {
 		s.mu.RUnlock()
 		if tracing {
-			s.recordHorizon(req)
+			trace.RecordHorizon(s.rec, req, s.name, core.OffSite)
 		}
 		return core.Placement{}, false
 	}
 	for j := range s.network.Cloudlets {
 		w := s.rel.OffsiteWeight(req.VNF, j)
-		sumLambda := 0.0
-		i := s.lidx(req.Arrival)
-		for t := req.Arrival; t <= req.End(); t++ {
-			sumLambda += s.lambda[j][i]
-			if i++; i == s.horizon {
-				i = 0
-			}
-		}
-		price := sumLambda / w
+		price := s.prices.Sum(j, req.Arrival, req.End(), 1) / w
 		if tracing {
 			cands[j] = trace.Candidate{Cloudlet: j, Weight: w, DualCost: price}
 		}
@@ -376,17 +315,6 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 	return core.Placement{Request: req.ID, Scheme: core.OffSite, Assignments: assignments}, true
 }
 
-// recordHorizon emits the trace for a request rejected before the
-// candidate scan: its window does not fit the scheduler's horizon.
-func (s *Scheduler) recordHorizon(req core.Request) {
-	dt := trace.NewDecision(req, s.name, core.OffSite.String())
-	dt.Attempts = []trace.ProposeTrace{{
-		Scheduler: s.name, Scheme: core.OffSite.String(),
-		BestCloudlet: -1, Payment: req.Payment, Reason: trace.ReasonHorizon,
-	}}
-	s.rec.Record(dt)
-}
-
 // recordPropose emits the trace for one completed Algorithm 2 evaluation.
 // The off-site admission test is weight accumulation, not a single argmin:
 // BestCloudlet is the first cloudlet of the greedy set (-1 when empty) and
@@ -440,19 +368,20 @@ func anySurvived(cands []trace.Candidate) bool {
 }
 
 // Commit implements core.TwoPhaseScheduler: it applies the Eq. (67) dual
-// updates for every cloudlet in the admitted proposal under the write
-// lock. The per-cloudlet weights are recomputed from the reliability
-// table, so Commit needs only the placement, not Propose's scratch state.
+// update to every cloudlet of the admitted proposal under the write lock.
+// With W = -ln(1-R) and w_j = -ln(1 - r(f)·r(c_j)), recomputed from the
+// reliability table so Commit needs only the placement, the update is
+// λ := λ·(1 + W·c(f)/(w_j·cap_j)) + W·c(f)·pay/(w_j·d·cap_j).
 func (s *Scheduler) Commit(req core.Request, p core.Placement) {
-	if len(p.Assignments) == 0 {
-		return
+	needWeight := core.RequirementWeight(req.Reliability)
+	demand := float64(s.network.Catalog[req.VNF].Demand)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, a := range p.Assignments {
+		capj := float64(s.network.Cloudlets[a.Cloudlet].Capacity)
+		ratio := needWeight * demand / (s.rel.OffsiteWeight(req.VNF, a.Cloudlet) * capj)
+		s.prices.Update(a.Cloudlet, req.Arrival, req.End(), 1+ratio, ratio*req.Payment/float64(req.Duration))
 	}
-	vnf := s.network.Catalog[req.VNF]
-	chosen := make([]candidate, len(p.Assignments))
-	for i, a := range p.Assignments {
-		chosen[i] = candidate{cloudlet: a.Cloudlet, weight: s.rel.OffsiteWeight(req.VNF, a.Cloudlet)}
-	}
-	s.updateDuals(req, vnf, chosen)
 }
 
 // Abort implements core.TwoPhaseScheduler. Propose acquires nothing, so
@@ -462,39 +391,3 @@ func (s *Scheduler) Abort(core.Request, core.Placement) {}
 // ConcurrentPropose implements core.TwoPhaseScheduler: proposals only read
 // λ under the read lock and may run concurrently.
 func (s *Scheduler) ConcurrentPropose() bool { return true }
-
-// updateDuals applies Eq. (67) to every selected cloudlet's slots. With
-// W = -ln(1-R) and w_j = -ln(1 - r(f)·r(c_j)) the update is
-// λ := λ·(1 + W·c(f)/(w_j·cap_j)) + W·c(f)·pay/(w_j·d·cap_j).
-func (s *Scheduler) updateDuals(req core.Request, vnf core.VNF, chosen []candidate) {
-	needWeight := core.RequirementWeight(req.Reliability)
-	demand := float64(vnf.Demand)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Clamp to the live window: in fixed mode the proposal already proved
-	// [Arrival, End] ⊆ [1, horizon] so the clamp never bites; in rolling
-	// mode it guards a commit racing an AdvanceWindow past its arrival.
-	lo, hi := req.Arrival, req.End()
-	if lo < s.base {
-		lo = s.base
-	}
-	if max := s.base + s.horizon - 1; hi > max {
-		hi = max
-	}
-	if lo > hi {
-		return
-	}
-	for _, c := range chosen {
-		capj := float64(s.network.Cloudlets[c.cloudlet].Capacity)
-		ratio := needWeight * demand / (c.weight * capj)
-		growth := 1 + ratio
-		additive := ratio * req.Payment / float64(req.Duration)
-		i := s.lidx(lo)
-		for t := lo; t <= hi; t++ {
-			s.lambda[c.cloudlet][i] = s.lambda[c.cloudlet][i]*growth + additive
-			if i++; i == s.horizon {
-				i = 0
-			}
-		}
-	}
-}

@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"revnf/internal/core"
+	"revnf/internal/dual"
 	"revnf/internal/trace"
 )
 
@@ -45,21 +46,15 @@ var (
 // update order the competitive analysis of Theorem 1 assumes.
 type Scheduler struct {
 	network *core.Network
-	horizon int
 	// rel caches the per-(VNF, cloudlet) instance-count math.
 	rel *core.ReliabilityTable
-	// mu guards lambda, base, and lstart: Propose reads, Commit and
-	// AdvanceWindow write. Holding the read lock across the whole argmin
-	// means one proposal always sees one consistent window position.
+	// mu guards prices: Propose reads, Commit and AdvanceWindow write.
+	// Holding the read lock across the whole argmin means one proposal
+	// always sees one consistent window position.
 	mu sync.RWMutex
-	// lambda[j] is a ring of dual prices: λ_{tj} lives at ring index
-	// lstart + (t - base) mod horizon. With base pinned at 1 (every fixed
-	// -horizon caller) the index is exactly t-1, the historical layout.
-	lambda [][]float64 // guarded by mu
-	// base is the first slot of the live window; lstart its ring index.
-	// AdvanceWindow moves them forward, re-initializing retired prices.
-	base     int // guarded by mu
-	lstart   int // guarded by mu
+	// prices holds λ_{tj} over the live window, which stays [1, horizon]
+	// until AdvanceWindow moves it.
+	prices   dual.Table // guarded by mu
 	enforce  bool
 	additive bool
 	scale    float64
@@ -137,16 +132,11 @@ func NewScheduler(network *core.Network, horizon int, opts ...Option) (*Schedule
 	}
 	s := &Scheduler{
 		network: network,
-		horizon: horizon,
 		rel:     rel,
-		lambda:  make([][]float64, len(network.Cloudlets)),
+		prices:  dual.NewTable(len(network.Cloudlets), horizon),
 		scale:   1,
 		name:    "pd-onsite-raw",
 		rec:     trace.Nop,
-		base:    1,
-	}
-	for j := range s.lambda {
-		s.lambda[j] = make([]float64, horizon)
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -164,18 +154,12 @@ func (s *Scheduler) Name() string { return s.name }
 func (s *Scheduler) Scheme() core.Scheme { return core.OnSite }
 
 // Lambda returns the current dual price λ_{tj}, or 0 for a slot outside
-// the live window [base, base+horizon-1]; it is exported for tests and the
-// experiment harness's dual-trajectory diagnostics.
+// the live window; it is exported for tests and the experiment harness's
+// dual-trajectory diagnostics.
 func (s *Scheduler) Lambda(cloudlet, slot int) float64 {
-	if cloudlet < 0 || cloudlet >= len(s.lambda) {
-		return 0
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if slot < s.base || slot > s.base+s.horizon-1 {
-		return 0
-	}
-	return s.lambda[cloudlet][s.lidx(slot)]
+	return s.prices.At(cloudlet, slot)
 }
 
 // WindowBase returns the first slot of the live dual-price window (always
@@ -183,60 +167,26 @@ func (s *Scheduler) Lambda(cloudlet, slot int) float64 {
 func (s *Scheduler) WindowBase() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.base
-}
-
-// lidx maps an in-window absolute slot onto its λ ring index. Caller holds
-// mu (either side) and has range-checked slot.
-func (s *Scheduler) lidx(slot int) int {
-	i := s.lstart + (slot - s.base)
-	if i >= s.horizon {
-		i -= s.horizon
-	}
-	return i
+	return s.prices.Base()
 }
 
 // AdvanceWindow implements core.WindowAdvancer: it moves the dual-price
-// window forward so it starts at base, re-initializing λ for each retired
-// slot to zero — the entering slot at the far edge starts at the same
-// initial dual price a fresh horizon would give it, rather than inheriting
-// the retired slot's accumulated price. Prices for slots still inside the
-// window are untouched, which is what keeps rolling-mode decisions
-// bit-identical to fixed-horizon decisions for in-window request streams
-// (DESIGN.md §10). Moving backward or not at all is a no-op.
+// window forward so it starts at base. A slot entering at the far edge
+// starts at the initial price a fresh horizon would give it and prices of
+// slots still inside the window are untouched, which is what keeps
+// rolling-mode decisions bit-identical to fixed-horizon decisions for
+// in-window request streams (DESIGN.md §10). Moving backward or not at all
+// is a no-op.
 func (s *Scheduler) AdvanceWindow(base int) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if base <= s.base {
-		return
-	}
-	retire := base - s.base
-	n := retire
-	if n > s.horizon {
-		n = s.horizon
-	}
-	for j := range s.lambda {
-		i := s.lstart
-		for k := 0; k < n; k++ {
-			s.lambda[j][i] = 0
-			if i++; i == s.horizon {
-				i = 0
-			}
-		}
-	}
-	s.lstart = (s.lstart + retire%s.horizon) % s.horizon
-	s.base = base
+	s.prices.Advance(base)
+	s.mu.Unlock()
 }
 
-// Decide implements core.Scheduler: Propose immediately followed by
-// Commit, the serialized form of lines 3–15 of Algorithm 1.
+// Decide implements core.Scheduler: the serialized form of lines 3–15 of
+// Algorithm 1.
 func (s *Scheduler) Decide(req core.Request, view core.CapacityView) (core.Placement, bool) {
-	p, ok := s.Propose(req, view)
-	if !ok {
-		return core.Placement{}, false
-	}
-	s.Commit(req, p)
-	return p, true
+	return core.Decide(s, req, view)
 }
 
 // Propose implements core.TwoPhaseScheduler: the argmin over cloudlets and
@@ -258,12 +208,11 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 	s.mu.RLock()
 	// The window check lives inside the same read-side critical section as
 	// the argmin so one proposal sees one consistent base even while
-	// AdvanceWindow races it. With base pinned at 1 (fixed horizon) this is
-	// the historical [1, horizon] check.
-	if req.Arrival < s.base || req.End() > s.base+s.horizon-1 {
+	// AdvanceWindow races it.
+	if !s.prices.Contains(req.Arrival, req.End()) {
 		s.mu.RUnlock()
 		if tracing {
-			s.recordHorizon(req)
+			trace.RecordHorizon(s.rec, req, s.name, core.OnSite)
 		}
 		return core.Placement{}, false
 	}
@@ -314,30 +263,10 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 }
 
 // priceLocked computes the dual cost Σ_t V_i[t]·N_ij·c(f_i)·λ_{tj} for
-// cloudlet j (with demand scaling), exactly as the pre-trace inline loop
-// did. Caller holds the read side of mu.
+// cloudlet j (with demand scaling). Caller holds the read side of mu and
+// has checked the request's window is live.
 func (s *Scheduler) priceLocked(j int, req core.Request, units int) float64 {
-	price := 0.0
-	scaled := float64(units) * s.scale
-	i := s.lidx(req.Arrival)
-	for t := req.Arrival; t <= req.End(); t++ {
-		price += scaled * s.lambda[j][i]
-		if i++; i == s.horizon {
-			i = 0
-		}
-	}
-	return price
-}
-
-// recordHorizon emits the trace for a request rejected before the argmin:
-// its window does not fit the scheduler's horizon.
-func (s *Scheduler) recordHorizon(req core.Request) {
-	dt := trace.NewDecision(req, s.name, core.OnSite.String())
-	dt.Attempts = []trace.ProposeTrace{{
-		Scheduler: s.name, Scheme: core.OnSite.String(),
-		BestCloudlet: -1, Payment: req.Payment, Reason: trace.ReasonHorizon,
-	}}
-	s.rec.Record(dt)
+	return s.prices.Sum(j, req.Arrival, req.End(), float64(units)*s.scale)
 }
 
 // recordPropose emits the trace for one completed argmin evaluation.
@@ -373,13 +302,23 @@ func (s *Scheduler) recordPropose(req core.Request, cands []trace.Candidate,
 }
 
 // Commit implements core.TwoPhaseScheduler: it applies the Eq. (34) dual
-// update for the admitted proposal under the write lock.
+// update, λ := λ·(1 + u/cap) + u·pay/(d·cap) with u the scaled units, to
+// the admitted proposal's cloudlet under the write lock.
 func (s *Scheduler) Commit(req core.Request, p core.Placement) {
 	if len(p.Assignments) != 1 {
 		return
 	}
-	s.updateDuals(req, p.Assignments[0].Cloudlet, p.Assignments[0].Instances,
-		s.network.Catalog[req.VNF].Demand)
+	a := p.Assignments[0]
+	capj := float64(s.network.Cloudlets[a.Cloudlet].Capacity)
+	units := float64(a.Instances*s.network.Catalog[req.VNF].Demand) * s.scale
+	growth := 1 + units/capj
+	if s.additive {
+		growth = 1
+	}
+	additive := units * req.Payment / (float64(req.Duration) * capj)
+	s.mu.Lock()
+	s.prices.Update(a.Cloudlet, req.Arrival, req.End(), growth, additive)
+	s.mu.Unlock()
 }
 
 // Abort implements core.TwoPhaseScheduler. Propose acquires nothing, so
@@ -389,35 +328,3 @@ func (s *Scheduler) Abort(core.Request, core.Placement) {}
 // ConcurrentPropose implements core.TwoPhaseScheduler: proposals only read
 // λ under the read lock and may run concurrently.
 func (s *Scheduler) ConcurrentPropose() bool { return true }
-
-// updateDuals applies Eq. (34) to the selected cloudlet's slots.
-func (s *Scheduler) updateDuals(req core.Request, cloudlet, instances, demand int) {
-	capj := float64(s.network.Cloudlets[cloudlet].Capacity)
-	units := float64(instances*demand) * s.scale
-	growth := 1 + units/capj
-	if s.additive {
-		growth = 1
-	}
-	additive := units * req.Payment / (float64(req.Duration) * capj)
-	s.mu.Lock()
-	// Clamp to the live window: in fixed mode the proposal already proved
-	// [Arrival, End] ⊆ [1, horizon] so the clamp never bites; in rolling
-	// mode it guards a commit racing an AdvanceWindow past its arrival.
-	lo, hi := req.Arrival, req.End()
-	if lo < s.base {
-		lo = s.base
-	}
-	if max := s.base + s.horizon - 1; hi > max {
-		hi = max
-	}
-	if lo <= hi {
-		i := s.lidx(lo)
-		for t := lo; t <= hi; t++ {
-			s.lambda[cloudlet][i] = s.lambda[cloudlet][i]*growth + additive
-			if i++; i == s.horizon {
-				i = 0
-			}
-		}
-	}
-	s.mu.Unlock()
-}

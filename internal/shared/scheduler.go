@@ -32,6 +32,7 @@ import (
 	"sync"
 
 	"revnf/internal/core"
+	"revnf/internal/dual"
 	"revnf/internal/trace"
 )
 
@@ -47,10 +48,9 @@ var (
 // every slot of its window) and the furthest slot any member covers.
 type group struct {
 	id int
-	// ref counts the members active at each slot: a ring over the live
-	// window indexed by Scheduler.lidx, like the dual prices, so a group
-	// holds one cell per live slot however long it keeps being joined.
-	// Protected by Scheduler.mu.
+	// ref counts the members active at each slot: a ring on the dual
+	// prices' Window, so a group holds one cell per live slot however long
+	// it keeps being joined. Protected by Scheduler.mu.
 	ref []uint16
 	end int // max covered slot; stale groups (end < arrival) are retired
 }
@@ -67,21 +67,17 @@ const stackCloudlets = 32
 // tentative group ID whose uniqueness needs the Propose→Commit pairs
 // serialized — so engines drive it through their serial path. All state
 // keyed by slot is a ring over the live window (DESIGN.md §10): λ and the
-// groups' refcounts share the index lidx, and AdvanceWindow is the one
+// groups' refcounts share one dual.Window, and AdvanceWindow is the one
 // place a retired cell is cleared.
 type Scheduler struct {
 	network  *core.Network
-	horizon  int
 	poolSize int
 	rel      *core.ReliabilityTable
 	// mu guards everything below it: Propose reads, Commit and
 	// AdvanceWindow write.
 	mu sync.RWMutex
-	// lambda[j] is a ring of dual prices: λ_{tj} lives at ring index
-	// lstart + (t - base) mod horizon, exactly the off-site layout.
-	lambda [][]float64 // guarded by mu
-	base   int         // guarded by mu
-	lstart int         // guarded by mu
+	// prices holds λ_{tj}; its Window is also the groups' ring geometry.
+	prices dual.Table // guarded by mu
 	// open[backup·|F|+vnf] lists the joinable groups of one key in
 	// ascending ID order (the join scan is deterministic). Backup groups
 	// are homogeneous in (backup cloudlet, VNF type) — same pooled instance
@@ -97,10 +93,8 @@ type Scheduler struct {
 	minEnd int // guarded by mu
 	// free holds retired groups, rings zeroed, for the next new group.
 	free []*group // guarded by mu
-	// covered is Commit's scratch: the ring cells its member covered first.
-	covered []bool // guarded by mu
-	name    string
-	rec     trace.Recorder
+	name string
+	rec  trace.Recorder
 }
 
 // Option configures the scheduler.
@@ -145,20 +139,14 @@ func NewScheduler(network *core.Network, horizon int, opts ...Option) (*Schedule
 	}
 	s := &Scheduler{
 		network:   network,
-		horizon:   horizon,
 		poolSize:  core.DefaultSharedPoolSize,
 		rel:       rel,
-		lambda:    make([][]float64, len(network.Cloudlets)),
+		prices:    dual.NewTable(len(network.Cloudlets), horizon),
 		open:      make([][]*group, len(network.Cloudlets)*len(network.Catalog)),
 		nextGroup: 1,
 		minEnd:    math.MaxInt,
-		covered:   make([]bool, horizon),
 		name:      "pd-shared",
 		rec:       trace.Nop,
-		base:      1,
-	}
-	for j := range s.lambda {
-		s.lambda[j] = make([]float64, horizon)
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -182,25 +170,9 @@ func (s *Scheduler) PoolSize() int { return s.poolSize }
 // Lambda implements core.LambdaReader: the current dual price λ_{tj}, or
 // 0 for a slot outside the live window.
 func (s *Scheduler) Lambda(cloudlet, slot int) float64 {
-	if cloudlet < 0 || cloudlet >= len(s.lambda) {
-		return 0
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if slot < s.base || slot > s.base+s.horizon-1 {
-		return 0
-	}
-	return s.lambda[cloudlet][s.lidx(slot)]
-}
-
-// lidx maps an in-window absolute slot onto its λ ring index. Caller
-// holds mu (either side) and has range-checked slot.
-func (s *Scheduler) lidx(slot int) int {
-	i := s.lstart + (slot - s.base)
-	if i >= s.horizon {
-		i -= s.horizon
-	}
-	return i
+	return s.prices.At(cloudlet, slot)
 }
 
 // AdvanceWindow implements core.WindowAdvancer exactly as the off-site
@@ -212,32 +184,16 @@ func (s *Scheduler) lidx(slot int) int {
 func (s *Scheduler) AdvanceWindow(base int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if base <= s.base {
+	start, n := s.prices.Advance(base)
+	if n == 0 {
 		return
-	}
-	retire := base - s.base
-	n := retire
-	if n > s.horizon {
-		n = s.horizon
-	}
-	for j := range s.lambda {
-		clearRing(s.lambda[j], s.lstart, n)
 	}
 	s.retireLocked(base)
 	for _, groups := range s.open {
 		for _, g := range groups {
-			clearRing(g.ref, s.lstart, n)
+			dual.ClearRing(g.ref, start, n)
 		}
 	}
-	s.lstart = (s.lstart + retire%s.horizon) % s.horizon
-	s.base = base
-}
-
-// clearRing zeroes the n ≤ len(ring) cells from index start on, wrapping.
-func clearRing[T any](ring []T, start, n int) {
-	k := min(n, len(ring)-start)
-	clear(ring[start : start+k])
-	clear(ring[:n-k])
 }
 
 // retireLocked drops groups whose last covered slot is before limit from
@@ -306,15 +262,9 @@ func (c pairCandidate) better(cur pairCandidate, found bool) bool {
 	return c.backup < cur.backup
 }
 
-// Decide implements core.Scheduler: Propose immediately followed by
-// Commit.
+// Decide implements core.Scheduler.
 func (s *Scheduler) Decide(req core.Request, view core.CapacityView) (core.Placement, bool) {
-	p, ok := s.Propose(req, view)
-	if !ok {
-		return core.Placement{}, false
-	}
-	s.Commit(req, p)
-	return p, true
+	return core.Decide(s, req, view)
 }
 
 // Propose implements core.TwoPhaseScheduler: it scans every (primary,
@@ -340,10 +290,10 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 		}
 	}
 	s.mu.RLock()
-	if req.Arrival < s.base || req.End() > s.base+s.horizon-1 {
+	if !s.prices.Contains(req.Arrival, req.End()) {
 		s.mu.RUnlock()
 		if tracing {
-			s.recordHorizon(req)
+			trace.RecordHorizon(s.rec, req, s.name, core.Shared)
 		}
 		return core.Placement{}, false
 	}
@@ -358,16 +308,8 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 	} else {
 		sums, joins = make([]float64, m), make([]joinInfo, m)
 	}
-	for j := range s.network.Cloudlets {
-		sum := 0.0
-		i := s.lidx(req.Arrival)
-		for t := req.Arrival; t <= req.End(); t++ {
-			sum += s.lambda[j][i]
-			if i++; i == s.horizon {
-				i = 0
-			}
-		}
-		sums[j] = sum
+	for j := range sums {
+		sums[j] = s.prices.Sum(j, req.Arrival, req.End(), 1)
 	}
 	best := pairCandidate{primary: -1, backup: -1}
 	found := false
@@ -391,7 +333,7 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 			}
 			if !joins[b].resolved {
 				joins[b].gid, joins[b].isNew, joins[b].uncovered, joins[b].ok =
-					s.joinableLocked(b, req, view, demand)
+					s.joinableLocked(b, req, view, demand, sums[b])
 				joins[b].resolved = true
 			}
 			gid, isNew, uncovered, ok := joins[b].gid, joins[b].isNew, joins[b].uncovered, joins[b].ok
@@ -454,12 +396,13 @@ func (s *Scheduler) openKey(backup, vnf int) int {
 // slots the group does not already cover have marginal backup capacity.
 // Opening a new group needs backup capacity over the whole window. The
 // returned uncovered value is the backup cloudlet's dual-price sum over
-// the slots the chosen group does not cover (the whole window for a new
-// group) — the marginal footprint the pair is priced by. Among joinable
-// groups the one with the cheapest marginal footprint wins. Caller holds
-// mu (read side).
-func (s *Scheduler) joinableLocked(backup int, req core.Request, view core.CapacityView, demand int) (id int, isNew bool, uncovered float64, ok bool) {
+// the slots the chosen group does not cover (for a new group the whole
+// window, whose sum the caller passes as windowSum) — the marginal
+// footprint the pair is priced by. Among joinable groups the one with the
+// cheapest marginal footprint wins. Caller holds mu (read side).
+func (s *Scheduler) joinableLocked(backup int, req core.Request, view core.CapacityView, demand int, windowSum float64) (id int, isNew bool, uncovered float64, ok bool) {
 	bestGid, bestSum, foundJoin := 0, 0.0, false
+	row, ring := s.prices.Row(backup), s.prices.Len()
 	for _, g := range s.open[s.openKey(backup, req.VNF)] {
 		if g.end < req.Arrival {
 			// Stale group: never joinable by an in-order arrival stream;
@@ -468,7 +411,7 @@ func (s *Scheduler) joinableLocked(backup int, req core.Request, view core.Capac
 		}
 		fits := true
 		sum := 0.0
-		i := s.lidx(req.Arrival)
+		i := s.prices.Index(req.Arrival)
 		for t := req.Arrival; t <= req.End() && fits; t++ {
 			switch {
 			case int(g.ref[i]) >= s.poolSize:
@@ -477,9 +420,9 @@ func (s *Scheduler) joinableLocked(backup int, req core.Request, view core.Capac
 				if view.Residual(backup, t) < demand {
 					fits = false
 				}
-				sum += s.lambda[backup][i]
+				sum += row[i]
 			}
-			if i++; i == s.horizon {
+			if i++; i == ring {
 				i = 0
 			}
 		}
@@ -493,26 +436,7 @@ func (s *Scheduler) joinableLocked(backup int, req core.Request, view core.Capac
 	if view.ResidualWindow(backup, req.Arrival, req.Duration) < demand {
 		return 0, false, 0, false
 	}
-	sum := 0.0
-	i := s.lidx(req.Arrival)
-	for t := req.Arrival; t <= req.End(); t++ {
-		sum += s.lambda[backup][i]
-		if i++; i == s.horizon {
-			i = 0
-		}
-	}
-	return s.nextGroup, true, sum, true
-}
-
-// recordHorizon emits the trace for a request rejected before the
-// candidate scan.
-func (s *Scheduler) recordHorizon(req core.Request) {
-	dt := trace.NewDecision(req, s.name, core.Shared.String())
-	dt.Attempts = []trace.ProposeTrace{{
-		Scheduler: s.name, Scheme: core.Shared.String(),
-		BestCloudlet: -1, Payment: req.Payment, Reason: trace.ReasonHorizon,
-	}}
-	s.rec.Record(dt)
+	return s.nextGroup, true, windowSum, true
 }
 
 // recordPropose emits the trace for one completed evaluation. Candidates
@@ -554,106 +478,86 @@ func (s *Scheduler) recordPropose(req core.Request, cands []trace.Candidate,
 // proposal's backup group and applies the amortized dual updates under
 // the write lock. The update is the Eq. (34) form with units = c(f) on
 // the primary over the whole window, and units = c(f)/k on the backup
-// over only the slots this member newly covered — slots the group already
-// held consumed no new capacity, so their prices must not move, or joins
-// would be overpriced relative to the footprint they actually take:
+// over only the slots this member newly covered (refcount 0 → 1) — slots
+// the group already held consumed no new capacity, so their prices must
+// not move, or joins would be overpriced relative to the footprint they
+// actually take:
 //
 //	λ := λ·(1 + units/cap) + units·pay/(d·cap)
 func (s *Scheduler) Commit(req core.Request, p core.Placement) {
 	if len(p.Assignments) != 1 || p.Backup == nil {
 		return
 	}
-	primary := p.Assignments[0].Cloudlet
-	backup := p.Backup.Cloudlet
+	primary, backup := p.Assignments[0].Cloudlet, p.Backup.Cloudlet
 	demand := float64(s.network.Catalog[req.VNF].Demand)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Clamp to the live window before touching any ring: a slot outside it
 	// has no cell of its own.
-	lo, hi := req.Arrival, req.End()
-	if lo < s.base {
-		lo = s.base
-	}
-	if max := s.base + s.horizon - 1; hi > max {
-		hi = max
-	}
-	if lo > hi {
+	lo, hi, ok := s.prices.Clamp(req.Arrival, req.End())
+	if !ok {
 		return
 	}
-	s.joinGroupLocked(s.openKey(backup, req.VNF), p.Backup.Group, lo, hi)
+	g := s.groupLocked(s.openKey(backup, req.VNF), p.Backup.Group, hi)
 	s.retireLocked(req.Arrival)
-	s.bumpLocked(primary, demand, req, lo, hi, nil)
-	s.bumpLocked(backup, demand/float64(s.poolSize), req, lo, hi, s.covered)
-}
-
-// bumpLocked applies the dual update for units on one cloudlet's window.
-// A non-nil only restricts the update to the ring cells it marks. Caller
-// holds the write lock and has clamped [lo, hi] to the live window.
-func (s *Scheduler) bumpLocked(cloudlet int, units float64, req core.Request, lo, hi int, only []bool) {
-	capj := float64(s.network.Cloudlets[cloudlet].Capacity)
-	growth := 1 + units/capj
-	additive := units * req.Payment / (float64(req.Duration) * capj)
-	i := s.lidx(lo)
+	growth, additive := s.eq34(primary, demand, req)
+	s.prices.Update(primary, lo, hi, growth, additive)
+	// The join and the backup's update are one walk over the group's
+	// refcounts and the backup's prices in lockstep.
+	growth, additive = s.eq34(backup, demand/float64(s.poolSize), req)
+	row, ring := s.prices.Row(backup), s.prices.Len()
+	i := s.prices.Index(lo)
 	for t := lo; t <= hi; t++ {
-		if only == nil || only[i] {
-			s.lambda[cloudlet][i] = s.lambda[cloudlet][i]*growth + additive
+		if g.ref[i] == 0 {
+			row[i] = row[i]*growth + additive
 		}
-		if i++; i == s.horizon {
-			i = 0
-		}
-	}
-}
-
-// joinGroupLocked records a membership over the in-window slots [lo, hi]:
-// joining increments the per-slot active counts of the existing group; a
-// tentative new ID creates the group. It marks in s.covered the slots this
-// member newly covered (refcount 0 → 1) — the slots whose backup capacity
-// the member actually consumed, which Commit restricts the backup dual
-// update to. A tentative ID that does not name an open group of the key
-// although it was already issued (to a group of another key or one since
-// retired, which serialized Propose→Commit pairs never produce) falls
-// back to a fresh ID — the placement's recorded group then differs from
-// scheduler bookkeeping, which only affects future join density, never
-// availability. Caller holds the write lock.
-func (s *Scheduler) joinGroupLocked(key, gid, lo, hi int) {
-	var g *group
-	for _, og := range s.open[key] {
-		if og.id == gid {
-			g = og
-			break
-		}
-	}
-	if g == nil {
-		if gid < s.nextGroup {
-			gid = s.nextGroup
-		}
-		s.nextGroup = gid + 1
-		if n := len(s.free); n > 0 {
-			g, s.free = s.free[n-1], s.free[:n-1]
-		} else {
-			g = &group{ref: make([]uint16, s.horizon)}
-		}
-		g.id, g.end = gid, hi
-		// The new ID is the largest issued, so appending keeps the key's
-		// groups in ascending ID order.
-		s.open[key] = append(s.open[key], g)
-		if hi < s.minEnd {
-			s.minEnd = hi
-		}
-	}
-	i := s.lidx(lo)
-	for t := lo; t <= hi; t++ {
-		s.covered[i] = g.ref[i] == 0
 		if g.ref[i] < math.MaxUint16 {
 			g.ref[i]++
 		}
-		if i++; i == s.horizon {
+		if i++; i == ring {
 			i = 0
 		}
 	}
-	if hi > g.end {
-		g.end = hi
+}
+
+// eq34 returns the (growth, additive) pair of the dual update for units on
+// one cloudlet.
+func (s *Scheduler) eq34(cloudlet int, units float64, req core.Request) (growth, additive float64) {
+	capj := float64(s.network.Cloudlets[cloudlet].Capacity)
+	return 1 + units/capj, units * req.Payment / (float64(req.Duration) * capj)
+}
+
+// groupLocked returns the open group gid of the key, extended to cover
+// slot hi, creating it when gid is a tentative new ID. A tentative ID that
+// does not name an open group of the key although it was already issued
+// (to a group of another key or one since retired, which serialized
+// Propose→Commit pairs never produce) falls back to a fresh ID — the
+// placement's recorded group then differs from scheduler bookkeeping,
+// which only affects future join density, never availability. Caller
+// holds the write lock.
+func (s *Scheduler) groupLocked(key, gid, hi int) *group {
+	for _, g := range s.open[key] {
+		if g.id == gid {
+			g.end = max(g.end, hi)
+			return g
+		}
 	}
+	if gid < s.nextGroup {
+		gid = s.nextGroup
+	}
+	s.nextGroup = gid + 1
+	var g *group
+	if n := len(s.free); n > 0 {
+		g, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		g = &group{ref: make([]uint16, s.prices.Len())}
+	}
+	g.id, g.end = gid, hi
+	// The new ID is the largest issued, so appending keeps the key's
+	// groups in ascending ID order.
+	s.open[key] = append(s.open[key], g)
+	s.minEnd = min(s.minEnd, hi)
+	return g
 }
 
 // Abort implements core.TwoPhaseScheduler. Propose acquires nothing, so

@@ -356,9 +356,9 @@ func TestGroupStateBounded(t *testing.T) {
 			if len(g.ref) != window {
 				t.Fatalf("group %d holds %d cells, want %d", g.id, len(g.ref), window)
 			}
-			for ts := s.base; ts < s.base+window; ts++ {
-				if ts > g.end && g.ref[s.lidx(ts)] != 0 {
-					t.Fatalf("group %d (end %d) counts %d members at slot %d", g.id, g.end, g.ref[s.lidx(ts)], ts)
+			for ts := s.prices.Base(); ts < s.prices.Base()+window; ts++ {
+				if ts > g.end && g.ref[s.prices.Index(ts)] != 0 {
+					t.Fatalf("group %d (end %d) counts %d members at slot %d", g.id, g.end, g.ref[s.prices.Index(ts)], ts)
 				}
 			}
 		}

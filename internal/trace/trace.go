@@ -227,6 +227,17 @@ func NewDecision(req core.Request, scheduler, scheme string) *DecisionTrace {
 	}
 }
 
+// RecordHorizon emits the trace of a request a scheduler rejected before
+// evaluating any candidate: its window does not fit the live window.
+func RecordHorizon(rec Recorder, req core.Request, scheduler string, scheme core.Scheme) {
+	dt := NewDecision(req, scheduler, scheme.String())
+	dt.Attempts = []ProposeTrace{{
+		Scheduler: scheduler, Scheme: scheme.String(),
+		BestCloudlet: -1, Payment: req.Payment, Reason: ReasonHorizon,
+	}}
+	rec.Record(dt)
+}
+
 // FinalReason returns the decision's effective reason code: the engine
 // outcome when set, otherwise the last attempt's verdict (ReasonAdmitted
 // for an admitting attempt). It is empty only for a trace with no

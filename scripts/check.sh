@@ -57,4 +57,7 @@ else
     go test ./internal/serve -run 'TestSoakRollingHorizon' -race -count=1 -v
 fi
 
+# ROADMAP aim 2's budget, reported in every log (no gate).
+echo "==> non-test Go outside benchmark/: $(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l) lines"
+
 echo "OK"
