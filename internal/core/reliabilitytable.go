@@ -17,11 +17,13 @@ const maxThresholds = 64
 // cloudlet) pair,
 //
 //   - the availability ladder rc·(1-(1-rf)^n) for n = 1, 2, ..., so the
-//     minimum on-site instance count of Eqs. (2)-(3) becomes a ladder scan
-//     with no transcendental calls, and
+//     minimum on-site instance count of Eqs. (2)-(3) is the closed-form
+//     start ceil(log(1-R/rc)/log(1-rf)) — one math.Log of the request's
+//     own target per lookup, the denominator cached — followed by the
+//     verify-and-bump walk on the ladder instead of on math.Pow, and
 //   - the off-site log-domain weight -ln(1 - rf·rc) of Section V,
 //
-// plus log(1-rf) per VNF for the closed-form fallback. Every lookup
+// plus log(1-rf) per VNF for that closed form and its fallback. Every lookup
 // returns bit-identical results to the package-level OnsiteInstances and
 // OffsiteWeight functions (the cached values are produced by the same
 // expressions), so cached and uncached schedulers make identical

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,11 +87,6 @@ type PlacementRecord struct {
 	// runtime re-places the request mid-window (the repair reserves
 	// [repair slot, end] and releases the old footprint).
 	ReservedFrom int
-	// released records that the ledger reservation has been returned, so
-	// expiry can never release a footprint twice (degraded placements
-	// keep their state mark at expiry but release exactly once like every
-	// other placement).
-	released bool
 }
 
 // TickReport summarizes one slot advance.
@@ -135,6 +131,10 @@ type Stats struct {
 	Revenue float64
 	// ActivePlacements counts admitted, not-yet-expired placements.
 	ActivePlacements int
+	// FiledPlacements counts the entries of the placement history (every
+	// admission is retained) and BookBytes the memory its chunks hold,
+	// assignments included.
+	FiledPlacements, BookBytes int
 	// CloudletUsed and CloudletCapacity give per-cloudlet units in use at
 	// the current slot (zero usage once the slot passes the horizon).
 	CloudletUsed, CloudletCapacity []int
@@ -226,12 +226,14 @@ type Engine struct {
 	// footprints are reserved when the first member joins and released when
 	// the last member expires. It carries its own lock; the engine only
 	// calls it from paths that already own the relevant footprint.
-	pool       *timeslot.Pool
-	slot       int                      // guarded by mu
-	placements map[int]*PlacementRecord // guarded by mu
-	expiry     *simulate.WindowIndex    // guarded by mu
-	admitted   uint64                   // guarded by mu
-	expired    uint64                   // guarded by mu
+	pool *timeslot.Pool
+	slot int // guarded by mu
+	// book is the ID-keyed state: the live records of the window and the
+	// pointer-free history of every admission (book.go).
+	book     placementBook         // guarded by mu
+	expiry   *simulate.WindowIndex // guarded by mu
+	admitted uint64                // guarded by mu
+	expired  uint64                // guarded by mu
 	// admittedByScheme splits the admitted counter by placement scheme.
 	admittedByScheme map[core.Scheme]uint64 // guarded by mu
 	revenue          float64                // guarded by mu
@@ -306,6 +308,12 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Horizon < 1 {
 		return nil, fmt.Errorf("%w: horizon %d", ErrBadConfig, cfg.Horizon)
+	}
+	if cfg.Horizon > math.MaxInt32 || len(cfg.Network.Catalog) > math.MaxInt32 || len(cfg.Network.Cloudlets) > math.MaxInt32 {
+		// The placement history files durations and VNF and cloudlet
+		// indices as int32 (book.go).
+		return nil, fmt.Errorf("%w: horizon %d, %d VNF types, %d cloudlets: more than the placement history can file",
+			ErrBadConfig, cfg.Horizon, len(cfg.Network.Catalog), len(cfg.Network.Cloudlets))
 	}
 	if cfg.QueueSize < 0 {
 		return nil, fmt.Errorf("%w: queue size %d", ErrBadConfig, cfg.QueueSize)
@@ -388,24 +396,24 @@ func New(cfg Config) (*Engine, error) {
 		advancer, _ = cfg.Scheduler.(core.WindowAdvancer)
 	}
 	e := &Engine{
-		cfg:        cfg,
-		network:    cfg.Network,
-		horizon:    cfg.Horizon,
-		workers:    workers,
-		now:        nowFn,
-		rolling:    cfg.Rolling,
-		advancer:   advancer,
-		sched:      cfg.Scheduler,
-		twoPhase:   twoPhase,
-		rec:        rec,
-		traces:     cfg.Traces,
-		runtime:    runtime,
-		ingest:     ingest,
-		ledger:     ledger,
-		pool:       timeslot.NewPool(ledger),
-		slot:       1,
-		placements: make(map[int]*PlacementRecord),
-		expiry:     simulate.NewWindowIndex(),
+		cfg:      cfg,
+		network:  cfg.Network,
+		horizon:  cfg.Horizon,
+		workers:  workers,
+		now:      nowFn,
+		rolling:  cfg.Rolling,
+		advancer: advancer,
+		sched:    cfg.Scheduler,
+		twoPhase: twoPhase,
+		rec:      rec,
+		traces:   cfg.Traces,
+		runtime:  runtime,
+		ingest:   ingest,
+		ledger:   ledger,
+		pool:     timeslot.NewPool(ledger),
+		slot:     1,
+		book:     newPlacementBook(),
+		expiry:   simulate.NewWindowIndex(),
 
 		admittedByScheme: make(map[core.Scheme]uint64),
 
@@ -618,7 +626,7 @@ func (e *Engine) decideLocked(ar AdmissionRequest) AdmissionResult {
 	if !ok {
 		return reject(ReasonDeclined)
 	}
-	if err := placement.Validate(e.network, req); err != nil {
+	if !e.placeable(req, placement) {
 		return reject(ReasonInvalid)
 	}
 	if !e.reserveAll(req, placement, e.network.Catalog[req.VNF].Demand) {
@@ -711,7 +719,7 @@ func (e *Engine) decideSharded(ctx context.Context, ar AdmissionRequest, id int,
 		if !ok {
 			return reject(ReasonDeclined), nil
 		}
-		if err := placement.Validate(e.network, req); err != nil {
+		if !e.placeable(req, placement) {
 			e.twoPhase.Abort(req, placement)
 			return reject(ReasonInvalid), nil
 		}
@@ -732,6 +740,13 @@ func (e *Engine) decideSharded(ctx context.Context, ar AdmissionRequest, id int,
 		e.twoPhase.Abort(req, placement)
 	}
 	return reject(ReasonConflict), nil
+}
+
+// placeable is the gate between a scheduler's proposal and the books: the
+// placement must be valid for the request and fit the placement history's
+// narrow fields. Both decision paths and repairs reject what fails it.
+func (e *Engine) placeable(req core.Request, placement core.Placement) bool {
+	return placement.Validate(e.network, req) == nil && fileable(placement)
 }
 
 // reserveAll reserves the placement's whole footprint — the assignments
@@ -774,14 +789,7 @@ func (e *Engine) releaseAll(req core.Request, reserved []core.Assignment, demand
 
 // recordAdmissionLocked books one admitted placement. Caller holds e.mu.
 func (e *Engine) recordAdmissionLocked(req core.Request, placement core.Placement, slot int) {
-	e.placements[req.ID] = &PlacementRecord{
-		ID:           req.ID,
-		Request:      req,
-		Placement:    placement,
-		DecidedSlot:  slot,
-		State:        StateScheduled,
-		ReservedFrom: req.Arrival,
-	}
+	e.book.admit(req, placement, slot)
 	e.expiry.Add(req.ID, req.Arrival, req.End())
 	e.admitted++
 	e.admittedByScheme[placement.Scheme]++
@@ -819,37 +827,33 @@ func (e *Engine) Tick() TickReport {
 	expired := e.expiry.ExpireBefore(e.slot)
 	demandOf := func(req core.Request) int { return e.network.Catalog[req.VNF].Demand }
 	for _, id := range expired {
-		rec := e.placements[id]
-		if !rec.released {
-			// The live reservation runs [ReservedFrom, end]: the full window
-			// at admission, the remaining window after a mid-window repair.
-			duration := rec.Request.End() - rec.ReservedFrom + 1
-			for _, a := range rec.Placement.Assignments {
-				// Release can only fail on arguments the engine itself
-				// reserved; a failure here would be an engine bug.
-				if err := e.ledger.Release(a.Cloudlet, rec.ReservedFrom, duration, a.Units(demandOf(rec.Request))); err != nil {
-					panic(fmt.Sprintf("serve: release placement %d: %v", id, err))
-				}
+		// ExpireBefore yields each ID once, so a record leaves the live index
+		// exactly when its footprint is released.
+		rec := e.book.live[id]
+		// The live reservation runs [ReservedFrom, end]: the full window
+		// at admission, the remaining window after a mid-window repair.
+		duration := rec.Request.End() - rec.ReservedFrom + 1
+		for _, a := range rec.Placement.Assignments {
+			// Release can only fail on arguments the engine itself
+			// reserved; a failure here would be an engine bug.
+			if err := e.ledger.Release(a.Cloudlet, rec.ReservedFrom, duration, a.Units(demandOf(rec.Request))); err != nil {
+				panic(fmt.Sprintf("serve: release placement %d: %v", id, err))
 			}
-			if b := rec.Placement.Backup; b != nil {
-				// Leave the backup group: the pool releases the group's
-				// ledger row on slots this was the last member covering.
-				if err := e.pool.Release(b.Group, rec.ReservedFrom, duration); err != nil {
-					panic(fmt.Sprintf("serve: release pooled backup of placement %d: %v", id, err))
-				}
-			}
-			rec.released = true
 		}
-		// Degraded placements keep their mark past expiry — the state
-		// records that the SLO was not met, which outliving the window must
-		// not erase.
-		if rec.State != StateDegraded {
-			rec.State = StateExpired
+		if b := rec.Placement.Backup; b != nil {
+			// Leave the backup group: the pool releases the group's
+			// ledger row on slots this was the last member covering.
+			if err := e.pool.Release(b.Group, rec.ReservedFrom, duration); err != nil {
+				panic(fmt.Sprintf("serve: release pooled backup of placement %d: %v", id, err))
+			}
 		}
 		e.expired++
 		if e.runtime != nil {
 			e.finalizeExpiredLocked(id)
 		}
+		// The history keeps the placement — and its degraded mark, which
+		// outliving the window must not erase; the record is recycled.
+		e.book.retire(rec)
 	}
 	if e.rolling {
 		e.advanceWindowLocked()
@@ -935,24 +939,14 @@ func (e *Engine) Traces() *trace.Store { return e.traces }
 // Network returns the served network (read-only by convention).
 func (e *Engine) Network() *core.Network { return e.network }
 
-// Placement returns the record for an admitted request ID. The returned
+// Placement returns the record for an admitted request ID. Every ID ever
+// admitted stays retrievable for the life of the engine: from the live
+// index until its window ends, from the history afterwards. The returned
 // copy's State reflects the current slot.
 func (e *Engine) Placement(id int) (PlacementRecord, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rec, ok := e.placements[id]
-	if !ok {
-		return PlacementRecord{}, false
-	}
-	out := *rec
-	if out.State != StateExpired && out.State != StateDegraded {
-		if e.slot < out.Request.Arrival {
-			out.State = StateScheduled
-		} else {
-			out.State = StateActive
-		}
-	}
-	return out, true
+	return e.book.lookup(id, e.slot)
 }
 
 // CloudletStatus is one cloudlet's residual capacity over the remaining
@@ -1015,6 +1009,8 @@ func (e *Engine) Stats() Stats {
 		ConflictRetries:  e.conflicts.Load(),
 		Revenue:          e.revenue,
 		ActivePlacements: e.expiry.Len(),
+		FiledPlacements:  e.book.entries(),
+		BookBytes:        e.book.bytes(),
 		CloudletUsed:     make([]int, len(e.network.Cloudlets)),
 		CloudletCapacity: make([]int, len(e.network.Cloudlets)),
 		Latency:          e.latency.Clone(),

@@ -8,10 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"revnf/internal/core"
 	"revnf/internal/offsite"
@@ -200,6 +202,11 @@ func TestHTTPMetricsScrape(t *testing.T) {
 		`revnfd_rejections_total{reason="declined"} 1` + "\n",
 		"revnfd_revenue_total 12.5\n",
 		"revnfd_current_slot 1\n",
+		"revnfd_active_placements 1\n",
+		"revnfd_placements_filed 1\n",
+		// One admission opens one history chunk and one arena chunk.
+		"revnfd_placement_book_bytes " + strconv.FormatFloat(
+			float64(bookChunk*(unsafe.Sizeof(filedPlacement{})+unsafe.Sizeof(filedAssignment{}))), 'g', -1, 64) + "\n",
 		`revnfd_cloudlet_utilization{cloudlet="0"}`,
 		"revnfd_admission_latency_seconds_count 2\n",
 		"revnfd_queue_capacity 256\n",

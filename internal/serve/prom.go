@@ -25,6 +25,10 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 			"Placements whose windows ended and whose capacity was released.", float64(s.Expired)),
 		metrics.Gauge("revnfd_active_placements",
 			"Admitted placements not yet expired.", float64(s.ActivePlacements)),
+		metrics.Gauge("revnfd_placements_filed",
+			"Entries of the placement history: every admission stays retrievable.", float64(s.FiledPlacements)),
+		metrics.Gauge("revnfd_placement_book_bytes",
+			"Memory held by the placement history's chunks, assignments included.", float64(s.BookBytes)),
 		metrics.Gauge("revnfd_current_slot",
 			"Current time slot of the slot clock.", float64(s.Slot)),
 		metrics.Gauge("revnfd_horizon_slots",

@@ -145,7 +145,7 @@ func (e *Engine) runtimeTickLocked() {
 		rt.est.Observe(j, up)
 	}
 	for _, ph := range rep.Placements {
-		rec, ok := e.placements[ph.ID]
+		rec, ok := e.book.live[ph.ID]
 		if !ok {
 			continue
 		}
@@ -174,6 +174,7 @@ func (e *Engine) runtimeTickLocked() {
 			} else if rt.ctrl.RepairFailed(ph.ID, e.slot) == repair.StateDegraded {
 				rt.slo.MarkDegraded(ph.ID)
 				rec.State = StateDegraded
+				e.book.refile(rec)
 				e.recordRuntimeEvent(ph.ID, e.slot, trace.ReasonDegraded)
 			}
 		}
@@ -202,7 +203,7 @@ func (e *Engine) repairLocked(rec *PlacementRecord) bool {
 	if !ok {
 		return false
 	}
-	if err := placement.Validate(e.network, req); err != nil {
+	if !e.placeable(req, placement) {
 		rt.tp.Abort(req, placement)
 		return false
 	}
@@ -230,6 +231,7 @@ func (e *Engine) repairLocked(rec *PlacementRecord) bool {
 	}
 	rec.Placement = placement
 	rec.ReservedFrom = e.slot
+	e.book.refile(rec)
 	// Re-base the expiry index entry: the released old footprint no longer
 	// pins the rolling window open, so the base may advance past it on the
 	// next tick. (Add does not look for a live ID, hence the Remove.)

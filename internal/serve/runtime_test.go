@@ -11,6 +11,7 @@ import (
 	"revnf/internal/core"
 	"revnf/internal/onsite"
 	"revnf/internal/repair"
+	"revnf/internal/shared"
 	"revnf/internal/trace"
 )
 
@@ -262,5 +263,164 @@ func TestRuntimeDegradedState(t *testing.T) {
 	}
 	if !sawDegraded {
 		t.Fatal("no placement degraded under always-down cloudlets and a full fleet")
+	}
+}
+
+// TestRuntimeDegradedReleasesOnceThenHistory follows degraded placements
+// to the end of their windows: with the fleet full and the cloudlets down,
+// repairs cannot land, the one-attempt budget runs out, and each placement
+// is marked degraded while live. At expiry the primary footprint and the
+// pooled backup go back exactly once — a second release would underflow
+// the ledger and panic Tick — the record leaves the live index, and the
+// history serves the placement with the degraded mark.
+func TestRuntimeDegradedReleasesOnceThenHistory(t *testing.T) {
+	const horizon = 20
+	n := testNetwork()
+	inj := testInjector(t, n, []float64{0.02, 0.02}, 5)
+	sched, err := shared.NewScheduler(n, horizon, shared.WithPoolSize(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{Network: n, Scheduler: sched, Horizon: horizon, Chaos: inj, RepairAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownEngine(t, e)
+
+	// Fill the fleet: payments far above any dual price, so only capacity
+	// stops admission.
+	var admitted []AdmissionResult
+	for i := 0; i < 16; i++ {
+		res := submit(t, e, AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 8, Payment: 1e9})
+		if res.Admitted {
+			if res.Placement.Backup == nil {
+				t.Fatalf("placement %d has no pooled backup: %+v", res.ID, res.Placement)
+			}
+			admitted = append(admitted, res)
+		}
+	}
+	if len(admitted) < 2 || len(admitted) == 16 {
+		t.Fatalf("admitted %d of 16: the fleet is not full", len(admitted))
+	}
+
+	// Mid-window: degraded placements are live and already say so.
+	for e.Slot() < 6 {
+		e.Tick()
+	}
+	var degraded []int
+	for _, res := range admitted {
+		rec, ok := e.Placement(res.ID)
+		if !ok {
+			t.Fatalf("placement %d not found mid-window", res.ID)
+		}
+		if rec.State == StateDegraded {
+			degraded = append(degraded, res.ID)
+		} else if rec.State != StateActive {
+			t.Fatalf("placement %d is %q mid-window", res.ID, rec.State)
+		}
+	}
+	if len(degraded) == 0 {
+		t.Fatal("no placement degraded under always-down cloudlets and a full fleet")
+	}
+	t.Logf("%d admitted, %d degraded mid-window, repairs %+v", len(admitted), len(degraded), e.RepairStats())
+	if st := e.Stats(); st.ActivePlacements != len(admitted) || st.Expired != 0 {
+		t.Fatalf("mid-window active/expired = %d/%d, want %d/0", st.ActivePlacements, st.Expired, len(admitted))
+	}
+
+	// Past the windows (and a few more ticks, each of which would release
+	// again if anything were still booked).
+	for e.Slot() < 14 {
+		e.Tick()
+	}
+	st := e.Stats()
+	if st.ActivePlacements != 0 || st.Expired != uint64(len(admitted)) || st.FiledPlacements != len(admitted) {
+		t.Fatalf("after expiry active/expired/filed = %d/%d/%d, want 0/%d/%d",
+			st.ActivePlacements, st.Expired, st.FiledPlacements, len(admitted), len(admitted))
+	}
+	for j := range n.Cloudlets {
+		for slot := 1; slot <= horizon; slot++ {
+			if r := e.ledger.Residual(j, slot); r != n.Cloudlets[j].Capacity {
+				t.Fatalf("cloudlet %d slot %d residual %d after expiry, want %d", j, slot, r, n.Cloudlets[j].Capacity)
+			}
+		}
+	}
+	if g := e.pool.Groups(); g != 0 {
+		t.Fatalf("%d backup groups still pooled after every member expired", g)
+	}
+	e.mu.Lock()
+	live := len(e.book.live)
+	e.mu.Unlock()
+	if live != 0 {
+		t.Fatalf("%d records still in the live index after expiry", live)
+	}
+	isDegraded := make(map[int]bool, len(degraded))
+	for _, id := range degraded {
+		isDegraded[id] = true
+	}
+	for _, res := range admitted {
+		rec, ok := e.Placement(res.ID)
+		if !ok {
+			t.Fatalf("placement %d not served from history", res.ID)
+		}
+		want := StateExpired
+		if isDegraded[res.ID] {
+			want = StateDegraded
+		}
+		if rec.State != want {
+			t.Errorf("placement %d served from history as %q, want %q", res.ID, rec.State, want)
+		}
+		if rec.Request.Payment != 1e9 || rec.Request.Duration != 8 || rec.Placement.Backup == nil {
+			t.Errorf("placement %d read back from history as %+v", res.ID, rec)
+		}
+		// (Finalize may degrade an account the controller never gave up on;
+		// the converse must not happen.)
+		if entry, ok := e.SLO().Get(res.ID); !ok || !entry.Finalized || (isDegraded[res.ID] && !entry.Degraded) {
+			t.Errorf("placement %d: SLO account %+v, %v", res.ID, entry, ok)
+		}
+	}
+}
+
+// TestRuntimeRepairIsFiled: a repair that lands moves the live record's
+// footprint, and the history must follow — what Placement serves after
+// expiry is the last footprint the placement held, not the admitted one.
+func TestRuntimeRepairIsFiled(t *testing.T) {
+	n := testNetwork()
+	inj := testInjector(t, n, []float64{0.02, 0.02}, 3)
+	sched := newOnsiteScheduler(t, n, 30)
+	e, err := New(Config{Network: n, Scheduler: sched, Horizon: 30, Chaos: inj, RepairAttempts: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownEngine(t, e)
+
+	res := submit(t, e, AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 12, Payment: 100})
+	if !res.Admitted {
+		t.Fatalf("not admitted: %+v", res)
+	}
+	var last PlacementRecord
+	for e.Slot() < 12 {
+		e.Tick()
+		rec, ok := e.Placement(res.ID)
+		if !ok {
+			t.Fatalf("slot %d: live placement not found", e.Slot())
+		}
+		last = rec
+	}
+	if e.RepairStats().Repairs == 0 || last.ReservedFrom == last.Request.Arrival {
+		t.Fatalf("no repair landed (stats %+v, reserved from %d): the test exercises nothing", e.RepairStats(), last.ReservedFrom)
+	}
+	for e.Slot() < 14 {
+		e.Tick()
+	}
+	filed, ok := e.Placement(res.ID)
+	if !ok {
+		t.Fatal("repaired placement not served from history")
+	}
+	if filed.State != StateExpired && filed.State != StateDegraded {
+		t.Fatalf("state %q after expiry", filed.State)
+	}
+	filed.State = last.State
+	if !sameRecord(filed, last) {
+		t.Fatalf("history serves %+v, the live record last read %+v", filed, last)
 	}
 }
