@@ -12,22 +12,25 @@ import (
 const maxThresholds = 64
 
 // ReliabilityTable caches the reliability math on the admission hot path.
-// Schedulers recompute ceil(log(1-R/rc)/log(1-rf)) and -log(1-rf·rc) for
-// every cloudlet on every Decide; this table precomputes, per (VNF,
-// cloudlet) pair,
+// Schedulers need ceil(log(1-R/rc)/log(1-rf)) and -log(1-rf·rc) for every
+// cloudlet on every Decide; this table precomputes, per (VNF, cloudlet)
+// pair,
 //
-//   - the availability ladder rc·(1-(1-rf)^n) for n = 1, 2, ..., so the
-//     minimum on-site instance count of Eqs. (2)-(3) is the closed-form
-//     start ceil(log(1-R/rc)/log(1-rf)) — one math.Log of the request's
-//     own target per lookup, the denominator cached — followed by the
-//     verify-and-bump walk on the ladder instead of on math.Pow, and
-//   - the off-site log-domain weight -ln(1 - rf·rc) of Section V,
+//   - the requirement steps of the minimum on-site instance count of
+//     Eqs. (2)-(3): N is a non-decreasing step function of the request's
+//     requirement R, so steps[n-1] holds the largest R answered with at
+//     most n instances and a lookup is a scan of loads and compares — no
+//     logarithm. The steps are found at construction by bisecting the
+//     uncached computation (closed-form start with the cached log(1-rf),
+//     then the verify-and-bump walk on the availability ladder
+//     rc·(1-(1-rf)^n)), which stays as the path for requirements past the
+//     last step, and
+//   - the off-site log-domain weight -ln(1 - rf·rc) of Section V.
 //
-// plus log(1-rf) per VNF for that closed form and its fallback. Every lookup
-// returns bit-identical results to the package-level OnsiteInstances and
-// OffsiteWeight functions (the cached values are produced by the same
-// expressions), so cached and uncached schedulers make identical
-// decisions.
+// Every lookup returns bit-identical results to the package-level
+// OnsiteInstances and OffsiteWeight functions (the steps are read off the
+// same expressions those evaluate), so cached and uncached schedulers make
+// identical decisions.
 //
 // The table is immutable after construction and safe for concurrent use.
 // It snapshots the network's catalog and cloudlet reliabilities: if the
@@ -42,6 +45,9 @@ type ReliabilityTable struct {
 	// ladder[f][j] holds rc·(1-(1-rf)^n) for n = 1.. (index n-1),
 	// truncated at maxThresholds entries.
 	ladder [][][]float64
+	// steps[f·m+j][n-1] is the largest requirement for which the pair
+	// needs at most n instances (onsiteSteps); m = len(rcs).
+	steps [][]float64
 	// weight[f][j] is -ln(1 - rf·rc), the off-site weight.
 	weight [][]float64
 	// sharedQ[f][j] is q = rf·rc_j, the active-path availability of a
@@ -79,6 +85,7 @@ func NewReliabilityTable(n *Network) (*ReliabilityTable, error) {
 		sharedQ:     make([][]float64, len(n.Catalog)),
 		sharedFloor: make([]float64, len(n.Catalog)),
 		sharedFree:  make([][]float64, len(n.Catalog)),
+		steps:       make([][]float64, len(n.Catalog)*len(n.Cloudlets)),
 	}
 	for j, c := range n.Cloudlets {
 		t.rcs[j] = c.Reliability
@@ -113,6 +120,7 @@ func NewReliabilityTable(n *Network) (*ReliabilityTable, error) {
 				}
 			}
 			t.ladder[f][j] = ladder
+			t.steps[f*len(n.Cloudlets)+j] = t.onsiteSteps(f, j)
 		}
 	}
 	return t, nil
@@ -123,19 +131,10 @@ func NewReliabilityTable(n *Network) (*ReliabilityTable, error) {
 // package-level OnsiteInstances does for the pair's reliabilities. Indices
 // must be valid for the table's network.
 func (t *ReliabilityTable) OnsiteInstances(vnf, cloudlet int, req float64) (int, error) {
-	rf, rc := t.rfs[vnf], t.rcs[cloudlet]
-	if !validProbability(req) {
-		return 0, fmt.Errorf("%w: rf=%v rc=%v req=%v", ErrBadReliability, rf, rc, req)
-	}
-	if rc <= req {
-		return 0, fmt.Errorf("%w: cloudlet reliability %v ≤ requirement %v", ErrInfeasible, rc, req)
-	}
-	if n, ok := t.onsiteFromLadder(vnf, cloudlet, req); ok {
+	if n, ok := t.OnsiteInstancesOK(vnf, cloudlet, req); ok {
 		return n, nil
 	}
-	// The ladder was truncated before reaching req (possible only for
-	// extreme inputs): defer to the exact closed form.
-	return OnsiteInstances(rf, rc, req)
+	return OnsiteInstances(t.rfs[vnf], t.rcs[cloudlet], req)
 }
 
 // OnsiteInstancesOK is the allocation-free variant schedulers use on the
@@ -143,12 +142,30 @@ func (t *ReliabilityTable) OnsiteInstances(vnf, cloudlet int, req float64) (int,
 // (N, nil), and (0, false) for infeasible or out-of-range requirements —
 // the "skip this cloudlet" signal — without constructing an error.
 func (t *ReliabilityTable) OnsiteInstancesOK(vnf, cloudlet int, req float64) (int, bool) {
+	if req > 0 {
+		for i, bound := range t.steps[vnf*len(t.rcs)+cloudlet] {
+			if req <= bound {
+				return i + 1, true
+			}
+		}
+	}
+	// Not a positive number, or past the last step: infeasible, invalid, or
+	// (for extreme inputs only) beyond the resolved ladder.
+	return t.onsiteUncached(vnf, cloudlet, req)
+}
+
+// onsiteUncached is OnsiteInstancesOK computed from the request's own
+// logarithm: the oracle the steps are bisected against, and the lookup
+// path past the last step.
+func (t *ReliabilityTable) onsiteUncached(vnf, cloudlet int, req float64) (int, bool) {
 	if !validProbability(req) || t.rcs[cloudlet] <= req {
 		return 0, false
 	}
 	if n, ok := t.onsiteFromLadder(vnf, cloudlet, req); ok {
 		return n, true
 	}
+	// The ladder was truncated before reaching req (possible only for
+	// extreme inputs): defer to the exact closed form.
 	n, err := OnsiteInstances(t.rfs[vnf], t.rcs[cloudlet], req)
 	return n, err == nil
 }
@@ -171,6 +188,58 @@ func (t *ReliabilityTable) onsiteFromLadder(vnf, cloudlet int, req float64) (int
 		n++
 	}
 	return 0, false
+}
+
+// stepBracket is the half-width of the first bisection bracket around a
+// rung: the step sits within a few relEpsilon of it, so a much wider
+// bracket only costs oracle calls.
+const stepBracket = 1e-9
+
+// onsiteSteps tabulates the pair's requirement steps from the ladder:
+// steps[n-1] is the largest float64 R for which onsiteFromLadder answers at
+// most n. That answer is non-decreasing in R — the closed-form start and
+// the first verifying rung both are — so each step is the boundary of a
+// true-then-false predicate, found by bisection over float bit patterns
+// (positive floats order as their bits do) with onsiteFromLadder itself as
+// the oracle; the scan in OnsiteInstancesOK therefore returns what
+// onsiteFromLadder would. The table ends at the rung that serves every
+// requirement below rc, or at the last resolved rung, past which lookups
+// keep the uncached path.
+func (t *ReliabilityTable) onsiteSteps(vnf, cloudlet int) []float64 {
+	ladder := t.ladder[vnf][cloudlet]
+	atMost := func(r float64, n int) bool {
+		got, ok := t.onsiteFromLadder(vnf, cloudlet, r)
+		return ok && got <= n
+	}
+	top := math.Nextafter(t.rcs[cloudlet], 0) // the largest feasible requirement
+	steps := make([]float64, 0, len(ladder))
+	lo := math.SmallestNonzeroFloat64
+	for n := 1; n <= len(ladder); n++ {
+		if atMost(top, n) {
+			return append(steps, top)
+		}
+		// atMost(lo) holds, atMost(hi) does not; try the rung's neighbourhood
+		// before the whole range.
+		hi := top
+		if l := ladder[n-1] - stepBracket; l > lo && atMost(l, n) {
+			lo = l
+		}
+		if h := ladder[n-1] + stepBracket; h < hi && !atMost(h, n) {
+			hi = h
+		}
+		a, b := math.Float64bits(lo), math.Float64bits(hi)
+		for b-a > 1 {
+			mid := a + (b-a)/2
+			if atMost(math.Float64frombits(mid), n) {
+				a = mid
+			} else {
+				b = mid
+			}
+		}
+		lo = math.Float64frombits(a)
+		steps = append(steps, lo)
+	}
+	return steps
 }
 
 // OnsiteFeasible reports whether the pair can serve a requirement at all
@@ -211,4 +280,43 @@ func (t *ReliabilityTable) SharedFeasible(vnf, a, b, k int, req float64) bool {
 		return false
 	}
 	return t.SharedAvailability(vnf, a, b, k)+relEpsilon >= req
+}
+
+// SharedPairs is SharedFeasible tabulated for one pool size: the
+// availability of every (VNF, primary, backup) triple is independent of the
+// request, so a scheduler whose k is fixed filters its pair scan with one
+// load and one compare per pair.
+type SharedPairs struct {
+	m int
+	// bound[vnf][a·m+b] is SharedAvailability(vnf, a, b, k)+relEpsilon, the
+	// largest requirement the pair serves; −1 for co-located pairs, which
+	// serve none.
+	bound [][]float64
+}
+
+// SharedPairs builds the pair table for pool size k.
+func (t *ReliabilityTable) SharedPairs(k int) SharedPairs {
+	m := len(t.rcs)
+	p := SharedPairs{m: m, bound: make([][]float64, len(t.rfs))}
+	for f := range p.bound {
+		p.bound[f] = make([]float64, m*m)
+		for a := 0; a < m; a++ {
+			for b := 0; b < m; b++ {
+				p.bound[f][a*m+b] = t.SharedAvailability(f, a, b, k) + relEpsilon
+			}
+			p.bound[f][a*m+a] = -1
+		}
+	}
+	return p
+}
+
+// Row returns, indexed by backup cloudlet b, the largest requirement each
+// pair (primary a, b) serves: SharedFeasible(vnf, a, b, k, req) holds
+// exactly when row[b] >= req. The row is empty when req is not a valid
+// probability, which no pair serves. The caller must not modify it.
+func (p SharedPairs) Row(vnf, a int, req float64) []float64 {
+	if !validProbability(req) {
+		return nil
+	}
+	return p.bound[vnf][a*p.m : (a+1)*p.m]
 }

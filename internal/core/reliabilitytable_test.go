@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -135,5 +136,200 @@ func BenchmarkOnsiteInstancesTable(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = table.OnsiteInstancesOK(i%len(n.Catalog), i%len(n.Cloudlets), reqs[i%len(reqs)])
+	}
+}
+
+// ulps moves x by n float64 steps (n may be negative).
+func ulps(x float64, n int) float64 {
+	to := math.Inf(1)
+	if n < 0 {
+		to, n = math.Inf(-1), -n
+	}
+	for ; n > 0; n-- {
+		x = math.Nextafter(x, to)
+	}
+	return x
+}
+
+// checkOnsiteSteps compares the step lookup with the uncached computation
+// for one pair, at every requirement where the two could part: around each
+// stored step, around each ladder rung and its tolerance edge, up against
+// rc, outside (0, 1), and at random requirements.
+func checkOnsiteSteps(t *testing.T, table *ReliabilityTable, f, j, randoms int, rng *rand.Rand) {
+	t.Helper()
+	check := func(req float64) {
+		t.Helper()
+		want, wantOK := table.onsiteUncached(f, j, req)
+		got, gotOK := table.OnsiteInstancesOK(f, j, req)
+		if got != want || gotOK != wantOK {
+			t.Fatalf("rf=%v rc=%v req=%v (%#x): steps (%d, %v), uncached (%d, %v)",
+				table.rfs[f], table.rcs[j], req, math.Float64bits(req), got, gotOK, want, wantOK)
+		}
+	}
+	steps := table.steps[f*len(table.rcs)+j]
+	for i, s := range steps {
+		if i > 0 && s < steps[i-1] {
+			t.Fatalf("rf=%v rc=%v: steps not ascending at %d: %v", table.rfs[f], table.rcs[j], i, steps)
+		}
+		for d := -4; d <= 4; d++ {
+			check(ulps(s, d))
+		}
+	}
+	for _, rung := range table.ladder[f][j] {
+		for _, k := range []float64{0.5, 1, 2} {
+			for _, at := range []float64{rung, rung + relEpsilon} {
+				check(at - k*relEpsilon)
+				check(at + k*relEpsilon)
+			}
+		}
+	}
+	rc := table.rcs[j]
+	for d := -8; d <= 2; d++ {
+		check(ulps(rc, d))
+	}
+	for _, req := range []float64{0, -0.5, 1, 1.5, math.NaN(), math.Inf(1), math.SmallestNonzeroFloat64} {
+		check(req)
+	}
+	for i := 0; i < randoms; i++ {
+		check(rng.Float64())
+		// The paper's regime, and where the steps crowd: just under rc.
+		check(rc * (1 - math.Pow(10, -16*rng.Float64())))
+	}
+}
+
+// TestOnsiteStepsMatchClosedForm pins the step tables to the computation
+// they were bisected from — the closed-form start with the verify-and-bump
+// ladder walk, and the exact fallback past a truncated ladder — which is
+// what the lookup used to evaluate per request. The uncached path is
+// monotone in the requirement exactly when this passes at the steps.
+func TestOnsiteStepsMatchClosedForm(t *testing.T) {
+	randoms := 5000 // ×2 probes each
+	if testing.Short() {
+		randoms = 500
+	}
+	rng := rand.New(rand.NewSource(16))
+	// workload.DefaultCatalog's reliabilities (that package imports this one).
+	paper := &Network{}
+	for f, rf := range []float64{0.9, 0.93, 0.95, 0.97, 0.98, 0.99, 0.995, 0.999, 0.9995, 0.9999} {
+		paper.Catalog = append(paper.Catalog, VNF{ID: f, Name: "f", Demand: 1, Reliability: rf})
+	}
+	for j := 0; j < 8; j++ {
+		paper.Cloudlets = append(paper.Cloudlets, Cloudlet{ID: j, Node: -1, Capacity: 10,
+			Reliability: 0.9 + 0.0999*rng.Float64()})
+	}
+	random := &Network{}
+	for f := 0; f < 12; f++ {
+		random.Catalog = append(random.Catalog, VNF{ID: f, Name: "f", Demand: 1,
+			Reliability: 0.5 + 0.4999*rng.Float64()})
+	}
+	for j := 0; j < 16; j++ {
+		random.Cloudlets = append(random.Cloudlets, Cloudlet{ID: j, Node: -1, Capacity: 10,
+			Reliability: 0.9 + 0.0999*rng.Float64()})
+	}
+	// TestReliabilityTableHighReliability's pair: the ladder truncates at
+	// maxThresholds and the exact fallback answers past the last step.
+	truncated := &Network{
+		Catalog:   []VNF{{ID: 0, Name: "f", Demand: 1, Reliability: 0.01}},
+		Cloudlets: []Cloudlet{{ID: 0, Node: -1, Capacity: 10, Reliability: 0.999999}},
+	}
+	for _, n := range []*Network{paper, random, truncated} {
+		table, err := NewReliabilityTable(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := range n.Catalog {
+			for j := range n.Cloudlets {
+				checkOnsiteSteps(t, table, f, j, randoms, rng)
+			}
+		}
+	}
+	table, err := NewReliabilityTable(truncated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if steps := table.steps[0]; len(steps) != maxThresholds || steps[len(steps)-1] >= 0.9 {
+		t.Fatalf("truncated pair: %d steps ending at %v, want %d ending below the fallback's range",
+			len(steps), steps[len(steps)-1], maxThresholds)
+	}
+}
+
+// FuzzOnsiteInstancesOK checks the same equivalence on arbitrary single-pair
+// networks.
+func FuzzOnsiteInstancesOK(f *testing.F) {
+	f.Add(0.9, 0.99, 0.95)
+	f.Add(0.01, 0.999999, 0.9999)
+	f.Add(0.9999, 0.9, 0.8999999999999)
+	f.Add(0.5, 0.5, 0.5)
+	f.Fuzz(func(t *testing.T, rf, rc, req float64) {
+		if rf < 1e-6 {
+			// 1-rf has lost the digits of rf: the closed form starts far
+			// from N and the exact fallback's verify loop walks for minutes.
+			t.Skip()
+		}
+		n := &Network{
+			Catalog:   []VNF{{ID: 0, Name: "f", Demand: 1, Reliability: rf}},
+			Cloudlets: []Cloudlet{{ID: 0, Node: -1, Capacity: 10, Reliability: rc}},
+		}
+		table, err := NewReliabilityTable(n)
+		if err != nil {
+			t.Skip() // rf or rc is not a probability
+		}
+		want, wantOK := table.onsiteUncached(0, 0, req)
+		if got, ok := table.OnsiteInstancesOK(0, 0, req); got != want || ok != wantOK {
+			t.Fatalf("rf=%v rc=%v req=%v: steps (%d, %v), uncached (%d, %v)", rf, rc, req, got, ok, want, wantOK)
+		}
+		if wantOK {
+			if exact, err := OnsiteInstances(rf, rc, req); err != nil || exact != want {
+				t.Fatalf("rf=%v rc=%v req=%v: table %d, closed form (%d, %v)", rf, rc, req, want, exact, err)
+			}
+		}
+	})
+}
+
+// BenchmarkReliabilityTableBuild is the construction cost the step tables
+// add to every scheduler's set-up.
+func BenchmarkReliabilityTableBuild(b *testing.B) {
+	n, _ := benchReliabilityNetwork(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewReliabilityTable(n); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestSharedPairsMatchSharedFeasible compares the pair table with the
+// per-request predicate it tabulates, at the requirements where they could
+// part: around every stored availability and its tolerance edge, and
+// outside (0, 1). k = 17 is past the cached Free(k) ladder.
+func TestSharedPairsMatchSharedFeasible(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	n := tableNetwork(t, 4, 9, rng)
+	table, err := NewReliabilityTable(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 2, 4, 16, 17} {
+		pairs := table.SharedPairs(k)
+		for f := range n.Catalog {
+			for a := range n.Cloudlets {
+				for b := range n.Cloudlets {
+					avail := table.SharedAvailability(f, a, b, k)
+					reqs := []float64{0, -1, 1, 2, math.NaN(), 1e-300, 0.5, math.Nextafter(1, 0)}
+					for _, at := range []float64{avail, avail + relEpsilon, avail - relEpsilon} {
+						for d := -2; d <= 2; d++ {
+							reqs = append(reqs, ulps(at, d))
+						}
+					}
+					for _, req := range reqs {
+						row := pairs.Row(f, a, req)
+						got := row != nil && row[b] >= req
+						if want := table.SharedFeasible(f, a, b, k, req); got != want {
+							t.Fatalf("k=%d vnf=%d a=%d b=%d req=%v: table %v, SharedFeasible %v", k, f, a, b, req, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

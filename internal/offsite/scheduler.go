@@ -16,9 +16,10 @@
 package offsite
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"revnf/internal/core"
@@ -178,6 +179,34 @@ type candidate struct {
 	cloudlet int
 	weight   float64 // w_j = -ln(1 - r(f)·r(c_j))
 	price    float64 // Σ_t λ_{tj} / w_j
+	key      float64 // ascending sort key (sortCandidates)
+}
+
+// stackCloudlets is the network size up to which Propose keeps its
+// candidate scratch on the stack.
+const stackCloudlets = 32
+
+// sortCandidates orders the candidates for the greedy accumulation (line 9
+// of Algorithm 2). The paper's rule is ascending normalized price; the
+// alternatives are ablation orderings. Each candidate's key is read once,
+// before sorting — the residual ordering must not consult a ledger that
+// concurrent admissions are changing from inside a comparator — and ties
+// break by cloudlet ID, so the order is total and the result unique.
+func (s *Scheduler) sortCandidates(candidates []candidate, req core.Request, view core.CapacityView) {
+	for i := range candidates {
+		c := &candidates[i]
+		switch s.sortKey {
+		case SortByReliability:
+			c.key = -s.network.Cloudlets[c.cloudlet].Reliability
+		case SortByResidual:
+			c.key = -float64(view.ResidualWindow(c.cloudlet, req.Arrival, req.Duration))
+		default:
+			c.key = c.price
+		}
+	}
+	slices.SortFunc(candidates, func(a, b candidate) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), a.cloudlet-b.cloudlet)
+	})
 }
 
 // Decide implements core.Scheduler: the serialized form of lines 3–23 of
@@ -189,12 +218,19 @@ func (s *Scheduler) Decide(req core.Request, view core.CapacityView) (core.Place
 // Propose implements core.TwoPhaseScheduler: the payment filter, candidate
 // ordering, and greedy weight accumulation of Algorithm 2, reading the
 // dual prices under the read lock and leaving scheduler state untouched.
+// Its working sets live on its own stack (networks of up to stackCloudlets
+// cloudlets), so a declined request allocates nothing and an admitted one
+// only its placement's assignments.
 func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
 	tracing := s.rec.Sample(req.ID)
 	vnf := s.network.Catalog[req.VNF]
 	needWeight := core.RequirementWeight(req.Reliability)
 	demand := float64(vnf.Demand)
-	candidates := make([]candidate, 0, len(s.network.Cloudlets))
+	var candBuf, chosenBuf [stackCloudlets]candidate
+	candidates, chosen := candBuf[:0], chosenBuf[:0]
+	if m := len(s.network.Cloudlets); m > stackCloudlets {
+		candidates, chosen = make([]candidate, 0, m), make([]candidate, 0, m)
+	}
 	// cands[j] is cloudlet j's trace entry (indexed by cloudlet, so the
 	// accumulation loop can mark skips/chosen after sorting reorders the
 	// working set).
@@ -231,36 +267,7 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 		candidates = append(candidates, candidate{cloudlet: j, weight: w, price: price})
 	}
 	s.mu.RUnlock()
-	// Sort candidates (line 9). The paper's rule is ascending normalized
-	// price; the alternatives are ablation orderings. Ties break by
-	// cloudlet ID for determinism.
-	switch s.sortKey {
-	case SortByReliability:
-		sort.Slice(candidates, func(a, b int) bool {
-			ra := s.network.Cloudlets[candidates[a].cloudlet].Reliability
-			rb := s.network.Cloudlets[candidates[b].cloudlet].Reliability
-			if ra != rb {
-				return ra > rb
-			}
-			return candidates[a].cloudlet < candidates[b].cloudlet
-		})
-	case SortByResidual:
-		sort.Slice(candidates, func(a, b int) bool {
-			fa := view.ResidualWindow(candidates[a].cloudlet, req.Arrival, req.Duration)
-			fb := view.ResidualWindow(candidates[b].cloudlet, req.Arrival, req.Duration)
-			if fa != fb {
-				return fa > fb
-			}
-			return candidates[a].cloudlet < candidates[b].cloudlet
-		})
-	default:
-		sort.Slice(candidates, func(a, b int) bool {
-			if candidates[a].price != candidates[b].price {
-				return candidates[a].price < candidates[b].price
-			}
-			return candidates[a].cloudlet < candidates[b].cloudlet
-		})
-	}
+	s.sortCandidates(candidates, req, view)
 	if s.latency != nil {
 		// Latency-aware variant: anchor the penalty on the first
 		// capacity-feasible candidate (the primary site).
@@ -278,7 +285,6 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 	}
 	// Accumulate capacity-feasible cloudlets until the reliability weight
 	// target is reached (lines 10–17).
-	var chosen []candidate
 	totalWeight := 0.0
 	for _, c := range candidates {
 		resid := view.ResidualWindow(c.cloudlet, req.Arrival, req.Duration)

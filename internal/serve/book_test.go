@@ -407,9 +407,10 @@ func TestEngineRetainsBoundedState(t *testing.T) {
 	if perAdmission > 128 {
 		t.Errorf("the daemon retains %.1f B of heap per admission, want ≤ 128", perAdmission)
 	}
-	// What a lap allocates beyond the scheduler's placement per admission is
-	// what eight ticks allocate with nothing to decide (the rolling ledger's
-	// Advance), +1 for a chunk opened or the live map re-hashing in place.
+	// Ticking with nothing to decide allocates nothing (the rolling ledger's
+	// Advance unlocks its rows without deferring), so what a lap allocates is
+	// the scheduler's placement per admission, +1 for a chunk opened or the
+	// live map re-hashing in place.
 	idle := testing.AllocsPerRun(runs, func() {
 		for i := 0; i < 8; i++ {
 			e.Tick()
@@ -417,8 +418,11 @@ func TestEngineRetainsBoundedState(t *testing.T) {
 	})
 	t.Logf("%d admissions, peak %d active, %.1f B retained per admission; a lap of %.1f admissions allocates %.1f, an idle lap %.1f",
 		admitted, peak, perAdmission, perLap, avg, idle)
-	if avg > perLap+idle+1 {
-		t.Errorf("a lap allocates %.1f objects for %.1f admissions and %.1f of idle ticking: the engine allocates per admission", avg, perLap, idle)
+	if idle != 0 {
+		t.Errorf("eight idle ticks allocate %.1f objects, want 0", idle)
+	}
+	if avg > perLap+1 {
+		t.Errorf("a lap allocates %.1f objects for %.1f admissions: the engine allocates per admission", avg, perLap)
 	}
 
 	e.mu.Lock()

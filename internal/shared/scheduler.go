@@ -72,7 +72,9 @@ const stackCloudlets = 32
 type Scheduler struct {
 	network  *core.Network
 	poolSize int
-	rel      *core.ReliabilityTable
+	// pairs is the reliability filter of the pair scan, tabulated at the
+	// scheduler's pool size.
+	pairs core.SharedPairs
 	// mu guards everything below it: Propose reads, Commit and
 	// AdvanceWindow write.
 	mu sync.RWMutex
@@ -140,7 +142,6 @@ func NewScheduler(network *core.Network, horizon int, opts ...Option) (*Schedule
 	s := &Scheduler{
 		network:   network,
 		poolSize:  core.DefaultSharedPoolSize,
-		rel:       rel,
 		prices:    dual.NewTable(len(network.Cloudlets), horizon),
 		open:      make([][]*group, len(network.Cloudlets)*len(network.Catalog)),
 		nextGroup: 1,
@@ -155,6 +156,7 @@ func NewScheduler(network *core.Network, horizon int, opts ...Option) (*Schedule
 		// The upper bound is the width of a group's refcount cell.
 		return nil, fmt.Errorf("%w: %d", ErrBadPoolSize, s.poolSize)
 	}
+	s.pairs = rel.SharedPairs(s.poolSize)
 	return s, nil
 }
 
@@ -320,8 +322,8 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 	for a := range s.network.Cloudlets {
 		primaryOK := view.ResidualWindow(a, req.Arrival, req.Duration) >= demand
 		bestForA := -1.0
-		for b := range s.network.Cloudlets {
-			if !s.rel.SharedFeasible(req.VNF, a, b, k, req.Reliability) {
+		for b, serves := range s.pairs.Row(req.VNF, a, req.Reliability) {
+			if serves < req.Reliability {
 				continue
 			}
 			anyFeasible = true

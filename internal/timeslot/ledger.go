@@ -252,13 +252,15 @@ func (l *Ledger) Used(cloudlet, slot int) int {
 	if cloudlet < 0 || cloudlet >= len(l.caps) {
 		return 0
 	}
+	// Row locks are dropped explicitly on the read accessors: a defer of an
+	// indexed operand costs a wrapper call per read, on the hot path.
+	used := 0
 	l.mus[cloudlet].RLock()
-	defer l.mus[cloudlet].RUnlock()
-	base, origin := l.geometry()
-	if !l.inRangeAt(cloudlet, slot, base) {
-		return 0
+	if base, origin := l.geometry(); l.inRangeAt(cloudlet, slot, base) {
+		used = l.used[cloudlet][l.idxAt(slot, base, origin)]
 	}
-	return l.used[cloudlet][l.idxAt(slot, base, origin)]
+	l.mus[cloudlet].RUnlock()
+	return used
 }
 
 // Residual returns the free units of cloudlet j at slot t. It can be
@@ -269,13 +271,13 @@ func (l *Ledger) Residual(cloudlet, slot int) int {
 	if cloudlet < 0 || cloudlet >= len(l.caps) {
 		return 0
 	}
+	free := 0
 	l.mus[cloudlet].RLock()
-	defer l.mus[cloudlet].RUnlock()
-	base, origin := l.geometry()
-	if !l.inRangeAt(cloudlet, slot, base) {
-		return 0
+	if base, origin := l.geometry(); l.inRangeAt(cloudlet, slot, base) {
+		free = l.caps[cloudlet] - l.used[cloudlet][l.idxAt(slot, base, origin)]
 	}
-	return l.caps[cloudlet] - l.used[cloudlet][l.idxAt(slot, base, origin)]
+	l.mus[cloudlet].RUnlock()
+	return free
 }
 
 // ResidualWindow returns the minimum residual capacity of cloudlet j over
@@ -287,25 +289,26 @@ func (l *Ledger) ResidualWindow(cloudlet, start, duration int) int {
 	if cloudlet < 0 || cloudlet >= len(l.caps) {
 		return 0
 	}
+	free := 0
 	l.mus[cloudlet].RLock()
-	defer l.mus[cloudlet].RUnlock()
-	base, origin := l.geometry()
-	if !l.windowInRangeAt(cloudlet, start, duration, base) {
-		return 0
+	if base, origin := l.geometry(); l.windowInRangeAt(cloudlet, start, duration, base) {
+		free = l.residualWindowLocked(cloudlet, start, duration, base, origin)
 	}
-	return l.residualWindowLocked(cloudlet, start, duration, base, origin)
+	l.mus[cloudlet].RUnlock()
+	return free
 }
 
 // residualWindowLocked computes the window minimum with cloudlet's row
 // lock held (which pins the given geometry; see the package comment).
 func (l *Ledger) residualWindowLocked(cloudlet, start, duration, base, origin int) int {
+	row, capacity := l.used[cloudlet], l.caps[cloudlet]
 	i := l.idxAt(start, base, origin)
-	minFree := l.caps[cloudlet] - l.used[cloudlet][i]
+	minFree := capacity - row[i]
 	for t := 1; t < duration; t++ {
-		if i++; i == l.window {
+		if i++; i == len(row) {
 			i = 0
 		}
-		if free := l.caps[cloudlet] - l.used[cloudlet][i]; free < minFree {
+		if free := capacity - row[i]; free < minFree {
 			minFree = free
 		}
 	}
@@ -431,11 +434,21 @@ func (l *Ledger) Advance(base int) error {
 	// Hold every row's write lock while checking and re-basing: no row
 	// operation can run concurrently, so the geometry word flips while the
 	// whole ledger is pinned (this is what lets row operations treat one
-	// geometry read under their row lock as stable).
+	// geometry read under their row lock as stable). The rows are unlocked
+	// explicitly: a defer per row would heap-allocate its record on every
+	// tick.
 	for j := range l.mus {
 		l.mus[j].Lock()
-		defer l.mus[j].Unlock()
 	}
+	err := l.rebaseLocked(base)
+	for j := range l.mus {
+		l.mus[j].Unlock()
+	}
+	return err
+}
+
+// rebaseLocked is Advance with advMu and every row lock held.
+func (l *Ledger) rebaseLocked(base int) error {
 	cur, origin := l.geometry()
 	if base < cur {
 		return fmt.Errorf("%w: advance to %d behind base %d", ErrBadSlot, base, cur)
@@ -571,14 +584,14 @@ func (l *Ledger) PeakUsage(cloudlet int) int {
 	if cloudlet < 0 || cloudlet >= len(l.caps) {
 		return 0
 	}
-	l.mus[cloudlet].RLock()
-	defer l.mus[cloudlet].RUnlock()
 	peak := 0
+	l.mus[cloudlet].RLock()
 	for _, u := range l.used[cloudlet] {
 		if u > peak {
 			peak = u
 		}
 	}
+	l.mus[cloudlet].RUnlock()
 	return peak
 }
 

@@ -36,6 +36,11 @@ echo "==> wire decode fuzz smoke ($fuzztime per target)"
 go test ./internal/wire -run '^$' -fuzz 'FuzzDecodeFrame' -fuzztime "$fuzztime"
 go test ./internal/wire -run '^$' -fuzz 'FuzzDecodeNDJSON' -fuzztime "$fuzztime"
 
+# The on-site step tables must answer what the per-request logarithm they
+# replaced answers, on any (r(f), r(c), R).
+echo "==> on-site step-table fuzz smoke (1s)"
+go test ./internal/core -run '^$' -fuzz 'FuzzOnsiteInstancesOK' -fuzztime 1s
+
 echo "==> daemon smoke test (tracing + pprof enabled)"
 go test ./cmd/revnfd -run 'TestDaemonTraceSmoke|TestDaemonPprofOffByDefault' -count=1
 
