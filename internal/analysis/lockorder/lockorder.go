@@ -4,8 +4,7 @@
 //
 // Invariant: the serving stack nests locks in one global order —
 //
-//	Engine.closeMu → Engine.mu → sched.mu
-//	  → Ledger.advMu → Ledger.mus[*] → leaf mutexes
+//	Engine.closeMu → Engine.mu → sched.mu → Ledger.mu → leaf mutexes
 //
 // (the full ranked list lives in `canonical` below and in DESIGN.md §12;
 // "sched.mu" is the abstract class folding every scheduler's RWMutex).
@@ -44,10 +43,9 @@
 //
 // Classes are instance-blind: two Engines locking each other's mutexes
 // are indistinguishable from self-nesting (no such topology exists here).
-// Loop bodies are scanned once, so the ledger's ascending same-class row
-// acquisition in Advance is invisible — ascending row order stays a
-// review property, as documented on the ledger. Branches are scanned
-// sequentially, so a release on an early-return path releases for the
+// Loop bodies are scanned once, so ascending same-class acquisition inside
+// a loop would be invisible (the tree has none since the ledger's row locks
+// went). Branches are scanned sequentially, so a release on an early-return path releases for the
 // linear remainder; this under-approximates held sets but never invents
 // edges that cannot occur.
 package lockorder
@@ -75,6 +73,10 @@ var Analyzer = &framework.Analyzer{
 // interchangeable for ordering purposes.
 const schedMu lockset.Class = "sched.mu"
 
+// ledgerMu is the ledger's one lock; a timeslot.Reader takes it in Load and
+// when a read falls outside the window it holds.
+const ledgerMu lockset.Class = "revnf/internal/timeslot.Ledger.mu"
+
 // aliases folds concrete lock classes into abstract ones before ranking.
 var aliases = map[lockset.Class]lockset.Class{
 	"revnf/internal/onsite.Scheduler.mu":       schedMu,
@@ -91,8 +93,7 @@ var canonical = []lockset.Class{
 	"revnf/internal/serve.Engine.closeMu",
 	"revnf/internal/serve.Engine.mu",
 	schedMu,
-	"revnf/internal/timeslot.Ledger.advMu",
-	"revnf/internal/timeslot.Ledger.mus[*]",
+	ledgerMu,
 	"revnf/internal/trace.Store.mu",
 	"revnf/internal/slo.Tracker.mu",
 	"revnf/internal/slo.RateEstimator.mu",
@@ -117,33 +118,22 @@ var rank = func() map[lockset.Class]int {
 // the classes the callee may acquire. Interface entries union over their
 // repository implementations.
 var summary = map[string][]lockset.Class{
-	"revnf/internal/timeslot.Ledger":   {"revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]"},
-	"revnf/internal/core.CapacityView": {"revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]"},
+	"revnf/internal/timeslot.Ledger":   {ledgerMu},
+	"revnf/internal/timeslot.Reader":   {ledgerMu},
+	"revnf/internal/core.CapacityView": {ledgerMu},
 	"revnf/internal/core.Scheduler": {
-		schedMu,
-		"revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]",
-		"revnf/internal/trace.Store.mu", "revnf/internal/baseline.RandomOnsite.mu",
+		schedMu, ledgerMu, "revnf/internal/trace.Store.mu", "revnf/internal/baseline.RandomOnsite.mu",
 	},
-	"revnf/internal/core.TwoPhaseScheduler": {
-		schedMu,
-		"revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]",
-		"revnf/internal/trace.Store.mu",
-	},
-	"revnf/internal/core.WindowAdvancer": {schedMu},
-	"revnf/internal/core.LambdaReader":   {schedMu},
-	"revnf/internal/onsite.Scheduler":    {schedMu, "revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]"},
-	"revnf/internal/offsite.Scheduler":   {schedMu, "revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]"},
-	"revnf/internal/shared.Scheduler":    {schedMu, "revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]"},
-	"revnf/internal/chain.OnsiteScheduler": {
-		schedMu, "revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]", "revnf/internal/trace.Store.mu",
-	},
-	"revnf/internal/chain.OffsiteScheduler": {
-		schedMu, "revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]", "revnf/internal/trace.Store.mu",
-	},
+	"revnf/internal/core.TwoPhaseScheduler": {schedMu, ledgerMu, "revnf/internal/trace.Store.mu"},
+	"revnf/internal/core.WindowAdvancer":    {schedMu},
+	"revnf/internal/core.LambdaReader":      {schedMu},
+	"revnf/internal/onsite.Scheduler":       {schedMu, ledgerMu},
+	"revnf/internal/offsite.Scheduler":      {schedMu, ledgerMu},
+	"revnf/internal/shared.Scheduler":       {schedMu, ledgerMu},
+	"revnf/internal/chain.OnsiteScheduler":  {schedMu, ledgerMu, "revnf/internal/trace.Store.mu"},
+	"revnf/internal/chain.OffsiteScheduler": {schedMu, ledgerMu, "revnf/internal/trace.Store.mu"},
 	"revnf/internal/baseline.RandomOnsite": {
-		"revnf/internal/baseline.RandomOnsite.mu",
-		"revnf/internal/timeslot.Ledger.advMu", "revnf/internal/timeslot.Ledger.mus[*]",
-		"revnf/internal/trace.Store.mu",
+		"revnf/internal/baseline.RandomOnsite.mu", ledgerMu, "revnf/internal/trace.Store.mu",
 	},
 	"revnf/internal/trace.Store":       {"revnf/internal/trace.Store.mu"},
 	"revnf/internal/trace.Recorder":    {"revnf/internal/trace.Store.mu"},

@@ -1,6 +1,6 @@
 // Package serve impersonates the real engine so cross-package summary
 // edges resolve against canonical ranks: Engine.mu may nest over the
-// ledger's locks, but a leaf like StreamServer.mu may not.
+// ledger's lock, but a leaf like StreamServer.mu may not.
 package serve
 
 import (
@@ -10,33 +10,44 @@ import (
 	"revnf/internal/timeslot"
 )
 
-// Engine mirrors the real shape: the engine mutex above a ledger.
+// Engine mirrors the real shape: the engine mutex above a ledger and the
+// reader the serial path loads.
 type Engine struct {
 	mu     sync.Mutex
 	ledger *timeslot.Ledger
+	reader *timeslot.Reader
 }
 
 // Tick holds the engine lock across a ledger advance — the summary
-// attributes advMu and mus[*] to the call, both ranked after Engine.mu:
-// clean.
+// attributes Ledger.mu to the call, ranked after Engine.mu: clean.
 func (e *Engine) Tick() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.ledger.Advance()
 }
 
-// StreamServer's mutex is a leaf: ranked after every ledger class.
+// Decide loads the serial path's reader under the engine lock; the summary
+// attributes Ledger.mu to the Reader too: clean.
+func (e *Engine) Decide() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.reader.Load()
+}
+
+// StreamServer's mutex is a leaf: ranked after the ledger's.
 type StreamServer struct {
 	mu sync.Mutex
 	e  *Engine
 }
 
-// Bad calls into the ledger while holding the leaf lock: both summary
-// classes invert the canonical order.
+// Bad calls into the ledger, directly and through a reader, while holding
+// the leaf lock: the summary class inverts the canonical order. The second
+// diagnostic fails without the Reader's summary entry.
 func (s *StreamServer) Bad() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.e.ledger.Advance() // want `acquires timeslot\.Ledger\.advMu while holding serve\.StreamServer\.mu` `acquires timeslot\.Ledger\.mus\[\*\] while holding serve\.StreamServer\.mu`
+	s.e.ledger.Advance() // want `acquires timeslot\.Ledger\.mu while holding serve\.StreamServer\.mu`
+	s.e.reader.Load()    // want `acquires timeslot\.Ledger\.mu while holding serve\.StreamServer\.mu`
 }
 
 // BadAdvance advances a pd-shared scheduler under the leaf lock: the
@@ -44,5 +55,5 @@ func (s *StreamServer) Bad() {
 func (s *StreamServer) BadAdvance(sched *shared.Scheduler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sched.AdvanceWindow(2) // want `acquires sched\.mu while holding serve\.StreamServer\.mu` `acquires timeslot\.Ledger\.advMu while holding serve\.StreamServer\.mu` `acquires timeslot\.Ledger\.mus\[\*\] while holding serve\.StreamServer\.mu`
+	sched.AdvanceWindow(2) // want `acquires sched\.mu while holding serve\.StreamServer\.mu` `acquires timeslot\.Ledger\.mu while holding serve\.StreamServer\.mu`
 }

@@ -18,7 +18,7 @@ type Scheduler struct {
 }
 
 // AdvanceWindow reads the ledger under the scheduler lock: sched.mu ranks
-// before both ledger classes, clean.
+// before the ledger's, clean.
 func (s *Scheduler) AdvanceWindow(base int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

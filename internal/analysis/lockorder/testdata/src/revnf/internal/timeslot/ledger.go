@@ -1,61 +1,65 @@
-// Package timeslot impersonates the real ledger so its lock classes
-// resolve to canonical-order ranks: advMu before mus[*].
+// Package timeslot impersonates the real ledger so its lock class resolves
+// to its canonical-order rank: Ledger.mu, below every scheduler's lock and
+// above the leaves.
 package timeslot
 
 import "sync"
 
-// Ledger mirrors the real shape: a geometry mutex over a slice of row
-// locks.
+// Ledger mirrors the real shape: one mutex over the usage rows.
 type Ledger struct {
-	advMu sync.Mutex
-	mus   []sync.RWMutex
-	used  [][]uint32
+	mu   sync.Mutex
+	used [][]uint32
 }
 
 // NewLedger builds a ledger with n rows of w slots.
 func NewLedger(n, w int) *Ledger {
-	l := &Ledger{mus: make([]sync.RWMutex, n), used: make([][]uint32, n)}
+	l := &Ledger{used: make([][]uint32, n)}
 	for j := range l.used {
 		l.used[j] = make([]uint32, w)
 	}
 	return l
 }
 
-// Advance takes the geometry lock, then every row lock: the canonical
-// order, clean. (The ascending same-class row order inside the loop is
-// invisible to the analyzer — loops are scanned once.)
+// Advance touches every row under the one lock: clean.
 func (l *Ledger) Advance() {
-	l.advMu.Lock()
-	defer l.advMu.Unlock()
-	for j := range l.mus {
-		l.mus[j].Lock()
-	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	for j := range l.used {
 		l.used[j][0] = 0
 	}
-	for j := range l.mus {
-		l.mus[j].Unlock()
-	}
 }
 
-// Snapshot reads every row under the geometry lock: clean.
+// Snapshot reads every row under the same lock: clean.
 func (l *Ledger) Snapshot() []uint32 {
-	l.advMu.Lock()
-	defer l.advMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	out := make([]uint32, len(l.used))
-	for j := range l.mus {
-		l.mus[j].RLock()
+	for j := range l.used {
 		out[j] = l.used[j][0]
-		l.mus[j].RUnlock()
 	}
 	return out
 }
 
-// Bad nests the geometry lock under a row lock: a canonical inversion.
-func (l *Ledger) Bad(j int) {
-	l.mus[j].Lock()
-	defer l.mus[j].Unlock()
-	l.advMu.Lock() // want `acquires timeslot\.Ledger\.advMu while holding timeslot\.Ledger\.mus\[\*\], inverting the canonical lock order`
-	l.used[j][0] = 0
-	l.advMu.Unlock()
+// Reader mirrors the real window snapshot: it takes the ledger's lock
+// itself (same package, so the analyzer sees the acquisition directly).
+type Reader struct {
+	l    *Ledger
+	free []uint32
+}
+
+// Load copies a column under the ledger's lock: clean.
+func (r *Reader) Load() {
+	r.l.mu.Lock()
+	for j := range r.l.used {
+		r.free[j] = r.l.used[j][0]
+	}
+	r.l.mu.Unlock()
+}
+
+// Bad re-enters the ledger while Load's lock is still held: the callee's
+// transitive acquisition is the class already held.
+func (r *Reader) Bad() []uint32 {
+	r.l.mu.Lock()
+	defer r.l.mu.Unlock()
+	return r.l.Snapshot() // want `call to timeslot\.Ledger\.Snapshot acquires timeslot\.Ledger\.mu while already holding it`
 }

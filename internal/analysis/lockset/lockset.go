@@ -9,8 +9,9 @@
 // A lock class identifies one mutex — or one family of mutexes — by the
 // field that holds it rather than by a runtime instance:
 //
-//	revnf/internal/serve.Engine.mu        one sync.Mutex field
-//	revnf/internal/timeslot.Ledger.mus[*] a slice of per-row locks
+//	revnf/internal/serve.Engine.mu  one sync.Mutex field
+//	example/cache.Shards.mus[*]     a slice of per-shard locks (none in
+//	                                the tree since the ledger's row locks went)
 //
 // Class-level (instance-blind) reasoning is a deliberate approximation:
 // it cannot distinguish two Engines locking each other's mutexes, but

@@ -74,18 +74,20 @@ func (p Placement) Validate(n *Network, r Request) error {
 	if len(p.Assignments) == 0 {
 		return fmt.Errorf("%w: no assignments", ErrBadPlacement)
 	}
-	seen := make(map[int]bool, len(p.Assignments))
-	for _, a := range p.Assignments {
+	for i, a := range p.Assignments {
 		if a.Cloudlet < 0 || a.Cloudlet >= len(n.Cloudlets) {
 			return fmt.Errorf("%w: unknown cloudlet %d", ErrBadPlacement, a.Cloudlet)
 		}
 		if a.Instances < 1 {
 			return fmt.Errorf("%w: %d instances in cloudlet %d", ErrBadPlacement, a.Instances, a.Cloudlet)
 		}
-		if seen[a.Cloudlet] {
-			return fmt.Errorf("%w: cloudlet %d assigned twice", ErrBadPlacement, a.Cloudlet)
+		// Pairwise over at most m assignments: this runs on every proposal,
+		// and a set would be a heap allocation each time.
+		for _, b := range p.Assignments[:i] {
+			if b.Cloudlet == a.Cloudlet {
+				return fmt.Errorf("%w: cloudlet %d assigned twice", ErrBadPlacement, a.Cloudlet)
+			}
 		}
-		seen[a.Cloudlet] = true
 	}
 	rf := n.Catalog[r.VNF].Reliability
 	if p.Scheme != Shared && p.Backup != nil {
@@ -133,14 +135,12 @@ func (p Placement) Validate(n *Network, r Request) error {
 			return fmt.Errorf("%w: shared availability %v < %v", ErrBelowRequirement, got, r.Reliability)
 		}
 	case OffSite:
-		rcs := make([]float64, 0, len(p.Assignments))
 		for _, a := range p.Assignments {
 			if a.Instances != 1 {
 				return fmt.Errorf("%w: off-site assignment with %d instances in cloudlet %d", ErrBadPlacement, a.Instances, a.Cloudlet)
 			}
-			rcs = append(rcs, n.Cloudlets[a.Cloudlet].Reliability)
 		}
-		got := OffsiteReliability(rf, rcs)
+		got := p.offsiteAvailability(n, rf)
 		if got+relEpsilon < r.Reliability {
 			return fmt.Errorf("%w: off-site availability %v < %v", ErrBelowRequirement, got, r.Reliability)
 		}
@@ -168,12 +168,18 @@ func (p Placement) Availability(n *Network, r Request) float64 {
 			n.Cloudlets[p.Backup.Cloudlet].Reliability,
 			SharedContentionFloor(rf, n.Cloudlets), p.Backup.PoolSize)
 	case OffSite:
-		rcs := make([]float64, 0, len(p.Assignments))
-		for _, a := range p.Assignments {
-			rcs = append(rcs, n.Cloudlets[a.Cloudlet].Reliability)
-		}
-		return OffsiteReliability(rf, rcs)
+		return p.offsiteAvailability(n, rf)
 	default:
 		return 0
 	}
+}
+
+// offsiteAvailability is OffsiteReliability over the assignments' cloudlets,
+// multiplied in the same order without collecting them into a slice first.
+func (p Placement) offsiteAvailability(n *Network, rf float64) float64 {
+	fail := 1.0
+	for _, a := range p.Assignments {
+		fail *= 1 - rf*n.Cloudlets[a.Cloudlet].Reliability
+	}
+	return 1 - fail
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -173,5 +174,45 @@ func TestPlacementValidateSharedErrors(t *testing.T) {
 				t.Fatalf("Validate() = %v, want %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestPlacementValidateAllocations pins the admission path's gate: a valid
+// placement is checked without a heap allocation, however many cloudlets it
+// spans, and the pairwise duplicate scan reports what the set did.
+func TestPlacementValidateAllocations(t *testing.T) {
+	n := &Network{Catalog: []VNF{{ID: 0, Name: "f", Demand: 1, Reliability: 0.9}}}
+	for j := 0; j < 40; j++ {
+		n.Cloudlets = append(n.Cloudlets, Cloudlet{ID: j, Node: j, Capacity: 10, Reliability: 0.99})
+	}
+	req := Request{ID: 1, VNF: 0, Reliability: 0.95, Arrival: 1, Duration: 1, Payment: 1}
+	spread := func(k int) Placement {
+		p := Placement{Request: 1, Scheme: OffSite}
+		for j := 0; j < k; j++ {
+			p.Assignments = append(p.Assignments, Assignment{Cloudlet: j, Instances: 1})
+		}
+		return p
+	}
+	for _, p := range []Placement{
+		{Request: 1, Scheme: OnSite, Assignments: []Assignment{{Cloudlet: 0, Instances: 2}}},
+		spread(4),
+		spread(33),
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(100, func() { err = p.Validate(n, req) })
+		if err != nil || allocs != 0 {
+			t.Errorf("%d assignments: Validate() = %v with %v allocations, want nil with 0", len(p.Assignments), err, allocs)
+		}
+	}
+	p := spread(33)
+	p.Assignments[32].Cloudlet = 7
+	if err := p.Validate(n, req); !errors.Is(err, ErrBadPlacement) || !strings.Contains(err.Error(), "cloudlet 7 assigned twice") {
+		t.Errorf("duplicate in the last of 33: Validate() = %v", err)
+	}
+	// Errors keep their order: an earlier assignment's fault is reported
+	// before a later duplicate.
+	p.Assignments[5].Instances = 0
+	if err := p.Validate(n, req); err == nil || !strings.Contains(err.Error(), "0 instances in cloudlet 5") {
+		t.Errorf("bad instances before a duplicate: Validate() = %v", err)
 	}
 }

@@ -6,9 +6,11 @@ package core
 // interface and return placements, and the engine performs the actual
 // reservation. Raw Algorithm 1 ignores the view (its capacity violations
 // are part of the analysis); every other scheduler uses it to stay
-// feasible. Implementations must be safe for concurrent reads (the
-// timeslot.Ledger is); under concurrency a read is a hint that the
-// arbitrating reservation re-checks atomically.
+// feasible. A view is either safe for concurrent reads (the
+// timeslot.Ledger is) or handed to one Propose at a time (a
+// timeslot.Reader, the serving path's copy of the request's window, is);
+// either way a read is a hint that the arbitrating reservation re-checks
+// atomically.
 type CapacityView interface {
 	// Capacity returns cap_j for cloudlet j.
 	Capacity(cloudlet int) int

@@ -408,7 +408,7 @@ func TestEngineRetainsBoundedState(t *testing.T) {
 		t.Errorf("the daemon retains %.1f B of heap per admission, want ≤ 128", perAdmission)
 	}
 	// Ticking with nothing to decide allocates nothing (the rolling ledger's
-	// Advance unlocks its rows without deferring), so what a lap allocates is
+	// Advance is one lock round, no defer per row), so what a lap allocates is
 	// the scheduler's placement per admission, +1 for a chunk opened or the
 	// live map re-hashing in place.
 	idle := testing.AllocsPerRun(runs, func() {

@@ -222,6 +222,10 @@ type Engine struct {
 	mu     sync.Mutex
 	sched  core.Scheduler
 	ledger *timeslot.Ledger
+	// reader is the capacity view of everything that runs under mu: the
+	// serial decision path loads each request's window into it before the
+	// scheduler looks, and the read endpoints snapshot through it.
+	reader *timeslot.Reader // guarded by mu
 	// pool is the refcounted shared-backup layer over the ledger: group
 	// footprints are reserved when the first member joins and released when
 	// the last member expires. It carries its own lock; the engine only
@@ -249,6 +253,9 @@ type Engine struct {
 	// (nil in serial mode). The holder of token i owns shards[i]; the
 	// per-shard mutex only arbitrates against Stats snapshots.
 	shards []*shardHist
+	// views holds one capacity view per worker token, likewise owned by the
+	// token's holder, who loads the request's window before every Propose.
+	views []*timeslot.Reader
 
 	// slotNow mirrors slot for lock-free reads on the sharded path.
 	slotNow atomic.Int64
@@ -410,6 +417,7 @@ func New(cfg Config) (*Engine, error) {
 		runtime:  runtime,
 		ingest:   ingest,
 		ledger:   ledger,
+		reader:   ledger.NewReader(),
 		pool:     timeslot.NewPool(ledger),
 		slot:     1,
 		book:     newPlacementBook(),
@@ -433,6 +441,7 @@ func New(cfg Config) (*Engine, error) {
 				return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 			}
 			e.shards[i] = &shardHist{h: h}
+			e.views = append(e.views, ledger.NewReader())
 			e.sem <- i
 		}
 	} else {
@@ -622,7 +631,8 @@ func (e *Engine) decideLocked(ar AdmissionRequest) AdmissionResult {
 	if err := e.network.ValidateRequest(req, maxSlot); err != nil {
 		return reject(ReasonInvalid)
 	}
-	placement, ok := e.sched.Decide(req, e.ledger)
+	e.reader.Load(req.Arrival, req.Duration)
+	placement, ok := e.sched.Decide(req, e.reader)
 	if !ok {
 		return reject(ReasonDeclined)
 	}
@@ -703,6 +713,7 @@ func (e *Engine) decideSharded(ctx context.Context, ar AdmissionRequest, id int,
 		return reject(ReasonInvalid), nil
 	}
 	demand := e.network.Catalog[req.VNF].Demand
+	view := e.views[shard]
 	// maxAttempts bounds the re-propose loop: the first attempt plus two
 	// retries after ledger refusals. Livelock is impossible (each refusal
 	// means some other decision committed) but unbounded retry under
@@ -715,7 +726,11 @@ func (e *Engine) decideSharded(ctx context.Context, ar AdmissionRequest, id int,
 			e.recordOutcome(req, slot, trace.ReasonCanceled, core.Placement{})
 			return AdmissionResult{}, ctx.Err()
 		}
-		placement, ok := e.twoPhase.Propose(req, e.ledger)
+		// Every attempt looks at a fresh cut of the window, in one ledger
+		// lock round: a retry proposing against the copy that just lost the
+		// race would lose it again.
+		view.Load(req.Arrival, req.Duration)
+		placement, ok := e.twoPhase.Propose(req, view)
 		if !ok {
 			return reject(ReasonDeclined), nil
 		}
@@ -977,6 +992,8 @@ func (e *Engine) Cloudlets() []CloudletStatus {
 	defer e.mu.Unlock()
 	base := int(e.baseNow.Load())
 	maxSlot := e.maxSlotLocked()
+	// One cut of the remaining window answers the whole table.
+	e.reader.Load(e.slot, maxSlot-e.slot+1)
 	out := make([]CloudletStatus, len(e.network.Cloudlets))
 	for j, cl := range e.network.Cloudlets {
 		st := CloudletStatus{
@@ -984,7 +1001,7 @@ func (e *Engine) Cloudlets() []CloudletStatus {
 			FromSlot: e.slot, FromOffset: e.slot - base, WindowBase: base,
 		}
 		for t := e.slot; t <= maxSlot; t++ {
-			st.Residual = append(st.Residual, e.ledger.Residual(j, t))
+			st.Residual = append(st.Residual, e.reader.Residual(j, t))
 		}
 		out[j] = st
 	}
@@ -1036,11 +1053,12 @@ func (e *Engine) Stats() Stats {
 	for reason, n := range e.rejections {
 		s.Rejections[reason] = n.Load()
 	}
-	maxSlot := e.maxSlotLocked()
+	live := e.slot <= e.maxSlotLocked()
+	e.reader.Load(e.slot, 1)
 	for j, cl := range e.network.Cloudlets {
 		s.CloudletCapacity[j] = cl.Capacity
-		if e.slot <= maxSlot {
-			s.CloudletUsed[j] = e.ledger.Used(j, e.slot)
+		if live {
+			s.CloudletUsed[j] = cl.Capacity - e.reader.Residual(j, e.slot)
 		}
 	}
 	return s

@@ -178,6 +178,64 @@ func TestShardedConflictExhaustion(t *testing.T) {
 	}
 }
 
+// firstFitScheduler is a two-phase scheduler that trusts its view: it
+// proposes the whole of the first cloudlet whose window the view says is
+// empty. grab, when set, runs once inside the first Propose, after the view
+// was read — the out-of-band reservation a concurrent commit would make.
+type firstFitScheduler struct {
+	blindScheduler
+	grab     func(cloudlet int)
+	proposed []int // the cloudlet of each proposal, in order
+}
+
+func (s *firstFitScheduler) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
+	for j := 0; j < 2; j++ {
+		if view.ResidualWindow(j, req.Arrival, req.Duration) < view.Capacity(j) {
+			continue
+		}
+		s.proposed = append(s.proposed, j)
+		if s.grab != nil {
+			s.grab(j)
+			s.grab = nil
+		}
+		return core.Placement{Request: req.ID, Scheme: core.OnSite,
+			Assignments: []core.Assignment{{Cloudlet: j, Instances: 5}}}, true
+	}
+	return core.Placement{}, false
+}
+
+// TestShardedRetrySeesTheLostCapacity pins that every conflict retry
+// re-loads the worker's view: a decision whose first proposal loses its
+// capacity to a reservation made behind its back must see that reservation
+// on its second Propose and place elsewhere. Re-proposing against the copy
+// that lost would pick the same cloudlet until the attempts ran out.
+func TestShardedRetrySeesTheLostCapacity(t *testing.T) {
+	sched := &firstFitScheduler{}
+	e, err := New(Config{Network: testNetwork(), Scheduler: sched, Horizon: 10, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = e.Shutdown(context.Background())
+	}()
+	sched.grab = func(cloudlet int) {
+		if ok, err := e.ledger.ReserveWindow(cloudlet, 1, 3, 1); !ok || err != nil {
+			t.Errorf("out-of-band reservation on cloudlet %d: %v, %v", cloudlet, ok, err)
+		}
+	}
+	res, err := e.Submit(context.Background(), AdmissionRequest{VNF: 0, Reliability: 0.9, Arrival: 1, Duration: 3, Payment: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Admitted || len(sched.proposed) != 2 || sched.proposed[0] != 0 || sched.proposed[1] != 1 {
+		t.Fatalf("decision %+v after proposals on cloudlets %v, want admitted on 1 after losing 0", res, sched.proposed)
+	}
+	if s := e.Stats(); s.ConflictRetries != 1 || s.CloudletUsed[0] != 1 || s.CloudletUsed[1] != 10 {
+		t.Errorf("ConflictRetries = %d, used = %v; want 1 retry, the grabbed unit on cloudlet 0 and the placement on 1",
+			s.ConflictRetries, s.CloudletUsed)
+	}
+}
+
 // TestShardedEngineStress hammers a 4-worker engine from 8 goroutines
 // (with a concurrent slot clock) and then audits the books — run it under
 // -race. The load is sized so concurrent proposals race for the same

@@ -183,12 +183,19 @@ type streamError struct {
 
 func (e *streamError) Error() string { return e.detail }
 
+// invalidStream is the terminal error a malformed request stream earns.
+func invalidStream(detail string) error {
+	return &streamError{code: 400, reason: wire.ReasonInvalid, detail: detail}
+}
+
 // streamCodec is the protocol-specific half of the connection pipeline.
 type streamCodec interface {
 	// readRequest decodes the next request, reporting io.EOF at a clean
 	// end of stream and a *streamError (wrapped) for protocol violations.
 	readRequest(br *bufio.Reader, req *wire.Request) error
-	appendDecision(buf []byte, d *wire.Decision) []byte
+	// appendDecision takes the decision by value: a pointer passed through
+	// an interface method escapes, one allocation per decision.
+	appendDecision(buf []byte, d wire.Decision) []byte
 	appendError(buf []byte, e *streamError) []byte
 	countRequests(e *Engine, n int)
 }
@@ -214,6 +221,7 @@ func (s *StreamServer) serveConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 		if len(b.reqs) == 0 && b.term == nil {
 			return true
 		}
+		codec.countRequests(s.e, len(b.reqs))
 		select {
 		case pendingCh <- b:
 		case <-done:
@@ -243,7 +251,6 @@ func (s *StreamServer) serveConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 			flush()
 			break
 		}
-		codec.countRequests(s.e, 1)
 		b.reqs = append(b.reqs, AdmissionRequest{
 			VNF:         wr.VNF,
 			Reliability: wr.Reliability,
@@ -284,13 +291,12 @@ func (s *StreamServer) decider(conn net.Conn, bw *bufio.Writer, codec streamCode
 				buf = buf[:0]
 				for i := range b.out {
 					res := &b.out[i]
-					d := wire.Decision{
+					buf = codec.appendDecision(buf, wire.Decision{
 						ID:       uint64(res.ID),
 						Slot:     res.Slot,
 						Admitted: res.Admitted,
 						Reason:   wire.CodeForReason(res.Reason),
-					}
-					buf = codec.appendDecision(buf, &d)
+					})
 				}
 				if _, err := bw.Write(buf); err != nil {
 					conn.Close()
@@ -325,13 +331,12 @@ func (ndjsonCodec) readRequest(br *bufio.Reader, req *wire.Request) error {
 			if errors.Is(err, io.EOF) && len(allWS(line)) > 0 {
 				// Final line without a trailing newline.
 				if derr := wire.DecodeNDJSONRequest(line, req); derr != nil {
-					return &streamError{code: 400, reason: wire.ReasonInvalid, detail: derr.Error()}
+					return invalidStream(derr.Error())
 				}
 				return nil
 			}
 			if errors.Is(err, bufio.ErrBufferFull) {
-				return &streamError{code: 400, reason: wire.ReasonInvalid,
-					detail: "request line exceeds buffer"}
+				return invalidStream("request line exceeds buffer")
 			}
 			return err
 		}
@@ -339,14 +344,14 @@ func (ndjsonCodec) readRequest(br *bufio.Reader, req *wire.Request) error {
 			continue // tolerate blank keep-alive lines
 		}
 		if derr := wire.DecodeNDJSONRequest(line, req); derr != nil {
-			return &streamError{code: 400, reason: wire.ReasonInvalid, detail: derr.Error()}
+			return invalidStream(derr.Error())
 		}
 		return nil
 	}
 }
 
-func (ndjsonCodec) appendDecision(buf []byte, d *wire.Decision) []byte {
-	return wire.AppendNDJSONDecision(buf, d)
+func (ndjsonCodec) appendDecision(buf []byte, d wire.Decision) []byte {
+	return wire.AppendNDJSONDecision(buf, &d)
 }
 
 func (ndjsonCodec) appendError(buf []byte, e *streamError) []byte {
@@ -372,44 +377,42 @@ func allWS(line []byte) []byte {
 
 func isWS(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
-// frameCodec implements streamCodec for the binary framing. Each
-// connection gets its own codec value carrying the frame reader.
+// frameCodec implements streamCodec for the binary framing.
 type frameCodec struct{}
 
+// readRequest decodes the next frame where it lies in the bufio window:
+// split what is buffered, block for more only while the frame is short.
+// The peeked bytes are valid until the Discard, so the decode comes first.
 func (frameCodec) readRequest(br *bufio.Reader, req *wire.Request) error {
-	// The FrameReader state is just a scratch buffer; reconstructing the
-	// header read per frame off the bufio.Reader keeps this codec
-	// stateless. Decode straight from the buffered bytes.
-	var hdr [5]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return io.EOF
+	need := br.Buffered()
+	for {
+		buf, perr := br.Peek(need)
+		typ, payload, n, err := wire.SplitFrame(buf)
+		switch {
+		case err == nil && typ != wire.FrameRequest:
+			return invalidStream("unexpected frame type")
+		case err == nil:
+			err = wire.DecodeRequest(payload, req)
+			br.Discard(n)
+			if err != nil {
+				return invalidStream(err.Error())
+			}
+			return nil
+		case !errors.Is(err, wire.ErrShortFrame) || n > wire.MaxRequestFrame:
+			// No request frame is that long: refuse it before waiting for it.
+			return invalidStream("bad frame length")
+		case errors.Is(perr, io.EOF) && len(buf) > 0:
+			// The peer stopped mid-frame but may still be reading.
+			return invalidStream("truncated frame")
+		case perr != nil:
+			return perr // a clean io.EOF at a frame boundary, or the transport's error
 		}
-		return err
+		need = max(n, br.Buffered())
 	}
-	length := int(uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24)
-	if length < 1 || length > wire.MaxFrameSize {
-		return &streamError{code: 400, reason: wire.ReasonInvalid, detail: "bad frame length"}
-	}
-	if hdr[4] != wire.FrameRequest {
-		return &streamError{code: 400, reason: wire.ReasonInvalid, detail: "unexpected frame type"}
-	}
-	payload, err := br.Peek(length - 1)
-	if err == nil {
-		derr := wire.DecodeRequest(payload, req)
-		br.Discard(length - 1)
-		if derr != nil {
-			return &streamError{code: 400, reason: wire.ReasonInvalid, detail: derr.Error()}
-		}
-		return nil
-	}
-	// Frame larger than the buffer window (cannot happen for request
-	// frames, whose payload is 28 bytes, but keep the decoder total).
-	return &streamError{code: 400, reason: wire.ReasonInvalid, detail: "truncated frame"}
 }
 
-func (frameCodec) appendDecision(buf []byte, d *wire.Decision) []byte {
-	return wire.AppendDecisionFrame(buf, d)
+func (frameCodec) appendDecision(buf []byte, d wire.Decision) []byte {
+	return wire.AppendDecisionFrame(buf, &d)
 }
 
 func (frameCodec) appendError(buf []byte, e *streamError) []byte {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -425,6 +426,66 @@ func TestStreamErrorEnvelopes(t *testing.T) {
 		}
 	})
 
+	// A frame cut short by a half-closing client is answered the same way
+	// wherever the cut falls: the decisions already owed, then one terminal
+	// 400, counted once.
+	for _, cut := range []struct {
+		name string
+		keep int // bytes of the second frame that arrive
+	}{{"frame cut inside its header", 3}, {"frame cut inside its payload", 20}} {
+		t.Run(cut.name, func(t *testing.T) {
+			e := newTestEngine(t, 20)
+			client, server := tcpPair(t)
+			s := NewStreamServer(e)
+			go s.ServeConn(server)
+			good := frameStreamBody(t, []AdmissionRequest{{VNF: 0, Reliability: 0.9, Duration: 3, Payment: 10}})
+			second := good[len(wire.AppendPreamble(nil)):]
+			client.Write(append(good, second[:cut.keep]...))
+			client.CloseWrite()
+			fr := wire.NewFrameReader(bufio.NewReader(client))
+			typ, payload, err := fr.Next()
+			var d wire.Decision
+			if err != nil || typ != wire.FrameDecision || wire.DecodeDecision(payload, &d) != nil || !d.Admitted {
+				t.Fatalf("first frame = (%#x, %v, %+v), want the admitted decision", typ, err, d)
+			}
+			typ, payload, err = fr.Next()
+			if err != nil || typ != wire.FrameError {
+				t.Fatalf("second frame = (%#x, _, %v), want FrameError", typ, err)
+			}
+			code, reason, detail, err := wire.DecodeError(payload)
+			if err != nil || code != 400 || reason != wire.ReasonInvalid || string(detail) != "truncated frame" {
+				t.Fatalf("error = (%d, %v, %q, %v), want (400, invalid, truncated frame)", code, reason, detail, err)
+			}
+			if _, _, err := fr.Next(); err != io.EOF {
+				t.Fatalf("after the terminal error: %v, want io.EOF", err)
+			}
+			if got := e.ingest.streamErrors.Load(); got != 1 {
+				t.Fatalf("stream_errors_total = %d, want 1", got)
+			}
+		})
+	}
+
+	// A connection that dies instead of half-closing is a transport error:
+	// nobody is left to read a reply, and nothing is counted.
+	t.Run("reset inside a frame", func(t *testing.T) {
+		e := newTestEngine(t, 20)
+		client, server := tcpPair(t)
+		s := NewStreamServer(e)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.ServeConn(server)
+		}()
+		body := frameStreamBody(t, []AdmissionRequest{{VNF: 0, Reliability: 0.9, Duration: 3, Payment: 10}})
+		client.Write(body[:len(body)-10])
+		client.SetLinger(0) // Close sends a reset
+		client.Close()
+		<-done
+		if got := e.ingest.streamErrors.Load(); got != 0 {
+			t.Fatalf("stream_errors_total = %d after a reset, want 0", got)
+		}
+	})
+
 	t.Run("bad magic", func(t *testing.T) {
 		e := newTestEngine(t, 20)
 		client, server := tcpPair(t)
@@ -579,4 +640,159 @@ func TestStreamConcurrentConnections(t *testing.T) {
 	if got := e.ingest.frameReqs.Load() + e.ingest.ndjsonReqs.Load(); got != conns*perConn {
 		t.Fatalf("ingest counters = %d, want %d", got, conns*perConn)
 	}
+}
+
+// declinedStream encodes n requests the engine declines (a payment of zero
+// never beats a price) for either streaming protocol, preamble excluded.
+func declinedStream(t testing.TB, n int, frame bool) []byte {
+	t.Helper()
+	var buf []byte
+	for i := 0; i < n; i++ {
+		wr := wire.Request{VNF: 0, Reliability: 0.9, Duration: 1 + i%5}
+		if !frame {
+			buf = wire.AppendNDJSONRequest(buf, &wr)
+			continue
+		}
+		var err error
+		if buf, err = wire.AppendRequestFrame(buf, &wr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf
+}
+
+// drainDecisions reads the connection until n decisions have arrived,
+// counting them without decoding (a decision frame has one size, an NDJSON
+// decision is one line) so the client side of a measurement allocates
+// nothing. It reports the count reached.
+func drainDecisions(conn net.Conn, n int, frame bool, buf []byte) int {
+	decisionFrame := len(wire.AppendDecisionFrame(nil, &wire.Decision{}))
+	got, bytesIn := 0, 0
+	for got < n {
+		k, err := conn.Read(buf)
+		if frame {
+			bytesIn += k
+			got = bytesIn / decisionFrame
+		} else {
+			got += bytes.Count(buf[:k], []byte{'\n'})
+		}
+		if err != nil {
+			break
+		}
+	}
+	return got
+}
+
+// TestStreamSteadyStateAllocs pins the stream layer's cost model for both
+// codecs: once a connection's buffers exist, a request that the engine
+// declines crosses StreamServer — read, decode, batch, decide, encode,
+// write — without a heap allocation. Counted the way
+// TestEngineRetainsBoundedState counts: the process's malloc counter, so
+// the client side of the test is kept allocation-free too.
+func TestStreamSteadyStateAllocs(t *testing.T) {
+	const (
+		chunk    = 500
+		requests = 40 * chunk
+	)
+	for _, frame := range []bool{true, false} {
+		name := "ndjson"
+		if frame {
+			name = "frame"
+		}
+		t.Run(name, func(t *testing.T) {
+			e := newTestEngine(t, 20)
+			client, server := tcpPair(t)
+			s := NewStreamServer(e)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				s.ServeConn(server)
+			}()
+			body := declinedStream(t, chunk, frame)
+			readBuf := make([]byte, 64<<10)
+			if frame {
+				client.Write(wire.AppendPreamble(nil))
+			}
+			// Warm-up: the connection's buffers, batches and goroutines.
+			client.Write(body)
+			if got := drainDecisions(client, chunk, frame, readBuf); got != chunk {
+				t.Fatalf("warm-up: %d/%d decisions", got, chunk)
+			}
+			sent := make(chan struct{})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			go func() {
+				defer close(sent)
+				for i := 0; i < requests/chunk; i++ {
+					client.Write(body)
+				}
+			}()
+			got := drainDecisions(client, requests, frame, readBuf)
+			runtime.ReadMemStats(&after)
+			<-sent
+			if got != requests {
+				t.Fatalf("%d/%d decisions", got, requests)
+			}
+			perRequest := float64(after.Mallocs-before.Mallocs) / requests
+			t.Logf("%d mallocs over %d requests: %.4f per request", after.Mallocs-before.Mallocs, requests, perRequest)
+			if perRequest > 0.05 {
+				t.Errorf("the stream layer allocates %.3f objects per request, want ≤ 0.05", perRequest)
+			}
+			if st := e.Stats(); st.Rejections[ReasonDeclined] != requests+chunk {
+				t.Errorf("declined %d, want every one of %d requests", st.Rejections[ReasonDeclined], requests+chunk)
+			}
+			client.CloseWrite()
+			<-done
+		})
+	}
+}
+
+// BenchmarkStreamFrames drives a canned stream of 256 request frames
+// through ServeConn per iteration, on one connection: the per-request cost
+// of the stream layer around an engine that declines (and so writes
+// nothing but the decision).
+func BenchmarkStreamFrames(b *testing.B) {
+	const batch = 256
+	n := testNetwork()
+	sched, err := onsite.NewScheduler(n, 20, onsite.WithCapacityEnforcement())
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := New(Config{Network: n, Scheduler: sched, Horizon: 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Shutdown(context.Background())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if server, err := ln.Accept(); err == nil {
+			NewStreamServer(e).ServeConn(server)
+		}
+	}()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	body := declinedStream(b, batch, true)
+	readBuf := make([]byte, 64<<10)
+	client.Write(wire.AppendPreamble(nil))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		client.Write(body)
+		if got := drainDecisions(client, batch, true, readBuf); got != batch {
+			b.Fatalf("%d/%d decisions", got, batch)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/req")
+	client.(*net.TCPConn).CloseWrite()
+	<-done
 }

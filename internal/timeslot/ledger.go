@@ -28,25 +28,26 @@
 //
 // # Concurrency
 //
-// The Ledger is safe for concurrent use. Each cloudlet's usage row is
-// guarded by its own reader/writer lock, so reads and reservations against
-// different cloudlets never contend, and a reservation over a window
-// [a, a+d-1] is checked and committed in one critical section: two
-// concurrent ReserveWindow calls can never jointly oversubscribe cap_j.
-// The window geometry (base and ring origin) is one packed atomic word.
-// Row operations read it after taking their row lock; Advance — the only
-// geometry writer — holds every row lock while it checks the retiring rows
-// and publishes the new geometry. A held row lock therefore pins the
-// geometry for the whole critical section (Advance cannot run while any
-// row is held), so a reservation can never land on a row that is being
-// recycled under it, and the hot path pays one uncontended atomic load
-// instead of a read-modify-write on a process-global lock — operations
-// against different cloudlets share no mutable cache line in either mode.
-// Whole-ledger aggregates (Violations, Utilization, Clone, ...) lock one
-// cloudlet at a time; each row is internally consistent but the aggregate
-// is not a single point-in-time snapshot while writers are active — call
-// them after reservations quiesce (as the batch engine does) when an exact
-// global snapshot matters.
+// The Ledger is safe for concurrent use, behind one mutex: every operation
+// that touches a usage cell takes it once, so a reservation over a window
+// [a, a+d-1] is checked and committed in one critical section (two
+// concurrent ReserveWindow calls can never jointly oversubscribe cap_j), a
+// held lock pins the window geometry (Advance, the only geometry writer,
+// takes the same lock, so a reservation can never land on a row that is
+// being recycled under it), and the whole-ledger aggregates (Violations,
+// Utilization, Clone, ...) are point-in-time snapshots. The critical
+// sections are tens of nanoseconds; striping the lock per cloudlet bought
+// nothing, because every admission decision reads every cloudlet's row.
+// The geometry (base and ring origin) is additionally one packed atomic
+// word, written under the lock, so Base stays lock-free.
+//
+// A Reader (NewReader) is how one goroutine reads many cells for one lock
+// round: Load copies the residuals of a window, for every cloudlet, into
+// scratch the Reader owns, and reads inside that window are then local
+// loads — one consistent cut across rows, which row-by-row reads are not.
+// A Reader belongs to one goroutine; what it answers from the copy is as
+// of its last Load and valid until the next, a hint the arbitrating
+// ReserveWindow re-checks.
 //
 // # Out-of-range reads
 //
@@ -99,22 +100,18 @@ var (
 // All methods are safe for concurrent use; see the package comment for the
 // consistency model.
 type Ledger struct {
-	window int // number of live slots (T in fixed mode, W in rolling mode)
-	caps   []int
-	mus    []sync.RWMutex // mus[cloudlet] guards used[cloudlet]
-	used   [][]int        // used[cloudlet][ring index]; guarded by mus[*]
+	window  int // number of live slots (T in fixed mode, W in rolling mode)
+	caps    []int
+	rolling bool // circular-window mode; a fixed ledger's geometry never moves
 
-	// rolling selects the circular-window mode. In fixed mode the geometry
-	// is immutably (base 1, origin 0) and advMu is never taken.
-	rolling bool
+	mu   sync.Mutex
+	used [][]int // used[cloudlet][ring index]; guarded by mu
 	// geom packs the window geometry into one word: the base slot in the
 	// high 48 bits, the ring origin (the index base is stored at) in the
-	// low 16. One load yields a consistent (base, origin) pair; see the
-	// package comment for why a held row lock pins it.
+	// low 16. Advance stores it with mu held, so an operation holding mu
+	// reads a pinned (base, origin) pair; it is atomic only so that Base
+	// needs no lock.
 	geom atomic.Uint64
-	// advMu serializes Advance calls and whole-ledger snapshots (Clone,
-	// Violations) against geometry changes. Row operations never take it.
-	advMu sync.Mutex
 }
 
 // maxRollingWindow bounds a rolling window so the ring origin fits the 16
@@ -164,13 +161,7 @@ func build(capacities []int, window int, rolling bool) (*Ledger, error) {
 		caps[j] = c
 		used[j] = make([]int, window)
 	}
-	l := &Ledger{
-		window:  window,
-		caps:    caps,
-		mus:     make([]sync.RWMutex, len(caps)),
-		used:    used,
-		rolling: rolling,
-	}
+	l := &Ledger{window: window, caps: caps, used: used, rolling: rolling}
 	l.geom.Store(packGeom(1, 0))
 	return l, nil
 }
@@ -249,18 +240,12 @@ func (l *Ledger) Capacity(cloudlet int) int {
 // Used returns the units in use in cloudlet j at slot t, or the fail-safe
 // sentinel 0 ("no usage") when out of range; use InRange to distinguish.
 func (l *Ledger) Used(cloudlet, slot int) int {
-	if cloudlet < 0 || cloudlet >= len(l.caps) {
-		return 0
-	}
-	// Row locks are dropped explicitly on the read accessors: a defer of an
-	// indexed operand costs a wrapper call per read, on the hot path.
-	used := 0
-	l.mus[cloudlet].RLock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if base, origin := l.geometry(); l.inRangeAt(cloudlet, slot, base) {
-		used = l.used[cloudlet][l.idxAt(slot, base, origin)]
+		return l.used[cloudlet][l.idxAt(slot, base, origin)]
 	}
-	l.mus[cloudlet].RUnlock()
-	return used
+	return 0
 }
 
 // Residual returns the free units of cloudlet j at slot t. It can be
@@ -268,16 +253,12 @@ func (l *Ledger) Used(cloudlet, slot int) int {
 // fail-safe sentinel 0 ("no free capacity"), so capacity-gated callers
 // reject rather than admit; use InRange to distinguish.
 func (l *Ledger) Residual(cloudlet, slot int) int {
-	if cloudlet < 0 || cloudlet >= len(l.caps) {
-		return 0
-	}
-	free := 0
-	l.mus[cloudlet].RLock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if base, origin := l.geometry(); l.inRangeAt(cloudlet, slot, base) {
-		free = l.caps[cloudlet] - l.used[cloudlet][l.idxAt(slot, base, origin)]
+		return l.caps[cloudlet] - l.used[cloudlet][l.idxAt(slot, base, origin)]
 	}
-	l.mus[cloudlet].RUnlock()
-	return free
+	return 0
 }
 
 // ResidualWindow returns the minimum residual capacity of cloudlet j over
@@ -286,20 +267,16 @@ func (l *Ledger) Residual(cloudlet, slot int) int {
 // ("no free capacity"), which makes schedulers reject such windows; use
 // WindowInRange to distinguish.
 func (l *Ledger) ResidualWindow(cloudlet, start, duration int) int {
-	if cloudlet < 0 || cloudlet >= len(l.caps) {
-		return 0
-	}
-	free := 0
-	l.mus[cloudlet].RLock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if base, origin := l.geometry(); l.windowInRangeAt(cloudlet, start, duration, base) {
-		free = l.residualWindowLocked(cloudlet, start, duration, base, origin)
+		return l.residualWindowLocked(cloudlet, start, duration, base, origin)
 	}
-	l.mus[cloudlet].RUnlock()
-	return free
+	return 0
 }
 
-// residualWindowLocked computes the window minimum with cloudlet's row
-// lock held (which pins the given geometry; see the package comment).
+// residualWindowLocked computes the window minimum with mu held (which
+// pins the given geometry; see the package comment).
 func (l *Ledger) residualWindowLocked(cloudlet, start, duration, base, origin int) int {
 	row, capacity := l.used[cloudlet], l.caps[cloudlet]
 	i := l.idxAt(start, base, origin)
@@ -338,8 +315,8 @@ func (l *Ledger) ReserveWindow(cloudlet, start, duration, units int) (bool, erro
 	if cloudlet < 0 || cloudlet >= len(l.caps) {
 		return false, fmt.Errorf("%w: %d", ErrBadCloudlet, cloudlet)
 	}
-	l.mus[cloudlet].Lock()
-	defer l.mus[cloudlet].Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	base, origin := l.geometry()
 	if err := l.checkArgsAt(start, duration, units, base); err != nil {
 		return false, err
@@ -375,8 +352,8 @@ func (l *Ledger) ForceReserve(cloudlet, start, duration, units int) error {
 	if cloudlet < 0 || cloudlet >= len(l.caps) {
 		return fmt.Errorf("%w: %d", ErrBadCloudlet, cloudlet)
 	}
-	l.mus[cloudlet].Lock()
-	defer l.mus[cloudlet].Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	base, origin := l.geometry()
 	if err := l.checkArgsAt(start, duration, units, base); err != nil {
 		return err
@@ -396,8 +373,8 @@ func (l *Ledger) Release(cloudlet, start, duration, units int) error {
 	if cloudlet < 0 || cloudlet >= len(l.caps) {
 		return fmt.Errorf("%w: %d", ErrBadCloudlet, cloudlet)
 	}
-	l.mus[cloudlet].Lock()
-	defer l.mus[cloudlet].Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	base, origin := l.geometry()
 	if err := l.checkArgsAt(start, duration, units, base); err != nil {
 		return err
@@ -429,26 +406,8 @@ func (l *Ledger) Advance(base int) error {
 	if !l.rolling {
 		return fmt.Errorf("%w: cannot advance to %d", ErrFixedHorizon, base)
 	}
-	l.advMu.Lock()
-	defer l.advMu.Unlock()
-	// Hold every row's write lock while checking and re-basing: no row
-	// operation can run concurrently, so the geometry word flips while the
-	// whole ledger is pinned (this is what lets row operations treat one
-	// geometry read under their row lock as stable). The rows are unlocked
-	// explicitly: a defer per row would heap-allocate its record on every
-	// tick.
-	for j := range l.mus {
-		l.mus[j].Lock()
-	}
-	err := l.rebaseLocked(base)
-	for j := range l.mus {
-		l.mus[j].Unlock()
-	}
-	return err
-}
-
-// rebaseLocked is Advance with advMu and every row lock held.
-func (l *Ledger) rebaseLocked(base int) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	cur, origin := l.geometry()
 	if base < cur {
 		return fmt.Errorf("%w: advance to %d behind base %d", ErrBadSlot, base, cur)
@@ -482,7 +441,7 @@ func (l *Ledger) rebaseLocked(base int) error {
 }
 
 // checkArgsAt validates mutating-call arguments against an already-read
-// geometry base; the caller holds the cloudlet's row lock, which pins it.
+// geometry base (the ledger's own callers hold mu, which pins it).
 func (l *Ledger) checkArgsAt(start, duration, units, base int) error {
 	if start < base || duration < 1 || start+duration-1 > base+l.window-1 {
 		return fmt.Errorf("%w: window [%d,%d] live window [%d,%d]",
@@ -494,8 +453,8 @@ func (l *Ledger) checkArgsAt(start, duration, units, base int) error {
 	return nil
 }
 
-// addLocked mutates cloudlet's row; the caller holds its write lock (which
-// pins the given geometry).
+// addLocked mutates cloudlet's row; the caller holds mu (which pins the
+// given geometry).
 func (l *Ledger) addLocked(cloudlet, start, duration, units, base, origin int) {
 	i := l.idxAt(start, base, origin)
 	for t := 0; t < duration; t++ {
@@ -523,12 +482,11 @@ func (v Violation) Ratio() float64 { return float64(v.Used) / float64(v.Capacity
 // Violations returns every overcommitted live cell in cloudlet-then-slot
 // order.
 func (l *Ledger) Violations() []Violation {
-	l.advMu.Lock() // hold the geometry still across rows
-	defer l.advMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	base, origin := l.geometry()
 	var out []Violation
 	for j := range l.caps {
-		l.mus[j].RLock()
 		i := origin
 		for t := base; t <= base+l.window-1; t++ {
 			if u := l.used[j][i]; u > l.caps[j] {
@@ -538,7 +496,6 @@ func (l *Ledger) Violations() []Violation {
 				i = 0
 			}
 		}
-		l.mus[j].RUnlock()
 	}
 	return out
 }
@@ -548,15 +505,15 @@ func (l *Ledger) Violations() []Violation {
 // full but unviolated ledger as well as for an empty one with ratio below
 // 1).
 func (l *Ledger) MaxViolationRatio() float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	maxRatio := 0.0
 	for j := range l.caps {
-		l.mus[j].RLock()
 		for t := 0; t < l.window; t++ {
 			if r := float64(l.used[j][t]) / float64(l.caps[j]); r > maxRatio {
 				maxRatio = r
 			}
 		}
-		l.mus[j].RUnlock()
 	}
 	return maxRatio
 }
@@ -567,13 +524,13 @@ func (l *Ledger) Utilization() float64 {
 	if len(l.caps) == 0 || l.window == 0 {
 		return 0
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	total := 0.0
 	for j := range l.caps {
-		l.mus[j].RLock()
 		for t := 0; t < l.window; t++ {
 			total += float64(l.used[j][t]) / float64(l.caps[j])
 		}
-		l.mus[j].RUnlock()
 	}
 	return total / float64(len(l.caps)*l.window)
 }
@@ -584,40 +541,27 @@ func (l *Ledger) PeakUsage(cloudlet int) int {
 	if cloudlet < 0 || cloudlet >= len(l.caps) {
 		return 0
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	peak := 0
-	l.mus[cloudlet].RLock()
 	for _, u := range l.used[cloudlet] {
 		if u > peak {
 			peak = u
 		}
 	}
-	l.mus[cloudlet].RUnlock()
 	return peak
 }
 
 // Clone returns an independent deep copy of the ledger (same mode, same
 // window position), used by solvers that explore hypothetical schedules.
-// Rows are copied one cloudlet at a time; clone with writers quiesced when
-// an exact global snapshot matters.
 func (l *Ledger) Clone() *Ledger {
-	l.advMu.Lock() // hold the geometry still across rows
-	defer l.advMu.Unlock()
-	caps := make([]int, len(l.caps))
-	copy(caps, l.caps)
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	used := make([][]int, len(l.used))
-	for j := range l.used {
-		l.mus[j].RLock()
-		used[j] = make([]int, len(l.used[j]))
-		copy(used[j], l.used[j])
-		l.mus[j].RUnlock()
+	for j, row := range l.used {
+		used[j] = append([]int(nil), row...)
 	}
-	c := &Ledger{
-		window:  l.window,
-		caps:    caps,
-		mus:     make([]sync.RWMutex, len(caps)),
-		used:    used,
-		rolling: l.rolling,
-	}
+	c := &Ledger{window: l.window, caps: append([]int(nil), l.caps...), used: used, rolling: l.rolling}
 	c.geom.Store(l.geom.Load())
 	return c
 }

@@ -42,8 +42,8 @@ var (
 // with references does, so a slot entering the window inherits a zero.
 //
 // The pool serializes itself with one mutex and calls into the ledger
-// (which takes per-row locks) while holding it; nothing calls back into
-// the pool from the ledger, so the order pool.mu → ledger row is acyclic.
+// (which takes its own) while holding it; nothing calls back into the
+// pool from the ledger, so the order pool.mu → ledger.mu is acyclic.
 // In rolling mode the engine releases expired members before advancing the
 // ledger, so retired slots have always drained their pooled rows.
 type Pool struct {

@@ -56,6 +56,9 @@ const (
 
 	// MaxFrameSize bounds the length prefix (type byte + payload).
 	MaxFrameSize = 1 << 16
+	// MaxRequestFrame is the size on the wire of the largest FrameRequest,
+	// header included: a receiver of requests need wait for no more.
+	MaxRequestFrame = headerSize + requestPayloadSize
 
 	preambleSize         = 5
 	headerSize           = 5 // u32 length + u8 type
@@ -63,7 +66,6 @@ const (
 	requestPayloadSize   = 29 // v1 payload + u8 scheme
 	decisionPayloadSize  = 14
 	errorHeaderSize      = 5 // u16 code + u8 reason + u16 detail length
-
 )
 
 // maxFrameInt bounds the integer request fields a frame can carry.
@@ -78,6 +80,8 @@ var (
 	ErrBadVersion = errors.New("wire: unsupported protocol version")
 	// ErrBadFrame reports a frame header with an out-of-bounds length.
 	ErrBadFrame = errors.New("wire: bad frame length")
+	// ErrShortFrame reports bytes that end before the frame they open does.
+	ErrShortFrame = errors.New("wire: incomplete frame")
 	// ErrBadType reports an unknown frame type.
 	ErrBadType = errors.New("wire: unknown frame type")
 	// ErrBadPayload reports a payload whose size or contents do not match
@@ -109,11 +113,32 @@ func ReadPreamble(r io.Reader) error {
 	return nil
 }
 
-// FrameReader reads frames from a stream into a reusable payload buffer.
-// Not safe for concurrent use.
+// SplitFrame splits the frame at the head of buf into its type and its
+// payload, which aliases buf; n is the frame's size on the wire, header
+// included. Bytes that end inside the frame are ErrShortFrame, with n the
+// length buf must reach before another call can say more (the header's,
+// then the whole frame's, whose type is then already known); a length
+// prefix out of bounds is ErrBadFrame, which no further bytes repair. Both
+// are returned bare. This is the only parser of the frame header.
+func SplitFrame(buf []byte) (frameType byte, payload []byte, n int, err error) {
+	if len(buf) < headerSize {
+		return 0, nil, headerSize, ErrShortFrame
+	}
+	length := binary.LittleEndian.Uint32(buf)
+	if length < 1 || length > MaxFrameSize {
+		return 0, nil, 0, ErrBadFrame
+	}
+	frameType, n = buf[4], headerSize-1+int(length)
+	if len(buf) < n {
+		return frameType, nil, n, ErrShortFrame
+	}
+	return frameType, buf[headerSize:n], n, nil
+}
+
+// FrameReader reads frames from a stream into a reusable buffer. Not safe
+// for concurrent use.
 type FrameReader struct {
 	r   io.Reader
-	hdr [headerSize]byte
 	buf []byte
 }
 
@@ -121,7 +146,7 @@ type FrameReader struct {
 // for byte-at-a-time transports; the FrameReader itself does not buffer
 // beyond one frame.
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{r: r, buf: make([]byte, 0, 512)}
+	return &FrameReader{r: r, buf: make([]byte, headerSize, 512)}
 }
 
 // Next reads one frame and returns its type and payload. The payload
@@ -129,22 +154,21 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // next call. io.EOF is returned clean at a frame boundary;
 // io.ErrUnexpectedEOF mid-frame.
 func (fr *FrameReader) Next() (frameType byte, payload []byte, err error) {
-	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, fr.buf[:headerSize]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("wire: reading frame header: %w", err)
 	}
-	length := binary.LittleEndian.Uint32(fr.hdr[:4])
-	if length < 1 || length > MaxFrameSize {
-		return 0, nil, fmt.Errorf("%w: %d", ErrBadFrame, length)
+	// The header alone says how long the frame is, or that it cannot be.
+	frameType, _, n, err := SplitFrame(fr.buf[:headerSize])
+	if n == 0 {
+		return 0, nil, err
 	}
-	frameType = fr.hdr[4]
-	n := int(length) - 1
 	if cap(fr.buf) < n {
-		fr.buf = make([]byte, n)
+		fr.buf = make([]byte, headerSize, n)
 	}
-	payload = fr.buf[:n]
+	payload = fr.buf[headerSize:n]
 	if _, err := io.ReadFull(fr.r, payload); err != nil {
 		return 0, nil, fmt.Errorf("wire: reading frame payload: %w", io.ErrUnexpectedEOF)
 	}

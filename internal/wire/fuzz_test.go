@@ -7,10 +7,43 @@ import (
 	"testing"
 )
 
-// FuzzDecodeFrame feeds arbitrary bytes through the frame reader and the
-// per-type payload decoders. The contract under fuzzing: typed errors or
-// valid frames, never a panic, never an over-read past the input, and
-// bounded buffering regardless of what the length prefix claims.
+// splitAgreesWithReader checks SplitFrame against FrameReader.Next on the
+// same bytes: the same type and payload when the frame is whole, and the
+// same class of error when it is not — bad length; cut short, which a
+// stream reader sees as io.EOF at a frame boundary and as
+// io.ErrUnexpectedEOF inside a frame.
+func splitAgreesWithReader(t *testing.T, data []byte) {
+	t.Helper()
+	typ, payload, n, err := SplitFrame(data)
+	rtyp, rpayload, rerr := NewFrameReader(bytes.NewReader(data)).Next()
+	switch {
+	case err == nil:
+		if rerr != nil || rtyp != typ || !bytes.Equal(rpayload, payload) || n != headerSize+len(payload) || n > len(data) {
+			t.Fatalf("%d bytes: SplitFrame = (%#x, %d-byte payload, n %d), Next = (%#x, %d-byte payload, %v)",
+				len(data), typ, len(payload), n, rtyp, len(rpayload), rerr)
+		}
+	case errors.Is(err, ErrBadFrame):
+		if !errors.Is(rerr, ErrBadFrame) {
+			t.Fatalf("%d bytes: SplitFrame says %v, Next says %v", len(data), err, rerr)
+		}
+	case errors.Is(err, ErrShortFrame):
+		want := io.ErrUnexpectedEOF
+		if len(data) == 0 {
+			want = io.EOF
+		}
+		if !errors.Is(rerr, want) || n <= len(data) || payload != nil {
+			t.Fatalf("%d bytes: SplitFrame = (n %d, %v), Next says %v, want %v", len(data), n, err, rerr, want)
+		}
+	default:
+		t.Fatalf("SplitFrame: untyped error %v", err)
+	}
+}
+
+// FuzzDecodeFrame feeds arbitrary bytes through the frame splitter, the
+// frame reader and the per-type payload decoders. The contract under
+// fuzzing: typed errors or valid frames, never a panic, never an over-read
+// past the input, bounded buffering regardless of what the length prefix
+// claims, and a splitter and a reader that agree wherever the input is cut.
 func FuzzDecodeFrame(f *testing.F) {
 	seed, _ := AppendRequestFrame(nil, &Request{VNF: 3, Duration: 5, Reliability: 0.95, Payment: 12.5})
 	f.Add(seed)
@@ -20,6 +53,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, FrameRequest})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Every truncation point of a short input; of a long one the first
+		// and last 64, which cover the header and, where one frame fills the
+		// input, that frame's end.
+		for k := 0; k <= len(data); k++ {
+			if k > 64 && k < len(data)-64 {
+				k = len(data) - 64
+			}
+			splitAgreesWithReader(t, data[:k])
+		}
 		fr := NewFrameReader(bytes.NewReader(data))
 		for i := 0; i < 64; i++ { // bounded: each frame consumes ≥ headerSize bytes
 			typ, payload, err := fr.Next()

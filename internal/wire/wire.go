@@ -99,23 +99,38 @@ var codeToReason = map[ReasonCode]trace.Reason{
 	ReasonSchemeUnavailable: trace.ReasonSchemeUnavailable,
 }
 
-var reasonToCode = func() map[trace.Reason]ReasonCode {
-	m := make(map[trace.Reason]ReasonCode, len(codeToReason))
-	for c, r := range codeToReason {
-		m[r] = c
-	}
-	return m
-}()
-
 // CodeForReason maps a trace.Reason string to its wire code. An empty
 // reason maps to ReasonNone; a string outside the engine vocabulary maps
-// to ReasonUnknown.
+// to ReasonUnknown. A switch on the constants, not a map probe: it runs
+// once per decision written.
 func CodeForReason(reason string) ReasonCode {
-	if reason == "" {
+	switch trace.Reason(reason) {
+	case "":
 		return ReasonNone
-	}
-	if c, ok := reasonToCode[trace.Reason(reason)]; ok {
-		return c
+	case trace.ReasonInvalid:
+		return ReasonInvalid
+	case trace.ReasonStale:
+		return ReasonStale
+	case trace.ReasonHorizon:
+		return ReasonHorizon
+	case trace.ReasonDeclined:
+		return ReasonDeclined
+	case trace.ReasonOverbooked:
+		return ReasonOverbooked
+	case trace.ReasonConflict:
+		return ReasonConflict
+	case trace.ReasonQueueFull:
+		return ReasonQueueFull
+	case trace.ReasonClosed:
+		return ReasonClosed
+	case trace.ReasonCanceled:
+		return ReasonCanceled
+	case trace.ReasonNotFound:
+		return ReasonNotFound
+	case trace.ReasonInternal:
+		return ReasonInternal
+	case trace.ReasonSchemeUnavailable:
+		return ReasonSchemeUnavailable
 	}
 	return ReasonUnknown
 }
