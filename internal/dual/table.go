@@ -127,14 +127,20 @@ func (t *Table) span(j, lo, hi int) (head, tail []float64) {
 // order with the weight applied to each term — the order and rounding of
 // Algorithm 1's dual cost; weight 1 gives the plain sum exactly. The
 // caller has checked Contains(lo, hi).
+//
+// Each product is rounded by an explicit conversion before it is added,
+// here and in Update: the compiler may otherwise fuse x*y + z into one
+// multiply-add that rounds once (it does on arm64, ppc64le, s390x, riscv64
+// and under GOAMD64=v3), and prices, and through cost ties decisions, would
+// depend on the architecture.
 func (t *Table) Sum(j, lo, hi int, weight float64) float64 {
 	head, tail := t.span(j, lo, hi)
 	sum := 0.0
 	for _, v := range head {
-		sum += weight * v
+		sum += float64(weight * v)
 	}
 	for _, v := range tail {
-		sum += weight * v
+		sum += float64(weight * v)
 	}
 	return sum
 }
@@ -150,10 +156,10 @@ func (t *Table) Update(j, lo, hi int, growth, additive float64) {
 	}
 	head, tail := t.span(j, lo, hi)
 	for i := range head {
-		head[i] = head[i]*growth + additive
+		head[i] = float64(head[i]*growth) + additive // rounded twice: see Sum
 	}
 	for i := range tail {
-		tail[i] = tail[i]*growth + additive
+		tail[i] = float64(tail[i]*growth) + additive
 	}
 }
 

@@ -92,15 +92,19 @@ func TestProposeAllocations(t *testing.T) {
 var benchPlacement core.Placement
 
 // BenchmarkPropose is the read-only half of a decision against the steady
-// state; Propose changes nothing, so every iteration sees the same prices
-// and the same ledger.
+// state, read as serve.Engine reads it: one Reader.Load of the request's
+// window, then Propose on the copy. Propose changes nothing, so every
+// iteration sees the same prices and the same ledger.
 func BenchmarkPropose(b *testing.B) {
 	s, led, reqs := steadyState(b)
+	view := led.NewReader()
 	admitted := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, ok := s.Propose(reqs[i%len(reqs)], led)
+		req := reqs[i%len(reqs)]
+		view.Load(req.Arrival, req.Duration)
+		p, ok := s.Propose(req, view)
 		if ok {
 			admitted++
 			benchPlacement = p

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"revnf/internal/core"
@@ -47,12 +48,15 @@ var (
 // per-slot count of concurrently active members (a member counts toward
 // every slot of its window) and the furthest slot any member covers.
 type group struct {
-	id int
+	id  int
+	key int // the group's index in Scheduler.open
 	// ref counts the members active at each slot: a ring on the dual
 	// prices' Window, so a group holds one cell per live slot however long
 	// it keeps being joined. Protected by Scheduler.mu.
 	ref []uint16
 	end int // max covered slot; stale groups (end < arrival) are retired
+	// next chains the groups filed under one cell of Scheduler.byEnd.
+	next *group
 }
 
 // stackCloudlets is the network size up to which Propose keeps its
@@ -66,9 +70,9 @@ const stackCloudlets = 32
 // write lock. ConcurrentPropose reports false — a proposal carries a
 // tentative group ID whose uniqueness needs the Propose→Commit pairs
 // serialized — so engines drive it through their serial path. All state
-// keyed by slot is a ring over the live window (DESIGN.md §10): λ and the
-// groups' refcounts share one dual.Window, and AdvanceWindow is the one
-// place a retired cell is cleared.
+// keyed by slot is a ring over the live window (DESIGN.md §10): λ, the
+// groups' refcounts and the end-slot cells retirement goes by share one
+// dual.Window, and AdvanceWindow is the one place a retired cell is cleared.
 type Scheduler struct {
 	network  *core.Network
 	poolSize int
@@ -90,8 +94,13 @@ type Scheduler struct {
 	// on the primary too would fragment the m·|F| keys into m²·|F|.
 	open      [][]*group // guarded by mu
 	nextGroup int        // guarded by mu
-	// minEnd is a lower bound on the smallest end among the open groups
-	// (math.MaxInt without any): retireLocked scans only past it.
+	// byEnd files every open group under the ring cell of the slot its
+	// coverage ended at when it was filed: end itself, or an earlier slot
+	// once joins have extended it (retireLocked re-files those when it gets
+	// there). Retirement so visits the groups that may retire, not every key.
+	byEnd []*group // guarded by mu
+	// minEnd is a lower bound on the slots with a group filed under them
+	// (math.MaxInt before the first group): retireLocked starts there.
 	minEnd int // guarded by mu
 	// free holds retired groups, rings zeroed, for the next new group.
 	free []*group // guarded by mu
@@ -144,6 +153,7 @@ func NewScheduler(network *core.Network, horizon int, opts ...Option) (*Schedule
 		poolSize:  core.DefaultSharedPoolSize,
 		prices:    dual.NewTable(len(network.Cloudlets), horizon),
 		open:      make([][]*group, len(network.Cloudlets)*len(network.Catalog)),
+		byEnd:     make([]*group, horizon),
 		nextGroup: 1,
 		minEnd:    math.MaxInt,
 		name:      "pd-shared",
@@ -186,11 +196,13 @@ func (s *Scheduler) Lambda(cloudlet, slot int) float64 {
 func (s *Scheduler) AdvanceWindow(base int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Retirement comes first: it addresses the end-slot cells of the slots
+	// about to retire through the geometry the advance moves.
+	s.retireLocked(base)
 	start, n := s.prices.Advance(base)
 	if n == 0 {
 		return
 	}
-	s.retireLocked(base)
 	for _, groups := range s.open {
 		for _, g := range groups {
 			dual.ClearRing(g.ref, start, n)
@@ -198,71 +210,59 @@ func (s *Scheduler) AdvanceWindow(base int) {
 	}
 }
 
-// retireLocked drops groups whose last covered slot is before limit from
-// the join index, recycling them. It scans only when the limit has passed
-// minEnd, that is, when some group may retire. Caller holds the write
-// lock.
+// retireLocked drops the groups whose last covered slot is before limit
+// from the join index, recycling them: it empties the end-slot cells of
+// [minEnd, limit), re-filing the groups a join has extended to limit or
+// later, so it costs what retires. No group ends past the live window, so
+// the walk stops there. Caller holds the write lock.
 func (s *Scheduler) retireLocked(limit int) {
-	if limit <= s.minEnd {
-		return
-	}
-	s.minEnd = math.MaxInt
-	for key, groups := range s.open {
-		kept := groups[:0]
-		for _, g := range groups {
-			if g.end < limit {
+	for t, stop := s.minEnd, min(limit, s.prices.Base()+s.prices.Len()); t < stop; t++ {
+		cell := &s.byEnd[s.prices.Index(t)]
+		g := *cell
+		*cell = nil
+		for g != nil {
+			next := g.next
+			if g.end >= limit {
+				s.fileLocked(g)
+			} else {
+				// Deleting in place keeps the key's ascending ID order.
+				open := s.open[g.key]
+				at := slices.Index(open, g)
+				s.open[g.key] = slices.Delete(open, at, at+1)
 				clear(g.ref)
+				g.next = nil
 				s.free = append(s.free, g)
-				continue
 			}
-			kept = append(kept, g)
-			if g.end < s.minEnd {
-				s.minEnd = g.end
-			}
+			g = next
 		}
-		clear(groups[len(kept):])
-		s.open[key] = kept
+	}
+	if s.minEnd < limit {
+		s.minEnd = limit
 	}
 }
 
-// joinInfo caches one backup cloudlet's join resolution within a single
-// Propose scan.
-type joinInfo struct {
-	resolved  bool
-	gid       int
-	isNew     bool
-	uncovered float64
-	ok        bool
+// fileLocked files the group under the cell of its end slot. Caller holds
+// the write lock.
+func (s *Scheduler) fileLocked(g *group) {
+	cell := &s.byEnd[s.prices.Index(g.end)]
+	g.next, *cell = *cell, g
 }
 
-// pairCandidate is one (primary, backup) pair surviving the filters.
-type pairCandidate struct {
-	primary, backup int
-	cost            float64
-	groupID         int  // group to join, or the tentative new-group ID
-	newGroup        bool // true when groupID would be freshly created
+// backupSide is the half of a pair that depends only on the backup
+// cloudlet, resolved at most once per Propose and shared by every primary.
+type backupSide struct {
+	// term is the backup's share of the pair cost: c(f) times the dual
+	// prices of the slots the member would newly cover, amortized by 1/k.
+	// +Inf when the cloudlet cannot host the backup, a price no pair wins at.
+	term float64
+	// gid is the group the member would join, newGroup when it would open
+	// one (or cannot be hosted), 0 until resolved.
+	gid int
 }
 
-// better reports whether c should replace cur as the admitted pair:
-// strictly cheaper wins; on a cost tie a join beats opening a new group
-// (pooling is the scheme's whole capacity advantage, and the tie is the
-// common λ = 0 early regime), then lowest (primary, backup) for
-// determinism.
-func (c pairCandidate) better(cur pairCandidate, found bool) bool {
-	if !found || c.cost < cur.cost {
-		return true
-	}
-	if c.cost > cur.cost {
-		return false
-	}
-	if c.newGroup != cur.newGroup {
-		return !c.newGroup
-	}
-	if c.primary != cur.primary {
-		return c.primary < cur.primary
-	}
-	return c.backup < cur.backup
-}
+// newGroup stands for the tentative ID of a group yet to be opened, which
+// is nextGroup whatever the backup cloudlet.
+const newGroup = -1
 
 // Decide implements core.Scheduler.
 func (s *Scheduler) Decide(req core.Request, view core.CapacityView) (core.Placement, bool) {
@@ -281,15 +281,10 @@ func (s *Scheduler) Decide(req core.Request, view core.CapacityView) (core.Place
 // lock and never mutated.
 func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
 	tracing := s.rec.Sample(req.ID)
-	vnf := s.network.Catalog[req.VNF]
-	demand := vnf.Demand
-	k := s.poolSize
+	demand := s.network.Catalog[req.VNF].Demand
 	var cands []trace.Candidate
 	if tracing {
 		cands = make([]trace.Candidate, len(s.network.Cloudlets))
-		for j := range cands {
-			cands[j] = trace.Candidate{Cloudlet: j, Skip: trace.SkipReliability}
-		}
 	}
 	s.mu.RLock()
 	if !s.prices.Contains(req.Arrival, req.End()) {
@@ -300,73 +295,62 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 		return core.Placement{}, false
 	}
 	// Per-cloudlet dual-price sums over the window, computed once and
-	// reused for every pair. This and joins below are scratch a pure
+	// reused for every pair. This and sides below are scratch a pure
 	// Propose cannot keep on the receiver.
 	var sumsBuf [stackCloudlets]float64
-	var joinsBuf [stackCloudlets]joinInfo
-	sums, joins := sumsBuf[:], joinsBuf[:]
+	var sidesBuf [stackCloudlets]backupSide
+	sums, sides := sumsBuf[:], sidesBuf[:]
 	if m := len(s.network.Cloudlets); m <= stackCloudlets {
-		sums, joins = sums[:m], joins[:m]
+		sums, sides = sums[:m], sides[:m]
 	} else {
-		sums, joins = make([]float64, m), make([]joinInfo, m)
+		sums, sides = make([]float64, m), make([]backupSide, m)
 	}
 	for j := range sums {
 		sums[j] = s.prices.Sum(j, req.Arrival, req.End(), 1)
 	}
-	best := pairCandidate{primary: -1, backup: -1}
-	found := false
-	anyFeasible := false
-	anyCapacity := false
-	// Join info depends only on the backup cloudlet; resolve each lazily
-	// and share it across every primary.
-	for a := range s.network.Cloudlets {
-		primaryOK := view.ResidualWindow(a, req.Arrival, req.Duration) >= demand
-		bestForA := -1.0
-		for b, serves := range s.pairs.Row(req.VNF, a, req.Reliability) {
-			if serves < req.Reliability {
-				continue
-			}
-			anyFeasible = true
-			if tracing && cands[a].Skip == trace.SkipReliability {
-				cands[a] = trace.Candidate{Cloudlet: a, Instances: 1}
-			}
-			if !primaryOK {
-				continue
-			}
-			if !joins[b].resolved {
-				joins[b].gid, joins[b].isNew, joins[b].uncovered, joins[b].ok =
-					s.joinableLocked(b, req, view, demand, sums[b])
-				joins[b].resolved = true
-			}
-			gid, isNew, uncovered, ok := joins[b].gid, joins[b].isNew, joins[b].uncovered, joins[b].ok
-			if !ok {
-				continue
-			}
-			anyCapacity = true
-			// Cost: full primary units on a, backup units only on the
-			// slots the group does not already cover, amortized over the
-			// pool capacity.
-			cost := float64(demand)*sums[a] + float64(demand)*uncovered/float64(k)
-			if tracing && (bestForA < 0 || cost < bestForA) {
-				bestForA = cost
-				cands[a].DualCost = cost
-				cands[a].Skip = ""
-				cands[a].Residual = view.ResidualWindow(a, req.Arrival, req.Duration)
-			}
-			cand := pairCandidate{primary: a, backup: b, cost: cost, groupID: gid, newGroup: isNew}
-			if cand.better(best, found) {
-				best = cand
-				found = true
+	bestCost, primary, backup, gid := math.Inf(1), -1, -1, newGroup
+	for a := range sums {
+		row := s.pairs.Row(req.VNF, a, req.Reliability)
+		residual := view.ResidualWindow(a, req.Arrival, req.Duration)
+		// Full primary units on a. The conversion rounds the product before
+		// it meets the backup's term: fused into one multiply-add, as the
+		// compiler may outside default amd64, costs would round once and tie
+		// differently there.
+		fa := float64(float64(demand) * sums[a])
+		if residual >= demand {
+			for b, serves := range row {
+				if serves < req.Reliability {
+					continue
+				}
+				side := sides[b]
+				if side.gid == 0 {
+					side = s.joinableLocked(b, req, view, demand, sums[b])
+					sides[b] = side
+				}
+				cost := fa + side.term
+				// Strictly cheaper wins. A tie goes to a join over opening a
+				// group (pooling is the scheme's whole capacity advantage,
+				// and the tie is the common λ = 0 early regime), then to the
+				// lowest (primary, backup) — never the contender, since a
+				// and b only ascend. So the holder keeps every tie but one:
+				// it opens a group and the contender joins one.
+				if cost > bestCost || cost == bestCost && (gid != newGroup || side.gid == newGroup) {
+					continue
+				}
+				bestCost, primary, backup, gid = cost, a, b, side.gid
 			}
 		}
-		if tracing && bestForA < 0 && cands[a].Skip == "" {
-			cands[a].Skip = trace.SkipCapacity
+		if tracing {
+			cands[a] = candidateTrace(a, row, req.Reliability, residual, demand, fa, sides)
 		}
 	}
+	if gid == newGroup {
+		gid = s.nextGroup
+	}
 	s.mu.RUnlock()
-	admit := found && req.Payment-best.cost > 0
+	admit := primary >= 0 && req.Payment-bestCost > 0
 	if tracing {
-		s.recordPropose(req, cands, best, found, anyFeasible, anyCapacity, admit)
+		s.recordPropose(req, cands, primary, bestCost, admit)
 	}
 	if !admit {
 		return core.Placement{}, false
@@ -376,8 +360,8 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 		primary [1]core.Assignment
 		backup  core.SharedBackup
 	}{
-		primary: [1]core.Assignment{{Cloudlet: best.primary, Instances: 1}},
-		backup:  core.SharedBackup{Group: best.groupID, Cloudlet: best.backup, PoolSize: k},
+		primary: [1]core.Assignment{{Cloudlet: primary, Instances: 1}},
+		backup:  core.SharedBackup{Group: gid, Cloudlet: backup, PoolSize: s.poolSize},
 	}
 	return core.Placement{
 		Request:     req.ID,
@@ -387,23 +371,46 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 	}, true
 }
 
+// candidateTrace is primary a's entry in the decision trace: skipped for
+// reliability when no backup serves the requirement with it, for capacity
+// when it or every such backup lacks room, else priced at its cheapest
+// pair. sides holds every serving backup resolved when a has room.
+func candidateTrace(a int, row []float64, requirement float64, residual, demand int, fa float64, sides []backupSide) trace.Candidate {
+	c := trace.Candidate{Cloudlet: a, Skip: trace.SkipReliability}
+	cheapest := math.Inf(1)
+	for b, serves := range row {
+		if serves < requirement {
+			continue
+		}
+		c.Instances, c.Skip = 1, trace.SkipCapacity
+		if residual >= demand {
+			cheapest = min(cheapest, fa+sides[b].term)
+		}
+	}
+	if !math.IsInf(cheapest, 1) {
+		c.Skip, c.DualCost, c.Residual = "", cheapest, residual
+	}
+	return c
+}
+
 // openKey is the index of the (backup cloudlet, VNF type) key in open.
 func (s *Scheduler) openKey(backup, vnf int) int {
 	return backup*len(s.network.Catalog) + vnf
 }
 
-// joinableLocked finds the group the request would join for the key, or
-// proposes a fresh group ID. A group is joinable when every slot of the
-// request's window has fewer than k concurrently active members and the
-// slots the group does not already cover have marginal backup capacity.
-// Opening a new group needs backup capacity over the whole window. The
-// returned uncovered value is the backup cloudlet's dual-price sum over
-// the slots the chosen group does not cover (for a new group the whole
-// window, whose sum the caller passes as windowSum) — the marginal
-// footprint the pair is priced by. Among joinable groups the one with the
-// cheapest marginal footprint wins. Caller holds mu (read side).
-func (s *Scheduler) joinableLocked(backup int, req core.Request, view core.CapacityView, demand int, windowSum float64) (id int, isNew bool, uncovered float64, ok bool) {
-	bestGid, bestSum, foundJoin := 0, 0.0, false
+// joinableLocked resolves the backup cloudlet's side of the request's
+// pairs: the group it would join there, or a fresh one, and the price term
+// of that choice. A group is joinable when every slot of the request's
+// window has fewer than k concurrently active members and the slots the
+// group does not already cover have marginal backup capacity. Opening a
+// new group needs backup capacity over the whole window. The term prices
+// the backup cloudlet's dual-price sum over the slots the chosen group
+// does not cover (for a new group the whole window, whose sum the caller
+// passes as windowSum) — the marginal footprint — amortized over the pool
+// capacity. Among joinable groups the one with the cheapest marginal
+// footprint wins. Caller holds mu (read side).
+func (s *Scheduler) joinableLocked(backup int, req core.Request, view core.CapacityView, demand int, windowSum float64) backupSide {
+	gid, uncovered := newGroup, windowSum
 	row, ring := s.prices.Row(backup), s.prices.Len()
 	for _, g := range s.open[s.openKey(backup, req.VNF)] {
 		if g.end < req.Arrival {
@@ -428,50 +435,43 @@ func (s *Scheduler) joinableLocked(backup int, req core.Request, view core.Capac
 				i = 0
 			}
 		}
-		if fits && (!foundJoin || sum < bestSum) {
-			bestGid, bestSum, foundJoin = g.id, sum, true
+		if fits && (gid == newGroup || sum < uncovered) {
+			gid, uncovered = g.id, sum
 		}
 	}
-	if foundJoin {
-		return bestGid, false, bestSum, true
+	if gid == newGroup && view.ResidualWindow(backup, req.Arrival, req.Duration) < demand {
+		return backupSide{term: math.Inf(1), gid: newGroup}
 	}
-	if view.ResidualWindow(backup, req.Arrival, req.Duration) < demand {
-		return 0, false, 0, false
-	}
-	return s.nextGroup, true, windowSum, true
+	return backupSide{term: float64(demand) * uncovered / float64(s.poolSize), gid: gid}
 }
 
 // recordPropose emits the trace for one completed evaluation. Candidates
 // are indexed by primary cloudlet; each carries the cheapest pair cost
-// found for that primary.
-func (s *Scheduler) recordPropose(req core.Request, cands []trace.Candidate,
-	best pairCandidate, found, anyFeasible, anyCapacity, admit bool) {
+// found for that primary. primary is the cheapest pair's, −1 when no pair
+// survived the filters.
+func (s *Scheduler) recordPropose(req core.Request, cands []trace.Candidate, primary int, cost float64, admit bool) {
 	pt := trace.ProposeTrace{
 		Scheduler:    s.name,
 		Scheme:       core.Shared.String(),
 		Candidates:   cands,
-		BestCloudlet: -1,
+		BestCloudlet: primary,
 		Payment:      req.Payment,
 		Admit:        admit,
 	}
-	if found {
-		pt.BestCloudlet = best.primary
-		pt.BestCost = best.cost
-	}
-	if !admit {
-		switch {
-		case !anyFeasible, !anyCapacity:
-			pt.Reason = trace.ReasonNoFeasibleCloudlet
-		default:
-			pt.Reason = trace.ReasonPricedOut
-		}
-	} else {
-		cands[best.primary].Chosen = true
+	switch {
+	case primary < 0:
+		pt.Reason = trace.ReasonNoFeasibleCloudlet
+	case !admit:
+		pt.BestCost = cost
+		pt.Reason = trace.ReasonPricedOut
+	default:
+		pt.BestCost = cost
+		cands[primary].Chosen = true
 	}
 	dt := trace.NewDecision(req, s.name, core.Shared.String())
 	dt.Attempts = []trace.ProposeTrace{pt}
 	if admit {
-		dt.Assignments = []core.Assignment{{Cloudlet: best.primary, Instances: 1}}
+		dt.Assignments = []core.Assignment{{Cloudlet: primary, Instances: 1}}
 	}
 	s.rec.Record(dt)
 }
@@ -511,7 +511,8 @@ func (s *Scheduler) Commit(req core.Request, p core.Placement) {
 	i := s.prices.Index(lo)
 	for t := lo; t <= hi; t++ {
 		if g.ref[i] == 0 {
-			row[i] = row[i]*growth + additive
+			// Rounded as dual.Table.Update rounds, for the same reason.
+			row[i] = float64(row[i]*growth) + additive
 		}
 		if g.ref[i] < math.MaxUint16 {
 			g.ref[i]++
@@ -554,10 +555,11 @@ func (s *Scheduler) groupLocked(key, gid, hi int) *group {
 	} else {
 		g = &group{ref: make([]uint16, s.prices.Len())}
 	}
-	g.id, g.end = gid, hi
+	g.id, g.key, g.end = gid, key, hi
 	// The new ID is the largest issued, so appending keeps the key's
 	// groups in ascending ID order.
 	s.open[key] = append(s.open[key], g)
+	s.fileLocked(g)
 	s.minEnd = min(s.minEnd, hi)
 	return g
 }

@@ -356,3 +356,85 @@ func TestPoolErrors(t *testing.T) {
 		t.Fatalf("zero duration release err = %v", err)
 	}
 }
+
+// TestPoolUncoveredRuns walks a member over a window whose covered and
+// uncovered slots alternate, so one call books (and later frees) several
+// separate runs, on a rolling ledger advanced until the window crosses the
+// wrap of both rings. A refusal in the middle of the last run must leave
+// the ledger and the refcounts exactly as they were before the call.
+func TestPoolUncoveredRuns(t *testing.T) {
+	const window, units, capacity = 8, 2, 6
+	led, err := NewRolling([]int{capacity}, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := led.Advance(6); err != nil { // live [6,13]; slot 8 sits in cell 0 of the pool's ring
+		t.Fatal(err)
+	}
+	pool := NewPool(led)
+	for _, w := range [][2]int{{7, 2}, {10, 1}} { // covered: [7,8] and [10,10]
+		if err := pool.Acquire(1, 0, w[0], w[1], units); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type state struct{ used, refs [window]int }
+	snap := func() (s state) {
+		for i := range s.used {
+			s.used[i], s.refs[i] = led.Used(0, 6+i), pool.Refs(1, 6+i)
+		}
+		return s
+	}
+	// The uncovered runs of [6,13] are [6,6], [9,9] and [11,13]; slot 12 is
+	// left one unit short.
+	if err := led.Reserve(0, 12, 1, capacity-units+1); err != nil {
+		t.Fatal(err)
+	}
+	before := snap()
+	if err := pool.Acquire(1, 0, 6, window, units); !errors.Is(err, ErrOverCapacity) {
+		t.Fatalf("acquire over a full slot 12: %v, want ErrOverCapacity", err)
+	}
+	if after := snap(); after != before {
+		t.Fatalf("refused acquire changed state:\n before %+v\n after  %+v", before, after)
+	}
+	if err := led.Release(0, 12, 1, capacity-units+1); err != nil {
+		t.Fatal(err)
+	}
+	before = snap()
+	if err := pool.Acquire(1, 0, 6, window, units); err != nil {
+		t.Fatal(err)
+	}
+	joined := snap()
+	for i := range joined.used {
+		if joined.used[i] != units || joined.refs[i] != before.refs[i]+1 {
+			t.Fatalf("slot %d after the join: used %d refs %d, want %d and %d", 6+i, joined.used[i], joined.refs[i], units, before.refs[i]+1)
+		}
+	}
+	if err := pool.Release(1, 6, window); err != nil {
+		t.Fatal(err)
+	}
+	if after := snap(); after != before {
+		t.Fatalf("release did not undo the join:\n before %+v\n after  %+v", before, after)
+	}
+}
+
+// TestPoolRecycledGroupAllocations pins that a group opened on a recycled
+// ring and closed again allocates nothing.
+func TestPoolRecycledGroupAllocations(t *testing.T) {
+	led, err := NewRolling([]int{10}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPool(led)
+	pair := func() {
+		if err := pool.Acquire(3, 0, 2, 4, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.Release(3, 2, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair() // the first group allocates the ring the rest reuse
+	if n := testing.AllocsPerRun(100, pair); n != 0 {
+		t.Errorf("Acquire and Release on a recycled group allocate %v times, want 0", n)
+	}
+}
