@@ -430,9 +430,9 @@ func BenchmarkQoSAssess(b *testing.B) {
 }
 
 // BenchmarkDaemonAdmission measures per-request admission decision cost
-// through the concurrent serve engine (bounded queue, worker goroutine,
-// ledger accounting, latency histogram) against calling the raw scheduler
-// directly, quantifying the daemon's concurrency-shell overhead.
+// through the concurrent serve engine (admission gate, worker token,
+// ledger accounting, sampled latency histogram) against calling the raw
+// scheduler directly, quantifying the daemon's concurrency-shell overhead.
 func BenchmarkDaemonAdmission(b *testing.B) {
 	inst := benchInstance(b, 500)
 	reqs := make([]serve.AdmissionRequest, len(inst.Trace))
@@ -488,12 +488,10 @@ func BenchmarkDaemonAdmission(b *testing.B) {
 }
 
 // BenchmarkParallelAdmission measures admission throughput through the
-// serve engine at increasing worker counts with many concurrent
-// submitters. Serial mode (workers=1) pays a goroutine handoff through
-// the bounded queue for every decision; sharded mode (workers>1) executes
-// decisions inline on the submitting goroutines — Propose concurrently,
-// capacity arbitrated by the concurrent ledger — which removes the
-// handoff entirely and lets decisions overlap.
+// serve engine at increasing worker-token counts with many concurrent
+// submitters. Decisions execute inline on the submitting goroutines at
+// every count — Propose concurrently, capacity arbitrated by the
+// concurrent ledger; one token makes them take turns.
 //
 // It measures the reject-heavy path: the 500 requests are recycled into a
 // ledger that never ticks, so once the first pass has filled it nearly
@@ -531,10 +529,9 @@ func BenchmarkParallelAdmission(b *testing.B) {
 					_ = e.Shutdown(ctx)
 				}()
 				var next atomic.Int64
-				// Four concurrent submitters for every engine mode: enough to
-				// keep the serial queue saturated and to hand every sharded
-				// worker token a client, without drowning the single-CPU
-				// scheduler in idle goroutines.
+				// Four concurrent submitters at every token count: enough to
+				// hand every worker token a client, without drowning the
+				// single-CPU scheduler in idle goroutines.
 				b.SetParallelism(4)
 				b.ResetTimer()
 				start := time.Now()

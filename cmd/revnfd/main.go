@@ -68,7 +68,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		horizonMode = fs.String("horizon-mode", "fixed", "horizon mode: fixed (serve [1,T] and stop admitting) or rolling (a W-slot window follows the clock; admit forever)")
 		slot        = fs.Duration("slot", time.Second, "wall-clock duration of one slot (0 = frozen clock)")
 		queue       = fs.Int("queue", serve.DefaultQueueSize, "bounded ingest queue size")
-		workers     = fs.Int("workers", 1, "decision concurrency: 1 = serial, >1 = sharded propose/commit workers")
+		workers     = fs.Int("workers", 1, "decision concurrency: worker tokens, each deciding one request (or one streamed batch) at a time")
 		seed        = fs.Int64("seed", 1, "network generation seed")
 		instance    = fs.String("instance", "", "load instance JSON providing the network instead of generating")
 		drain       = fs.Duration("drain", 10*time.Second, "graceful shutdown budget")
@@ -143,7 +143,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	if *workers > 1 && engine.Workers() == 1 {
-		fmt.Fprintf(out, "revnfd: scheduler %s does not support concurrent proposals; running serial\n", sched.Name())
+		fmt.Fprintf(out, "revnfd: scheduler %s does not support concurrent proposals; deciding with one worker token\n", sched.Name())
 	}
 
 	ln, err := net.Listen("tcp", *addr)

@@ -4,7 +4,7 @@
 //
 // Invariant: the serving stack nests locks in one global order —
 //
-//	Engine.closeMu → Engine.mu → sched.mu → Ledger.mu → leaf mutexes
+//	Engine.mu → sched.mu → Ledger.mu → leaf mutexes
 //
 // (the full ranked list lives in `canonical` below and in DESIGN.md §12;
 // "sched.mu" is the abstract class folding every scheduler's RWMutex).
@@ -47,7 +47,10 @@
 // a loop would be invisible (the tree has none since the ledger's row locks
 // went). Branches are scanned sequentially, so a release on an early-return path releases for the
 // linear remainder; this under-approximates held sets but never invents
-// edges that cannot occur.
+// edges that cannot occur. A channel used as a lock is invisible: the
+// engine's worker tokens rank before Engine.mu (DESIGN.md §12.3), and the
+// pd-shared leg of serve's TestSoakFailureRuntimeSharded deadlocks if a
+// change takes them the other way round.
 package lockorder
 
 import (
@@ -90,7 +93,6 @@ var aliases = map[lockset.Class]lockset.Class{
 // a later to an earlier class is an inversion. The same list, with the
 // reasoning, is documented in DESIGN.md §12.
 var canonical = []lockset.Class{
-	"revnf/internal/serve.Engine.closeMu",
 	"revnf/internal/serve.Engine.mu",
 	schedMu,
 	ledgerMu,
@@ -118,12 +120,9 @@ var rank = func() map[lockset.Class]int {
 // the classes the callee may acquire. Interface entries union over their
 // repository implementations.
 var summary = map[string][]lockset.Class{
-	"revnf/internal/timeslot.Ledger":   {ledgerMu},
-	"revnf/internal/timeslot.Reader":   {ledgerMu},
-	"revnf/internal/core.CapacityView": {ledgerMu},
-	"revnf/internal/core.Scheduler": {
-		schedMu, ledgerMu, "revnf/internal/trace.Store.mu", "revnf/internal/baseline.RandomOnsite.mu",
-	},
+	"revnf/internal/timeslot.Ledger":        {ledgerMu},
+	"revnf/internal/timeslot.Reader":        {ledgerMu},
+	"revnf/internal/core.CapacityView":      {ledgerMu},
 	"revnf/internal/core.TwoPhaseScheduler": {schedMu, ledgerMu, "revnf/internal/trace.Store.mu"},
 	"revnf/internal/core.WindowAdvancer":    {schedMu},
 	"revnf/internal/core.LambdaReader":      {schedMu},

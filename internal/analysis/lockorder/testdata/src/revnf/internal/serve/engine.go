@@ -11,7 +11,7 @@ import (
 )
 
 // Engine mirrors the real shape: the engine mutex above a ledger and the
-// reader the serial path loads.
+// reader the read endpoints load.
 type Engine struct {
 	mu     sync.Mutex
 	ledger *timeslot.Ledger
@@ -26,9 +26,9 @@ func (e *Engine) Tick() {
 	e.ledger.Advance()
 }
 
-// Decide loads the serial path's reader under the engine lock; the summary
-// attributes Ledger.mu to the Reader too: clean.
-func (e *Engine) Decide() {
+// Cloudlets loads the read endpoints' reader under the engine lock; the
+// summary attributes Ledger.mu to the Reader too: clean.
+func (e *Engine) Cloudlets() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.reader.Load()

@@ -32,11 +32,11 @@ type CapacityView interface {
 // flight at a time, each starting after the previous one returned (a
 // single goroutine, or external mutual exclusion with happens-before edges
 // between calls). The batch simulator (internal/simulate) satisfies this
-// by construction; the admission daemon (internal/serve) either funnels
-// Decide through one worker or, when the scheduler also implements
-// TwoPhaseScheduler, switches to the propose/commit protocol below and
-// runs proposals concurrently. Name and Scheme must be safe to call
-// concurrently with Decide; they are expected to return constants.
+// by construction; the admission daemon (internal/serve) never calls
+// Decide: it requires a TwoPhaseScheduler and drives the propose/commit
+// protocol below, concurrently when the scheduler allows it. Name and
+// Scheme must be safe to call concurrently with Decide; they are expected
+// to return constants.
 type Scheduler interface {
 	// Name identifies the algorithm in metrics and experiment tables.
 	Name() string
@@ -72,13 +72,15 @@ type Scheduler interface {
 //
 //   - greedy, first-fit, reject-all: trivially — Propose is a pure
 //     function of (req, view) and Commit is a no-op;
-//   - random: yes — its only mutable state is the RNG, which Propose
-//     guards with a dedicated mutex (draw order, and hence the chosen
-//     cloudlet, depends on interleaving; serial driving stays
-//     deterministic);
+//   - random: no — its only mutable state is the RNG, which Propose
+//     guards with a dedicated mutex, but the draw order, and hence the
+//     chosen cloudlet, would depend on interleaving; it reports false so
+//     that a seed reproduces a trace;
 //   - on-site and off-site primal-dual (and their chain variants): yes —
 //     λ is guarded by a reader/writer lock; Propose takes the read side,
-//     Commit the write side.
+//     Commit the write side;
+//   - shared primal-dual: no — a proposal carries a tentative group ID
+//     whose uniqueness needs the Propose→Commit pairs serialized.
 //
 // Abort releases nothing by default (no scheduler here acquires state in
 // Propose) but is part of the contract so engines can pair every Propose
@@ -106,8 +108,9 @@ type TwoPhaseScheduler interface {
 	// the Propose had never happened.
 	Abort(req Request, p Placement)
 	// ConcurrentPropose reports whether Propose may be invoked
-	// concurrently. Engines must treat false as "serialize everything",
-	// falling back to the Decide contract.
+	// concurrently. Engines must treat false as "serialize everything":
+	// one Propose→Commit/Abort pair at a time (internal/serve decides with
+	// one worker token).
 	ConcurrentPropose() bool
 }
 

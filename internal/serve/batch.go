@@ -2,16 +2,18 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 )
 
 // SubmitBatch decides len(reqs) admission requests in submission order,
 // writing decision i into out[i]. It is the streaming ingest path's
-// entry point: one call amortizes the engine's synchronization (the
-// engine mutex in serial mode, a worker token in sharded mode) over the
-// whole batch, and IDs are allocated in batch order, so a single
-// connection's request stream produces the same decisions the same
-// requests would produce submitted one at a time through Submit.
+// entry point: one call passes the gate Submit passes once for the whole
+// batch, decides under one worker token, and allocates IDs in batch
+// order, so a single connection's request stream produces the same
+// decisions the same requests would produce submitted one at a time
+// through Submit. The batch counts as len(reqs) against the waiting bound,
+// so streaming and HTTP submitters share one backpressure budget.
 //
 // Backpressure differs from Submit by design: a full engine rejects each
 // request individually with ReasonQueueFull in its AdmissionResult
@@ -26,87 +28,27 @@ func (e *Engine) SubmitBatch(ctx context.Context, reqs []AdmissionRequest, out [
 	if len(reqs) == 0 {
 		return nil
 	}
-	if e.sem != nil {
-		return e.submitBatchSharded(ctx, reqs, out)
-	}
-	return e.submitBatchSerial(ctx, reqs, out)
-}
-
-// submitBatchSerial decides the batch under one engine-mutex acquisition,
-// bypassing the serial queue (the caller's bounded pending buffer is the
-// backpressure; blocking on e.mu is the arbitration between connections).
-// Registering in inflight makes Shutdown's drain loop wait the batch out.
-func (e *Engine) submitBatchSerial(ctx context.Context, reqs []AdmissionRequest, out []AdmissionResult) error {
-	e.inflight.Add(1)
-	defer e.inflight.Add(-1)
-	if e.closedFlag.Load() {
-		e.rejections[ReasonClosed].Add(uint64(len(reqs)))
-		return ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		e.rejections[ReasonCanceled].Add(uint64(len(reqs)))
-		return err
-	}
 	enqueued := e.now()
-	e.mu.Lock()
-	for i := range reqs {
-		out[i] = e.decideLocked(reqs[i])
-	}
-	// One latency observation per batch: the mutex hold time over the
-	// whole batch, which is what a streamed submitter actually waits.
-	e.latency.Observe(e.now().Sub(enqueued).Seconds())
-	e.mu.Unlock()
-	return nil
-}
-
-// submitBatchSharded decides the batch inline under one worker token. The
-// batch counts as len(reqs) against the waiting bound so streaming and
-// HTTP submitters share one backpressure budget; an over-budget batch is
-// rejected per request (ReasonQueueFull results), not as an error.
-func (e *Engine) submitBatchSharded(ctx context.Context, reqs []AdmissionRequest, out []AdmissionResult) error {
-	n := int64(len(reqs))
-	if int(e.waiting.Add(n)) > e.queueCap+e.workers {
-		e.waiting.Add(-n)
-		e.rejections[ReasonQueueFull].Add(uint64(n))
+	token, err := e.enter(ctx, len(reqs))
+	if errors.Is(err, ErrQueueFull) {
 		slot := int(e.slotNow.Load())
 		for i := range out {
 			out[i] = AdmissionResult{Reason: ReasonQueueFull, Slot: slot}
 		}
 		return nil
 	}
-	defer e.waiting.Add(-n)
-	// Same ordering as submitSharded: inflight registration precedes the
-	// closedFlag check so Shutdown either sees the batch or the batch sees
-	// the close.
-	e.inflight.Add(1)
-	defer e.inflight.Add(-1)
-	if e.closedFlag.Load() {
-		e.rejections[ReasonClosed].Add(uint64(n))
-		return ErrClosed
+	if err != nil {
+		return err
 	}
-	enqueued := e.now()
-	var shard int
-	select {
-	case shard = <-e.sem:
-	default:
-		select {
-		case shard = <-e.sem:
-		case <-ctx.Done():
-			e.rejections[ReasonCanceled].Add(uint64(n))
-			return ctx.Err()
-		}
-	}
-	defer func() { e.sem <- shard }()
+	defer e.leave(token, len(reqs))
 	for i := range reqs {
-		id := int(e.lastID.Add(1))
-		res, err := e.decideSharded(ctx, reqs[i], id, enqueued, false, shard)
-		if err != nil {
+		if out[i], err = e.decide(ctx, token, reqs[i]); err != nil {
 			return err
 		}
-		out[i] = res
 	}
-	// One sampled latency observation per batch (cf. latencySampleRate on
-	// the single-submit path): the token hold time over the whole batch.
-	e.observeShard(shard, enqueued)
+	// One latency observation per batch (cf. latencySampleRate on Submit):
+	// the wait for the token and its hold time over the whole batch, which
+	// is what a streamed submitter waits.
+	e.observe(token, enqueued)
 	return nil
 }

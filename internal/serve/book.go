@@ -190,10 +190,10 @@ func (b *placementBook) find(id int) *filedPlacement {
 }
 
 // file inserts f in ID order: open a place at the end, then walk it back
-// while the predecessor is larger. The serial path files in ascending order; the sharded path
-// allocates an ID before it waits for a worker token and commits in commit
-// order, so an ID can arrive after up to queueCap+workers larger ones — a
-// bounded walk, and nothing holds positions into the history.
+// while the predecessor is larger. A decision takes its ID under its worker
+// token and files after its Commit, so an ID can arrive after the larger
+// ones of the other tokens (none at one token) — a bounded walk, and nothing
+// holds positions into the history.
 func (b *placementBook) file(f filedPlacement) {
 	last := len(b.history) - 1
 	if last < 0 || len(b.history[last]) == bookChunk {

@@ -284,7 +284,7 @@ func TestBookOversizeRun(t *testing.T) {
 // TestBookNarrowingBounds pins the checks in front of the history's narrow
 // fields: New for the horizon, fileable per placement.
 func TestBookNarrowingBounds(t *testing.T) {
-	_, err := New(Config{Network: testNetwork(), Scheduler: plainScheduler{}, Horizon: math.MaxInt32 + 1})
+	_, err := New(Config{Network: testNetwork(), Scheduler: blindScheduler{}, Horizon: math.MaxInt32 + 1})
 	if !errors.Is(err, ErrBadConfig) {
 		t.Errorf("a horizon beyond int32: err = %v, want ErrBadConfig", err)
 	}
@@ -348,22 +348,26 @@ func TestEngineRetainsBoundedState(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(15))
 	peak, admitted := 0, 0
-	// slotOfRequests decides one slot's requests on the serial decision
-	// body (no queue, no result channel: nothing but the engine allocates)
-	// and ticks.
+	// slotOfRequests decides one slot's requests on the decision body under
+	// token 0 (this goroutine is the only submitter, so the gate is skipped:
+	// nothing but the decision allocates) and ticks.
+	ctx := context.Background()
 	slotOfRequests := func() {
-		e.mu.Lock()
 		for i := 0; i < perSlot; i++ {
-			res := e.decideLocked(AdmissionRequest{
+			res, err := e.decide(ctx, 0, AdmissionRequest{
 				VNF:         rng.Intn(3),
 				Reliability: 0.9 + 0.09*rng.Float64(),
 				Duration:    1 + rng.Intn(10),
 				Payment:     20 + 60*rng.Float64(),
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if res.Admitted {
 				admitted++
 			}
 		}
+		e.mu.Lock()
 		if active := e.expiry.Len(); active > peak {
 			peak = active
 		}

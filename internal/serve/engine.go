@@ -106,15 +106,14 @@ type Stats struct {
 	// mode); Rolling reports the horizon mode.
 	WindowBase int
 	Rolling    bool
-	// Workers is the decision concurrency: 1 in serial mode, the shard
-	// count in sharded mode.
+	// Workers is the decision concurrency: the number of worker tokens.
 	Workers int
-	// QueueDepth and QueueCapacity describe the ingest queue. In sharded
-	// mode QueueDepth counts submissions accepted into the engine but not
-	// yet decided (waiting for a worker token or deciding right now).
+	// QueueDepth counts submissions accepted into the engine but not yet
+	// decided (waiting for a worker token or deciding right now);
+	// QueueCapacity is the bound on those waiting beyond the workers.
 	QueueDepth, QueueCapacity int
-	// InFlight counts decisions executing at snapshot time (sharded mode;
-	// 0 or 1 in serial mode is not tracked and reported as 0).
+	// InFlight counts worker tokens held at snapshot time: decisions
+	// executing, plus a Tick of the failure runtime.
 	InFlight int
 	// Admitted and Expired count decisions and released placements.
 	Admitted, Expired uint64
@@ -139,9 +138,9 @@ type Stats struct {
 	// the current slot (zero usage once the slot passes the horizon).
 	CloudletUsed, CloudletCapacity []int
 	// Latency is a snapshot of the admission latency histogram (seconds,
-	// submission to decision). Serial mode observes every decision;
-	// sharded mode samples one decision in latencySampleRate, so Count is
-	// a fraction of the decisions made but the quantiles estimate the
+	// submission to decision). Submit samples one submission in
+	// latencySampleRate and SubmitBatch observes once per batch, so Count
+	// is a fraction of the decisions made but the quantiles estimate the
 	// same distribution.
 	Latency *metrics.Histogram
 }
@@ -155,36 +154,23 @@ func (s Stats) RejectedTotal() uint64 {
 	return total
 }
 
-type job struct {
-	req AdmissionRequest
-	// ctx is the submitter's context: the worker skips jobs whose caller
-	// has already gone away instead of deciding into the void.
-	ctx      context.Context
-	enqueued time.Time
-	done     chan AdmissionResult
-}
-
-// Engine is the thread-safe admission core of the daemon. It runs in one
-// of two modes, selected at New time:
-//
-// Serial mode (Workers ≤ 1, or a scheduler without concurrent two-phase
-// support): submissions flow through a bounded queue into a single
-// decision goroutine, and all scheduler and ledger access is serialized
-// under one mutex — the original architecture, preserved bit-for-bit.
-//
-// Sharded mode (Workers > 1 and a core.TwoPhaseScheduler whose
-// ConcurrentPropose reports true): submissions execute their own decision
-// inline, bounded by a token semaphore of Workers slots. Each decision is
-// Propose (concurrent, lock-free against other proposals) followed by an
-// atomic ledger reservation of the whole footprint; the concurrent ledger
-// arbitrates capacity races, and a refusal (another commit consumed the
-// capacity first) triggers a bounded re-propose before rejecting with
-// ReasonConflict. Commit runs only after the ledger accepted the
-// footprint, so scheduler state never moves for a request that did not
-// get its capacity. Placement and revenue bookkeeping stays under the
+// Engine is the thread-safe admission core of the daemon. Every submission
+// runs its own decision inline on the submitting goroutine, bounded by a
+// semaphore of Workers tokens. A decision is Propose (lock-free against
+// other proposals) followed by an atomic ledger reservation of the whole
+// footprint; the concurrent ledger arbitrates capacity races, and a refusal
+// the proposal's view did not predict (another commit consumed the capacity
+// first) triggers a bounded re-propose before rejecting with
+// ReasonConflict. Commit runs only after the ledger accepted the footprint,
+// so scheduler state never moves for a request that did not get its
+// capacity. A scheduler whose ConcurrentPropose is false gets one token
+// whatever Workers asks: holding the token is what serializes its
+// Propose→Commit pairs. Placement and revenue bookkeeping stays under the
 // engine mutex (admissions are rare once capacity binds); rejection
-// counters are atomics and latency lands in per-shard histograms, so the
+// counters are atomics and latency lands in per-token histograms, so the
 // rejection path never touches the engine mutex.
+//
+// Lock order: worker token, then mu; never the reverse.
 type Engine struct {
 	cfg     Config
 	network *core.Network
@@ -201,9 +187,6 @@ type Engine struct {
 	// successful ledger advance so dual prices retire with their slots.
 	advancer core.WindowAdvancer
 
-	// twoPhase is non-nil exactly in sharded mode.
-	twoPhase core.TwoPhaseScheduler
-
 	// rec receives engine-level decision records (pre-scheduler rejections
 	// and final outcomes); trace.Nop unless Config provides a sink. traces
 	// is the store behind the /v1/decisions/{id}/trace endpoint (nil when
@@ -219,12 +202,11 @@ type Engine struct {
 	// counters and the streaming batch-size distribution.
 	ingest *ingestStats
 
-	mu     sync.Mutex
-	sched  core.Scheduler
+	sched  core.TwoPhaseScheduler
 	ledger *timeslot.Ledger
-	// reader is the capacity view of everything that runs under mu: the
-	// serial decision path loads each request's window into it before the
-	// scheduler looks, and the read endpoints snapshot through it.
+
+	mu sync.Mutex
+	// reader is the capacity view the read endpoints snapshot through.
 	reader *timeslot.Reader // guarded by mu
 	// pool is the refcounted shared-backup layer over the ledger: group
 	// footprints are reserved when the first member joins and released when
@@ -241,53 +223,44 @@ type Engine struct {
 	// admittedByScheme splits the admitted counter by placement scheme.
 	admittedByScheme map[core.Scheme]uint64 // guarded by mu
 	revenue          float64                // guarded by mu
-	latency          *metrics.Histogram     // guarded by mu
 
 	// rejections maps every defined reason to its counter. The key set is
 	// fixed at New, so concurrent reads of the map are safe and every
-	// increment is a lock-free atomic — rejections are the sharded hot
-	// path and must not funnel through the engine mutex.
+	// increment is a lock-free atomic — rejections are the hot path and
+	// must not funnel through the engine mutex.
 	rejections map[string]*atomic.Uint64
 
-	// shards holds one latency histogram per worker token in sharded mode
-	// (nil in serial mode). The holder of token i owns shards[i]; the
-	// per-shard mutex only arbitrates against Stats snapshots.
+	// shards holds one latency histogram per worker token. The holder of
+	// token i owns shards[i]; the per-shard mutex only arbitrates against
+	// Stats snapshots.
 	shards []*shardHist
 	// views holds one capacity view per worker token, likewise owned by the
 	// token's holder, who loads the request's window before every Propose.
 	views []*timeslot.Reader
 
-	// slotNow mirrors slot for lock-free reads on the sharded path.
+	// slotNow mirrors slot for lock-free reads on the decision path.
 	slotNow atomic.Int64
 	// baseNow mirrors the ledger's window base for lock-free reads
-	// (sharded horizon checks, metrics); pinned at 1 in fixed mode.
+	// (horizon checks, metrics); pinned at 1 in fixed mode.
 	baseNow atomic.Int64
 	// lastID is the atomic ID allocator (IDs start at 1).
 	lastID atomic.Int64
-	// waiting counts submissions accepted but not yet decided (sharded).
+	// waiting counts submissions accepted but not yet decided.
 	waiting atomic.Int64
-	// conflicts counts ledger reservation refusals (sharded).
+	// conflicts counts ledger reservation refusals lost to a race.
 	conflicts atomic.Uint64
 
-	// queue and the queue worker exist only in serial mode; sem only in
-	// sharded mode. sem is preloaded with the shard indices 0..workers-1:
-	// a decision acquires a token by receiving and returns it by sending,
-	// so len(sem) counts idle tokens.
-	queue    chan *job
+	// queueCap bounds the submissions waiting for a token beyond the
+	// workers deciding. sem is preloaded with the token indices
+	// 0..workers-1: a decision acquires a token by receiving and returns it
+	// by sending, so len(sem) counts idle tokens.
 	queueCap int
 	sem      chan int
 	quit     chan struct{}
 	wg       sync.WaitGroup
-	// inflight counts sharded decisions so Shutdown can drain them. An
-	// atomic (rather than a WaitGroup behind closeMu) keeps the sharded
-	// submit path free of the read-write mutex.
-	inflight atomic.Int64
-
-	// closeMu exists for the serial queue: senders hold the read lock
-	// across the closed-check-and-send so Shutdown's close(queue) cannot
-	// race a send. The sharded path never touches it — it coordinates
-	// with Shutdown through closedFlag and inflight alone.
-	closeMu    sync.RWMutex
+	// inflight counts submissions past the gate's closed check so Shutdown
+	// can drain them; an atomic keeps the submit path free of a mutex.
+	inflight   atomic.Int64
 	closedFlag atomic.Bool
 }
 
@@ -299,13 +272,17 @@ type shardHist struct {
 	h  *metrics.Histogram // guarded by mu
 }
 
-// New validates the config, builds the engine, and starts its decision
-// worker (serial mode) and, when SlotDuration > 0, its real-time slot
-// clock at slot 1. Workers > 1 requests sharded mode; it degrades to
-// serial mode when the scheduler does not support concurrent proposals.
+// New validates the config, builds the engine and, when SlotDuration > 0,
+// starts its real-time slot clock at slot 1. A scheduler that does not
+// support concurrent proposals decides with one worker token whatever
+// Workers asks.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Scheduler == nil {
 		return nil, fmt.Errorf("%w: nil scheduler", ErrBadConfig)
+	}
+	sched, ok := cfg.Scheduler.(core.TwoPhaseScheduler)
+	if !ok {
+		return nil, fmt.Errorf("%w: %T is not a two-phase scheduler (decisions and repairs go through propose/commit)", ErrBadConfig, cfg.Scheduler)
 	}
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("%w: nil network", ErrBadConfig)
@@ -332,19 +309,10 @@ func New(cfg Config) (*Engine, error) {
 	if queueSize == 0 {
 		queueSize = DefaultQueueSize
 	}
-	workers := cfg.Workers
-	if workers < 1 {
+	workers := max(cfg.Workers, 1)
+	if !sched.ConcurrentPropose() {
+		// The one token is the serialization of its Propose→Commit pairs.
 		workers = 1
-	}
-	var twoPhase core.TwoPhaseScheduler
-	if workers > 1 {
-		if tp, ok := cfg.Scheduler.(core.TwoPhaseScheduler); ok && tp.ConcurrentPropose() {
-			twoPhase = tp
-		} else {
-			// Graceful degradation: the scheduler cannot run proposals
-			// concurrently, so sharding would not be safe.
-			workers = 1
-		}
 	}
 	caps := make([]int, len(cfg.Network.Cloudlets))
 	for j, cl := range cfg.Network.Cloudlets {
@@ -363,10 +331,6 @@ func New(cfg Config) (*Engine, error) {
 	// Buckets from 10µs to ~10s cover in-process decisions through loaded
 	// network round-trips.
 	latencyBounds := metrics.ExponentialBounds(10e-6, 4, 11)
-	latency, err := metrics.NewHistogram(latencyBounds...)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
 	rejections := make(map[string]*atomic.Uint64, 10)
 	for _, reason := range []string{ReasonInvalid, ReasonStale, ReasonHorizon, ReasonDeclined,
 		ReasonOverbooked, ReasonConflict, ReasonQueueFull, ReasonClosed, ReasonCanceled,
@@ -410,8 +374,7 @@ func New(cfg Config) (*Engine, error) {
 		now:      nowFn,
 		rolling:  cfg.Rolling,
 		advancer: advancer,
-		sched:    cfg.Scheduler,
-		twoPhase: twoPhase,
+		sched:    sched,
 		rec:      rec,
 		traces:   cfg.Traces,
 		runtime:  runtime,
@@ -426,28 +389,20 @@ func New(cfg Config) (*Engine, error) {
 		admittedByScheme: make(map[core.Scheme]uint64),
 
 		rejections: rejections,
-		latency:    latency,
 		queueCap:   queueSize,
+		sem:        make(chan int, workers),
 		quit:       make(chan struct{}),
 	}
 	e.slotNow.Store(1)
 	e.baseNow.Store(1)
-	if twoPhase != nil {
-		e.sem = make(chan int, workers)
-		e.shards = make([]*shardHist, workers)
-		for i := 0; i < workers; i++ {
-			h, err := metrics.NewHistogram(latencyBounds...)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-			}
-			e.shards[i] = &shardHist{h: h}
-			e.views = append(e.views, ledger.NewReader())
-			e.sem <- i
+	for i := 0; i < workers; i++ {
+		h, err := metrics.NewHistogram(latencyBounds...)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 		}
-	} else {
-		e.queue = make(chan *job, queueSize)
-		e.wg.Add(1)
-		go e.worker()
+		e.shards = append(e.shards, &shardHist{h: h})
+		e.views = append(e.views, ledger.NewReader())
+		e.sem <- i
 	}
 	if cfg.SlotDuration > 0 {
 		e.wg.Add(1)
@@ -456,111 +411,89 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Workers returns the decision concurrency the engine settled on (1 in
-// serial mode; the configured shard count in sharded mode).
+// Workers returns the number of worker tokens the engine settled on: the
+// configured count, or 1 for a scheduler without concurrent proposals.
 func (e *Engine) Workers() int { return e.workers }
 
-// Submit enqueues one admission request and waits for the decision. It
-// fails fast with ErrQueueFull when the engine is at capacity and with
-// ErrClosed after Shutdown began; ctx cancellation abandons the wait and
-// the decision. In serial mode the worker skips jobs whose submitter's
-// context already ended (counted as ReasonCanceled); in sharded mode
-// cancellation while waiting for a worker token or between retry attempts
-// abandons the decision entirely.
+// Submit decides one admission request on the caller's goroutine. It fails
+// fast with ErrQueueFull when the engine is at capacity and with ErrClosed
+// after Shutdown began. A context that has ended before a worker token was
+// acquired abandons the submission undecided (counted as ReasonCanceled),
+// as does one that ends between retry attempts.
 func (e *Engine) Submit(ctx context.Context, req AdmissionRequest) (AdmissionResult, error) {
-	if e.sem != nil {
-		return e.submitSharded(ctx, req)
-	}
-	j := &job{req: req, ctx: ctx, enqueued: e.now(), done: make(chan AdmissionResult, 1)}
-	e.closeMu.RLock()
-	if e.closedFlag.Load() {
-		e.closeMu.RUnlock()
-		e.countRejection(ReasonClosed)
-		return AdmissionResult{}, ErrClosed
-	}
-	select {
-	case e.queue <- j:
-		e.closeMu.RUnlock()
-	default:
-		e.closeMu.RUnlock()
-		e.countRejection(ReasonQueueFull)
-		return AdmissionResult{}, ErrQueueFull
-	}
-	select {
-	case res := <-j.done:
-		return res, nil
-	case <-ctx.Done():
-		return AdmissionResult{}, ctx.Err()
-	}
-}
-
-// submitSharded runs the decision inline on the caller's goroutine,
-// bounded by the worker-token semaphore. The waiting counter imposes the
-// same backpressure bound as the serial queue: at most queueCap
-// submissions may be waiting for a token beyond the workers deciding.
-func (e *Engine) submitSharded(ctx context.Context, req AdmissionRequest) (AdmissionResult, error) {
-	if int(e.waiting.Add(1)) > e.queueCap+e.workers {
-		e.waiting.Add(-1)
-		e.countRejection(ReasonQueueFull)
-		return AdmissionResult{}, ErrQueueFull
-	}
-	defer e.waiting.Add(-1)
-	// Registering in inflight before checking closedFlag closes the race
-	// with Shutdown: either this decision's increment is visible to the
-	// drain loop (which then waits it out), or closedFlag's store is
-	// visible here and the submission bails.
-	e.inflight.Add(1)
-	defer e.inflight.Add(-1)
-	if e.closedFlag.Load() {
-		e.countRejection(ReasonClosed)
-		return AdmissionResult{}, ErrClosed
-	}
-	// Latency is sampled (1 in latencySampleRate) in sharded mode: two
-	// clock reads per decision were the largest single cost on the hot
-	// path, and a sampled histogram estimates the same quantiles. The ID
-	// allocation doubles as the sampling counter.
-	id := int(e.lastID.Add(1))
+	// Latency is sampled: two clock reads per decision were the largest
+	// single cost on the hot path, and a sampled histogram estimates the
+	// same quantiles. The ID allocator doubles as the sampling counter, read
+	// before the wait for a token so the sample covers it.
+	sampled := e.lastID.Load()&(latencySampleRate-1) == 0
 	var enqueued time.Time
-	sampled := id&(latencySampleRate-1) == 0
 	if sampled {
 		enqueued = e.now()
 	}
-	// Fast path first: a non-blocking receive skips the generic select
-	// machinery whenever a token is free, which is the common case (a
-	// token is held only for the duration of one inline decision).
-	var shard int
-	select {
-	case shard = <-e.sem:
-	default:
-		select {
-		case shard = <-e.sem:
-		case <-ctx.Done():
-			return AdmissionResult{}, ctx.Err()
-		}
+	token, err := e.enter(ctx, 1)
+	if err != nil {
+		return AdmissionResult{}, err
 	}
-	res, err := e.decideSharded(ctx, req, id, enqueued, sampled, shard)
-	e.sem <- shard
+	defer e.leave(token, 1)
+	res, err := e.decide(ctx, token, req)
+	if sampled && err == nil {
+		e.observe(token, enqueued)
+	}
 	return res, err
 }
 
-// latencySampleRate is the sharded-mode latency sampling interval; it
-// must be a power of two. Serial mode observes every decision.
+// latencySampleRate is Submit's latency sampling interval; it must be a
+// power of two.
 const latencySampleRate = 8
 
-// worker is the single decision goroutine of serial mode; it drains the
-// queue until Shutdown closes it.
-func (e *Engine) worker() {
-	defer e.wg.Done()
-	for j := range e.queue {
-		if j.ctx != nil && j.ctx.Err() != nil {
-			// The submitter already abandoned the wait; deciding would
-			// mutate scheduler state for a caller that will never see the
-			// answer.
-			e.countRejection(ReasonCanceled)
-			continue
-		}
-		j.done <- e.decide(j.req, j.enqueued)
+// enter is the admission gate in front of decide, shared by Submit and
+// SubmitBatch: it admits n submissions against the backpressure bound — at
+// most queueCap may wait for a token beyond the workers deciding — and
+// returns the worker token they decide under. A refusal is counted n times
+// under its reason; a success must be paired with leave.
+func (e *Engine) enter(ctx context.Context, n int) (int, error) {
+	if int(e.waiting.Add(int64(n))) > e.queueCap+e.workers {
+		e.waiting.Add(int64(-n))
+		e.rejections[ReasonQueueFull].Add(uint64(n))
+		return 0, ErrQueueFull
 	}
+	// Registering in inflight before checking closedFlag closes the race
+	// with Shutdown: either this increment is visible to the drain loop
+	// (which then waits the decision out), or closedFlag's store is visible
+	// here and the submission bails.
+	e.inflight.Add(1)
+	reason, err := ReasonCanceled, ctx.Err()
+	switch {
+	case e.closedFlag.Load():
+		reason, err = ReasonClosed, ErrClosed
+	case err == nil:
+		// Fast path first: a non-blocking receive skips the generic select
+		// machinery whenever a token is free, which is the common case (a
+		// token is held only for the duration of one call's decisions).
+		select {
+		case token := <-e.sem:
+			return token, nil
+		default:
+		}
+		select {
+		case token := <-e.sem:
+			return token, nil
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	}
+	e.inflight.Add(-1)
+	e.waiting.Add(int64(-n))
+	e.rejections[reason].Add(uint64(n))
+	return 0, err
+}
+
+// leave returns what enter took. Submit and SubmitBatch defer it, so a
+// panicking decision does not keep its token.
+func (e *Engine) leave(token, n int) {
+	e.sem <- token
+	e.inflight.Add(-1)
+	e.waiting.Add(int64(-n))
 }
 
 // checkScheme gates a submission's optional scheme pin: parse failures
@@ -597,58 +530,6 @@ func (e *Engine) buildRequest(ar AdmissionRequest, id, slot int) core.Request {
 	}
 }
 
-// decide makes one admission decision under the engine lock (serial mode).
-func (e *Engine) decide(ar AdmissionRequest, enqueued time.Time) AdmissionResult {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	defer func() {
-		e.latency.Observe(e.now().Sub(enqueued).Seconds())
-	}()
-	return e.decideLocked(ar)
-}
-
-// decideLocked is the serial decision body; the caller holds e.mu and owns
-// latency observation (per decision from Submit, per batch from
-// SubmitBatch).
-func (e *Engine) decideLocked(ar AdmissionRequest) AdmissionResult {
-	req := e.buildRequest(ar, int(e.lastID.Add(1)), e.slot)
-	id := req.ID
-	reject := func(reason string) AdmissionResult {
-		e.rejections[reason].Add(1)
-		e.recordOutcome(req, e.slot, trace.Reason(reason), core.Placement{})
-		return AdmissionResult{ID: id, Reason: reason, Slot: e.slot}
-	}
-	if req.Arrival < e.slot {
-		return reject(ReasonStale)
-	}
-	if reason, ok := e.checkScheme(ar); !ok {
-		return reject(reason)
-	}
-	maxSlot := e.maxSlotLocked()
-	if req.End() > maxSlot {
-		return reject(ReasonHorizon)
-	}
-	if err := e.network.ValidateRequest(req, maxSlot); err != nil {
-		return reject(ReasonInvalid)
-	}
-	e.reader.Load(req.Arrival, req.Duration)
-	placement, ok := e.sched.Decide(req, e.reader)
-	if !ok {
-		return reject(ReasonDeclined)
-	}
-	if !e.placeable(req, placement) {
-		return reject(ReasonInvalid)
-	}
-	if !e.reserveAll(req, placement, e.network.Catalog[req.VNF].Demand) {
-		// The scheduler placed more than the ledger holds. (Its dual state
-		// has already moved; that only makes it more conservative.)
-		return reject(ReasonOverbooked)
-	}
-	e.recordAdmissionLocked(req, placement, e.slot)
-	e.recordOutcome(req, e.slot, trace.ReasonAdmitted, placement)
-	return AdmissionResult{ID: id, Admitted: true, Slot: e.slot, Placement: placement}
-}
-
 // recordOutcome emits the engine-level finalization record for one decided
 // request: the outcome reason, the decision slot, and (for admissions) the
 // placement footprint. Merged by the trace store with the scheduler's own
@@ -667,30 +548,29 @@ func (e *Engine) recordOutcome(req core.Request, slot int, outcome trace.Reason,
 	e.rec.Record(dt)
 }
 
-// decideSharded makes one admission decision without holding the engine
-// lock across the scheduler or the ledger (sharded mode). The protocol:
+// decide makes one admission decision under worker token `token`, without
+// holding the engine lock across the scheduler or the ledger. The protocol:
 //
-//  1. Propose concurrently (the scheduler only reads its prices);
+//  1. load the token's view of the request's window and Propose against
+//     it (the scheduler only reads its prices);
 //  2. reserve the whole footprint in the concurrent ledger, which
 //     arbitrates races between decisions atomically per cloudlet;
-//  3. on refusal, abort the proposal and re-propose (bounded retries) —
-//     prices and capacity have moved under a competing commit;
+//  3. on a refusal the view did not predict, abort the proposal and
+//     re-propose (bounded retries) — prices and capacity have moved under
+//     a competing commit; on one it did predict, reject as overbooked;
 //  4. on success, Commit the scheduler state, then record the books
 //     under the engine mutex.
 //
 // The caller's context is honored between retry attempts: a canceled
 // submitter stops the loop before the next Propose (counted as
 // ReasonCanceled) rather than committing work nobody waits for.
-func (e *Engine) decideSharded(ctx context.Context, ar AdmissionRequest, id int, enqueued time.Time, sampled bool, shard int) (AdmissionResult, error) {
+func (e *Engine) decide(ctx context.Context, token int, ar AdmissionRequest) (AdmissionResult, error) {
 	slot := int(e.slotNow.Load())
-	req := e.buildRequest(ar, id, slot)
+	req := e.buildRequest(ar, int(e.lastID.Add(1)), slot)
 	reject := func(reason string) AdmissionResult {
 		e.rejections[reason].Add(1)
 		e.recordOutcome(req, slot, trace.Reason(reason), core.Placement{})
-		if sampled {
-			e.observeShard(shard, enqueued)
-		}
-		return AdmissionResult{ID: id, Reason: reason, Slot: slot}
+		return AdmissionResult{ID: req.ID, Reason: reason, Slot: slot}
 	}
 	if req.Arrival < slot {
 		return reject(ReasonStale), nil
@@ -702,10 +582,7 @@ func (e *Engine) decideSharded(ctx context.Context, ar AdmissionRequest, id int,
 	// ledger re-checks atomically at reservation time, so a stale read
 	// here can only cause a rejection or a conflict retry, never an
 	// out-of-window reservation.
-	maxSlot := e.horizon
-	if e.rolling {
-		maxSlot = int(e.baseNow.Load()) + e.horizon - 1
-	}
+	maxSlot := e.maxSlot()
 	if req.End() > maxSlot {
 		return reject(ReasonHorizon), nil
 	}
@@ -713,7 +590,7 @@ func (e *Engine) decideSharded(ctx context.Context, ar AdmissionRequest, id int,
 		return reject(ReasonInvalid), nil
 	}
 	demand := e.network.Catalog[req.VNF].Demand
-	view := e.views[shard]
+	view := e.views[token]
 	// maxAttempts bounds the re-propose loop: the first attempt plus two
 	// retries after ledger refusals. Livelock is impossible (each refusal
 	// means some other decision committed) but unbounded retry under
@@ -722,7 +599,7 @@ func (e *Engine) decideSharded(ctx context.Context, ar AdmissionRequest, id int,
 	const maxAttempts = 3
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 && ctx.Err() != nil {
-			e.countRejection(ReasonCanceled)
+			e.rejections[ReasonCanceled].Add(1)
 			e.recordOutcome(req, slot, trace.ReasonCanceled, core.Placement{})
 			return AdmissionResult{}, ctx.Err()
 		}
@@ -730,36 +607,51 @@ func (e *Engine) decideSharded(ctx context.Context, ar AdmissionRequest, id int,
 		// lock round: a retry proposing against the copy that just lost the
 		// race would lose it again.
 		view.Load(req.Arrival, req.Duration)
-		placement, ok := e.twoPhase.Propose(req, view)
+		placement, ok := e.sched.Propose(req, view)
 		if !ok {
 			return reject(ReasonDeclined), nil
 		}
 		if !e.placeable(req, placement) {
-			e.twoPhase.Abort(req, placement)
+			e.sched.Abort(req, placement)
 			return reject(ReasonInvalid), nil
 		}
 		if e.reserveAll(req, placement, demand) {
-			e.twoPhase.Commit(req, placement)
+			e.sched.Commit(req, placement)
 			e.mu.Lock()
 			e.recordAdmissionLocked(req, placement, slot)
 			e.mu.Unlock()
 			e.recordOutcome(req, slot, trace.ReasonAdmitted, placement)
-			if sampled {
-				e.observeShard(shard, enqueued)
-			}
-			return AdmissionResult{ID: id, Admitted: true, Slot: slot, Placement: placement}, nil
+			return AdmissionResult{ID: req.ID, Admitted: true, Slot: slot, Placement: placement}, nil
 		}
-		// The ledger refused: a concurrent commit consumed the capacity
-		// the proposal saw. Abort and re-propose against the new state.
+		e.sched.Abort(req, placement)
+		if e.overbooks(view, req, placement, demand) {
+			return reject(ReasonOverbooked), nil
+		}
+		// The view had the room and the ledger did not: a concurrent commit
+		// consumed the capacity the proposal saw. Re-propose against the
+		// new state.
 		e.conflicts.Add(1)
-		e.twoPhase.Abort(req, placement)
 	}
 	return reject(ReasonConflict), nil
 }
 
+// overbooks reports whether the placement asks a cloudlet for more than
+// the view it was proposed from showed free: the scheduler ignored its
+// view, so the ledger's refusal is no lost race and a retry would propose
+// the same. A window a concurrent Tick has since retired reads as a race.
+func (e *Engine) overbooks(view *timeslot.Reader, req core.Request, placement core.Placement, demand int) bool {
+	for _, a := range placement.Assignments {
+		if view.ResidualWindow(a.Cloudlet, req.Arrival, req.Duration) < a.Units(demand) &&
+			e.ledger.WindowInRange(a.Cloudlet, req.Arrival, req.Duration) {
+			return true
+		}
+	}
+	return false
+}
+
 // placeable is the gate between a scheduler's proposal and the books: the
 // placement must be valid for the request and fit the placement history's
-// narrow fields. Both decision paths and repairs reject what fails it.
+// narrow fields. Decisions and repairs reject what fails it.
 func (e *Engine) placeable(req core.Request, placement core.Placement) bool {
 	return placement.Validate(e.network, req) == nil && fileable(placement)
 }
@@ -768,7 +660,7 @@ func (e *Engine) placeable(req core.Request, placement core.Placement) bool {
 // plus any pooled shared backup — rolling back on the first refusal. Each
 // per-cloudlet reservation is atomic in the ledger; the rollback, over the
 // prefix of assignments already booked, makes the multi-cloudlet footprint
-// all-or-nothing. Both decision paths and repairs reserve through here.
+// all-or-nothing. Decisions and repairs reserve through here.
 func (e *Engine) reserveAll(req core.Request, placement core.Placement, demand int) bool {
 	for i, a := range placement.Assignments {
 		ok, err := true, error(nil)
@@ -814,15 +706,11 @@ func (e *Engine) recordAdmissionLocked(req core.Request, placement core.Placemen
 	}
 }
 
-func (e *Engine) countRejection(reason string) {
-	e.rejections[reason].Add(1)
-}
-
-// observeShard records one decision latency into the caller's shard
-// histogram. The caller holds worker token `shard`, so the only possible
-// contention on the shard mutex is a concurrent Stats snapshot.
-func (e *Engine) observeShard(shard int, enqueued time.Time) {
-	sh := e.shards[shard]
+// observe records one latency into the histogram of worker token `token`.
+// The caller holds the token, so the only possible contention on the shard
+// mutex is a concurrent Stats snapshot.
+func (e *Engine) observe(token int, enqueued time.Time) {
+	sh := e.shards[token]
 	v := e.now().Sub(enqueued).Seconds()
 	sh.mu.Lock()
 	sh.h.Observe(v)
@@ -833,8 +721,14 @@ func (e *Engine) observeShard(shard int, enqueued time.Time) {
 // window ended — a request arriving at a with duration d holds its
 // capacity through slot a+d-1 and is released the moment the clock
 // reaches a+d. Tests drive this directly; the real-time clock calls it
-// once per SlotDuration.
+// once per SlotDuration. With the failure runtime on a tick may repair, and
+// a repair is a decision: it holds a worker token, taken before the engine
+// mutex as every decision takes them.
 func (e *Engine) Tick() TickReport {
+	if e.runtime != nil {
+		token := <-e.sem
+		defer func() { e.sem <- token }()
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.slot++
@@ -883,10 +777,9 @@ func (e *Engine) Tick() TickReport {
 // pinned by the oldest live reservation so every outstanding footprint
 // stays addressable until it releases. The ledger advances first and the
 // scheduler's dual window follows only on success, keeping the two bases
-// in lockstep. ErrNotDrained is tolerated: a sharded decision can commit
-// a reservation for the pre-tick slot after the expiry scan above, in
-// which case the advance simply waits for the next tick. Caller holds
-// e.mu.
+// in lockstep. ErrNotDrained is tolerated: a decision can commit a
+// reservation for the pre-tick slot after the expiry scan above, in which
+// case the advance simply waits for the next tick. Caller holds e.mu.
 func (e *Engine) advanceWindowLocked() {
 	newBase := e.slot
 	if oldest, ok := e.expiry.OldestStart(); ok && oldest < newBase {
@@ -907,9 +800,9 @@ func (e *Engine) advanceWindowLocked() {
 	}
 }
 
-// maxSlotLocked returns the last admissible slot: the horizon T in fixed
-// mode, the far edge of the rolling window otherwise. Caller holds e.mu.
-func (e *Engine) maxSlotLocked() int {
+// maxSlot returns the last admissible slot: the horizon T in fixed mode,
+// the far edge of the rolling window otherwise.
+func (e *Engine) maxSlot() int {
 	if e.rolling {
 		return int(e.baseNow.Load()) + e.horizon - 1
 	}
@@ -991,7 +884,7 @@ func (e *Engine) Cloudlets() []CloudletStatus {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	base := int(e.baseNow.Load())
-	maxSlot := e.maxSlotLocked()
+	maxSlot := e.maxSlot()
 	// One cut of the remaining window answers the whole table.
 	e.reader.Load(e.slot, maxSlot-e.slot+1)
 	out := make([]CloudletStatus, len(e.network.Cloudlets))
@@ -1030,22 +923,20 @@ func (e *Engine) Stats() Stats {
 		BookBytes:        e.book.bytes(),
 		CloudletUsed:     make([]int, len(e.network.Cloudlets)),
 		CloudletCapacity: make([]int, len(e.network.Cloudlets)),
-		Latency:          e.latency.Clone(),
-	}
-	if e.sem != nil {
-		s.QueueDepth = int(e.waiting.Load())
+		QueueDepth:       int(e.waiting.Load()),
 		// The semaphore is preloaded with tokens; a missing token is a
 		// decision in flight.
-		s.InFlight = e.workers - len(e.sem)
-		for _, sh := range e.shards {
-			sh.mu.Lock()
-			// Merge cannot fail: every shard histogram shares the serial
-			// histogram's bounds.
+		InFlight: e.workers - len(e.sem),
+	}
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+		if s.Latency == nil {
+			s.Latency = sh.h.Clone()
+		} else {
+			// Merge cannot fail: the shard histograms share their bounds.
 			_ = s.Latency.Merge(sh.h)
-			sh.mu.Unlock()
 		}
-	} else {
-		s.QueueDepth = len(e.queue)
+		sh.mu.Unlock()
 	}
 	for scheme, n := range e.admittedByScheme {
 		s.AdmittedByScheme[scheme.String()] = n
@@ -1053,7 +944,7 @@ func (e *Engine) Stats() Stats {
 	for reason, n := range e.rejections {
 		s.Rejections[reason] = n.Load()
 	}
-	live := e.slot <= e.maxSlotLocked()
+	live := e.slot <= e.maxSlot()
 	e.reader.Load(e.slot, 1)
 	for j, cl := range e.network.Cloudlets {
 		s.CloudletCapacity[j] = cl.Capacity
@@ -1064,26 +955,17 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Shutdown stops intake, drains every in-flight admission (each waiting
-// caller receives its decision), stops the clock, and waits for the
-// workers to exit or the context to expire. It is idempotent.
+// Shutdown stops intake, waits for every submission past the gate to get
+// its decision and for the clock to stop, or for the context to expire. It
+// is idempotent.
 func (e *Engine) Shutdown(ctx context.Context) error {
-	e.closeMu.Lock()
 	if !e.closedFlag.CompareAndSwap(false, true) {
-		e.closeMu.Unlock()
 		return nil
 	}
 	close(e.quit)
-	if e.queue != nil {
-		// No Submit can be sending now: senders hold closeMu.RLock and
-		// check closedFlag first, so closing the queue is safe.
-		close(e.queue)
-	}
-	e.closeMu.Unlock()
-
 	done := make(chan struct{})
 	go func() {
-		// Sharded decisions registered in inflight before they observed
+		// Submissions registered in inflight before they observed
 		// closedFlag; poll until the last one finished. Shutdown is cold,
 		// so a short sleep loop beats putting a WaitGroup (and the mutex
 		// it would need against the closed check) on the hot path.

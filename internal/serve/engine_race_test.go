@@ -2,12 +2,17 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 
+	"revnf/internal/baseline"
 	"revnf/internal/core"
+	"revnf/internal/offsite"
+	"revnf/internal/onsite"
+	"revnf/internal/shared"
 )
 
 // plainScheduler implements only the serialized core.Scheduler contract,
@@ -20,42 +25,54 @@ func (plainScheduler) Decide(core.Request, core.CapacityView) (core.Placement, b
 	return core.Placement{}, false
 }
 
-// TestShardedDegradesToSerial checks the graceful fallback: Workers > 1
-// with a scheduler that cannot propose concurrently must run serial and
-// report it.
+// TestShardedDegradesToSerial checks what New makes of a scheduler that
+// cannot run the concurrent protocol: one without propose/commit is a
+// configuration error, and one whose proposals may not interleave decides
+// with one worker token whatever Workers asks, and reports it.
 func TestShardedDegradesToSerial(t *testing.T) {
-	e, err := New(Config{Network: testNetwork(), Scheduler: plainScheduler{}, Horizon: 10, Workers: 4})
+	n := testNetwork()
+	if _, err := New(Config{Network: n, Scheduler: plainScheduler{}, Horizon: 10, Workers: 4}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("plain scheduler: err = %v, want ErrBadConfig", err)
+	}
+	pooled, err := shared.NewScheduler(n, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		_ = e.Shutdown(context.Background())
-	}()
-	if got := e.Workers(); got != 1 {
-		t.Fatalf("Workers() = %d after degradation, want 1", got)
-	}
-	res, err := e.Submit(context.Background(), AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 2, Payment: 5})
+	random, err := baseline.NewRandomOnsite(n, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Admitted || res.Reason != ReasonDeclined {
-		t.Fatalf("degraded engine decision = %+v, want declined", res)
-	}
-	if s := e.Stats(); s.Workers != 1 || s.InFlight != 0 {
-		t.Fatalf("Stats Workers=%d InFlight=%d, want 1 and 0", s.Workers, s.InFlight)
+	for _, sched := range []core.TwoPhaseScheduler{pooled, random} {
+		if sched.ConcurrentPropose() {
+			t.Fatalf("%s reports ConcurrentPropose() = true", sched.Name())
+		}
+		e, err := New(Config{Network: n, Scheduler: sched, Horizon: 10, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Workers(); got != 1 {
+			t.Errorf("%s: Workers() = %d at Workers: 4, want 1", sched.Name(), got)
+		}
+		res := submit(t, e, AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 2, Payment: 50})
+		if !res.Admitted {
+			t.Errorf("%s: decision at one token = %+v, want admitted", sched.Name(), res)
+		}
+		if s := e.Stats(); s.Workers != 1 || s.InFlight != 0 {
+			t.Errorf("%s: Stats Workers=%d InFlight=%d, want 1 and 0", sched.Name(), s.Workers, s.InFlight)
+		}
+		shutdownEngine(t, e)
 	}
 }
 
 // blindScheduler is a two-phase scheduler that always proposes the full
 // capacity of cloudlet 0 without consulting the view, so a second
-// overlapping admission is guaranteed to lose the ledger reservation.
-type blindScheduler struct{}
+// overlapping admission is guaranteed to be refused by the ledger.
+type blindScheduler struct{ core.Stateless }
 
 func (blindScheduler) Name() string        { return "blind" }
 func (blindScheduler) Scheme() core.Scheme { return core.OnSite }
-func (blindScheduler) Decide(req core.Request, view core.CapacityView) (core.Placement, bool) {
-	p, ok := blindScheduler{}.Propose(req, view)
-	return p, ok
+func (s blindScheduler) Decide(req core.Request, view core.CapacityView) (core.Placement, bool) {
+	return core.Decide(s, req, view)
 }
 func (blindScheduler) Propose(req core.Request, _ core.CapacityView) (core.Placement, bool) {
 	return core.Placement{
@@ -64,144 +81,131 @@ func (blindScheduler) Propose(req core.Request, _ core.CapacityView) (core.Place
 		Assignments: []core.Assignment{{Cloudlet: 0, Instances: 5}}, // 5×demand 2 = full capacity
 	}, true
 }
-func (blindScheduler) Commit(core.Request, core.Placement) {}
-func (blindScheduler) Abort(core.Request, core.Placement)  {}
-func (blindScheduler) ConcurrentPropose() bool             { return true }
-
-// TestShardedConflictRejection drives the bounded re-propose loop
-// deterministically: once capacity is gone, a proposal that never adapts
-// loses every ledger reservation and must come back as ReasonConflict
-// with the retries counted.
-func TestShardedConflictRejection(t *testing.T) {
-	e, err := New(Config{Network: testNetwork(), Scheduler: blindScheduler{}, Horizon: 10, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		_ = e.Shutdown(context.Background())
-	}()
-	ctx := context.Background()
-	first, err := e.Submit(ctx, AdmissionRequest{VNF: 0, Reliability: 0.9, Arrival: 1, Duration: 3, Payment: 5})
-	if err != nil || !first.Admitted {
-		t.Fatalf("first submission: %+v, %v", first, err)
-	}
-	second, err := e.Submit(ctx, AdmissionRequest{VNF: 0, Reliability: 0.9, Arrival: 2, Duration: 3, Payment: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Admitted || second.Reason != ReasonConflict {
-		t.Fatalf("overlapping submission = %+v, want %s", second, ReasonConflict)
-	}
-	s := e.Stats()
-	if s.ConflictRetries < 3 {
-		t.Errorf("ConflictRetries = %d, want ≥ 3 (one per bounded attempt)", s.ConflictRetries)
-	}
-	if s.Rejections[ReasonConflict] != 1 {
-		t.Errorf("conflict rejections = %d, want 1", s.Rejections[ReasonConflict])
-	}
-}
-
-// countingScheduler wraps blindScheduler with call accounting so tests can
-// check the Propose/Commit/Abort pairing the engine promises.
-type countingScheduler struct {
-	blindScheduler
-	proposes, commits, aborts atomic.Int64
-}
-
-func (c *countingScheduler) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
-	c.proposes.Add(1)
-	return c.blindScheduler.Propose(req, view)
-}
-func (c *countingScheduler) Commit(core.Request, core.Placement) { c.commits.Add(1) }
-func (c *countingScheduler) Abort(core.Request, core.Placement)  { c.aborts.Add(1) }
-
-// TestShardedConflictExhaustion pins down the full exhaustion path: a
-// proposal that keeps losing the ledger reservation is re-proposed exactly
-// maxAttempts times, every losing Propose is paired with an Abort, no
-// Commit happens for the rejected request, and the ledger carries no
-// residue from the lost attempts — after the winner expires, usage returns
-// to zero.
-func TestShardedConflictExhaustion(t *testing.T) {
-	sched := &countingScheduler{}
-	e, err := New(Config{Network: testNetwork(), Scheduler: sched, Horizon: 10, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		_ = e.Shutdown(context.Background())
-	}()
-	if e.Workers() != 2 {
-		t.Fatalf("Workers() = %d, want 2 (sharded mode)", e.Workers())
-	}
-	ctx := context.Background()
-	first, err := e.Submit(ctx, AdmissionRequest{VNF: 0, Reliability: 0.9, Arrival: 1, Duration: 2, Payment: 5})
-	if err != nil || !first.Admitted {
-		t.Fatalf("first submission: %+v, %v", first, err)
-	}
-	second, err := e.Submit(ctx, AdmissionRequest{VNF: 0, Reliability: 0.9, Arrival: 2, Duration: 2, Payment: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Admitted || second.Reason != ReasonConflict {
-		t.Fatalf("overlapping submission = %+v, want %s", second, ReasonConflict)
-	}
-	// Pairing: 1 winning propose+commit, then 3 losing propose+abort.
-	if got := sched.proposes.Load(); got != 4 {
-		t.Errorf("proposes = %d, want 4 (1 admitted + 3 bounded attempts)", got)
-	}
-	if got := sched.commits.Load(); got != 1 {
-		t.Errorf("commits = %d, want 1 (only the admitted request)", got)
-	}
-	if got := sched.aborts.Load(); got != 3 {
-		t.Errorf("aborts = %d, want 3 (one per lost reservation)", got)
-	}
-	s := e.Stats()
-	if s.ConflictRetries != 3 {
-		t.Errorf("ConflictRetries = %d, want 3", s.ConflictRetries)
-	}
-	// Ledger cleanliness: only the winner's footprint is booked...
-	if got := s.CloudletUsed[0]; got != 10 {
-		t.Errorf("cloudlet 0 used = %d at slot 1, want 10 (winner's footprint)", got)
-	}
-	// ...and expiring it drains the ledger completely: a leaked reservation
-	// from a lost attempt would leave units behind forever.
-	e.Tick() // slot 2
-	e.Tick() // slot 3: winner (arrival 1, duration 2) expired
-	s = e.Stats()
-	if s.Expired != 1 {
-		t.Errorf("Expired = %d after winner's window, want 1", s.Expired)
-	}
-	for j, used := range s.CloudletUsed {
-		if used != 0 {
-			t.Errorf("cloudlet %d used = %d after expiry, want 0 (no leaked reservations)", j, used)
-		}
-	}
-}
 
 // firstFitScheduler is a two-phase scheduler that trusts its view: it
 // proposes the whole of the first cloudlet whose window the view says is
-// empty. grab, when set, runs once inside the first Propose, after the view
-// was read — the out-of-band reservation a concurrent commit would make.
+// empty. grab, when set, runs inside every Propose, after the view was read
+// — the out-of-band reservation a concurrent commit would make. It counts
+// its calls so tests can check the Propose/Commit/Abort pairing the engine
+// promises.
 type firstFitScheduler struct {
 	blindScheduler
-	grab     func(cloudlet int)
-	proposed []int // the cloudlet of each proposal, in order
+	cloudlets       int
+	grab            func(cloudlet int)
+	proposed        []int // the cloudlet of each proposal, in order
+	commits, aborts int
 }
 
 func (s *firstFitScheduler) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
-	for j := 0; j < 2; j++ {
+	for j := 0; j < s.cloudlets; j++ {
 		if view.ResidualWindow(j, req.Arrival, req.Duration) < view.Capacity(j) {
 			continue
 		}
 		s.proposed = append(s.proposed, j)
 		if s.grab != nil {
 			s.grab(j)
-			s.grab = nil
 		}
 		return core.Placement{Request: req.ID, Scheme: core.OnSite,
 			Assignments: []core.Assignment{{Cloudlet: j, Instances: 5}}}, true
 	}
 	return core.Placement{}, false
+}
+func (s *firstFitScheduler) Commit(core.Request, core.Placement) { s.commits++ }
+func (s *firstFitScheduler) Abort(core.Request, core.Placement)  { s.aborts++ }
+
+// racedEngine builds a two-token engine over three test cloudlets whose
+// scheduler loses one unit of every cloudlet it proposes, the moment it
+// proposes it, to a reservation made behind its back over slots [1, 3].
+func racedEngine(t *testing.T) (*Engine, *firstFitScheduler) {
+	t.Helper()
+	n := testNetwork()
+	n.Cloudlets = append(n.Cloudlets, core.Cloudlet{ID: 2, Node: -1, Capacity: 10, Reliability: 0.97})
+	sched := &firstFitScheduler{cloudlets: len(n.Cloudlets)}
+	e, err := New(Config{Network: n, Scheduler: sched, Horizon: 10, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { shutdownEngine(t, e) })
+	sched.grab = func(cloudlet int) {
+		if ok, err := e.ledger.ReserveWindow(cloudlet, 1, 3, 1); !ok || err != nil {
+			t.Errorf("out-of-band reservation on cloudlet %d: %v, %v", cloudlet, ok, err)
+		}
+	}
+	return e, sched
+}
+
+// TestShardedConflictRejection drives the bounded re-propose loop
+// deterministically: a proposal that loses its capacity between the view
+// and the reservation on every attempt must come back as ReasonConflict
+// with the retries counted — not as overbooked: the view had the room.
+func TestShardedConflictRejection(t *testing.T) {
+	e, _ := racedEngine(t)
+	res := submit(t, e, AdmissionRequest{VNF: 0, Reliability: 0.9, Arrival: 1, Duration: 3, Payment: 5})
+	if res.Admitted || res.Reason != ReasonConflict {
+		t.Fatalf("raced submission = %+v, want %s", res, ReasonConflict)
+	}
+	s := e.Stats()
+	if s.ConflictRetries != 3 {
+		t.Errorf("ConflictRetries = %d, want 3 (one per bounded attempt)", s.ConflictRetries)
+	}
+	if s.Rejections[ReasonConflict] != 1 || s.Rejections[ReasonOverbooked] != 0 {
+		t.Errorf("conflict/overbooked rejections = %d/%d, want 1/0",
+			s.Rejections[ReasonConflict], s.Rejections[ReasonOverbooked])
+	}
+}
+
+// TestShardedConflictExhaustion pins down the full exhaustion path: a
+// proposal that keeps losing the ledger reservation is re-proposed exactly
+// maxAttempts times, every losing Propose is paired with an Abort, no
+// Commit happens for the rejected request, and the ledger carries no
+// residue from the lost attempts. A submitter that goes away between
+// attempts stops the loop before the next Propose.
+func TestShardedConflictExhaustion(t *testing.T) {
+	e, sched := racedEngine(t)
+	res := submit(t, e, AdmissionRequest{VNF: 0, Reliability: 0.9, Arrival: 1, Duration: 3, Payment: 7})
+	if res.Admitted || res.Reason != ReasonConflict {
+		t.Fatalf("raced submission = %+v, want %s", res, ReasonConflict)
+	}
+	// Pairing: 3 losing propose+abort, each on the next untouched cloudlet.
+	if got := sched.proposed; len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Errorf("proposals on cloudlets %v, want [0 1 2] (3 bounded attempts)", got)
+	}
+	if sched.commits != 0 || sched.aborts != 3 {
+		t.Errorf("commits = %d, aborts = %d; want 0 and 3 (one Abort per lost reservation)", sched.commits, sched.aborts)
+	}
+	s := e.Stats()
+	if s.ConflictRetries != 3 {
+		t.Errorf("ConflictRetries = %d, want 3", s.ConflictRetries)
+	}
+	// Ledger cleanliness: only the three out-of-band units are booked; a
+	// leaked reservation from a lost attempt would add a whole cloudlet.
+	for j, used := range s.CloudletUsed {
+		if used != 1 {
+			t.Errorf("cloudlet %d used = %d after the lost attempts, want the grabbed unit only", j, used)
+		}
+	}
+
+	// Cancellation between attempts: the first attempt of a later window
+	// loses its race and takes the submitter's context with it.
+	ctx, cancel := context.WithCancel(context.Background())
+	sched.grab = func(cloudlet int) {
+		if ok, err := e.ledger.ReserveWindow(cloudlet, 5, 2, 1); !ok || err != nil {
+			t.Errorf("out-of-band reservation on cloudlet %d: %v, %v", cloudlet, ok, err)
+		}
+		cancel()
+	}
+	_, err := e.Submit(ctx, AdmissionRequest{VNF: 0, Reliability: 0.9, Arrival: 5, Duration: 2, Payment: 7})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("submission canceled after its first attempt: err = %v, want context.Canceled", err)
+	}
+	if len(sched.proposed) != 4 || sched.aborts != 4 || sched.commits != 0 {
+		t.Errorf("%d proposals, %d aborts, %d commits after the canceled submission; want 4, 4, 0",
+			len(sched.proposed), sched.aborts, sched.commits)
+	}
+	if s := e.Stats(); s.Rejections[ReasonCanceled] != 1 || s.ConflictRetries != 4 || s.InFlight != 0 {
+		t.Errorf("canceled = %d, ConflictRetries = %d, InFlight = %d; want 1, 4, 0",
+			s.Rejections[ReasonCanceled], s.ConflictRetries, s.InFlight)
+	}
 }
 
 // TestShardedRetrySeesTheLostCapacity pins that every conflict retry
@@ -210,25 +214,18 @@ func (s *firstFitScheduler) Propose(req core.Request, view core.CapacityView) (c
 // on its second Propose and place elsewhere. Re-proposing against the copy
 // that lost would pick the same cloudlet until the attempts ran out.
 func TestShardedRetrySeesTheLostCapacity(t *testing.T) {
-	sched := &firstFitScheduler{}
-	e, err := New(Config{Network: testNetwork(), Scheduler: sched, Horizon: 10, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		_ = e.Shutdown(context.Background())
-	}()
+	e, sched := racedEngine(t)
+	grab := sched.grab
 	sched.grab = func(cloudlet int) {
-		if ok, err := e.ledger.ReserveWindow(cloudlet, 1, 3, 1); !ok || err != nil {
-			t.Errorf("out-of-band reservation on cloudlet %d: %v, %v", cloudlet, ok, err)
-		}
+		grab(cloudlet)
+		sched.grab = nil
 	}
-	res, err := e.Submit(context.Background(), AdmissionRequest{VNF: 0, Reliability: 0.9, Arrival: 1, Duration: 3, Payment: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := submit(t, e, AdmissionRequest{VNF: 0, Reliability: 0.9, Arrival: 1, Duration: 3, Payment: 5})
 	if !res.Admitted || len(sched.proposed) != 2 || sched.proposed[0] != 0 || sched.proposed[1] != 1 {
 		t.Fatalf("decision %+v after proposals on cloudlets %v, want admitted on 1 after losing 0", res, sched.proposed)
+	}
+	if sched.commits != 1 || sched.aborts != 1 {
+		t.Errorf("commits = %d, aborts = %d; want 1 and 1", sched.commits, sched.aborts)
 	}
 	if s := e.Stats(); s.ConflictRetries != 1 || s.CloudletUsed[0] != 1 || s.CloudletUsed[1] != 10 {
 		t.Errorf("ConflictRetries = %d, used = %v; want 1 retry, the grabbed unit on cloudlet 0 and the placement on 1",
@@ -236,37 +233,91 @@ func TestShardedRetrySeesTheLostCapacity(t *testing.T) {
 	}
 }
 
-// TestShardedEngineStress hammers a 4-worker engine from 8 goroutines
-// (with a concurrent slot clock) and then audits the books — run it under
-// -race. The load is sized so concurrent proposals race for the same
-// tight capacity constantly. Afterwards the test rebuilds per-(cloudlet,
-// slot) usage from the admitted placements and requires:
+// stressNetwork is four tight cloudlets: concurrent proposals race for the
+// same capacity constantly, and every scheme finds a placement (two of the
+// cloudlets together serve an off-site or shared 0.95).
+func stressNetwork() *core.Network {
+	n := &core.Network{Catalog: []core.VNF{{ID: 0, Name: "fw", Demand: 2, Reliability: 0.8}}}
+	for j := 0; j < 4; j++ {
+		n.Cloudlets = append(n.Cloudlets, core.Cloudlet{ID: j, Node: -1, Capacity: 10, Reliability: 0.99 - 0.01*float64(j)})
+	}
+	return n
+}
+
+// TestShardedEngineStress hammers the engine from 8 goroutines (with a
+// concurrent slot clock) and then audits the books — run it under -race.
+// Every scheme runs at one and at four requested tokens over a rolling
+// window (pd-shared settles on one either way), pd-onsite over a fixed
+// horizon too. Afterwards the test rebuilds per-(cloudlet, slot) usage from
+// the admitted placements and requires:
 //
 //   - no slot of any cloudlet was ever oversubscribed (the ledger's
 //     all-or-nothing reservation must hold under every interleaving);
 //   - every submission was decided exactly once (admissions plus
 //     rejections equal submissions, in both the observed results and the
 //     engine's counters);
-//   - revenue equals the payment sum of the admitted requests.
+//   - revenue equals the payment sum of the admitted requests;
+//   - once the last window expired, the ledger, the backup pool and the
+//     live book are empty.
 func TestShardedEngineStress(t *testing.T) {
+	schedulers := map[string]func(*core.Network, int) (core.Scheduler, error){
+		"onsite": func(n *core.Network, w int) (core.Scheduler, error) {
+			return onsite.NewScheduler(n, w, onsite.WithCapacityEnforcement())
+		},
+		"offsite": func(n *core.Network, w int) (core.Scheduler, error) { return offsite.NewScheduler(n, w) },
+		"shared": func(n *core.Network, w int) (core.Scheduler, error) {
+			return shared.NewScheduler(n, w, shared.WithPoolSize(2))
+		},
+	}
+	for _, tc := range []struct {
+		scheme  string
+		workers int
+		rolling bool
+	}{
+		{"onsite", 4, false},
+		{"onsite", 1, true}, {"onsite", 4, true},
+		{"offsite", 1, true}, {"offsite", 4, true},
+		{"shared", 1, true}, {"shared", 4, true},
+	} {
+		t.Run(fmt.Sprintf("%s/workers=%d/rolling=%v", tc.scheme, tc.workers, tc.rolling), func(t *testing.T) {
+			stressEngine(t, schedulers[tc.scheme], tc.workers, tc.rolling)
+		})
+	}
+}
+
+func stressEngine(t *testing.T, newScheduler func(*core.Network, int) (core.Scheduler, error), workers int, rolling bool) {
 	const (
-		horizon      = 40
+		window       = 40
 		submitters   = 8
 		perSubmitter = 300
-		workers      = 4
+		tickEvery    = 20 // of goroutine 0's submissions: 15 ticks in all
+		lastSlot     = 1 + perSubmitter/tickEvery + window
 	)
-	e := newTestEngine(t, horizon, func(c *Config) {
-		c.Workers = workers
-		c.QueueSize = 64
-	})
-	if e.Workers() != workers {
-		t.Fatalf("Workers() = %d, want %d", e.Workers(), workers)
+	n := stressNetwork()
+	sched, err := newScheduler(n, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{Network: n, Scheduler: sched, Horizon: window, Rolling: rolling, Workers: workers, QueueSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { shutdownEngine(t, e) })
+	want := 1
+	if sched.(core.TwoPhaseScheduler).ConcurrentPropose() {
+		want = workers
+	}
+	if e.Workers() != want {
+		t.Fatalf("Workers() = %d, want %d", e.Workers(), want)
 	}
 
 	type admitted struct {
 		arrival, duration int
-		payment           float64
-		placement         core.Placement
+		// after is the clock once Submit had returned: no earlier than the
+		// slot the footprint was booked at.
+		after     int
+		payment   float64
+		placement core.Placement
 	}
 	var (
 		wg        sync.WaitGroup
@@ -284,21 +335,22 @@ func TestShardedEngineStress(t *testing.T) {
 			ctx := context.Background()
 			for i := 0; i < perSubmitter; i++ {
 				// Goroutine 0 also drives the slot clock, racing Tick's
-				// expiry sweep against in-flight decisions.
-				if seed == 0 && i%60 == 59 {
+				// expiry sweep and window advance against in-flight
+				// decisions.
+				if seed == 0 && i%tickEvery == tickEvery-1 {
 					e.Tick()
 				}
 				duration := 1 + rng.Intn(4)
-				slot := e.Slot()
-				arrival := slot + rng.Intn(horizon-duration-slot)
+				arrival := e.Slot() + rng.Intn(window/2)
 				ar := AdmissionRequest{
 					VNF:         0,
 					Reliability: 0.9 + 0.05*rng.Float64(),
 					Arrival:     arrival,
 					Duration:    duration,
-					Payment:     1 + 9*rng.Float64(),
+					Payment:     20 + 80*rng.Float64(),
 				}
 				res, err := e.Submit(ctx, ar)
+				after := e.Slot()
 				mu.Lock()
 				if err != nil {
 					submitErr++ // ErrQueueFull under burst is legitimate
@@ -306,7 +358,7 @@ func TestShardedEngineStress(t *testing.T) {
 					decided++
 					if res.Admitted {
 						admits = append(admits, admitted{
-							arrival: arrival, duration: duration,
+							arrival: arrival, duration: duration, after: after,
 							payment: ar.Payment, placement: res.Placement,
 						})
 					} else {
@@ -320,29 +372,38 @@ func TestShardedEngineStress(t *testing.T) {
 	wg.Wait()
 
 	// Audit 1: rebuild per-(cloudlet, slot) usage from the admitted
-	// placements. Capacity released by expiry is never re-reserved for
-	// past slots (stale arrivals are rejected), so summing every admitted
-	// window per slot must respect each cloudlet's capacity.
-	n := testNetwork()
+	// placements. A window counts from the slot the clock showed once its
+	// Submit had returned: everything booked on slot s while the clock was
+	// at s or before is still held when the tick to s+1 begins, so those
+	// footprints must fit the cloudlet together. (Earlier slots do not
+	// count because the clock can overtake a decision — stale is tested
+	// against the slot read at its start — and such a straggler books slots
+	// already past, after their earlier holders expired.) A backup group
+	// holds its one pooled instance on every slot a member covers.
 	demand := n.Catalog[0].Demand
 	usage := make([][]int, len(n.Cloudlets))
 	for j := range usage {
-		usage[j] = make([]int, horizon+1)
+		usage[j] = make([]int, lastSlot+1)
 	}
+	type groupSlot struct{ group, slot int }
+	pooled := map[groupSlot]bool{}
 	wantRevenue := 0.0
 	for _, a := range admits {
 		wantRevenue += a.payment
-		for _, as := range a.placement.Assignments {
-			for s := a.arrival; s < a.arrival+a.duration; s++ {
+		for s := max(a.arrival, a.after); s < a.arrival+a.duration; s++ {
+			for _, as := range a.placement.Assignments {
 				usage[as.Cloudlet][s] += as.Units(demand)
+			}
+			if b := a.placement.Backup; b != nil && !pooled[groupSlot{b.Group, s}] {
+				pooled[groupSlot{b.Group, s}] = true
+				usage[b.Cloudlet][s] += demand
 			}
 		}
 	}
 	for j, cl := range n.Cloudlets {
-		for s := 1; s <= horizon; s++ {
-			if usage[j][s] > cl.Capacity {
-				t.Errorf("cloudlet %d slot %d oversubscribed: %d units > capacity %d",
-					j, s, usage[j][s], cl.Capacity)
+		for s, used := range usage[j] {
+			if used > cl.Capacity {
+				t.Errorf("cloudlet %d slot %d oversubscribed: %d units > capacity %d", j, s, used, cl.Capacity)
 			}
 		}
 	}
@@ -367,5 +428,24 @@ func TestShardedEngineStress(t *testing.T) {
 	if s.QueueDepth != 0 || s.InFlight != 0 {
 		t.Errorf("idle engine reports QueueDepth=%d InFlight=%d", s.QueueDepth, s.InFlight)
 	}
-	t.Logf("admitted %d, rejected %d, conflicts retried %d", len(admits), rejected, s.ConflictRetries)
+	t.Logf("admitted %d, rejected %d (%v), conflicts retried %d", len(admits), rejected, s.Rejections, s.ConflictRetries)
+
+	// Audit 3: past the last window nothing is held anywhere.
+	for e.Slot() < lastSlot {
+		e.Tick()
+	}
+	e.mu.Lock()
+	live, active := len(e.book.live), e.expiry.Len()
+	e.mu.Unlock()
+	if s := e.Stats(); live != 0 || active != 0 || s.Expired != s.Admitted || e.pool.Groups() != 0 {
+		t.Errorf("after the last window: %d live records, %d active, %d of %d expired, %d pooled groups; want all drained",
+			live, active, s.Expired, s.Admitted, e.pool.Groups())
+	}
+	for _, cl := range e.Cloudlets() {
+		for i, free := range cl.Residual {
+			if free != cl.Capacity {
+				t.Errorf("cloudlet %d slot %d holds %d units after the last window", cl.ID, cl.FromSlot+i, cl.Capacity-free)
+			}
+		}
+	}
 }

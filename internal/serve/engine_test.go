@@ -3,13 +3,18 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"revnf/internal/core"
+	"revnf/internal/experiments"
+	"revnf/internal/offsite"
 	"revnf/internal/onsite"
 	"revnf/internal/shared"
+	"revnf/internal/simulate"
 )
 
 // testNetwork is a two-cloudlet network where every request of the test
@@ -386,43 +391,56 @@ func TestEngineQueueFullBackpressure(t *testing.T) {
 
 func TestEngineOverbookRollback(t *testing.T) {
 	// An unenforced (raw) scheduler will overcommit; without the
-	// violation licence the engine must refuse and roll back cleanly.
-	n := testNetwork()
-	sched, err := onsite.NewScheduler(n, 10) // raw variant
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(Config{Network: n, Scheduler: sched, Horizon: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		_ = e.Shutdown(ctx)
-	}()
-	// Escalating payments defeat the dual prices, so the raw variant keeps
-	// admitting until the 2×10-unit network physically cannot hold more.
-	overbooked := false
-	pay := 1000.0
-	for i := 0; i < 50 && !overbooked; i++ {
-		res, err := e.Submit(context.Background(),
-			AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 10, Payment: pay})
+	// violation licence the engine must refuse and roll back cleanly —
+	// as overbooked at every worker count: the view showed the cloudlet
+	// full, so the refusal is no lost race and nothing is retried.
+	for _, workers := range []int{1, 4} {
+		n := testNetwork()
+		sched, err := onsite.NewScheduler(n, 10) // raw variant
 		if err != nil {
 			t.Fatal(err)
 		}
-		pay *= 3
-		if res.Reason == ReasonOverbooked {
-			overbooked = true
+		e, err := New(Config{Network: n, Scheduler: sched, Horizon: 10, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !overbooked {
-		t.Fatal("raw scheduler never overbooked a 2×10-unit network")
-	}
-	for _, cl := range e.Cloudlets() {
-		for i, free := range cl.Residual {
-			if free < 0 {
-				t.Errorf("rollback failed: cloudlet %d slot %d residual %d", cl.ID, cl.FromSlot+i, free)
+		t.Cleanup(func() { shutdownEngine(t, e) })
+		if e.Workers() != workers {
+			t.Fatalf("Workers() = %d, want %d", e.Workers(), workers)
+		}
+		// Escalating payments defeat the dual prices, so the raw variant keeps
+		// admitting until the 2×10-unit network physically cannot hold more.
+		// A refused footprint must not move λ: Commit follows the reservation.
+		lambda := func() float64 { return sched.Lambda(0, 1) + sched.Lambda(1, 1) }
+		overbooked := false
+		pay := 1000.0
+		for i := 0; i < 50 && !overbooked; i++ {
+			before := lambda()
+			res, err := e.Submit(context.Background(),
+				AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 10, Payment: pay})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pay *= 3
+			if res.Reason == ReasonOverbooked {
+				overbooked = true
+				if after := lambda(); after != before {
+					t.Errorf("workers=%d: λ moved %v → %v for a refused footprint", workers, before, after)
+				}
+			}
+		}
+		if !overbooked {
+			t.Fatalf("workers=%d: raw scheduler never overbooked a 2×10-unit network", workers)
+		}
+		if s := e.Stats(); s.ConflictRetries != 0 || s.Rejections[ReasonConflict] != 0 {
+			t.Errorf("workers=%d: %d conflict retries, %d conflict rejections; an overbooking scheduler lost no race",
+				workers, s.ConflictRetries, s.Rejections[ReasonConflict])
+		}
+		for _, cl := range e.Cloudlets() {
+			for i, free := range cl.Residual {
+				if free < 0 {
+					t.Errorf("workers=%d: rollback failed: cloudlet %d slot %d residual %d", workers, cl.ID, cl.FromSlot+i, free)
+				}
 			}
 		}
 	}
@@ -467,6 +485,29 @@ func TestEngineAllowViolations(t *testing.T) {
 	}
 }
 
+// TestEngineLatencySampling pins what the latency histogram counts at every
+// worker count: one Submit in latencySampleRate, and one observation per
+// SubmitBatch whatever its size.
+func TestEngineLatencySampling(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		e := newTestEngine(t, 10, func(c *Config) { c.Workers = workers })
+		ar := AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 1, Payment: 1}
+		for i := 0; i < 4*latencySampleRate; i++ {
+			submit(t, e, ar)
+		}
+		if got := e.Stats().Latency.Count(); got != 4 {
+			t.Errorf("workers=%d: %d latency samples after %d submissions, want 4", workers, got, 4*latencySampleRate)
+		}
+		reqs, out := []AdmissionRequest{ar, ar, ar, ar, ar}, make([]AdmissionResult, 5)
+		if err := e.SubmitBatch(context.Background(), reqs, out); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Stats().Latency.Count(); got != 5 {
+			t.Errorf("workers=%d: %d latency samples after a batch of 5, want one more than 4", workers, got)
+		}
+	}
+}
+
 func TestNewRejectsBadConfig(t *testing.T) {
 	n := testNetwork()
 	sched, err := onsite.NewScheduler(n, 10)
@@ -491,8 +532,8 @@ func TestEngineSubmitContextCancel(t *testing.T) {
 	e := newTestEngine(t, 10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	// The worker may decide before the cancellation is observed, so both
-	// a decision and context.Canceled are acceptable; anything else is not.
+	// A decision and context.Canceled are both acceptable; anything else is
+	// not.
 	_, err := e.Submit(ctx, AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 1, Payment: 1})
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want nil or context.Canceled", err)
@@ -512,7 +553,7 @@ func TestEngineSubmitContextCancel(t *testing.T) {
 }
 
 // TestEngineCanceledJobSkipped submits with an already-canceled context:
-// the serial worker must drop the job without touching the scheduler —
+// the gate must drop the submission without touching the scheduler —
 // deciding would mutate dual prices for a caller that abandoned the wait —
 // and account for it under the "canceled" rejection reason.
 func TestEngineCanceledJobSkipped(t *testing.T) {
@@ -537,8 +578,8 @@ func TestEngineCanceledJobSkipped(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// A live context still gets a decision afterwards: the worker loop
-	// survives the skip.
+	// A live context still gets a decision afterwards: the skip gave back
+	// everything the gate took.
 	res := submit(t, e, AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 1, Payment: 5})
 	if !res.Admitted {
 		t.Fatalf("follow-up submission not admitted: %+v", res)
@@ -640,5 +681,80 @@ func TestEnginePooledLifecycle(t *testing.T) {
 	}
 	if got := e.Stats().AdmittedByScheme["shared"]; got != 3 {
 		t.Errorf("admitted_by_scheme[shared] = %d, want 3", got)
+	}
+}
+
+// TestEngineOneTokenMatchesSimulator holds the engine at one worker token
+// to the batch simulator: over a 500-request instance on the slot clock, in
+// fixed and rolling mode, every scheduler admits the same requests on the
+// same placements (backup cloudlet and group ID included) and sums the same
+// revenue, bit for bit, as simulate.Run with a fresh scheduler. One token
+// is the serial order Theorem 1 reasons about; this is what says the single
+// path still produces it.
+func TestEngineOneTokenMatchesSimulator(t *testing.T) {
+	setup := experiments.DefaultSetup()
+	inst, err := setup.Instance(500, setup.H, setup.K, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, T := inst.Network, inst.Horizon
+	for _, tc := range []struct {
+		name  string
+		allow bool // AllowViolations: the raw Algorithm 1
+		make  func() (core.Scheduler, error)
+	}{
+		{"pd-onsite", false, func() (core.Scheduler, error) {
+			return onsite.NewScheduler(n, T, onsite.WithCapacityEnforcement())
+		}},
+		{"pd-onsite-raw", true, func() (core.Scheduler, error) { return onsite.NewScheduler(n, T) }},
+		{"pd-offsite", false, func() (core.Scheduler, error) { return offsite.NewScheduler(n, T) }},
+		{"pd-shared-k2", false, func() (core.Scheduler, error) { return shared.NewScheduler(n, T, shared.WithPoolSize(2)) }},
+		{"pd-shared-k4", false, func() (core.Scheduler, error) { return shared.NewScheduler(n, T, shared.WithPoolSize(4)) }},
+	} {
+		for _, rolling := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/rolling=%v", tc.name, rolling), func(t *testing.T) {
+				oracle, err := tc.make()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var opts []simulate.Option
+				if tc.allow {
+					opts = append(opts, simulate.AllowViolations())
+				}
+				want, err := simulate.Run(inst, oracle, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sched, err := tc.make()
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := New(Config{Network: n, Scheduler: sched, Horizon: T, Rolling: rolling, AllowViolations: tc.allow})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { shutdownEngine(t, e) })
+				for i, req := range inst.Trace {
+					for e.Slot() < req.Arrival {
+						e.Tick()
+					}
+					got := submit(t, e, AdmissionRequest{VNF: req.VNF, Reliability: req.Reliability,
+						Arrival: req.Arrival, Duration: req.Duration, Payment: req.Payment})
+					w := want.Decisions[i]
+					same := got.Admitted == w.Admitted &&
+						slices.Equal(got.Placement.Assignments, w.Placement.Assignments) &&
+						(got.Placement.Backup == nil) == (w.Placement.Backup == nil) &&
+						(w.Placement.Backup == nil || *got.Placement.Backup == *w.Placement.Backup)
+					if !same {
+						t.Fatalf("request %d (%+v): engine decided %+v (backup %+v), simulator %+v (backup %+v)",
+							i, req, got, got.Placement.Backup, w, w.Placement.Backup)
+					}
+				}
+				if s := e.Stats(); want.Admitted == 0 || int(s.Admitted) != want.Admitted || s.Revenue != want.Revenue {
+					t.Errorf("engine admitted %d for revenue %v, simulator %d for %v", s.Admitted, s.Revenue, want.Admitted, want.Revenue)
+				}
+				t.Logf("%d of %d admitted, revenue %v", want.Admitted, len(inst.Trace), want.Revenue)
+			})
+		}
 	}
 }

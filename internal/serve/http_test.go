@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -208,7 +209,9 @@ func TestHTTPMetricsScrape(t *testing.T) {
 		"revnfd_placement_book_bytes " + strconv.FormatFloat(
 			float64(bookChunk*(unsafe.Sizeof(filedPlacement{})+unsafe.Sizeof(filedAssignment{}))), 'g', -1, 64) + "\n",
 		`revnfd_cloudlet_utilization{cloudlet="0"}`,
-		"revnfd_admission_latency_seconds_count 2\n",
+		// Submit times one submission in latencySampleRate: of these two,
+		// the first.
+		"revnfd_admission_latency_seconds_count 1\n",
 		"revnfd_queue_capacity 256\n",
 	} {
 		if !strings.Contains(out, want) {
@@ -544,15 +547,15 @@ func TestHTTPTransportErrorEnvelopes(t *testing.T) {
 	})
 
 	t.Run("queue full", func(t *testing.T) {
-		// A gated scheduler pins the serial worker inside its first
+		// A gated scheduler pins the one worker token inside its first
 		// decision; with a one-slot queue, the third request then finds the
-		// queue deterministically full.
+		// waiting bound deterministically reached.
 		n := testNetwork()
 		inner, err := onsite.NewScheduler(n, 20, onsite.WithCapacityEnforcement())
 		if err != nil {
 			t.Fatal(err)
 		}
-		gate := &gatedScheduler{Scheduler: inner,
+		gate := &gatedScheduler{TwoPhaseScheduler: inner,
 			entered: make(chan struct{}, 4), release: make(chan struct{})}
 		e, err := New(Config{Network: n, Scheduler: gate, Horizon: 20, QueueSize: 1})
 		if err != nil {
@@ -570,14 +573,15 @@ func TestHTTPTransportErrorEnvelopes(t *testing.T) {
 				t.Errorf("gated request: status %d decision %+v", resp.StatusCode, dec)
 			}
 		}
-		// Strictly sequence the setup: request A is inside Decide before
-		// request B is sent, and B is queued before the probe fires.
+		// Strictly sequence the setup: request A is inside Propose before
+		// request B is sent, and B is waiting for the token before the probe
+		// fires.
 		wg.Add(1)
 		go postOK()
 		<-gate.entered
 		wg.Add(1)
 		go postOK()
-		waitForQueueDepth(t, e, 1)
+		waitForQueueDepth(t, e, 2)
 
 		status, env := getError(t, "POST", srv.URL+"/v1/requests", strings.NewReader(body))
 		if status != http.StatusServiceUnavailable || env.Code != 503 ||
@@ -595,29 +599,82 @@ func TestHTTPTransportErrorEnvelopes(t *testing.T) {
 	})
 }
 
-// gatedScheduler blocks every Decide until release is closed, signaling
+// panickyScheduler panics inside its first Propose.
+type panickyScheduler struct {
+	core.TwoPhaseScheduler
+	panicked bool
+}
+
+func (p *panickyScheduler) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
+	if !p.panicked {
+		p.panicked = true
+		panic("scheduler bug")
+	}
+	return p.TwoPhaseScheduler.Propose(req, view)
+}
+
+// TestHTTPPanicReleasesToken: net/http recovers a handler's panic, so a
+// decision that panics must give back its worker token, its waiting slot
+// and its inflight mark on the way out — at one token a leaked token would
+// leave every later request waiting until its context ended, and Shutdown
+// draining forever.
+func TestHTTPPanicReleasesToken(t *testing.T) {
+	n := testNetwork()
+	inner, err := onsite.NewScheduler(n, 20, onsite.WithCapacityEnforcement())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{Network: n, Scheduler: &panickyScheduler{TwoPhaseScheduler: inner}, Horizon: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewUnstartedServer(NewHandler(e))
+	srv.Config.ErrorLog = log.New(io.Discard, "", 0) // the recovered panic's stack
+	srv.Start()
+	t.Cleanup(srv.Close)
+
+	body := `{"vnf":0,"reliability":0.9,"duration":1,"payment":2}`
+	if resp, err := http.Post(srv.URL+"/v1/requests", "application/json", strings.NewReader(body)); err == nil {
+		_ = resp.Body.Close()
+		t.Fatalf("the panicking request was answered with status %d", resp.StatusCode)
+	}
+	resp, dec := postRequest(t, srv.URL, body)
+	if resp.StatusCode != http.StatusOK || !dec.Admitted {
+		t.Fatalf("request after the panic: status %d decision %+v, want admitted", resp.StatusCode, dec)
+	}
+	if s := e.Stats(); s.InFlight != 0 || s.QueueDepth != 0 {
+		t.Errorf("InFlight = %d, QueueDepth = %d after the panic, want 0 and 0", s.InFlight, s.QueueDepth)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := e.Shutdown(ctx); err != nil {
+		t.Errorf("Shutdown after the panic: %v", err)
+	}
+}
+
+// gatedScheduler blocks every Propose until release is closed, signaling
 // each entry on entered; it makes queue-depth scenarios deterministic.
 type gatedScheduler struct {
-	core.Scheduler
+	core.TwoPhaseScheduler
 	entered chan struct{}
 	release chan struct{}
 }
 
-func (g *gatedScheduler) Decide(req core.Request, view core.CapacityView) (core.Placement, bool) {
+func (g *gatedScheduler) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
 	g.entered <- struct{}{}
 	<-g.release
-	return g.Scheduler.Decide(req, view)
+	return g.TwoPhaseScheduler.Propose(req, view)
 }
 
-// waitForQueueDepth polls the serial ingest channel until depth jobs are
-// queued (or fails the test after a second). It reads the channel length
-// directly: Stats() takes e.mu, which the gated worker is holding.
+// waitForQueueDepth polls the engine's waiting count — submissions past the
+// gate's bound, deciding or waiting for a token — until it reaches depth
+// (or fails the test after a second).
 func waitForQueueDepth(t *testing.T, e *Engine, depth int) {
 	t.Helper()
 	deadline := time.Now().Add(time.Second)
-	for len(e.queue) < depth {
+	for int(e.waiting.Load()) < depth {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue depth never reached %d (now %d)", depth, len(e.queue))
+			t.Fatalf("queue depth never reached %d (now %d)", depth, e.waiting.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}

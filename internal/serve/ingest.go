@@ -27,7 +27,7 @@ type ingestStats struct {
 }
 
 func newIngestStats() (*ingestStats, error) {
-	// Bounds 1, 2, 4, ..., 512 bracket the batch cap (streamBatchSize).
+	// Bounds 1, 2, 4, ..., 512 bracket the batch cap (maxStreamBatch).
 	h, err := metrics.NewHistogram(metrics.ExponentialBounds(1, 2, 10)...)
 	if err != nil {
 		return nil, err

@@ -40,19 +40,19 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 			"Width of the live ledger window in slots (equals revnfd_horizon_slots).",
 			float64(s.Horizon)),
 		metrics.Gauge("revnfd_queue_depth",
-			"Admissions waiting in the bounded ingest queue.", float64(s.QueueDepth)),
+			"Submissions accepted and not yet decided: waiting for a worker token or deciding.", float64(s.QueueDepth)),
 		metrics.Gauge("revnfd_queue_capacity",
-			"Capacity of the bounded ingest queue.", float64(s.QueueCapacity)),
+			"Bound on submissions waiting for a worker token beyond the workers deciding.", float64(s.QueueCapacity)),
 		metrics.Gauge("revnfd_workers",
-			"Decision concurrency: 1 in serial mode, the shard count in sharded mode.", float64(s.Workers)),
+			"Decision concurrency: the number of worker tokens.", float64(s.Workers)),
 		metrics.Gauge("revnfd_inflight_decisions",
-			"Decisions executing right now (sharded mode).", float64(s.InFlight)),
+			"Worker tokens held right now: decisions executing, plus a tick of the failure runtime.", float64(s.InFlight)),
 		metrics.Counter("revnfd_conflict_retries_total",
-			"Ledger reservation refusals under concurrent commit races; each triggers a re-propose.",
+			"Ledger refusals of a footprint its view had room for (a lost commit race); each triggers a re-propose.",
 			float64(s.ConflictRetries)),
 		utilizationFamily(s),
 		s.Latency.Metric("revnfd_admission_latency_seconds",
-			"Latency from submission to admission decision."),
+			"Latency from submission to admission decision: one POST in 8 sampled, one observation per streamed batch."),
 	}
 	families = append(families, e.ingestFamilies()...)
 	if e.traces != nil {

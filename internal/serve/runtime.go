@@ -16,7 +16,8 @@ import (
 // the slot clock, the repair controller deciding which placements to
 // re-place, the SLO tracker accounting promise vs delivery, and the
 // online failure-rate estimator learning r(c_j) from the injected slot
-// states. All mutation happens under the engine mutex inside Tick; the
+// states. All mutation happens inside Tick, which holds a worker token (a
+// repair proposes and commits like any decision) and the engine mutex; the
 // tracker, controller, and estimator carry their own locks only so the
 // metrics and HTTP paths can read them concurrently.
 type failureRuntime struct {
@@ -24,11 +25,6 @@ type failureRuntime struct {
 	ctrl     *repair.Controller
 	slo      *slo.Tracker
 	est      *slo.RateEstimator
-	// tp re-places repaired requests through the normal propose/commit
-	// pipeline. Non-nil whenever the runtime exists (enforced at New);
-	// distinct from Engine.twoPhase, which is non-nil only in sharded
-	// mode.
-	tp core.TwoPhaseScheduler
 	// slots counts chaos-stepped slots; atomic because metrics read it
 	// without the engine mutex.
 	slots atomic.Uint64
@@ -42,10 +38,6 @@ const estimatorPriorStrength = 4
 
 // newFailureRuntime validates the chaos wiring at New time.
 func newFailureRuntime(cfg Config) (*failureRuntime, error) {
-	tp, ok := cfg.Scheduler.(core.TwoPhaseScheduler)
-	if !ok {
-		return nil, fmt.Errorf("%w: chaos injection needs a two-phase scheduler (repairs go through propose/commit); %T is not one", ErrBadConfig, cfg.Scheduler)
-	}
 	if got, want := cfg.Chaos.Cloudlets(), len(cfg.Network.Cloudlets); got != want {
 		return nil, fmt.Errorf("%w: chaos injector models %d cloudlets, network has %d", ErrBadConfig, got, want)
 	}
@@ -54,7 +46,6 @@ func newFailureRuntime(cfg Config) (*failureRuntime, error) {
 		ctrl:     repair.New(cfg.RepairAttempts),
 		slo:      slo.NewTracker(),
 		est:      slo.NewCatalogEstimator(cfg.Network, estimatorPriorStrength),
-		tp:       tp,
 	}, nil
 }
 
@@ -130,8 +121,9 @@ func (e *Engine) finalizeExpiredLocked(id int) {
 // runtimeTickLocked advances the failure model by one slot: step the
 // injector, feed the estimator, score every in-window placement, and
 // repair the ones whose surviving footprint no longer meets their
-// reliability target. Caller holds e.mu; the slot has already advanced
-// and expired placements are already released and unwatched.
+// reliability target. Caller holds a worker token and e.mu; the slot has
+// already advanced and expired placements are already released and
+// unwatched.
 func (e *Engine) runtimeTickLocked() {
 	rt := e.runtime
 	// A fixed horizon ends: past slot T nothing can hold capacity, so the
@@ -189,7 +181,7 @@ func (e *Engine) runtimeTickLocked() {
 // of the surviving one, so a refused repair leaves the books exactly as
 // they were). The repair request keeps the original ID and payment (no
 // revenue is re-counted) and covers the remaining window only. Caller
-// holds e.mu; returns whether the re-placement landed.
+// holds a worker token and e.mu; returns whether the re-placement landed.
 func (e *Engine) repairLocked(rec *PlacementRecord) bool {
 	rt := e.runtime
 	end := rec.Request.End()
@@ -199,20 +191,20 @@ func (e *Engine) repairLocked(rec *PlacementRecord) bool {
 	if req.Duration < 1 {
 		return false
 	}
-	placement, ok := rt.tp.Propose(req, e.ledger)
+	placement, ok := e.sched.Propose(req, e.ledger)
 	if !ok {
 		return false
 	}
 	if !e.placeable(req, placement) {
-		rt.tp.Abort(req, placement)
+		e.sched.Abort(req, placement)
 		return false
 	}
 	demand := e.network.Catalog[req.VNF].Demand
 	if !e.reserveAll(req, placement, demand) {
-		rt.tp.Abort(req, placement)
+		e.sched.Abort(req, placement)
 		return false
 	}
-	rt.tp.Commit(req, placement)
+	e.sched.Commit(req, placement)
 	// The new footprint is booked; release the old one over its live
 	// window. Release cannot fail on windows the engine reserved itself.
 	oldDuration := end - rec.ReservedFrom + 1

@@ -4,15 +4,14 @@
 // arrives. This package supplies the concurrency shell around a
 // scheduler:
 //
-//   - an Engine with two decision modes: a serial mode that funnels all
-//     scheduler and ledger access through a bounded ingest queue into one
-//     decision goroutine, and a sharded mode (Config.Workers > 1, for
-//     schedulers implementing core.TwoPhaseScheduler with concurrent
-//     proposals) in which up to Workers decisions run concurrently —
+//   - an Engine with one decision path: every submission decides inline
+//     on its own goroutine under one of Config.Workers worker tokens —
 //     Propose in parallel, capacity arbitrated atomically by the
 //     concurrent timeslot.Ledger, scheduler Commit only after the ledger
-//     accepted the footprint. Both modes apply backpressure (a full
-//     engine rejects rather than buffering without bound);
+//     accepted the footprint. A scheduler that cannot propose
+//     concurrently gets one token, which serializes its decisions. A
+//     bound on the submissions waiting for a token is the backpressure (a
+//     full engine rejects rather than buffering without bound);
 //   - a slot clock that maps the paper's discrete time slots onto wall
 //     time (or onto manual Tick calls in tests) and releases every
 //     placement's capacity back to the ledger exactly when its window
@@ -51,9 +50,10 @@ var (
 type Config struct {
 	// Network is the cloudlet fleet and VNF catalog served.
 	Network *core.Network
-	// Scheduler makes the admission decisions. The engine owns it
-	// exclusively from New onward and serializes every Decide call, per
-	// the core.Scheduler concurrency contract.
+	// Scheduler makes the admission decisions. It must implement
+	// core.TwoPhaseScheduler (New reports ErrBadConfig otherwise): the
+	// engine owns it exclusively from New onward and drives it through
+	// Propose and Commit, never Decide.
 	Scheduler core.Scheduler
 	// Horizon is the number of time slots the daemon serves. In fixed mode
 	// (the default) it is the paper's horizon T: the clock can run past it,
@@ -68,16 +68,14 @@ type Config struct {
 	// Decisions for request streams fitting inside the window are
 	// bit-identical to fixed mode; fixed mode itself is untouched.
 	Rolling bool
-	// QueueSize bounds the ingest queue; 0 selects DefaultQueueSize. In
-	// sharded mode the same bound caps submissions waiting for a worker
-	// token.
+	// QueueSize bounds the submissions waiting for a worker token beyond
+	// the workers deciding; 0 selects DefaultQueueSize.
 	QueueSize int
-	// Workers selects the decision concurrency. 0 or 1 is the serial
-	// mode. Values above 1 request sharded mode: decisions execute
-	// concurrently (bounded by Workers) using the propose/commit protocol
-	// of core.TwoPhaseScheduler with the ledger arbitrating capacity. If
-	// the scheduler does not support concurrent proposals the engine
-	// silently degrades to serial mode; Engine.Workers reports the
+	// Workers is the number of worker tokens (0 selects 1): that many
+	// decisions execute concurrently using the propose/commit protocol of
+	// core.TwoPhaseScheduler with the ledger arbitrating capacity. If the
+	// scheduler does not support concurrent proposals the engine decides
+	// with one token whatever this asks; Engine.Workers reports the
 	// effective value.
 	Workers int
 	// SlotDuration is the wall-clock length of one paper time slot. Zero
@@ -114,7 +112,7 @@ type Config struct {
 	RepairAttempts int
 }
 
-// DefaultQueueSize is the ingest queue bound when Config.QueueSize is 0.
+// DefaultQueueSize is the waiting bound when Config.QueueSize is 0.
 const DefaultQueueSize = 256
 
 // Rejection reasons reported in results, metrics, and the HTTP error
@@ -131,13 +129,14 @@ const (
 	// ReasonDeclined marks requests the scheduler priced out or could not
 	// place — the paper's genuine online rejection.
 	ReasonDeclined = string(trace.ReasonDeclined)
-	// ReasonOverbooked marks scheduler placements the ledger refused; it
+	// ReasonOverbooked marks scheduler placements the ledger refused
+	// although the view they were proposed from already showed no room; it
 	// indicates a scheduler violating its feasibility contract.
 	ReasonOverbooked = string(trace.ReasonOverbooked)
-	// ReasonConflict marks sharded-mode requests whose proposals kept
-	// losing the capacity race to concurrent commits: the ledger refused
-	// the reservation on every bounded retry. It is the concurrency
-	// analogue of ReasonDeclined, not a scheduler bug.
+	// ReasonConflict marks requests whose proposals kept losing the
+	// capacity race to concurrent commits: the view had the room, the
+	// ledger refused the reservation, on every bounded retry. It is the
+	// concurrency analogue of ReasonDeclined, not a scheduler bug.
 	ReasonConflict = string(trace.ReasonConflict)
 	// ReasonQueueFull marks submissions dropped by backpressure.
 	ReasonQueueFull = string(trace.ReasonQueueFull)

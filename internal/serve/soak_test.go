@@ -11,6 +11,7 @@ import (
 
 	"revnf/internal/chaos"
 	"revnf/internal/core"
+	"revnf/internal/shared"
 	"revnf/internal/trace"
 )
 
@@ -177,11 +178,31 @@ func TestSoakFailureRuntime(t *testing.T) {
 	}
 }
 
-// TestSoakFailureRuntimeSharded races concurrent sharded submissions
-// against the ticking failure runtime; under -race this is the
-// subsystem's data-race check, and the post-drain invariants must hold
-// exactly as in the serial soak.
+// TestSoakFailureRuntimeSharded races concurrent submissions against the
+// ticking failure runtime; under -race this is the subsystem's data-race
+// check, and the post-drain invariants must hold exactly as in the serial
+// soak. The pd-shared leg decides with one token, which the repairs of a
+// Tick take too: it is the executable guard of the order "worker token,
+// then Engine.mu" — a Tick that took them the other way round would
+// deadlock here against a decision holding the token and waiting to book.
 func TestSoakFailureRuntimeSharded(t *testing.T) {
+	t.Run("onsite", func(t *testing.T) {
+		soakConcurrent(t, 4, func(n *core.Network, horizon int) core.Scheduler {
+			return newOnsiteScheduler(t, n, horizon)
+		})
+	})
+	t.Run("shared", func(t *testing.T) {
+		soakConcurrent(t, 1, func(n *core.Network, horizon int) core.Scheduler {
+			sched, err := shared.NewScheduler(n, horizon, shared.WithPoolSize(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sched
+		})
+	})
+}
+
+func soakConcurrent(t *testing.T, tokens int, newScheduler func(*core.Network, int) core.Scheduler) {
 	const horizon = 60
 	n := soakNetwork()
 	inj, err := chaos.New(chaos.Config{
@@ -194,17 +215,16 @@ func TestSoakFailureRuntimeSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := newOnsiteScheduler(t, n, horizon)
 	e, err := New(Config{
-		Network: n, Scheduler: sched, Horizon: horizon,
+		Network: n, Scheduler: newScheduler(n, horizon), Horizon: horizon,
 		Workers: 4, Chaos: inj, RepairAttempts: 2, QueueSize: 128,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shutdownEngine(t, e)
-	if e.Workers() != 4 {
-		t.Fatalf("workers = %d, want sharded 4", e.Workers())
+	if e.Workers() != tokens {
+		t.Fatalf("workers = %d at Workers: 4, want %d", e.Workers(), tokens)
 	}
 
 	var wg sync.WaitGroup
@@ -248,8 +268,9 @@ func TestSoakFailureRuntimeSharded(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(admitted) == 0 {
-		t.Fatal("sharded soak admitted nothing")
+	if len(admitted) == 0 || e.RepairStats().Repairs == 0 {
+		t.Fatalf("soak admitted %d placements and repaired %d: too weak to exercise the pipeline",
+			len(admitted), e.RepairStats().Repairs)
 	}
 	for _, id := range admitted {
 		entry, ok := e.SLO().Get(id)
@@ -269,5 +290,8 @@ func TestSoakFailureRuntimeSharded(t *testing.T) {
 				t.Fatalf("cloudlet %d slot %d residual %d after drain, want %d", j, slot, r, cl.Capacity)
 			}
 		}
+	}
+	if groups := e.pool.Groups(); groups != 0 {
+		t.Errorf("%d backup groups still pooled after drain", groups)
 	}
 }

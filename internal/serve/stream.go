@@ -19,12 +19,12 @@ import (
 //
 // # Pipeline
 //
-// Each connection runs two goroutines. The reader decodes requests into
-// batches — a batch closes at streamBatchSize requests or as soon as the
-// socket has no more buffered bytes, so batch size adapts to the offered
-// load (1 at low rate, large under saturation) without a flush timer —
-// and hands them to the decider over a bounded channel. The decider calls
-// Engine.SubmitBatch and writes the decisions back in request order.
+// Each connection is one goroutine that reads a batch, decides it, writes
+// the decisions and flushes, in a loop. A batch closes at maxStreamBatch
+// requests or as soon as the socket has no more buffered bytes, so batch
+// size adapts to the offered load (1 at low rate, large under saturation)
+// without a flush timer; Engine.SubmitBatch decides it under one worker
+// token.
 //
 // # Ordering and backpressure
 //
@@ -32,18 +32,13 @@ import (
 // SubmitBatch allocates IDs in batch order, so a request stream decided
 // over NDJSON, binary frames, or individual HTTP posts yields
 // bit-identical decisions (the golden cross-protocol test pins this).
-// The pending-batch channel is the per-connection backpressure bound:
-// when the engine falls behind, the reader blocks and the kernel closes
-// the TCP window. Engine-level overload surfaces as per-request
-// queue-full decisions; engine shutdown as a terminal error record
-// (ReasonClosed) after which the connection closes.
+// Backpressure is the unread socket: while a batch is being decided
+// nothing is read, and the kernel closes the TCP window. Engine-level
+// overload surfaces as per-request queue-full decisions; engine shutdown
+// as a terminal error record (ReasonClosed) after which the connection
+// closes.
 type StreamServer struct {
 	e *Engine
-
-	// batchSize caps requests per SubmitBatch call; pending bounds the
-	// decoded-but-undecided batches per connection.
-	batchSize int
-	pending   int
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{} // guarded by mu
@@ -53,13 +48,10 @@ type StreamServer struct {
 }
 
 const (
-	// streamBatchSize is the default decode-batch cap. 256 amortizes the
+	// maxStreamBatch caps requests per SubmitBatch call. 256 amortizes the
 	// engine synchronization well past the point of diminishing returns
 	// while keeping a batch's decisions well under a socket buffer.
-	streamBatchSize = 256
-	// streamPendingBatches bounds decoded batches waiting per connection;
-	// small by design — the queue is for overlap, not buffering.
-	streamPendingBatches = 2
+	maxStreamBatch = 256
 	// streamBufSize sizes the per-connection read and write buffers.
 	streamBufSize = 64 << 10
 )
@@ -68,15 +60,13 @@ const (
 func NewStreamServer(e *Engine) *StreamServer {
 	return &StreamServer{
 		e:         e,
-		batchSize: streamBatchSize,
-		pending:   streamPendingBatches,
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 	}
 }
 
 // Serve accepts connections from ln until the listener fails or Close is
-// called, serving each connection on its own goroutines. It returns nil
+// called, serving each connection on its own goroutine. It returns nil
 // after Close.
 func (s *StreamServer) Serve(ln net.Listener) error {
 	s.mu.Lock()
@@ -158,23 +148,15 @@ func (s *StreamServer) ServeConn(conn net.Conn) {
 			return
 		}
 		s.e.ingest.frameConns.Add(1)
-		s.serveConn(conn, br, bw, frameCodec{})
+		s.serveConn(br, bw, frameCodec{})
 	} else {
 		s.e.ingest.ndjsonConns.Add(1)
-		s.serveConn(conn, br, bw, ndjsonCodec{})
+		s.serveConn(br, bw, ndjsonCodec{})
 	}
 }
 
-// streamBatch is one reader-to-decider hand-off: the decoded requests,
-// their decisions, and optionally a terminal error to emit after them.
-type streamBatch struct {
-	reqs []AdmissionRequest
-	out  []AdmissionResult
-	term *streamError
-}
-
-// streamError is a terminal protocol or engine error; the decider emits
-// it in order and closes the connection.
+// streamError is a terminal protocol or engine error: emitted after the
+// decisions of the requests read before it, then the connection closes.
 type streamError struct {
 	code   int
 	reason wire.ReasonCode
@@ -200,125 +182,70 @@ type streamCodec interface {
 	countRequests(e *Engine, n int)
 }
 
-// serveConn runs the reader/decider pipeline over one connection.
-func (s *StreamServer) serveConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, codec streamCodec) {
-	pendingCh := make(chan *streamBatch, s.pending)
-	freeCh := make(chan *streamBatch, s.pending+1)
-	for i := 0; i < s.pending+1; i++ {
-		freeCh <- &streamBatch{
-			reqs: make([]AdmissionRequest, 0, s.batchSize),
-			out:  make([]AdmissionResult, 0, s.batchSize),
-		}
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s.decider(conn, bw, codec, pendingCh, freeCh)
-	}()
-
-	b := <-freeCh
-	flush := func() bool {
-		if len(b.reqs) == 0 && b.term == nil {
-			return true
-		}
-		codec.countRequests(s.e, len(b.reqs))
-		select {
-		case pendingCh <- b:
-		case <-done:
-			return false // decider bailed (write error); stop reading
-		}
-		select {
-		case b = <-freeCh:
-		case <-done:
-			return false
-		}
-		return true
-	}
+// serveConn runs the read, decide, write loop over one connection.
+func (s *StreamServer) serveConn(br *bufio.Reader, bw *bufio.Writer, codec streamCodec) {
+	reqs := make([]AdmissionRequest, 0, maxStreamBatch)
+	out := make([]AdmissionResult, maxStreamBatch)
+	buf := make([]byte, 0, 4096)
 	var wr wire.Request
 	for {
-		err := codec.readRequest(br, &wr)
-		if err != nil {
-			var se *streamError
-			switch {
-			case errors.Is(err, io.EOF):
-				// Clean end of stream: flush the tail and wind down.
-			case errors.As(err, &se):
-				s.e.ingest.streamErrors.Add(1)
-				b.term = se
-			default:
-				// Transport error (reset, force-close): nothing to send.
-			}
-			flush()
-			break
-		}
-		b.reqs = append(b.reqs, AdmissionRequest{
-			VNF:         wr.VNF,
-			Reliability: wr.Reliability,
-			Arrival:     wr.Arrival,
-			Duration:    wr.Duration,
-			Payment:     wr.Payment,
-			Scheme:      wr.Scheme,
-		})
 		// Close the batch at the cap, or as soon as the socket has nothing
 		// more buffered: batch size adapts to the offered load.
-		if len(b.reqs) >= s.batchSize || br.Buffered() == 0 {
-			if !flush() {
-				break
+		reqs = reqs[:0]
+		var err error
+		for err == nil && len(reqs) < maxStreamBatch && (len(reqs) == 0 || br.Buffered() > 0) {
+			if err = codec.readRequest(br, &wr); err == nil {
+				reqs = append(reqs, AdmissionRequest{
+					VNF:         wr.VNF,
+					Reliability: wr.Reliability,
+					Arrival:     wr.Arrival,
+					Duration:    wr.Duration,
+					Payment:     wr.Payment,
+					Scheme:      wr.Scheme,
+				})
 			}
 		}
-	}
-	close(pendingCh)
-	<-done
-}
-
-// decider drains batches: decide, encode, write, recycle.
-func (s *StreamServer) decider(conn net.Conn, bw *bufio.Writer, codec streamCodec, pendingCh, freeCh chan *streamBatch) {
-	buf := make([]byte, 0, 4096)
-	for b := range pendingCh {
-		if len(b.reqs) > 0 {
-			s.e.ingest.observeBatch(len(b.reqs))
-			b.out = b.out[:len(b.reqs)]
-			if err := s.e.SubmitBatch(context.Background(), b.reqs, b.out); err != nil {
+		// A protocol violation is answered after the batch's decisions; a
+		// clean io.EOF or a transport error (reset, force-close) ends the
+		// connection after them with nothing more to send.
+		var term *streamError
+		errors.As(err, &term)
+		if len(reqs) > 0 {
+			codec.countRequests(s.e, len(reqs))
+			s.e.ingest.observeBatch(len(reqs))
+			res := out[:len(reqs)]
+			if serr := s.e.SubmitBatch(context.Background(), reqs, res); serr != nil {
 				// ErrClosed (shutdown) is the only error SubmitBatch can
 				// return here; report it in place of the batch's decisions.
-				b.term = &streamError{code: 503, reason: wire.ReasonClosed, detail: "engine has shut down"}
-				if !errors.Is(err, ErrClosed) {
-					b.term.reason = wire.ReasonInternal
-					b.term.detail = err.Error()
+				term = &streamError{code: 503, reason: wire.ReasonClosed, detail: "engine has shut down"}
+				if !errors.Is(serr, ErrClosed) {
+					term.reason, term.detail = wire.ReasonInternal, serr.Error()
 				}
-				s.e.ingest.streamErrors.Add(1)
 			} else {
 				buf = buf[:0]
-				for i := range b.out {
-					res := &b.out[i]
+				for i := range res {
 					buf = codec.appendDecision(buf, wire.Decision{
-						ID:       uint64(res.ID),
-						Slot:     res.Slot,
-						Admitted: res.Admitted,
-						Reason:   wire.CodeForReason(res.Reason),
+						ID:       uint64(res[i].ID),
+						Slot:     res[i].Slot,
+						Admitted: res[i].Admitted,
+						Reason:   wire.CodeForReason(res[i].Reason),
 					})
 				}
-				if _, err := bw.Write(buf); err != nil {
-					conn.Close()
-					return
-				}
-				if err := bw.Flush(); err != nil {
-					conn.Close()
+				if _, werr := bw.Write(buf); werr != nil || bw.Flush() != nil {
 					return
 				}
 			}
 		}
-		if b.term != nil {
-			bw.Write(codec.appendError(buf[:0], b.term))
+		if term != nil {
+			s.e.ingest.streamErrors.Add(1)
+			bw.Write(codec.appendError(buf[:0], term))
 			bw.Flush()
-			conn.Close()
 			return
 		}
-		b.reqs = b.reqs[:0]
-		b.out = b.out[:0]
-		freeCh <- b
+		if err != nil {
+			return
+		}
 	}
-	bw.Flush()
 }
 
 // ndjsonCodec implements streamCodec for newline-delimited JSON.

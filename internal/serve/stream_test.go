@@ -314,8 +314,8 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 }
 
 // newGoldenWorkersEngine builds an engine with deterministic decisions at
-// the given worker count. A single submitter (one batch, or a serial loop
-// of Submits) keeps sharded decisions ordered, so results are comparable.
+// the given worker count. A single submitter (one batch, or a loop of
+// Submits) keeps decisions ordered at any count, so results are comparable.
 func newGoldenWorkersEngine(t *testing.T, horizon, workers int) *Engine {
 	t.Helper()
 	n := testNetwork()
@@ -331,32 +331,33 @@ func newGoldenWorkersEngine(t *testing.T, horizon, workers int) *Engine {
 	return e
 }
 
-// TestSubmitBatchQueueFull: a sharded batch beyond the waiting bound is
-// rejected per request with queue-full results, not an error, so a
-// streaming connection keeps its request/response pairing.
+// TestSubmitBatchQueueFull: a batch beyond the waiting bound is rejected
+// per request with queue-full results, not an error, so a streaming
+// connection keeps its request/response pairing — at every worker count:
+// a batch passes the gate a Submit passes.
 func TestSubmitBatchQueueFull(t *testing.T) {
-	e := newTestEngine(t, 20, func(c *Config) {
-		c.Workers = 2
-		c.QueueSize = 1
-	})
-	if e.Workers() != 2 {
-		t.Skip("scheduler degraded to serial; waiting bound not in play")
-	}
-	reqs := make([]AdmissionRequest, 8) // 8 > queue 1 + workers 2
-	for i := range reqs {
-		reqs[i] = AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 1, Payment: 5}
-	}
-	out := make([]AdmissionResult, len(reqs))
-	if err := e.SubmitBatch(context.Background(), reqs, out); err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range out {
-		if res.Admitted || res.Reason != ReasonQueueFull || res.ID != 0 {
-			t.Fatalf("result %d = %+v, want queue-full", i, res)
+	for _, workers := range []int{1, 2} {
+		e := newTestEngine(t, 20, func(c *Config) {
+			c.Workers = workers
+			c.QueueSize = 1
+		})
+		reqs := make([]AdmissionRequest, 8) // 8 > queue 1 + workers
+		for i := range reqs {
+			reqs[i] = AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 1, Payment: 5}
 		}
-	}
-	if got := e.Stats().Rejections[ReasonQueueFull]; got != uint64(len(reqs)) {
-		t.Fatalf("queue-full rejections = %d, want %d", got, len(reqs))
+		out := make([]AdmissionResult, len(reqs))
+		if err := e.SubmitBatch(context.Background(), reqs, out); err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range out {
+			if res.Admitted || res.Reason != ReasonQueueFull || res.ID != 0 {
+				t.Fatalf("workers=%d: result %d = %+v, want queue-full", workers, i, res)
+			}
+		}
+		if s := e.Stats(); s.Rejections[ReasonQueueFull] != uint64(len(reqs)) || s.QueueDepth != 0 || s.InFlight != 0 {
+			t.Fatalf("workers=%d: queue-full rejections = %d, QueueDepth = %d, InFlight = %d; want %d, 0, 0",
+				workers, s.Rejections[ReasonQueueFull], s.QueueDepth, s.InFlight, len(reqs))
+		}
 	}
 }
 

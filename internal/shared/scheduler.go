@@ -69,7 +69,7 @@ const stackCloudlets = 32
 // stack); Commit applies the dual updates and the group join under the
 // write lock. ConcurrentPropose reports false — a proposal carries a
 // tentative group ID whose uniqueness needs the Propose→Commit pairs
-// serialized — so engines drive it through their serial path. All state
+// serialized — so engines decide with one worker token. All state
 // keyed by slot is a ring over the live window (DESIGN.md §10): λ, the
 // groups' refcounts and the end-slot cells retirement goes by share one
 // dual.Window, and AdvanceWindow is the one place a retired cell is cleared.
@@ -570,6 +570,6 @@ func (s *Scheduler) Abort(core.Request, core.Placement) {}
 
 // ConcurrentPropose implements core.TwoPhaseScheduler: false — proposals
 // carry tentative group IDs whose uniqueness requires the Propose→Commit
-// pairs to be serialized, so engines must drive this scheduler through
-// their serial path.
+// pairs to be serialized, so engines must drive this scheduler with one
+// worker token: its holder is the only one between a Propose and its Commit.
 func (s *Scheduler) ConcurrentPropose() bool { return false }

@@ -82,11 +82,12 @@ const (
 	// ReasonDeclined marks requests the scheduler rejected; the trace's
 	// Propose attempts carry the finer-grained scheduler reason.
 	ReasonDeclined Reason = "declined"
-	// ReasonOverbooked marks scheduler placements the ledger refused in
-	// serial mode (a scheduler violating its feasibility contract).
+	// ReasonOverbooked marks scheduler placements the ledger refused
+	// although the view they were proposed from already showed no room (a
+	// scheduler violating its feasibility contract).
 	ReasonOverbooked Reason = "overbooked"
-	// ReasonConflict marks sharded-mode requests whose proposals lost the
-	// capacity race to concurrent commits on every bounded retry.
+	// ReasonConflict marks requests whose proposals lost the capacity
+	// race to concurrent commits on every bounded retry.
 	ReasonConflict Reason = "conflict"
 	// ReasonQueueFull marks submissions dropped by backpressure.
 	ReasonQueueFull Reason = "queue-full"
@@ -149,8 +150,8 @@ type Candidate struct {
 	Chosen bool `json:"chosen,omitempty"`
 }
 
-// ProposeTrace records one Propose evaluation. Serial engines produce one
-// per request; the sharded engine may retry after ledger conflicts, so a
+// ProposeTrace records one Propose evaluation. The batch simulator produces
+// one per request; the serve engine may retry after ledger conflicts, so a
 // DecisionTrace can hold several attempts.
 type ProposeTrace struct {
 	// Attempt numbers the evaluation within its decision, from 1. The
@@ -266,7 +267,7 @@ func (t *DecisionTrace) FinalReason() Reason {
 //
 // Sample gates all trace assembly: a disabled recorder returns false and
 // the hot path pays one interface call. Implementations must be safe for
-// concurrent use — the sharded serve engine runs any number of Propose
+// concurrent use — the serve engine runs any number of Propose
 // calls (and hence Sample/Record pairs) concurrently.
 //
 // Recording is not scheduler-state mutation: the core.TwoPhaseScheduler
