@@ -392,18 +392,6 @@ func BenchmarkChainScheduling(b *testing.B) {
 	}
 }
 
-// BenchmarkPooledAdmission measures greedy pooled admission (shared
-// backups) over a 200-request trace.
-func BenchmarkPooledAdmission(b *testing.B) {
-	inst := benchInstance(b, 200)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunPooled(inst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkQoSAssess measures topology QoS scoring of admitted off-site
 // placements.
 func BenchmarkQoSAssess(b *testing.B) {

@@ -56,6 +56,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *poolSize < 0 {
+		return fmt.Errorf("-poolsize %d: want a positive pool size, or 0 for the default", *poolSize)
+	}
 
 	setup := experiments.DefaultSetup()
 	if *topo != "" {
@@ -184,14 +187,7 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			if err := render(latency); err != nil {
-				return err
-			}
-			pooling, err := setup.AblationPooling(counts)
-			if err != nil {
-				return err
-			}
-			return render(pooling)
+			return render(latency)
 		},
 		"chains": func() error {
 			tbl, err := setup.ChainComparison(counts)

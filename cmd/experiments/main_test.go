@@ -121,6 +121,10 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-ks", ""}, &sb); err == nil {
 		t.Error("empty ks list did not error")
 	}
+	// A negative pool size used to run the default silently.
+	if err := run([]string{"-fig", "shared", "-poolsize", "-3"}, &sb); err == nil || !strings.Contains(err.Error(), "-poolsize") {
+		t.Errorf("negative -poolsize: err = %v, want one naming the flag", err)
+	}
 }
 
 func TestRunChains(t *testing.T) {

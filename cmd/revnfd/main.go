@@ -253,14 +253,15 @@ func buildScheduler(algorithm, scheme string, poolSize int, inst *workload.Insta
 	if !alg.Valid() {
 		return nil, false, fmt.Errorf("unknown -algorithm %q (want pd|raw|greedy|firstfit|random)", algorithm)
 	}
+	if poolSize < 0 {
+		return nil, false, fmt.Errorf("-pool-size %d: want a positive pool size, or 0 for the default", poolSize)
+	}
 	opts := []revnf.SchedulerOption{
 		revnf.WithAlgorithm(alg),
 		revnf.WithHorizon(inst.Horizon),
 		revnf.WithRecorder(rec),
 		revnf.WithRNG(rand.New(rand.NewSource(seed))),
-	}
-	if poolSize > 0 {
-		opts = append(opts, revnf.WithSharedPoolSize(poolSize))
+		revnf.WithSharedPoolSize(poolSize), // 0 keeps the default
 	}
 	s, err := revnf.NewScheduler(inst.Network, sch, opts...)
 	if err != nil {

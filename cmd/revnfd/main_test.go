@@ -135,6 +135,11 @@ func TestDaemonFlagValidation(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
+	// A negative pool size used to run the default silently.
+	err := run(ctx, []string{"-scheme", "shared", "-pool-size", "-3"}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "-pool-size") {
+		t.Errorf("negative -pool-size: err = %v, want one naming the flag", err)
+	}
 }
 
 func TestDaemonOffsiteScheme(t *testing.T) {

@@ -23,7 +23,6 @@ import (
 	"revnf/internal/core"
 	"revnf/internal/experiments"
 	"revnf/internal/onsite"
-	"revnf/internal/pool"
 	"revnf/internal/qos"
 	"revnf/internal/simulate"
 	"revnf/internal/topology"
@@ -65,24 +64,6 @@ func run(args []string, out io.Writer) error {
 	inst, err := loadOrGenerate(*instance, *topo, *cloudlets, *requests, *horizon, *seed)
 	if err != nil {
 		return err
-	}
-
-	if *algorithm == "pooled" {
-		if sch != core.OnSite {
-			return fmt.Errorf("pooled admission is an on-site mechanism")
-		}
-		res, err := pool.Run(inst)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "algorithm:        pooled-greedy (on-site, shared backups)\n")
-		fmt.Fprintf(out, "requests:         %d\n", len(inst.Trace))
-		fmt.Fprintf(out, "admitted:         %d (%.1f%%)\n", res.Admitted, 100*res.AdmissionRate())
-		fmt.Fprintf(out, "revenue:          %.2f\n", res.Revenue)
-		fmt.Fprintf(out, "mean utilization: %.1f%%\n", 100*res.Utilization)
-		fmt.Fprintf(out, "backup units:     %d pooled vs %d dedicated (saved %d)\n",
-			res.BackupUnits, res.DedicatedBackupUnits, res.DedicatedBackupUnits-res.BackupUnits)
-		return nil
 	}
 
 	sched, allowViolations, err := buildScheduler(*algorithm, sch, *poolSize, inst, *seed)
@@ -188,13 +169,14 @@ func buildScheduler(algorithm string, scheme core.Scheme, poolSize int, inst *wo
 	if !alg.Valid() {
 		return nil, false, fmt.Errorf("unknown -algorithm %q (want pd|raw|greedy|firstfit|random)", algorithm)
 	}
+	if poolSize < 0 {
+		return nil, false, fmt.Errorf("-pool-size %d: want a positive pool size, or 0 for the default", poolSize)
+	}
 	opts := []revnf.SchedulerOption{
 		revnf.WithAlgorithm(alg),
 		revnf.WithHorizon(inst.Horizon),
 		revnf.WithRNG(rand.New(rand.NewSource(seed))),
-	}
-	if poolSize > 0 {
-		opts = append(opts, revnf.WithSharedPoolSize(poolSize))
+		revnf.WithSharedPoolSize(poolSize), // 0 keeps the default
 	}
 	s, err := revnf.NewScheduler(inst.Network, scheme, opts...)
 	if err != nil {

@@ -103,21 +103,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-instance", "/does/not/exist.json"}, &sb); err == nil {
 		t.Error("missing instance file did not error")
 	}
-}
-
-func TestRunPooled(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-algorithm", "pooled", "-requests", "40", "-seed", "3"}, &sb); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	out := sb.String()
-	for _, want := range []string{"pooled-greedy", "backup units", "saved"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	if err := run([]string{"-algorithm", "pooled", "-scheme", "offsite"}, &sb); err == nil {
-		t.Error("pooled off-site did not error")
+	// A negative pool size used to run the default silently.
+	if err := run([]string{"-scheme", "shared", "-pool-size", "-3"}, &sb); err == nil || !strings.Contains(err.Error(), "-pool-size") {
+		t.Errorf("negative -pool-size: err = %v, want one naming the flag", err)
 	}
 }
 

@@ -54,42 +54,6 @@ func TestChainFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPoolFacade drives shared backup pooling through the public API.
-func TestPoolFacade(t *testing.T) {
-	s, err := PoolSurvival(4, 2, 0.9)
-	if err != nil {
-		t.Fatalf("PoolSurvival: %v", err)
-	}
-	if s <= 0.9 || s >= 1 {
-		t.Errorf("PoolSurvival = %v", s)
-	}
-	b, err := PoolMinBackups(4, 0.9, 0.99, 0.9)
-	if err != nil {
-		t.Fatalf("PoolMinBackups: %v", err)
-	}
-	if b < 1 {
-		t.Errorf("PoolMinBackups = %d", b)
-	}
-	cfg := DefaultInstanceConfig(80)
-	cfg.Cloudlets.Count = 4
-	cfg.Trace.Horizon = 20
-	cfg.Trace.MaxDuration = 5
-	inst, err := NewInstance(cfg, 4)
-	if err != nil {
-		t.Fatalf("NewInstance: %v", err)
-	}
-	res, err := RunPooled(inst)
-	if err != nil {
-		t.Fatalf("RunPooled: %v", err)
-	}
-	if res.Admitted == 0 {
-		t.Error("pooled admission admitted nothing")
-	}
-	if res.BackupUnits > res.DedicatedBackupUnits {
-		t.Errorf("pooled backups %d exceed dedicated %d", res.BackupUnits, res.DedicatedBackupUnits)
-	}
-}
-
 // TestQoSAndTimelineFacade drives the QoS and timeline analyses through
 // the public API.
 func TestQoSAndTimelineFacade(t *testing.T) {

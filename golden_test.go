@@ -9,6 +9,7 @@ import (
 	"revnf/internal/core"
 	"revnf/internal/offsite"
 	"revnf/internal/onsite"
+	"revnf/internal/oracle"
 	"revnf/internal/shared"
 	"revnf/internal/simulate"
 	"revnf/internal/workload"
@@ -213,6 +214,70 @@ func TestGoldenDecide(t *testing.T) {
 				t.Fatal("decideOnly still exposes the two-phase methods")
 			}
 			e.check(t, inst, serial)
+		})
+	}
+}
+
+// TestAdmittedPlacementsMeetRequirementUnderOracle checks the paper's
+// claim, P(A_i) ≥ R_i for every admitted request, on the golden instance
+// against internal/oracle's state enumeration instead of against the closed
+// forms the schedulers and Placement.Validate share: a bug common to those
+// would pass every golden and fail here. The shared scheme is enumerated at
+// its pool's full capacity with every peer at the network's least reliable
+// cloudlet, the conditions the admission promises to hold under.
+func TestAdmittedPlacementsMeetRequirementUnderOracle(t *testing.T) {
+	inst, err := revnf.NewInstance(revnf.DefaultInstanceConfig(500), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := inst.Network
+	worst := 1.0
+	for _, cl := range n.Cloudlets {
+		worst = min(worst, cl.Reliability)
+	}
+	for name, build := range map[string]func() (core.Scheduler, error){
+		"pd-onsite": func() (core.Scheduler, error) {
+			return onsite.NewScheduler(n, inst.Horizon, onsite.WithCapacityEnforcement())
+		},
+		"pd-offsite":   func() (core.Scheduler, error) { return offsite.NewScheduler(n, inst.Horizon) },
+		"pd-shared-k2": func() (core.Scheduler, error) { return shared.NewScheduler(n, inst.Horizon, shared.WithPoolSize(2)) },
+		"pd-shared-k4": func() (core.Scheduler, error) { return shared.NewScheduler(n, inst.Horizon, shared.WithPoolSize(4)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			sched, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := simulate.Run(inst, sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Admitted < 100 {
+				t.Fatalf("only %d admissions to check", res.Admitted)
+			}
+			for i, d := range res.Decisions {
+				if !d.Admitted {
+					continue
+				}
+				req, p := inst.Trace[i], d.Placement
+				if req.ID != d.Request {
+					t.Fatalf("decision %d is for request %d, trace has %d", i, d.Request, req.ID)
+				}
+				rf := n.Catalog[req.VNF].Reliability
+				var sites []oracle.Site
+				for _, a := range p.Assignments {
+					sites = append(sites, oracle.Site{Rc: n.Cloudlets[a.Cloudlet].Reliability, N: a.Instances})
+				}
+				var pool *oracle.Pool
+				if b := p.Backup; b != nil {
+					pool = &oracle.Pool{Rc: n.Cloudlets[b.Cloudlet].Reliability, PeerRel: rf * worst, Peers: b.PoolSize - 1}
+				}
+				avail := oracle.Availability(rf, sites, pool)
+				if avail+1e-12 < req.Reliability {
+					t.Errorf("request %d admitted onto %v (backup %+v): enumerated availability %v < R = %v",
+						req.ID, p.Assignments, p.Backup, avail, req.Reliability)
+				}
+			}
 		})
 	}
 }

@@ -27,7 +27,6 @@ var DeterministicPkgs = map[string]bool{
 	"revnf/internal/dual":     true,
 	"revnf/internal/baseline": true,
 	"revnf/internal/chain":    true,
-	"revnf/internal/pool":     true,
 	"revnf/internal/simulate": true,
 	"revnf/internal/core":     true,
 	"revnf/internal/timeslot": true,

@@ -110,17 +110,10 @@ func (p Placement) UnitsPerCloudlet(catalog []core.VNF) map[int]int {
 }
 
 // StageAvailability returns the probability that stage st has at least one
-// live instance, accounting for cloudlet failures.
+// live instance, accounting for cloudlet failures: a stage is one more
+// footprint of the admission predicate.
 func StageAvailability(n *core.Network, st StagePlacement) float64 {
-	rf := n.Catalog[st.VNF].Reliability
-	dead := 1.0
-	for _, a := range st.Assignments {
-		rc := n.Cloudlets[a.Cloudlet].Reliability
-		// The cloudlet is up with probability rc; given up, all its
-		// instances fail with probability (1-rf)^k.
-		dead *= 1 - rc*(1-math.Pow(1-rf, float64(a.Instances)))
-	}
-	return 1 - dead
+	return core.Availability(n, st.VNF, st.Assignments)
 }
 
 // Availability returns the whole-chain availability of the placement.
@@ -286,7 +279,7 @@ func (p Placement) Validate(n *core.Network, r Request) error {
 	default:
 		return fmt.Errorf("%w: scheme %d", ErrBadPlacement, int(p.Scheme))
 	}
-	if got := p.Availability(n, r); got+1e-12 < r.Reliability {
+	if got := p.Availability(n, r); !core.MeetsRequirement(got, r.Reliability) {
 		return fmt.Errorf("%w: availability %v < %v", core.ErrBelowRequirement, got, r.Reliability)
 	}
 	return nil

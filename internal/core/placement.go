@@ -68,9 +68,6 @@ func (p Placement) Validate(n *Network, r Request) error {
 	if p.Request != r.ID {
 		return fmt.Errorf("%w: placement for request %d checked against %d", ErrBadPlacement, p.Request, r.ID)
 	}
-	if !p.Scheme.Valid() {
-		return fmt.Errorf("%w: invalid scheme %d", ErrBadPlacement, int(p.Scheme))
-	}
 	if len(p.Assignments) == 0 {
 		return fmt.Errorf("%w: no assignments", ErrBadPlacement)
 	}
@@ -89,7 +86,6 @@ func (p Placement) Validate(n *Network, r Request) error {
 			}
 		}
 	}
-	rf := n.Catalog[r.VNF].Reliability
 	if p.Scheme != Shared && p.Backup != nil {
 		return fmt.Errorf("%w: %v placement carries a shared backup", ErrBadPlacement, p.Scheme)
 	}
@@ -97,11 +93,6 @@ func (p Placement) Validate(n *Network, r Request) error {
 	case OnSite:
 		if len(p.Assignments) != 1 {
 			return fmt.Errorf("%w: on-site placement spans %d cloudlets", ErrBadPlacement, len(p.Assignments))
-		}
-		a := p.Assignments[0]
-		got := OnsiteReliability(rf, n.Cloudlets[a.Cloudlet].Reliability, a.Instances)
-		if got+relEpsilon < r.Reliability {
-			return fmt.Errorf("%w: on-site availability %v < %v", ErrBelowRequirement, got, r.Reliability)
 		}
 	case Shared:
 		if len(p.Assignments) != 1 {
@@ -127,59 +118,47 @@ func (p Placement) Validate(n *Network, r Request) error {
 		if b.PoolSize < 1 {
 			return fmt.Errorf("%w: shared pool size %d", ErrBadPlacement, b.PoolSize)
 		}
-		// Peers contend at the network-wide floor so membership stays
-		// sound regardless of which primary cloudlets the group mixes.
-		floor := SharedContentionFloor(rf, n.Cloudlets)
-		got := SharedReliabilityK(rf, n.Cloudlets[a.Cloudlet].Reliability, n.Cloudlets[b.Cloudlet].Reliability, floor, b.PoolSize)
-		if got+relEpsilon < r.Reliability {
-			return fmt.Errorf("%w: shared availability %v < %v", ErrBelowRequirement, got, r.Reliability)
-		}
 	case OffSite:
 		for _, a := range p.Assignments {
 			if a.Instances != 1 {
 				return fmt.Errorf("%w: off-site assignment with %d instances in cloudlet %d", ErrBadPlacement, a.Instances, a.Cloudlet)
 			}
 		}
-		got := p.offsiteAvailability(n, rf)
-		if got+relEpsilon < r.Reliability {
-			return fmt.Errorf("%w: off-site availability %v < %v", ErrBelowRequirement, got, r.Reliability)
-		}
+	default:
+		return fmt.Errorf("%w: invalid scheme %d", ErrBadPlacement, int(p.Scheme))
+	}
+	if got := p.Availability(n, r); !MeetsRequirement(got, r.Reliability) {
+		return fmt.Errorf("%w: %v availability %v < %v", ErrBelowRequirement, p.Scheme, got, r.Reliability)
 	}
 	return nil
 }
 
 // Availability returns the probability that at least one instance of the
-// placement is operational, given the network's reliabilities.
+// placement is operational — the one place a scheme is mapped onto the
+// general product. The dedicated schemes are Availability of their
+// assignments; a shared placement's pooled backup is one more factor, scaled
+// by the occupancy term at the pool's capacity with peers at the network-wide
+// floor (SharedReliabilityK). A placement not shaped for its scheme has 0.
 func (p Placement) Availability(n *Network, r Request) float64 {
-	rf := n.Catalog[r.VNF].Reliability
 	switch p.Scheme {
 	case OnSite:
 		if len(p.Assignments) != 1 {
 			return 0
 		}
+		// Availability's one-site case, asked directly: on the admit path
+		// the call in between is a measurable 1.3 ns (DESIGN.md §3.1).
 		a := p.Assignments[0]
-		return OnsiteReliability(rf, n.Cloudlets[a.Cloudlet].Reliability, a.Instances)
+		return OnsiteReliability(n.Catalog[r.VNF].Reliability, n.Cloudlets[a.Cloudlet].Reliability, a.Instances)
+	case OffSite:
+		return Availability(n, r.VNF, p.Assignments)
 	case Shared:
 		if len(p.Assignments) != 1 || p.Backup == nil {
 			return 0
 		}
-		a := p.Assignments[0]
-		return SharedReliabilityK(rf, n.Cloudlets[a.Cloudlet].Reliability,
+		rf := n.Catalog[r.VNF].Reliability
+		return SharedReliabilityK(rf, n.Cloudlets[p.Assignments[0].Cloudlet].Reliability,
 			n.Cloudlets[p.Backup.Cloudlet].Reliability,
 			SharedContentionFloor(rf, n.Cloudlets), p.Backup.PoolSize)
-	case OffSite:
-		return p.offsiteAvailability(n, rf)
-	default:
-		return 0
 	}
-}
-
-// offsiteAvailability is OffsiteReliability over the assignments' cloudlets,
-// multiplied in the same order without collecting them into a slice first.
-func (p Placement) offsiteAvailability(n *Network, rf float64) float64 {
-	fail := 1.0
-	for _, a := range p.Assignments {
-		fail *= 1 - rf*n.Cloudlets[a.Cloudlet].Reliability
-	}
-	return 1 - fail
+	return 0
 }

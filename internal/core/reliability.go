@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // relEpsilon absorbs floating-point noise when comparing reliabilities: a
@@ -12,6 +11,44 @@ import (
 // round conservatively, so the tolerance is only ever consumed by the final
 // comparison, never by sizing decisions.
 const relEpsilon = 1e-12
+
+// MeetsRequirement is the paper's inequality P(A_i) ≥ R_i as every consumer
+// compares it — the admission gate, the repair health check, chain
+// placements, the SLO ledger — so no two of them disagree at the boundary.
+func MeetsRequirement(avail, req float64) bool {
+	return avail+relEpsilon >= req
+}
+
+// Availability returns P(A), the probability that at least one instance of
+// VNF vnf in the footprint is up in an up cloudlet, at n.Cloudlets' rates
+// (learned ones enter as n.WithReliabilities(src)):
+//
+//	1 − Π_j (1 − r(c_j)·(1−(1−r(f))^n_j))
+//
+// One site is Eqs. (2)-(3), one instance per site Eq. (10), a chain stage or
+// the survivors of a failure any mix. The two shapes the schedulers propose
+// equal their closed forms to the bit: one site is its own term,
+// OnsiteReliability — the expression ReliabilityTable's steps are read off,
+// so the gate cannot refuse at a knife edge what the table just proposed —
+// and a single-instance site among several contributes Eq. (10)'s factor
+// 1 − r(f)·r(c_j) as OffsiteReliability writes it. A site without instances
+// contributes nothing; an empty footprint has availability 0.
+func Availability(n *Network, vnf int, sites []Assignment) float64 {
+	rf := n.Catalog[vnf].Reliability
+	if len(sites) == 1 {
+		return OnsiteReliability(rf, n.Cloudlets[sites[0].Cloudlet].Reliability, sites[0].Instances)
+	}
+	fail := 1.0
+	for _, a := range sites {
+		rc := n.Cloudlets[a.Cloudlet].Reliability
+		if a.Instances == 1 {
+			fail *= 1 - rf*rc
+		} else {
+			fail *= 1 - OnsiteReliability(rf, rc, a.Instances)
+		}
+	}
+	return 1 - fail
+}
 
 // OnsiteInstances returns N, the minimum number of primary plus backup
 // instances of a VNF with reliability rf that must be placed in a cloudlet
@@ -51,7 +88,8 @@ func OnsiteReliability(rf, rc float64, n int) float64 {
 
 // OffsiteReliability returns 1 - Π(1 - rf·rc_j) over the supplied cloudlet
 // reliabilities: the availability of a request with one instance of a VNF
-// with reliability rf in each of the cloudlets (Eq. (10)).
+// with reliability rf in each of the cloudlets (Eq. (10)): the reference
+// tests hold schedulers and Availability to; serving code asks Availability.
 func OffsiteReliability(rf float64, rcs []float64) float64 {
 	fail := 1.0
 	for _, rc := range rcs {
@@ -78,28 +116,4 @@ func RequirementWeight(req float64) float64 {
 // requirement weight, with floating-point tolerance.
 func WeightsSatisfy(totalWeight, requirementWeight float64) bool {
 	return totalWeight+relEpsilon >= requirementWeight
-}
-
-// MinOffsiteCloudlets returns the smallest k such that placing one instance
-// in each of the k most reliable cloudlets meets req, or an error when even
-// using every cloudlet falls short. It is a feasibility oracle used by
-// workload generators and tests.
-func MinOffsiteCloudlets(rf, req float64, cloudlets []Cloudlet) (int, error) {
-	if !validProbability(rf) || !validProbability(req) {
-		return 0, fmt.Errorf("%w: rf=%v req=%v", ErrBadReliability, rf, req)
-	}
-	rcs := make([]float64, len(cloudlets))
-	for i, c := range cloudlets {
-		rcs[i] = c.Reliability
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(rcs)))
-	need := RequirementWeight(req)
-	total := 0.0
-	for k, rc := range rcs {
-		total += OffsiteWeight(rf, rc)
-		if WeightsSatisfy(total, need) {
-			return k + 1, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: requirement %v unreachable with %d cloudlets", ErrInfeasible, req, len(cloudlets))
 }

@@ -142,70 +142,3 @@ func TestWeightEquivalenceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMinOffsiteCloudlets(t *testing.T) {
-	cloudlets := []Cloudlet{
-		{ID: 0, Capacity: 1, Reliability: 0.95},
-		{ID: 1, Capacity: 1, Reliability: 0.99},
-		{ID: 2, Capacity: 1, Reliability: 0.90},
-	}
-	// rf=0.9: best single product = 0.9*0.99 = 0.891 ≥ 0.85 → 1 cloudlet.
-	k, err := MinOffsiteCloudlets(0.9, 0.85, cloudlets)
-	if err != nil || k != 1 {
-		t.Errorf("MinOffsiteCloudlets(0.85) = %d, %v; want 1, nil", k, err)
-	}
-	// Requirement above best single product but below two.
-	k, err = MinOffsiteCloudlets(0.9, 0.95, cloudlets)
-	if err != nil || k != 2 {
-		t.Errorf("MinOffsiteCloudlets(0.95) = %d, %v; want 2, nil", k, err)
-	}
-	// Unreachable: even all three cloudlets cap out below 0.9999.
-	all := OffsiteReliability(0.9, []float64{0.95, 0.99, 0.90})
-	if all >= 0.9999 {
-		t.Fatalf("test setup: expected unreachable requirement, got %v", all)
-	}
-	if _, err = MinOffsiteCloudlets(0.9, 0.9999, cloudlets); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("unreachable requirement err = %v, want ErrInfeasible", err)
-	}
-	if _, err = MinOffsiteCloudlets(0, 0.9, cloudlets); !errors.Is(err, ErrBadReliability) {
-		t.Errorf("bad rf err = %v, want ErrBadReliability", err)
-	}
-}
-
-// Property: MinOffsiteCloudlets returns the minimum k: the top-(k-1) set
-// never satisfies the requirement.
-func TestMinOffsiteCloudletsMinimalProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 500; trial++ {
-		m := 2 + rng.Intn(8)
-		cloudlets := make([]Cloudlet, m)
-		rcs := make([]float64, m)
-		for i := range cloudlets {
-			rcs[i] = 0.85 + 0.14*rng.Float64()
-			cloudlets[i] = Cloudlet{ID: i, Capacity: 1, Reliability: rcs[i]}
-		}
-		rf := 0.6 + 0.39*rng.Float64()
-		req := 0.8 + 0.19*rng.Float64()
-		k, err := MinOffsiteCloudlets(rf, req, cloudlets)
-		if err != nil {
-			continue // genuinely unreachable; nothing to check
-		}
-		// Top-k by reliability must satisfy; top-(k-1) must not.
-		sorted := append([]float64(nil), rcs...)
-		for i := range sorted {
-			for j := i + 1; j < len(sorted); j++ {
-				if sorted[j] > sorted[i] {
-					sorted[i], sorted[j] = sorted[j], sorted[i]
-				}
-			}
-		}
-		if got := OffsiteReliability(rf, sorted[:k]); got+1e-9 < req {
-			t.Fatalf("trial %d: top-%d availability %v < req %v", trial, k, got, req)
-		}
-		if k > 1 {
-			if got := OffsiteReliability(rf, sorted[:k-1]); got >= req+1e-9 {
-				t.Fatalf("trial %d: top-%d already satisfies (%v ≥ %v), k=%d not minimal", trial, k-1, got, req, k)
-			}
-		}
-	}
-}

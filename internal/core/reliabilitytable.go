@@ -242,12 +242,6 @@ func (t *ReliabilityTable) onsiteSteps(vnf, cloudlet int) []float64 {
 	return steps
 }
 
-// OnsiteFeasible reports whether the pair can serve a requirement at all
-// (rc > req), without allocating an error.
-func (t *ReliabilityTable) OnsiteFeasible(cloudlet int, req float64) bool {
-	return t.rcs[cloudlet] > req
-}
-
 // OffsiteWeight returns the cached -ln(1 - rf·rc) for the pair.
 func (t *ReliabilityTable) OffsiteWeight(vnf, cloudlet int) float64 {
 	return t.weight[vnf][cloudlet]

@@ -54,8 +54,8 @@ func TestReliabilityTableMatchesClosedForm(t *testing.T) {
 			if !errors.Is(gotErr, ErrInfeasible) && !errors.Is(gotErr, ErrBadReliability) {
 				t.Fatalf("trial %d: unexpected error class %v", trial, gotErr)
 			}
-			if table.OnsiteFeasible(j, req) && errors.Is(gotErr, ErrInfeasible) {
-				t.Fatalf("trial %d: OnsiteFeasible disagrees with ErrInfeasible", trial)
+			if rc > req && errors.Is(gotErr, ErrInfeasible) {
+				t.Fatalf("trial %d: ErrInfeasible for a requirement below rc", trial)
 			}
 			continue
 		}

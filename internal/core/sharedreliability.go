@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // DefaultSharedPoolSize is the pool capacity k the shared scheme uses when
 // no explicit size is configured: up to k admitted requests share one
@@ -63,9 +60,8 @@ func sharedFree(q float64, k int) float64 {
 	return (1 - math.Pow(1-pf, float64(k))) / (float64(k) * pf)
 }
 
-// maxSharedLadder bounds the precomputed Free(k) ladder per VNF type and
-// the pool sizes MaxSharedPoolSize scans; larger pools fall back to the
-// closed form.
+// maxSharedLadder bounds the precomputed Free(k) ladder per VNF type;
+// larger pools fall back to the closed form.
 const maxSharedLadder = 16
 
 // SharedReliability is the exact heterogeneous form of SharedReliabilityK:
@@ -74,7 +70,8 @@ const maxSharedLadder = 16
 // Poisson-binomial; E[1/(1+X)] is computed by an O(len(peerFail)²) dynamic
 // program over the contender-count distribution. With all peerFail equal
 // to 1 − peerRel and len(peerFail) = k−1 it agrees with SharedReliabilityK
-// up to floating-point association.
+// up to floating-point association. It is the reference tests hold the
+// binomial closed form to; nothing on the serving path calls it.
 func SharedReliability(rf, rcA, rcB float64, peerFail []float64) float64 {
 	q := rf * rcA
 	// pmf[x] = P(X = x contenders) over the peers, built incrementally.
@@ -92,28 +89,6 @@ func SharedReliability(rf, rcA, rcB float64, peerFail []float64) float64 {
 		free += p / float64(x+1)
 	}
 	return q + (1-q)*(rf*rcB)*free
-}
-
-// MaxSharedPoolSize returns the largest pool capacity k such that a member
-// of a full k-group on the cloudlet pair (rcA primary, rcB backup), with
-// peers contending at peerRel, still meets requirement req:
-// SharedReliabilityK is strictly decreasing in k, so the result is found
-// by scanning up from 1. It returns ErrInfeasible when even a dedicated
-// backup (k = 1) falls short, and caps the scan at maxSharedLadder since
-// larger pools are never priced by the schedulers.
-func MaxSharedPoolSize(rf, rcA, rcB, peerRel, req float64) (int, error) {
-	if !validProbability(rf) || !validProbability(rcA) || !validProbability(rcB) ||
-		!validProbability(peerRel) || !validProbability(req) {
-		return 0, fmt.Errorf("%w: rf=%v rcA=%v rcB=%v peerRel=%v req=%v", ErrBadReliability, rf, rcA, rcB, peerRel, req)
-	}
-	if SharedReliabilityK(rf, rcA, rcB, peerRel, 1)+relEpsilon < req {
-		return 0, fmt.Errorf("%w: shared requirement %v unreachable even dedicated", ErrInfeasible, req)
-	}
-	k := 1
-	for k < maxSharedLadder && SharedReliabilityK(rf, rcA, rcB, peerRel, k+1)+relEpsilon >= req {
-		k++
-	}
-	return k, nil
 }
 
 // SharedContentionFloor returns the conservative peer reliability the

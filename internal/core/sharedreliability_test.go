@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 )
@@ -98,29 +97,6 @@ func TestSharedReliabilityBounds(t *testing.T) {
 		if q := rf * rcA; a+relEpsilon < q {
 			t.Fatalf("availability %v below bare active path %v", a, q)
 		}
-	}
-}
-
-// TestMaxSharedPoolSize pins the feasibility oracle: the returned k meets
-// the requirement, k+1 does not (or the ladder cap was hit), and an
-// unreachable requirement reports ErrInfeasible.
-func TestMaxSharedPoolSize(t *testing.T) {
-	rf, rcA, rcB := 0.9, 0.95, 0.95
-	k, err := MaxSharedPoolSize(rf, rcA, rcB, rf*rcA, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if SharedReliabilityK(rf, rcA, rcB, rf*rcA, k)+relEpsilon < 0.95 {
-		t.Fatalf("k=%d does not meet requirement", k)
-	}
-	if k < maxSharedLadder && SharedReliabilityK(rf, rcA, rcB, rf*rcA, k+1)+relEpsilon >= 0.95 {
-		t.Fatalf("k=%d is not maximal", k)
-	}
-	if _, err := MaxSharedPoolSize(0.9, 0.91, 0.91, 0.9*0.91, 0.999); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("err = %v, want ErrInfeasible", err)
-	}
-	if _, err := MaxSharedPoolSize(1.5, 0.9, 0.9, 0.9, 0.9); !errors.Is(err, ErrBadReliability) {
-		t.Fatalf("err = %v, want ErrBadReliability", err)
 	}
 }
 

@@ -16,26 +16,12 @@ type ReliabilitySource interface {
 	CloudletReliability(cloudlet int) float64
 }
 
-// CatalogReliability is the default source: the static r(c_j) values of
-// the network catalog, exactly what every scheduler consumes today.
-type CatalogReliability struct {
-	Network *Network
-}
-
-// CloudletReliability implements ReliabilitySource.
-func (s CatalogReliability) CloudletReliability(cloudlet int) float64 {
-	if s.Network == nil || cloudlet < 0 || cloudlet >= len(s.Network.Cloudlets) {
-		return 0
-	}
-	return s.Network.Cloudlets[cloudlet].Reliability
-}
-
 // WithReliabilities returns a copy of the network whose cloudlet
 // reliabilities come from src; catalog values are kept wherever src
-// returns a value outside the open interval (0,1). Rebuilding a
-// scheduler from the copy makes it consume the source's rates in place
-// of catalog values — the seam's path into the admission math, which
-// keys every instance ladder and dual price off Network.Cloudlets.
+// returns a value outside the open interval (0,1). A scheduler rebuilt
+// from the copy, or a health check handed it, consumes the source's rates
+// in place of catalog values — the seam's path into the admission math,
+// which keys every ladder, dual price and Availability off Network.Cloudlets.
 func (n *Network) WithReliabilities(src ReliabilitySource) *Network {
 	clone := &Network{
 		Catalog:   append([]VNF(nil), n.Catalog...),

@@ -12,25 +12,6 @@ func sourceTestNetwork() *Network {
 	}
 }
 
-func TestCatalogReliability(t *testing.T) {
-	n := sourceTestNetwork()
-	src := CatalogReliability{Network: n}
-	if got := src.CloudletReliability(0); got != 0.99 {
-		t.Errorf("CloudletReliability(0) = %v, want 0.99", got)
-	}
-	if got := src.CloudletReliability(1); got != 0.95 {
-		t.Errorf("CloudletReliability(1) = %v, want 0.95", got)
-	}
-	for _, j := range []int{-1, 2} {
-		if got := src.CloudletReliability(j); got != 0 {
-			t.Errorf("CloudletReliability(%d) = %v, want 0 for out of range", j, got)
-		}
-	}
-	if got := (CatalogReliability{}).CloudletReliability(0); got != 0 {
-		t.Errorf("nil-network source returned %v, want 0", got)
-	}
-}
-
 type fixedSource map[int]float64
 
 func (s fixedSource) CloudletReliability(j int) float64 { return s[j] }

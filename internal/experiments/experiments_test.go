@@ -268,21 +268,6 @@ func TestAblationLatencyPenalty(t *testing.T) {
 	}
 }
 
-func TestAblationPooling(t *testing.T) {
-	s := smallSetup()
-	tbl, err := s.AblationPooling([]int{30, 60})
-	if err != nil {
-		t.Fatalf("AblationPooling: %v", err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(tbl.Rows))
-	}
-	var sb strings.Builder
-	if err := tbl.Render(&sb); err != nil {
-		t.Fatalf("render: %v", err)
-	}
-}
-
 func TestChainComparison(t *testing.T) {
 	s := smallSetup()
 	s.Optimal = OptimalLPBound

@@ -65,7 +65,7 @@ func (s Setup) SchemeComparison(requests, poolSize int) (*metrics.Table, []Schem
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if poolSize < 1 {
+	if poolSize == 0 {
 		poolSize = core.DefaultSharedPoolSize
 	}
 	schemes := []core.Scheme{core.OnSite, core.OffSite, core.Shared}

@@ -16,7 +16,6 @@
 package repair
 
 import (
-	"math"
 	"sync"
 
 	"revnf/internal/core"
@@ -191,88 +190,40 @@ func (c *Controller) Stats() Stats {
 	return s
 }
 
-// meetsTolerance absorbs float rounding when comparing the surviving
-// availability against the requirement, mirroring the admission math.
-const meetsTolerance = 1e-12
-
 // Meets evaluates a surviving footprint against a request's reliability
-// target: the availability of the alive instances is
-//
-//	1 − Π_j (1 − r(c_j)·(1−(1−rf)^k_j))
-//
-// over the cloudlets j still holding k_j live instances, which
-// specializes to core.OnsiteReliability for one cloudlet and to
-// core.OffsiteReliability for one instance per cloudlet. Rates r(c_j)
-// come from src, so health checks can run on learned rates instead of
-// the catalog. An empty footprint never meets.
-func Meets(n *core.Network, req core.Request, alive []core.Assignment, src core.ReliabilitySource) (float64, bool) {
-	if src == nil {
-		src = core.CatalogReliability{Network: n}
-	}
-	rf := n.Catalog[req.VNF].Reliability
-	fail := 1.0
-	for _, a := range alive {
-		if a.Instances <= 0 {
-			continue
-		}
-		rc := src.CloudletReliability(a.Cloudlet)
-		fail *= 1 - rc*(1-math.Pow(1-rf, float64(a.Instances)))
-	}
-	avail := 1 - fail
-	return avail, len(alive) > 0 && avail+meetsTolerance >= req.Reliability
+// target: the admission predicate asked of the instances still alive, at
+// the rates of n — the catalog the placement was provisioned under, or
+// n.WithReliabilities(src) for learned ones. Nothing alive never meets.
+func Meets(n *core.Network, req core.Request, alive []core.Assignment) (float64, bool) {
+	avail := core.Availability(n, req.VNF, alive)
+	return avail, avail > 0 && core.MeetsRequirement(avail, req.Reliability)
 }
 
 // MeetsPlacement is the scheme-aware form of Meets: dedicated placements
-// delegate to Meets over their alive assignments, while shared placements
-// are scored with the pooled-backup occupancy model. For a shared
-// placement the alive set may contain the primary assignment and/or the
-// pooled backup instance (the engine watches both); the availability is
-//
-//   - both alive:    core.SharedReliabilityK at the pool's capacity, with
-//     peers contending at the floor over src's rates,
-//   - primary only:  the bare active path rf·r(c_a),
-//   - backup only:   the pooled backup path alone (a zero-reliability
-//     primary in the same closed form),
-//   - neither:       0, never meeting.
-func MeetsPlacement(n *core.Network, req core.Request, p core.Placement, alive []core.Assignment, src core.ReliabilitySource) (float64, bool) {
+// delegate to it, shared ones are scored with the occupancy model they were
+// admitted under. The alive set of a shared placement may hold the primary
+// and/or the pooled backup instance (the engine watches both); a dead side
+// enters core.SharedReliabilityK with rate 0, which leaves the admitted
+// availability when both live, the bare active path rf·r(c_a) for the
+// primary alone, the pooled backup path for the backup alone, and 0 —
+// never meeting — for neither.
+func MeetsPlacement(n *core.Network, req core.Request, p core.Placement, alive []core.Assignment) (float64, bool) {
 	if p.Scheme != core.Shared || p.Backup == nil || len(p.Assignments) != 1 {
-		return Meets(n, req, alive, src)
+		return Meets(n, req, alive)
 	}
-	if src == nil {
-		src = core.CatalogReliability{Network: n}
-	}
-	rf := n.Catalog[req.VNF].Reliability
-	primary, backup := false, false
+	var rcA, rcB float64
 	for _, a := range alive {
 		if a.Instances <= 0 {
 			continue
 		}
 		if a.Cloudlet == p.Assignments[0].Cloudlet {
-			primary = true
+			rcA = n.Cloudlets[a.Cloudlet].Reliability
 		}
 		if a.Cloudlet == p.Backup.Cloudlet {
-			backup = true
+			rcB = n.Cloudlets[a.Cloudlet].Reliability
 		}
 	}
-	if !primary && !backup {
-		return 0, false
-	}
-	rcA := 0.0
-	if primary {
-		rcA = src.CloudletReliability(p.Assignments[0].Cloudlet)
-	}
-	avail := rf * rcA
-	if backup {
-		// The contention floor over src's current rates: peers are assumed
-		// at the least reliable cloudlet, keeping the bound sound for any
-		// group membership (mirrors core.SharedContentionFloor).
-		rcMin := math.Inf(1)
-		for j := range n.Cloudlets {
-			if rc := src.CloudletReliability(j); rc < rcMin {
-				rcMin = rc
-			}
-		}
-		avail = core.SharedReliabilityK(rf, rcA, src.CloudletReliability(p.Backup.Cloudlet), rf*rcMin, p.Backup.PoolSize)
-	}
-	return avail, avail+meetsTolerance >= req.Reliability
+	rf := n.Catalog[req.VNF].Reliability
+	avail := core.SharedReliabilityK(rf, rcA, rcB, core.SharedContentionFloor(rf, n.Cloudlets), p.Backup.PoolSize)
+	return avail, avail > 0 && core.MeetsRequirement(avail, req.Reliability)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"revnf/internal/core"
+	"revnf/internal/oracle"
 )
 
 func repairNetwork() *core.Network {
@@ -17,49 +18,44 @@ func repairNetwork() *core.Network {
 	}
 }
 
+// TestMeetsMatchesCoreFormulas holds the health check to the state
+// enumeration — Meets calls core.Availability, so comparing it with core's
+// closed forms would compare a function with itself.
 func TestMeetsMatchesCoreFormulas(t *testing.T) {
 	n := repairNetwork()
 	req := core.Request{ID: 1, VNF: 0, Reliability: 0.9, Arrival: 1, Duration: 2}
+	enumerate := func(n *core.Network, alive []core.Assignment) float64 {
+		var sites []oracle.Site
+		for _, a := range alive {
+			sites = append(sites, oracle.Site{Rc: n.Cloudlets[a.Cloudlet].Reliability, N: a.Instances})
+		}
+		return oracle.Availability(n.Catalog[req.VNF].Reliability, sites, nil)
+	}
+	for _, tc := range []struct {
+		name  string
+		alive []core.Assignment
+		meets bool
+	}{
+		{"one cloudlet, two instances (on-site)", []core.Assignment{{Cloudlet: 0, Instances: 2}}, true}, // 0.9504
+		{"one instance per cloudlet (off-site)", []core.Assignment{{Cloudlet: 0, Instances: 1}, {Cloudlet: 1, Instances: 1}}, true},
+		{"mixed survivors", []core.Assignment{{Cloudlet: 0, Instances: 0}, {Cloudlet: 1, Instances: 3}}, true},
+		{"degraded to one instance", []core.Assignment{{Cloudlet: 1, Instances: 1}}, false}, // 0.76
+		{"every instance lost", []core.Assignment{{Cloudlet: 0, Instances: 0}}, false},
+		{"empty", nil, false},
+	} {
+		got, ok := Meets(n, req, tc.alive)
+		if want := enumerate(n, tc.alive); math.Abs(got-want) > 1e-12 || ok != tc.meets {
+			t.Errorf("%s: Meets = (%v, %v), enumeration says (%v, %v)", tc.name, got, ok, want, tc.meets)
+		}
+	}
 
-	// One cloudlet, k instances: the on-site formula.
+	// Learned rates reach the check through the network they are folded
+	// into; the catalog's 0.99 would have met.
+	learned := n.WithReliabilities(fixedSource{0: 0.5})
 	alive := []core.Assignment{{Cloudlet: 0, Instances: 2}}
-	got, ok := Meets(n, req, alive, nil)
-	want := core.OnsiteReliability(0.8, 0.99, 2)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("onsite footprint availability = %v, want %v", got, want)
-	}
-	if !ok {
-		t.Error("0.9504 footprint must meet 0.9")
-	}
-
-	// One instance per cloudlet: the off-site formula.
-	alive = []core.Assignment{{Cloudlet: 0, Instances: 1}, {Cloudlet: 1, Instances: 1}}
-	got, _ = Meets(n, req, alive, nil)
-	want = core.OffsiteReliability(0.8, []float64{0.99, 0.95})
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("offsite footprint availability = %v, want %v", got, want)
-	}
-
-	// Degraded footprint below target.
-	alive = []core.Assignment{{Cloudlet: 1, Instances: 1}}
-	got, ok = Meets(n, req, alive, nil)
-	if want = 0.95 * 0.8; math.Abs(got-want) > 1e-12 {
-		t.Errorf("single-instance availability = %v, want %v", got, want)
-	}
-	if ok {
-		t.Error("0.76 footprint must not meet 0.9")
-	}
-
-	// Empty footprint never meets.
-	if avail, ok := Meets(n, req, nil, nil); avail != 0 || ok {
-		t.Errorf("empty footprint = (%v, %v), want (0, false)", avail, ok)
-	}
-
-	// A learned source replaces catalog rates.
-	alive = []core.Assignment{{Cloudlet: 0, Instances: 2}}
-	got, ok = Meets(n, req, alive, fixedSource{0: 0.5})
-	if want = core.OnsiteReliability(0.8, 0.5, 2); math.Abs(got-want) > 1e-12 || ok {
-		t.Errorf("learned-rate availability = (%v, %v), want (%v, false)", got, ok, want)
+	got, ok := Meets(learned, req, alive)
+	if want := enumerate(learned, alive); math.Abs(got-want) > 1e-12 || math.Abs(want-0.48) > 1e-12 || ok {
+		t.Errorf("learned-rate availability = (%v, %v), enumeration says (%v, false)", got, ok, want)
 	}
 }
 
@@ -189,10 +185,12 @@ func TestMeetsPlacementSharedFootprints(t *testing.T) {
 	}
 	floor := rf * 0.95 // peers at the least reliable cloudlet
 
-	// Both primary and pooled backup alive: the full shared formula.
+	// Both primary and pooled backup alive: the admitted availability,
+	// which the enumeration plays out peer by peer.
 	alive := []core.Assignment{{Cloudlet: 0, Instances: 1}, {Cloudlet: 1, Instances: 1}}
-	got, ok := MeetsPlacement(n, req, p, alive, nil)
-	want := core.SharedReliabilityK(rf, 0.99, 0.95, floor, 2)
+	got, ok := MeetsPlacement(n, req, p, alive)
+	pool := &oracle.Pool{Rc: 0.95, PeerRel: floor, Peers: 1}
+	want := oracle.Availability(rf, []oracle.Site{{Rc: 0.99, N: 1}}, pool)
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("both alive: availability = %v, want %v", got, want)
 	}
@@ -202,8 +200,8 @@ func TestMeetsPlacementSharedFootprints(t *testing.T) {
 
 	// Backup cloudlet down: only the dedicated primary path remains.
 	alive = []core.Assignment{{Cloudlet: 0, Instances: 1}}
-	got, ok = MeetsPlacement(n, req, p, alive, nil)
-	if want = rf * 0.99; math.Abs(got-want) > 1e-12 {
+	got, ok = MeetsPlacement(n, req, p, alive)
+	if want = oracle.Availability(rf, []oracle.Site{{Rc: 0.99, N: 1}}, nil); math.Abs(got-want) > 1e-12 {
 		t.Errorf("primary only: availability = %v, want %v", got, want)
 	}
 	if ok {
@@ -212,13 +210,13 @@ func TestMeetsPlacementSharedFootprints(t *testing.T) {
 
 	// Primary down: the pooled backup path with rcA = 0.
 	alive = []core.Assignment{{Cloudlet: 1, Instances: 1}}
-	got, _ = MeetsPlacement(n, req, p, alive, nil)
-	if want = core.SharedReliabilityK(rf, 0, 0.95, floor, 2); math.Abs(got-want) > 1e-12 {
+	got, _ = MeetsPlacement(n, req, p, alive)
+	if want = oracle.Availability(rf, nil, pool); math.Abs(got-want) > 1e-12 {
 		t.Errorf("backup only: availability = %v, want %v", got, want)
 	}
 
 	// Neither member of the placement survives.
-	if got, ok = MeetsPlacement(n, req, p, nil, nil); got != 0 || ok {
+	if got, ok = MeetsPlacement(n, req, p, nil); got != 0 || ok {
 		t.Errorf("neither alive: got (%v, %v), want (0, false)", got, ok)
 	}
 }
@@ -232,8 +230,8 @@ func TestMeetsPlacementDelegatesForDedicated(t *testing.T) {
 		Scheme:      core.OffSite,
 		Assignments: alive,
 	}
-	got, gotOK := MeetsPlacement(n, req, p, alive, nil)
-	want, wantOK := Meets(n, req, alive, nil)
+	got, gotOK := MeetsPlacement(n, req, p, alive)
+	want, wantOK := Meets(n, req, alive)
 	if got != want || gotOK != wantOK {
 		t.Errorf("dedicated placement: got (%v, %v), want Meets result (%v, %v)", got, gotOK, want, wantOK)
 	}

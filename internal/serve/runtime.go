@@ -150,7 +150,7 @@ func (e *Engine) runtimeTickLocked() {
 		// provisioned under: repair restores the promised redundancy. (The
 		// estimator's learned rates are exported for observability and for
 		// rebuilding schedulers, not for second-guessing live footprints.)
-		_, meets := repair.MeetsPlacement(e.network, rec.Request, rec.Placement, ph.Alive, nil)
+		_, meets := repair.MeetsPlacement(e.network, rec.Request, rec.Placement, ph.Alive)
 		act, opened := rt.ctrl.Observe(ph.ID, e.slot, meets)
 		if opened {
 			e.recordRuntimeEvent(ph.ID, e.slot, trace.ReasonFailed)

@@ -14,6 +14,7 @@ package slo
 import (
 	"sync"
 
+	"revnf/internal/core"
 	"revnf/internal/metrics"
 )
 
@@ -52,11 +53,8 @@ func (e Entry) Observed() float64 {
 	return float64(e.UpSlots) / float64(e.ObservedSlots)
 }
 
-// metTolerance absorbs float rounding in the availability ratio.
-const metTolerance = 1e-12
-
 // Met reports whether the delivered availability meets the requirement.
-func (e Entry) Met() bool { return e.Observed()+metTolerance >= e.Required }
+func (e Entry) Met() bool { return core.MeetsRequirement(e.Observed(), e.Required) }
 
 // Stats aggregates the tracker.
 type Stats struct {
