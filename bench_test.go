@@ -1,19 +1,13 @@
 package revnf
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"revnf/internal/experiments"
 	"revnf/internal/lp"
 	"revnf/internal/mip"
-	"revnf/internal/serve"
 	"revnf/internal/simulate"
-	"revnf/internal/timeslot"
 	"revnf/internal/topology"
 )
 
@@ -415,136 +409,6 @@ func BenchmarkQoSAssess(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkDaemonAdmission measures per-request admission decision cost
-// through the concurrent serve engine (admission gate, worker token,
-// ledger accounting, sampled latency histogram) against calling the raw
-// scheduler directly, quantifying the daemon's concurrency-shell overhead.
-func BenchmarkDaemonAdmission(b *testing.B) {
-	inst := benchInstance(b, 500)
-	reqs := make([]serve.AdmissionRequest, len(inst.Trace))
-	for i, r := range inst.Trace {
-		reqs[i] = serve.AdmissionRequest{VNF: r.VNF, Reliability: r.Reliability,
-			Arrival: r.Arrival, Duration: r.Duration, Payment: r.Payment}
-	}
-
-	b.Run("engine", func(b *testing.B) {
-		sched, err := NewScheduler(inst.Network, OnSite, WithHorizon(inst.Horizon))
-		if err != nil {
-			b.Fatal(err)
-		}
-		e, err := serve.New(serve.Config{
-			Network: inst.Network, Scheduler: sched, Horizon: inst.Horizon,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			_ = e.Shutdown(ctx)
-		}()
-		ctx := context.Background()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.Submit(ctx, reqs[i%len(reqs)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("direct", func(b *testing.B) {
-		sched, err := NewScheduler(inst.Network, OnSite, WithHorizon(inst.Horizon))
-		if err != nil {
-			b.Fatal(err)
-		}
-		view, err := timeslot.New(capacities(inst.Network), inst.Horizon)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			req := inst.Trace[i%len(inst.Trace)]
-			if p, ok := sched.Decide(req, view); ok {
-				for _, a := range p.Assignments {
-					_ = view.Reserve(a.Cloudlet, req.Arrival, req.Duration, a.Instances)
-				}
-			}
-		}
-	})
-}
-
-// BenchmarkParallelAdmission measures admission throughput through the
-// serve engine at increasing worker-token counts with many concurrent
-// submitters. Decisions execute inline on the submitting goroutines at
-// every count — Propose concurrently, capacity arbitrated by the
-// concurrent ledger; one token makes them take turns.
-//
-// It measures the reject-heavy path: the 500 requests are recycled into a
-// ledger that never ticks, so once the first pass has filled it nearly
-// every decision is a rejection that writes nothing. Steady-state
-// admission (ticking clock, expiry, a stated admit ratio) is measured by
-// benchmark/, not here.
-func BenchmarkParallelAdmission(b *testing.B) {
-	inst := benchInstance(b, 500)
-	reqs := make([]serve.AdmissionRequest, len(inst.Trace))
-	for i, r := range inst.Trace {
-		reqs[i] = serve.AdmissionRequest{VNF: r.VNF, Reliability: r.Reliability,
-			Arrival: r.Arrival, Duration: r.Duration, Payment: r.Payment}
-	}
-	modes := []struct {
-		name    string
-		rolling bool
-	}{{"fixed", false}, {"rolling", true}}
-	for _, mode := range modes {
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/workers=%d", mode.name, workers), func(b *testing.B) {
-				sched, err := NewScheduler(inst.Network, OnSite, WithHorizon(inst.Horizon))
-				if err != nil {
-					b.Fatal(err)
-				}
-				e, err := serve.New(serve.Config{
-					Network: inst.Network, Scheduler: sched, Horizon: inst.Horizon,
-					Rolling: mode.rolling, Workers: workers, QueueSize: 4096,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer func() {
-					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-					defer cancel()
-					_ = e.Shutdown(ctx)
-				}()
-				var next atomic.Int64
-				// Four concurrent submitters at every token count: enough to
-				// hand every worker token a client, without drowning the
-				// single-CPU scheduler in idle goroutines.
-				b.SetParallelism(4)
-				b.ResetTimer()
-				start := time.Now()
-				b.RunParallel(func(pb *testing.PB) {
-					ctx := context.Background()
-					for pb.Next() {
-						i := int(next.Add(1)) - 1
-						if _, err := e.Submit(ctx, reqs[i%len(reqs)]); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				})
-				b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "decisions/sec")
-			})
-		}
-	}
-}
-
-func capacities(n *Network) []int {
-	caps := make([]int, len(n.Cloudlets))
-	for j, c := range n.Cloudlets {
-		caps[j] = c.Capacity
-	}
-	return caps
 }
 
 // BenchmarkTimelineSimulation measures the Markov failure-timeline

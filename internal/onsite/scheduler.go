@@ -217,6 +217,15 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 		return core.Placement{}, false
 	}
 	for j := range s.network.Cloudlets {
+		residual := 0
+		if s.enforce || tracing {
+			residual = view.ResidualWindow(j, req.Arrival, req.Duration)
+		}
+		if s.enforce && !tracing && residual < vnf.Demand {
+			// No room for one instance, so none for N ≥ 1: the capacity skip
+			// below, taken before N is worked out (a trace records N).
+			continue
+		}
 		n, ok := s.rel.OnsiteInstancesOK(req.VNF, j, req.Reliability)
 		if !ok {
 			// r(c_j) ≤ R_i: this cloudlet cannot serve the request.
@@ -226,10 +235,6 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 			continue
 		}
 		units := n * vnf.Demand
-		residual := 0
-		if s.enforce || tracing {
-			residual = view.ResidualWindow(j, req.Arrival, req.Duration)
-		}
 		if s.enforce && residual < units {
 			if tracing {
 				cands = append(cands, trace.Candidate{Cloudlet: j, Instances: n,

@@ -126,6 +126,10 @@ type Stats struct {
 	// commit races (each triggers a re-propose, not necessarily a
 	// rejection).
 	ConflictRetries uint64
+	// ViewLoads counts the window loads decisions asked of their token's
+	// ledger view, ViewCopies those that copied under the ledger's lock;
+	// the rest kept a copy nothing had been written since.
+	ViewLoads, ViewCopies uint64
 	// Revenue is the summed payment of admitted requests (objective (6)).
 	Revenue float64
 	// ActivePlacements counts admitted, not-yet-expired placements.
@@ -249,6 +253,8 @@ type Engine struct {
 	waiting atomic.Int64
 	// conflicts counts ledger reservation refusals lost to a race.
 	conflicts atomic.Uint64
+	// viewLoads and viewCopies sum the views' load counts; leave adds them.
+	viewLoads, viewCopies atomic.Uint64
 
 	// queueCap bounds the submissions waiting for a token beyond the
 	// workers deciding. sem is preloaded with the token indices
@@ -488,9 +494,13 @@ func (e *Engine) enter(ctx context.Context, n int) (int, error) {
 	return 0, err
 }
 
-// leave returns what enter took. Submit and SubmitBatch defer it, so a
-// panicking decision does not keep its token.
+// leave returns what enter took, and counts the view's loads once per
+// call. Submit and SubmitBatch defer it, so a panicking decision does not
+// keep its token.
 func (e *Engine) leave(token, n int) {
+	loads, copies := e.views[token].TakeLoads()
+	e.viewLoads.Add(loads)
+	e.viewCopies.Add(copies)
 	e.sem <- token
 	e.inflight.Add(-1)
 	e.waiting.Add(int64(-n))
@@ -917,6 +927,9 @@ func (e *Engine) Stats() Stats {
 		AdmittedByScheme: make(map[string]uint64, len(e.admittedByScheme)),
 		Rejections:       make(map[string]uint64, len(e.rejections)),
 		ConflictRetries:  e.conflicts.Load(),
+		// Copies first: leave adds loads first, so copies ≤ loads here too.
+		ViewCopies:       e.viewCopies.Load(),
+		ViewLoads:        e.viewLoads.Load(),
 		Revenue:          e.revenue,
 		ActivePlacements: e.expiry.Len(),
 		FiledPlacements:  e.book.entries(),

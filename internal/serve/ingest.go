@@ -21,6 +21,7 @@ type ingestStats struct {
 	ndjsonConns  atomic.Uint64
 	frameConns   atomic.Uint64
 	streamErrors atomic.Uint64
+	streamPanics atomic.Uint64
 
 	batchMu sync.Mutex
 	batches *metrics.Histogram // guarded by batchMu
@@ -88,6 +89,9 @@ func (e *Engine) ingestFamilies() []metrics.PromMetric {
 		metrics.Counter("revnfd_stream_errors_total",
 			"Streaming connections terminated by a protocol or engine error.",
 			float64(st.streamErrors.Load())),
+		metrics.Counter("revnfd_stream_panics_total",
+			"Streaming connections closed with a 500 because a decision of theirs panicked.",
+			float64(st.streamPanics.Load())),
 		batchHist.Metric("revnfd_ingest_batch_size",
 			"Requests per engine batch on the streaming ingest path."),
 	}

@@ -50,6 +50,15 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 		metrics.Counter("revnfd_conflict_retries_total",
 			"Ledger refusals of a footprint its view had room for (a lost commit race); each triggers a re-propose.",
 			float64(s.ConflictRetries)),
+		{
+			Name: "revnfd_ledger_view_loads_total",
+			Help: "Window loads decisions asked of their ledger view: hit kept the copy it had (nothing written since), copy took the ledger lock.",
+			Type: "counter",
+			Samples: []metrics.PromSample{
+				{Labels: []metrics.LabelPair{{Name: "result", Value: "hit"}}, Value: float64(s.ViewLoads - s.ViewCopies)},
+				{Labels: []metrics.LabelPair{{Name: "result", Value: "copy"}}, Value: float64(s.ViewCopies)},
+			},
+		},
 		utilizationFamily(s),
 		s.Latency.Metric("revnfd_admission_latency_seconds",
 			"Latency from submission to admission decision: one POST in 8 sampled, one observation per streamed batch."),

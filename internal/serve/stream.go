@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"io"
+	"log"
 	"net"
+	"runtime/debug"
 	"sync"
 
 	"revnf/internal/wire"
@@ -188,6 +190,17 @@ func (s *StreamServer) serveConn(br *bufio.Reader, bw *bufio.Writer, codec strea
 	out := make([]AdmissionResult, maxStreamBatch)
 	buf := make([]byte, 0, 4096)
 	var wr wire.Request
+	// A panicking decision ends its connection, not the daemon: SubmitBatch
+	// returned the token on the way up, the log gets value and stack as
+	// net/http's does, the peer a terminal error in place of the batch.
+	defer func() {
+		if p := recover(); p != nil {
+			s.e.ingest.streamPanics.Add(1)
+			log.Printf("serve: stream: panic deciding a batch: %v\n%s", p, debug.Stack())
+			bw.Write(codec.appendError(nil, &streamError{code: 500, reason: wire.ReasonInternal, detail: "a decision panicked"}))
+			bw.Flush()
+		}
+	}()
 	for {
 		// Close the batch at the cap, or as soon as the socket has nothing
 		// more buffered: batch size adapts to the offered load.

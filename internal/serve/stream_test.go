@@ -7,12 +7,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
 
+	"revnf/internal/core"
 	"revnf/internal/onsite"
 	"revnf/internal/trace"
 	"revnf/internal/wire"
@@ -640,6 +643,174 @@ func TestStreamConcurrentConnections(t *testing.T) {
 	}
 	if got := e.ingest.frameReqs.Load() + e.ingest.ndjsonReqs.Load(); got != conns*perConn {
 		t.Fatalf("ingest counters = %d, want %d", got, conns*perConn)
+	}
+}
+
+// markedPanicScheduler panics in the Propose of a request lasting
+// panicDuration slots, every time.
+type markedPanicScheduler struct{ core.TwoPhaseScheduler }
+
+const panicDuration = 7
+
+func (p markedPanicScheduler) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
+	if req.Duration == panicDuration {
+		panic("scheduler bug")
+	}
+	return p.TwoPhaseScheduler.Propose(req, view)
+}
+
+// streamClient is one test connection to a StreamServer in either protocol.
+type streamClient struct {
+	t     *testing.T
+	frame bool
+	conn  net.Conn
+	fr    *wire.FrameReader
+	sc    *bufio.Scanner
+}
+
+func dialStream(t *testing.T, addr string, frame bool) *streamClient {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	c := &streamClient{t: t, frame: frame, conn: conn}
+	if frame {
+		conn.Write(wire.AppendPreamble(nil))
+		c.fr = wire.NewFrameReader(bufio.NewReader(conn))
+	} else {
+		c.sc = bufio.NewScanner(conn)
+	}
+	return c
+}
+
+// send writes the requests in one Write.
+func (c *streamClient) send(reqs ...AdmissionRequest) {
+	c.t.Helper()
+	body := ndjsonStreamBody(reqs)
+	if c.frame {
+		body = frameStreamBody(c.t, reqs)[len(wire.AppendPreamble(nil)):]
+	}
+	if _, err := c.conn.Write(body); err != nil {
+		c.t.Fatal(err)
+	}
+}
+
+// next reads one record: a decision (code 0), a terminal error's code and
+// reason, or io.EOF once the server has closed the connection.
+func (c *streamClient) next() (d wire.Decision, code int, reason string, err error) {
+	c.t.Helper()
+	if c.frame {
+		typ, payload, err := c.fr.Next()
+		if err != nil {
+			return d, 0, "", err
+		}
+		if typ == wire.FrameError {
+			code, rc, _, err := wire.DecodeError(payload)
+			return d, code, rc.Reason(), err
+		}
+		return d, 0, "", wire.DecodeDecision(payload, &d)
+	}
+	if !c.sc.Scan() {
+		return d, 0, "", io.EOF
+	}
+	var env struct {
+		Error *struct {
+			Code   int    `json:"code"`
+			Reason string `json:"reason"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal(c.sc.Bytes(), &env); err != nil {
+		return d, 0, "", err
+	}
+	if env.Error != nil {
+		return d, env.Error.Code, env.Error.Reason, nil
+	}
+	return d, 0, "", wire.DecodeNDJSONDecision(c.sc.Bytes(), &d)
+}
+
+// TestStreamPanicClosesConnectionNotDaemon: a decision that panics on the
+// stream path costs its connection — which reads a terminal 500 in its own
+// protocol where the batch's decisions would have been, then EOF — and
+// nothing else: the worker token is back, the panic is counted, and another
+// connection's next batch is decided.
+func TestStreamPanicClosesConnectionNotDaemon(t *testing.T) {
+	log.SetOutput(io.Discard) // the recovered panic's stack
+	defer log.SetOutput(os.Stderr)
+	good := AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 1, Payment: 10}
+	marked := good
+	marked.Duration = panicDuration
+	for _, frame := range []bool{true, false} {
+		name := "ndjson panics, frame survives"
+		if frame {
+			name = "frame panics, ndjson survives"
+		}
+		t.Run(name, func(t *testing.T) {
+			n := testNetwork()
+			inner, err := onsite.NewScheduler(n, 20, onsite.WithCapacityEnforcement())
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := newTestEngine(t, 20, func(c *Config) {
+				c.Scheduler = markedPanicScheduler{inner}
+				c.Workers = 2
+			})
+			s := NewStreamServer(e)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			serveDone := make(chan error, 1)
+			go func() { serveDone <- s.Serve(ln) }()
+			t.Cleanup(func() {
+				s.Close()
+				if err := <-serveDone; err != nil {
+					t.Errorf("Serve: %v", err)
+				}
+			})
+			victim, other := dialStream(t, ln.Addr().String(), frame), dialStream(t, ln.Addr().String(), !frame)
+			other.send(good)
+			if d, code, _, err := other.next(); err != nil || code != 0 || !d.Admitted {
+				t.Fatalf("the other connection's first decision = (%+v, %d, %v), want admitted", d, code, err)
+			}
+
+			// The good request ahead of the marked one may be decided in a batch
+			// of its own (one decision, then the error) or in the marked one's
+			// batch (the error stands in for both).
+			victim.send(good, marked, good)
+			decisions := 0
+			for {
+				_, code, reason, err := victim.next()
+				if err != nil {
+					t.Fatalf("after %d decisions: %v, want a terminal error record", decisions, err)
+				}
+				if code == 0 {
+					decisions++
+					continue
+				}
+				if code != 500 || reason != string(trace.ReasonInternal) || decisions > 1 {
+					t.Fatalf("terminal record = (%d, %q) after %d decisions, want (500, internal) after at most one", code, reason, decisions)
+				}
+				break
+			}
+			if _, _, _, err := victim.next(); err != io.EOF {
+				t.Fatalf("after the terminal error: %v, want io.EOF", err)
+			}
+			if got := e.ingest.streamPanics.Load(); got != 1 {
+				t.Errorf("stream_panics_total = %d, want 1", got)
+			}
+			if st := e.Stats(); len(e.sem) != e.Workers() || st.InFlight != 0 || st.QueueDepth != 0 {
+				t.Errorf("%d of %d tokens idle, InFlight %d, QueueDepth %d after the panic, want all idle and 0, 0",
+					len(e.sem), e.Workers(), st.InFlight, st.QueueDepth)
+			}
+			other.send(good, good)
+			for i := 0; i < 2; i++ {
+				if d, code, _, err := other.next(); err != nil || code != 0 || d.ID == 0 {
+					t.Fatalf("the other connection's decision %d after the panic = (%+v, %d, %v), want a decision", i, d, code, err)
+				}
+			}
+		})
 	}
 }
 

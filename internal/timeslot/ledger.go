@@ -41,13 +41,19 @@
 // The geometry (base and ring origin) is additionally one packed atomic
 // word, written under the lock, so Base stays lock-free.
 //
-// A Reader (NewReader) is how one goroutine reads many cells for one lock
-// round: Load copies the residuals of a window, for every cloudlet, into
-// scratch the Reader owns, and reads inside that window are then local
-// loads — one consistent cut across rows, which row-by-row reads are not.
-// A Reader belongs to one goroutine; what it answers from the copy is as
-// of its last Load and valid until the next, a hint the arbitrating
-// ReserveWindow re-checks.
+// A Reader (NewReader) is how one goroutine reads many cells for at most
+// one lock round: Load copies the residuals of a window, for every
+// cloudlet, into scratch the Reader owns, and reads inside that window are
+// then local loads — one consistent cut across rows, which row-by-row
+// reads are not. The copy is kept while it is current: every mutation that
+// changes a cell or the geometry bumps the epoch word with the lock held,
+// before its first write (a refusal or an error bumps nothing); Load
+// records the epoch under the lock, and a Load of a window inside the copy
+// that finds it unchanged returns without locking. The bump precedes the
+// write, so an unchanged epoch means no mutation had begun: the kept copy
+// is what copying at that instant would produce, under an unmoved base. A
+// Reader belongs to one goroutine; what it answers is as of its last Load,
+// a hint the arbitrating ReserveWindow re-checks.
 //
 // # Out-of-range reads
 //
@@ -112,6 +118,9 @@ type Ledger struct {
 	// reads a pinned (base, origin) pair; it is atomic only so that Base
 	// needs no lock.
 	geom atomic.Uint64
+	// epoch counts the mutations of cells and geometry: bumped with mu
+	// held, before the mutation's first write (see "Concurrency").
+	epoch atomic.Uint64
 }
 
 // maxRollingWindow bounds a rolling window so the ring origin fits the 16
@@ -436,6 +445,7 @@ func (l *Ledger) Advance(base int) error {
 	}
 	// Retired rows are zero, so the slots entering the window reuse them
 	// as-is: re-basing is pure geometry.
+	l.epoch.Add(1)
 	l.geom.Store(packGeom(base, (origin+retire%l.window)%l.window))
 	return nil
 }
@@ -456,6 +466,7 @@ func (l *Ledger) checkArgsAt(start, duration, units, base int) error {
 // addLocked mutates cloudlet's row; the caller holds mu (which pins the
 // given geometry).
 func (l *Ledger) addLocked(cloudlet, start, duration, units, base, origin int) {
+	l.epoch.Add(1)
 	i := l.idxAt(start, base, origin)
 	for t := 0; t < duration; t++ {
 		l.used[cloudlet][i] += units
@@ -501,9 +512,7 @@ func (l *Ledger) Violations() []Violation {
 }
 
 // MaxViolationRatio returns the largest Used/Capacity across all live
-// cells (1.0 or less means no violation; exactly 1.0 is returned for a
-// full but unviolated ledger as well as for an empty one with ratio below
-// 1).
+// cells: 1.0 or less means no violation, 0 an empty ledger.
 func (l *Ledger) MaxViolationRatio() float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

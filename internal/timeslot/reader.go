@@ -1,12 +1,15 @@
 package timeslot
 
-// Reader is one goroutine's copy of a window of the ledger: Load takes the
-// ledger's lock once and copies the residuals of [start, start+duration-1]
-// for every cloudlet, and the read accessors (the core.CapacityView set)
-// answer from that copy when their arguments fall inside it. Anything else
-// — another window, an unknown cloudlet, nothing loaded because the window
-// was not live, a window the ledger has retired since — is answered by the
-// ledger itself, fail-safe sentinels included.
+// Reader is one goroutine's cached copy of a window of the ledger. Load
+// makes the copy answer for [start, start+duration-1]: it keeps the copy it
+// has when the window lies inside it and the ledger's epoch has not moved
+// since (one atomic load, no lock; the package comment says why that is
+// what copying again would produce), and otherwise takes the ledger's lock
+// once and copies the residuals of every cloudlet. The read accessors (the
+// core.CapacityView set) answer from the copy when their arguments fall
+// inside it. Anything else — another window, an unknown cloudlet, nothing
+// loaded because the window was not live, a window the ledger has retired
+// since — is answered by the ledger itself, fail-safe sentinels included.
 //
 // What the copy answers is as of the last Load: one consistent cut across
 // cloudlets, valid until the next Load, and like every capacity read a
@@ -14,28 +17,41 @@ package timeslot
 // use; give each goroutine its own.
 type Reader struct {
 	l *Ledger
-	// The loaded window; duration 0 when nothing is loaded.
+	// The copied window (duration 0: none) and the ledger's epoch at the copy.
 	start, duration int
-	free            []int // free[cloudlet*duration + slot-start]
-	lowest          []int // lowest[cloudlet]: the minimum over the loaded window
+	epoch           uint64
+	free            []int  // free[cloudlet*duration + slot-start]
+	pmin            []int  // pmin[i]: the minimum of its cloudlet's free[..i]
+	loads, copies   uint64 // Loads, and those that copied, since TakeLoads
 }
 
 // NewReader returns a Reader over the ledger with nothing loaded.
-func (l *Ledger) NewReader() *Reader {
-	return &Reader{l: l, lowest: make([]int, len(l.caps))}
+func (l *Ledger) NewReader() *Reader { return &Reader{l: l} }
+
+// TakeLoads returns how many times Load was called since the last
+// TakeLoads, and how many of those calls did not keep the copy they had.
+func (r *Reader) TakeLoads() (loads, copies uint64) {
+	loads, copies = r.loads, r.copies
+	r.loads, r.copies = 0, 0
+	return loads, copies
 }
 
-// Load replaces the copy with the window [start, start+duration-1], or
-// with nothing when that window is not live. It allocates only when the
-// window is longer than any loaded before.
+// Load makes the copy answer for the window [start, start+duration-1], or
+// for nothing when that window is not live. It allocates only when it
+// copies a window longer than any before.
 func (r *Reader) Load(start, duration int) {
 	l := r.l
+	r.loads++
+	if duration >= 1 && start >= r.start && start+duration <= r.start+r.duration && l.epoch.Load() == r.epoch {
+		return
+	}
+	r.copies++
 	r.duration = 0
 	if duration < 1 || duration > l.window {
 		return
 	}
 	if need := len(l.caps) * duration; cap(r.free) < need {
-		r.free = make([]int, need)
+		r.free, r.pmin = make([]int, need), make([]int, need)
 	}
 	l.mu.Lock()
 	base, origin := l.geometry()
@@ -46,30 +62,32 @@ func (r *Reader) Load(start, duration int) {
 	// The window is at most two contiguous runs of the ring.
 	i := l.idxAt(start, base, origin)
 	head := min(duration, l.window-i)
-	free := r.free
+	free, pmin := r.free, r.pmin
 	for j, row := range l.used {
 		capacity := l.caps[j]
-		low := copyFree(free[:head], row[i:i+head], capacity, capacity)
+		low := copyFree(free[:head], pmin, row[i:i+head], capacity, capacity)
 		if head < duration {
-			low = copyFree(free[head:duration], row[:duration-head], capacity, low)
+			copyFree(free[head:duration], pmin[head:], row[:duration-head], capacity, low)
 		}
-		r.lowest[j] = low
-		free = free[duration:]
+		free, pmin = free[duration:], pmin[duration:]
 	}
+	r.epoch = l.epoch.Load()
 	l.mu.Unlock()
 	r.start, r.duration = start, duration
 }
 
-// copyFree writes capacity-used[k] into out[k] and returns the smallest
-// value written, or low if that is smaller.
-func copyFree(out, used []int, capacity, low int) int {
-	out = out[:len(used)]
+// copyFree writes capacity-used[k] into free[k] and the smallest value
+// written so far, or low if that is smaller, into pmin[k]; it returns the
+// last of those minima.
+func copyFree(free, pmin, used []int, capacity, low int) int {
+	free, pmin = free[:len(used)], pmin[:len(used)]
 	for k, u := range used {
 		f := capacity - u
-		out[k] = f
+		free[k] = f
 		if f < low {
 			low = f
 		}
+		pmin[k] = low
 	}
 	return low
 }
@@ -78,7 +96,7 @@ func copyFree(out, used []int, capacity, low int) int {
 // the cloudlet: the window lies inside the loaded one, and the ledger has
 // not advanced past the loaded window's first slot since.
 func (r *Reader) holds(cloudlet, start, duration int) bool {
-	return cloudlet >= 0 && cloudlet < len(r.lowest) && duration >= 1 &&
+	return cloudlet >= 0 && cloudlet < len(r.l.caps) && duration >= 1 &&
 		start >= r.start && start+duration <= r.start+r.duration && r.start >= r.l.Base()
 }
 
@@ -95,15 +113,16 @@ func (r *Reader) Residual(cloudlet, slot int) int {
 }
 
 // ResidualWindow returns the minimum residual of the cloudlet over
-// [start, start+duration-1], as Ledger.ResidualWindow does.
+// [start, start+duration-1], as Ledger.ResidualWindow does: one load when
+// the window begins where the copy does, a scan of its cells otherwise.
 func (r *Reader) ResidualWindow(cloudlet, start, duration int) int {
 	if !r.holds(cloudlet, start, duration) {
 		return r.l.ResidualWindow(cloudlet, start, duration)
 	}
-	if duration == r.duration {
-		return r.lowest[cloudlet]
-	}
 	at := cloudlet*r.duration + start - r.start
+	if start == r.start {
+		return r.pmin[at+duration-1]
+	}
 	low := r.free[at]
 	for _, free := range r.free[at+1 : at+duration] {
 		if free < low {

@@ -3,8 +3,11 @@ package timeslot
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // compareReader checks every read accessor of the reader against the
@@ -125,6 +128,130 @@ func TestReaderMatchesLedger(t *testing.T) {
 	}
 }
 
+// TestReaderHitMatchesColdLoad is the quickcheck of the Load that keeps its
+// copy: over random reserve / force-reserve / release / Pool.Acquire /
+// Pool.Release / advance sequences, fixed and rolling, with steps that
+// change nothing in between, a Reader that lives through the whole sequence
+// answers every read inside and around the window as a Reader made for that
+// one Load does — after loading a random window, the same window again, a
+// prefix of it, a window anchored later inside it, and the first again. And
+// a Load that kept its copy did so under the base the copy was made under.
+func TestReaderHitMatchesColdLoad(t *testing.T) {
+	const window = 12
+	caps := []int{6, 9, 4}
+	type held struct {
+		pooled                        bool
+		where, start, duration, units int // where: the cloudlet, or the pool group
+	}
+	for _, rolling := range []bool{false, true} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			l, err := build(caps, window, rolling)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := NewPool(l)
+			warm := l.NewReader()
+			var mine []held
+			release := func(k int) {
+				h := mine[k]
+				err := l.Release(h.where, h.start, h.duration, h.units)
+				if h.pooled {
+					err = pool.Release(h.where, h.start, h.duration)
+				}
+				if err != nil {
+					t.Fatalf("release %+v: %v", h, err)
+				}
+				mine[k] = mine[len(mine)-1]
+				mine = mine[:len(mine)-1]
+			}
+			var hits, copies uint64
+			copiedAtBase, start := 0, 0
+			for step := 0; step < 250; step++ {
+				base := l.Base()
+				switch op := rng.Intn(16); {
+				case op < 4:
+					h := held{where: rng.Intn(len(caps)), duration: 1 + rng.Intn(4), units: 1 + rng.Intn(3)}
+					h.start = base + rng.Intn(window-h.duration+1)
+					ok := true
+					if op == 0 {
+						err = l.ForceReserve(h.where, h.start, h.duration, h.units)
+					} else {
+						ok, err = l.ReserveWindow(h.where, h.start, h.duration, h.units)
+					}
+					if err != nil {
+						t.Fatalf("reserve %+v: %v", h, err)
+					}
+					if ok {
+						mine = append(mine, h)
+					}
+				case op < 6:
+					// Group g lives on cloudlet g mod 3 and holds 1 + g mod 2 units.
+					h := held{pooled: true, where: rng.Intn(5), duration: 1 + rng.Intn(4)}
+					h.start = base + rng.Intn(window-h.duration+1)
+					if err := pool.Acquire(h.where, h.where%len(caps), h.start, h.duration, 1+h.where%2); err == nil {
+						mine = append(mine, h)
+					} else if !errors.Is(err, ErrOverCapacity) {
+						t.Fatalf("Acquire %+v: %v", h, err)
+					}
+				case op < 9 && len(mine) > 0:
+					release(rng.Intn(len(mine)))
+				case op < 10 && rolling:
+					// Drain what the advance would retire, then advance.
+					to := base + 1 + rng.Intn(3)
+					for k := len(mine) - 1; k >= 0; k-- {
+						if mine[k].start < to {
+							release(k)
+						}
+					}
+					if err := l.Advance(to); err != nil {
+						t.Fatalf("Advance(%d): %v", to, err)
+					}
+				}
+				// The other steps leave the ledger as it was.
+				// Half the steps ask at the slot the step before asked at, as
+				// the requests of one slot do.
+				base = l.Base()
+				duration := rng.Intn(window + 2)
+				if step == 0 || rng.Intn(2) == 0 {
+					start = base - 2 + rng.Intn(window+4)
+				}
+				for _, w := range [][2]int{{start, duration}, {start, duration}, {start, duration - rng.Intn(3)},
+					{start + 1 + rng.Intn(2), duration - 3}, {start, duration}} {
+					warm.Load(w[0], w[1])
+					if _, copied := warm.TakeLoads(); copied == 1 {
+						copies++
+						copiedAtBase = base
+					} else if hits++; copiedAtBase != base {
+						t.Fatalf("step %d: Load(%d,%d) kept a copy made under base %d, the base is %d",
+							step, w[0], w[1], copiedAtBase, base)
+					}
+					cold := l.NewReader()
+					cold.Load(w[0], w[1])
+					for j := -1; j <= len(caps); j++ {
+						for s := w[0] - 2; s <= w[0]+w[1]+1; s++ {
+							if got, want := warm.Residual(j, s), cold.Residual(j, s); got != want {
+								t.Fatalf("step %d after Load(%d,%d): Residual(%d,%d) = %d, a cold reader says %d",
+									step, w[0], w[1], j, s, got, want)
+							}
+							for d := 0; d <= w[1]+2; d++ {
+								if got, want := warm.ResidualWindow(j, s, d), cold.ResidualWindow(j, s, d); got != want {
+									t.Fatalf("step %d after Load(%d,%d): ResidualWindow(%d,%d,%d) = %d, a cold reader says %d",
+										step, w[0], w[1], j, s, d, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
+			if hits < 250 || copies < 250 {
+				t.Fatalf("rolling %v seed %d: %d loads kept their copy and %d copied, want at least 250 of each",
+					rolling, seed, hits, copies)
+			}
+		}
+	}
+}
+
 // TestReaderSteadyStateAllocations pins the reader's cost model: once its
 // scratch has seen the longest window, a Load and the reads of a Propose
 // allocate nothing.
@@ -160,7 +287,8 @@ func TestReaderSteadyStateAllocations(t *testing.T) {
 // proves a reader shares nothing with the ledger outside the lock; on its
 // own it checks that each load is one cut: the window minimum a reader
 // reports is the minimum of the cells it reports, whatever lands between
-// the reads.
+// the reads. A second round checks that no Load keeps a copy a write has
+// overtaken.
 func TestReaderConcurrentWithWriters(t *testing.T) {
 	const (
 		window   = 16
@@ -243,12 +371,87 @@ func TestReaderConcurrentWithWriters(t *testing.T) {
 	close(stop)
 	writers.Wait()
 	readers.Wait()
+
+	// The Load that keeps its copy, against writers that only ever add usage
+	// (so every residual only falls): what a reader answers after a Load lies
+	// between the ledger's own answer taken just before that Load and the one
+	// taken just after. A Load that kept a copy it should have replaced reads
+	// above the first.
+	l, err = New([]int{capacity, capacity, capacity}, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var kept atomic.Uint64
+	var started sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		started.Add(1)
+		go func(seed int64) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			r := l.NewReader()
+			for round := 0; ; round++ {
+				select {
+				case <-done:
+					loads, copies := r.TakeLoads()
+					kept.Add(loads - copies)
+					return
+				default:
+				}
+				if round == 0 {
+					started.Done()
+				}
+				for k := 0; k < 4; k++ {
+					j, dur := rng.Intn(3), 1+rng.Intn(6)
+					before := l.ResidualWindow(j, 1, dur)
+					r.Load(1, dur)
+					got := r.ResidualWindow(j, 1, dur)
+					if after := l.ResidualWindow(j, 1, dur); got > before || got < after {
+						t.Errorf("reader %d: window minimum %d after a Load, the ledger said %d before it and %d after (cloudlet %d, [1,+%d))",
+							seed, got, before, after, j, dur)
+						return
+					}
+				}
+				runtime.Gosched() // on one processor, the writers' turn
+			}
+		}(int64(g + 31))
+	}
+	// The writers start once both readers run, and pause between writes so
+	// that most Loads find nothing written since the one before.
+	started.Wait()
+	for g := 0; g < 2; g++ {
+		writers.Add(1)
+		go func(seed int64) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for n := 0; n < 500; n++ {
+				dur := 1 + rng.Intn(4)
+				if err := l.ForceReserve(rng.Intn(3), 1+rng.Intn(window-dur+1), dur, 1); err != nil {
+					t.Errorf("ForceReserve: %v", err)
+					return
+				}
+				time.Sleep(time.Microsecond)
+			}
+		}(int64(g + 21))
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	if kept.Load() == 0 {
+		t.Errorf("no Load kept its copy: the check above never saw one")
+	}
 }
 
 // BenchmarkReaderLoad times what a pd-onsite Propose costs the ledger on
-// the serving path: one Load of the request's window (1–10 slots, at every
-// position of the ring, so a share of them wrap) and the eight window
-// minima read back from the copy. An 8 × 64 rolling ledger, half full.
+// the serving path: one Load of the request's window (1–10 slots, 256
+// requests to a start slot, at every position of the ring, so a share of
+// them wrap) and the eight window minima read back. An 8 × 64 rolling
+// ledger, half full. hit leaves the ledger alone, as a run of rejections
+// does, so all but the first few Loads at a slot keep their copy; miss
+// reserves and releases one unit before every Load, as a run of admissions
+// would, so every Load copies — the cost of a Load before it could keep
+// anything, plus the two writes.
 func BenchmarkReaderLoad(b *testing.B) {
 	caps := []int{40, 40, 40, 40, 40, 40, 40, 40}
 	l, err := NewRolling(caps, 64)
@@ -265,19 +468,35 @@ func BenchmarkReaderLoad(b *testing.B) {
 			}
 		}
 	}
-	r := l.NewReader()
-	sink := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		duration := 1 + i%10
-		start := 40 + i%(64-duration+1)
-		r.Load(start, duration)
-		for j := range caps {
-			sink += r.ResidualWindow(j, start, duration)
+	for _, miss := range []bool{false, true} {
+		name := "hit"
+		if miss {
+			name = "miss"
 		}
-	}
-	if sink == 0 {
-		b.Fatal("nothing read")
+		b.Run(name, func(b *testing.B) {
+			r := l.NewReader()
+			sink := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				duration := 1 + i%10
+				start := 40 + (i/256)%(64-10+1)
+				if miss {
+					if err := l.Reserve(0, 103, 1, 1); err != nil {
+						b.Fatal(err)
+					}
+					if err := l.Release(0, 103, 1, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+				r.Load(start, duration)
+				for j := range caps {
+					sink += r.ResidualWindow(j, start, duration)
+				}
+			}
+			if sink == 0 {
+				b.Fatal("nothing read")
+			}
+		})
 	}
 }

@@ -16,6 +16,11 @@
 # The parent is unpacked with `git archive` into a temporary directory
 # rather than checked out as a worktree, so an interrupted run leaves
 # nothing registered in .git.
+#
+# With `.` as the parent ref the "parent" is a copy of this working tree
+# (without .git and .bench_build): an A/A run, the same code on both sides
+# through the same script, whose spread and pair split are the session's
+# noise floor. Its rows carry "kind": "A/A"; record one per session.
 set -euo pipefail
 
 if [ $# -lt 4 ] || [ $# -gt 5 ]; then
@@ -28,7 +33,11 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/parent"
-git -C "$root" archive "$ref" | tar -x -C "$tmp/parent"
+if [ "$ref" = . ]; then
+    tar -C "$root" --exclude=./.git --exclude=./.bench_build -c . | tar -x -C "$tmp/parent"
+else
+    git -C "$root" archive "$ref" | tar -x -C "$tmp/parent"
+fi
 
 run() { # run <side> <tree> <seed> <workload>
     printf '%s\t%s\t%s\t' "$1" "$3" "$4" >>"$tmp/runs.tsv"
@@ -52,7 +61,9 @@ done
 
 commit=$(git -C "$root" rev-parse --short HEAD)
 git -C "$root" diff --quiet HEAD -- . ':!BENCH_history.json' || commit="$commit+"
-PARENT=$(git -C "$root" rev-parse --short "$ref") COMMIT=$commit SECONDS_RUN=$seconds \
+parent=$commit kind=A/A
+[ "$ref" = . ] || parent=$(git -C "$root" rev-parse --short "$ref") kind=
+PARENT=$parent KIND=$kind COMMIT=$commit SECONDS_RUN=$seconds \
     PROCS=${GOMAXPROCS:-$(nproc)} GOVERSION=$(go env GOVERSION) \
     python3 - "$tmp/runs.tsv" "$root/BENCHMARK.json" <<'EOF'
 import json, os, statistics, sys
@@ -85,6 +96,7 @@ for workload, sides in runs.items():
         print(f"  {m['name']:<14} {statistics.median(p):>14.6g} {iqr(p):>10.4g} "
               f"{statistics.median(c):>14.6g} {iqr(c):>10.4g}  {won_p}/{won_c}")
         rows.append({
+            **({"kind": os.environ["KIND"]} if os.environ["KIND"] else {}),
             "workload": workload, "metric": m["name"], "unit": m["unit"],
             "parent_median": statistics.median(p), "parent_iqr": iqr(p),
             "change_median": statistics.median(c), "change_iqr": iqr(c),
