@@ -12,7 +12,7 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("run(-list) = %d, stderr: %s", code, errOut.String())
 	}
-	for _, name := range []string{"atomicword", "floateq", "guardedby", "ledgerapi", "lockorder", "norand", "purepropose", "walltime"} {
+	for _, name := range []string{"atomicword", "floateq", "guardedby", "lockorder", "norand", "purepropose", "walltime"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out.String())
 		}

@@ -14,10 +14,8 @@
 // A field opts in with a doc or line comment:
 //
 //	slot int // guarded by mu
-//	used [][]int // guarded by mus[*]
 //
-// where the guard is a sibling sync.Mutex/sync.RWMutex field ("[*]" names
-// a slice/array of mutexes, any element of which counts). For every
+// where the guard is a sibling sync.Mutex/sync.RWMutex field. For every
 // function in the package, the pass computes the mode in which the guard
 // is held:
 //
@@ -171,7 +169,7 @@ func checkBody(pass *framework.Pass, fn *types.Func, fd *ast.FuncDecl, guards ma
 			switch have {
 			case lockset.ModeNone:
 				pass.Reportf(sel.Pos(), "writes %s.%s without holding %s (field is marked 'guarded by %s')",
-					g.Owner.Obj().Name(), v.Name(), lockset.TrimPkg(g.Class), guardSpelling(g))
+					g.Owner.Obj().Name(), v.Name(), lockset.TrimPkg(g.Class), g.MutexField)
 			case lockset.ModeRead:
 				pass.Reportf(sel.Pos(), "writes %s.%s under the read lock of %s; writes require the write lock",
 					g.Owner.Obj().Name(), v.Name(), lockset.TrimPkg(g.Class))
@@ -180,17 +178,10 @@ func checkBody(pass *framework.Pass, fn *types.Func, fd *ast.FuncDecl, guards ma
 		}
 		if have == lockset.ModeNone {
 			pass.Reportf(sel.Pos(), "reads %s.%s without holding %s (field is marked 'guarded by %s')",
-				g.Owner.Obj().Name(), v.Name(), lockset.TrimPkg(g.Class), guardSpelling(g))
+				g.Owner.Obj().Name(), v.Name(), lockset.TrimPkg(g.Class), g.MutexField)
 		}
 		return true
 	})
-}
-
-func guardSpelling(g *lockset.Guard) string {
-	if g.Indexed {
-		return g.MutexField + "[*]"
-	}
-	return g.MutexField
 }
 
 // writeSelectors returns the guarded-field selectors written by the body:

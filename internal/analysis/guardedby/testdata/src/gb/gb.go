@@ -103,31 +103,6 @@ func (r *RW) Snapshot() []float64 {
 	return out
 }
 
-// Rows mimics the ledger: a slice of row locks guarding a table.
-type Rows struct {
-	mus  []sync.RWMutex
-	used [][]int // guarded by mus[*]
-}
-
-// Get locks its row: accepted.
-func (r *Rows) Get(row, col int) int {
-	r.mus[row].RLock()
-	defer r.mus[row].RUnlock()
-	return r.used[row][col]
-}
-
-// Put takes a row write lock: accepted.
-func (r *Rows) Put(row, col, v int) {
-	r.mus[row].Lock()
-	defer r.mus[row].Unlock()
-	r.used[row][col] = v
-}
-
-// Peek reads the table with no row lock: flagged.
-func (r *Rows) Peek(row, col int) int {
-	return r.used[row][col] // want `reads Rows\.used without holding gb\.Rows\.mus\[\*\]`
-}
-
 // BadAnnotation exercises the annotation validator.
 type BadAnnotation struct {
 	n int // guarded by nosuch // want `guarded-by annotation names "nosuch", which is not a field of BadAnnotation`

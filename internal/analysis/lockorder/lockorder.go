@@ -44,8 +44,8 @@
 // Classes are instance-blind: two Engines locking each other's mutexes
 // are indistinguishable from self-nesting (no such topology exists here).
 // Loop bodies are scanned once, so ascending same-class acquisition inside
-// a loop would be invisible (the tree has none since the ledger's row locks
-// went). Branches are scanned sequentially, so a release on an early-return path releases for the
+// a loop would be invisible (the tree has none). Branches are scanned
+// sequentially, so a release on an early-return path releases for the
 // linear remainder; this under-approximates held sets but never invents
 // edges that cannot occur. A channel used as a lock is invisible: the
 // engine's worker tokens rank before Engine.mu (DESIGN.md §12.3), and the
@@ -122,23 +122,15 @@ var rank = func() map[lockset.Class]int {
 var summary = map[string][]lockset.Class{
 	"revnf/internal/timeslot.Ledger":        {ledgerMu},
 	"revnf/internal/timeslot.Reader":        {ledgerMu},
+	"revnf/internal/timeslot.Pool":          {ledgerMu},
 	"revnf/internal/core.CapacityView":      {ledgerMu},
 	"revnf/internal/core.TwoPhaseScheduler": {schedMu, ledgerMu, "revnf/internal/trace.Store.mu"},
 	"revnf/internal/core.WindowAdvancer":    {schedMu},
-	"revnf/internal/core.LambdaReader":      {schedMu},
-	"revnf/internal/onsite.Scheduler":       {schedMu, ledgerMu},
-	"revnf/internal/offsite.Scheduler":      {schedMu, ledgerMu},
 	"revnf/internal/shared.Scheduler":       {schedMu, ledgerMu},
-	"revnf/internal/chain.OnsiteScheduler":  {schedMu, ledgerMu, "revnf/internal/trace.Store.mu"},
-	"revnf/internal/chain.OffsiteScheduler": {schedMu, ledgerMu, "revnf/internal/trace.Store.mu"},
-	"revnf/internal/baseline.RandomOnsite": {
-		"revnf/internal/baseline.RandomOnsite.mu", ledgerMu, "revnf/internal/trace.Store.mu",
-	},
-	"revnf/internal/trace.Store":       {"revnf/internal/trace.Store.mu"},
-	"revnf/internal/trace.Recorder":    {"revnf/internal/trace.Store.mu"},
-	"revnf/internal/slo.Tracker":       {"revnf/internal/slo.Tracker.mu"},
-	"revnf/internal/slo.RateEstimator": {"revnf/internal/slo.RateEstimator.mu"},
-	"revnf/internal/repair.Controller": {"revnf/internal/repair.Controller.mu"},
+	"revnf/internal/trace.Recorder":         {"revnf/internal/trace.Store.mu"},
+	"revnf/internal/slo.Tracker":            {"revnf/internal/slo.Tracker.mu"},
+	"revnf/internal/slo.RateEstimator":      {"revnf/internal/slo.RateEstimator.mu"},
+	"revnf/internal/repair.Controller":      {"revnf/internal/repair.Controller.mu"},
 }
 
 // fold applies the alias map.

@@ -6,12 +6,10 @@
 //
 // # Lock classes
 //
-// A lock class identifies one mutex — or one family of mutexes — by the
-// field that holds it rather than by a runtime instance:
+// A lock class identifies one mutex by the field that holds it rather than
+// by a runtime instance:
 //
 //	revnf/internal/serve.Engine.mu  one sync.Mutex field
-//	example/cache.Shards.mus[*]     a slice of per-shard locks (none in
-//	                                the tree since the ledger's row locks went)
 //
 // Class-level (instance-blind) reasoning is a deliberate approximation:
 // it cannot distinguish two Engines locking each other's mutexes, but
@@ -24,11 +22,6 @@
 // declares it in its doc or line comment:
 //
 //	slot int // guarded by mu
-//	used [][]int // guarded by mus[*]
-//
-// The "[*]" suffix names a slice/array of mutexes: any element counts as
-// the guard (the annotation cannot express which index; index discipline
-// stays a code-review property).
 package lockset
 
 import (
@@ -66,8 +59,8 @@ func (m Mode) String() string {
 	}
 }
 
-// Class names one lock (or lock family) by its owning field; see the
-// package comment for the format.
+// Class names one lock by its owning field; see the package comment for
+// the format.
 type Class string
 
 // lockMethod classifies the sync.Mutex/sync.RWMutex method set.
@@ -123,17 +116,10 @@ func AsLockOp(info *types.Info, call *ast.CallExpr) (LockOp, bool) {
 }
 
 // ClassOf names the lock held in expr (the x of x.Lock()). It recognizes
-// field selectors, optionally behind one index expression (a slice or
-// array of locks, named with a "[*]" suffix), and package-level
-// variables. Locals and compound expressions have no class.
+// field selectors and package-level variables. Locals and compound
+// expressions have no class.
 func ClassOf(info *types.Info, expr ast.Expr) (Class, bool) {
-	expr = ast.Unparen(expr)
-	indexed := false
-	if ix, ok := expr.(*ast.IndexExpr); ok {
-		expr = ast.Unparen(ix.X)
-		indexed = true
-	}
-	switch x := expr.(type) {
+	switch x := ast.Unparen(expr).(type) {
 	case *ast.SelectorExpr:
 		obj := info.Uses[x.Sel]
 		v, ok := obj.(*types.Var)
@@ -143,14 +129,14 @@ func ClassOf(info *types.Info, expr ast.Expr) (Class, bool) {
 		if v.IsField() {
 			if sel, ok := info.Selections[x]; ok {
 				if named := astq.Named(sel.Recv()); named != nil && named.Obj().Pkg() != nil {
-					return fieldClass(named.Obj().Pkg().Path(), named.Obj().Name(), v.Name(), indexed), true
+					return fieldClass(named.Obj().Pkg().Path(), named.Obj().Name(), v.Name()), true
 				}
 			}
 			return "", false
 		}
 		// Package-qualified variable (pkg.Mu).
 		if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return varClass(v.Pkg().Path(), v.Name(), indexed), true
+			return varClass(v.Pkg().Path(), v.Name()), true
 		}
 		return "", false
 	case *ast.Ident:
@@ -158,35 +144,27 @@ func ClassOf(info *types.Info, expr ast.Expr) (Class, bool) {
 		if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
 			return "", false // local variable: no class
 		}
-		return varClass(v.Pkg().Path(), v.Name(), indexed), true
+		return varClass(v.Pkg().Path(), v.Name()), true
 	default:
 		return "", false
 	}
 }
 
-func fieldClass(pkgPath, typeName, field string, indexed bool) Class {
-	c := Class(pkgPath + "." + typeName + "." + field)
-	if indexed {
-		c += "[*]"
-	}
-	return c
+func fieldClass(pkgPath, typeName, field string) Class {
+	return Class(pkgPath + "." + typeName + "." + field)
 }
 
-func varClass(pkgPath, name string, indexed bool) Class {
-	c := Class(pkgPath + "." + name)
-	if indexed {
-		c += "[*]"
-	}
-	return c
+func varClass(pkgPath, name string) Class {
+	return Class(pkgPath + "." + name)
 }
 
 // FieldClass names the lock class of a struct field object directly (used
 // to resolve guard annotations against the fields of the same struct).
-func FieldClass(owner *types.Named, field string, indexed bool) Class {
+func FieldClass(owner *types.Named, field string) Class {
 	if owner == nil || owner.Obj().Pkg() == nil {
 		return ""
 	}
-	return fieldClass(owner.Obj().Pkg().Path(), owner.Obj().Name(), field, indexed)
+	return fieldClass(owner.Obj().Pkg().Path(), owner.Obj().Name(), field)
 }
 
 // Guard is one parsed "guarded by" annotation.
@@ -198,16 +176,13 @@ type Guard struct {
 	Field *types.Var
 	// MutexField is the guard's field name within Owner.
 	MutexField string
-	// Indexed marks a "[*]" guard: a slice/array of mutexes any element
-	// of which counts as the guard.
-	Indexed bool
 	// Class is the guard's lock class.
 	Class Class
 	// Pos locates the annotation (the field), for diagnostics.
 	Pos ast.Node
 }
 
-var guardRe = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*)(\[\*\])?`)
+var guardRe = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*)`)
 
 // ParseGuards scans every struct type declared in the pass's files for
 // "guarded by <field>" annotations on field doc or line comments and
@@ -252,19 +227,18 @@ func parseStructGuards(pass *framework.Pass, owner *types.Named, st *ast.StructT
 		fieldByName[f.Name()] = f
 	}
 	for _, field := range st.Fields.List {
-		m := guardAnnotation(field)
-		if m == nil {
+		mutexName := guardAnnotation(field)
+		if mutexName == "" {
 			continue
 		}
-		mutexName, indexed := m[1], m[2] == "[*]"
 		guardField, ok := fieldByName[mutexName]
 		if !ok {
 			pass.Reportf(field.Pos(), "guarded-by annotation names %q, which is not a field of %s", mutexName, owner.Obj().Name())
 			continue
 		}
-		if !guardIsMutex(guardField.Type(), indexed) {
-			pass.Reportf(field.Pos(), "guarded-by annotation names %s.%s, which is not a sync.Mutex/sync.RWMutex%s",
-				owner.Obj().Name(), mutexName, map[bool]string{true: " slice/array", false: ""}[indexed])
+		if !isSyncLocker(guardField.Type()) {
+			pass.Reportf(field.Pos(), "guarded-by annotation names %s.%s, which is not a sync.Mutex/sync.RWMutex",
+				owner.Obj().Name(), mutexName)
 			continue
 		}
 		for _, name := range field.Names {
@@ -273,8 +247,7 @@ func parseStructGuards(pass *framework.Pass, owner *types.Named, st *ast.StructT
 					Owner:      owner,
 					Field:      v,
 					MutexField: mutexName,
-					Indexed:    indexed,
-					Class:      FieldClass(owner, mutexName, indexed),
+					Class:      FieldClass(owner, mutexName),
 					Pos:        field,
 				}
 			}
@@ -282,34 +255,19 @@ func parseStructGuards(pass *framework.Pass, owner *types.Named, st *ast.StructT
 	}
 }
 
-// guardAnnotation extracts the "guarded by" match from a field's doc or
-// line comment, preferring the line comment (closest to the field).
-func guardAnnotation(field *ast.Field) []string {
+// guardAnnotation extracts the guard's name from a field's doc or line
+// comment, preferring the line comment (closest to the field); "" when
+// neither carries a "guarded by".
+func guardAnnotation(field *ast.Field) string {
 	for _, cg := range []*ast.CommentGroup{field.Comment, field.Doc} {
 		if cg == nil {
 			continue
 		}
 		if m := guardRe.FindStringSubmatch(cg.Text()); m != nil {
-			return m
+			return m[1]
 		}
 	}
-	return nil
-}
-
-// guardIsMutex checks the annotation target's type: a mutex, or (for
-// "[*]" guards) a slice/array of mutexes.
-func guardIsMutex(t types.Type, indexed bool) bool {
-	if indexed {
-		switch u := t.Underlying().(type) {
-		case *types.Slice:
-			return isSyncLocker(u.Elem())
-		case *types.Array:
-			return isSyncLocker(u.Elem())
-		default:
-			return false
-		}
-	}
-	return isSyncLocker(t)
+	return ""
 }
 
 // FuncDecls maps every function and method declared in the pass (with a

@@ -15,8 +15,9 @@
 //   - assignments (including compound assignment, ++/--, and writes
 //     through indexes such as s.lambda[j][t-1] = v) whose left-hand side
 //     is rooted in the receiver;
-//   - calls to the timeslot.Ledger mutators (Reserve, ReserveWindow,
-//     ForceReserve, Release) and the timeslot.Pool mutators (Acquire,
+//   - calls to the timeslot.Ledger mutators (ReserveAll, ReleaseAll and
+//     their one-claim forms Reserve, ReserveWindow, ForceReserve, Release)
+//     and the timeslot.Pool mutators (ReserveAll, ReleaseAll, Acquire,
 //     Release — the refcounted shared-backup layer reserves ledger
 //     capacity under the covers) — reserving capacity is the engine's
 //     job, after arbitration;
@@ -78,8 +79,8 @@ type MutatorSet struct {
 var Mutators = map[string]MutatorSet{
 	"revnf/internal/timeslot": {
 		Methods: map[string]map[string]bool{
-			"Ledger": {"Reserve": true, "ReserveWindow": true, "ForceReserve": true, "Release": true},
-			"Pool":   {"Acquire": true, "Release": true},
+			"Ledger": {"ReserveAll": true, "ReleaseAll": true, "Reserve": true, "ReserveWindow": true, "ForceReserve": true, "Release": true},
+			"Pool":   {"ReserveAll": true, "ReleaseAll": true, "Acquire": true, "Release": true},
 		},
 		Why:  "reserving capacity is the engine's job after ledger arbitration",
 		What: "mutates timeslot capacity state",

@@ -65,7 +65,9 @@ type LedgerTouch struct {
 }
 
 func (s *LedgerTouch) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
-	_ = s.ledger.Reserve(0, 1, 1, 1) // want `reserving capacity is the engine's job`
+	_ = s.ledger.Reserve(0, 1, 1, 1)             // want `reserving capacity is the engine's job`
+	_, _ = s.ledger.ReserveAll(1, 1, nil, false) // want `reserving capacity is the engine's job`
+	_ = s.ledger.ReleaseAll(1, 1, nil)           // want `reserving capacity is the engine's job`
 	return core.Placement{}, true
 }
 
@@ -147,7 +149,9 @@ type PoolTouch struct {
 }
 
 func (s *PoolTouch) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
-	_ = s.pool.Acquire(0, 1, 1, 1, 1) // want `reserving capacity is the engine's job`
+	_ = s.pool.Acquire(0, 1, 1, 1, 1)                             // want `reserving capacity is the engine's job`
+	_, _ = s.pool.ReserveAll(1, 1, nil, timeslot.Pooled{}, false) // want `reserving capacity is the engine's job`
+	_ = s.pool.ReleaseAll(1, 1, nil, timeslot.Pooled{})           // want `reserving capacity is the engine's job`
 	return core.Placement{}, true
 }
 

@@ -9,7 +9,6 @@ import (
 	"revnf/internal/analysis/floateq"
 	"revnf/internal/analysis/framework"
 	"revnf/internal/analysis/guardedby"
-	"revnf/internal/analysis/ledgerapi"
 	"revnf/internal/analysis/lockorder"
 	"revnf/internal/analysis/norand"
 	"revnf/internal/analysis/purepropose"
@@ -22,7 +21,6 @@ func All() []*framework.Analyzer {
 		atomicword.Analyzer,
 		floateq.Analyzer,
 		guardedby.Analyzer,
-		ledgerapi.Analyzer,
 		lockorder.Analyzer,
 		norand.Analyzer,
 		purepropose.Analyzer,

@@ -126,10 +126,13 @@ func Run(inst *Instance, sched Scheduler) (*Result, error) {
 		if err := placement.Validate(inst.Network, req); err != nil {
 			return nil, fmt.Errorf("chain: scheduler %q request %d: %w", sched.Name(), req.ID, err)
 		}
-		for _, cu := range sortedUnitEntries(placement, inst.Network.Catalog) {
-			if err := ledger.Reserve(cu.cloudlet, req.Arrival, req.Duration, cu.units); err != nil {
-				return nil, fmt.Errorf("chain: scheduler %q request %d cloudlet %d: %w", sched.Name(), req.ID, cu.cloudlet, err)
-			}
+		claims := sortedClaims(placement, inst.Network.Catalog)
+		ok, err := ledger.ReserveAll(req.Arrival, req.Duration, claims, false)
+		if err == nil && !ok {
+			err = timeslot.ErrOverCapacity
+		}
+		if err != nil {
+			return nil, fmt.Errorf("chain: scheduler %q request %d footprint %v: %w", sched.Name(), req.ID, claims, err)
 		}
 		if twoPhase != nil {
 			twoPhase.Commit(req, placement)
@@ -142,17 +145,14 @@ func Run(inst *Instance, sched Scheduler) (*Result, error) {
 	return result, nil
 }
 
-type cloudletUnits struct {
-	cloudlet, units int
-}
-
-func sortedUnitEntries(p Placement, catalog []core.VNF) []cloudletUnits {
+// sortedClaims is the placement's footprint in cloudlet order.
+func sortedClaims(p Placement, catalog []core.VNF) []timeslot.Claim {
 	units := p.UnitsPerCloudlet(catalog)
-	out := make([]cloudletUnits, 0, len(units))
+	out := make([]timeslot.Claim, 0, len(units))
 	for cl, u := range units {
-		out = append(out, cloudletUnits{cloudlet: cl, units: u})
+		out = append(out, timeslot.Claim{Cloudlet: cl, Units: u})
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].cloudlet < out[b].cloudlet })
+	sort.Slice(out, func(a, b int) bool { return out[a].Cloudlet < out[b].Cloudlet })
 	return out
 }
 

@@ -83,8 +83,10 @@ type Scheduler interface {
 //     whose uniqueness needs the Propose→Commit pairs serialized.
 //
 // Abort releases nothing by default (no scheduler here acquires state in
-// Propose) but is part of the contract so engines can pair every Propose
-// with exactly one Commit or Abort.
+// Propose, and a footprint the ledger refused was never partly booked:
+// timeslot's ReserveAll writes all of it or none) but is part of the
+// contract so engines can pair every Propose with exactly one Commit or
+// Abort.
 //
 // Observability carve-out: emitting a decision trace from Propose into an
 // injected trace.Recorder is NOT state mutation under this contract.
@@ -103,9 +105,9 @@ type TwoPhaseScheduler interface {
 	// Propose, after the engine has secured the placement's capacity.
 	Commit(req Request, p Placement)
 	// Abort discards a proposal the engine could not admit (for example
-	// when the ledger refused the reservation after a concurrent commit
-	// consumed the capacity). It must leave scheduler state exactly as if
-	// the Propose had never happened.
+	// when the ledger refused the footprint after a concurrent commit
+	// consumed the capacity; the refusal booked nothing). It must leave
+	// scheduler state exactly as if the Propose had never happened.
 	Abort(req Request, p Placement)
 	// ConcurrentPropose reports whether Propose may be invoked
 	// concurrently. Engines must treat false as "serialize everything":

@@ -303,7 +303,7 @@ func sharedWarmStart(inst *workload.Instance, model *sharedModel, poolSize int) 
 		}
 	}
 	// The ledger and pool are throwaway feasibility counters, not the live
-	// admission ledger; nothing to release. //lint:allow ledgerapi
+	// admission ledger; nothing to release.
 	return x, nil
 }
 

@@ -97,7 +97,7 @@ func onsiteGreedy(inst *workload.Instance, model *onsiteModel, smallestFootprint
 	}
 	// The ledger here is a local feasibility counter for the greedy pack;
 	// it is discarded with the function, so its reservations are never
-	// released. //lint:allow ledgerapi
+	// released.
 	return x, nil
 }
 
@@ -154,7 +154,7 @@ func offsiteWarmStart(inst *workload.Instance, model *offsiteModel) ([]float64, 
 		x[model.xVar(i)] = 1
 	}
 	// Same as onsiteGreedy: the ledger is a throwaway feasibility counter,
-	// not the live admission ledger. //lint:allow ledgerapi
+	// not the live admission ledger.
 	return x, nil
 }
 

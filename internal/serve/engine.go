@@ -244,9 +244,6 @@ type Engine struct {
 
 	// slotNow mirrors slot for lock-free reads on the decision path.
 	slotNow atomic.Int64
-	// baseNow mirrors the ledger's window base for lock-free reads
-	// (horizon checks, metrics); pinned at 1 in fixed mode.
-	baseNow atomic.Int64
 	// lastID is the atomic ID allocator (IDs start at 1).
 	lastID atomic.Int64
 	// waiting counts submissions accepted but not yet decided.
@@ -400,7 +397,6 @@ func New(cfg Config) (*Engine, error) {
 		quit:       make(chan struct{}),
 	}
 	e.slotNow.Store(1)
-	e.baseNow.Store(1)
 	for i := 0; i < workers; i++ {
 		h, err := metrics.NewHistogram(latencyBounds...)
 		if err != nil {
@@ -564,7 +560,9 @@ func (e *Engine) recordOutcome(req core.Request, slot int, outcome trace.Reason,
 //  1. load the token's view of the request's window and Propose against
 //     it (the scheduler only reads its prices);
 //  2. reserve the whole footprint in the concurrent ledger, which
-//     arbitrates races between decisions atomically per cloudlet;
+//     arbitrates races between decisions in one critical section: every
+//     cloudlet of the footprint is tested, then every one written, so no
+//     other decision ever reads a footprint half booked;
 //  3. on a refusal the view did not predict, abort the proposal and
 //     re-propose (bounded retries) — prices and capacity have moved under
 //     a competing commit; on one it did predict, reject as overbooked;
@@ -588,11 +586,11 @@ func (e *Engine) decide(ctx context.Context, token int, ar AdmissionRequest) (Ad
 	if reason, ok := e.checkScheme(ar); !ok {
 		return reject(reason), nil
 	}
-	// In rolling mode the admissible window follows the base mirror; the
+	// In rolling mode the admissible window follows the ledger's base; the
 	// ledger re-checks atomically at reservation time, so a stale read
 	// here can only cause a rejection or a conflict retry, never an
 	// out-of-window reservation.
-	maxSlot := e.maxSlot()
+	maxSlot := e.ledger.MaxSlot()
 	if req.End() > maxSlot {
 		return reject(ReasonHorizon), nil
 	}
@@ -666,41 +664,30 @@ func (e *Engine) placeable(req core.Request, placement core.Placement) bool {
 	return placement.Validate(e.network, req) == nil && fileable(placement)
 }
 
-// reserveAll reserves the placement's whole footprint — the assignments
-// plus any pooled shared backup — rolling back on the first refusal. Each
-// per-cloudlet reservation is atomic in the ledger; the rollback, over the
-// prefix of assignments already booked, makes the multi-cloudlet footprint
-// all-or-nothing. Decisions and repairs reserve through here.
+// reserveAll books the placement's whole footprint — the assignments plus
+// any pooled shared backup — or none of it, which is the ledger's contract
+// (timeslot.Pool.ReserveAll), not this caller's. Decisions and repairs
+// reserve through here.
 func (e *Engine) reserveAll(req core.Request, placement core.Placement, demand int) bool {
-	for i, a := range placement.Assignments {
-		ok, err := true, error(nil)
-		if e.cfg.AllowViolations {
-			err = e.ledger.ForceReserve(a.Cloudlet, req.Arrival, req.Duration, a.Units(demand))
-		} else {
-			ok, err = e.ledger.ReserveWindow(a.Cloudlet, req.Arrival, req.Duration, a.Units(demand))
-		}
-		if err != nil || !ok {
-			e.releaseAll(req, placement.Assignments[:i], demand)
-			return false
-		}
-	}
-	if b := placement.Backup; b != nil {
-		// Shared scheme: join the pooled backup. The pool reserves the
-		// group's ledger row only for slots no other member covers yet.
-		if err := e.pool.Acquire(b.Group, b.Cloudlet, req.Arrival, req.Duration, demand); err != nil {
-			e.releaseAll(req, placement.Assignments, demand)
-			return false
-		}
-	}
-	return true
+	var buf [footprintClaims]timeslot.Claim
+	claims, pooled := simulate.Footprint(buf[:0], placement, demand)
+	ok, err := e.pool.ReserveAll(req.Arrival, req.Duration, claims, pooled, e.cfg.AllowViolations)
+	return ok && err == nil
 }
 
-// releaseAll undoes the reservations reserveAll made for the assignments
-// before a later part of the footprint was refused.
-func (e *Engine) releaseAll(req core.Request, reserved []core.Assignment, demand int) {
-	for _, r := range reserved {
-		// Releasing exactly what this decision just reserved cannot fail.
-		_ = e.ledger.Release(r.Cloudlet, req.Arrival, req.Duration, r.Units(demand))
+// footprintClaims sizes the stack buffer a footprint's claims are built in;
+// a placement over more cloudlets spills to the heap.
+const footprintClaims = 8
+
+// releaseFootprint returns the record's live reservation, which runs
+// [ReservedFrom, end]: the full window at admission, the remaining window
+// after a mid-window repair. The engine reserved exactly that, so a failure
+// here would be an engine bug.
+func (e *Engine) releaseFootprint(rec *PlacementRecord) {
+	var buf [footprintClaims]timeslot.Claim
+	claims, pooled := simulate.Footprint(buf[:0], rec.Placement, e.network.Catalog[rec.Request.VNF].Demand)
+	if err := e.pool.ReleaseAll(rec.ReservedFrom, rec.Request.End()-rec.ReservedFrom+1, claims, pooled); err != nil {
+		panic(fmt.Sprintf("serve: release placement %d: %v", rec.ID, err))
 	}
 }
 
@@ -744,28 +731,11 @@ func (e *Engine) Tick() TickReport {
 	e.slot++
 	e.slotNow.Store(int64(e.slot))
 	expired := e.expiry.ExpireBefore(e.slot)
-	demandOf := func(req core.Request) int { return e.network.Catalog[req.VNF].Demand }
 	for _, id := range expired {
 		// ExpireBefore yields each ID once, so a record leaves the live index
 		// exactly when its footprint is released.
 		rec := e.book.live[id]
-		// The live reservation runs [ReservedFrom, end]: the full window
-		// at admission, the remaining window after a mid-window repair.
-		duration := rec.Request.End() - rec.ReservedFrom + 1
-		for _, a := range rec.Placement.Assignments {
-			// Release can only fail on arguments the engine itself
-			// reserved; a failure here would be an engine bug.
-			if err := e.ledger.Release(a.Cloudlet, rec.ReservedFrom, duration, a.Units(demandOf(rec.Request))); err != nil {
-				panic(fmt.Sprintf("serve: release placement %d: %v", id, err))
-			}
-		}
-		if b := rec.Placement.Backup; b != nil {
-			// Leave the backup group: the pool releases the group's
-			// ledger row on slots this was the last member covering.
-			if err := e.pool.Release(b.Group, rec.ReservedFrom, duration); err != nil {
-				panic(fmt.Sprintf("serve: release pooled backup of placement %d: %v", id, err))
-			}
-		}
+		e.releaseFootprint(rec)
 		e.expired++
 		if e.runtime != nil {
 			e.finalizeExpiredLocked(id)
@@ -795,7 +765,7 @@ func (e *Engine) advanceWindowLocked() {
 	if oldest, ok := e.expiry.OldestStart(); ok && oldest < newBase {
 		newBase = oldest
 	}
-	if newBase <= int(e.baseNow.Load()) {
+	if newBase <= e.ledger.Base() {
 		return
 	}
 	if err := e.ledger.Advance(newBase); err != nil {
@@ -804,19 +774,9 @@ func (e *Engine) advanceWindowLocked() {
 		}
 		panic(fmt.Sprintf("serve: advance window to %d: %v", newBase, err))
 	}
-	e.baseNow.Store(int64(newBase))
 	if e.advancer != nil {
 		e.advancer.AdvanceWindow(newBase)
 	}
-}
-
-// maxSlot returns the last admissible slot: the horizon T in fixed mode,
-// the far edge of the rolling window otherwise.
-func (e *Engine) maxSlot() int {
-	if e.rolling {
-		return int(e.baseNow.Load()) + e.horizon - 1
-	}
-	return e.horizon
 }
 
 // runClock maps wall time onto slots.
@@ -848,7 +808,7 @@ func (e *Engine) Rolling() bool { return e.rolling }
 
 // WindowBase returns the first live slot of the ledger window; always 1
 // in fixed mode.
-func (e *Engine) WindowBase() int { return int(e.baseNow.Load()) }
+func (e *Engine) WindowBase() int { return e.ledger.Base() }
 
 // Traces returns the engine's decision-trace store; nil when tracing is
 // disabled.
@@ -893,8 +853,8 @@ type CloudletStatus struct {
 func (e *Engine) Cloudlets() []CloudletStatus {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	base := int(e.baseNow.Load())
-	maxSlot := e.maxSlot()
+	base := e.ledger.Base()
+	maxSlot := base + e.horizon - 1
 	// One cut of the remaining window answers the whole table.
 	e.reader.Load(e.slot, maxSlot-e.slot+1)
 	out := make([]CloudletStatus, len(e.network.Cloudlets))
@@ -918,7 +878,7 @@ func (e *Engine) Stats() Stats {
 	s := Stats{
 		Slot:             e.slot,
 		Horizon:          e.horizon,
-		WindowBase:       int(e.baseNow.Load()),
+		WindowBase:       e.ledger.Base(),
 		Rolling:          e.rolling,
 		Workers:          e.workers,
 		QueueCapacity:    e.queueCap,
@@ -957,7 +917,7 @@ func (e *Engine) Stats() Stats {
 	for reason, n := range e.rejections {
 		s.Rejections[reason] = n.Load()
 	}
-	live := e.slot <= e.maxSlot()
+	live := e.slot <= e.ledger.MaxSlot()
 	e.reader.Load(e.slot, 1)
 	for j, cl := range e.network.Cloudlets {
 		s.CloudletCapacity[j] = cl.Capacity

@@ -154,6 +154,84 @@ func TestShardedConflictRejection(t *testing.T) {
 	}
 }
 
+// grabbedOffsite is the real off-site primal-dual scheduler with
+// firstFitScheduler's hook: grab runs inside every Propose that proposes,
+// after the view was read, with the proposal it is about to return.
+type grabbedOffsite struct {
+	*offsite.Scheduler
+	grab func(core.Request, core.Placement)
+}
+
+func (s *grabbedOffsite) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
+	p, ok := s.Scheduler.Propose(req, view)
+	if ok {
+		s.grab(req, p)
+	}
+	return p, ok
+}
+
+// TestShardedConflictOnSecondCloudlet loses the race on the second cloudlet
+// of a two-cloudlet footprint, which the first cloudlet's claim has by then
+// passed: every attempt is a conflict retry, the cloudlet whose claim fit
+// keeps nothing of it, and the scheduler's prices never move. One token and
+// four decide alike.
+func TestShardedConflictOnSecondCloudlet(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		n := testNetwork()
+		for id := 2; id < 5; id++ {
+			n.Cloudlets = append(n.Cloudlets, core.Cloudlet{ID: id, Node: -1, Capacity: 10, Reliability: 0.97})
+		}
+		inner, err := offsite.NewScheduler(n, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := &grabbedOffsite{Scheduler: inner}
+		e, err := New(Config{Network: n, Scheduler: sched, Horizon: 10, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stolen := make([]int, len(n.Cloudlets))
+		var firsts []int
+		sched.grab = func(req core.Request, p core.Placement) {
+			if len(p.Assignments) != 2 {
+				t.Fatalf("workers %d: proposal %+v, want a footprint of two cloudlets", workers, p)
+			}
+			firsts = append(firsts, p.Assignments[0].Cloudlet)
+			// All but one unit short of what the second claim needs.
+			second := p.Assignments[1]
+			take := e.ledger.ResidualWindow(second.Cloudlet, req.Arrival, req.Duration) - second.Units(n.Catalog[req.VNF].Demand) + 1
+			if ok, err := e.ledger.ReserveWindow(second.Cloudlet, req.Arrival, req.Duration, take); !ok || err != nil {
+				t.Errorf("workers %d: out-of-band reservation on cloudlet %d: %v, %v", workers, second.Cloudlet, ok, err)
+			}
+			stolen[second.Cloudlet] += take
+		}
+		res := submit(t, e, AdmissionRequest{VNF: 0, Reliability: 0.9, Arrival: 1, Duration: 3, Payment: 50})
+		if res.Admitted || res.Reason != ReasonConflict {
+			t.Fatalf("workers %d: raced submission = %+v, want %s", workers, res, ReasonConflict)
+		}
+		s := e.Stats()
+		if s.ConflictRetries != 3 || len(firsts) != 3 {
+			t.Errorf("workers %d: ConflictRetries = %d over %d proposals, want 3 and 3", workers, s.ConflictRetries, len(firsts))
+		}
+		for j := range n.Cloudlets {
+			for slot := 1; slot <= 10; slot++ {
+				want := 0
+				if slot <= 3 {
+					want = stolen[j]
+				}
+				if got := e.ledger.Used(j, slot); got != want {
+					t.Errorf("workers %d: cloudlet %d slot %d holds %d units, want the %d taken behind the engine's back (first cloudlets of the lost attempts: %v)",
+						workers, j, slot, got, want, firsts)
+				}
+				if l := inner.Lambda(j, slot); l != 0 {
+					t.Errorf("workers %d: λ[%d][%d] = %g after three aborted proposals, want 0", workers, j, slot, l)
+				}
+			}
+		}
+		shutdownEngine(t, e)
+	}
+}
+
 // TestShardedConflictExhaustion pins down the full exhaustion path: a
 // proposal that keeps losing the ledger reservation is re-proposed exactly
 // maxAttempts times, every losing Propose is paired with an Abort, no

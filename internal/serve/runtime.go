@@ -205,22 +205,11 @@ func (e *Engine) repairLocked(rec *PlacementRecord) bool {
 		return false
 	}
 	e.sched.Commit(req, placement)
-	// The new footprint is booked; release the old one over its live
-	// window. Release cannot fail on windows the engine reserved itself.
-	oldDuration := end - rec.ReservedFrom + 1
-	for _, a := range rec.Placement.Assignments {
-		if err := e.ledger.Release(a.Cloudlet, rec.ReservedFrom, oldDuration, a.Units(demand)); err != nil {
-			panic("serve: repair release: " + err.Error())
-		}
-	}
-	if b := rec.Placement.Backup; b != nil {
-		// Leaving the old backup group: the pool drops the group's row on
-		// slots this member was the last to cover, so a group whose backup
-		// cloudlet died dissolves as its members are re-placed.
-		if err := e.pool.Release(b.Group, rec.ReservedFrom, oldDuration); err != nil {
-			panic("serve: repair pooled release: " + err.Error())
-		}
-	}
+	// The new footprint is booked; release the old one over its live window.
+	// Leaving the old backup group drops the group's row on slots this
+	// member was the last to cover, so a group whose backup cloudlet died
+	// dissolves as its members are re-placed.
+	e.releaseFootprint(rec)
 	rec.Placement = placement
 	rec.ReservedFrom = e.slot
 	e.book.refile(rec)

@@ -111,10 +111,6 @@ func Run(inst *workload.Instance, sched core.Scheduler, opts ...Option) (*Result
 		Scheme:    sched.Scheme(),
 		Decisions: make([]Decision, 0, len(inst.Trace)),
 	}
-	demandOf := func(p core.Placement, a core.Assignment) int {
-		req := inst.Trace[p.Request]
-		return a.Units(inst.Network.Catalog[req.VNF].Demand)
-	}
 	// Two-phase schedulers are driven through Propose → validate → reserve
 	// → Commit, so the dual update happens only after the ledger accepted
 	// the footprint. Both orders are decision-identical for this serial
@@ -122,6 +118,7 @@ func Run(inst *workload.Instance, sched core.Scheduler, opts ...Option) (*Result
 	// is the one the concurrent serve engine relies on, so the batch
 	// simulator exercises the same protocol.
 	twoPhase, _ := sched.(core.TwoPhaseScheduler)
+	var claims []timeslot.Claim
 	for _, req := range inst.Trace {
 		var placement core.Placement
 		var admitted bool
@@ -138,30 +135,15 @@ func Run(inst *workload.Instance, sched core.Scheduler, opts ...Option) (*Result
 		if err := placement.Validate(inst.Network, req); err != nil {
 			return nil, fmt.Errorf("simulate: scheduler %q request %d: %w", sched.Name(), req.ID, err)
 		}
-		for _, a := range placement.Assignments {
-			units := demandOf(placement, a)
-			if cfg.allowViolations {
-				err = ledger.ForceReserve(a.Cloudlet, req.Arrival, req.Duration, units)
-			} else {
-				err = ledger.Reserve(a.Cloudlet, req.Arrival, req.Duration, units)
-				if errors.Is(err, timeslot.ErrOverCapacity) {
-					return nil, fmt.Errorf("%w: %q request %d cloudlet %d: %v",
-						ErrSchedulerOverbooked, sched.Name(), req.ID, a.Cloudlet, err)
-				}
-			}
-			if err != nil {
-				return nil, fmt.Errorf("simulate: reserve for request %d: %w", req.ID, err)
-			}
+		var pooled timeslot.Pooled
+		claims, pooled = Footprint(claims[:0], placement, inst.Network.Catalog[req.VNF].Demand)
+		ok, err := pool.ReserveAll(req.Arrival, req.Duration, claims, pooled, cfg.allowViolations)
+		if err != nil {
+			return nil, fmt.Errorf("simulate: reserve for request %d: %w", req.ID, err)
 		}
-		if b := placement.Backup; b != nil {
-			units := inst.Network.Catalog[inst.Trace[placement.Request].VNF].Demand
-			if err := pool.Acquire(b.Group, b.Cloudlet, req.Arrival, req.Duration, units); err != nil {
-				if errors.Is(err, timeslot.ErrOverCapacity) && !cfg.allowViolations {
-					return nil, fmt.Errorf("%w: %q request %d backup group %d on cloudlet %d: %v",
-						ErrSchedulerOverbooked, sched.Name(), req.ID, b.Group, b.Cloudlet, err)
-				}
-				return nil, fmt.Errorf("simulate: pooled reserve for request %d: %w", req.ID, err)
-			}
+		if !ok {
+			return nil, fmt.Errorf("%w: %q request %d footprint %v backup %+v",
+				ErrSchedulerOverbooked, sched.Name(), req.ID, claims, pooled)
 		}
 		if twoPhase != nil {
 			twoPhase.Commit(req, placement)
@@ -174,6 +156,20 @@ func Run(inst *workload.Instance, sched core.Scheduler, opts ...Option) (*Result
 	result.Violations = ledger.Violations()
 	result.MaxViolationRatio = ledger.MaxViolationRatio()
 	return result, nil
+}
+
+// Footprint appends to buf what a placement of a VNF with per-instance
+// demand asks of the ledger — one claim per assignment — and returns it
+// with the placement's pooled backup row (the zero Pooled when it has none).
+func Footprint(buf []timeslot.Claim, p core.Placement, demand int) ([]timeslot.Claim, timeslot.Pooled) {
+	for _, a := range p.Assignments {
+		buf = append(buf, timeslot.Claim{Cloudlet: a.Cloudlet, Units: a.Units(demand)})
+	}
+	var pooled timeslot.Pooled
+	if b := p.Backup; b != nil {
+		pooled = timeslot.Pooled{Group: b.Group, Cloudlet: b.Cloudlet, Units: demand}
+	}
+	return buf, pooled
 }
 
 // AdmittedPlacements extracts the placements of admitted requests, in

@@ -26,12 +26,32 @@
 // base never moves, so every method behaves identically across modes for
 // in-window arguments.
 //
+// # Footprints
+//
+// What an admitted request holds is a footprint: one Claim (units per slot)
+// on each cloudlet of its placement, over one window [a, a+d-1], plus, for
+// the shared scheme, a membership in a pooled backup row (Pool). A footprint
+// is held whole or not at all — Theorem 2's "never violates capacity" and
+// the pooled backups both assume it — and the rule lives here, not in the
+// callers: ReserveAll validates every claim, tests every claimed cloudlet's
+// window minimum and only then writes every cell, in one critical section,
+// so a refusal or an error has written nothing, there is nothing to roll
+// back, and no concurrent decision can read a footprint half booked;
+// ReleaseAll is the inverse, every underflow check before the first
+// subtraction. force skips the capacity test and nothing else: it is the
+// licence of the raw primal-dual algorithm, whose bounded violations the
+// paper's analysis permits and Violations measures. ReserveWindow, Reserve,
+// ForceReserve and Release are the one-claim case of the same locked body.
+// Pool.ReserveAll and ReleaseAll add the pooled membership; the pooled row
+// is booked slot by slot after the claims, so pool.go holds the only code
+// in the tree that undoes a booking.
+//
 // # Concurrency
 //
 // The Ledger is safe for concurrent use, behind one mutex: every operation
-// that touches a usage cell takes it once, so a reservation over a window
+// that touches a usage cell takes it once, so a footprint over a window
 // [a, a+d-1] is checked and committed in one critical section (two
-// concurrent ReserveWindow calls can never jointly oversubscribe cap_j), a
+// concurrent ReserveAll calls can never jointly oversubscribe cap_j), a
 // held lock pins the window geometry (Advance, the only geometry writer,
 // takes the same lock, so a reservation can never land on a row that is
 // being recycled under it), and the whole-ledger aggregates (Violations,
@@ -47,13 +67,13 @@
 // then local loads — one consistent cut across rows, which row-by-row
 // reads are not. The copy is kept while it is current: every mutation that
 // changes a cell or the geometry bumps the epoch word with the lock held,
-// before its first write (a refusal or an error bumps nothing); Load
+// once, before its first write (a refusal or an error bumps nothing); Load
 // records the epoch under the lock, and a Load of a window inside the copy
 // that finds it unchanged returns without locking. The bump precedes the
 // write, so an unchanged epoch means no mutation had begun: the kept copy
 // is what copying at that instant would produce, under an unmoved base. A
 // Reader belongs to one goroutine; what it answers is as of its last Load,
-// a hint the arbitrating ReserveWindow re-checks.
+// a hint the arbitrating ReserveAll re-checks.
 //
 // # Out-of-range reads
 //
@@ -303,7 +323,7 @@ func (l *Ledger) residualWindowLocked(cloudlet, start, duration, base, origin in
 
 // CanReserve reports whether units fit in cloudlet j over the window
 // without exceeding capacity. A true result is advisory under concurrency:
-// another reservation may land first. Use ReserveWindow for an atomic
+// another reservation may land first. Use ReserveAll for an atomic
 // check-and-commit.
 func (l *Ledger) CanReserve(cloudlet, start, duration, units int) bool {
 	if units <= 0 {
@@ -312,35 +332,106 @@ func (l *Ledger) CanReserve(cloudlet, start, duration, units int) bool {
 	return l.ResidualWindow(cloudlet, start, duration) >= units
 }
 
-// ReserveWindow atomically checks and books units in cloudlet j over slots
-// [start, start+duration-1]: the capacity test and the commit happen in one
-// critical section, so concurrent callers can never jointly oversubscribe
-// cap_j. It returns (true, nil) when the reservation was committed,
-// (false, nil) when it was refused for lack of capacity — the arbitration
-// signal concurrent admitters retry or reject on — and (false, err) for
-// out-of-range arguments. In rolling mode a window that has been retired
-// (or not yet entered) reports ErrBadSlot.
-func (l *Ledger) ReserveWindow(cloudlet, start, duration, units int) (bool, error) {
-	if cloudlet < 0 || cloudlet >= len(l.caps) {
-		return false, fmt.Errorf("%w: %d", ErrBadCloudlet, cloudlet)
+// Claim is one cloudlet's share of a footprint: Units computing units in
+// Cloudlet at every slot of the footprint's window.
+type Claim struct {
+	Cloudlet, Units int
+}
+
+// ReserveAll books a whole footprint — every claim over slots [start,
+// start+duration-1] — or nothing. Under one hold of the lock it validates
+// every claim, tests every claimed cloudlet's window minimum (claims naming
+// one cloudlet twice are tested against their sum; force skips the test)
+// and only then writes, with one epoch bump. It returns (true, nil) when
+// the footprint was booked, (false, nil) when some cloudlet lacked the room
+// — the arbitration signal concurrent admitters retry or reject on — and
+// (false, err) for an unknown cloudlet, a window leaving the live window
+// (in rolling mode: retired, or not yet entered) or non-positive units. A
+// refusal or an error has written nothing and bumped nothing.
+func (l *Ledger) ReserveAll(start, duration int, claims []Claim, force bool) (bool, error) {
+	return l.book(start, duration, claims, 1, force)
+}
+
+// ReleaseAll returns a footprint's units, all or none: every claim is
+// validated and checked against the recorded usage before the first
+// subtraction. It fails with ErrUnderflow when more units would be released
+// than are in use at a covered slot, and with ErrBadSlot when the window is
+// not live — in rolling mode a release against a recycled slot is an
+// addressing error, never an underflow against the row now occupying its
+// ring position.
+func (l *Ledger) ReleaseAll(start, duration int, claims []Claim) error {
+	_, err := l.book(start, duration, claims, -1, false)
+	return err
+}
+
+// book is the one locked body behind every reservation and release: sign
+// +1 adds the claims' units to their windows, -1 subtracts them. All
+// checks precede the first write.
+func (l *Ledger) book(start, duration int, claims []Claim, sign int, force bool) (bool, error) {
+	if len(claims) == 0 {
+		return true, nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	base, origin := l.geometry()
-	if err := l.checkArgsAt(start, duration, units, base); err != nil {
-		return false, err
+	for _, c := range claims {
+		if c.Cloudlet < 0 || c.Cloudlet >= len(l.caps) {
+			return false, fmt.Errorf("%w: %d", ErrBadCloudlet, c.Cloudlet)
+		}
+		if err := l.checkArgsAt(start, duration, c.Units, base); err != nil {
+			return false, err
+		}
 	}
-	if l.residualWindowLocked(cloudlet, start, duration, base, origin) < units {
-		return false, nil
+	first := l.idxAt(start, base, origin)
+	for k, c := range claims {
+		// What the cloudlet must have: this claim on top of the earlier
+		// claims against the same cloudlet.
+		need := c.Units
+		for _, e := range claims[:k] {
+			if e.Cloudlet == c.Cloudlet {
+				need += e.Units
+			}
+		}
+		switch {
+		case force: // licensed to overbook: written untested
+		case sign > 0:
+			if l.residualWindowLocked(c.Cloudlet, start, duration, base, origin) < need {
+				return false, nil
+			}
+		default:
+			row, i := l.used[c.Cloudlet], first
+			for t := start; t < start+duration; t++ {
+				if row[i] < need {
+					return false, fmt.Errorf("%w: cloudlet %d slot %d used %d release %d",
+						ErrUnderflow, c.Cloudlet, t, row[i], need)
+				}
+				if i++; i == l.window {
+					i = 0
+				}
+			}
+		}
 	}
-	l.addLocked(cloudlet, start, duration, units, base, origin)
+	l.epoch.Add(1)
+	for _, c := range claims {
+		row, i := l.used[c.Cloudlet], first
+		for t := 0; t < duration; t++ {
+			row[i] += sign * c.Units
+			if i++; i == l.window {
+				i = 0
+			}
+		}
+	}
 	return true, nil
 }
 
-// Reserve books units in cloudlet j over slots [start, start+duration-1].
-// It fails with ErrOverCapacity (leaving the ledger unchanged) when any slot
-// would exceed capacity. The check and the commit are atomic, as in
-// ReserveWindow.
+// ReserveWindow is ReserveAll for a footprint of one claim, unforced.
+func (l *Ledger) ReserveWindow(cloudlet, start, duration, units int) (bool, error) {
+	return l.book(start, duration, []Claim{{cloudlet, units}}, 1, false)
+}
+
+// Reserve is ReserveWindow with the refusal as an error: it fails with
+// ErrOverCapacity (leaving the ledger unchanged) when any slot would exceed
+// capacity.
 func (l *Ledger) Reserve(cloudlet, start, duration, units int) error {
 	ok, err := l.ReserveWindow(cloudlet, start, duration, units)
 	if err != nil {
@@ -354,52 +445,19 @@ func (l *Ledger) Reserve(cloudlet, start, duration, units int) error {
 	return nil
 }
 
-// ForceReserve books units regardless of capacity. It is used for the raw
-// primal-dual algorithm whose bounded capacity violations are part of the
-// paper's analysis; the resulting overcommitment shows up in Violations.
+// ForceReserve is ReserveAll for one claim, forced: it books units
+// regardless of capacity. It is used for the raw primal-dual algorithm
+// whose bounded capacity violations are part of the paper's analysis; the
+// resulting overcommitment shows up in Violations.
 func (l *Ledger) ForceReserve(cloudlet, start, duration, units int) error {
-	if cloudlet < 0 || cloudlet >= len(l.caps) {
-		return fmt.Errorf("%w: %d", ErrBadCloudlet, cloudlet)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	base, origin := l.geometry()
-	if err := l.checkArgsAt(start, duration, units, base); err != nil {
-		return err
-	}
-	l.addLocked(cloudlet, start, duration, units, base, origin)
-	return nil
+	_, err := l.book(start, duration, []Claim{{cloudlet, units}}, 1, true)
+	return err
 }
 
-// Release returns previously reserved units. It fails with ErrUnderflow
-// (leaving the ledger unchanged) when more units would be released than are
-// in use at any covered slot, and with ErrBadSlot when the window is not
-// live — in rolling mode a release against a recycled slot is an
-// addressing error, never an underflow against the row now occupying its
-// ring position. The underflow check and the release are one critical
-// section, pairing with ReserveWindow for concurrent use.
+// Release is ReleaseAll for one claim.
 func (l *Ledger) Release(cloudlet, start, duration, units int) error {
-	if cloudlet < 0 || cloudlet >= len(l.caps) {
-		return fmt.Errorf("%w: %d", ErrBadCloudlet, cloudlet)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	base, origin := l.geometry()
-	if err := l.checkArgsAt(start, duration, units, base); err != nil {
-		return err
-	}
-	i := l.idxAt(start, base, origin)
-	for t := start; t <= start+duration-1; t++ {
-		if l.used[cloudlet][i] < units {
-			return fmt.Errorf("%w: cloudlet %d slot %d used %d release %d",
-				ErrUnderflow, cloudlet, t, l.used[cloudlet][i], units)
-		}
-		if i++; i == l.window {
-			i = 0
-		}
-	}
-	l.addLocked(cloudlet, start, duration, -units, base, origin)
-	return nil
+	_, err := l.book(start, duration, []Claim{{cloudlet, units}}, -1, false)
+	return err
 }
 
 // Advance moves a rolling ledger's window forward so it starts at base.
@@ -461,19 +519,6 @@ func (l *Ledger) checkArgsAt(start, duration, units, base int) error {
 		return fmt.Errorf("%w: %d", ErrBadUnits, units)
 	}
 	return nil
-}
-
-// addLocked mutates cloudlet's row; the caller holds mu (which pins the
-// given geometry).
-func (l *Ledger) addLocked(cloudlet, start, duration, units, base, origin int) {
-	l.epoch.Add(1)
-	i := l.idxAt(start, base, origin)
-	for t := 0; t < duration; t++ {
-		l.used[cloudlet][i] += units
-		if i++; i == l.window {
-			i = 0
-		}
-	}
 }
 
 // Violation describes one overcommitted (cloudlet, slot) cell.

@@ -75,6 +75,84 @@ func TestLedgerConcurrentReserveWindowNeverOversubscribes(t *testing.T) {
 	}
 }
 
+// TestFootprintIsNeverHalfBooked is the guarantee a footprint's one critical
+// section adds for concurrent decisions: writers book and release footprints
+// that claim the same units on cloudlets 0 and 1 (and nothing else touches
+// those two), so in every consistent cut of the ledger the two rows are
+// equal slot for slot. A Reader's Load is such a cut; booking the cloudlets
+// one lock round each would let it fall between them. Cloudlet 1 is the
+// tight one, so refusals land on the second claim too.
+func TestFootprintIsNeverHalfBooked(t *testing.T) {
+	const (
+		horizon = 12
+		writers = 4
+		rounds  = 600
+	)
+	l, err := New([]int{40, 9}, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < rounds; i++ {
+				start := 1 + rng.Intn(horizon)
+				duration := 1 + rng.Intn(horizon-start+1)
+				units := 1 + rng.Intn(4)
+				twin := []Claim{{0, units}, {1, units}}
+				ok, err := l.ReserveAll(start, duration, twin, false)
+				if err != nil {
+					t.Errorf("ReserveAll: %v", err)
+					return
+				}
+				if !ok {
+					continue
+				}
+				if err := l.ReleaseAll(start, duration, twin); err != nil {
+					t.Errorf("ReleaseAll: %v", err)
+					return
+				}
+			}
+		}(int64(w + 1))
+	}
+	seen := make(chan int, 1)
+	go func() {
+		r := l.NewReader()
+		cuts := 0
+		for {
+			select {
+			case <-stop:
+				seen <- cuts
+				return
+			default:
+			}
+			r.Load(1, horizon)
+			for slot := 1; slot <= horizon; slot++ {
+				if a, b := 40-r.Residual(0, slot), 9-r.Residual(1, slot); a != b {
+					t.Errorf("slot %d: cloudlet 0 holds %d units and cloudlet 1 %d in one cut: a footprint was read half booked", slot, a, b)
+					seen <- cuts
+					return
+				}
+			}
+			cuts++
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if cuts := <-seen; cuts == 0 && !t.Failed() {
+		t.Log("the reader never completed a cut while the writers ran")
+	}
+	for slot := 1; slot <= horizon; slot++ {
+		if l.Used(0, slot) != 0 || l.Used(1, slot) != 0 {
+			t.Errorf("slot %d not drained: %d, %d", slot, l.Used(0, slot), l.Used(1, slot))
+		}
+	}
+}
+
 // TestLedgerOutOfRangeSentinels pins the documented fail-safe sentinel
 // behavior of the read accessors: out-of-range residual reads as "full"
 // (0 free), out-of-range usage reads as "empty" (0 used), and the InRange

@@ -32,7 +32,9 @@ var (
 // (tested against a model map in pool_test.go). A failed Acquire rolls its
 // partial ledger reservations back and leaves the pool unchanged, so every
 // member either holds its whole window or nothing — the same all-or-
-// nothing contract ReserveWindow gives dedicated placements.
+// nothing contract Ledger.ReserveAll gives the claims. ReserveAll and
+// ReleaseAll extend it to a whole footprint, claims and membership
+// together (model in footprint_test.go).
 //
 // A group's refcounts are a ring of Window() counters, slot t at cell
 // t mod Window(): live slots map to distinct cells whatever the base, and
@@ -72,6 +74,52 @@ func NewPool(led *Ledger) *Pool {
 	return &Pool{led: led, groups: make(map[int]*poolGroup)}
 }
 
+// Pooled names a footprint's membership in a backup group: Units computing
+// units on Cloudlet, held once per slot for all of Group's members. The zero
+// Group means the footprint has no pooled row.
+type Pooled struct {
+	Group, Cloudlet, Units int
+}
+
+// ReserveAll books a whole footprint or nothing: the claims through
+// Ledger.ReserveAll (force applies to them alone), then the pooled
+// membership as Acquire books it. When the pooled row is refused or in
+// error the claims are released again — with rollbackLocked the only place
+// a booking is ever undone — so callers never hold part of a footprint.
+// The results are Ledger.ReserveAll's: (false, nil) is a refusal for lack
+// of room, on a claim or on the pooled row.
+func (p *Pool) ReserveAll(start, duration int, claims []Claim, pooled Pooled, force bool) (bool, error) {
+	if pooled.Group == 0 {
+		return p.led.ReserveAll(start, duration, claims, force)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if ok, err := p.led.ReserveAll(start, duration, claims, force); !ok {
+		return false, err
+	}
+	err := p.acquireLocked(pooled, start, duration)
+	if err == nil {
+		return true, nil
+	}
+	if rerr := p.led.ReleaseAll(start, duration, claims); rerr != nil {
+		panic(fmt.Sprintf("timeslot: pool rollback failed: %v", rerr))
+	}
+	if errors.Is(err, ErrOverCapacity) {
+		return false, nil
+	}
+	return false, err
+}
+
+// ReleaseAll is ReserveAll's inverse, equally all-or-nothing: the pooled
+// membership is checked first, the claims go through Ledger.ReleaseAll, and
+// only then are the member's references dropped, which cannot fail.
+func (p *Pool) ReleaseAll(start, duration int, claims []Claim, pooled Pooled) error {
+	if pooled.Group == 0 {
+		return p.led.ReleaseAll(start, duration, claims)
+	}
+	return p.release(pooled.Group, start, duration, claims)
+}
+
 // Acquire joins one member (window [start, start+duration-1], per-slot
 // units) to the group, creating the group on first use. Slots already
 // covered by other members only gain a reference; uncovered slots are
@@ -79,20 +127,25 @@ func NewPool(led *Ledger) *Pool {
 // this call reserved and returns the ledger's error (ErrOverCapacity,
 // ErrBadSlot, ...) with the pool unchanged.
 func (p *Pool) Acquire(group, cloudlet, start, duration, units int) error {
-	if cloudlet < 0 || cloudlet >= p.led.Cloudlets() {
-		return fmt.Errorf("%w: %d", ErrBadCloudlet, cloudlet)
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.acquireLocked(Pooled{group, cloudlet, units}, start, duration)
+}
+
+// acquireLocked is Acquire with mu held.
+func (p *Pool) acquireLocked(m Pooled, start, duration int) error {
+	if m.Cloudlet < 0 || m.Cloudlet >= p.led.Cloudlets() {
+		return fmt.Errorf("%w: %d", ErrBadCloudlet, m.Cloudlet)
+	}
 	// The ledger's own argument check, up front: a slot outside the live
 	// window would alias a live slot's cell.
-	if err := p.led.checkArgsAt(start, duration, units, p.led.Base()); err != nil {
+	if err := p.led.checkArgsAt(start, duration, m.Units, p.led.Base()); err != nil {
 		return err
 	}
-	g, ok := p.groups[group]
-	if ok && (g.cloudlet != cloudlet || g.units != units) {
+	g, ok := p.groups[m.Group]
+	if ok && (g.cloudlet != m.Cloudlet || g.units != m.Units) {
 		return fmt.Errorf("%w: group %d is %d units on cloudlet %d, acquire wants %d on %d",
-			ErrPoolMismatch, group, g.units, g.cloudlet, units, cloudlet)
+			ErrPoolMismatch, m.Group, g.units, g.cloudlet, m.Units, m.Cloudlet)
 	}
 	if !ok {
 		if n := len(p.free); n > 0 {
@@ -100,7 +153,7 @@ func (p *Pool) Acquire(group, cloudlet, start, duration, units int) error {
 		} else {
 			g = &poolGroup{ref: make([]int32, p.led.Window())}
 		}
-		g.cloudlet, g.units = cloudlet, units
+		g.cloudlet, g.units = m.Cloudlet, m.Units
 	}
 	// Reserve the uncovered slots one at a time; the refcounts move only
 	// once all are booked, so a mid-window refusal rolls back by walking
@@ -108,7 +161,7 @@ func (p *Pool) Acquire(group, cloudlet, start, duration, units int) error {
 	w := len(g.ref)
 	for t, i := start, start%w; t < start+duration; t++ {
 		if g.ref[i] == 0 {
-			if err := p.led.Reserve(cloudlet, t, 1, units); err != nil {
+			if err := p.led.Reserve(m.Cloudlet, t, 1, m.Units); err != nil {
 				p.rollbackLocked(g, start, t)
 				if !ok {
 					p.free = append(p.free, g)
@@ -130,7 +183,7 @@ func (p *Pool) Acquire(group, cloudlet, start, duration, units int) error {
 		}
 	}
 	if !ok {
-		p.groups[group] = g
+		p.groups[m.Group] = g
 	}
 	return nil
 }
@@ -152,9 +205,15 @@ func (p *Pool) rollbackLocked(g *poolGroup, start, end int) {
 // Slots whose refcount reaches zero release their ledger reservation; the
 // group itself is dropped when its last reference goes. Releasing a slot
 // the group does not cover (a slot outside the live window is covered by
-// nobody) returns ErrNotCovered with the already-processed prefix undone,
-// so a failed Release is also all-or-nothing.
+// nobody) returns ErrNotCovered with nothing dropped, so a failed Release
+// is also all-or-nothing.
 func (p *Pool) Release(group, start, duration int) error {
+	return p.release(group, start, duration, nil)
+}
+
+// release is the one body of Release and ReleaseAll: the member's coverage
+// is checked, then the claims are returned, then the references dropped.
+func (p *Pool) release(group, start, duration int, claims []Claim) error {
 	if duration < 1 {
 		return fmt.Errorf("%w: duration %d", ErrBadSlot, duration)
 	}
@@ -166,20 +225,16 @@ func (p *Pool) Release(group, start, duration int) error {
 	}
 	w := len(g.ref)
 	base := p.led.Base()
-	for t, i := start, start%w; t < start+duration; t++ {
-		if t < base || t >= base+w || g.ref[i] < 1 {
-			for rt := start; rt < t; rt++ {
-				g.ref[rt%w]++
-			}
+	for t := start; t < start+duration; t++ {
+		if t < base || t >= base+w || g.ref[t%w] < 1 {
 			return fmt.Errorf("%w: group %d slot %d", ErrNotCovered, group, t)
 		}
-		g.ref[i]--
-		if i++; i == w {
-			i = 0
-		}
+	}
+	if err := p.led.ReleaseAll(start, duration, claims); err != nil {
+		return err
 	}
 	for t, i := start, start%w; t < start+duration; t++ {
-		if g.ref[i] == 0 {
+		if g.ref[i]--; g.ref[i] == 0 {
 			g.held--
 			if err := p.led.Release(g.cloudlet, t, 1, g.units); err != nil {
 				panic(fmt.Sprintf("timeslot: pool release desynced from ledger: %v", err))

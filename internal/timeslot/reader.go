@@ -13,7 +13,7 @@ package timeslot
 //
 // What the copy answers is as of the last Load: one consistent cut across
 // cloudlets, valid until the next Load, and like every capacity read a
-// hint that ReserveWindow re-checks. A Reader is not safe for concurrent
+// hint that ReserveAll re-checks. A Reader is not safe for concurrent
 // use; give each goroutine its own.
 type Reader struct {
 	l *Ledger

@@ -25,6 +25,13 @@ go run ./cmd/revnfvet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# benchmark/ is its own module, so the line above does not reach it. Its
+# smoke runs every workload for a fraction of a second and fails on any
+# failed operation — the only check that noticed a reservation leaked by a
+# seeded bug in the engine's rollback (DESIGN.md §5 "PR 22").
+echo "==> benchmark smoke (cd benchmark && go test ./...)"
+(cd benchmark && go test ./...)
+
 # Short coverage-guided fuzz of the wire decoders: the streaming ingest
 # path feeds them raw network bytes, so they must only ever return the
 # package's typed errors, never panic. SHORT=1 trims the budget.
@@ -62,11 +69,11 @@ else
     go test ./internal/serve -run 'TestSoakRollingHorizon' -race -count=1 -v
 fi
 
-# ROADMAP aim 2's budget, reported in every log and held as a ceiling:
-# 23 265 is where the round's deletions began (PR 20's parent). A later
-# change may spend what the deletions freed; the tree may not end above
-# where they started. A constant on purpose, not an option.
-ceiling=23265
+# ROADMAP aim 2's budget, reported in every log and held as a ceiling: the
+# count the last deleting PR ended on (PR 22; 23 265 was where the round's
+# deletions began). A PR that adds code on purpose raises it in the same
+# diff and says why. A constant on purpose, not an option.
+ceiling=22141
 lines=$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)
 echo "==> non-test Go outside benchmark/: $lines lines (ceiling $ceiling)"
 if [ "$lines" -gt "$ceiling" ]; then
