@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -267,26 +268,23 @@ type ndjsonCodec struct{}
 func (ndjsonCodec) readRequest(br *bufio.Reader, req *wire.Request) error {
 	for {
 		line, err := br.ReadSlice('\n')
-		if err != nil {
-			if errors.Is(err, io.EOF) && len(allWS(line)) > 0 {
-				// Final line without a trailing newline.
-				if derr := wire.DecodeNDJSONRequest(line, req); derr != nil {
-					return invalidStream(derr.Error())
-				}
-				return nil
-			}
+		// A final line may lack its newline: io.EOF with bytes to decode.
+		if err != nil && (!errors.Is(err, io.EOF) || len(line) == 0) {
 			if errors.Is(err, bufio.ErrBufferFull) {
 				return invalidStream("request line exceeds buffer")
 			}
 			return err
 		}
-		if trimmed := allWS(line); len(trimmed) == 0 {
-			continue // tolerate blank keep-alive lines
-		}
-		if derr := wire.DecodeNDJSONRequest(line, req); derr != nil {
+		derr := wire.DecodeNDJSONRequest(line, req)
+		switch {
+		case derr == nil:
+			return nil
+		case len(bytes.Trim(line, " \t\r\n")) > 0:
 			return invalidStream(derr.Error())
+		case err != nil:
+			return err
 		}
-		return nil
+		// A blank keep-alive line (failing without allocating): read on.
 	}
 }
 
@@ -301,21 +299,6 @@ func (ndjsonCodec) appendError(buf []byte, e *streamError) []byte {
 func (ndjsonCodec) countRequests(e *Engine, n int) {
 	e.ingest.ndjsonReqs.Add(uint64(n))
 }
-
-// allWS returns line with leading/trailing JSON whitespace stripped (nil
-// when nothing remains).
-func allWS(line []byte) []byte {
-	start, end := 0, len(line)
-	for start < end && isWS(line[start]) {
-		start++
-	}
-	for end > start && isWS(line[end-1]) {
-		end--
-	}
-	return line[start:end]
-}
-
-func isWS(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
 // frameCodec implements streamCodec for the binary framing.
 type frameCodec struct{}

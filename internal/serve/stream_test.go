@@ -164,7 +164,11 @@ func TestStreamNDJSONBasic(t *testing.T) {
 		{VNF: 0, Reliability: 0.995, Duration: 3, Payment: 10},
 		{VNF: 0, Reliability: 0.9, Duration: 99, Payment: 10},
 	}
-	ds := runStreamTCP(t, e, ndjsonStreamBody(reqs), len(reqs), false)
+	// Blank keep-alive lines are read past, and the last line needs no
+	// newline.
+	body := ndjsonStreamBody(reqs)
+	body = append([]byte("\n \t\r\n"), bytes.Replace(body[:len(body)-1], []byte("}\n"), []byte("}\n\n  \n"), 1)...)
+	ds := runStreamTCP(t, e, body, len(reqs), false)
 	if !ds[0].Admitted || ds[0].ID != 1 || ds[0].Slot != 1 {
 		t.Fatalf("decision 0 = %+v, want admitted id 1 slot 1", ds[0])
 	}
@@ -919,11 +923,21 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkStreamFrames drives a canned stream of 256 request frames
-// through ServeConn per iteration, on one connection: the per-request cost
-// of the stream layer around an engine that declines (and so writes
-// nothing but the decision).
-func BenchmarkStreamFrames(b *testing.B) {
+// BenchmarkStream drives a canned stream of 256 requests through
+// ServeConn per iteration, on one connection, for each codec: the
+// per-request cost of the stream layer around an engine that declines
+// (and so writes nothing but the decision).
+func BenchmarkStream(b *testing.B) {
+	for _, frame := range []bool{true, false} {
+		name := "ndjson"
+		if frame {
+			name = "frame"
+		}
+		b.Run(name, func(b *testing.B) { benchmarkStream(b, frame) })
+	}
+}
+
+func benchmarkStream(b *testing.B, frame bool) {
 	const batch = 256
 	n := testNetwork()
 	sched, err := onsite.NewScheduler(n, 20, onsite.WithCapacityEnforcement())
@@ -952,14 +966,16 @@ func BenchmarkStreamFrames(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer client.Close()
-	body := declinedStream(b, batch, true)
+	body := declinedStream(b, batch, frame)
 	readBuf := make([]byte, 64<<10)
-	client.Write(wire.AppendPreamble(nil))
+	if frame {
+		client.Write(wire.AppendPreamble(nil))
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		client.Write(body)
-		if got := drainDecisions(client, batch, true, readBuf); got != batch {
+		if got := drainDecisions(client, batch, frame, readBuf); got != batch {
 			b.Fatalf("%d/%d decisions", got, batch)
 		}
 	}

@@ -96,8 +96,11 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // FuzzDecodeNDJSON fuzzes both NDJSON line parsers. Every outcome must be
-// a clean decode or a typed error — no panics, and a successful request
-// decode must survive a re-encode/re-decode round trip.
+// a clean decode or a typed error — no panics — and a request line the
+// stream accepts, the HTTP handler's json.Decoder accepts into the same
+// values, floats to the bit, and it survives a re-encode/re-decode round
+// trip. Not the converse: the stream is stricter on purpose (no escapes,
+// exact-case keys, no trailing values, integers without sign or exponent).
 func FuzzDecodeNDJSON(f *testing.F) {
 	f.Add([]byte(`{"vnf":3,"reliability":0.95,"arrival":0,"duration":5,"payment":12.5}`))
 	f.Add([]byte(`{"id":1,"admitted":true,"slot":1}`))
@@ -106,6 +109,8 @@ func FuzzDecodeNDJSON(f *testing.F) {
 	f.Add([]byte(`{"vnf":`))
 	f.Add([]byte(`{"reliability":1e309}`))
 	f.Add([]byte(``))
+	f.Add([]byte(`{"reliability":+0.95,"payment":.5}`))
+	f.Add([]byte(`{"vnf":01,"scheme":"shared","payment":9007199254740993}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var req Request
 		if err := DecodeNDJSONRequest(line, &req); err != nil {
@@ -113,10 +118,15 @@ func FuzzDecodeNDJSON(f *testing.F) {
 				t.Fatalf("DecodeNDJSONRequest: untyped error %v", err)
 			}
 		} else {
+			if want, err := decodeLikeHTTP(line); err != nil {
+				t.Fatalf("stream accepts %q as %+v, encoding/json refuses it: %v", line, req, err)
+			} else if !sameRequest(req, want) {
+				t.Fatalf("%q: stream reads %+v, encoding/json %+v", line, req, want)
+			}
 			var again Request
 			if err := DecodeNDJSONRequest(AppendNDJSONRequest(nil, &req), &again); err != nil {
 				t.Fatalf("re-decode of re-encoded %+v: %v", req, err)
-			} else if again != req {
+			} else if !sameRequest(again, req) {
 				t.Fatalf("round trip %+v != %+v", again, req)
 			}
 		}

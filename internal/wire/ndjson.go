@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 
 	"revnf/internal/core"
@@ -17,10 +19,10 @@ import (
 //	error:    {"error":{"code":503,"reason":"closed","detail":"..."}}
 //
 // An error line is terminal: the server sends one and closes. The request
-// decoder is a hand-rolled strict parser (unknown fields rejected, like
-// the HTTP handler's DisallowUnknownFields) so the hot path stays within
-// its allocation budget; it accepts exactly the flat number-valued object
-// above — no nesting, no strings, no escapes.
+// decoder is a hand-rolled strict parser (unknown fields rejected, like the
+// HTTP handler's DisallowUnknownFields) that allocates nothing; it accepts
+// exactly the flat object above — no nesting, no escapes — numbers in JSON's
+// grammar (decimal.go), integers stricter: no sign, fraction or exponent.
 
 // Typed NDJSON errors.
 var (
@@ -32,162 +34,35 @@ var (
 )
 
 // DecodeNDJSONRequest parses one request line (with or without trailing
-// newline) into req. At most two heap allocations per call on the
-// success path.
+// newline) into req. The success path allocates nothing.
 func DecodeNDJSONRequest(line []byte, req *Request) error {
 	*req = Request{}
-	p := skipWS(line, 0)
-	if p >= len(line) || line[p] != '{' {
-		return fmt.Errorf("%w: expected '{'", ErrBadJSON)
-	}
-	p++
-	first := true
-	for {
-		p = skipWS(line, p)
-		if p >= len(line) {
-			return fmt.Errorf("%w: unterminated object", ErrBadJSON)
-		}
-		if line[p] == '}' {
-			p++
-			break
-		}
-		if !first {
-			if line[p] != ',' {
-				return fmt.Errorf("%w: expected ',' at offset %d", ErrBadJSON, p)
-			}
-			p = skipWS(line, p+1)
-		}
-		first = false
-		key, next, err := scanKey(line, p)
-		if err != nil {
-			return err
-		}
-		p = skipWS(line, next)
-		if p >= len(line) || line[p] != ':' {
-			return fmt.Errorf("%w: expected ':' after key", ErrBadJSON)
-		}
-		p = skipWS(line, p+1)
-		if string(key) == "scheme" {
+	o := object{b: line}
+	for o.open(); o.field(); {
+		switch string(o.key) {
+		case "vnf":
+			req.VNF = o.integer()
+		case "arrival":
+			req.Arrival = o.integer()
+		case "duration":
+			req.Duration = o.integer()
+		case "reliability":
+			req.Reliability = o.float()
+		case "payment":
+			req.Payment = o.float()
+		case "scheme":
 			// The one string-valued field: a scheme name resolved by the
 			// canonical parser (either spelling), stored as its flag form.
-			val, next, err := scanKey(line, p) // a string value scans like a key
-			if err != nil {
-				return err
+			if s, err := core.ParseScheme(string(o.text())); err == nil {
+				req.Scheme = s.Flag()
+			} else {
+				o.bad("%v", err)
 			}
-			s, err := core.ParseScheme(string(val))
-			if err != nil {
-				return fmt.Errorf("%w: scheme %q", ErrBadJSON, val)
-			}
-			req.Scheme, p = s.Flag(), next
-			continue
-		}
-		val, next, err := scanNumber(line, p)
-		if err != nil {
-			return err
-		}
-		p = next
-		switch string(key) {
-		case "vnf":
-			req.VNF, err = parseWireInt(val)
-		case "arrival":
-			req.Arrival, err = parseWireInt(val)
-		case "duration":
-			req.Duration, err = parseWireInt(val)
-		case "reliability":
-			req.Reliability, err = parseWireFloat(val)
-		case "payment":
-			req.Payment, err = parseWireFloat(val)
 		default:
-			return fmt.Errorf("%w: %q", ErrUnknownField, key)
-		}
-		if err != nil {
-			return err
+			o.err = fmt.Errorf("%w: %q", ErrUnknownField, o.key)
 		}
 	}
-	if p = skipWS(line, p); p != len(line) {
-		return fmt.Errorf("%w: trailing bytes after object", ErrBadJSON)
-	}
-	return nil
-}
-
-func skipWS(b []byte, p int) int {
-	for p < len(b) {
-		switch b[p] {
-		case ' ', '\t', '\r', '\n':
-			p++
-		default:
-			return p
-		}
-	}
-	return p
-}
-
-// scanKey scans a quoted key without escapes starting at b[p] == '"'.
-func scanKey(b []byte, p int) (key []byte, next int, err error) {
-	if p >= len(b) || b[p] != '"' {
-		return nil, p, fmt.Errorf("%w: expected '\"' at offset %d", ErrBadJSON, p)
-	}
-	start := p + 1
-	for q := start; q < len(b); q++ {
-		switch b[q] {
-		case '"':
-			return b[start:q], q + 1, nil
-		case '\\':
-			return nil, p, fmt.Errorf("%w: escapes not allowed in keys", ErrBadJSON)
-		}
-	}
-	return nil, p, fmt.Errorf("%w: unterminated key", ErrBadJSON)
-}
-
-// scanNumber scans one JSON number token starting at b[p].
-func scanNumber(b []byte, p int) (val []byte, next int, err error) {
-	start := p
-	for p < len(b) {
-		switch c := b[p]; {
-		case c >= '0' && c <= '9', c == '-', c == '+', c == '.', c == 'e', c == 'E':
-			p++
-		default:
-			if p == start {
-				return nil, p, fmt.Errorf("%w: expected number at offset %d", ErrBadJSON, p)
-			}
-			return b[start:p], p, nil
-		}
-	}
-	if p == start {
-		return nil, p, fmt.Errorf("%w: expected number at end of line", ErrBadJSON)
-	}
-	return b[start:p], p, nil
-}
-
-// maxWireInt bounds parsed integer fields, far above any served horizon
-// or catalog size but comfortably inside int range.
-const maxWireInt = 1 << 31
-
-func parseWireInt(b []byte) (int, error) {
-	if len(b) == 0 {
-		return 0, fmt.Errorf("%w: empty integer", ErrBadJSON)
-	}
-	n := 0
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("%w: %q is not a non-negative integer", ErrBadJSON, b)
-		}
-		n = n*10 + int(c-'0')
-		if n > maxWireInt {
-			return 0, fmt.Errorf("%w: integer %q too large", ErrBadJSON, b)
-		}
-	}
-	return n, nil
-}
-
-func parseWireFloat(b []byte) (float64, error) {
-	// string(b) of a short slice passed to a non-retaining callee stays on
-	// the stack, keeping the success path allocation-free.
-	f, err := strconv.ParseFloat(string(b), 64)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %q is not a number", ErrBadJSON, b)
-	}
-	return f, nil
+	return o.err
 }
 
 // DecodeNDJSONDecision parses one decision line into d. A terminal error
@@ -195,85 +70,160 @@ func parseWireFloat(b []byte) (float64, error) {
 // caller falls back to its slow-path error handling.
 func DecodeNDJSONDecision(line []byte, d *Decision) error {
 	*d = Decision{}
-	p := skipWS(line, 0)
-	if p >= len(line) || line[p] != '{' {
-		return fmt.Errorf("%w: expected '{'", ErrBadJSON)
-	}
-	p++
-	first := true
-	for {
-		p = skipWS(line, p)
-		if p >= len(line) {
-			return fmt.Errorf("%w: unterminated object", ErrBadJSON)
+	o := object{b: line}
+	for o.open(); o.field(); {
+		switch string(o.key) {
+		case "id":
+			d.ID = uint64(o.integer())
+		case "slot":
+			d.Slot = o.integer()
+		case "admitted":
+			d.Admitted = o.boolean()
+		case "reason":
+			d.Reason = CodeForReason(string(o.text()))
+		default:
+			o.err = fmt.Errorf("%w: %q", ErrUnknownField, o.key)
 		}
-		if line[p] == '}' {
-			p++
+	}
+	return o.err
+}
+
+// errNotObject is prebuilt: blank keep-alive lines, read past, fail without allocating.
+var errNotObject = fmt.Errorf("%w: expected '{'", ErrBadJSON)
+
+// object walks one flat JSON object line for both decoders: '{', key ':'
+// value pairs separated by ',', '}', then only whitespace. field moves to
+// each key in turn and the caller reads the value with the method for the
+// type it expects. The first failure sticks in err and ends the walk.
+type object struct {
+	b, key []byte
+	p, n   int // n: fields read
+	num    decimal
+	err    error
+}
+
+// open moves past the '{' (built in place: a returned object is copied).
+func (o *object) open() {
+	if o.p = skipWS(o.b, 0); o.p < len(o.b) && o.b[o.p] == '{' {
+		o.p++
+	} else {
+		o.err = errNotObject
+	}
+}
+
+// field advances past the next key and its ':' into o.key and reports
+// whether there was one: false after the closing '}' and once o.err is set.
+func (o *object) field() bool {
+	p := skipWS(o.b, o.p)
+	switch {
+	case o.err != nil:
+		return false
+	case p >= len(o.b):
+		o.bad("unterminated object")
+		return false
+	case o.b[p] == '}':
+		if skipWS(o.b, p+1) != len(o.b) {
+			o.bad("trailing bytes after object")
+		}
+		return false
+	case o.n > 0 && o.b[p] != ',':
+		o.bad("expected ',' at offset %d", p)
+		return false
+	case o.n > 0:
+		p = skipWS(o.b, p+1)
+	}
+	o.n, o.p = o.n+1, p
+	o.key = o.text()
+	if p = skipWS(o.b, o.p); o.err == nil && (p >= len(o.b) || o.b[p] != ':') {
+		o.bad("expected ':' after key")
+	}
+	o.p = skipWS(o.b, p+1)
+	return o.err == nil
+}
+
+// bad records the walk's first failure, an ErrBadJSON.
+func (o *object) bad(format string, a ...any) {
+	if o.err == nil {
+		o.err = fmt.Errorf("%w: %s", ErrBadJSON, fmt.Sprintf(format, a...))
+	}
+}
+
+func skipWS(b []byte, p int) int {
+	for p < len(b) && b[p] <= ' ' && (b[p] == ' ' || b[p] == '\t' || b[p] == '\r' || b[p] == '\n') {
+		p++
+	}
+	return p
+}
+
+// text reads a quoted string without escapes: a key or a string value.
+func (o *object) text() (s []byte) {
+	if o.p >= len(o.b) || o.b[o.p] != '"' {
+		o.bad("expected '\"' at offset %d", o.p)
+		return nil
+	}
+	q := o.p + 1
+	for ; len(o.b)-q >= 8; q += 8 { // eight bytes a step to the first '"' or '\'
+		v := binary.LittleEndian.Uint64(o.b[q:])
+		x, y := v^0x2222222222222222, v^0x5C5C5C5C5C5C5C5C
+		if z := ((x-0x0101010101010101)&^x | (y-0x0101010101010101)&^y) & 0x8080808080808080; z != 0 {
+			q += bits.TrailingZeros64(z) / 8
 			break
 		}
-		if !first {
-			if line[p] != ',' {
-				return fmt.Errorf("%w: expected ',' at offset %d", ErrBadJSON, p)
-			}
-			p = skipWS(line, p+1)
-		}
-		first = false
-		key, next, err := scanKey(line, p)
-		if err != nil {
-			return err
-		}
-		p = skipWS(line, next)
-		if p >= len(line) || line[p] != ':' {
-			return fmt.Errorf("%w: expected ':' after key", ErrBadJSON)
-		}
-		p = skipWS(line, p+1)
-		switch string(key) {
-		case "id":
-			val, next, err := scanNumber(line, p)
-			if err != nil {
-				return err
-			}
-			n, err := parseWireInt(val)
-			if err != nil {
-				return err
-			}
-			d.ID, p = uint64(n), next
-		case "slot":
-			val, next, err := scanNumber(line, p)
-			if err != nil {
-				return err
-			}
-			n, err := parseWireInt(val)
-			if err != nil {
-				return err
-			}
-			d.Slot, p = n, next
-		case "admitted":
-			switch {
-			case hasPrefixAt(line, p, "true"):
-				d.Admitted, p = true, p+4
-			case hasPrefixAt(line, p, "false"):
-				d.Admitted, p = false, p+5
-			default:
-				return fmt.Errorf("%w: expected boolean for \"admitted\"", ErrBadJSON)
-			}
-		case "reason":
-			val, next, err := scanKey(line, p) // a string value scans like a key
-			if err != nil {
-				return err
-			}
-			d.Reason, p = CodeForReason(string(val)), next
-		default:
-			return fmt.Errorf("%w: %q", ErrUnknownField, key)
+	}
+	for ; q < len(o.b); q++ {
+		switch o.b[q] {
+		case '"':
+			s, o.p = o.b[o.p+1:q], q+1
+			return s
+		case '\\':
+			o.bad("escapes not allowed in strings")
+			return nil
 		}
 	}
-	if p = skipWS(line, p); p != len(line) {
-		return fmt.Errorf("%w: trailing bytes after object", ErrBadJSON)
-	}
+	o.bad("unterminated string")
 	return nil
 }
 
-func hasPrefixAt(b []byte, p int, s string) bool {
-	return len(b)-p >= len(s) && string(b[p:p+len(s)]) == s
+// maxWireInt bounds parsed integer fields, far above any served horizon
+// or catalog size but comfortably inside int range.
+const maxWireInt = 1 << 31
+
+// integer reads a non-negative integer of at most maxWireInt (a longer one
+// has 19 digits in m, already above): stricter than JSON, which allows a
+// sign, a fraction and an exponent.
+func (o *object) integer() int {
+	start := o.p
+	if o.number(); o.num.neg || !o.num.integral || o.num.m > maxWireInt {
+		o.bad("%q is not an integer in [0, 2^31]", o.b[start:o.p])
+		return 0
+	}
+	return int(o.num.m)
+}
+
+// float reads a number as the float64 nearest it, ties to even: the
+// decimal kernel's answer, or strconv's beyond the kernel's range.
+func (o *object) float() float64 {
+	start := o.p
+	o.number()
+	f, ok := o.num.float()
+	if !ok && o.err == nil {
+		var err error
+		if f, err = strconv.ParseFloat(string(o.b[start:o.p]), 64); err != nil {
+			o.err = fmt.Errorf("%w: %w", ErrBadJSON, err)
+		}
+	}
+	return f
+}
+
+func (o *object) boolean() bool {
+	for i, lit := range [2]string{"false", "true"} {
+		if len(o.b)-o.p >= len(lit) && string(o.b[o.p:o.p+len(lit)]) == lit {
+			o.p += len(lit)
+			return i == 1
+		}
+	}
+	o.bad("expected boolean at offset %d", o.p)
+	return false
 }
 
 // AppendNDJSONRequest appends one request line, newline-terminated.

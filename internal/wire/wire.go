@@ -10,10 +10,8 @@
 //
 // The decoders are built for the ingest hot path:
 //
-//   - DecodeRequest (binary frame) performs zero heap allocations per
-//     request;
-//   - DecodeNDJSONRequest performs at most two (both inside
-//     strconv.ParseFloat's error-free path they are zero in practice);
+//   - DecodeRequest (binary frame) and DecodeNDJSONRequest perform zero
+//     heap allocations per request;
 //   - the Append* encoders write into caller-provided buffers and
 //     allocate only to grow them.
 //

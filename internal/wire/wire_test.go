@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"revnf/internal/core"
 	"revnf/internal/trace"
 )
 
@@ -156,6 +157,42 @@ func TestNDJSONRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeLikeHTTP decodes a request body the way the HTTP handler does —
+// json.Decoder with DisallowUnknownFields into serve.AdmissionRequest's
+// fields — with the scheme resolved as the engine resolves it.
+func decodeLikeHTTP(line []byte) (Request, error) {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	var dto struct {
+		VNF         int     `json:"vnf"`
+		Reliability float64 `json:"reliability"`
+		Arrival     int     `json:"arrival"`
+		Duration    int     `json:"duration"`
+		Payment     float64 `json:"payment"`
+		Scheme      string  `json:"scheme"`
+	}
+	if err := dec.Decode(&dto); err != nil {
+		return Request{}, err
+	}
+	req := Request{VNF: dto.VNF, Reliability: dto.Reliability,
+		Arrival: dto.Arrival, Duration: dto.Duration, Payment: dto.Payment}
+	if dto.Scheme != "" {
+		s, err := core.ParseScheme(dto.Scheme)
+		if err != nil {
+			return Request{}, err
+		}
+		req.Scheme = s.Flag()
+	}
+	return req, nil
+}
+
+// sameRequest compares two requests with their floats bit for bit.
+func sameRequest(a, b Request) bool {
+	return a.VNF == b.VNF && a.Arrival == b.Arrival && a.Duration == b.Duration && a.Scheme == b.Scheme &&
+		math.Float64bits(a.Reliability) == math.Float64bits(b.Reliability) &&
+		math.Float64bits(a.Payment) == math.Float64bits(b.Payment)
+}
+
 // TestNDJSONMatchesEncodingJSON pins the hand-rolled parser to the
 // semantics of the HTTP handler's json.Decoder on the same bodies: both
 // must produce identical field values, which is what makes streamed and
@@ -166,6 +203,8 @@ func TestNDJSONMatchesEncodingJSON(t *testing.T) {
 		`{"vnf":1,"duration":2,"payment":3}`,
 		`{ "payment" : 7.25 , "vnf" : 2 , "duration" : 4 , "reliability" : 0.875 }`,
 		`{"reliability":9.5e-1,"vnf":3,"duration":1,"payment":1e2}`,
+		`{"reliability":-0,"payment":-0.0e+5,"vnf":0,"duration":1,"scheme":"off-site"}`,
+		`{"reliability":0.9000000000000000222,"payment":123456789012345678901234567890}`,
 		`{}`,
 	}
 	for _, line := range lines {
@@ -173,23 +212,34 @@ func TestNDJSONMatchesEncodingJSON(t *testing.T) {
 		if err := DecodeNDJSONRequest([]byte(line), &got); err != nil {
 			t.Fatalf("DecodeNDJSONRequest(%q): %v", line, err)
 		}
-		var want Request
-		dec := json.NewDecoder(strings.NewReader(line))
-		dec.DisallowUnknownFields()
-		var dto struct {
-			VNF         int     `json:"vnf"`
-			Reliability float64 `json:"reliability"`
-			Arrival     int     `json:"arrival"`
-			Duration    int     `json:"duration"`
-			Payment     float64 `json:"payment"`
-		}
-		if err := dec.Decode(&dto); err != nil {
+		want, err := decodeLikeHTTP([]byte(line))
+		if err != nil {
 			t.Fatalf("encoding/json(%q): %v", line, err)
 		}
-		want = Request{VNF: dto.VNF, Reliability: dto.Reliability,
-			Arrival: dto.Arrival, Duration: dto.Duration, Payment: dto.Payment}
-		if got != want {
+		if !sameRequest(got, want) {
 			t.Fatalf("DecodeNDJSONRequest(%q) = %+v, encoding/json = %+v", line, got, want)
+		}
+	}
+}
+
+// TestNDJSONNumberGrammar: a number the HTTP handler's json.Decoder
+// refuses, the stream refuses too — strconv.ParseFloat alone takes most
+// of these.
+func TestNDJSONNumberGrammar(t *testing.T) {
+	for _, line := range []string{
+		`{"reliability":+0.95}`, `{"reliability":.5}`, `{"reliability":5.}`,
+		`{"reliability":01}`, `{"reliability":1.e5}`, `{"reliability":-.5}`,
+		`{"reliability":-}`, `{"reliability":1e}`, `{"reliability":1e+}`,
+		`{"reliability":0x10}`, `{"reliability":1_0}`, `{"reliability":Inf}`,
+		`{"reliability":NaN}`, `{"reliability":--1}`, `{"reliability":1.5.3}`,
+		`{"payment":00.5}`, `{"payment":1E}`, `{"vnf":01}`, `{"vnf":+1}`, `{"duration":-01}`,
+	} {
+		if _, err := decodeLikeHTTP([]byte(line)); err == nil {
+			t.Fatalf("encoding/json accepts %q", line)
+		}
+		var req Request
+		if err := DecodeNDJSONRequest([]byte(line), &req); !errors.Is(err, ErrBadJSON) {
+			t.Fatalf("DecodeNDJSONRequest(%q) err = %v, want ErrBadJSON", line, err)
 		}
 	}
 }
@@ -291,8 +341,8 @@ func TestReasonCodeTable(t *testing.T) {
 }
 
 // TestDecodeAllocs is the allocation-regression gate for the ingest hot
-// path: binary-frame request decode must not allocate at all, NDJSON
-// decode at most twice per request.
+// path: neither request decoder allocates, NDJSON included — on the
+// benchmark pool's 16–17-digit floats as on short ones.
 func TestDecodeAllocs(t *testing.T) {
 	framed, err := AppendRequestFrame(nil, &testRequests[0])
 	if err != nil {
@@ -308,13 +358,16 @@ func TestDecodeAllocs(t *testing.T) {
 		t.Fatalf("DecodeRequest allocates %.1f/op, want 0", n)
 	}
 
-	line := AppendNDJSONRequest(nil, &testRequests[0])
-	if n := testing.AllocsPerRun(1000, func() {
-		if err := DecodeNDJSONRequest(line, &req); err != nil {
-			t.Fatal(err)
+	pool := poolRequests(t, 1, 1)[0]
+	for _, r := range []Request{testRequests[0], pool} {
+		line := AppendNDJSONRequest(nil, &r)
+		if n := testing.AllocsPerRun(1000, func() {
+			if err := DecodeNDJSONRequest(line, &req); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("DecodeNDJSONRequest(%q) allocates %.1f/op, want 0", line, n)
 		}
-	}); n > 2 {
-		t.Fatalf("DecodeNDJSONRequest allocates %.1f/op, want ≤ 2", n)
 	}
 
 	// The encoders must not allocate once the buffer has grown.
@@ -431,5 +484,24 @@ func TestNDJSONRequestScheme(t *testing.T) {
 	err := DecodeNDJSONRequest([]byte(`{"duration":1,"scheme":"raid1"}`), &got)
 	if !errors.Is(err, ErrBadJSON) {
 		t.Fatalf("unknown scheme decode err = %v, want ErrBadJSON", err)
+	}
+}
+
+// BenchmarkDecodeNDJSONRequest decodes lines shaped like the benchmark
+// pool's: AppendNDJSONRequest of requests drawn as the pool draws them,
+// reliability and payment as 16–17-digit shortest-form floats.
+func BenchmarkDecodeNDJSONRequest(b *testing.B) {
+	const n = 1024
+	var lines [][]byte
+	for _, r := range poolRequests(b, n, 1) {
+		lines = append(lines, AppendNDJSONRequest(nil, &r))
+	}
+	var req Request
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := DecodeNDJSONRequest(lines[i%n], &req); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

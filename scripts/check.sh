@@ -42,6 +42,7 @@ fi
 echo "==> wire decode fuzz smoke ($fuzztime per target)"
 go test ./internal/wire -run '^$' -fuzz 'FuzzDecodeFrame' -fuzztime "$fuzztime"
 go test ./internal/wire -run '^$' -fuzz 'FuzzDecodeNDJSON' -fuzztime "$fuzztime"
+go test ./internal/wire -run '^$' -fuzz 'FuzzDecimal' -fuzztime "$fuzztime"
 
 # The on-site step tables must answer what the per-request logarithm they
 # replaced answers, on any (r(f), r(c), R).
@@ -73,7 +74,8 @@ fi
 # count the last deleting PR ended on (PR 22; 23 265 was where the round's
 # deletions began). A PR that adds code on purpose raises it in the same
 # diff and says why. A constant on purpose, not an option.
-ceiling=22141
+# PR 25 raised it by 80: the NDJSON decimal→float64 kernel (internal/wire/decimal.go).
+ceiling=22221
 lines=$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)
 echo "==> non-test Go outside benchmark/: $lines lines (ceiling $ceiling)"
 if [ "$lines" -gt "$ceiling" ]; then
