@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -58,11 +60,18 @@ func fileable(p core.Placement) bool {
 
 // placementBook is the engine's ID-keyed state, in two parts.
 //
-// live holds the admitted-and-not-yet-expired records — what Tick releases
-// and what the failure runtime repairs. A record enters at admission and
-// leaves at expiry, when it goes back on the free list, so live is bounded
-// by the window (at most the placements that fit the ledger at once) and a
-// steady-state admission allocates no record.
+// The live records — admitted and not yet expired: what Tick releases and
+// what the failure runtime repairs — are filed in the expiry ring itself: a
+// deque of per-slot buckets holding each record under the last slot of its
+// window, and a deque of counts of live records per first reserved slot,
+// whose front is the oldest slot a live footprint holds (what a rolling
+// ledger's base must not pass). The fronts follow the clock, so expiry pops
+// whole buckets and gets the records back, and the ring's memory follows
+// the span of slots between the oldest and the newest live window, which
+// the horizon bounds. There is no per-ID table: a live record is found by
+// ID through its history entry, whose window names the bucket to scan. A
+// record enters at admission and leaves at expiry, when it goes back on the
+// free list, so a steady-state admission allocates no record.
 //
 // history holds every placement ever admitted as a filedPlacement, sorted
 // by ID in chunks of bookChunk; arena holds their assignment runs the same
@@ -77,18 +86,17 @@ func fileable(p core.Placement) bool {
 // no pointer to a live record may outlive the critical section that read
 // it, because retire recycles the record.
 type placementBook struct {
-	live    map[int]*PlacementRecord
+	ends    slotDeque[[]*PlacementRecord] // live records by the last slot of their window
+	starts  slotDeque[int]                // live records by ReservedFrom; the front count is never 0
+	active  int                           // live records
+	expired []*PlacementRecord            // expire's result, reused call after call
 	free    []*PlacementRecord
 	history [][]filedPlacement
 	arena   [][]filedAssignment
 }
 
-func newPlacementBook() placementBook {
-	return placementBook{live: make(map[int]*PlacementRecord)}
-}
-
-// admit books one admission: a live record (recycled when one is free) and
-// its history entry.
+// admit books one admission: a live record (recycled when one is free),
+// filed in the ring, and its history entry.
 func (b *placementBook) admit(req core.Request, placement core.Placement, slot int) {
 	var rec *PlacementRecord
 	if n := len(b.free); n > 0 {
@@ -104,17 +112,102 @@ func (b *placementBook) admit(req core.Request, placement core.Placement, slot i
 		State:        StateScheduled,
 		ReservedFrom: req.Arrival,
 	}
-	b.live[req.ID] = rec
+	if b.active == 0 {
+		// Every bucket is empty: restart the range at this window rather
+		// than stretch it from wherever the last one drained.
+		b.ends.n = 0
+	}
+	bucket := b.ends.at(req.End())
+	*bucket = append(*bucket, rec)
+	*b.starts.at(rec.ReservedFrom)++
+	b.active++
 	b.file(b.pack(rec, b.reserve(len(placement.Assignments))))
 }
 
-// retire drops an expired record from the live index and recycles it. The
-// record is cleared so the scheduler's placement it pointed at can be
-// collected.
+// expire takes every record whose window ended before slot now out of the
+// ring — a window ending at slot e expires the moment the clock reaches
+// e+1 — and returns them in ascending ID order, still whole: the caller
+// releases each footprint, then retires the record. A record filed behind
+// the front (a decision that booked a window the clock had passed) is in
+// range and leaves with the rest. The slice is the book's scratch, valid
+// until the next expire.
+func (b *placementBook) expire(now int) []*PlacementRecord {
+	b.expired = b.expired[:0]
+	for b.ends.n > 0 && b.ends.lo < now {
+		bucket := b.ends.front()
+		for _, rec := range *bucket {
+			b.expired = append(b.expired, rec)
+			b.dropStart(rec.ReservedFrom)
+		}
+		*bucket = (*bucket)[:0]
+		b.ends.popFront()
+	}
+	b.active -= len(b.expired)
+	// Buckets pop in slot order and fill in decision order, which is ID
+	// order at one token; sort only a batch that is not.
+	byID := func(x, y *PlacementRecord) int { return cmp.Compare(x.ID, y.ID) }
+	if !slices.IsSortedFunc(b.expired, byID) {
+		slices.SortFunc(b.expired, byID)
+	}
+	return b.expired
+}
+
+// retire recycles a record expire returned, once its footprint is
+// released. The record is cleared so the scheduler's placement it pointed
+// at can be collected.
 func (b *placementBook) retire(rec *PlacementRecord) {
-	delete(b.live, rec.ID)
 	*rec = PlacementRecord{}
 	b.free = append(b.free, rec)
+}
+
+// dropStart forgets one live record reserved from slot and moves the front
+// of the start counts up to the oldest slot that still has one.
+func (b *placementBook) dropStart(slot int) {
+	*b.starts.at(slot)--
+	for b.starts.n > 0 && *b.starts.front() == 0 {
+		b.starts.popFront()
+	}
+}
+
+// rebase moves a live record's reservation to start at from: a repair
+// booked [from, end] and released the old footprint, which no longer pins
+// the rolling window open. The end, and so the bucket, stays.
+func (b *placementBook) rebase(rec *PlacementRecord, from int) {
+	b.dropStart(rec.ReservedFrom)
+	rec.ReservedFrom = from
+	*b.starts.at(from)++
+}
+
+// oldestStart returns the first reserved slot of the oldest live footprint,
+// and false when nothing is live. A rolling engine advances its ledger base
+// to min(clock, oldestStart): live reservations pin the window open so
+// their release still addresses live slots.
+func (b *placementBook) oldestStart() (int, bool) {
+	return b.starts.lo, b.active > 0
+}
+
+// liveRecord returns the live record for id, nil when id was never
+// admitted or has expired.
+func (b *placementBook) liveRecord(id int) *PlacementRecord {
+	if f := b.find(id); f != nil {
+		return b.liveOf(f)
+	}
+	return nil
+}
+
+// liveOf returns the live record of a history entry, nil once it has
+// expired: a scan of the bucket of the window's last slot.
+func (b *placementBook) liveOf(f *filedPlacement) *PlacementRecord {
+	end := f.arrival + int(f.duration) - 1
+	if end < b.ends.lo || end >= b.ends.lo+b.ends.n {
+		return nil
+	}
+	for _, rec := range *b.ends.at(end) {
+		if rec.ID == f.id {
+			return rec
+		}
+	}
+	return nil
 }
 
 // refile rewrites the history entry of a live record the failure runtime
@@ -135,22 +228,23 @@ func (b *placementBook) refile(rec *PlacementRecord) {
 // no memory with the book; a live copy shares the scheduler's assignments
 // with the live record, which replaces them on repair and never writes them.
 func (b *placementBook) lookup(id, slot int) (PlacementRecord, bool) {
-	if rec, ok := b.live[id]; ok {
-		out := *rec
-		if out.State != StateDegraded {
-			if slot < out.Request.Arrival {
-				out.State = StateScheduled
-			} else {
-				out.State = StateActive
-			}
-		}
-		return out, true
-	}
 	f := b.find(id)
 	if f == nil {
 		return PlacementRecord{}, false
 	}
-	return b.unpack(f), true
+	rec := b.liveOf(f)
+	if rec == nil {
+		return b.unpack(f), true
+	}
+	out := *rec
+	if out.State != StateDegraded {
+		if slot < out.Request.Arrival {
+			out.State = StateScheduled
+		} else {
+			out.State = StateActive
+		}
+	}
+	return out, true
 }
 
 // entries returns the number of history entries. Every chunk but the last
@@ -258,8 +352,8 @@ func (b *placementBook) pack(rec *PlacementRecord, off int) filedPlacement {
 	return f
 }
 
-// unpack widens a history entry into a fresh record. Whatever is filed has
-// left the live index, so its state is expired unless it was marked
+// unpack widens a history entry into a fresh record. The caller has found
+// no live record for it, so its state is expired unless it was marked
 // degraded.
 func (b *placementBook) unpack(f *filedPlacement) PlacementRecord {
 	run := b.run(f.assignments, int(f.count))
@@ -292,4 +386,66 @@ func (b *placementBook) unpack(f *filedPlacement) PlacementRecord {
 		rec.Placement.Backup = &core.SharedBackup{Group: f.group, Cloudlet: int(f.backupCloudlet), PoolSize: int(f.poolSize)}
 	}
 	return rec
+}
+
+// slotDeque holds one cell per slot of a contiguous slot range
+// [lo, lo+n-1] in a ring buffer, so that state keyed by slot costs an
+// index rather than a hash and its storage is reused lap after lap. Cells
+// outside the range are in their empty state (the zero value, or what
+// popFront's caller reset them to), so the range grows over them as-is.
+type slotDeque[T any] struct {
+	cells []T // ring; the cell of slot lo sits at index head
+	head  int
+	n     int // slots in range
+	lo    int // first slot in range; meaningless while n == 0
+}
+
+// at returns the cell of slot, growing the range (at either end) to
+// include it.
+func (d *slotDeque[T]) at(slot int) *T {
+	switch {
+	case d.n == 0:
+		d.reserve(1)
+		d.lo, d.n = slot, 1
+	case slot < d.lo:
+		grow := d.lo - slot
+		d.reserve(d.n + grow)
+		if d.head -= grow; d.head < 0 {
+			d.head += len(d.cells)
+		}
+		d.lo, d.n = slot, d.n+grow
+	case slot >= d.lo+d.n:
+		d.reserve(slot - d.lo + 1)
+		d.n = slot - d.lo + 1
+	}
+	i := d.head + slot - d.lo
+	if i >= len(d.cells) {
+		i -= len(d.cells)
+	}
+	return &d.cells[i]
+}
+
+// reserve makes room for n cells, keeping every cell (the empty ones too:
+// their backing arrays are what the ring recycles).
+func (d *slotDeque[T]) reserve(n int) {
+	if n <= len(d.cells) {
+		return
+	}
+	cells := make([]T, max(n, 2*len(d.cells), 8))
+	k := copy(cells, d.cells[d.head:])
+	copy(cells[k:], d.cells[:d.head])
+	d.cells, d.head = cells, 0
+}
+
+// front returns the cell of slot lo; the range must not be empty.
+func (d *slotDeque[T]) front() *T { return &d.cells[d.head] }
+
+// popFront drops slot lo from the range. The caller has already returned
+// its cell to the empty state.
+func (d *slotDeque[T]) popFront() {
+	if d.head++; d.head == len(d.cells) {
+		d.head = 0
+	}
+	d.lo++
+	d.n--
 }

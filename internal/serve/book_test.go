@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,13 +59,14 @@ func TestBookHistoryIsPointerFree(t *testing.T) {
 	}
 }
 
-// randomRecord draws what an admission would book under id.
-func randomRecord(rng *rand.Rand, id int) PlacementRecord {
+// randomRecord draws what an admission would book under id, for a window
+// starting at arrival.
+func randomRecord(rng *rand.Rand, id, arrival int) PlacementRecord {
 	req := core.Request{
 		ID:          id,
 		VNF:         rng.Intn(5),
 		Reliability: 0.5 + rng.Float64()/2,
-		Arrival:     1 + rng.Intn(1000),
+		Arrival:     arrival,
 		Duration:    1 + rng.Intn(10),
 		Payment:     rng.Float64() * 100,
 	}
@@ -122,15 +124,26 @@ func sameRecord(a, b PlacementRecord) bool {
 		a.State == b.State && a.ReservedFrom == b.ReservedFrom && samePlacement(a.Placement, b.Placement)
 }
 
+// liveRecords counts the records filed in the book's expiry ring, bucket by
+// bucket.
+func liveRecords(b *placementBook) int {
+	n := 0
+	for slot := b.ends.lo; slot < b.ends.lo+b.ends.n; slot++ {
+		n += len(*b.ends.at(slot))
+	}
+	return n
+}
+
 // TestBookAgainstMapOracle drives the book the way the engine does — admit
 // with IDs out of order by a bounded displacement, repairs and degraded
-// marks on live records, expiry in random order — against a map of plain
-// records, over enough admissions to cross chunk boundaries.
+// marks on live records, expiry by ticking the clock — against a map of
+// plain records, over enough admissions to cross chunk boundaries. Every
+// tick's expiry must be exactly the records whose window ended, in ID order.
 func TestBookAgainstMapOracle(t *testing.T) {
 	const admissions = 40_000 // three history chunks
 	for seed, displacement := range []int{0, 1, 7, 64, DefaultQueueSize + 4} {
 		rng := rand.New(rand.NewSource(int64(seed + 1)))
-		b := newPlacementBook()
+		var b placementBook
 		oracle := make(map[int]PlacementRecord, admissions)
 		rejected := make([]int, 0, admissions)
 
@@ -152,10 +165,16 @@ func TestBookAgainstMapOracle(t *testing.T) {
 		}
 		sort.SliceStable(order, func(x, y int) bool { return keys[order[x]] < keys[order[y]] })
 
-		var live []int
-		slot := 500
+		live := map[int]bool{}
+		slot := 1
 		check := func(id int) {
 			want, ok := oracle[id]
+			if live[id] && want.State != StateDegraded {
+				want.State = StateActive
+				if slot < want.Request.Arrival {
+					want.State = StateScheduled
+				}
+			}
 			got, found := b.lookup(id, slot)
 			if found != ok {
 				t.Fatalf("seed %d: lookup(%d) found=%v, want %v", seed, id, found, ok)
@@ -164,48 +183,81 @@ func TestBookAgainstMapOracle(t *testing.T) {
 				t.Fatalf("seed %d: lookup(%d)\n got %+v\nwant %+v", seed, id, got, want)
 			}
 		}
-		for n, i := range order {
-			rec := randomRecord(rng, ids[i])
-			b.admit(rec.Request, rec.Placement, rec.DecidedSlot)
-			rec.State = StateActive
-			if slot < rec.Request.Arrival {
-				rec.State = StateScheduled
+		// tick moves the clock and retires what the book expires, which must
+		// be what the oracle says ended.
+		tick := func() {
+			slot++
+			var want []int
+			for id := range live {
+				if oracle[id].Request.End() < slot {
+					want = append(want, id)
+				}
 			}
+			sort.Ints(want)
+			got := b.expire(slot)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d: expire(%d) returned %d records, want %v", seed, slot, len(got), want)
+			}
+			for k, rec := range got {
+				if rec.ID != want[k] {
+					t.Fatalf("seed %d: expire(%d) returned %d at %d, want %v", seed, slot, rec.ID, k, want)
+				}
+				w := oracle[rec.ID]
+				if w.State != StateDegraded {
+					w.State = StateExpired
+				}
+				oracle[rec.ID] = w
+				delete(live, rec.ID)
+				b.retire(rec)
+			}
+		}
+		for n, i := range order {
+			// A window from the clock to a few slots ahead; now and then one
+			// the clock has passed, as a preempted decision books it.
+			arrival := slot + rng.Intn(3)
+			if rng.Intn(32) == 0 {
+				arrival = slot - 1 - rng.Intn(3)
+			}
+			rec := randomRecord(rng, ids[i], arrival)
+			b.admit(rec.Request, rec.Placement, rec.DecidedSlot)
 			oracle[rec.ID] = oracleCopy(rec)
-			live = append(live, rec.ID)
+			live[rec.ID] = true
 			check(rec.ID)
 
-			// Now and then the failure runtime touches a live record, and
-			// about as often as admissions arrive a live record expires.
-			pick := rng.Intn(len(live))
-			id := live[pick]
+			// Now and then the failure runtime touches one of the recent
+			// admissions still live, and about every fourth admission the
+			// clock ticks.
+			id := ids[order[n-rng.Intn(min(n+1, 64))]]
 			switch r := rng.Intn(16); {
+			case r < 2 && !live[id]:
 			case r == 0: // a repair moves the footprint
-				lr := b.live[id]
+				lr := b.liveRecord(id)
 				lr.Placement = randomPlacement(rng, id)
-				lr.ReservedFrom = lr.Request.Arrival + rng.Intn(lr.Request.Duration)
+				b.rebase(lr, lr.Request.Arrival+rng.Intn(lr.Request.Duration))
 				b.refile(lr)
 				want := oracle[id]
 				want.Placement, want.ReservedFrom = lr.Placement, lr.ReservedFrom
 				oracle[id] = oracleCopy(want)
 			case r == 1: // the repair budget runs out
-				lr := b.live[id]
+				lr := b.liveRecord(id)
 				lr.State = StateDegraded
 				b.refile(lr)
 				want := oracle[id]
 				want.State = StateDegraded
 				oracle[id] = want
-			case r < 10 || len(live) > 300:
-				b.retire(b.live[id])
-				want := oracle[id]
-				if want.State != StateDegraded {
-					want.State = StateExpired
-				}
-				oracle[id] = want
-				live[pick] = live[len(live)-1]
-				live = live[:len(live)-1]
+			case r < 6:
+				tick()
 			}
 			check(id)
+			oldest, any := 0, false
+			for id := range live {
+				if from := oracle[id].ReservedFrom; !any || from < oldest {
+					oldest, any = from, true
+				}
+			}
+			if got, ok := b.oldestStart(); ok != any || (any && got != oldest) {
+				t.Fatalf("seed %d: oldestStart() = %d, %v, model %d, %v", seed, got, ok, oldest, any)
+			}
 			if n%97 == 0 {
 				check(ids[order[rng.Intn(n+1)]])
 			}
@@ -214,8 +266,8 @@ func TestBookAgainstMapOracle(t *testing.T) {
 		if got := b.entries(); got != admissions {
 			t.Fatalf("seed %d: entries() = %d, want %d", seed, got, admissions)
 		}
-		if len(b.live) != len(live) {
-			t.Fatalf("seed %d: live index holds %d records, %d placements are live", seed, len(b.live), len(live))
+		if got := liveRecords(&b); got != len(live) || b.active != len(live) {
+			t.Fatalf("seed %d: the ring holds %d records and counts %d, %d placements are live", seed, got, b.active, len(live))
 		}
 		for i := 1; i < b.entries(); i++ {
 			if prev, cur := b.at(i-1).id, b.at(i).id; prev >= cur {
@@ -234,7 +286,7 @@ func TestBookAgainstMapOracle(t *testing.T) {
 		// A filed record handed out shares nothing with the book: scribbling
 		// over one copy leaves the next lookup intact.
 		for id, want := range oracle {
-			if _, isLive := b.live[id]; isLive {
+			if live[id] {
 				continue
 			}
 			got, _ := b.lookup(id, slot)
@@ -251,17 +303,274 @@ func TestBookAgainstMapOracle(t *testing.T) {
 		if want := 3 * bookChunk * int(reflect.TypeOf(filedPlacement{}).Size()); b.bytes() <= want {
 			t.Errorf("seed %d: bytes() = %d, want three history chunks (%d) plus the arena", seed, b.bytes(), want)
 		}
+		// The clock runs past every window: the ring drains.
+		for b.active > 0 {
+			tick()
+		}
+		if len(live) != 0 {
+			t.Fatalf("seed %d: %d placements live after the ring drained", seed, len(live))
+		}
+	}
+}
+
+// admitWindow files a bare record for id over [start, end].
+func admitWindow(b *placementBook, id, start, end int) {
+	b.admit(core.Request{ID: id, Arrival: start, Duration: end - start + 1}, core.Placement{Request: id}, start)
+}
+
+// expireIDs ticks the book to now, retires what expired and returns its IDs.
+func expireIDs(b *placementBook, now int) []int {
+	var ids []int
+	for _, rec := range b.expire(now) {
+		ids = append(ids, rec.ID)
+		b.retire(rec)
+	}
+	return ids
+}
+
+// TestBookExpiresInIDOrder pins the end-of-window convention and the order
+// records leave in: a window ending at slot e expires when the clock
+// reaches e+1, and a tick returns ascending IDs whatever order they were
+// filed in and however many buckets it pops.
+func TestBookExpiresInIDOrder(t *testing.T) {
+	var b placementBook
+	for _, w := range [][3]int{{12, 3, 4}, {10, 1, 2}, {14, 2, 4}, {11, 1, 4}, {13, 4, 4}} {
+		admitWindow(&b, w[0], w[1], w[2])
+	}
+	if got := expireIDs(&b, 2); len(got) != 0 {
+		t.Errorf("expire(2) = %v, want none (window [1,2] still covers slot 2)", got)
+	}
+	if got := expireIDs(&b, 3); !slices.Equal(got, []int{10}) {
+		t.Errorf("expire(3) = %v, want [10]", got)
+	}
+	if got := expireIDs(&b, 5); !slices.Equal(got, []int{11, 12, 13, 14}) {
+		t.Errorf("expire(5) = %v, want [11 12 13 14]", got)
+	}
+	if b.active != 0 || len(expireIDs(&b, 100)) != 0 {
+		t.Errorf("after draining: %d active", b.active)
+	}
+	// Two buckets popped by one tick, the later one holding the lower IDs.
+	admitWindow(&b, 21, 6, 6)
+	admitWindow(&b, 20, 6, 7)
+	admitWindow(&b, 22, 6, 6)
+	if got := expireIDs(&b, 9); !slices.Equal(got, []int{20, 21, 22}) {
+		t.Errorf("expire(9) = %v, want [20 21 22]", got)
+	}
+}
+
+// TestBookOldestStartAfterRebase pins the rolling window's pin: the oldest
+// first reserved slot of a live record, moved by expiry and by a repair
+// re-basing a record, which keeps its bucket.
+func TestBookOldestStartAfterRebase(t *testing.T) {
+	var b placementBook
+	if _, ok := b.oldestStart(); ok {
+		t.Fatal("oldestStart on an empty book reported a value")
+	}
+	admitWindow(&b, 1, 4, 9)
+	admitWindow(&b, 2, 2, 6)
+	admitWindow(&b, 3, 7, 8)
+	if s, ok := b.oldestStart(); !ok || s != 2 {
+		t.Fatalf("oldestStart = %d, %v, want 2, true", s, ok)
+	}
+	if got := expireIDs(&b, 7); !slices.Equal(got, []int{2}) {
+		t.Fatalf("expire(7) = %v, want [2]", got)
+	}
+	if s, ok := b.oldestStart(); !ok || s != 4 {
+		t.Fatalf("oldestStart after the drain = %d, %v, want 4, true", s, ok)
+	}
+	b.rebase(b.liveRecord(1), 8)
+	if s, ok := b.oldestStart(); !ok || s != 7 {
+		t.Fatalf("oldestStart after re-basing 1 to 8 = %d, %v, want 7, true", s, ok)
+	}
+	if rec := b.liveRecord(1); rec == nil || rec.ReservedFrom != 8 {
+		t.Fatalf("record 1 after the re-base: %+v", rec)
+	}
+	if got := expireIDs(&b, 9); !slices.Equal(got, []int{3}) {
+		t.Fatalf("expire(9) = %v, want [3]: the re-based record keeps its end", got)
+	}
+	if s, ok := b.oldestStart(); !ok || s != 8 {
+		t.Fatalf("oldestStart = %d, %v, want 8, true", s, ok)
+	}
+	if got := expireIDs(&b, 10); !slices.Equal(got, []int{1}) {
+		t.Fatalf("expire(10) = %v, want [1]", got)
+	}
+	if _, ok := b.oldestStart(); ok || b.liveRecord(1) != nil {
+		t.Fatal("the book still pins a slot or holds record 1 after the last expiry")
+	}
+}
+
+// TestBookRebaseKeepsWindow moves a live record's reservation the way a
+// repair does: the record is still found by ID, its end and so its expiry
+// stay, the history keeps the new start, and an ID that was never admitted
+// or has expired is not live.
+func TestBookRebaseKeepsWindow(t *testing.T) {
+	var b placementBook
+	admitWindow(&b, 1, 1, 5)
+	admitWindow(&b, 2, 2, 5)
+	admitWindow(&b, 3, 2, 4)
+	if b.liveRecord(99) != nil {
+		t.Fatal("liveRecord(99) found an ID that was never admitted")
+	}
+	rec := b.liveRecord(3)
+	b.rebase(rec, 4)
+	b.refile(rec)
+	if got, ok := b.lookup(3, 4); !ok || got.State != StateActive || got.ReservedFrom != 4 || got.Request.End() != 4 {
+		t.Fatalf("lookup(3) after the re-base = %+v, %v, want live, reserved from 4, ending at 4", got, ok)
+	}
+	if got := expireIDs(&b, 4); len(got) != 0 {
+		t.Fatalf("expire(4) = %v, want none: the re-based window still covers slot 4", got)
+	}
+	if got := expireIDs(&b, 5); !slices.Equal(got, []int{3}) {
+		t.Fatalf("expire(5) = %v, want [3]", got)
+	}
+	if b.liveRecord(3) != nil {
+		t.Fatal("record 3 still live after its expiry")
+	}
+	if got, ok := b.lookup(3, 5); !ok || got.State != StateExpired || got.ReservedFrom != 4 {
+		t.Fatalf("lookup(3) after expiry = %+v, %v, want expired, reserved from 4", got, ok)
+	}
+	b.rebase(b.liveRecord(1), 5)
+	if s, ok := b.oldestStart(); !ok || s != 2 {
+		t.Fatalf("oldestStart = %d, %v, want 2, true", s, ok)
+	}
+	if got := expireIDs(&b, 6); !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("expire(6) = %v, want [1 2]", got)
+	}
+	if b.active != 0 || b.liveRecord(1) != nil || b.liveRecord(2) != nil {
+		t.Fatalf("after the last expiry: %d active", b.active)
+	}
+}
+
+// TestBookStragglerExpires files a window behind the ring's front — a
+// decision preempted across ticks books a window the clock has passed —
+// and behind the oldest start: it is found, pins the window and leaves at
+// the next tick.
+func TestBookStragglerExpires(t *testing.T) {
+	var b placementBook
+	admitWindow(&b, 1, 10, 12)
+	if got := expireIDs(&b, 11); len(got) != 0 {
+		t.Fatalf("expire(11) = %v", got)
+	}
+	admitWindow(&b, 2, 7, 8)
+	if s, ok := b.oldestStart(); !ok || s != 7 {
+		t.Fatalf("oldestStart = %d, %v, want the straggler's 7", s, ok)
+	}
+	if rec, ok := b.lookup(2, 11); !ok || rec.State != StateActive {
+		t.Fatalf("lookup(2) = %+v, %v, want the live straggler", rec, ok)
+	}
+	if got := expireIDs(&b, 12); !slices.Equal(got, []int{2}) {
+		t.Fatalf("expire(12) = %v, want the straggler", got)
+	}
+	if s, ok := b.oldestStart(); !ok || s != 10 {
+		t.Fatalf("oldestStart = %d, %v, want 10", s, ok)
+	}
+}
+
+// TestBookRingAgainstMapModel drives random admissions, re-bases and ticks
+// against a plain map of id → window while the clock laps the ring many
+// times — windows mostly near the clock, now and then far ahead of or
+// behind it, so both ends of the deques grow — and checks every query after
+// every operation: the live count, oldestStart, the live record of a
+// sampled ID, and that each tick expires exactly the model's ended IDs in
+// ascending order.
+func TestBookRingAgainstMapModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var b placementBook
+		model := map[int][2]int{}
+		nextID, clock := 0, 1
+		for op := 0; op < 2000; op++ {
+			switch k := rng.Intn(10); {
+			case k < 6:
+				start := clock + rng.Intn(4)
+				if rng.Intn(20) == 0 {
+					start = clock - rng.Intn(30) + rng.Intn(60)
+				}
+				end := start + rng.Intn(6)
+				nextID++
+				admitWindow(&b, nextID, start, end)
+				model[nextID] = [2]int{start, end}
+			case k < 7:
+				// A repair re-bases a live record anywhere in its window.
+				id := 1 + rng.Intn(nextID+1)
+				if w, live := model[id]; live {
+					w[0] += rng.Intn(w[1] - w[0] + 1)
+					b.rebase(b.liveRecord(id), w[0])
+					model[id] = w
+				}
+			default:
+				clock += rng.Intn(3)
+				if rng.Intn(50) == 0 {
+					clock += 40 // a stalled clock catching up
+				}
+				var want []int
+				for id, w := range model {
+					if w[1] < clock {
+						want = append(want, id)
+						delete(model, id)
+					}
+				}
+				sort.Ints(want)
+				if got := expireIDs(&b, clock); !slices.Equal(got, want) {
+					t.Fatalf("seed %d op %d: expire(%d) = %v, want %v", seed, op, clock, got, want)
+				}
+			}
+			if b.active != len(model) || liveRecords(&b) != len(model) {
+				t.Fatalf("seed %d op %d: %d active, %d in the ring, model %d", seed, op, b.active, liveRecords(&b), len(model))
+			}
+			oldest, any := 0, false
+			for _, w := range model {
+				if !any || w[0] < oldest {
+					oldest, any = w[0], true
+				}
+			}
+			if got, ok := b.oldestStart(); ok != any || (any && got != oldest) {
+				t.Fatalf("seed %d op %d: oldestStart = %d, %v, model %d, %v", seed, op, got, ok, oldest, any)
+			}
+			id := 1 + rng.Intn(nextID+1)
+			w, live := model[id]
+			rec := b.liveRecord(id)
+			if (rec != nil) != live || (live && (rec.ReservedFrom != w[0] || rec.Request.End() != w[1])) {
+				t.Fatalf("seed %d op %d: liveRecord(%d) = %+v, model %v, %v", seed, op, id, rec, w, live)
+			}
+		}
+	}
+}
+
+// TestBookSteadyStateAllocations pins the point of the ring: once warm, a
+// clock that admits and expires a few records per slot allocates nothing
+// but the history's chunks, slot after slot.
+func TestBookSteadyStateAllocations(t *testing.T) {
+	var b placementBook
+	id, slot := 0, 1
+	step := func() {
+		for k := 0; k < 8; k++ {
+			id++
+			admitWindow(&b, id, slot, slot+k%5)
+		}
+		slot++
+		for _, rec := range b.expire(slot) {
+			b.retire(rec)
+		}
+		b.oldestStart()
+	}
+	for i := 0; i < 100; i++ {
+		step()
+	}
+	// 601 steps of 8 admissions stay inside the history's first chunk.
+	if n := testing.AllocsPerRun(500, step); n != 0 {
+		t.Errorf("steady-state slot allocates %v times, want 0", n)
 	}
 }
 
 // TestBookOversizeRun files a placement whose assignment run is longer than
 // an arena chunk, between two ordinary ones.
 func TestBookOversizeRun(t *testing.T) {
-	b := newPlacementBook()
+	var b placementBook
 	rng := rand.New(rand.NewSource(1))
 	var want []PlacementRecord
 	for id := 1; id <= 3; id++ {
-		rec := randomRecord(rng, id)
+		rec := randomRecord(rng, id, 1)
 		if id == 2 {
 			rec.Placement.Assignments = make([]core.Assignment, bookChunk+3)
 			for i := range rec.Placement.Assignments {
@@ -269,7 +578,9 @@ func TestBookOversizeRun(t *testing.T) {
 			}
 		}
 		b.admit(rec.Request, rec.Placement, rec.DecidedSlot)
-		b.retire(b.live[id])
+		for _, r := range b.expire(rec.Request.End() + 1) {
+			b.retire(r)
+		}
 		rec.State = StateExpired
 		want = append(want, rec)
 	}
@@ -368,7 +679,7 @@ func TestEngineRetainsBoundedState(t *testing.T) {
 			}
 		}
 		e.mu.Lock()
-		if active := e.expiry.Len(); active > peak {
+		if active := e.book.active; active > peak {
 			peak = active
 		}
 		e.mu.Unlock()
@@ -430,7 +741,7 @@ func TestEngineRetainsBoundedState(t *testing.T) {
 	}
 
 	e.mu.Lock()
-	live, free, filed, active := len(e.book.live), len(e.book.free), e.book.entries(), e.expiry.Len()
+	live, free, filed, active := liveRecords(&e.book), len(e.book.free), e.book.entries(), e.book.active
 	e.mu.Unlock()
 	if live != active {
 		t.Errorf("live index holds %d records, %d placements are active", live, active)

@@ -134,6 +134,8 @@ type Stats struct {
 	Revenue float64
 	// ActivePlacements counts admitted, not-yet-expired placements.
 	ActivePlacements int
+	// BackupGroups counts the shared-backup groups holding ledger capacity.
+	BackupGroups int
 	// FiledPlacements counts the entries of the placement history (every
 	// admission is retained) and BookBytes the memory its chunks hold,
 	// assignments included.
@@ -212,18 +214,18 @@ type Engine struct {
 	mu sync.Mutex
 	// reader is the capacity view the read endpoints snapshot through.
 	reader *timeslot.Reader // guarded by mu
-	// pool is the refcounted shared-backup layer over the ledger: group
+	// pool books footprints with their shared-backup membership: group
 	// footprints are reserved when the first member joins and released when
-	// the last member expires. It carries its own lock; the engine only
-	// calls it from paths that already own the relevant footprint.
+	// the last member expires. Its groups are ledger state, under the
+	// ledger's lock.
 	pool *timeslot.Pool
 	slot int // guarded by mu
-	// book is the ID-keyed state: the live records of the window and the
-	// pointer-free history of every admission (book.go).
-	book     placementBook         // guarded by mu
-	expiry   *simulate.WindowIndex // guarded by mu
-	admitted uint64                // guarded by mu
-	expired  uint64                // guarded by mu
+	// book is the ID-keyed state: the live records, filed in the expiry
+	// ring they leave from, and the pointer-free history of every admission
+	// (book.go).
+	book     placementBook // guarded by mu
+	admitted uint64        // guarded by mu
+	expired  uint64        // guarded by mu
 	// admittedByScheme splits the admitted counter by placement scheme.
 	admittedByScheme map[core.Scheme]uint64 // guarded by mu
 	revenue          float64                // guarded by mu
@@ -386,8 +388,6 @@ func New(cfg Config) (*Engine, error) {
 		reader:   ledger.NewReader(),
 		pool:     timeslot.NewPool(ledger),
 		slot:     1,
-		book:     newPlacementBook(),
-		expiry:   simulate.NewWindowIndex(),
 
 		admittedByScheme: make(map[core.Scheme]uint64),
 
@@ -694,7 +694,6 @@ func (e *Engine) releaseFootprint(rec *PlacementRecord) {
 // recordAdmissionLocked books one admitted placement. Caller holds e.mu.
 func (e *Engine) recordAdmissionLocked(req core.Request, placement core.Placement, slot int) {
 	e.book.admit(req, placement, slot)
-	e.expiry.Add(req.ID, req.Arrival, req.End())
 	e.admitted++
 	e.admittedByScheme[placement.Scheme]++
 	e.revenue += req.Payment
@@ -730,15 +729,14 @@ func (e *Engine) Tick() TickReport {
 	defer e.mu.Unlock()
 	e.slot++
 	e.slotNow.Store(int64(e.slot))
-	expired := e.expiry.ExpireBefore(e.slot)
-	for _, id := range expired {
-		// ExpireBefore yields each ID once, so a record leaves the live index
+	expired := e.book.expire(e.slot)
+	for _, rec := range expired {
+		// expire yields each record once, so a record leaves the live set
 		// exactly when its footprint is released.
-		rec := e.book.live[id]
 		e.releaseFootprint(rec)
 		e.expired++
 		if e.runtime != nil {
-			e.finalizeExpiredLocked(id)
+			e.finalizeExpiredLocked(rec.ID)
 		}
 		// The history keeps the placement — and its degraded mark, which
 		// outliving the window must not erase; the record is recycled.
@@ -762,7 +760,7 @@ func (e *Engine) Tick() TickReport {
 // case the advance simply waits for the next tick. Caller holds e.mu.
 func (e *Engine) advanceWindowLocked() {
 	newBase := e.slot
-	if oldest, ok := e.expiry.OldestStart(); ok && oldest < newBase {
+	if oldest, ok := e.book.oldestStart(); ok && oldest < newBase {
 		newBase = oldest
 	}
 	if newBase <= e.ledger.Base() {
@@ -891,7 +889,8 @@ func (e *Engine) Stats() Stats {
 		ViewCopies:       e.viewCopies.Load(),
 		ViewLoads:        e.viewLoads.Load(),
 		Revenue:          e.revenue,
-		ActivePlacements: e.expiry.Len(),
+		ActivePlacements: e.book.active,
+		BackupGroups:     e.pool.Groups(),
 		FiledPlacements:  e.book.entries(),
 		BookBytes:        e.book.bytes(),
 		CloudletUsed:     make([]int, len(e.network.Cloudlets)),

@@ -513,7 +513,7 @@ func stressEngine(t *testing.T, newScheduler func(*core.Network, int) (core.Sche
 		e.Tick()
 	}
 	e.mu.Lock()
-	live, active := len(e.book.live), e.expiry.Len()
+	live, active := liveRecords(&e.book), e.book.active
 	e.mu.Unlock()
 	if s := e.Stats(); live != 0 || active != 0 || s.Expired != s.Admitted || e.pool.Groups() != 0 {
 		t.Errorf("after the last window: %d live records, %d active, %d of %d expired, %d pooled groups; want all drained",

@@ -213,10 +213,25 @@ func TestHTTPMetricsScrape(t *testing.T) {
 		// the first.
 		"revnfd_admission_latency_seconds_count 1\n",
 		"revnfd_queue_capacity 256\n",
+		"revnfd_backup_groups 0\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+	// A shared admission holds one backup group until its window ends.
+	shared, sharedSrv := newTestServer(t, 20, withSharedScheduler(t, 2))
+	if _, dec := postRequest(t, sharedSrv.URL, `{"vnf":0,"reliability":0.9,"duration":2,"payment":12.5}`); !dec.Admitted {
+		t.Fatalf("shared request not admitted: %+v", dec)
+	}
+	for _, want := range []int{1, 1, 0} {
+		if got := shared.Stats().BackupGroups; got != want {
+			t.Errorf("slot %d: Stats.BackupGroups = %d, want %d", shared.Slot(), got, want)
+		}
+		if scrape := scrapeMetrics(t, sharedSrv.URL); !strings.Contains(scrape, "revnfd_backup_groups "+strconv.Itoa(want)+"\n") {
+			t.Errorf("slot %d: metrics missing revnfd_backup_groups %d", shared.Slot(), want)
+		}
+		shared.Tick()
 	}
 	// The exposition must parse line by line: every non-comment line is
 	// "name{labels} value" with a float value.
@@ -229,6 +244,21 @@ func TestHTTPMetricsScrape(t *testing.T) {
 			t.Errorf("unparseable sample line %q", line)
 		}
 	}
+}
+
+// scrapeMetrics GETs /metrics and returns the body.
+func scrapeMetrics(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
 }
 
 // TestHTTPBackpressure503 floods a 1-slot queue and requires at least one

@@ -25,6 +25,8 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 			"Placements whose windows ended and whose capacity was released.", float64(s.Expired)),
 		metrics.Gauge("revnfd_active_placements",
 			"Admitted placements not yet expired.", float64(s.ActivePlacements)),
+		metrics.Gauge("revnfd_backup_groups",
+			"Shared-backup groups holding ledger capacity (0 without -scheme shared).", float64(s.BackupGroups)),
 		metrics.Gauge("revnfd_placements_filed",
 			"Entries of the placement history: every admission stays retrievable.", float64(s.FiledPlacements)),
 		metrics.Gauge("revnfd_placement_book_bytes",

@@ -137,8 +137,8 @@ func (e *Engine) runtimeTickLocked() {
 		rt.est.Observe(j, up)
 	}
 	for _, ph := range rep.Placements {
-		rec, ok := e.book.live[ph.ID]
-		if !ok {
+		rec := e.book.liveRecord(ph.ID)
+		if rec == nil {
 			continue
 		}
 		if rec.State == StateDegraded {
@@ -211,13 +211,10 @@ func (e *Engine) repairLocked(rec *PlacementRecord) bool {
 	// dissolves as its members are re-placed.
 	e.releaseFootprint(rec)
 	rec.Placement = placement
-	rec.ReservedFrom = e.slot
+	// The released old footprint no longer pins the rolling window open, so
+	// the base may advance past it on the next tick.
+	e.book.rebase(rec, e.slot)
 	e.book.refile(rec)
-	// Re-base the expiry index entry: the released old footprint no longer
-	// pins the rolling window open, so the base may advance past it on the
-	// next tick. (Add does not look for a live ID, hence the Remove.)
-	e.expiry.Remove(rec.ID)
-	e.expiry.Add(rec.ID, rec.ReservedFrom, end)
 	rt.injector.Rewatch(rec.ID, watchedAssignments(placement))
 	return true
 }

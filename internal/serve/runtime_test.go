@@ -24,7 +24,7 @@ func newOnsiteScheduler(t *testing.T, n *core.Network, horizon int) *onsite.Sche
 	return s
 }
 
-func shutdownEngine(t *testing.T, e *Engine) {
+func shutdownEngine(t testing.TB, e *Engine) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -348,7 +348,7 @@ func TestRuntimeDegradedReleasesOnceThenHistory(t *testing.T) {
 		t.Fatalf("%d backup groups still pooled after every member expired", g)
 	}
 	e.mu.Lock()
-	live := len(e.book.live)
+	live := liveRecords(&e.book)
 	e.mu.Unlock()
 	if live != 0 {
 		t.Fatalf("%d records still in the live index after expiry", live)

@@ -67,13 +67,6 @@ func (m *fpModel) reserve(start, duration int, claims []Claim, pooled Pooled, fo
 	if !m.claimsValid(start, duration, claims) {
 		return fpErrored, 0
 	}
-	for k, c := range claims {
-		for t := start; t < start+duration && !force; t++ {
-			if m.caps[c.Cloudlet]-m.used[[2]int{c.Cloudlet, t}] < claimed(claims, k+1, c.Cloudlet) {
-				return fpRefused, k
-			}
-		}
-	}
 	g := m.groups[pooled.Group]
 	if pooled.Group != 0 {
 		if pooled.Cloudlet < 0 || pooled.Cloudlet >= len(m.caps) || !m.live(start, duration) || pooled.Units <= 0 {
@@ -82,6 +75,15 @@ func (m *fpModel) reserve(start, duration int, claims []Claim, pooled Pooled, fo
 		if g != nil && (g.cloudlet != pooled.Cloudlet || g.units != pooled.Units) {
 			return fpErrored, atPooled
 		}
+	}
+	for k, c := range claims {
+		for t := start; t < start+duration && !force; t++ {
+			if m.caps[c.Cloudlet]-m.used[[2]int{c.Cloudlet, t}] < claimed(claims, k+1, c.Cloudlet) {
+				return fpRefused, k
+			}
+		}
+	}
+	if pooled.Group != 0 {
 		// The row is never forced, and is booked on top of the claims.
 		for t := start; t < start+duration; t++ {
 			if g != nil && g.refs[t] > 0 {
@@ -188,10 +190,10 @@ type fpBooking struct {
 // not — through Pool.ReserveAll/ReleaseAll and Ledger.ReserveAll/ReleaseAll
 // on fixed and rolling ledgers. After every call, accepted, refused or in
 // error, every live cell, every group's refcounts and Groups() must equal
-// the model's; an outcome the ledger alone decided that was not an
-// acceptance must leave the epoch where it was. The capacities are tight
-// enough that refusals land on every claim position and on the pooled row,
-// which the test asserts it saw.
+// the model's; an acceptance moves the epoch exactly once and a refusal or
+// an error, on a claim or on the pooled row, not at all. The capacities are
+// tight enough that refusals land on every claim position and on the pooled
+// row, which the test asserts it saw.
 func TestFootprintMatchesModel(t *testing.T) {
 	const (
 		window = 8
@@ -246,8 +248,12 @@ func TestFootprintMatchesModel(t *testing.T) {
 					t.Fatalf("seed %d op %d: model refuses the release of held booking %+v", seed, op, b)
 				}
 				m.release(b.start, b.duration, b.claims, b.pooled)
+				epoch := led.epoch.Load()
 				if err := pool.ReleaseAll(b.start, b.duration, b.claims, b.pooled); err != nil {
 					t.Fatalf("rolling=%v seed %d op %d: release of held booking %+v: %v", rolling, seed, op, b, err)
+				}
+				if moved := led.epoch.Load() - epoch; moved != 1 {
+					t.Fatalf("rolling=%v seed %d op %d: release of %+v moved the epoch %d times, want once", rolling, seed, op, b, moved)
 				}
 				held = append(held[:i], held[i+1:]...)
 				outcomes["release accepted"]++
@@ -378,12 +384,15 @@ func TestFootprintMatchesModel(t *testing.T) {
 				case fpErrored:
 					outcomes["reserve errored"]++
 				}
-				// A refusal or an error decided in the ledger's own round
-				// wrote nothing, so it invalidates no Reader's copy. (A
-				// pooled row that fails after the claims were booked has
-				// them undone: that moves the epoch, and must.)
-				if want != fpAccepted && at != atPooled && led.epoch.Load() != epoch {
-					t.Fatalf("rolling=%v seed %d op %d: outcome %d at %d bumped the epoch", rolling, seed, op, want, at)
+				// A refusal or an error wrote nothing, the pooled row's
+				// included, so it invalidates no Reader's copy; an
+				// acceptance is one write.
+				bumps := uint64(0)
+				if want == fpAccepted {
+					bumps = 1
+				}
+				if moved := led.epoch.Load() - epoch; moved != bumps {
+					t.Fatalf("rolling=%v seed %d op %d: outcome %d at %d moved the epoch %d times", rolling, seed, op, want, at, moved)
 				}
 				audit(op, "reserve")
 			}
@@ -412,29 +421,98 @@ func TestFootprintMatchesModel(t *testing.T) {
 	t.Logf("refusals by position %v, outcomes %v", refusedAt, outcomes)
 }
 
+// TestPooledFootprintBumpsEpochOnce pins what a shared admission and its
+// expiry cost a Reader: one epoch bump each, whether the pooled row opens a
+// group, joins a covered one or is refused (none then).
+func TestPooledFootprintBumpsEpochOnce(t *testing.T) {
+	led, err := NewRolling([]int{10, 10}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPool(led)
+	claims := []Claim{{0, 3}, {1, 2}}
+	row := Pooled{Group: 5, Cloudlet: 1, Units: 4}
+	step := func(what string, want uint64, call func() error) {
+		t.Helper()
+		before := led.epoch.Load()
+		if err := call(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := led.epoch.Load() - before; got != want {
+			t.Errorf("%s moved the epoch %d times, want %d", what, got, want)
+		}
+	}
+	reserve := func(start int, want bool) func() error {
+		return func() error {
+			if ok, err := pool.ReserveAll(start, 3, claims, row, false); ok != want || err != nil {
+				return fmt.Errorf("ReserveAll at %d = (%v, %v), want %v", start, ok, err, want)
+			}
+			return nil
+		}
+	}
+	release := func(start int) func() error {
+		return func() error { return pool.ReleaseAll(start, 3, claims, row) }
+	}
+	step("a reservation opening the group", 1, reserve(2, true))
+	step("a reservation joining it", 1, reserve(3, true))
+	// Slot 6 of cloudlet 1 is the one cell of [4,6] the row does not cover:
+	// with 5 units held there, the claim's 2 fit and the row's 4 fit, but
+	// not both.
+	if err := led.Reserve(1, 6, 1, 5); err != nil {
+		t.Fatal(err)
+	}
+	step("a refusal on the pooled row", 0, reserve(4, false))
+	if err := led.Release(1, 6, 1, 5); err != nil {
+		t.Fatal(err)
+	}
+	step("a release leaving covered cells", 1, release(3))
+	step("the release closing the group", 1, release(2))
+	if pool.Groups() != 0 || led.Used(1, 3) != 0 {
+		t.Fatalf("groups %d, cloudlet 1 slot 3 used %d after both releases", pool.Groups(), led.Used(1, 3))
+	}
+}
+
 // BenchmarkFootprint times what an admission and its expiry ask of the
-// ledger: one ReserveAll and one ReleaseAll of a footprint of 1 (on-site)
-// and 3 (off-site) claims over a 3-slot window of a rolling ledger, through
-// the Pool as the engine calls it. Neither may allocate.
+// ledger: one ReserveAll and one ReleaseAll over a 3-slot window of a
+// rolling ledger, through the Pool as the engine calls it, of a footprint
+// of 1 (on-site) and 3 (off-site) claims, and of one claim with a pooled
+// row (shared) that joins a group covering the whole window or opens and
+// closes its own. None may allocate.
 func BenchmarkFootprint(b *testing.B) {
-	for _, claims := range [][]Claim{{{0, 4}}, {{0, 2}, {3, 2}, {6, 2}}} {
-		b.Run(fmt.Sprintf("claims=%d", len(claims)), func(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		claims []Claim
+		pooled Pooled
+		cover  bool // a long-lived member covers the pooled row's every slot
+	}{
+		{"claims=1", []Claim{{0, 4}}, Pooled{}, false},
+		{"claims=3", []Claim{{0, 2}, {3, 2}, {6, 2}}, Pooled{}, false},
+		{"claims=1+pooled/join", []Claim{{0, 4}}, Pooled{Group: 1, Cloudlet: 1, Units: 2}, true},
+		{"claims=1+pooled/open", []Claim{{0, 4}}, Pooled{Group: 1, Cloudlet: 1, Units: 2}, false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			led, err := NewRolling([]int{40, 40, 40, 40, 40, 40, 40, 40}, 64)
 			if err != nil {
 				b.Fatal(err)
 			}
 			pool := NewPool(led)
-			pair := func(i int) {
-				start := 1 + i%60
-				if ok, err := pool.ReserveAll(start, 3, claims, Pooled{}, false); !ok || err != nil {
-					b.Fatalf("ReserveAll = %v, %v", ok, err)
-				}
-				if err := pool.ReleaseAll(start, 3, claims, Pooled{}); err != nil {
+			if bc.cover {
+				if err := pool.Acquire(bc.pooled.Group, bc.pooled.Cloudlet, 1, 64, bc.pooled.Units); err != nil {
 					b.Fatal(err)
 				}
 			}
+			pair := func(i int) {
+				start := 1 + i%60
+				if ok, err := pool.ReserveAll(start, 3, bc.claims, bc.pooled, false); !ok || err != nil {
+					b.Fatalf("ReserveAll = %v, %v", ok, err)
+				}
+				if err := pool.ReleaseAll(start, 3, bc.claims, bc.pooled); err != nil {
+					b.Fatal(err)
+				}
+			}
+			pair(0) // a group opened here allocates the ring the rest reuse
 			if n := testing.AllocsPerRun(100, func() { pair(0) }); n != 0 {
-				b.Fatalf("a reserve and release of %d claims allocate %v times, want 0", len(claims), n)
+				b.Fatalf("a reserve and release of %s allocate %v times, want 0", bc.name, n)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -33,18 +33,24 @@
 // the shared scheme, a membership in a pooled backup row (Pool). A footprint
 // is held whole or not at all — Theorem 2's "never violates capacity" and
 // the pooled backups both assume it — and the rule lives here, not in the
-// callers: ReserveAll validates every claim, tests every claimed cloudlet's
-// window minimum and only then writes every cell, in one critical section,
-// so a refusal or an error has written nothing, there is nothing to roll
-// back, and no concurrent decision can read a footprint half booked;
-// ReleaseAll is the inverse, every underflow check before the first
-// subtraction. force skips the capacity test and nothing else: it is the
-// licence of the raw primal-dual algorithm, whose bounded violations the
-// paper's analysis permits and Violations measures. ReserveWindow, Reserve,
-// ForceReserve and Release are the one-claim case of the same locked body.
-// Pool.ReserveAll and ReleaseAll add the pooled membership; the pooled row
-// is booked slot by slot after the claims, so pool.go holds the only code
-// in the tree that undoes a booking.
+// callers. One locked body books every footprint: it validates every claim
+// and the pooled row, tests every claimed cloudlet's window minimum and then
+// every cell of the pooled row no member covers yet (claims on the row's
+// cloudlet counting against it), bumps the epoch once and only then writes
+// the claims, the row and the group's refcounts. A refusal or an error has
+// written nothing, there is nothing to roll back — no code in the tree
+// undoes a booking — and no concurrent decision can read a footprint half
+// booked. A release is the inverse, the group's coverage and every claim's
+// and the row's underflow checked before the first subtraction. force skips
+// the claims' capacity test and nothing else: it is the licence of the raw
+// primal-dual algorithm, whose bounded violations the paper's analysis
+// permits and Violations measures; the pooled row is never forced.
+// ReserveAll and ReleaseAll are the footprint without a pooled row;
+// ReserveWindow, Reserve, ForceReserve and Release its one-claim case;
+// Pool.ReserveAll and ReleaseAll the whole of it, and Pool.Acquire and
+// Release the row alone. The backup groups are ledger state under the one
+// mutex, so a shared admission, like its expiry, is one lock round and one
+// epoch bump.
 //
 // # Concurrency
 //
@@ -141,6 +147,11 @@ type Ledger struct {
 	// epoch counts the mutations of cells and geometry: bumped with mu
 	// held, before the mutation's first write (see "Concurrency").
 	epoch atomic.Uint64
+	// groups holds the backup groups holding capacity, by ID, and free the
+	// emptied ones (every ring cell zero) for the next group to reuse, so
+	// steady-state churn allocates nothing (pool.go).
+	groups map[int]*poolGroup // guarded by mu
+	free   []*poolGroup       // guarded by mu
 }
 
 // maxRollingWindow bounds a rolling window so the ring origin fits the 16
@@ -349,7 +360,7 @@ type Claim struct {
 // (in rolling mode: retired, or not yet entered) or non-positive units. A
 // refusal or an error has written nothing and bumped nothing.
 func (l *Ledger) ReserveAll(start, duration int, claims []Claim, force bool) (bool, error) {
-	return l.book(start, duration, claims, 1, force)
+	return l.book(start, duration, claims, nil, 1, force)
 }
 
 // ReleaseAll returns a footprint's units, all or none: every claim is
@@ -360,20 +371,29 @@ func (l *Ledger) ReserveAll(start, duration int, claims []Claim, force bool) (bo
 // addressing error, never an underflow against the row now occupying its
 // ring position.
 func (l *Ledger) ReleaseAll(start, duration int, claims []Claim) error {
-	_, err := l.book(start, duration, claims, -1, false)
+	_, err := l.book(start, duration, claims, nil, -1, false)
 	return err
 }
 
 // book is the one locked body behind every reservation and release: sign
-// +1 adds the claims' units to their windows, -1 subtracts them. All
-// checks precede the first write.
-func (l *Ledger) book(start, duration int, claims []Claim, sign int, force bool) (bool, error) {
-	if len(claims) == 0 {
+// +1 adds the claims' units to their windows and joins the pooled row (nil:
+// none), -1 subtracts them and leaves it. Every check — validation, then
+// the claims' cells, then the row's — precedes the epoch bump and the first
+// write.
+func (l *Ledger) book(start, duration int, claims []Claim, pooled *Pooled, sign int, force bool) (bool, error) {
+	if len(claims) == 0 && pooled == nil {
 		return true, nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	base, origin := l.geometry()
+	var g *poolGroup
+	if pooled != nil {
+		var err error
+		if g, err = l.groupLocked(pooled, start, duration, sign, base, origin); err != nil {
+			return false, err
+		}
+	}
 	for _, c := range claims {
 		if c.Cloudlet < 0 || c.Cloudlet >= len(l.caps) {
 			return false, fmt.Errorf("%w: %d", ErrBadCloudlet, c.Cloudlet)
@@ -411,6 +431,11 @@ func (l *Ledger) book(start, duration int, claims []Claim, sign int, force bool)
 			}
 		}
 	}
+	if pooled != nil {
+		if ok, err := l.rowFitsLocked(g, pooled, claims, start, duration, first, sign); !ok {
+			return false, err
+		}
+	}
 	l.epoch.Add(1)
 	for _, c := range claims {
 		row, i := l.used[c.Cloudlet], first
@@ -421,12 +446,15 @@ func (l *Ledger) book(start, duration int, claims []Claim, sign int, force bool)
 			}
 		}
 	}
+	if pooled != nil {
+		l.writeRowLocked(g, pooled, duration, first, sign)
+	}
 	return true, nil
 }
 
 // ReserveWindow is ReserveAll for a footprint of one claim, unforced.
 func (l *Ledger) ReserveWindow(cloudlet, start, duration, units int) (bool, error) {
-	return l.book(start, duration, []Claim{{cloudlet, units}}, 1, false)
+	return l.book(start, duration, []Claim{{cloudlet, units}}, nil, 1, false)
 }
 
 // Reserve is ReserveWindow with the refusal as an error: it fails with
@@ -450,13 +478,13 @@ func (l *Ledger) Reserve(cloudlet, start, duration, units int) error {
 // whose bounded capacity violations are part of the paper's analysis; the
 // resulting overcommitment shows up in Violations.
 func (l *Ledger) ForceReserve(cloudlet, start, duration, units int) error {
-	_, err := l.book(start, duration, []Claim{{cloudlet, units}}, 1, true)
+	_, err := l.book(start, duration, []Claim{{cloudlet, units}}, nil, 1, true)
 	return err
 }
 
 // Release is ReleaseAll for one claim.
 func (l *Ledger) Release(cloudlet, start, duration, units int) error {
-	_, err := l.book(start, duration, []Claim{{cloudlet, units}}, -1, false)
+	_, err := l.book(start, duration, []Claim{{cloudlet, units}}, nil, -1, false)
 	return err
 }
 
@@ -606,8 +634,9 @@ func (l *Ledger) PeakUsage(cloudlet int) int {
 	return peak
 }
 
-// Clone returns an independent deep copy of the ledger (same mode, same
-// window position), used by solvers that explore hypothetical schedules.
+// Clone returns an independent deep copy of the ledger's cells (same mode,
+// same window position), used by solvers that explore hypothetical
+// schedules. Backup groups are not copied: the clone has none.
 func (l *Ledger) Clone() *Ledger {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -3,7 +3,6 @@ package timeslot
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Pool errors.
@@ -19,59 +18,50 @@ var (
 	ErrNotCovered = errors.New("timeslot: release of uncovered slot")
 )
 
-// Pool layers reference-counted group reservations over a Ledger for the
+// Pool books reference-counted group reservations in a Ledger for the
 // shared-backup scheme: a backup group's row (units computing units on one
-// cloudlet) is reserved in the ledger exactly once per slot regardless of
-// how many members' windows cover that slot, and released only when the
-// last covering member leaves. Per (group, slot) the pool keeps a refcount
-// word; the ledger transition happens on the 0→1 edge of Acquire and the
-// 1→0 edge of Release, so the conservation invariant is
+// cloudlet) is held in the ledger exactly once per slot regardless of how
+// many members' windows cover that slot, and released only when the last
+// covering member leaves. Per (group, slot) the ledger keeps a refcount
+// word; a cell's units move on the 0→1 edge of a join and the 1→0 edge of
+// a leave, so the conservation invariant is
 //
 //	ledger units held for group g at slot t = units(g) · [refcount(g,t) > 0]
 //
-// (tested against a model map in pool_test.go). A failed Acquire rolls its
-// partial ledger reservations back and leaves the pool unchanged, so every
-// member either holds its whole window or nothing — the same all-or-
-// nothing contract Ledger.ReserveAll gives the claims. ReserveAll and
-// ReleaseAll extend it to a whole footprint, claims and membership
-// together (model in footprint_test.go).
+// (tested against a model map in pool_test.go). ReserveAll and ReleaseAll
+// book a whole footprint, claims and membership together, in the ledger's
+// one locked body (see the package comment, "Footprints"; model in
+// footprint_test.go); Acquire and Release are the no-claim case of the same
+// body, so every member holds its whole window or nothing.
 //
-// A group's refcounts are a ring of Window() counters, slot t at cell
-// t mod Window(): live slots map to distinct cells whatever the base, and
-// both calls refuse slots outside the window before touching the ring. No
-// cell needs clearing when the window moves: Ledger.Advance refuses to
+// The groups are ledger state, guarded by the ledger's mutex: the Pool is a
+// handle and holds no lock of its own, and pools over one ledger share its
+// groups. A group's refcounts are a ring of Window() counters addressed as
+// the ledger's rows are: live slots map to distinct cells whatever the
+// base, and every call refuses slots outside the window before touching the
+// ring. No cell needs clearing when the window moves: Advance refuses to
 // retire a slot that holds units, which by the invariant above every cell
-// with references does, so a slot entering the window inherits a zero.
-//
-// The pool serializes itself with one mutex and calls into the ledger
-// (which takes its own) while holding it; nothing calls back into the
-// pool from the ledger, so the order pool.mu → ledger.mu is acyclic.
-// In rolling mode the engine releases expired members before advancing the
+// with references does, so a slot entering the window inherits a zero. In
+// rolling mode the engine releases expired members before advancing the
 // ledger, so retired slots have always drained their pooled rows.
 type Pool struct {
 	led *Ledger
-
-	mu     sync.Mutex
-	groups map[int]*poolGroup // guarded by mu
-	// free holds emptied groups (every ring cell zero) for the next group
-	// to reuse, so steady-state churn allocates nothing.
-	free []*poolGroup // guarded by mu
 }
 
 // poolGroup is one backup group's footprint: the hosting cloudlet, the
 // per-slot units of its single pooled instance, and the member refcount
-// per covered slot.
+// per covered slot. Under Ledger.mu, like the map that holds it.
 type poolGroup struct {
 	cloudlet int
 	units    int
-	ref      []int32 // ring: covering members of slot t at t mod len; protected by Pool.mu
+	ref      []int32 // ring: covering members of each live slot, at the ledger's ring index
 	held     int     // cells with ref > 0; the group is dropped at 0
 }
 
 // NewPool returns a pool over the ledger. The ledger must be non-nil; the
 // pool holds no capacity until the first Acquire.
 func NewPool(led *Ledger) *Pool {
-	return &Pool{led: led, groups: make(map[int]*poolGroup)}
+	return &Pool{led: led}
 }
 
 // Pooled names a footprint's membership in a backup group: Units computing
@@ -81,124 +71,45 @@ type Pooled struct {
 	Group, Cloudlet, Units int
 }
 
-// ReserveAll books a whole footprint or nothing: the claims through
-// Ledger.ReserveAll (force applies to them alone), then the pooled
-// membership as Acquire books it. When the pooled row is refused or in
-// error the claims are released again — with rollbackLocked the only place
-// a booking is ever undone — so callers never hold part of a footprint.
-// The results are Ledger.ReserveAll's: (false, nil) is a refusal for lack
-// of room, on a claim or on the pooled row.
+// ReserveAll books a whole footprint or nothing: the claims as
+// Ledger.ReserveAll books them (force applies to them alone) and the pooled
+// membership, in one critical section. The pooled row's uncovered cells are
+// tested on top of the claims, so a claim on the row's cloudlet counts
+// against them. The results are Ledger.ReserveAll's: (false, nil) is a
+// refusal for lack of room, on a claim or on the pooled row, and a refusal
+// or an error has written nothing.
 func (p *Pool) ReserveAll(start, duration int, claims []Claim, pooled Pooled, force bool) (bool, error) {
 	if pooled.Group == 0 {
-		return p.led.ReserveAll(start, duration, claims, force)
+		return p.led.book(start, duration, claims, nil, 1, force)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if ok, err := p.led.ReserveAll(start, duration, claims, force); !ok {
-		return false, err
-	}
-	err := p.acquireLocked(pooled, start, duration)
-	if err == nil {
-		return true, nil
-	}
-	if rerr := p.led.ReleaseAll(start, duration, claims); rerr != nil {
-		panic(fmt.Sprintf("timeslot: pool rollback failed: %v", rerr))
-	}
-	if errors.Is(err, ErrOverCapacity) {
-		return false, nil
-	}
-	return false, err
+	return p.led.book(start, duration, claims, &pooled, 1, force)
 }
 
-// ReleaseAll is ReserveAll's inverse, equally all-or-nothing: the pooled
-// membership is checked first, the claims go through Ledger.ReleaseAll, and
-// only then are the member's references dropped, which cannot fail.
+// ReleaseAll is ReserveAll's inverse, equally all-or-nothing: the group's
+// coverage, every claim's underflow and the pooled row's underflow are
+// checked before the first subtraction. Only pooled.Group is read; the row
+// released is the group's.
 func (p *Pool) ReleaseAll(start, duration int, claims []Claim, pooled Pooled) error {
+	row := &pooled
 	if pooled.Group == 0 {
-		return p.led.ReleaseAll(start, duration, claims)
+		row = nil
 	}
-	return p.release(pooled.Group, start, duration, claims)
+	_, err := p.led.book(start, duration, claims, row, -1, false)
+	return err
 }
 
 // Acquire joins one member (window [start, start+duration-1], per-slot
 // units) to the group, creating the group on first use. Slots already
 // covered by other members only gain a reference; uncovered slots are
-// reserved in the ledger, and a refused reservation rolls back every slot
-// this call reserved and returns the ledger's error (ErrOverCapacity,
-// ErrBadSlot, ...) with the pool unchanged.
+// reserved in the ledger. A refusal returns ErrOverCapacity, and any error
+// leaves ledger and pool unchanged.
 func (p *Pool) Acquire(group, cloudlet, start, duration, units int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.acquireLocked(Pooled{group, cloudlet, units}, start, duration)
-}
-
-// acquireLocked is Acquire with mu held.
-func (p *Pool) acquireLocked(m Pooled, start, duration int) error {
-	if m.Cloudlet < 0 || m.Cloudlet >= p.led.Cloudlets() {
-		return fmt.Errorf("%w: %d", ErrBadCloudlet, m.Cloudlet)
+	ok, err := p.led.book(start, duration, nil, &Pooled{group, cloudlet, units}, 1, false)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: group %d cloudlet %d window [%d,%d] units %d",
+			ErrOverCapacity, group, cloudlet, start, start+duration-1, units)
 	}
-	// The ledger's own argument check, up front: a slot outside the live
-	// window would alias a live slot's cell.
-	if err := p.led.checkArgsAt(start, duration, m.Units, p.led.Base()); err != nil {
-		return err
-	}
-	g, ok := p.groups[m.Group]
-	if ok && (g.cloudlet != m.Cloudlet || g.units != m.Units) {
-		return fmt.Errorf("%w: group %d is %d units on cloudlet %d, acquire wants %d on %d",
-			ErrPoolMismatch, m.Group, g.units, g.cloudlet, m.Units, m.Cloudlet)
-	}
-	if !ok {
-		if n := len(p.free); n > 0 {
-			g, p.free = p.free[n-1], p.free[:n-1]
-		} else {
-			g = &poolGroup{ref: make([]int32, p.led.Window())}
-		}
-		g.cloudlet, g.units = m.Cloudlet, m.Units
-	}
-	// Reserve the uncovered slots one at a time; the refcounts move only
-	// once all are booked, so a mid-window refusal rolls back by walking
-	// the same prefix again.
-	w := len(g.ref)
-	for t, i := start, start%w; t < start+duration; t++ {
-		if g.ref[i] == 0 {
-			if err := p.led.Reserve(m.Cloudlet, t, 1, m.Units); err != nil {
-				p.rollbackLocked(g, start, t)
-				if !ok {
-					p.free = append(p.free, g)
-				}
-				return err
-			}
-		}
-		if i++; i == w {
-			i = 0
-		}
-	}
-	for t, i := start, start%w; t < start+duration; t++ {
-		if g.ref[i] == 0 {
-			g.held++
-		}
-		g.ref[i]++
-		if i++; i == w {
-			i = 0
-		}
-	}
-	if !ok {
-		p.groups[m.Group] = g
-	}
-	return nil
-}
-
-// rollbackLocked releases what a refused Acquire reserved over [start,
-// end-1]: the group's uncovered slots there. Caller holds mu.
-func (p *Pool) rollbackLocked(g *poolGroup, start, end int) {
-	for t := start; t < end; t++ {
-		if g.ref[t%len(g.ref)] != 0 {
-			continue
-		}
-		if err := p.led.Release(g.cloudlet, t, 1, g.units); err != nil {
-			panic(fmt.Sprintf("timeslot: pool rollback failed: %v", err))
-		}
-	}
+	return err
 }
 
 // Release drops one member's references over [start, start+duration-1].
@@ -208,47 +119,8 @@ func (p *Pool) rollbackLocked(g *poolGroup, start, end int) {
 // nobody) returns ErrNotCovered with nothing dropped, so a failed Release
 // is also all-or-nothing.
 func (p *Pool) Release(group, start, duration int) error {
-	return p.release(group, start, duration, nil)
-}
-
-// release is the one body of Release and ReleaseAll: the member's coverage
-// is checked, then the claims are returned, then the references dropped.
-func (p *Pool) release(group, start, duration int, claims []Claim) error {
-	if duration < 1 {
-		return fmt.Errorf("%w: duration %d", ErrBadSlot, duration)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	g, ok := p.groups[group]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownGroup, group)
-	}
-	w := len(g.ref)
-	base := p.led.Base()
-	for t := start; t < start+duration; t++ {
-		if t < base || t >= base+w || g.ref[t%w] < 1 {
-			return fmt.Errorf("%w: group %d slot %d", ErrNotCovered, group, t)
-		}
-	}
-	if err := p.led.ReleaseAll(start, duration, claims); err != nil {
-		return err
-	}
-	for t, i := start, start%w; t < start+duration; t++ {
-		if g.ref[i]--; g.ref[i] == 0 {
-			g.held--
-			if err := p.led.Release(g.cloudlet, t, 1, g.units); err != nil {
-				panic(fmt.Sprintf("timeslot: pool release desynced from ledger: %v", err))
-			}
-		}
-		if i++; i == w {
-			i = 0
-		}
-	}
-	if g.held == 0 {
-		delete(p.groups, group)
-		p.free = append(p.free, g)
-	}
-	return nil
+	_, err := p.led.book(start, duration, nil, &Pooled{Group: group}, -1, false)
+	return err
 }
 
 // Covered reports whether the group holds the slot for at least one
@@ -260,21 +132,128 @@ func (p *Pool) Covered(group, slot int) bool {
 // Refs returns the member refcount of the group at the slot (0 when the
 // group or slot is unknown). Tests use it to audit conservation.
 func (p *Pool) Refs(group, slot int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	g, ok := p.groups[group]
-	if !ok {
+	l := p.led
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	g, ok := l.groups[group]
+	base, origin := l.geometry()
+	if !ok || slot < base || slot >= base+l.window {
 		return 0
 	}
-	if base := p.led.Base(); slot < base || slot >= base+len(g.ref) {
-		return 0
-	}
-	return int(g.ref[slot%len(g.ref)])
+	return int(g.ref[l.idxAt(slot, base, origin)])
 }
 
 // Groups returns the number of groups currently holding capacity.
 func (p *Pool) Groups() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.groups)
+	p.led.mu.Lock()
+	defer p.led.mu.Unlock()
+	return len(p.led.groups)
+}
+
+// groupLocked checks a pooled row before anything is tested or written and
+// returns its group, nil for a reservation that opens one. A reservation's
+// row needs a known cloudlet, positive units and a live window, and a group
+// it joins must be of that cloudlet and those units; a release needs a
+// group that covers every slot of the window. Caller holds mu.
+func (l *Ledger) groupLocked(m *Pooled, start, duration, sign, base, origin int) (*poolGroup, error) {
+	g := l.groups[m.Group]
+	if sign > 0 {
+		if m.Cloudlet < 0 || m.Cloudlet >= len(l.caps) {
+			return nil, fmt.Errorf("%w: %d", ErrBadCloudlet, m.Cloudlet)
+		}
+		if err := l.checkArgsAt(start, duration, m.Units, base); err != nil {
+			return nil, err
+		}
+		if g != nil && (g.cloudlet != m.Cloudlet || g.units != m.Units) {
+			return nil, fmt.Errorf("%w: group %d is %d units on cloudlet %d, acquire wants %d on %d",
+				ErrPoolMismatch, m.Group, g.units, g.cloudlet, m.Units, m.Cloudlet)
+		}
+		return g, nil
+	}
+	if duration < 1 {
+		return nil, fmt.Errorf("%w: duration %d", ErrBadSlot, duration)
+	}
+	if g == nil {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownGroup, m.Group)
+	}
+	for t := start; t < start+duration; t++ {
+		if t < base || t >= base+l.window || g.ref[l.idxAt(t, base, origin)] < 1 {
+			return nil, fmt.Errorf("%w: group %d slot %d", ErrNotCovered, m.Group, t)
+		}
+	}
+	return g, nil
+}
+
+// rowFitsLocked tests the pooled row against the cells the claims leave:
+// a reservation must find room for the row's units on top of the claims'
+// in every cell no member covers yet, a release must find both in every
+// cell whose last member leaves. g is nil for a group being opened; first
+// is the window's first ring index. Caller holds mu.
+func (l *Ledger) rowFitsLocked(g *poolGroup, m *Pooled, claims []Claim, start, duration, first, sign int) (bool, error) {
+	cloudlet, units, edge := m.Cloudlet, m.Units, int32(0)
+	if g != nil {
+		cloudlet, units = g.cloudlet, g.units
+	}
+	if sign < 0 {
+		edge = 1
+	}
+	need := units
+	for _, c := range claims {
+		if c.Cloudlet == cloudlet {
+			need += c.Units
+		}
+	}
+	row, i := l.used[cloudlet], first
+	for t := start; t < start+duration; t++ {
+		if g == nil || g.ref[i] == edge {
+			switch {
+			case sign > 0 && l.caps[cloudlet]-row[i] < need:
+				return false, nil
+			case sign < 0 && row[i] < need:
+				return false, fmt.Errorf("%w: group %d cloudlet %d slot %d used %d release %d",
+					ErrUnderflow, m.Group, cloudlet, t, row[i], need)
+			}
+		}
+		if i++; i == l.window {
+			i = 0
+		}
+	}
+	return true, nil
+}
+
+// writeRowLocked moves the group's refcounts over the window and the row's
+// units on every cell whose count leaves or reaches zero, opening the group
+// (g nil) or dropping it when its last cell empties. Caller holds mu, and
+// has tested the row.
+func (l *Ledger) writeRowLocked(g *poolGroup, m *Pooled, duration, first, sign int) {
+	if g == nil {
+		if n := len(l.free); n > 0 {
+			g, l.free = l.free[n-1], l.free[:n-1]
+		} else {
+			g = &poolGroup{ref: make([]int32, l.window)}
+		}
+		g.cloudlet, g.units = m.Cloudlet, m.Units
+		if l.groups == nil {
+			l.groups = make(map[int]*poolGroup)
+		}
+		l.groups[m.Group] = g
+	}
+	row, i := l.used[g.cloudlet], first
+	for t := 0; t < duration; t++ {
+		if sign > 0 && g.ref[i] == 0 {
+			g.held++
+			row[i] += g.units
+		}
+		if g.ref[i] += int32(sign); sign < 0 && g.ref[i] == 0 {
+			g.held--
+			row[i] -= g.units
+		}
+		if i++; i == l.window {
+			i = 0
+		}
+	}
+	if g.held == 0 {
+		delete(l.groups, m.Group)
+		l.free = append(l.free, g)
+	}
 }

@@ -75,7 +75,8 @@ fi
 # deletions began). A PR that adds code on purpose raises it in the same
 # diff and says why. A constant on purpose, not an option.
 # PR 25 raised it by 80: the NDJSON decimal→float64 kernel (internal/wire/decimal.go).
-ceiling=22221
+# Lowered by 40 when the pool's lock, its undo and simulate.WindowIndex went.
+ceiling=22181
 lines=$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)
 echo "==> non-test Go outside benchmark/: $lines lines (ceiling $ceiling)"
 if [ "$lines" -gt "$ceiling" ]; then
