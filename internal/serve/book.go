@@ -2,6 +2,7 @@ package serve
 
 import (
 	"cmp"
+	"encoding/binary"
 	"math"
 	"slices"
 	"sort"
@@ -10,53 +11,34 @@ import (
 	"revnf/internal/core"
 )
 
-// bookChunk is the length of one history chunk (records) and of one arena
-// chunk (assignments). A power of two, so the index split compiles to a
-// shift and a mask; 16 Ki records are 1.4 MB, small enough that opening a
-// chunk under the engine mutex costs nothing a decision would notice.
-const bookChunk = 16 << 10
+// The history's geometry. A block holds at most historyBlockEntries
+// entries, so a lookup steps over at most that many; a chunk is
+// historyChunk bytes (about 40 Ki on-site entries), small enough that
+// opening one under the engine mutex costs nothing a decision would notice.
+const (
+	historyBlockEntries = 128
+	historyChunk        = 1 << 20
+)
 
-// filedPlacement is one history entry: a PlacementRecord without a pointer
-// in it, so the collector never scans the chunks that hold it. IDs, slots,
-// the group ID and the arena offset stay int: they grow with the daemon's
-// age, and narrowing them would bound its lifetime. The rest narrows to
-// what a check guarantees: vnf and backupCloudlet index the network's
-// catalog and cloudlets, count is at most the number of cloudlets
-// (Placement.Validate rejects a cloudlet assigned twice) and duration at
-// most the horizon (the ledger holds no longer window) — three sizes New
-// checks against int32; poolSize and the instance counts are checked per
-// placement by fileable. scheme is a registered core.Scheme, a small iota
-// constant.
-type filedPlacement struct {
-	id, arrival               int
-	decidedSlot, reservedFrom int
-	group                     int // shared backup group; 0 means none (group IDs are positive)
-	assignments               int // arena offset of the run
-	reliability, payment      float64
-	duration, vnf             int32
-	backupCloudlet, poolSize  int32
-	count                     int32 // assignments in the run
-	scheme                    uint8
-	degraded                  bool
+// historyBlock indexes one block of the history stream. Its entries start
+// at byte off of chunk, after the block's header: varint(arrival base),
+// varint(group base). lo and hi bound the block's own IDs — every ID it
+// holds but the late ones — and hi is a running maximum over the blocks
+// before it too, so the table is sorted by hi and a binary search names the
+// one block an ID can be in. A block without own IDs has lo math.MaxInt.
+type historyBlock struct {
+	lo, hi     int
+	chunk, off int
+	n          int // entries, late ones and refiles included
 }
 
-// filedAssignment is one core.Assignment in the arena.
-type filedAssignment struct {
-	cloudlet, instances int32
-}
-
-// fileable reports whether the history can hold the placement: its
-// instance counts and pool size fit an int32. The engine rejects a
-// placement that is not as invalid; no scheduler in the tree can produce
-// one (an instance takes at least one capacity unit).
-func fileable(p core.Placement) bool {
-	for _, a := range p.Assignments {
-		if a.Instances > math.MaxInt32 {
-			return false
-		}
-	}
-	return p.Backup == nil || p.Backup.PoolSize <= math.MaxInt32
-}
+// An entry's flags byte.
+const (
+	entryDegraded = 1 << iota // the repair budget ran out
+	entryRebased              // ReservedFrom != Arrival: a varint follows
+	entryBackup               // a shared backup follows the assignments
+	entryCount                // not exactly one assignment: a uvarint count follows
+)
 
 // placementBook is the engine's ID-keyed state, in two parts.
 //
@@ -73,14 +55,22 @@ func fileable(p core.Placement) bool {
 // record enters at admission and leaves at expiry, when it goes back on the
 // free list, so a steady-state admission allocates no record.
 //
-// history holds every placement ever admitted as a filedPlacement, sorted
-// by ID in chunks of bookChunk; arena holds their assignment runs the same
-// way. Both grow by one chunk at a time — nothing is copied on growth — and
-// neither contains a pointer, so the history costs memory (88 B + 8 B per
-// assignment for every admission, for as long as the daemon runs) but no
-// collector time. A record is filed at admission and rewritten only by the
-// failure runtime (refile), so the history always mirrors the live record
-// and expiry never touches it.
+// The history holds every placement ever admitted, as an append-only byte
+// stream of varint-coded entries (encode has the layout) cut into blocks of
+// at most historyBlockEntries and indexed by the block table. An entry is
+// prefixed by zigzag(ID − the previous ID in its block) and its body's
+// length, so a lookup decodes one block's prefixes and only the body it
+// wants. IDs arrive out of order by up to workers − 1 positions (an ID is
+// taken under the worker token and filed after the Commit) and stay in the
+// open block. An ID at or below a sealed block's hi (a decision preempted
+// across a whole block) is late, and so is every refile: the failure
+// runtime refiles a record it changed by appending a newer entry, so the
+// newest entry always mirrors the live record and expiry never touches the
+// history. late maps a late ID to the block of its newest entry; every
+// other ID has one entry, in the block its hi names. Nothing in
+// it holds a pointer: it costs memory (about 26 B an on-site admission, for
+// as long as the daemon runs) but no collector time, and it grows a chunk
+// at a time without copying.
 //
 // The book has no lock: the Engine field holding it is guarded by mu, and
 // no pointer to a live record may outlive the critical section that read
@@ -91,8 +81,16 @@ type placementBook struct {
 	active  int                           // live records
 	expired []*PlacementRecord            // expire's result, reused call after call
 	free    []*PlacementRecord
-	history [][]filedPlacement
-	arena   [][]filedAssignment
+
+	chunks [][]byte
+	blocks []historyBlock
+	late   map[int]int // late ID → block of its newest entry
+	filed  int         // admissions in the history
+	// The open block's encoder state: the previous ID and the bases its
+	// entries' arrivals and groups are relative to.
+	prevID, arrivalBase, groupBase int
+	lastGroup                      int    // the newest backup group filed: the next block's group base
+	body                           []byte // encode's scratch
 }
 
 // admit books one admission: a live record (recycled when one is free),
@@ -104,14 +102,8 @@ func (b *placementBook) admit(req core.Request, placement core.Placement, slot i
 	} else {
 		rec = new(PlacementRecord)
 	}
-	*rec = PlacementRecord{
-		ID:           req.ID,
-		Request:      req,
-		Placement:    placement,
-		DecidedSlot:  slot,
-		State:        StateScheduled,
-		ReservedFrom: req.Arrival,
-	}
+	rec.ID, rec.Request, rec.Placement = req.ID, req, placement
+	rec.DecidedSlot, rec.State, rec.ReservedFrom = slot, StateScheduled, req.Arrival
 	if b.active == 0 {
 		// Every bucket is empty: restart the range at this window rather
 		// than stretch it from wherever the last one drained.
@@ -121,7 +113,8 @@ func (b *placementBook) admit(req core.Request, placement core.Placement, slot i
 	*bucket = append(*bucket, rec)
 	*b.starts.at(rec.ReservedFrom)++
 	b.active++
-	b.file(b.pack(rec, b.reserve(len(placement.Assignments))))
+	b.filed++
+	b.file(rec, false)
 }
 
 // expire takes every record whose window ended before slot now out of the
@@ -189,7 +182,7 @@ func (b *placementBook) oldestStart() (int, bool) {
 // liveRecord returns the live record for id, nil when id was never
 // admitted or has expired.
 func (b *placementBook) liveRecord(id int) *PlacementRecord {
-	if f := b.find(id); f != nil {
+	if f, ok := b.find(id); ok {
 		return b.liveOf(f)
 	}
 	return nil
@@ -197,8 +190,11 @@ func (b *placementBook) liveRecord(id int) *PlacementRecord {
 
 // liveOf returns the live record of a history entry, nil once it has
 // expired: a scan of the bucket of the window's last slot.
-func (b *placementBook) liveOf(f *filedPlacement) *PlacementRecord {
-	end := f.arrival + int(f.duration) - 1
+func (b *placementBook) liveOf(f filedEntry) *PlacementRecord {
+	r := f.body
+	arrival := f.arrivalBase + r.int()
+	r.int() // arrival − decided slot
+	end := arrival + r.int() - 1
 	if end < b.ends.lo || end >= b.ends.lo+b.ends.n {
 		return nil
 	}
@@ -210,17 +206,10 @@ func (b *placementBook) liveOf(f *filedPlacement) *PlacementRecord {
 	return nil
 }
 
-// refile rewrites the history entry of a live record the failure runtime
-// changed (a repair moved its footprint, or its repair budget ran out). The
-// assignments are overwritten in place when the new run is no longer than
-// the old one; otherwise a new run is reserved and the old one abandoned.
+// refile files a newer history entry for a live record the failure runtime
+// changed (a repair moved its footprint, or its repair budget ran out).
 func (b *placementBook) refile(rec *PlacementRecord) {
-	f := b.find(rec.ID)
-	off := f.assignments
-	if n := len(rec.Placement.Assignments); n > int(f.count) {
-		off = b.reserve(n)
-	}
-	*f = b.pack(rec, off)
+	b.file(rec, true)
 }
 
 // lookup returns a copy of the record for id: the live one with its state
@@ -228,13 +217,13 @@ func (b *placementBook) refile(rec *PlacementRecord) {
 // no memory with the book; a live copy shares the scheduler's assignments
 // with the live record, which replaces them on repair and never writes them.
 func (b *placementBook) lookup(id, slot int) (PlacementRecord, bool) {
-	f := b.find(id)
-	if f == nil {
+	f, ok := b.find(id)
+	if !ok {
 		return PlacementRecord{}, false
 	}
 	rec := b.liveOf(f)
 	if rec == nil {
-		return b.unpack(f), true
+		return f.unpack(), true
 	}
 	out := *rec
 	if out.State != StateDegraded {
@@ -247,145 +236,223 @@ func (b *placementBook) lookup(id, slot int) (PlacementRecord, bool) {
 	return out, true
 }
 
-// entries returns the number of history entries. Every chunk but the last
-// is full.
-func (b *placementBook) entries() int {
-	n := len(b.history)
-	if n == 0 {
-		return 0
-	}
-	return (n-1)*bookChunk + len(b.history[n-1])
-}
-
-// bytes returns the memory the history and the arena hold, whole chunks
-// counted.
+// bytes returns the memory the history holds: its chunks, counted whole,
+// and the block table.
 func (b *placementBook) bytes() int {
-	n := len(b.history) * bookChunk * int(unsafe.Sizeof(filedPlacement{}))
-	for _, c := range b.arena {
-		n += cap(c) * int(unsafe.Sizeof(filedAssignment{}))
+	n := cap(b.blocks) * int(unsafe.Sizeof(historyBlock{}))
+	for _, c := range b.chunks {
+		n += cap(c)
 	}
 	return n
 }
 
-// at addresses history entry i of entries().
-func (b *placementBook) at(i int) *filedPlacement {
-	return &b.history[i/bookChunk][i%bookChunk]
+// file appends rec's history entry to the open block, after opening a new
+// one when the open block is full or the entry does not fit what is left
+// of its chunk. A refile is late, and so is an ID a sealed block already
+// covers: a block's own IDs have one entry each.
+func (b *placementBook) file(rec *PlacementRecord, refile bool) {
+	k := len(b.blocks) - 1
+	if k < 0 || b.blocks[k].n == historyBlockEntries || !b.fits(b.encode(rec)) {
+		b.openBlock(rec)
+		k++
+	}
+	c := len(b.chunks) - 1
+	b.chunks[c] = append(b.appendPrefix(b.chunks[c], rec.ID), b.body...)
+	blk := &b.blocks[k]
+	blk.n++
+	b.prevID = rec.ID
+	if bk := rec.Placement.Backup; bk != nil {
+		b.lastGroup = bk.Group
+	}
+	if !refile && (k == 0 || rec.ID > b.blocks[k-1].hi) {
+		blk.lo, blk.hi = min(blk.lo, rec.ID), max(blk.hi, rec.ID)
+		return
+	}
+	if b.late == nil {
+		b.late = make(map[int]int)
+	}
+	b.late[rec.ID] = k
 }
 
-// find returns the history entry for id by binary search, nil when id was
-// never admitted.
-func (b *placementBook) find(id int) *filedPlacement {
-	n := b.entries()
-	i := sort.Search(n, func(i int) bool { return b.at(i).id >= id })
-	if i == n || b.at(i).id != id {
-		return nil
-	}
-	return b.at(i)
+// fits reports whether n more bytes fit the last chunk.
+func (b *placementBook) fits(n int) bool {
+	c := b.chunks[len(b.chunks)-1]
+	return cap(c)-len(c) >= n
 }
 
-// file inserts f in ID order: open a place at the end, then walk it back
-// while the predecessor is larger. A decision takes its ID under its worker
-// token and files after its Commit, so an ID can arrive after the larger
-// ones of the other tokens (none at one token) — a bounded walk, and nothing
-// holds positions into the history.
-func (b *placementBook) file(f filedPlacement) {
-	last := len(b.history) - 1
-	if last < 0 || len(b.history[last]) == bookChunk {
-		b.history = append(b.history, make([]filedPlacement, 0, bookChunk))
-		last++
+// openBlock seals the open block and opens the next with rec as its first
+// entry: the bases are rec's arrival and the newest group filed, and the
+// block starts a new chunk when its header and rec's entry do not fit the
+// last one. A new chunk is historyChunk bytes, or the two's size if that
+// is more, so neither a block nor an entry ever straddles two chunks.
+func (b *placementBook) openBlock(rec *PlacementRecord) {
+	b.prevID, b.arrivalBase, b.groupBase = 0, rec.Request.Arrival, b.lastGroup
+	var buf [2 * binary.MaxVarintLen64]byte
+	head := binary.AppendVarint(binary.AppendVarint(buf[:0], int64(b.arrivalBase)), int64(b.groupBase))
+	if need := len(head) + b.encode(rec); len(b.chunks) == 0 || !b.fits(need) {
+		b.chunks = append(b.chunks, make([]byte, 0, max(historyChunk, need)))
 	}
-	b.history[last] = b.history[last][:len(b.history[last])+1]
-	i := b.entries() - 1
-	for ; i > 0 && b.at(i-1).id > f.id; i-- {
-		*b.at(i) = *b.at(i - 1)
+	blk := historyBlock{lo: math.MaxInt, hi: math.MinInt, chunk: len(b.chunks) - 1}
+	if k := len(b.blocks); k > 0 {
+		blk.hi = b.blocks[k-1].hi
 	}
-	*b.at(i) = f
+	blk.off = len(b.chunks[blk.chunk])
+	b.chunks[blk.chunk] = append(b.chunks[blk.chunk], head...)
+	b.blocks = append(b.blocks, blk)
 }
 
-// reserve opens a run of n arena entries and returns its offset. A run
-// never straddles chunks: one that does not fit the rest of the last chunk
-// opens a new one, longer than bookChunk if the run is — such a run starts
-// at position 0, so the offset split still finds it.
-func (b *placementBook) reserve(n int) int {
-	last := len(b.arena) - 1
-	if last < 0 || len(b.arena[last])+n > cap(b.arena[last]) {
-		b.arena = append(b.arena, make([]filedAssignment, 0, max(bookChunk, n)))
-		last++
-	}
-	off := last*bookChunk + len(b.arena[last])
-	b.arena[last] = b.arena[last][:len(b.arena[last])+n]
-	return off
+// appendPrefix appends the prefix of the entry encode last wrote for id:
+// zigzag(id − the previous ID in the block), uvarint(body length).
+func (b *placementBook) appendPrefix(dst []byte, id int) []byte {
+	return binary.AppendUvarint(binary.AppendVarint(dst, int64(id-b.prevID)), uint64(len(b.body)))
 }
 
-// run addresses the n assignments at arena offset off.
-func (b *placementBook) run(off, n int) []filedAssignment {
-	return b.arena[off/bookChunk][off%bookChunk:][:n]
-}
-
-// pack narrows a record into its history entry and writes its assignments
-// to the run reserved at arena offset off. Placement.Request and Request.ID
-// equal the record's ID (Placement.Validate), so one id stands for all
-// three.
-func (b *placementBook) pack(rec *PlacementRecord, off int) filedPlacement {
-	req, p := rec.Request, rec.Placement
-	run := b.run(off, len(p.Assignments))
-	for i, a := range p.Assignments {
-		run[i] = filedAssignment{int32(a.Cloudlet), int32(a.Instances)}
+// encode writes the body of rec's entry, relative to the open block's
+// bases, into the book's scratch and returns the entry's length, prefix
+// included. The body is, as zigzag varints unless noted: arrival − the
+// block's arrival base, arrival − decided slot, duration, VNF, scheme; a
+// flags byte; ReservedFrom − arrival if re-based; uvarint(assignment
+// count) unless it is 1; (cloudlet, instances) per assignment; the
+// backup's group − the block's group base, cloudlet and pool size if it
+// has one; then R and the payment as 8-byte IEEE bits, so they round-trip
+// exactly. Differences wrap, so any int round-trips. Placement.Request
+// and Request.ID equal the record's ID (Placement.Validate): the prefix's
+// ID stands for all three.
+func (b *placementBook) encode(rec *PlacementRecord) int {
+	req, p := &rec.Request, &rec.Placement
+	var flags byte
+	if rec.State == StateDegraded {
+		flags |= entryDegraded
 	}
-	f := filedPlacement{
-		id:           rec.ID,
-		arrival:      req.Arrival,
-		decidedSlot:  rec.DecidedSlot,
-		reservedFrom: rec.ReservedFrom,
-		assignments:  off,
-		reliability:  req.Reliability,
-		payment:      req.Payment,
-		duration:     int32(req.Duration),
-		vnf:          int32(req.VNF),
-		count:        int32(len(run)),
-		scheme:       uint8(p.Scheme),
-		degraded:     rec.State == StateDegraded,
+	if rec.ReservedFrom != req.Arrival {
+		flags |= entryRebased
+	}
+	if p.Backup != nil {
+		flags |= entryBackup
+	}
+	if len(p.Assignments) != 1 {
+		flags |= entryCount
+	}
+	e := binary.AppendVarint(b.body[:0], int64(req.Arrival-b.arrivalBase))
+	e = binary.AppendVarint(e, int64(req.Arrival-rec.DecidedSlot))
+	e = binary.AppendVarint(e, int64(req.Duration))
+	e = binary.AppendVarint(e, int64(req.VNF))
+	e = binary.AppendVarint(e, int64(p.Scheme))
+	e = append(e, flags)
+	if flags&entryRebased != 0 {
+		e = binary.AppendVarint(e, int64(rec.ReservedFrom-req.Arrival))
+	}
+	if flags&entryCount != 0 {
+		e = binary.AppendUvarint(e, uint64(len(p.Assignments)))
+	}
+	for _, a := range p.Assignments {
+		e = binary.AppendVarint(binary.AppendVarint(e, int64(a.Cloudlet)), int64(a.Instances))
 	}
 	if bk := p.Backup; bk != nil {
-		f.group, f.backupCloudlet, f.poolSize = bk.Group, int32(bk.Cloudlet), int32(bk.PoolSize)
+		e = binary.AppendVarint(e, int64(bk.Group-b.groupBase))
+		e = binary.AppendVarint(binary.AppendVarint(e, int64(bk.Cloudlet)), int64(bk.PoolSize))
 	}
-	return f
+	e = binary.LittleEndian.AppendUint64(e, math.Float64bits(req.Reliability))
+	b.body = binary.LittleEndian.AppendUint64(e, math.Float64bits(req.Payment))
+	var buf [2 * binary.MaxVarintLen64]byte
+	return len(b.appendPrefix(buf[:0], rec.ID)) + len(b.body)
 }
 
-// unpack widens a history entry into a fresh record. The caller has found
-// no live record for it, so its state is expired unless it was marked
+// filedEntry is the newest history entry of one ID: its body, and the
+// bases of the block it is in.
+type filedEntry struct {
+	id, arrivalBase, groupBase int
+	body                       entryReader
+}
+
+// find returns the newest history entry for id, false when id was never
+// admitted: the late map or a binary search of the block table names the
+// block, and a walk over its prefixes the entry — an own ID's one entry, or
+// a late ID's last one in the block.
+func (b *placementBook) find(id int) (filedEntry, bool) {
+	k, late := b.late[id]
+	if !late {
+		k = sort.Search(len(b.blocks), func(i int) bool { return b.blocks[i].hi >= id })
+		if k == len(b.blocks) || b.blocks[k].lo > id {
+			return filedEntry{}, false
+		}
+	}
+	blk := &b.blocks[k]
+	r := entryReader(b.chunks[blk.chunk][blk.off:])
+	f := filedEntry{id: id, arrivalBase: r.int(), groupBase: r.int()}
+	found := false
+	for i, prev := 0, 0; i < blk.n; i++ {
+		var d, n uint64
+		if r[0]|r[1] < 0x80 { // a one-byte delta and length: nearly every prefix
+			d, n, r = uint64(r[0]), uint64(r[1]), r[2:]
+		} else {
+			d = r.uint()
+			n = r.uint()
+		}
+		prev += int(d>>1) ^ -int(d&1)
+		if prev == id {
+			f.body, found = r[:n], true
+			if !late {
+				break
+			}
+		}
+		r = r[n:]
+	}
+	return f, found
+}
+
+// unpack decodes the entry into a fresh record. The caller has found no
+// live record for it, so its state is expired unless it was marked
 // degraded.
-func (b *placementBook) unpack(f *filedPlacement) PlacementRecord {
-	run := b.run(f.assignments, int(f.count))
-	rec := PlacementRecord{
-		ID: f.id,
-		Request: core.Request{
-			ID:          f.id,
-			VNF:         int(f.vnf),
-			Reliability: f.reliability,
-			Arrival:     f.arrival,
-			Duration:    int(f.duration),
-			Payment:     f.payment,
-		},
-		Placement: core.Placement{
-			Request:     f.id,
-			Scheme:      core.Scheme(f.scheme),
-			Assignments: make([]core.Assignment, len(run)),
-		},
-		DecidedSlot:  f.decidedSlot,
-		State:        StateExpired,
-		ReservedFrom: f.reservedFrom,
+func (f filedEntry) unpack() PlacementRecord {
+	r := f.body
+	rec := PlacementRecord{ID: f.id, State: StateExpired}
+	req := &rec.Request
+	req.ID, req.Arrival = f.id, f.arrivalBase+r.int()
+	rec.DecidedSlot = req.Arrival - r.int()
+	req.Duration = r.int()
+	req.VNF = r.int()
+	rec.Placement = core.Placement{Request: f.id, Scheme: core.Scheme(r.int())}
+	flags := r[0]
+	r = r[1:]
+	rec.ReservedFrom = req.Arrival
+	if flags&entryRebased != 0 {
+		rec.ReservedFrom += r.int()
 	}
-	for i, a := range run {
-		rec.Placement.Assignments[i] = core.Assignment{Cloudlet: int(a.cloudlet), Instances: int(a.instances)}
+	count := 1
+	if flags&entryCount != 0 {
+		count = int(r.uint())
 	}
-	if f.degraded {
+	rec.Placement.Assignments = make([]core.Assignment, count)
+	for i := range rec.Placement.Assignments {
+		rec.Placement.Assignments[i] = core.Assignment{Cloudlet: r.int(), Instances: r.int()}
+	}
+	if flags&entryBackup != 0 {
+		rec.Placement.Backup = &core.SharedBackup{Group: f.groupBase + r.int(), Cloudlet: r.int(), PoolSize: r.int()}
+	}
+	if flags&entryDegraded != 0 {
 		rec.State = StateDegraded
 	}
-	if f.group != 0 {
-		rec.Placement.Backup = &core.SharedBackup{Group: f.group, Cloudlet: int(f.backupCloudlet), PoolSize: int(f.poolSize)}
-	}
+	req.Reliability = math.Float64frombits(binary.LittleEndian.Uint64(r))
+	req.Payment = math.Float64frombits(binary.LittleEndian.Uint64(r[8:]))
 	return rec
+}
+
+// entryReader decodes a history entry field by field. The book wrote
+// every byte it reads, so it checks nothing.
+type entryReader []byte
+
+// int decodes a zigzag varint.
+func (r *entryReader) int() int {
+	u := r.uint()
+	return int(u>>1) ^ -int(u&1)
+}
+
+// uint decodes a uvarint.
+func (r *entryReader) uint() uint64 {
+	v, n := binary.Uvarint(*r)
+	*r = (*r)[n:]
+	return v
 }
 
 // slotDeque holds one cell per slot of a contiguous slot range

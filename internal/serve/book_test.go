@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -38,24 +37,25 @@ func pointerFree(t reflect.Type) bool {
 	return false
 }
 
-// TestBookHistoryIsPointerFree walks the element types of the history and
-// of the arena: a pointer, slice, string or interface field would put every
-// chunk back on the collector's mark list.
+// TestBookHistoryIsPointerFree walks the types the history is made of —
+// the block table's element, a chunk's element, the late map's key and
+// value: a pointer, slice, string or interface among them would put the
+// history back on the collector's mark list.
 func TestBookHistoryIsPointerFree(t *testing.T) {
 	var b placementBook
-	for name, chunks := range map[string]reflect.Type{
-		"history": reflect.TypeOf(b.history),
-		"arena":   reflect.TypeOf(b.arena),
+	late := reflect.TypeOf(b.late)
+	for name, typ := range map[string]reflect.Type{
+		"block":     reflect.TypeOf(b.blocks).Elem(),
+		"chunk":     reflect.TypeOf(b.chunks).Elem().Elem(),
+		"late key":  late.Key(),
+		"late elem": late.Elem(),
 	} {
-		if elem := chunks.Elem().Elem(); !pointerFree(elem) {
-			t.Errorf("%s element %v holds a pointer", name, elem)
+		if !pointerFree(typ) {
+			t.Errorf("%s type %v holds a pointer", name, typ)
 		}
 	}
 	if pointerFree(reflect.TypeOf(PlacementRecord{})) {
 		t.Error("pointerFree accepts PlacementRecord: the walk checks nothing")
-	}
-	if got := reflect.TypeOf(filedPlacement{}).Size(); got > 96 {
-		t.Errorf("filedPlacement is %d B, want ≤ 96", got)
 	}
 }
 
@@ -137,10 +137,11 @@ func liveRecords(b *placementBook) int {
 // TestBookAgainstMapOracle drives the book the way the engine does — admit
 // with IDs out of order by a bounded displacement, repairs and degraded
 // marks on live records, expiry by ticking the clock — against a map of
-// plain records, over enough admissions to cross chunk boundaries. Every
-// tick's expiry must be exactly the records whose window ended, in ID order.
+// plain records, over enough admissions to cross a chunk boundary and, at
+// the larger displacements, to file IDs late. Every tick's expiry must be
+// exactly the records whose window ended, in ID order.
 func TestBookAgainstMapOracle(t *testing.T) {
-	const admissions = 40_000 // three history chunks
+	const admissions = 40_000 // two history chunks
 	for seed, displacement := range []int{0, 1, 7, 64, DefaultQueueSize + 4} {
 		rng := rand.New(rand.NewSource(int64(seed + 1)))
 		var b placementBook
@@ -263,16 +264,11 @@ func TestBookAgainstMapOracle(t *testing.T) {
 			}
 		}
 
-		if got := b.entries(); got != admissions {
-			t.Fatalf("seed %d: entries() = %d, want %d", seed, got, admissions)
+		if got := b.filed; got != admissions {
+			t.Fatalf("seed %d: %d placements filed, want %d", seed, got, admissions)
 		}
 		if got := liveRecords(&b); got != len(live) || b.active != len(live) {
 			t.Fatalf("seed %d: the ring holds %d records and counts %d, %d placements are live", seed, got, b.active, len(live))
-		}
-		for i := 1; i < b.entries(); i++ {
-			if prev, cur := b.at(i-1).id, b.at(i).id; prev >= cur {
-				t.Fatalf("seed %d: history[%d] = %d is not below history[%d] = %d", seed, i-1, prev, i, cur)
-			}
 		}
 		for id := range oracle {
 			check(id)
@@ -300,8 +296,12 @@ func TestBookAgainstMapOracle(t *testing.T) {
 				t.Fatalf("seed %d: record %d changed through a copy handed out earlier", seed, id)
 			}
 		}
-		if want := 3 * bookChunk * int(reflect.TypeOf(filedPlacement{}).Size()); b.bytes() <= want {
-			t.Errorf("seed %d: bytes() = %d, want three history chunks (%d) plus the arena", seed, b.bytes(), want)
+		if len(b.chunks) < 2 || b.bytes() <= len(b.chunks)*historyChunk {
+			t.Errorf("seed %d: %d chunks, bytes() = %d: the history did not cross a chunk or bytes() misses the index",
+				seed, len(b.chunks), b.bytes())
+		}
+		if displacement > historyBlockEntries && len(b.late) == 0 {
+			t.Errorf("seed %d: displacement %d filed no ID late", seed, displacement)
 		}
 		// The clock runs past every window: the ring drains.
 		for b.active > 0 {
@@ -563,8 +563,9 @@ func TestBookSteadyStateAllocations(t *testing.T) {
 	}
 }
 
-// TestBookOversizeRun files a placement whose assignment run is longer than
-// an arena chunk, between two ordinary ones.
+// TestBookOversizeRun files a placement whose entry is longer than a
+// history chunk, between two ordinary ones: it gets a chunk of its own size,
+// and the entry after it a new chunk.
 func TestBookOversizeRun(t *testing.T) {
 	var b placementBook
 	rng := rand.New(rand.NewSource(1))
@@ -572,7 +573,7 @@ func TestBookOversizeRun(t *testing.T) {
 	for id := 1; id <= 3; id++ {
 		rec := randomRecord(rng, id, 1)
 		if id == 2 {
-			rec.Placement.Assignments = make([]core.Assignment, bookChunk+3)
+			rec.Placement.Assignments = make([]core.Assignment, historyChunk/3) // ≈ 4 B each
 			for i := range rec.Placement.Assignments {
 				rec.Placement.Assignments[i] = core.Assignment{Cloudlet: i, Instances: 1 + i%5}
 			}
@@ -590,31 +591,256 @@ func TestBookOversizeRun(t *testing.T) {
 				w.ID, ok, len(got.Placement.Assignments), len(w.Placement.Assignments))
 		}
 	}
+	if len(b.chunks) != 3 || cap(b.chunks[1]) <= historyChunk {
+		t.Errorf("%d chunks: want the oversize entry alone in a second chunk of its size", len(b.chunks))
+	}
 }
 
-// TestBookNarrowingBounds pins the checks in front of the history's narrow
-// fields: New for the horizon, fileable per placement.
-func TestBookNarrowingBounds(t *testing.T) {
-	_, err := New(Config{Network: testNetwork(), Scheduler: blindScheduler{}, Horizon: math.MaxInt32 + 1})
-	if !errors.Is(err, ErrBadConfig) {
-		t.Errorf("a horizon beyond int32: err = %v, want ErrBadConfig", err)
+// sameBits is sameRecord with R and the payment compared bit for bit, so
+// a NaN round-trips too.
+func sameBits(a, b PlacementRecord) bool {
+	ra, rb := &a.Request, &b.Request
+	if math.Float64bits(ra.Reliability) != math.Float64bits(rb.Reliability) ||
+		math.Float64bits(ra.Payment) != math.Float64bits(rb.Payment) {
+		return false
 	}
-	ok := core.Placement{
-		Assignments: []core.Assignment{{Cloudlet: 0, Instances: math.MaxInt32}},
-		Backup:      &core.SharedBackup{Group: 1, Cloudlet: 1, PoolSize: math.MaxInt32},
+	ra.Reliability, ra.Payment, rb.Reliability, rb.Payment = 0, 0, 0, 0
+	return sameRecord(a, b)
+}
+
+// filedAs returns rec as the history hands it back once nothing is live:
+// expired, unless it was marked degraded.
+func filedAs(rec PlacementRecord) PlacementRecord {
+	rec = oracleCopy(rec)
+	if rec.State != StateDegraded {
+		rec.State = StateExpired
 	}
-	if !fileable(ok) {
-		t.Error("a placement at the int32 bounds is not fileable")
+	return rec
+}
+
+// TestHistoryRoundTrip files edge cases and random records straight into
+// the history, with no live record, and reads every one back field by
+// field: IDs, slots and groups at math.MinInt and math.MaxInt, negative
+// deltas, IDs out of order, a decision slot after the arrival, 0, 1 and
+// 1000 assignments — the last filed where it does not fit what is left of
+// a chunk — with and without a backup, degraded and re-based.
+func TestHistoryRoundTrip(t *testing.T) {
+	var b placementBook
+	var want []PlacementRecord
+	file := func(rec PlacementRecord) {
+		b.file(&rec, false)
+		want = append(want, filedAs(rec))
 	}
-	wide := ok
-	wide.Assignments = []core.Assignment{{Cloudlet: 0, Instances: 1}, {Cloudlet: 1, Instances: math.MaxInt32 + 1}}
-	if fileable(wide) {
-		t.Error("an instance count beyond int32 is fileable")
+	file(PlacementRecord{
+		ID: math.MinInt, DecidedSlot: math.MaxInt, State: StateDegraded, ReservedFrom: math.MaxInt,
+		Request: core.Request{ID: math.MinInt, VNF: math.MaxInt, Reliability: math.Inf(-1),
+			Arrival: math.MinInt, Duration: math.MinInt, Payment: math.NaN()},
+		Placement: core.Placement{Request: math.MinInt, Scheme: core.Scheme(math.MinInt),
+			Backup: &core.SharedBackup{Group: math.MaxInt, Cloudlet: math.MinInt, PoolSize: math.MaxInt}},
+	})
+	file(PlacementRecord{
+		ID: math.MinInt + 1, DecidedSlot: math.MinInt, ReservedFrom: math.MinInt,
+		Request: core.Request{ID: math.MinInt + 1, VNF: -1, Reliability: 1, Arrival: math.MaxInt, Duration: math.MaxInt, Payment: -0.0},
+		Placement: core.Placement{Request: math.MinInt + 1, Scheme: core.Shared,
+			Assignments: []core.Assignment{{Cloudlet: math.MinInt, Instances: math.MaxInt}},
+			Backup:      &core.SharedBackup{Group: math.MinInt, Cloudlet: math.MaxInt, PoolSize: math.MinInt}},
+	})
+	rng := rand.New(rand.NewSource(27))
+	ids := make([]int, 3000)
+	for i := range ids {
+		ids[i] = -1000 + 3*i + rng.Intn(3)
+		if i > 0 && rng.Intn(8) == 0 {
+			ids[i-1], ids[i] = ids[i], ids[i-1]
+		}
 	}
-	wide = ok
-	wide.Backup = &core.SharedBackup{Group: 1, Cloudlet: 1, PoolSize: math.MaxInt32 + 1}
-	if fileable(wide) {
-		t.Error("a pool size beyond int32 is fileable")
+	for _, id := range ids {
+		rec := randomRecord(rng, id, rng.Intn(2000)-1000)
+		rec.DecidedSlot = rec.Request.Arrival + rng.Intn(7) - 3
+		rec.ReservedFrom = rec.Request.Arrival + rng.Intn(5) - 2
+		switch rng.Intn(8) {
+		case 0:
+			rec.State = StateDegraded
+		case 1:
+			rec.Placement.Assignments = nil
+		}
+		if rec.Placement.Backup != nil && rng.Intn(2) == 0 {
+			rec.Placement.Backup.Group = -rec.Placement.Backup.Group
+		}
+		file(rec)
+	}
+	big := PlacementRecord{ID: ids[len(ids)-1] + 10, State: StateScheduled,
+		Request:   core.Request{ID: ids[len(ids)-1] + 10, Duration: 3, Reliability: 0.9, Payment: 3},
+		Placement: core.Placement{Request: ids[len(ids)-1] + 10, Scheme: core.OffSite, Assignments: make([]core.Assignment, 1000)}}
+	for i := range big.Placement.Assignments {
+		big.Placement.Assignments[i] = core.Assignment{Cloudlet: i, Instances: 1 + i%7}
+	}
+	for id := big.ID - 9; b.fits(b.encode(&big)); id++ {
+		file(randomRecord(rng, id, 0))
+		big.ID, big.Request.ID, big.Placement.Request = id+10, id+10, id+10
+	}
+	chunks := len(b.chunks)
+	file(big)
+	if len(b.chunks) != chunks+1 {
+		t.Errorf("the 1000-assignment entry went into chunk %d of %d, want a new one", chunks, len(b.chunks))
+	}
+	file(PlacementRecord{ID: math.MaxInt, DecidedSlot: math.MinInt, ReservedFrom: math.MinInt,
+		Request:   core.Request{ID: math.MaxInt, Arrival: math.MaxInt, Duration: 1},
+		Placement: core.Placement{Request: math.MaxInt, Scheme: core.OnSite, Assignments: []core.Assignment{{}}}})
+	for _, w := range want {
+		got, ok := b.lookup(w.ID, 0)
+		if !ok || !sameBits(got, w) {
+			t.Fatalf("lookup(%d) = %v\n got %+v\nwant %+v", w.ID, ok, got, w)
+		}
+	}
+}
+
+// FuzzHistoryEntry is TestHistoryRoundTrip's round trip on fuzzed field
+// values. The entry is the second of a block whose bases come from a block
+// of neighbours before it, so its arrival and group are differences too.
+func FuzzHistoryEntry(f *testing.F) {
+	f.Add(1000, 5, 4, 5, 3, 0, 1, uint8(1), 2, 1, 7, true, false, math.Float64bits(0.95), math.Float64bits(40))
+	f.Add(math.MinInt, math.MaxInt, math.MinInt, math.MaxInt, -1, -1, -1, uint8(0), math.MinInt, math.MaxInt,
+		math.MinInt, false, true, uint64(math.MaxUint64), uint64(0))
+	f.Add(math.MaxInt, math.MinInt, math.MaxInt, math.MinInt, math.MaxInt, math.MinInt, math.MaxInt, uint8(255),
+		math.MaxInt, math.MinInt, math.MaxInt, true, true, math.Float64bits(math.NaN()), math.Float64bits(math.Inf(1)))
+	f.Fuzz(func(t *testing.T, id, arrival, decided, reserved, duration, vnf, scheme int, n uint8,
+		cloudlet, instances, group int, backup, degraded bool, r, pay uint64) {
+		var b placementBook
+		for k := historyBlockEntries + 1; k > 0; k-- {
+			nb := PlacementRecord{ID: id - k, DecidedSlot: arrival - 3*k, ReservedFrom: arrival - 3*k,
+				Request:   core.Request{ID: id - k, Arrival: arrival - 3*k, Duration: 1},
+				Placement: core.Placement{Request: id - k, Scheme: core.Shared, Backup: &core.SharedBackup{Group: group - k}}}
+			b.file(&nb, false)
+		}
+		rec := PlacementRecord{ID: id, DecidedSlot: decided, State: StateScheduled, ReservedFrom: reserved,
+			Request: core.Request{ID: id, VNF: vnf, Reliability: math.Float64frombits(r), Arrival: arrival,
+				Duration: duration, Payment: math.Float64frombits(pay)},
+			Placement: core.Placement{Request: id, Scheme: core.Scheme(scheme)}}
+		if degraded {
+			rec.State = StateDegraded
+		}
+		for i := 0; i < int(n%16); i++ {
+			rec.Placement.Assignments = append(rec.Placement.Assignments, core.Assignment{Cloudlet: cloudlet + i, Instances: instances - i})
+		}
+		if backup {
+			rec.Placement.Backup = &core.SharedBackup{Group: group, Cloudlet: cloudlet, PoolSize: instances}
+		}
+		b.file(&rec, false)
+		if got, ok := b.lookup(id, 0); !ok || !sameBits(got, filedAs(rec)) {
+			t.Fatalf("lookup(%d) = %v\n got %+v\nwant %+v", id, ok, got, filedAs(rec))
+		}
+	})
+}
+
+// drain expires every live record of the book and retires it.
+func drain(b *placementBook) {
+	for _, rec := range b.expire(math.MaxInt) {
+		b.retire(rec)
+	}
+}
+
+// TestBookLateStraggler files an ID after more than a block of newer ones
+// — a decision preempted across a whole block. It is late, found through
+// the late map, and the IDs around it through the block table.
+func TestBookLateStraggler(t *testing.T) {
+	var b placementBook
+	rng := rand.New(rand.NewSource(3))
+	want := map[int]PlacementRecord{}
+	admit := func(id int) {
+		rec := randomRecord(rng, id, 1)
+		b.admit(rec.Request, rec.Placement, rec.DecidedSlot)
+		want[id] = filedAs(rec)
+	}
+	for id := 1; id <= 2*historyBlockEntries+10; id++ {
+		if id != 7 {
+			admit(id)
+		}
+	}
+	admit(7)
+	if k, late := b.late[7]; !late || k != 2 || len(b.late) != 1 {
+		t.Fatalf("late = %v, want only the straggler 7, in block 2", b.late)
+	}
+	drain(&b)
+	for id, w := range want {
+		if got, ok := b.lookup(id, 1); !ok || !sameRecord(got, w) {
+			t.Fatalf("lookup(%d) = %v\n got %+v\nwant %+v", id, ok, got, w)
+		}
+	}
+}
+
+// TestBookRefileSealedBlock repairs and then degrades a live record whose
+// entry is in a sealed block: both newer entries are late, and lookup
+// returns the newest, live and once expired.
+func TestBookRefileSealedBlock(t *testing.T) {
+	var b placementBook
+	admitWindow(&b, 1, 1, 50)
+	for id := 2; id <= historyBlockEntries+1; id++ {
+		admitWindow(&b, id, 1, 1)
+	}
+	rec := b.liveRecord(1)
+	rec.Placement = core.Placement{Request: 1, Scheme: core.OffSite,
+		Assignments: []core.Assignment{{Cloudlet: 2, Instances: 1}, {Cloudlet: 3, Instances: 1}}}
+	b.rebase(rec, 5)
+	b.refile(rec)
+	rec.State = StateDegraded
+	b.refile(rec)
+	if k, late := b.late[1]; !late || k != 1 || len(b.blocks) != 2 {
+		t.Fatalf("late[1] = %d, %v with %d blocks, want block 1 of 2", k, late, len(b.blocks))
+	}
+	want := oracleCopy(*rec)
+	for _, slot := range []int{5, 60} {
+		if slot == 60 {
+			drain(&b)
+		}
+		if got, ok := b.lookup(1, slot); !ok || !sameRecord(got, want) {
+			t.Fatalf("slot %d: lookup(1) = %v\n got %+v\nwant %+v", slot, ok, got, want)
+		}
+	}
+}
+
+// TestBookRefilesInOpenBlock refiles a record twice while its block is
+// still open: three entries for one ID in one block, and lookup returns
+// the newest; its neighbour keeps its one entry.
+func TestBookRefilesInOpenBlock(t *testing.T) {
+	var b placementBook
+	admitWindow(&b, 1, 1, 3)
+	admitWindow(&b, 2, 1, 3)
+	rec := b.liveRecord(1)
+	for n := 1; n <= 2; n++ {
+		rec.Placement = core.Placement{Request: 1, Scheme: core.OnSite, Assignments: []core.Assignment{{Cloudlet: n, Instances: n}}}
+		b.refile(rec)
+	}
+	if len(b.blocks) != 1 || b.blocks[0].n != 4 {
+		t.Fatalf("%d blocks, the first of %d entries: want one block of 4", len(b.blocks), b.blocks[0].n)
+	}
+	want := filedAs(*rec)
+	drain(&b)
+	if got, ok := b.lookup(1, 4); !ok || !sameRecord(got, want) {
+		t.Fatalf("lookup(1) = %v\n got %+v\nwant %+v", ok, got, want)
+	}
+	if got, ok := b.lookup(2, 4); !ok || got.State != StateExpired || len(got.Placement.Assignments) != 0 {
+		t.Fatalf("lookup(2) = %+v, %v, want the bare expired record", got, ok)
+	}
+}
+
+// TestBookLookupGaps looks up IDs that were never admitted — before the
+// first block, in the gaps inside a block, between two blocks, past the
+// last — among every even ID of four blocks.
+func TestBookLookupGaps(t *testing.T) {
+	var b placementBook
+	const last = 8 * historyBlockEntries
+	for id := 2; id <= last; id += 2 {
+		admitWindow(&b, id, 1, 1)
+	}
+	if len(b.blocks) != 4 || b.blocks[1].lo != b.blocks[0].hi+2 {
+		t.Fatalf("%d blocks, block 1 from %d after block 0 to %d: want 4 with a gap between", len(b.blocks), b.blocks[1].lo, b.blocks[0].hi)
+	}
+	for _, id := range []int{math.MinInt, -2, 0, 1, 3, 2 * historyBlockEntries, 2*historyBlockEntries + 1,
+		2*historyBlockEntries + 3, last - 1, last + 1, last + 2, math.MaxInt} {
+		_, found := b.lookup(id, 2)
+		if want := id > 0 && id%2 == 0 && id <= last; found != want {
+			t.Errorf("lookup(%d) found = %v, want %v", id, found, want)
+		}
 	}
 }
 
@@ -719,8 +945,8 @@ func TestEngineRetainsBoundedState(t *testing.T) {
 		t.Fatalf("only %d admissions after the baseline: too few to measure retention", grown)
 	}
 	perAdmission := (float64(heap()) - float64(heapBase)) / float64(grown)
-	if perAdmission > 128 {
-		t.Errorf("the daemon retains %.1f B of heap per admission, want ≤ 128", perAdmission)
+	if perAdmission > 32 {
+		t.Errorf("the daemon retains %.1f B of heap per admission, want ≤ 32", perAdmission)
 	}
 	// Ticking with nothing to decide allocates nothing (the rolling ledger's
 	// Advance is one lock round, no defer per row), so what a lap allocates is
@@ -741,7 +967,7 @@ func TestEngineRetainsBoundedState(t *testing.T) {
 	}
 
 	e.mu.Lock()
-	live, free, filed, active := liveRecords(&e.book), len(e.book.free), e.book.entries(), e.book.active
+	live, free, filed, active := liveRecords(&e.book), len(e.book.free), e.book.filed, e.book.active
 	e.mu.Unlock()
 	if live != active {
 		t.Errorf("live index holds %d records, %d placements are active", live, active)
@@ -907,12 +1133,79 @@ func TestBookUnderConcurrentAdmission(t *testing.T) {
 	if st.FiledPlacements != len(admitted) || st.ActivePlacements != 0 {
 		t.Fatalf("stats filed/active = %d/%d, want %d/0", st.FiledPlacements, st.ActivePlacements, len(admitted))
 	}
-	e.mu.Lock()
-	for i := 1; i < e.book.entries(); i++ {
-		if e.book.at(i-1).id >= e.book.at(i).id {
-			t.Errorf("history out of order at %d after concurrent admission", i)
-			break
+}
+
+// BenchmarkBookAdmit books admissions of 1–8 assignments on a clock that
+// expires them, as the engine does, and reports what the history keeps per
+// entry. Past the warm-up an admission allocates nothing but the history's
+// growth, which rounds to 0 per admission.
+func BenchmarkBookAdmit(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	recs := make([]PlacementRecord, 4096)
+	for i := range recs {
+		recs[i] = randomRecord(rng, 0, 0)
+	}
+	var book placementBook
+	slot := 1
+	admit := func(id int) {
+		rec := &recs[id%len(recs)]
+		req, p := rec.Request, rec.Placement
+		req.ID, req.Arrival, p.Request = id, slot, id
+		book.admit(req, p, slot)
+		if id%8 == 0 {
+			slot++
+			for _, r := range book.expire(slot) {
+				book.retire(r)
+			}
 		}
 	}
-	e.mu.Unlock()
+	const warm = 1000
+	for id := 1; id <= warm; id++ {
+		admit(id)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		admit(warm + 1 + i)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if n := (after.Mallocs - before.Mallocs) / uint64(b.N); n != 0 {
+		b.Errorf("an admission allocates %d times, want 0", n)
+	}
+	b.ReportMetric(float64(book.bytes())/float64(book.filed), "B/entry")
+}
+
+// BenchmarkBookLookup looks up expired placements, at random, among 1 Mi
+// filed ones of 1–8 assignments.
+func BenchmarkBookLookup(b *testing.B) {
+	const filed = 1 << 20
+	rng := rand.New(rand.NewSource(1))
+	var book placementBook
+	for id := 1; id <= filed; id++ {
+		rec := randomRecord(rng, id, 1+id/8)
+		book.admit(rec.Request, rec.Placement, rec.DecidedSlot)
+		if id%1024 == 0 {
+			for _, r := range book.expire(1 + id/8) {
+				book.retire(r)
+			}
+		}
+	}
+	for _, r := range book.expire(math.MaxInt) {
+		book.retire(r)
+	}
+	ids := make([]int, 4096)
+	for i := range ids {
+		ids[i] = 1 + rng.Intn(filed)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := ids[i%len(ids)]
+		if rec, ok := book.lookup(id, math.MaxInt); !ok || rec.ID != id || rec.State != StateExpired {
+			b.Fatalf("lookup(%d) = %+v, %v", id, rec, ok)
+		}
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,9 +135,8 @@ type Stats struct {
 	ActivePlacements int
 	// BackupGroups counts the shared-backup groups holding ledger capacity.
 	BackupGroups int
-	// FiledPlacements counts the entries of the placement history (every
-	// admission is retained) and BookBytes the memory its chunks hold,
-	// assignments included.
+	// FiledPlacements counts the placements in the history (every admission
+	// is retained) and BookBytes the memory its chunks and block table hold.
 	FiledPlacements, BookBytes int
 	// CloudletUsed and CloudletCapacity give per-cloudlet units in use at
 	// the current slot (zero usage once the slot passes the horizon).
@@ -172,9 +170,9 @@ func (s Stats) RejectedTotal() uint64 {
 // capacity. A scheduler whose ConcurrentPropose is false gets one token
 // whatever Workers asks: holding the token is what serializes its
 // Propose→Commit pairs. Placement and revenue bookkeeping stays under the
-// engine mutex (admissions are rare once capacity binds); rejection
-// counters are atomics and latency lands in per-token histograms, so the
-// rejection path never touches the engine mutex.
+// engine mutex (admissions are rare once capacity binds); a decision's
+// rejection counts and latency land in its token's own shard, so the
+// rejection path touches neither the engine mutex nor a shared word.
 //
 // Lock order: worker token, then mu; never the reverse.
 type Engine struct {
@@ -226,19 +224,18 @@ type Engine struct {
 	book     placementBook // guarded by mu
 	admitted uint64        // guarded by mu
 	expired  uint64        // guarded by mu
-	// admittedByScheme splits the admitted counter by placement scheme.
-	admittedByScheme map[core.Scheme]uint64 // guarded by mu
-	revenue          float64                // guarded by mu
+	// admittedByScheme splits the admitted counter by placement scheme, a
+	// valid one (Placement.Validate), so an index.
+	admittedByScheme [core.Shared + 1]uint64 // guarded by mu
+	revenue          float64                 // guarded by mu
 
-	// rejections maps every defined reason to its counter. The key set is
-	// fixed at New, so concurrent reads of the map are safe and every
-	// increment is a lock-free atomic — rejections are the hot path and
-	// must not funnel through the engine mutex.
-	rejections map[string]*atomic.Uint64
+	// rejections counts the gate's refusals — queue-full, closed, canceled —
+	// by reason; a decision's own rejections count in its token's shard.
+	rejections [numRejections]atomic.Uint64
 
-	// shards holds one latency histogram per worker token. The holder of
-	// token i owns shards[i]; the per-shard mutex only arbitrates against
-	// Stats snapshots.
+	// shards holds one latency histogram and one set of rejection counters
+	// per worker token. The holder of token i owns shards[i]; the per-shard
+	// mutex only arbitrates against Stats snapshots.
 	shards []*shardHist
 	// views holds one capacity view per worker token, likewise owned by the
 	// token's holder, who loads the request's window before every Propose.
@@ -269,12 +266,14 @@ type Engine struct {
 	closedFlag atomic.Bool
 }
 
-// shardHist is one worker token's latency histogram. Only the goroutine
-// holding the token observes into it, so the mutex is uncontended except
-// against Stats snapshots.
+// shardHist is one worker token's latency histogram and rejection
+// counters. Only the goroutine holding the token writes to it, so the mutex
+// is uncontended except against Stats snapshots, and the counters are
+// atomics for Stats alone.
 type shardHist struct {
-	mu sync.Mutex
-	h  *metrics.Histogram // guarded by mu
+	mu         sync.Mutex
+	h          *metrics.Histogram // guarded by mu
+	rejections [numRejections]atomic.Uint64
 }
 
 // New validates the config, builds the engine and, when SlotDuration > 0,
@@ -297,12 +296,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Horizon < 1 {
 		return nil, fmt.Errorf("%w: horizon %d", ErrBadConfig, cfg.Horizon)
-	}
-	if cfg.Horizon > math.MaxInt32 || len(cfg.Network.Catalog) > math.MaxInt32 || len(cfg.Network.Cloudlets) > math.MaxInt32 {
-		// The placement history files durations and VNF and cloudlet
-		// indices as int32 (book.go).
-		return nil, fmt.Errorf("%w: horizon %d, %d VNF types, %d cloudlets: more than the placement history can file",
-			ErrBadConfig, cfg.Horizon, len(cfg.Network.Catalog), len(cfg.Network.Cloudlets))
 	}
 	if cfg.QueueSize < 0 {
 		return nil, fmt.Errorf("%w: queue size %d", ErrBadConfig, cfg.QueueSize)
@@ -336,12 +329,6 @@ func New(cfg Config) (*Engine, error) {
 	// Buckets from 10µs to ~10s cover in-process decisions through loaded
 	// network round-trips.
 	latencyBounds := metrics.ExponentialBounds(10e-6, 4, 11)
-	rejections := make(map[string]*atomic.Uint64, 10)
-	for _, reason := range []string{ReasonInvalid, ReasonStale, ReasonHorizon, ReasonDeclined,
-		ReasonOverbooked, ReasonConflict, ReasonQueueFull, ReasonClosed, ReasonCanceled,
-		ReasonSchemeUnavailable} {
-		rejections[reason] = new(atomic.Uint64)
-	}
 	nowFn := cfg.Now
 	if nowFn == nil {
 		nowFn = time.Now
@@ -388,13 +375,9 @@ func New(cfg Config) (*Engine, error) {
 		reader:   ledger.NewReader(),
 		pool:     timeslot.NewPool(ledger),
 		slot:     1,
-
-		admittedByScheme: make(map[core.Scheme]uint64),
-
-		rejections: rejections,
-		queueCap:   queueSize,
-		sem:        make(chan int, workers),
-		quit:       make(chan struct{}),
+		queueCap: queueSize,
+		sem:      make(chan int, workers),
+		quit:     make(chan struct{}),
 	}
 	e.slotNow.Store(1)
 	for i := 0; i < workers; i++ {
@@ -456,7 +439,7 @@ const latencySampleRate = 8
 func (e *Engine) enter(ctx context.Context, n int) (int, error) {
 	if int(e.waiting.Add(int64(n))) > e.queueCap+e.workers {
 		e.waiting.Add(int64(-n))
-		e.rejections[ReasonQueueFull].Add(uint64(n))
+		e.rejections[rejQueueFull].Add(uint64(n))
 		return 0, ErrQueueFull
 	}
 	// Registering in inflight before checking closedFlag closes the race
@@ -464,10 +447,10 @@ func (e *Engine) enter(ctx context.Context, n int) (int, error) {
 	// (which then waits the decision out), or closedFlag's store is visible
 	// here and the submission bails.
 	e.inflight.Add(1)
-	reason, err := ReasonCanceled, ctx.Err()
+	reason, err := rejCanceled, ctx.Err()
 	switch {
 	case e.closedFlag.Load():
-		reason, err = ReasonClosed, ErrClosed
+		reason, err = rejClosed, ErrClosed
 	case err == nil:
 		// Fast path first: a non-blocking receive skips the generic select
 		// machinery whenever a token is free, which is the common case (a
@@ -505,18 +488,18 @@ func (e *Engine) leave(token, n int) {
 // checkScheme gates a submission's optional scheme pin: parse failures
 // reject as invalid, a pin naming a scheme other than the scheduler's
 // rejects as scheme-unavailable.
-func (e *Engine) checkScheme(ar AdmissionRequest) (string, bool) {
+func (e *Engine) checkScheme(ar AdmissionRequest) (rejection, bool) {
 	if ar.Scheme == "" {
-		return "", true
+		return 0, true
 	}
 	s, err := core.ParseScheme(ar.Scheme)
 	if err != nil {
-		return ReasonInvalid, false
+		return rejInvalid, false
 	}
 	if s != e.sched.Scheme() {
-		return ReasonSchemeUnavailable, false
+		return rejSchemeUnavailable, false
 	}
-	return "", true
+	return 0, true
 }
 
 // buildRequest materializes the core.Request under the given ID,
@@ -575,13 +558,15 @@ func (e *Engine) recordOutcome(req core.Request, slot int, outcome trace.Reason,
 func (e *Engine) decide(ctx context.Context, token int, ar AdmissionRequest) (AdmissionResult, error) {
 	slot := int(e.slotNow.Load())
 	req := e.buildRequest(ar, int(e.lastID.Add(1)), slot)
-	reject := func(reason string) AdmissionResult {
-		e.rejections[reason].Add(1)
+	shard := e.shards[token]
+	reject := func(r rejection) AdmissionResult {
+		shard.rejections[r].Add(1)
+		reason := rejectionReasons[r]
 		e.recordOutcome(req, slot, trace.Reason(reason), core.Placement{})
 		return AdmissionResult{ID: req.ID, Reason: reason, Slot: slot}
 	}
 	if req.Arrival < slot {
-		return reject(ReasonStale), nil
+		return reject(rejStale), nil
 	}
 	if reason, ok := e.checkScheme(ar); !ok {
 		return reject(reason), nil
@@ -592,10 +577,10 @@ func (e *Engine) decide(ctx context.Context, token int, ar AdmissionRequest) (Ad
 	// out-of-window reservation.
 	maxSlot := e.ledger.MaxSlot()
 	if req.End() > maxSlot {
-		return reject(ReasonHorizon), nil
+		return reject(rejHorizon), nil
 	}
 	if err := e.network.ValidateRequest(req, maxSlot); err != nil {
-		return reject(ReasonInvalid), nil
+		return reject(rejInvalid), nil
 	}
 	demand := e.network.Catalog[req.VNF].Demand
 	view := e.views[token]
@@ -607,7 +592,7 @@ func (e *Engine) decide(ctx context.Context, token int, ar AdmissionRequest) (Ad
 	const maxAttempts = 3
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 && ctx.Err() != nil {
-			e.rejections[ReasonCanceled].Add(1)
+			e.rejections[rejCanceled].Add(1)
 			e.recordOutcome(req, slot, trace.ReasonCanceled, core.Placement{})
 			return AdmissionResult{}, ctx.Err()
 		}
@@ -617,11 +602,11 @@ func (e *Engine) decide(ctx context.Context, token int, ar AdmissionRequest) (Ad
 		view.Load(req.Arrival, req.Duration)
 		placement, ok := e.sched.Propose(req, view)
 		if !ok {
-			return reject(ReasonDeclined), nil
+			return reject(rejDeclined), nil
 		}
-		if !e.placeable(req, placement) {
+		if placement.Validate(e.network, req) != nil {
 			e.sched.Abort(req, placement)
-			return reject(ReasonInvalid), nil
+			return reject(rejInvalid), nil
 		}
 		if e.reserveAll(req, placement, demand) {
 			e.sched.Commit(req, placement)
@@ -633,14 +618,14 @@ func (e *Engine) decide(ctx context.Context, token int, ar AdmissionRequest) (Ad
 		}
 		e.sched.Abort(req, placement)
 		if e.overbooks(view, req, placement, demand) {
-			return reject(ReasonOverbooked), nil
+			return reject(rejOverbooked), nil
 		}
 		// The view had the room and the ledger did not: a concurrent commit
 		// consumed the capacity the proposal saw. Re-propose against the
 		// new state.
 		e.conflicts.Add(1)
 	}
-	return reject(ReasonConflict), nil
+	return reject(rejConflict), nil
 }
 
 // overbooks reports whether the placement asks a cloudlet for more than
@@ -655,13 +640,6 @@ func (e *Engine) overbooks(view *timeslot.Reader, req core.Request, placement co
 		}
 	}
 	return false
-}
-
-// placeable is the gate between a scheduler's proposal and the books: the
-// placement must be valid for the request and fit the placement history's
-// narrow fields. Decisions and repairs reject what fails it.
-func (e *Engine) placeable(req core.Request, placement core.Placement) bool {
-	return placement.Validate(e.network, req) == nil && fileable(placement)
 }
 
 // reserveAll books the placement's whole footprint — the assignments plus
@@ -882,8 +860,8 @@ func (e *Engine) Stats() Stats {
 		QueueCapacity:    e.queueCap,
 		Admitted:         e.admitted,
 		Expired:          e.expired,
-		AdmittedByScheme: make(map[string]uint64, len(e.admittedByScheme)),
-		Rejections:       make(map[string]uint64, len(e.rejections)),
+		AdmittedByScheme: make(map[string]uint64),
+		Rejections:       make(map[string]uint64, numRejections),
 		ConflictRetries:  e.conflicts.Load(),
 		// Copies first: leave adds loads first, so copies ≤ loads here too.
 		ViewCopies:       e.viewCopies.Load(),
@@ -891,7 +869,7 @@ func (e *Engine) Stats() Stats {
 		Revenue:          e.revenue,
 		ActivePlacements: e.book.active,
 		BackupGroups:     e.pool.Groups(),
-		FiledPlacements:  e.book.entries(),
+		FiledPlacements:  e.book.filed,
 		BookBytes:        e.book.bytes(),
 		CloudletUsed:     make([]int, len(e.network.Cloudlets)),
 		CloudletCapacity: make([]int, len(e.network.Cloudlets)),
@@ -911,10 +889,16 @@ func (e *Engine) Stats() Stats {
 		sh.mu.Unlock()
 	}
 	for scheme, n := range e.admittedByScheme {
-		s.AdmittedByScheme[scheme.String()] = n
+		if n > 0 {
+			s.AdmittedByScheme[core.Scheme(scheme).String()] = n
+		}
 	}
-	for reason, n := range e.rejections {
-		s.Rejections[reason] = n.Load()
+	for r, reason := range rejectionReasons {
+		n := e.rejections[r].Load()
+		for _, sh := range e.shards {
+			n += sh.rejections[r].Load()
+		}
+		s.Rejections[reason] = n
 	}
 	live := e.slot <= e.ledger.MaxSlot()
 	e.reader.Load(e.slot, 1)

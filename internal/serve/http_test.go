@@ -205,9 +205,9 @@ func TestHTTPMetricsScrape(t *testing.T) {
 		"revnfd_current_slot 1\n",
 		"revnfd_active_placements 1\n",
 		"revnfd_placements_filed 1\n",
-		// One admission opens one history chunk and one arena chunk.
+		// One admission opens one history chunk and a one-block table.
 		"revnfd_placement_book_bytes " + strconv.FormatFloat(
-			float64(bookChunk*(unsafe.Sizeof(filedPlacement{})+unsafe.Sizeof(filedAssignment{}))), 'g', -1, 64) + "\n",
+			float64(historyChunk+unsafe.Sizeof(historyBlock{})), 'g', -1, 64) + "\n",
 		`revnfd_cloudlet_utilization{cloudlet="0"}`,
 		// Submit times one submission in latencySampleRate: of these two,
 		// the first.

@@ -2,7 +2,7 @@ package serve
 
 import (
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 
 	"revnf/internal/core"
@@ -182,22 +182,9 @@ func rejectionFamily(rejections map[string]uint64) metrics.PromMetric {
 		Help: "Requests rejected since start, by reason.",
 		Type: "counter",
 	}
-	// Every defined reason is always exposed so scrapes see stable series.
-	reasons := []string{ReasonInvalid, ReasonStale, ReasonHorizon, ReasonDeclined,
-		ReasonOverbooked, ReasonConflict, ReasonQueueFull, ReasonClosed, ReasonCanceled}
-	for r := range rejections {
-		found := false
-		for _, known := range reasons {
-			if r == known {
-				found = true
-				break
-			}
-		}
-		if !found {
-			reasons = append(reasons, r)
-		}
-	}
-	sort.Strings(reasons)
+	// Every reason is always exposed so scrapes see stable series.
+	reasons := rejectionReasons
+	slices.Sort(reasons[:])
 	for _, r := range reasons {
 		fam.Samples = append(fam.Samples, metrics.PromSample{
 			Labels: []metrics.LabelPair{{Name: "reason", Value: r}},

@@ -195,7 +195,7 @@ func (e *Engine) repairLocked(rec *PlacementRecord) bool {
 	if !ok {
 		return false
 	}
-	if !e.placeable(req, placement) {
+	if placement.Validate(e.network, req) != nil {
 		e.sched.Abort(req, placement)
 		return false
 	}

@@ -150,3 +150,24 @@ const (
 	// the serving scheduler runs.
 	ReasonSchemeUnavailable = string(trace.ReasonSchemeUnavailable)
 )
+
+// rejection indexes the engine's rejection counters, one per reason.
+type rejection uint8
+
+const (
+	rejInvalid rejection = iota
+	rejStale
+	rejHorizon
+	rejDeclined
+	rejOverbooked
+	rejConflict
+	rejQueueFull
+	rejClosed
+	rejCanceled
+	rejSchemeUnavailable
+	numRejections
+)
+
+// rejectionReasons names the rejection counters.
+var rejectionReasons = [numRejections]string{ReasonInvalid, ReasonStale, ReasonHorizon, ReasonDeclined,
+	ReasonOverbooked, ReasonConflict, ReasonQueueFull, ReasonClosed, ReasonCanceled, ReasonSchemeUnavailable}

@@ -76,7 +76,8 @@ fi
 # diff and says why. A constant on purpose, not an option.
 # PR 25 raised it by 80: the NDJSON decimal→float64 kernel (internal/wire/decimal.go).
 # Lowered by 40 when the pool's lock, its undo and simulate.WindowIndex went.
-ceiling=22181
+# Raised by 59: the placement history's varint codec, less the arena, the walk-back and the int32 checks it replaced.
+ceiling=22240
 lines=$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)
 echo "==> non-test Go outside benchmark/: $lines lines (ceiling $ceiling)"
 if [ "$lines" -gt "$ceiling" ]; then
