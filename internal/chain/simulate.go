@@ -8,6 +8,7 @@ import (
 
 	"revnf/internal/core"
 	"revnf/internal/timeslot"
+	"revnf/internal/workload"
 )
 
 // Errors returned by the runner and generator.
@@ -204,20 +205,30 @@ func GenerateTrace(cfg TraceConfig, catalog []core.VNF, rng *rand.Rand) ([]Reque
 	if len(catalog) == 0 {
 		return nil, fmt.Errorf("%w: empty catalog", ErrBadConfig)
 	}
-	prMin := cfg.MaxPaymentRate / cfg.H
-	out := make([]Request, cfg.Requests)
+	out := workload.ByArrival(cfg.draw(catalog, rng), cfg.Horizon, func(r *Request) int { return r.Arrival })
 	for i := range out {
-		length := cfg.MinLength + rng.Intn(cfg.MaxLength-cfg.MinLength+1)
+		out[i].ID = i
+	}
+	return out, nil
+}
+
+// draw draws cfg.Requests chains in draw order, each with its draw index as
+// ID; GenerateTrace orders them by arrival.
+func (c TraceConfig) draw(catalog []core.VNF, rng *rand.Rand) []Request {
+	prMin := c.MaxPaymentRate / c.H
+	out := make([]Request, c.Requests)
+	for i := range out {
+		length := c.MinLength + rng.Intn(c.MaxLength-c.MinLength+1)
 		vnfs := make([]int, length)
 		baseUnits := 0
 		for k := range vnfs {
 			vnfs[k] = rng.Intn(len(catalog))
 			baseUnits += catalog[vnfs[k]].Demand
 		}
-		dur := cfg.MinDuration + rng.Intn(cfg.MaxDuration-cfg.MinDuration+1)
-		arr := 1 + rng.Intn(cfg.Horizon-dur+1)
-		req := cfg.MinRequirement + (cfg.MaxRequirement-cfg.MinRequirement)*rng.Float64()
-		rate := prMin + (cfg.MaxPaymentRate-prMin)*rng.Float64()
+		dur := c.MinDuration + rng.Intn(c.MaxDuration-c.MinDuration+1)
+		arr := 1 + rng.Intn(c.Horizon-dur+1)
+		req := c.MinRequirement + (c.MaxRequirement-c.MinRequirement)*rng.Float64()
+		rate := prMin + (c.MaxPaymentRate-prMin)*rng.Float64()
 		out[i] = Request{
 			ID:          i,
 			VNFs:        vnfs,
@@ -227,9 +238,5 @@ func GenerateTrace(cfg TraceConfig, catalog []core.VNF, rng *rand.Rand) ([]Reque
 			Payment:     rate * float64(dur) * float64(baseUnits) * req,
 		}
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Arrival < out[b].Arrival })
-	for i := range out {
-		out[i].ID = i
-	}
-	return out, nil
+	return out
 }

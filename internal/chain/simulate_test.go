@@ -3,9 +3,12 @@ package chain
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"revnf/internal/core"
+	"revnf/internal/workload"
 )
 
 func chainTraceConfig() TraceConfig {
@@ -200,6 +203,34 @@ func TestChainSchedulersInvariantProperty(t *testing.T) {
 						seed, sched.Name(), d.Request, got, req.Reliability)
 				}
 			}
+		}
+	}
+}
+
+// TestArrivalOrderMatchesStableSort pins chain traces to a stable
+// comparison sort by arrival: draw, sort, renumber.
+func TestArrivalOrderMatchesStableSort(t *testing.T) {
+	catalog := testNetwork().Catalog
+	for _, horizon := range []int{1, 3, 20, 64} {
+		cfg := chainTraceConfig()
+		cfg.Requests, cfg.Horizon = 2000, horizon
+		cfg.MaxDuration = min(cfg.MaxDuration, horizon)
+		drawn := cfg.draw(catalog, rand.New(rand.NewSource(int64(horizon))))
+		want := append([]Request(nil), drawn...)
+		sort.SliceStable(want, func(a, b int) bool { return want[a].Arrival < want[b].Arrival })
+		got := workload.ByArrival(drawn, horizon, func(r *Request) int { return r.Arrival })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("horizon %d: ByArrival differs from the stable sort", horizon)
+		}
+		for i := range want {
+			want[i].ID = i
+		}
+		trace, err := GenerateTrace(cfg, catalog, rand.New(rand.NewSource(int64(horizon))))
+		if err != nil {
+			t.Fatalf("GenerateTrace: %v", err)
+		}
+		if !reflect.DeepEqual(trace, want) {
+			t.Fatalf("horizon %d: GenerateTrace differs from draw, stable sort, renumber", horizon)
 		}
 	}
 }

@@ -1,11 +1,12 @@
 package workload
 
 import (
+	"cmp"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -85,7 +86,9 @@ func ImportCSV(r io.Reader, catalog []core.VNF, horizon int) ([]core.Request, er
 			Payment:     payment,
 		})
 	}
-	sort.SliceStable(trace, func(a, b int) bool { return trace[a].Arrival < trace[b].Arrival })
+	// Arrivals are not validated yet, so they may lie outside any range a
+	// counting sort (ByArrival) needs; a comparison sort takes them as read.
+	slices.SortStableFunc(trace, func(a, b core.Request) int { return cmp.Compare(a.Arrival, b.Arrival) })
 	network := &core.Network{Catalog: catalog, Cloudlets: []core.Cloudlet{{ID: 0, Capacity: 1, Reliability: 0.5}}}
 	for i := range trace {
 		trace[i].ID = i

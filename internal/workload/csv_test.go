@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -72,6 +73,32 @@ func TestImportCSVErrors(t *testing.T) {
 	}
 	if _, err := ImportCSV(strings.NewReader("x"), nil, 10); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("empty catalog err = %v", err)
+	}
+}
+
+func TestImportCSVTiesKeepFileOrder(t *testing.T) {
+	// Payment k marks the k-th data row; each arrival is on three rows.
+	var b strings.Builder
+	b.WriteString("arrival,duration,vnf,reliability,payment\n")
+	for k := 0; k < 30; k++ {
+		fmt.Fprintf(&b, "%d,1,0,0.9,%d\n", 10-k%10, k)
+	}
+	trace, err := ImportCSV(strings.NewReader(b.String()), DefaultCatalog(), 10)
+	if err != nil {
+		t.Fatalf("ImportCSV: %v", err)
+	}
+	for i := 1; i < len(trace); i++ {
+		prev, cur := trace[i-1], trace[i]
+		if cur.Arrival < prev.Arrival || (cur.Arrival == prev.Arrival && cur.Payment < prev.Payment) {
+			t.Fatalf("requests %d and %d out of order: %+v then %+v", i-1, i, prev, cur)
+		}
+	}
+
+	// Rows are range-checked after the sort, so an error names the
+	// request's position in arrival order, not its line.
+	_, err = ImportCSV(strings.NewReader("arrival,duration,vnf,reliability,payment\n2,1,0,0.9,1\n-3,1,0,0.9,1\n"), DefaultCatalog(), 10)
+	if !errors.Is(err, ErrBadCSV) || !strings.Contains(err.Error(), "request 0:") {
+		t.Errorf("negative arrival err = %v, want ErrBadCSV naming request 0", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"revnf/internal/core"
 )
@@ -109,23 +108,57 @@ func GenerateTrace(cfg TraceConfig, catalog []core.VNF, rng *rand.Rand) ([]core.
 	if len(catalog) == 0 {
 		return nil, fmt.Errorf("%w: empty catalog", ErrBadConfig)
 	}
-	arrivals := cfg.drawArrivals(rng)
-	prMin := cfg.MaxPaymentRate / cfg.H
-	out := make([]core.Request, cfg.Requests)
+	out := ByArrival(cfg.draw(catalog, rng), cfg.Horizon, func(r *core.Request) int { return r.Arrival })
+	for i := range out {
+		out[i].ID = i
+	}
+	return out, nil
+}
+
+// ByArrival returns a copy of in stably ordered by arrival slot: elements
+// that arrive in the same slot keep their relative order. Every arrival
+// must lie in [1, horizon], which lets a counting sort order n elements in
+// O(n + horizon) where a comparison sort pays O(n log n).
+func ByArrival[T any](in []T, horizon int, arrival func(*T) int) []T {
+	// next[a+1] first counts slot a; the prefix sum then turns next[a]
+	// into the number of elements arriving before slot a, the position
+	// of the next element arriving in a.
+	next := make([]int, horizon+2)
+	for i := range in {
+		next[arrival(&in[i])+1]++
+	}
+	for a := 1; a < len(next); a++ {
+		next[a] += next[a-1]
+	}
+	out := make([]T, len(in))
+	for i := range in {
+		a := arrival(&in[i])
+		out[next[a]] = in[i]
+		next[a]++
+	}
+	return out
+}
+
+// draw draws cfg.Requests requests in draw order, each with its draw index
+// as ID; GenerateTrace orders them by arrival.
+func (c TraceConfig) draw(catalog []core.VNF, rng *rand.Rand) []core.Request {
+	arrivals := c.drawArrivals(rng)
+	prMin := c.MaxPaymentRate / c.H
+	out := make([]core.Request, c.Requests)
 	for i := range out {
 		f := catalog[rng.Intn(len(catalog))]
-		dur := cfg.drawDuration(rng)
+		dur := c.drawDuration(rng)
 		arr := arrivals[i]
 		// Clamp so the request finishes within the horizon (the paper
 		// only considers requests with a+d-1 ≤ T).
-		if arr+dur-1 > cfg.Horizon {
-			arr = cfg.Horizon - dur + 1
+		if arr+dur-1 > c.Horizon {
+			arr = c.Horizon - dur + 1
 			if arr < 1 {
-				arr, dur = 1, cfg.Horizon
+				arr, dur = 1, c.Horizon
 			}
 		}
-		req := uniform(rng, cfg.MinRequirement, cfg.MaxRequirement)
-		rate := uniform(rng, prMin, cfg.MaxPaymentRate)
+		req := uniform(rng, c.MinRequirement, c.MaxRequirement)
+		rate := uniform(rng, prMin, c.MaxPaymentRate)
 		out[i] = core.Request{
 			ID:          i,
 			VNF:         f.ID,
@@ -135,11 +168,7 @@ func GenerateTrace(cfg TraceConfig, catalog []core.VNF, rng *rand.Rand) ([]core.
 			Payment:     rate * float64(dur) * float64(f.Demand) * req,
 		}
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Arrival < out[b].Arrival })
-	for i := range out {
-		out[i].ID = i
-	}
-	return out, nil
+	return out
 }
 
 func (c TraceConfig) drawArrivals(rng *rand.Rand) []int {

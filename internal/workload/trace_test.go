@@ -3,6 +3,8 @@ package workload
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"revnf/internal/core"
@@ -200,3 +202,99 @@ func TestGenerateTraceDiurnalArrivals(t *testing.T) {
 		}
 	}
 }
+
+// stableByArrival is the reference ByArrival must reproduce element for
+// element: a stable comparison sort by arrival.
+func stableByArrival[T any](in []T, arrival func(*T) int) []T {
+	out := append([]T(nil), in...)
+	sort.SliceStable(out, func(a, b int) bool { return arrival(&out[a]) < arrival(&out[b]) })
+	return out
+}
+
+func TestArrivalOrderMatchesStableSort(t *testing.T) {
+	requestArrival := func(r *core.Request) int { return r.Arrival }
+	cat := DefaultCatalog()
+	for _, am := range []ArrivalModel{ArrivalUniform, ArrivalPoisson, ArrivalDiurnal} {
+		for _, dm := range []DurationModel{DurationUniform, DurationPareto} {
+			for _, horizon := range []int{1, 10, 64} {
+				cfg := baseTraceConfig()
+				cfg.Requests, cfg.Horizon, cfg.Arrivals, cfg.Durations = 3000, horizon, am, dm
+				cfg.MaxDuration = min(cfg.MaxDuration, horizon)
+				drawn := cfg.draw(cat, rand.New(rand.NewSource(int64(horizon))))
+				want := stableByArrival(drawn, requestArrival)
+				if got := ByArrival(drawn, horizon, requestArrival); !slices.Equal(got, want) {
+					t.Fatalf("arrivals %d durations %d horizon %d: ByArrival differs from the stable sort", am, dm, horizon)
+				}
+				for i := range want {
+					want[i].ID = i
+				}
+				trace, err := GenerateTrace(cfg, cat, rand.New(rand.NewSource(int64(horizon))))
+				if err != nil {
+					t.Fatalf("GenerateTrace: %v", err)
+				}
+				if !slices.Equal(trace, want) {
+					t.Fatalf("arrivals %d durations %d horizon %d: GenerateTrace differs from draw, stable sort, renumber", am, dm, horizon)
+				}
+			}
+		}
+	}
+
+	// seq is each element's input position, so equal outputs also pin the
+	// order of ties.
+	type item struct{ arrival, seq int }
+	itemArrival := func(it *item) int { return it.arrival }
+	check := func(name string, in []item, horizon int) {
+		t.Helper()
+		want := stableByArrival(in, itemArrival)
+		if got := ByArrival(in, horizon, itemArrival); !slices.Equal(got, want) {
+			t.Fatalf("%s (n=%d, horizon %d): ByArrival differs from the stable sort", name, len(in), horizon)
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 200; trial++ {
+		n, horizon := 1+rng.Intn(5000), 1+rng.Intn(200)
+		in := make([]item, n)
+		for i := range in {
+			in[i] = item{1 + rng.Intn(horizon), i}
+		}
+		check("random", in, horizon)
+	}
+	const n = 1000
+	same, reverse, one := make([]item, n), make([]item, n), make([]item, n)
+	for i := range same {
+		same[i] = item{7, i}
+		reverse[i] = item{n - i/3, i}
+		one[i] = item{1, i}
+	}
+	check("all one arrival", same, 50)
+	check("reverse order", reverse, n)
+	check("horizon 1", one, 1)
+	check("empty", nil, 5)
+}
+
+// BenchmarkGenerateTrace draws the benchmark's request pool: 20 000
+// requests over a 64-slot horizon, durations 1–10, at the experiments'
+// default requirement and payment ranges.
+func BenchmarkGenerateTrace(b *testing.B) {
+	cfg := TraceConfig{
+		Requests:       20000,
+		Horizon:        64,
+		MinDuration:    1,
+		MaxDuration:    10,
+		MinRequirement: 0.90,
+		MaxRequirement: 0.95,
+		MaxPaymentRate: 10,
+		H:              10,
+	}
+	cat := DefaultCatalog()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		trace, err := GenerateTrace(cfg, cat, rand.New(rand.NewSource(int64(i))))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchTrace = trace
+	}
+}
+
+var benchTrace []core.Request

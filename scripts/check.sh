@@ -32,6 +32,11 @@ go test -race ./...
 echo "==> benchmark smoke (cd benchmark && go test ./...)"
 (cd benchmark && go test ./...)
 
+# The arrival ordering's micro-benchmark, once, at the benchmark pool's
+# shape: it must still build and run.
+echo "==> trace generation benchmark smoke (1 iteration)"
+go test -run '^$' -bench GenerateTrace -benchtime 1x ./internal/workload
+
 # Short coverage-guided fuzz of the wire decoders: the streaming ingest
 # path feeds them raw network bytes, so they must only ever return the
 # package's typed errors, never panic. SHORT=1 trims the budget.
@@ -78,7 +83,8 @@ fi
 # Lowered by 40 when the pool's lock, its undo and simulate.WindowIndex went.
 # Raised by 59: the placement history's varint codec, less the arena, the walk-back and the int32 checks it replaced.
 # Raised by 75: the ledger's row stamps and the view's refresh (copyRow, TakeRefreshes), less the candidate sort.
-ceiling=22315
+# Raised by 39: the arrival ordering (workload.ByArrival) and the draw loops split from it.
+ceiling=22354
 lines=$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)
 echo "==> non-test Go outside benchmark/: $lines lines (ceiling $ceiling)"
 if [ "$lines" -gt "$ceiling" ]; then
