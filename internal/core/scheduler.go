@@ -139,7 +139,7 @@ type LambdaReader interface {
 //
 // AdvanceWindow must be safe to call concurrently with Propose/Commit
 // (the primal-dual schedulers take the λ write lock). Engines advance the
-// scheduler only after the ledger's own Advance succeeded, so the two
+// scheduler to the base the ledger's own Advance reached, so the two
 // window positions never disagree by more than the in-flight tick.
 type WindowAdvancer interface {
 	// AdvanceWindow moves the live window so it starts at base.

@@ -45,15 +45,13 @@ const (
 // The live records — admitted and not yet expired: what Tick releases and
 // what the failure runtime repairs — are filed in the expiry ring itself: a
 // deque of per-slot buckets holding each record under the last slot of its
-// window, and a deque of counts of live records per first reserved slot,
-// whose front is the oldest slot a live footprint holds (what a rolling
-// ledger's base must not pass). The fronts follow the clock, so expiry pops
-// whole buckets and gets the records back, and the ring's memory follows
-// the span of slots between the oldest and the newest live window, which
-// the horizon bounds. There is no per-ID table: a live record is found by
-// ID through its history entry, whose window names the bucket to scan. A
-// record enters at admission and leaves at expiry, when it goes back on the
-// free list, so a steady-state admission allocates no record.
+// window. The front follows the clock, so expiry pops whole buckets and
+// gets the records back, and the ring's memory follows the span of slots
+// between the oldest and the newest live window, which the horizon bounds.
+// There is no per-ID table: a live record is found by ID through its
+// history entry, whose window names the bucket to scan. A record enters at
+// admission and leaves at expiry, when it goes back on the free list, so a
+// steady-state admission allocates no record.
 //
 // The history holds every placement ever admitted, as an append-only byte
 // stream of varint-coded entries (encode has the layout) cut into blocks of
@@ -77,7 +75,6 @@ const (
 // it, because retire recycles the record.
 type placementBook struct {
 	ends    slotDeque[[]*PlacementRecord] // live records by the last slot of their window
-	starts  slotDeque[int]                // live records by ReservedFrom; the front count is never 0
 	active  int                           // live records
 	expired []*PlacementRecord            // expire's result, reused call after call
 	free    []*PlacementRecord
@@ -111,7 +108,6 @@ func (b *placementBook) admit(req core.Request, placement core.Placement, slot i
 	}
 	bucket := b.ends.at(req.End())
 	*bucket = append(*bucket, rec)
-	*b.starts.at(rec.ReservedFrom)++
 	b.active++
 	b.filed++
 	b.file(rec, false)
@@ -128,10 +124,7 @@ func (b *placementBook) expire(now int) []*PlacementRecord {
 	b.expired = b.expired[:0]
 	for b.ends.n > 0 && b.ends.lo < now {
 		bucket := b.ends.front()
-		for _, rec := range *bucket {
-			b.expired = append(b.expired, rec)
-			b.dropStart(rec.ReservedFrom)
-		}
+		b.expired = append(b.expired, *bucket...)
 		*bucket = (*bucket)[:0]
 		b.ends.popFront()
 	}
@@ -151,32 +144,6 @@ func (b *placementBook) expire(now int) []*PlacementRecord {
 func (b *placementBook) retire(rec *PlacementRecord) {
 	*rec = PlacementRecord{}
 	b.free = append(b.free, rec)
-}
-
-// dropStart forgets one live record reserved from slot and moves the front
-// of the start counts up to the oldest slot that still has one.
-func (b *placementBook) dropStart(slot int) {
-	*b.starts.at(slot)--
-	for b.starts.n > 0 && *b.starts.front() == 0 {
-		b.starts.popFront()
-	}
-}
-
-// rebase moves a live record's reservation to start at from: a repair
-// booked [from, end] and released the old footprint, which no longer pins
-// the rolling window open. The end, and so the bucket, stays.
-func (b *placementBook) rebase(rec *PlacementRecord, from int) {
-	b.dropStart(rec.ReservedFrom)
-	rec.ReservedFrom = from
-	*b.starts.at(from)++
-}
-
-// oldestStart returns the first reserved slot of the oldest live footprint,
-// and false when nothing is live. A rolling engine advances its ledger base
-// to min(clock, oldestStart): live reservations pin the window open so
-// their release still addresses live slots.
-func (b *placementBook) oldestStart() (int, bool) {
-	return b.starts.lo, b.active > 0
 }
 
 // liveRecord returns the live record for id, nil when id was never

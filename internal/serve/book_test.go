@@ -234,7 +234,7 @@ func TestBookAgainstMapOracle(t *testing.T) {
 			case r == 0: // a repair moves the footprint
 				lr := b.liveRecord(id)
 				lr.Placement = randomPlacement(rng, id)
-				b.rebase(lr, lr.Request.Arrival+rng.Intn(lr.Request.Duration))
+				lr.ReservedFrom = lr.Request.Arrival + rng.Intn(lr.Request.Duration)
 				b.refile(lr)
 				want := oracle[id]
 				want.Placement, want.ReservedFrom = lr.Placement, lr.ReservedFrom
@@ -250,15 +250,6 @@ func TestBookAgainstMapOracle(t *testing.T) {
 				tick()
 			}
 			check(id)
-			oldest, any := 0, false
-			for id := range live {
-				if from := oracle[id].ReservedFrom; !any || from < oldest {
-					oldest, any = from, true
-				}
-			}
-			if got, ok := b.oldestStart(); ok != any || (any && got != oldest) {
-				t.Fatalf("seed %d: oldestStart() = %d, %v, model %d, %v", seed, got, ok, oldest, any)
-			}
 			if n%97 == 0 {
 				check(ids[order[rng.Intn(n+1)]])
 			}
@@ -358,47 +349,6 @@ func TestBookExpiresInIDOrder(t *testing.T) {
 	}
 }
 
-// TestBookOldestStartAfterRebase pins the rolling window's pin: the oldest
-// first reserved slot of a live record, moved by expiry and by a repair
-// re-basing a record, which keeps its bucket.
-func TestBookOldestStartAfterRebase(t *testing.T) {
-	var b placementBook
-	if _, ok := b.oldestStart(); ok {
-		t.Fatal("oldestStart on an empty book reported a value")
-	}
-	admitWindow(&b, 1, 4, 9)
-	admitWindow(&b, 2, 2, 6)
-	admitWindow(&b, 3, 7, 8)
-	if s, ok := b.oldestStart(); !ok || s != 2 {
-		t.Fatalf("oldestStart = %d, %v, want 2, true", s, ok)
-	}
-	if got := expireIDs(&b, 7); !slices.Equal(got, []int{2}) {
-		t.Fatalf("expire(7) = %v, want [2]", got)
-	}
-	if s, ok := b.oldestStart(); !ok || s != 4 {
-		t.Fatalf("oldestStart after the drain = %d, %v, want 4, true", s, ok)
-	}
-	b.rebase(b.liveRecord(1), 8)
-	if s, ok := b.oldestStart(); !ok || s != 7 {
-		t.Fatalf("oldestStart after re-basing 1 to 8 = %d, %v, want 7, true", s, ok)
-	}
-	if rec := b.liveRecord(1); rec == nil || rec.ReservedFrom != 8 {
-		t.Fatalf("record 1 after the re-base: %+v", rec)
-	}
-	if got := expireIDs(&b, 9); !slices.Equal(got, []int{3}) {
-		t.Fatalf("expire(9) = %v, want [3]: the re-based record keeps its end", got)
-	}
-	if s, ok := b.oldestStart(); !ok || s != 8 {
-		t.Fatalf("oldestStart = %d, %v, want 8, true", s, ok)
-	}
-	if got := expireIDs(&b, 10); !slices.Equal(got, []int{1}) {
-		t.Fatalf("expire(10) = %v, want [1]", got)
-	}
-	if _, ok := b.oldestStart(); ok || b.liveRecord(1) != nil {
-		t.Fatal("the book still pins a slot or holds record 1 after the last expiry")
-	}
-}
-
 // TestBookRebaseKeepsWindow moves a live record's reservation the way a
 // repair does: the record is still found by ID, its end and so its expiry
 // stay, the history keeps the new start, and an ID that was never admitted
@@ -412,7 +362,7 @@ func TestBookRebaseKeepsWindow(t *testing.T) {
 		t.Fatal("liveRecord(99) found an ID that was never admitted")
 	}
 	rec := b.liveRecord(3)
-	b.rebase(rec, 4)
+	rec.ReservedFrom = 4
 	b.refile(rec)
 	if got, ok := b.lookup(3, 4); !ok || got.State != StateActive || got.ReservedFrom != 4 || got.Request.End() != 4 {
 		t.Fatalf("lookup(3) after the re-base = %+v, %v, want live, reserved from 4, ending at 4", got, ok)
@@ -429,10 +379,7 @@ func TestBookRebaseKeepsWindow(t *testing.T) {
 	if got, ok := b.lookup(3, 5); !ok || got.State != StateExpired || got.ReservedFrom != 4 {
 		t.Fatalf("lookup(3) after expiry = %+v, %v, want expired, reserved from 4", got, ok)
 	}
-	b.rebase(b.liveRecord(1), 5)
-	if s, ok := b.oldestStart(); !ok || s != 2 {
-		t.Fatalf("oldestStart = %d, %v, want 2, true", s, ok)
-	}
+	b.liveRecord(1).ReservedFrom = 5
 	if got := expireIDs(&b, 6); !slices.Equal(got, []int{1, 2}) {
 		t.Fatalf("expire(6) = %v, want [1 2]", got)
 	}
@@ -443,8 +390,7 @@ func TestBookRebaseKeepsWindow(t *testing.T) {
 
 // TestBookStragglerExpires files a window behind the ring's front — a
 // decision preempted across ticks books a window the clock has passed —
-// and behind the oldest start: it is found, pins the window and leaves at
-// the next tick.
+// and behind every live window: it is found and leaves at the next tick.
 func TestBookStragglerExpires(t *testing.T) {
 	var b placementBook
 	admitWindow(&b, 1, 10, 12)
@@ -452,27 +398,23 @@ func TestBookStragglerExpires(t *testing.T) {
 		t.Fatalf("expire(11) = %v", got)
 	}
 	admitWindow(&b, 2, 7, 8)
-	if s, ok := b.oldestStart(); !ok || s != 7 {
-		t.Fatalf("oldestStart = %d, %v, want the straggler's 7", s, ok)
-	}
 	if rec, ok := b.lookup(2, 11); !ok || rec.State != StateActive {
 		t.Fatalf("lookup(2) = %+v, %v, want the live straggler", rec, ok)
 	}
 	if got := expireIDs(&b, 12); !slices.Equal(got, []int{2}) {
 		t.Fatalf("expire(12) = %v, want the straggler", got)
 	}
-	if s, ok := b.oldestStart(); !ok || s != 10 {
-		t.Fatalf("oldestStart = %d, %v, want 10", s, ok)
+	if rec := b.liveRecord(1); rec == nil || rec.ReservedFrom != 10 {
+		t.Fatalf("liveRecord(1) = %+v after the straggler left, want the live window from 10", rec)
 	}
 }
 
 // TestBookRingAgainstMapModel drives random admissions, re-bases and ticks
 // against a plain map of id → window while the clock laps the ring many
 // times — windows mostly near the clock, now and then far ahead of or
-// behind it, so both ends of the deques grow — and checks every query after
-// every operation: the live count, oldestStart, the live record of a
-// sampled ID, and that each tick expires exactly the model's ended IDs in
-// ascending order.
+// behind it, so both ends of the deque grow — and checks every query after
+// every operation: the live count, the live record of a sampled ID, and
+// that each tick expires exactly the model's ended IDs in ascending order.
 func TestBookRingAgainstMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -495,7 +437,7 @@ func TestBookRingAgainstMapModel(t *testing.T) {
 				id := 1 + rng.Intn(nextID+1)
 				if w, live := model[id]; live {
 					w[0] += rng.Intn(w[1] - w[0] + 1)
-					b.rebase(b.liveRecord(id), w[0])
+					b.liveRecord(id).ReservedFrom = w[0]
 					model[id] = w
 				}
 			default:
@@ -517,15 +459,6 @@ func TestBookRingAgainstMapModel(t *testing.T) {
 			}
 			if b.active != len(model) || liveRecords(&b) != len(model) {
 				t.Fatalf("seed %d op %d: %d active, %d in the ring, model %d", seed, op, b.active, liveRecords(&b), len(model))
-			}
-			oldest, any := 0, false
-			for _, w := range model {
-				if !any || w[0] < oldest {
-					oldest, any = w[0], true
-				}
-			}
-			if got, ok := b.oldestStart(); ok != any || (any && got != oldest) {
-				t.Fatalf("seed %d op %d: oldestStart = %d, %v, model %d, %v", seed, op, got, ok, oldest, any)
 			}
 			id := 1 + rng.Intn(nextID+1)
 			w, live := model[id]
@@ -552,7 +485,6 @@ func TestBookSteadyStateAllocations(t *testing.T) {
 		for _, rec := range b.expire(slot) {
 			b.retire(rec)
 		}
-		b.oldestStart()
 	}
 	for i := 0; i < 100; i++ {
 		step()
@@ -780,7 +712,7 @@ func TestBookRefileSealedBlock(t *testing.T) {
 	rec := b.liveRecord(1)
 	rec.Placement = core.Placement{Request: 1, Scheme: core.OffSite,
 		Assignments: []core.Assignment{{Cloudlet: 2, Instances: 1}, {Cloudlet: 3, Instances: 1}}}
-	b.rebase(rec, 5)
+	rec.ReservedFrom = 5
 	b.refile(rec)
 	rec.State = StateDegraded
 	b.refile(rec)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -186,11 +185,11 @@ type Engine struct {
 
 	// rolling selects the rolling-horizon mode (Config.Rolling): the
 	// ledger is a circular window of horizon slots whose base Tick
-	// advances with the clock, pinned by the oldest live reservation.
+	// advances with the clock, up to the first row still holding units.
 	rolling bool
 	// advancer is the scheduler's window-aging hook (non-nil when the
-	// scheduler implements core.WindowAdvancer); called after every
-	// successful ledger advance so dual prices retire with their slots.
+	// scheduler implements core.WindowAdvancer); called after every ledger
+	// advance that moved the base, so dual prices retire with their slots.
 	advancer core.WindowAdvancer
 
 	// rec receives engine-level decision records (pre-scheduler rejections
@@ -735,29 +734,18 @@ func (e *Engine) Tick() TickReport {
 	return TickReport{Slot: e.slot, Expired: len(expired)}
 }
 
-// advanceWindowLocked moves the rolling window's base to the clock,
-// pinned by the oldest live reservation so every outstanding footprint
-// stays addressable until it releases. The ledger advances first and the
-// scheduler's dual window follows only on success, keeping the two bases
-// in lockstep. ErrNotDrained is tolerated: a decision can commit a
-// reservation for the pre-tick slot after the expiry scan above, in which
-// case the advance simply waits for the next tick. Caller holds e.mu.
+// advanceWindowLocked moves the rolling window's base towards the clock.
+// The ledger goes as far as its rows have drained — a footprint still
+// holding units, a straggler's too, stays addressable until it releases —
+// and the scheduler's dual window follows it to the same base. Caller
+// holds e.mu.
 func (e *Engine) advanceWindowLocked() {
-	newBase := e.slot
-	if oldest, ok := e.book.oldestStart(); ok && oldest < newBase {
-		newBase = oldest
+	before := e.ledger.Base()
+	if err := e.ledger.Advance(e.slot); err != nil {
+		panic(fmt.Sprintf("serve: advance window to %d: %v", e.slot, err))
 	}
-	if newBase <= e.ledger.Base() {
-		return
-	}
-	if err := e.ledger.Advance(newBase); err != nil {
-		if errors.Is(err, timeslot.ErrNotDrained) {
-			return
-		}
-		panic(fmt.Sprintf("serve: advance window to %d: %v", newBase, err))
-	}
-	if e.advancer != nil {
-		e.advancer.AdvanceWindow(newBase)
+	if base := e.ledger.Base(); base > before && e.advancer != nil {
+		e.advancer.AdvanceWindow(base)
 	}
 }
 

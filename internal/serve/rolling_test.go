@@ -505,3 +505,60 @@ func TestDegradedExpiryPastHorizon(t *testing.T) {
 		t.Fatalf("post-degradation request rejected: %+v", res2)
 	}
 }
+
+// tickingCommit is pd-onsite whose Commit, once armed, ticks the engine
+// after committing: the decision it commits was reserved before that tick
+// and is filed after it, a straggler the tick's expiry scan cannot see.
+type tickingCommit struct {
+	*onsite.Scheduler
+	e     *Engine
+	armed bool
+}
+
+func (s *tickingCommit) Commit(req core.Request, p core.Placement) {
+	s.Scheduler.Commit(req, p)
+	if s.armed {
+		s.armed = false
+		s.e.Tick()
+	}
+}
+
+// TestRollingWindowAdvancesToStraggler pins who decides how far the window
+// moves: the ledger, up to the first row still holding units. A straggler
+// reserved from slot 3 and filed after the tick to 4 that expires the only
+// other placement stops the base at 3, not at 1, and the next tick, which
+// expires the straggler too, reaches the clock.
+func TestRollingWindowAdvancesToStraggler(t *testing.T) {
+	n := testNetwork()
+	sched := &tickingCommit{Scheduler: newOnsiteScheduler(t, n, 8)}
+	e, err := New(Config{Network: n, Scheduler: sched, Horizon: 8, Rolling: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownEngine(t, e)
+	sched.e = e
+
+	if a := submit(t, e, AdmissionRequest{VNF: 0, Reliability: 0.9, Arrival: 1, Duration: 3, Payment: 100}); !a.Admitted {
+		t.Fatalf("A over [1,3] rejected: %+v", a)
+	}
+	e.Tick()
+	e.Tick()
+	if e.Slot() != 3 || e.WindowBase() != 1 {
+		t.Fatalf("slot %d base %d, want slot 3 with A holding the base at 1", e.Slot(), e.WindowBase())
+	}
+	sched.armed = true
+	b := submit(t, e, AdmissionRequest{VNF: 0, Reliability: 0.9, Arrival: 3, Duration: 2, Payment: 100})
+	if !b.Admitted || e.Slot() != 4 {
+		t.Fatalf("B over [3,4]: %+v at slot %d, want admitted with the clock at 4", b, e.Slot())
+	}
+	if base := e.WindowBase(); base != 3 {
+		t.Fatalf("window base %d after A expired under the straggler B, want B's first slot 3", base)
+	}
+	if rec, ok := e.Placement(b.ID); !ok || rec.State != StateActive || rec.ReservedFrom != 3 {
+		t.Fatalf("B = %+v, %v, want live from 3", rec, ok)
+	}
+	e.Tick()
+	if base := e.WindowBase(); base != 5 {
+		t.Fatalf("window base %d after B expired at slot 5, want 5", base)
+	}
+}

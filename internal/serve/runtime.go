@@ -210,10 +210,7 @@ func (e *Engine) repairLocked(rec *PlacementRecord) bool {
 	// member was the last to cover, so a group whose backup cloudlet died
 	// dissolves as its members are re-placed.
 	e.releaseFootprint(rec)
-	rec.Placement = placement
-	// The released old footprint no longer pins the rolling window open, so
-	// the base may advance past it on the next tick.
-	e.book.rebase(rec, e.slot)
+	rec.Placement, rec.ReservedFrom = placement, e.slot
 	e.book.refile(rec)
 	rt.injector.Rewatch(rec.ID, watchedAssignments(placement))
 	return true

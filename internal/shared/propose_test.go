@@ -142,8 +142,8 @@ func newChurnRig(tb testing.TB) *churnRig {
 }
 
 // step decides one slot's requests, then ticks the clock as serve.Engine
-// does: release what ended, advance ledger and scheduler to the oldest live
-// arrival. It returns the number admitted.
+// does: release what ended, advance the ledger towards the clock and the
+// scheduler to the base the ledger reached. It returns the number admitted.
 func (c *churnRig) step() (admitted int) {
 	for i := 0; i < churnPerSlot; i++ {
 		req := c.reqs[c.sent%len(c.reqs)]
@@ -177,16 +177,10 @@ func (c *churnRig) step() (admitted int) {
 	}
 	*cell = (*cell)[:0]
 	c.slot++
-	base := c.slot
-	for _, live := range c.expiring {
-		for _, b := range live {
-			base = min(base, b.req.Arrival)
-		}
-	}
-	if err := c.led.Advance(base); err != nil {
+	if err := c.led.Advance(c.slot); err != nil {
 		c.tb.Fatal(err)
 	}
-	c.s.AdvanceWindow(base)
+	c.s.AdvanceWindow(c.led.Base())
 	return admitted
 }
 

@@ -170,8 +170,8 @@ func (r *refScheduler) decide(req core.Request, view core.CapacityView) (primary
 
 // rig drives one scheduler the way the serve engine does: admitted
 // footprints are booked in a rolling ledger and pool, released when their
-// window ends, and the window base follows the clock pinned by the oldest
-// live footprint.
+// window ends, and the window base follows the clock up to the first slot
+// a live footprint holds.
 type rig struct {
 	t      *testing.T
 	demand func(vnf int) int
@@ -215,14 +215,10 @@ func (r *rig) book(b booking) {
 // window base.
 func (r *rig) tick(slot int) int {
 	r.t.Helper()
-	base := slot
 	kept := r.live[:0]
 	for _, b := range r.live {
 		if b.req.End() >= slot {
 			kept = append(kept, b)
-			if b.req.Arrival < base {
-				base = b.req.Arrival
-			}
 			continue
 		}
 		d := r.demand(b.req.VNF)
@@ -234,10 +230,10 @@ func (r *rig) tick(slot int) int {
 		}
 	}
 	r.live = kept
-	if err := r.led.Advance(base); err != nil {
+	if err := r.led.Advance(slot); err != nil {
 		r.t.Fatal(err)
 	}
-	return base
+	return r.led.Base()
 }
 
 // churn draws the request stream of one slot: arrivals up to two slots

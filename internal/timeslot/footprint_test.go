@@ -164,17 +164,16 @@ func (m *fpModel) release(start, duration int, claims []Claim, pooled Pooled) {
 	}
 }
 
-// advance is the model's Advance: refused while a retiring slot holds units.
-func (m *fpModel) advance(base int) bool {
-	for t := m.base; t < base; t++ {
+// advance is the model's Advance: the base moves towards base and stops at
+// the first slot where some cloudlet still holds units.
+func (m *fpModel) advance(base int) {
+	for ; m.base < base; m.base++ {
 		for j := range m.caps {
-			if m.used[[2]int{j, t}] != 0 {
-				return false
+			if m.used[[2]int{j, m.base}] != 0 {
+				return
 			}
 		}
 	}
-	m.base = base
-	return true
 }
 
 // fpBooking is one footprint the test holds, to release exactly later.
@@ -262,7 +261,7 @@ func TestFootprintMatchesModel(t *testing.T) {
 			for op := 0; op < ops; op++ {
 				if rolling && op%10 == 9 {
 					// The clock moves; half the time the stragglers leave first,
-					// otherwise the advance must be refused while they hold on.
+					// otherwise the base must stop at the first slot they hold.
 					clock += 1 + rng.Intn(2)
 					if rng.Intn(2) == 0 {
 						for i := len(held) - 1; i >= 0; i-- {
@@ -271,16 +270,17 @@ func TestFootprintMatchesModel(t *testing.T) {
 							}
 						}
 					}
-					epoch := led.epoch.Load()
-					moved := m.advance(clock)
-					if err := led.Advance(clock); (err == nil) != moved {
-						t.Fatalf("seed %d op %d: Advance(%d) = %v, model moved=%v", seed, op, clock, err, moved)
+					epoch, from := led.epoch.Load(), m.base
+					m.advance(clock)
+					if err := led.Advance(clock); err != nil {
+						t.Fatalf("seed %d op %d: Advance(%d): %v", seed, op, clock, err)
 					}
-					if !moved && led.epoch.Load() != epoch {
-						t.Fatalf("seed %d op %d: refused Advance bumped the epoch", seed, op)
+					want := uint64(0)
+					if m.base != from {
+						want = 1
 					}
-					if !moved {
-						clock = m.base
+					if moved := led.epoch.Load() - epoch; moved != want {
+						t.Fatalf("seed %d op %d: Advance(%d) from %d to %d moved the epoch %d times", seed, op, clock, from, m.base, moved)
 					}
 					audit(op, "advance")
 					continue
@@ -419,6 +419,116 @@ func TestFootprintMatchesModel(t *testing.T) {
 		}
 	}
 	t.Logf("refusals by position %v, outcomes %v", refusedAt, outcomes)
+}
+
+// TestAdvanceStopsAtFirstHeldRow is the rolling window's contract as a
+// property against the map model: random footprints — claims, pooled joins
+// and leaves of groups that outlive their members — and releases,
+// interleaved with advances by 0 to W+2 slots, now and then over a drained
+// ledger. After each Advance(to) the base is min(to, the first slot in the
+// window still holding units), so no held unit is ever retired: every cell
+// still matches the model and every footprint still held releases whole.
+func TestAdvanceStopsAtFirstHeldRow(t *testing.T) {
+	const window = 6
+	caps := []int{6, 4, 8}
+	moves := map[string]int{}
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		led, err := NewRolling(caps, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := NewPool(led)
+		m := &fpModel{caps: caps, window: window, base: 1, used: map[[2]int]int{}, groups: map[int]*fpGroup{}}
+		var held []fpBooking
+		release := func(op, i int) {
+			t.Helper()
+			b := held[i]
+			if err := pool.ReleaseAll(b.start, b.duration, b.claims, b.pooled); err != nil {
+				t.Fatalf("seed %d op %d: release of held %+v at base %d: %v", seed, op, b, led.Base(), err)
+			}
+			m.release(b.start, b.duration, b.claims, b.pooled)
+			held = append(held[:i], held[i+1:]...)
+		}
+		for op := 0; op < 400; op++ {
+			switch k := rng.Intn(10); {
+			case k < 4:
+				duration := 1 + rng.Intn(3)
+				start := m.base + rng.Intn(window-duration+1)
+				claims := make([]Claim, rng.Intn(3))
+				for c := range claims {
+					claims[c] = Claim{Cloudlet: rng.Intn(len(caps)), Units: 1 + rng.Intn(2)}
+				}
+				var pooled Pooled
+				if len(claims) == 0 || rng.Intn(2) == 0 {
+					g := 1 + rng.Intn(3)
+					pooled = Pooled{Group: g, Cloudlet: g % len(caps), Units: g}
+				}
+				ok, err := pool.ReserveAll(start, duration, claims, pooled, false)
+				if err != nil {
+					t.Fatalf("seed %d op %d: reserve: %v", seed, op, err)
+				}
+				if ok {
+					if out, _ := m.reserve(start, duration, claims, pooled, false); out != fpAccepted {
+						t.Fatalf("seed %d op %d: the ledger booked what the model refuses", seed, op)
+					}
+					held = append(held, fpBooking{start, duration, claims, pooled})
+				}
+			case k < 7 && len(held) > 0:
+				release(op, rng.Intn(len(held)))
+			default:
+				if rng.Intn(8) == 0 {
+					for len(held) > 0 {
+						release(op, len(held)-1)
+					}
+				}
+				from := m.base
+				to := from + rng.Intn(window+3)
+				want := to
+			scan:
+				for s := from; s < to; s++ {
+					for j := range caps {
+						if m.used[[2]int{j, s}] != 0 {
+							want = s
+							break scan
+						}
+					}
+				}
+				if err := led.Advance(to); err != nil {
+					t.Fatalf("seed %d op %d: Advance(%d) from %d: %v", seed, op, to, from, err)
+				}
+				if got := led.Base(); got != want {
+					t.Fatalf("seed %d op %d: Advance(%d) from %d reached %d, the first held slot bounds it at %d",
+						seed, op, to, from, got, want)
+				}
+				switch {
+				case want == to && to-from >= window:
+					moves["jump"]++
+				case want < to:
+					moves["stopped"]++
+				}
+				m.base = want
+			}
+			for s := m.base; s < m.base+window; s++ {
+				for j := range caps {
+					if got, w := led.Used(j, s), m.used[[2]int{j, s}]; got != w {
+						t.Fatalf("seed %d op %d: cloudlet %d slot %d used %d, model %d", seed, op, j, s, got, w)
+					}
+				}
+			}
+			for _, b := range held {
+				if b.start < m.base {
+					t.Fatalf("seed %d op %d: held %+v starts before base %d", seed, op, b, m.base)
+				}
+			}
+		}
+		for len(held) > 0 {
+			release(-1, len(held)-1)
+		}
+	}
+	if moves["jump"] == 0 || moves["stopped"] == 0 {
+		t.Errorf("the stream never exercised both a jump past the window and a stop at a held row: %v", moves)
+	}
 }
 
 // TestPooledFootprintBumpsEpochOnce pins what a shared admission and its

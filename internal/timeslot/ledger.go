@@ -15,11 +15,11 @@
 //     bit-for-bit by the golden tests.
 //   - Rolling (NewRolling): a circular window of W slots anchored at a
 //     monotonically advancing base. The live window is [base, base+W-1];
-//     Advance(base') retires the slots in [base, base'-1], asserting each
-//     retired row drained back to zero usage, and recycles their storage
-//     for the slots entering the far edge of the window. This is the mode
-//     a continuously operating daemon runs: the clock never falls off the
-//     end of the horizon.
+//     Advance(base') retires the slots of [base, base'-1] up to the first
+//     row still holding units, and recycles their storage for the slots
+//     entering the far edge of the window. This is the mode a continuously
+//     operating daemon runs: the clock never falls off the end of the
+//     horizon.
 //
 // All addressing is in absolute slot numbers in both modes; the ring
 // arithmetic is internal. A fixed ledger is exactly a rolling ledger whose
@@ -126,10 +126,6 @@ var (
 	ErrUnderflow    = errors.New("timeslot: release exceeds recorded usage")
 	// ErrFixedHorizon reports an Advance against a fixed-horizon ledger.
 	ErrFixedHorizon = errors.New("timeslot: ledger has a fixed horizon")
-	// ErrNotDrained reports an Advance that would recycle a slot still
-	// holding reservations. The ledger is left unchanged; the caller must
-	// release (or wait out) the straddling reservation before advancing.
-	ErrNotDrained = errors.New("timeslot: recycled slot has not drained to zero")
 )
 
 // Ledger records the computing units in use in each cloudlet at each slot
@@ -505,15 +501,15 @@ func (l *Ledger) Release(cloudlet, start, duration, units int) error {
 	return err
 }
 
-// Advance moves a rolling ledger's window forward so it starts at base.
-// Every retired slot in [old base, base-1] must have drained back to zero
-// usage in every cloudlet — a retired row still holding units means a
-// reservation straddles the advancing base, and Advance refuses with
-// ErrNotDrained, leaving the ledger unchanged, so the caller can retry
-// after the straggler is released. Retired rows are recycled for the slots
-// entering at [old base+W, base+W-1], which therefore start empty. Moving
-// backward is an ErrBadSlot; advancing to the current base is a no-op; a
-// fixed-horizon ledger refuses with ErrFixedHorizon.
+// Advance moves a rolling ledger's window forward towards base, as far as
+// its rows have drained: it retires the slots from the current base in
+// order while every cloudlet's row at the slot is zero, and stops at the
+// first row that still holds units — a footprint that must stay
+// addressable until it is released. Base reports where the window ended
+// up. The retired rows are recycled, empty, for the slots entering at the
+// far edge. When every one of the W rows has drained the window jumps
+// straight to base. Moving backward is an ErrBadSlot; a fixed-horizon
+// ledger refuses with ErrFixedHorizon.
 func (l *Ledger) Advance(base int) error {
 	if !l.rolling {
 		return fmt.Errorf("%w: cannot advance to %d", ErrFixedHorizon, base)
@@ -524,33 +520,34 @@ func (l *Ledger) Advance(base int) error {
 	if base < cur {
 		return fmt.Errorf("%w: advance to %d behind base %d", ErrBadSlot, base, cur)
 	}
-	retire := base - cur
+	retire := 0
+	for i := origin; retire < base-cur && retire < l.window && l.drainedLocked(i); retire++ {
+		if i++; i == l.window {
+			i = 0
+		}
+	}
+	if retire == l.window {
+		retire = base - cur
+	}
 	if retire == 0 {
 		return nil
-	}
-	// Check every retired row drained before mutating anything: Advance is
-	// all-or-nothing. Advancing by ≥ W retires the whole ring once.
-	checked := retire
-	if checked > l.window {
-		checked = l.window
-	}
-	for k := 0; k < checked; k++ {
-		i := origin + k
-		if i >= l.window {
-			i -= l.window
-		}
-		for j := range l.caps {
-			if u := l.used[j][i]; u != 0 {
-				return fmt.Errorf("%w: cloudlet %d slot %d still holds %d units",
-					ErrNotDrained, j, cur+k, u)
-			}
-		}
 	}
 	// Retired rows are zero, so the slots entering the window reuse them
 	// as-is: re-basing is pure geometry.
 	l.epoch.Add(1)
-	l.geom.Store(packGeom(base, (origin+retire%l.window)%l.window))
+	l.geom.Store(packGeom(cur+retire, (origin+retire%l.window)%l.window))
 	return nil
+}
+
+// drainedLocked reports whether every cloudlet's row at ring index i is
+// zero. Caller holds mu.
+func (l *Ledger) drainedLocked(i int) bool {
+	for j := range l.caps {
+		if l.used[j][i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // checkArgsAt validates mutating-call arguments against an already-read

@@ -39,11 +39,9 @@ var (
 // groups. A group's refcounts are a ring of Window() counters addressed as
 // the ledger's rows are: live slots map to distinct cells whatever the
 // base, and every call refuses slots outside the window before touching the
-// ring. No cell needs clearing when the window moves: Advance refuses to
-// retire a slot that holds units, which by the invariant above every cell
-// with references does, so a slot entering the window inherits a zero. In
-// rolling mode the engine releases expired members before advancing the
-// ledger, so retired slots have always drained their pooled rows.
+// ring. No cell needs clearing when the window moves: Advance stops at the
+// first slot that holds units, which by the invariant above every cell with
+// references does, so a slot entering the window inherits a zero.
 type Pool struct {
 	led *Ledger
 }

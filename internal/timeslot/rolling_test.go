@@ -93,9 +93,10 @@ func TestAdvanceNoOpAndBackward(t *testing.T) {
 	}
 }
 
-// TestAdvanceStraddlingReservation is the satellite edge case: a
-// reservation straddling the advancing base must refuse the advance with
-// ErrNotDrained and leave the ledger bit-identical.
+// TestAdvanceStraddlingReservation is the satellite edge case: an advance
+// over a reservation straddling the target base retires the drained slots
+// before it, stops at its first slot and leaves every row as it was; once
+// the reservation is released the window moves on.
 func TestAdvanceStraddlingReservation(t *testing.T) {
 	l, err := NewRolling([]int{5, 5}, 6)
 	if err != nil {
@@ -107,32 +108,26 @@ func TestAdvanceStraddlingReservation(t *testing.T) {
 		t.Fatalf("Reserve: %v", err)
 	}
 	before := l.Clone()
-	err = l.Advance(3)
-	if !errors.Is(err, ErrNotDrained) {
-		t.Fatalf("Advance over straddler err = %v, want ErrNotDrained", err)
+	if err := l.Advance(3); err != nil {
+		t.Fatalf("Advance over straddler: %v", err)
 	}
-	// All-or-nothing: geometry and every row unchanged.
-	if l.Base() != before.Base() {
-		t.Fatalf("base mutated to %d by refused Advance", l.Base())
+	if l.Base() != 2 {
+		t.Fatalf("base = %d after advancing over a reservation from 2, want 2", l.Base())
 	}
 	for j := 0; j < l.Cloudlets(); j++ {
 		for s := l.Base(); s <= l.MaxSlot(); s++ {
 			if l.Used(j, s) != before.Used(j, s) {
-				t.Fatalf("Used(%d,%d) = %d, want %d (refused Advance must not mutate)",
+				t.Fatalf("Used(%d,%d) = %d, want %d (an advance must not touch a live row)",
 					j, s, l.Used(j, s), before.Used(j, s))
 			}
 		}
 	}
-	// Advancing up to (not past) the straddler is fine.
-	if err := l.Advance(2); err != nil {
-		t.Fatalf("Advance(2) with reservation starting at 2: %v", err)
-	}
-	// Release the straddler; the advance now succeeds.
+	// Release the straddler; the advance now goes all the way.
 	if err := l.Release(1, 2, 3, 2); err != nil {
 		t.Fatalf("Release: %v", err)
 	}
-	if err := l.Advance(5); err != nil {
-		t.Fatalf("Advance after drain: %v", err)
+	if err := l.Advance(5); err != nil || l.Base() != 5 {
+		t.Fatalf("Advance(5) after drain: base %d, %v, want 5", l.Base(), err)
 	}
 }
 
@@ -400,10 +395,12 @@ func TestRollingConcurrentAdvance(t *testing.T) {
 	}
 	// Advancer: move the base forward whenever the front has drained.
 	for advanced := 0; advanced < 3*window; {
-		if err := l.Advance(l.Base() + 1); err == nil {
-			advanced++
-		} else if !errors.Is(err, ErrNotDrained) {
+		base := l.Base()
+		if err := l.Advance(base + 1); err != nil {
 			t.Fatalf("Advance: %v", err)
+		}
+		if l.Base() != base {
+			advanced++
 		}
 	}
 	close(stop)
