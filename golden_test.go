@@ -270,7 +270,7 @@ func TestAdmittedPlacementsMeetRequirementUnderOracle(t *testing.T) {
 				}
 				var pool *oracle.Pool
 				if b := p.Backup; b != nil {
-					pool = &oracle.Pool{Rc: n.Cloudlets[b.Cloudlet].Reliability, PeerRel: rf * worst, Peers: b.PoolSize - 1}
+					pool = &oracle.Pool{Rc: n.Cloudlets[b.Cloudlet].Reliability, Peers: oracle.Peers(rf*worst, b.PoolSize-1)}
 				}
 				avail := oracle.Availability(rf, sites, pool)
 				if avail+1e-12 < req.Reliability {

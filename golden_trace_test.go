@@ -21,7 +21,7 @@ import (
 //   - the traced dual-price quantities reproduce the admission test
 //     exactly: recomputing the on-site payment test
 //     (BestCloudlet ≥ 0 && pay − BestCost > 0) and the off-site weight
-//     test (WeightsSatisfy(TotalWeight, NeedWeight)) from the trace alone
+//     test (MeetsRequirement(TotalWeight, NeedWeight)) from the trace alone
 //     yields the recorded verdict for all 500 requests;
 //   - the reason-code distribution and a sample of argmin cloudlets are
 //     pinned, so a change in tie-breaking or pricing shows up even if the
@@ -132,7 +132,7 @@ func TestGoldenDecisionTraces(t *testing.T) {
 				case revnf.OnSite:
 					replayed = a.BestCloudlet >= 0 && a.Payment-a.BestCost > 0
 				case revnf.OffSite:
-					replayed = core.WeightsSatisfy(a.TotalWeight, a.NeedWeight)
+					replayed = core.MeetsRequirement(a.TotalWeight, a.NeedWeight)
 				}
 				if replayed != a.Admit {
 					t.Fatalf("request %d: replaying the admission test from the trace gives %v, recorded verdict %v (best=%d cost=%v pay=%v need=%v total=%v)",

@@ -188,7 +188,7 @@ func (g *GreedyOffsite) Propose(req core.Request, view core.CapacityView) (core.
 			cands = append(cands, trace.Candidate{Cloudlet: j, Instances: 1,
 				Weight: g.rel.OffsiteWeight(req.VNF, j), Residual: resid, Chosen: true})
 		}
-		if core.WeightsSatisfy(totalWeight, needWeight) {
+		if core.MeetsRequirement(totalWeight, needWeight) {
 			if tracing {
 				recordWeighted(g.rec, req, g.Name(), cands, assignments[0].Cloudlet,
 					assignments, needWeight, totalWeight, trace.ReasonAdmitted)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"revnf/internal/core"
+	"revnf/internal/oracle"
 	"revnf/internal/timeslot"
 )
 
@@ -152,7 +153,7 @@ func TestGreedyOffsiteRejectsUnattainable(t *testing.T) {
 	n := testNetwork()
 	g, _ := NewGreedyOffsite(n)
 	view := newLedger(t, n, 5)
-	all := core.OffsiteReliability(0.95, []float64{0.97, 0.999, 0.95})
+	all := oracle.Availability(0.95, []oracle.Site{{Rc: 0.97, N: 1}, {Rc: 0.999, N: 1}, {Rc: 0.95, N: 1}}, nil)
 	req := core.Request{ID: 0, VNF: 0, Reliability: all + (1-all)/2, Arrival: 1, Duration: 1, Payment: 5}
 	if _, ok := g.Decide(req, view); ok {
 		t.Error("unattainable requirement admitted")

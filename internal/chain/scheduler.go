@@ -295,7 +295,7 @@ func (s *OffsiteScheduler) placeStage(req Request, vnf int, target, stagePay flo
 		}
 		assignments = append(assignments, core.Assignment{Cloudlet: c.cloudlet, Instances: 1})
 		totalWeight += c.weight
-		if core.WeightsSatisfy(totalWeight, needWeight) {
+		if core.MeetsRequirement(totalWeight, needWeight) {
 			return StagePlacement{VNF: vnf, Assignments: assignments}, true
 		}
 	}
@@ -425,11 +425,11 @@ func (g *GreedyOffsite) Propose(req Request, view core.CapacityView) (Placement,
 			}
 			assignments = append(assignments, core.Assignment{Cloudlet: j, Instances: 1})
 			totalWeight += core.OffsiteWeight(rf, g.network.Cloudlets[j].Reliability)
-			if core.WeightsSatisfy(totalWeight, needWeight) {
+			if core.MeetsRequirement(totalWeight, needWeight) {
 				break
 			}
 		}
-		if !core.WeightsSatisfy(totalWeight, needWeight) {
+		if !core.MeetsRequirement(totalWeight, needWeight) {
 			return Placement{}, false
 		}
 		for _, a := range assignments {

@@ -35,7 +35,7 @@ const (
 	// Shared places one primary instance in a cloudlet and enrolls the
 	// request in a backup group: a single pooled backup instance on a
 	// second cloudlet shared by up to PoolSize admitted requests, with
-	// correlated-failure (occupancy) accounting — see SharedReliability.
+	// correlated-failure (occupancy) accounting — see SharedReliabilityK.
 	Shared
 )
 

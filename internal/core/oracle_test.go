@@ -8,6 +8,16 @@ import (
 	"revnf/internal/oracle"
 )
 
+// eq10 is Eq. (10) as the paper writes it, 1 − Π_j (1 − r(f)·r(c_j)): the
+// availability of one instance in each of the cloudlets rcs.
+func eq10(rf float64, rcs []float64) float64 {
+	fail := 1.0
+	for _, rc := range rcs {
+		fail *= 1 - rf*rc
+	}
+	return 1 - fail
+}
+
 // oracleNetwork draws a network whose rates are far enough from 0 and 1
 // that every enumerated outcome carries weight.
 func oracleNetwork(rng *rand.Rand) *Network {
@@ -65,8 +75,8 @@ func TestAvailabilityMatchesOracle(t *testing.T) {
 			}
 		case single:
 			shapes["one instance per site"]++
-			if closed := OffsiteReliability(rf, rcs); got != closed {
-				t.Fatalf("trial %d: %v = %v, OffsiteReliability %v: not Eq. (10)'s bits", trial, sites, got, closed)
+			if closed := eq10(rf, rcs); got != closed {
+				t.Fatalf("trial %d: %v = %v, Eq. (10) %v: not its bits", trial, sites, got, closed)
 			}
 		default:
 			shapes["mixed"]++
@@ -114,7 +124,7 @@ func TestPlacementAvailabilityMatchesOracle(t *testing.T) {
 				worst = math.Min(worst, cl.Reliability)
 			}
 			want = oracle.Availability(rf, []oracle.Site{{Rc: rc(0), N: 1}},
-				&oracle.Pool{Rc: rc(1), PeerRel: rf * worst, Peers: p.Backup.PoolSize - 1})
+				&oracle.Pool{Rc: rc(1), Peers: oracle.Peers(rf*worst, p.Backup.PoolSize-1)})
 		}
 		got := p.Availability(n, req)
 		if math.Abs(got-want) > 1e-12 {

@@ -36,9 +36,9 @@ func TestOnsiteReliabilityMonotoneQuick(t *testing.T) {
 	}
 }
 
-// Property (testing/quick): off-site availability is monotone in the
-// cloudlet set — adding a cloudlet never lowers availability — and is
-// bounded by 1.
+// Property (testing/quick): off-site availability — Availability of one
+// instance per cloudlet — is monotone in the cloudlet set (adding a
+// cloudlet never lowers it) and bounded by 1.
 func TestOffsiteReliabilityMonotoneQuick(t *testing.T) {
 	clamp := func(x float64) float64 {
 		frac := math.Mod(math.Abs(x), 1)
@@ -48,19 +48,20 @@ func TestOffsiteReliabilityMonotoneQuick(t *testing.T) {
 		return 0.05 + 0.9*frac
 	}
 	f := func(rfSeed float64, rcSeeds []float64, extraSeed float64) bool {
-		rf := clamp(rfSeed)
-		rcs := make([]float64, 0, len(rcSeeds))
-		for _, s := range rcSeeds {
-			rcs = append(rcs, clamp(s))
-			if len(rcs) == 8 {
-				break
-			}
+		if len(rcSeeds) > 8 {
+			rcSeeds = rcSeeds[:8]
 		}
-		base := OffsiteReliability(rf, rcs)
+		n := &Network{Catalog: []VNF{{Reliability: clamp(rfSeed)}}}
+		var sites []Assignment
+		for _, s := range append(rcSeeds, extraSeed) {
+			sites = append(sites, Assignment{Cloudlet: len(n.Cloudlets), Instances: 1})
+			n.Cloudlets = append(n.Cloudlets, Cloudlet{Reliability: clamp(s)})
+		}
+		base := Availability(n, 0, sites[:len(sites)-1])
 		if base < 0 || base > 1 {
 			return false
 		}
-		grown := OffsiteReliability(rf, append(rcs, clamp(extraSeed)))
+		grown := Availability(n, 0, sites)
 		return grown >= base-1e-12 && grown <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

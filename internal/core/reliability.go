@@ -15,6 +15,8 @@ const relEpsilon = 1e-12
 // MeetsRequirement is the paper's inequality P(A_i) ≥ R_i as every consumer
 // compares it — the admission gate, the repair health check, chain
 // placements, the SLO ledger — so no two of them disagree at the boundary.
+// Section V's log-domain form compares the same way: the summed
+// OffsiteWeights against RequirementWeight(R_i).
 func MeetsRequirement(avail, req float64) bool {
 	return avail+relEpsilon >= req
 }
@@ -31,8 +33,8 @@ func MeetsRequirement(avail, req float64) bool {
 // OnsiteReliability — the expression ReliabilityTable's steps are read off,
 // so the gate cannot refuse at a knife edge what the table just proposed —
 // and a single-instance site among several contributes Eq. (10)'s factor
-// 1 − r(f)·r(c_j) as OffsiteReliability writes it. A site without instances
-// contributes nothing; an empty footprint has availability 0.
+// 1 − r(f)·r(c_j) as written there. A site without instances contributes
+// nothing; an empty footprint has availability 0.
 func Availability(n *Network, vnf int, sites []Assignment) float64 {
 	rf := n.Catalog[vnf].Reliability
 	if len(sites) == 1 {
@@ -86,22 +88,11 @@ func OnsiteReliability(rf, rc float64, n int) float64 {
 	return rc * (1 - math.Pow(1-rf, float64(n)))
 }
 
-// OffsiteReliability returns 1 - Π(1 - rf·rc_j) over the supplied cloudlet
-// reliabilities: the availability of a request with one instance of a VNF
-// with reliability rf in each of the cloudlets (Eq. (10)): the reference
-// tests hold schedulers and Availability to; serving code asks Availability.
-func OffsiteReliability(rf float64, rcs []float64) float64 {
-	fail := 1.0
-	for _, rc := range rcs {
-		fail *= 1 - rf*rc
-	}
-	return 1 - fail
-}
-
 // OffsiteWeight returns w = -ln(1 - rf·rc), the log-domain reliability
 // contribution of placing one instance in a cloudlet with reliability rc
 // (Section V). Weights are additive: a cloudlet set meets requirement req
-// iff the sum of its weights is at least RequirementWeight(req).
+// iff the sum of its weights is at least RequirementWeight(req)
+// (MeetsRequirement).
 func OffsiteWeight(rf, rc float64) float64 {
 	return -math.Log(1 - rf*rc)
 }
@@ -110,10 +101,4 @@ func OffsiteWeight(rf, rc float64) float64 {
 // the summed OffsiteWeights of the chosen cloudlets must reach.
 func RequirementWeight(req float64) float64 {
 	return -math.Log(1 - req)
-}
-
-// WeightsSatisfy reports whether a total log-domain weight meets the
-// requirement weight, with floating-point tolerance.
-func WeightsSatisfy(totalWeight, requirementWeight float64) bool {
-	return totalWeight+relEpsilon >= requirementWeight
 }

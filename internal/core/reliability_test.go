@@ -100,23 +100,32 @@ func TestOnsiteReliabilityEdges(t *testing.T) {
 	}
 }
 
+// TestOffsiteReliability pins Eq. (10) by hand: Availability of one
+// instance in no cloudlet, in one and in each of two.
 func TestOffsiteReliability(t *testing.T) {
-	if got := OffsiteReliability(0.9, nil); got != 0 {
+	n := &Network{
+		Catalog: []VNF{{ID: 0, Name: "f", Demand: 1, Reliability: 0.9}},
+		Cloudlets: []Cloudlet{
+			{ID: 0, Node: -1, Capacity: 1, Reliability: 0.99},
+			{ID: 1, Node: -1, Capacity: 1, Reliability: 0.95},
+		},
+	}
+	if got := Availability(n, 0, nil); got != 0 {
 		t.Errorf("no cloudlets availability = %v, want 0", got)
 	}
-	got := OffsiteReliability(0.9, []float64{0.99})
+	got := Availability(n, 0, []Assignment{{Cloudlet: 0, Instances: 1}})
 	want := 0.9 * 0.99
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("one cloudlet = %v, want %v", got, want)
 	}
-	got = OffsiteReliability(0.9, []float64{0.99, 0.95})
+	got = Availability(n, 0, []Assignment{{Cloudlet: 0, Instances: 1}, {Cloudlet: 1, Instances: 1}})
 	want = 1 - (1-0.9*0.99)*(1-0.9*0.95)
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("two cloudlets = %v, want %v", got, want)
 	}
 }
 
-// Property: the log-domain weight test agrees with the direct product form.
+// Property: the log-domain weight test agrees with Eq. (10)'s product form.
 func TestWeightEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	f := func() bool {
@@ -129,12 +138,12 @@ func TestWeightEquivalenceProperty(t *testing.T) {
 			total += OffsiteWeight(rf, rcs[i])
 		}
 		req := 0.5 + 0.4999*rng.Float64()
-		direct := OffsiteReliability(rf, rcs)+relEpsilon >= req
-		logdom := WeightsSatisfy(total, RequirementWeight(req))
+		direct := MeetsRequirement(eq10(rf, rcs), req)
+		logdom := MeetsRequirement(total, RequirementWeight(req))
 		// The two tests may disagree only within floating-point noise of
 		// the boundary.
 		if direct != logdom {
-			return math.Abs(OffsiteReliability(rf, rcs)-req) < 1e-9
+			return math.Abs(eq10(rf, rcs)-req) < 1e-9
 		}
 		return true
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,7 +29,8 @@ func tableNetwork(t testing.TB, vnfs, cloudlets int, rng *rand.Rand) *Network {
 
 // TestReliabilityTableMatchesClosedForm fuzzes the cached lookups against
 // the uncached functions: the table must be bit-identical in both the
-// instance counts and the off-site weights, including the error cases.
+// instance counts and the off-site weights, and refuse what the closed form
+// refuses.
 func TestReliabilityTableMatchesClosedForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := tableNetwork(t, 8, 12, rng)
@@ -46,25 +46,9 @@ func TestReliabilityTableMatchesClosedForm(t *testing.T) {
 		rc := n.Cloudlets[j].Reliability
 
 		want, wantErr := OnsiteInstances(rf, rc, req)
-		got, gotErr := table.OnsiteInstances(f, j, req)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("trial %d: error mismatch: table %v, closed form %v", trial, gotErr, wantErr)
-		}
-		if wantErr != nil {
-			if !errors.Is(gotErr, ErrInfeasible) && !errors.Is(gotErr, ErrBadReliability) {
-				t.Fatalf("trial %d: unexpected error class %v", trial, gotErr)
-			}
-			if rc > req && errors.Is(gotErr, ErrInfeasible) {
-				t.Fatalf("trial %d: ErrInfeasible for a requirement below rc", trial)
-			}
-			continue
-		}
-		if got != want {
-			t.Fatalf("trial %d: OnsiteInstances(rf=%v, rc=%v, req=%v): table %d, closed form %d",
-				trial, rf, rc, req, got, want)
-		}
-		if n, ok := table.OnsiteInstancesOK(f, j, req); !ok || n != want {
-			t.Fatalf("trial %d: OnsiteInstancesOK = (%d, %v), want (%d, true)", trial, n, ok, want)
+		if got, ok := table.OnsiteInstancesOK(f, j, req); ok != (wantErr == nil) || got != want {
+			t.Fatalf("trial %d: OnsiteInstances(rf=%v, rc=%v, req=%v): table (%d, %v), closed form (%d, %v)",
+				trial, rf, rc, req, got, ok, want, wantErr)
 		}
 		if w, cw := table.OffsiteWeight(f, j), OffsiteWeight(rf, rc); w != cw {
 			t.Fatalf("trial %d: OffsiteWeight: table %v, closed form %v", trial, w, cw)
@@ -73,7 +57,7 @@ func TestReliabilityTableMatchesClosedForm(t *testing.T) {
 }
 
 // TestReliabilityTableHighReliability exercises the near-saturation regime
-// where the ladder truncates and the exact fallback takes over.
+// where the steps end and the closed form takes over.
 func TestReliabilityTableHighReliability(t *testing.T) {
 	n := &Network{
 		Catalog:   []VNF{{ID: 0, Name: "f", Demand: 1, Reliability: 0.01}},
@@ -85,9 +69,8 @@ func TestReliabilityTableHighReliability(t *testing.T) {
 	}
 	for _, req := range []float64{0.3, 0.9, 0.99, 0.9999, 0.999998} {
 		want, wantErr := OnsiteInstances(0.01, 0.999999, req)
-		got, gotErr := table.OnsiteInstances(0, 0, req)
-		if (wantErr == nil) != (gotErr == nil) || got != want {
-			t.Fatalf("req %v: table (%d, %v), closed form (%d, %v)", req, got, gotErr, want, wantErr)
+		if got, ok := table.OnsiteInstancesOK(0, 0, req); ok != (wantErr == nil) || got != want {
+			t.Fatalf("req %v: table (%d, %v), closed form (%d, %v)", req, got, ok, want, wantErr)
 		}
 	}
 }
@@ -151,31 +134,33 @@ func ulps(x float64, n int) float64 {
 	return x
 }
 
-// checkOnsiteSteps compares the step lookup with the uncached computation
-// for one pair, at every requirement where the two could part: around each
-// stored step, around each ladder rung and its tolerance edge, up against
+// checkOnsiteSteps compares the step lookup with OnsiteInstances for one
+// pair, at every requirement where the two could part: around each stored
+// step, around each rung rc·(1-(1-rf)^n) and its tolerance edge, up against
 // rc, outside (0, 1), and at random requirements.
 func checkOnsiteSteps(t *testing.T, table *ReliabilityTable, f, j, randoms int, rng *rand.Rand) {
 	t.Helper()
+	rf, rc := table.rfs[f], table.rcs[j]
 	check := func(req float64) {
 		t.Helper()
-		want, wantOK := table.onsiteUncached(f, j, req)
-		got, gotOK := table.OnsiteInstancesOK(f, j, req)
-		if got != want || gotOK != wantOK {
-			t.Fatalf("rf=%v rc=%v req=%v (%#x): steps (%d, %v), uncached (%d, %v)",
-				table.rfs[f], table.rcs[j], req, math.Float64bits(req), got, gotOK, want, wantOK)
+		want, err := OnsiteInstances(rf, rc, req)
+		got, ok := table.OnsiteInstancesOK(f, j, req)
+		if got != want || ok != (err == nil) {
+			t.Fatalf("rf=%v rc=%v req=%v (%#x): steps (%d, %v), closed form (%d, %v)",
+				rf, rc, req, math.Float64bits(req), got, ok, want, err)
 		}
 	}
 	steps := table.steps[f*len(table.rcs)+j]
 	for i, s := range steps {
 		if i > 0 && s < steps[i-1] {
-			t.Fatalf("rf=%v rc=%v: steps not ascending at %d: %v", table.rfs[f], table.rcs[j], i, steps)
+			t.Fatalf("rf=%v rc=%v: steps not ascending at %d: %v", rf, rc, i, steps)
 		}
 		for d := -4; d <= 4; d++ {
 			check(ulps(s, d))
 		}
 	}
-	for _, rung := range table.ladder[f][j] {
+	for n := 1; n <= len(steps); n++ {
+		rung := OnsiteReliability(rf, rc, n)
 		for _, k := range []float64{0.5, 1, 2} {
 			for _, at := range []float64{rung, rung + relEpsilon} {
 				check(at - k*relEpsilon)
@@ -183,7 +168,6 @@ func checkOnsiteSteps(t *testing.T, table *ReliabilityTable, f, j, randoms int, 
 			}
 		}
 	}
-	rc := table.rcs[j]
 	for d := -8; d <= 2; d++ {
 		check(ulps(rc, d))
 	}
@@ -197,11 +181,10 @@ func checkOnsiteSteps(t *testing.T, table *ReliabilityTable, f, j, randoms int, 
 	}
 }
 
-// TestOnsiteStepsMatchClosedForm pins the step tables to the computation
-// they were bisected from — the closed-form start with the verify-and-bump
-// ladder walk, and the exact fallback past a truncated ladder — which is
-// what the lookup used to evaluate per request. The uncached path is
-// monotone in the requirement exactly when this passes at the steps.
+// TestOnsiteStepsMatchClosedForm pins the step tables to OnsiteInstances,
+// the per-request computation they stand for and the path past the last
+// step. The closed form is monotone in the requirement exactly when this
+// passes at the steps.
 func TestOnsiteStepsMatchClosedForm(t *testing.T) {
 	randoms := 5000 // ×2 probes each
 	if testing.Short() {
@@ -226,8 +209,8 @@ func TestOnsiteStepsMatchClosedForm(t *testing.T) {
 		random.Cloudlets = append(random.Cloudlets, Cloudlet{ID: j, Node: -1, Capacity: 10,
 			Reliability: 0.9 + 0.0999*rng.Float64()})
 	}
-	// TestReliabilityTableHighReliability's pair: the ladder truncates at
-	// maxThresholds and the exact fallback answers past the last step.
+	// TestReliabilityTableHighReliability's pair: the steps end at
+	// maxThresholds and the closed form answers past the last step.
 	truncated := &Network{
 		Catalog:   []VNF{{ID: 0, Name: "f", Demand: 1, Reliability: 0.01}},
 		Cloudlets: []Cloudlet{{ID: 0, Node: -1, Capacity: 10, Reliability: 0.999999}},
@@ -248,7 +231,7 @@ func TestOnsiteStepsMatchClosedForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	if steps := table.steps[0]; len(steps) != maxThresholds || steps[len(steps)-1] >= 0.9 {
-		t.Fatalf("truncated pair: %d steps ending at %v, want %d ending below the fallback's range",
+		t.Fatalf("truncated pair: %d steps ending at %v, want %d ending below the closed form's range",
 			len(steps), steps[len(steps)-1], maxThresholds)
 	}
 }
@@ -263,7 +246,7 @@ func FuzzOnsiteInstancesOK(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rf, rc, req float64) {
 		if rf < 1e-6 {
 			// 1-rf has lost the digits of rf: the closed form starts far
-			// from N and the exact fallback's verify loop walks for minutes.
+			// from N and its verify loop walks for minutes.
 			t.Skip()
 		}
 		n := &Network{
@@ -274,14 +257,9 @@ func FuzzOnsiteInstancesOK(f *testing.F) {
 		if err != nil {
 			t.Skip() // rf or rc is not a probability
 		}
-		want, wantOK := table.onsiteUncached(0, 0, req)
-		if got, ok := table.OnsiteInstancesOK(0, 0, req); got != want || ok != wantOK {
-			t.Fatalf("rf=%v rc=%v req=%v: steps (%d, %v), uncached (%d, %v)", rf, rc, req, got, ok, want, wantOK)
-		}
-		if wantOK {
-			if exact, err := OnsiteInstances(rf, rc, req); err != nil || exact != want {
-				t.Fatalf("rf=%v rc=%v req=%v: table %d, closed form (%d, %v)", rf, rc, req, want, exact, err)
-			}
+		want, err := OnsiteInstances(rf, rc, req)
+		if got, ok := table.OnsiteInstancesOK(0, 0, req); got != want || ok != (err == nil) {
+			t.Fatalf("rf=%v rc=%v req=%v: steps (%d, %v), closed form (%d, %v)", rf, rc, req, got, ok, want, err)
 		}
 	})
 }
@@ -299,22 +277,21 @@ func BenchmarkReliabilityTableBuild(b *testing.B) {
 }
 
 // TestSharedPairsMatchSharedFeasible compares the pair table with the
-// per-request predicate it tabulates, at the requirements where they could
-// part: around every stored availability and its tolerance edge, and
-// outside (0, 1). k = 17 is past the cached Free(k) ladder.
+// shared scheme's admission rule it tabulates — a backup off the primary's
+// cloudlet, a requirement that is a probability, and SharedReliabilityK at
+// the contention floor meeting it — at the requirements where they could
+// part: around every availability and its tolerance edge, and outside
+// (0, 1).
 func TestSharedPairsMatchSharedFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	n := tableNetwork(t, 4, 9, rng)
-	table, err := NewReliabilityTable(n)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, k := range []int{1, 2, 4, 16, 17} {
-		pairs := table.SharedPairs(k)
-		for f := range n.Catalog {
-			for a := range n.Cloudlets {
-				for b := range n.Cloudlets {
-					avail := table.SharedAvailability(f, a, b, k)
+		pairs := NewSharedPairs(n, k)
+		for f, v := range n.Catalog {
+			floor := SharedContentionFloor(v.Reliability, n.Cloudlets)
+			for a, ca := range n.Cloudlets {
+				for b, cb := range n.Cloudlets {
+					avail := SharedReliabilityK(v.Reliability, ca.Reliability, cb.Reliability, floor, k)
 					reqs := []float64{0, -1, 1, 2, math.NaN(), 1e-300, 0.5, math.Nextafter(1, 0)}
 					for _, at := range []float64{avail, avail + relEpsilon, avail - relEpsilon} {
 						for d := -2; d <= 2; d++ {
@@ -324,8 +301,9 @@ func TestSharedPairsMatchSharedFeasible(t *testing.T) {
 					for _, req := range reqs {
 						row := pairs.Row(f, a, req)
 						got := row != nil && row[b] >= req
-						if want := table.SharedFeasible(f, a, b, k, req); got != want {
-							t.Fatalf("k=%d vnf=%d a=%d b=%d req=%v: table %v, SharedFeasible %v", k, f, a, b, req, got, want)
+						want := a != b && validProbability(req) && MeetsRequirement(avail, req)
+						if got != want {
+							t.Fatalf("k=%d vnf=%d a=%d b=%d req=%v: table %v, closed form %v", k, f, a, b, req, got, want)
 						}
 					}
 				}

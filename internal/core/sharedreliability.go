@@ -15,10 +15,10 @@ const DefaultSharedPoolSize = 4
 // and a single pooled backup instance in a cloudlet with reliability rcB
 // is shared by up to k members. Each contending peer's active path is
 // assumed up with probability peerRel — pass rf·rcA for a homogeneous
-// group, or a conservative floor (the lowest rf·rc over primaries the
-// pool admits, see ReliabilityTable) for heterogeneous membership: the
-// occupancy factor is decreasing in peer failure probability, so
-// under-promising peerRel never overstates any member's availability.
+// group, or a conservative floor (SharedContentionFloor) for heterogeneous
+// membership: the occupancy factor is decreasing in peer failure
+// probability, so under-promising peerRel never overstates any member's
+// availability.
 //
 // The member is served when its active path is up (probability
 // q = rf·rcA), or, failing that, when the backup path is up (rf·rcB) AND
@@ -43,51 +43,11 @@ func SharedReliabilityK(rf, rcA, rcB, peerRel float64, k int) float64 {
 	if k < 1 {
 		return 0
 	}
+	free := 1.0
+	if pf := 1 - peerRel; pf > 0 {
+		free = (1 - math.Pow(1-pf, float64(k))) / (float64(k) * pf)
+	}
 	q := rf * rcA
-	return q + (1-q)*(rf*rcB)*sharedFree(peerRel, k)
-}
-
-// sharedFree returns Free(k) = (1 − q^k)/(k·(1−q)): the probability that
-// a contender wins the pooled backup in a full k-group whose peers'
-// active paths are each up with probability q. It is the single source of
-// the occupancy factor so the cached ladder in ReliabilityTable is
-// bit-identical to the closed form.
-func sharedFree(q float64, k int) float64 {
-	pf := 1 - q
-	if pf <= 0 {
-		return 1
-	}
-	return (1 - math.Pow(1-pf, float64(k))) / (float64(k) * pf)
-}
-
-// maxSharedLadder bounds the precomputed Free(k) ladder per VNF type;
-// larger pools fall back to the closed form.
-const maxSharedLadder = 16
-
-// SharedReliability is the exact heterogeneous form of SharedReliabilityK:
-// peerFail lists each other member's active-path failure probability
-// (1 − rf_i·rc_i for peer i). The number of contenders X is then
-// Poisson-binomial; E[1/(1+X)] is computed by an O(len(peerFail)²) dynamic
-// program over the contender-count distribution. With all peerFail equal
-// to 1 − peerRel and len(peerFail) = k−1 it agrees with SharedReliabilityK
-// up to floating-point association. It is the reference tests hold the
-// binomial closed form to; nothing on the serving path calls it.
-func SharedReliability(rf, rcA, rcB float64, peerFail []float64) float64 {
-	q := rf * rcA
-	// pmf[x] = P(X = x contenders) over the peers, built incrementally.
-	pmf := make([]float64, 1, len(peerFail)+1)
-	pmf[0] = 1
-	for _, pf := range peerFail {
-		pmf = append(pmf, 0)
-		for x := len(pmf) - 1; x >= 1; x-- {
-			pmf[x] = pmf[x]*(1-pf) + pmf[x-1]*pf
-		}
-		pmf[0] *= 1 - pf
-	}
-	free := 0.0
-	for x, p := range pmf {
-		free += p / float64(x+1)
-	}
 	return q + (1-q)*(rf*rcB)*free
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"revnf/internal/oracle"
 )
 
 // TestSharedReliabilitySingleton pins the k = 1 anchor: a singleton group
@@ -10,18 +12,18 @@ import (
 func TestSharedReliabilitySingleton(t *testing.T) {
 	rf, rcA, rcB := 0.95, 0.98, 0.97
 	got := SharedReliabilityK(rf, rcA, rcB, 0.5, 1)
-	want := OffsiteReliability(rf, []float64{rcA, rcB})
+	want := eq10(rf, []float64{rcA, rcB})
 	if !FloatEq(got, want) {
 		t.Fatalf("SharedReliabilityK(k=1) = %v, want off-site pair %v", got, want)
 	}
-	// The heterogeneous form with no peers agrees too.
-	if got2 := SharedReliability(rf, rcA, rcB, nil); !FloatEq(got2, want) {
-		t.Fatalf("SharedReliability(no peers) = %v, want %v", got2, want)
+	// The enumeration of a pool with no peers agrees too.
+	if got2 := oracle.Availability(rf, []oracle.Site{{Rc: rcA, N: 1}}, &oracle.Pool{Rc: rcB}); !FloatEq(got2, want) {
+		t.Fatalf("enumerated pool without peers = %v, want %v", got2, want)
 	}
 }
 
 // TestSharedReliabilityHomogeneousAgreement cross-checks the closed form
-// against the exact Poisson-binomial DP with identical peers.
+// against the enumeration of k−1 identical peers.
 func TestSharedReliabilityHomogeneousAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -29,12 +31,9 @@ func TestSharedReliabilityHomogeneousAgreement(t *testing.T) {
 		rcA := 0.90 + 0.09*rng.Float64()
 		rcB := 0.90 + 0.09*rng.Float64()
 		k := 1 + rng.Intn(8)
-		peers := make([]float64, k-1)
-		for i := range peers {
-			peers[i] = 1 - rf*rcA
-		}
 		closed := SharedReliabilityK(rf, rcA, rcB, rf*rcA, k)
-		exact := SharedReliability(rf, rcA, rcB, peers)
+		exact := oracle.Availability(rf, []oracle.Site{{Rc: rcA, N: 1}},
+			&oracle.Pool{Rc: rcB, Peers: oracle.Peers(rf*rcA, k-1)})
 		if !FloatEqTol(closed, exact, 1e-9) {
 			t.Fatalf("k=%d rf=%v rcA=%v rcB=%v: closed %v vs exact %v", k, rf, rcA, rcB, closed, exact)
 		}
@@ -62,17 +61,15 @@ func TestSharedReliabilityMonotoneInK(t *testing.T) {
 			prev = cur
 		}
 	}
-	// The heterogeneous form is monotone in peers too: appending a peer
-	// can only add contention.
+	// Heterogeneous peers too: appending a peer can only add contention.
 	for trial := 0; trial < 200; trial++ {
 		rf := 0.8 + 0.19*rng.Float64()
-		rcA := 0.8 + 0.19*rng.Float64()
-		rcB := 0.8 + 0.19*rng.Float64()
-		peers := []float64{}
-		prev := SharedReliability(rf, rcA, rcB, peers)
+		own := []oracle.Site{{Rc: 0.8 + 0.19*rng.Float64(), N: 1}}
+		pool := &oracle.Pool{Rc: 0.8 + 0.19*rng.Float64()}
+		prev := oracle.Availability(rf, own, pool)
 		for i := 0; i < 6; i++ {
-			peers = append(peers, rng.Float64())
-			cur := SharedReliability(rf, rcA, rcB, peers)
+			pool.Peers = append(pool.Peers, rng.Float64())
+			cur := oracle.Availability(rf, own, pool)
 			if cur > prev+relEpsilon {
 				t.Fatalf("availability rose with an extra peer: %v > %v", cur, prev)
 			}
@@ -100,34 +97,34 @@ func TestSharedReliabilityBounds(t *testing.T) {
 	}
 }
 
-// TestSharedTableBitIdentity checks the ReliabilityTable's cached shared
-// surface returns bit-identical values to the package-level closed form,
-// including the fallback beyond the cached ladder.
-func TestSharedTableBitIdentity(t *testing.T) {
-	n := testNetwork()
-	tab, err := NewReliabilityTable(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for f := range n.Catalog {
-		rf := n.Catalog[f].Reliability
-		floor := SharedContentionFloor(rf, n.Cloudlets)
-		for a := range n.Cloudlets {
-			for b := range n.Cloudlets {
-				for _, k := range []int{1, 2, 4, maxSharedLadder, maxSharedLadder + 3} {
-					want := SharedReliabilityK(rf, n.Cloudlets[a].Reliability, n.Cloudlets[b].Reliability, floor, k)
-					got := tab.SharedAvailability(f, a, b, k)
-					if got != want {
-						t.Fatalf("SharedAvailability(%d,%d,%d,%d) = %v, want %v (bit-identical)",
-							f, a, b, k, got, want)
-					}
-				}
-				feasible := tab.SharedFeasible(f, a, b, 4, 0.95)
-				direct := a != b && SharedReliabilityK(rf, n.Cloudlets[a].Reliability, n.Cloudlets[b].Reliability, floor, 4)+relEpsilon >= 0.95
-				if feasible != direct {
-					t.Fatalf("SharedFeasible(%d,%d,%d) = %v, want %v", f, a, b, feasible, direct)
-				}
-			}
+// TestSharedContentionFloorSound checks DESIGN.md §13.2's two soundness
+// claims against the enumeration: a member priced at the contention floor
+// stays served whatever the rates of its peers, as long as each is at least
+// the floor, and validating at full capacity k is never invalidated by later
+// joiners — any occupancy g ≤ k−1 serves at least what k−1 peers at the
+// floor do. With k−1 peers exactly at the floor the two are the same model.
+func TestSharedContentionFloorSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for trial := 0; trial < 2000; trial++ {
+		rf := 0.5 + 0.49*rng.Float64()
+		own := []oracle.Site{{Rc: 0.5 + 0.49*rng.Float64(), N: 1}}
+		rcB := 0.5 + 0.49*rng.Float64()
+		floor := 0.01 + 0.98*rng.Float64()
+		k := 1 + rng.Intn(8)
+		priced := SharedReliabilityK(rf, own[0].Rc, rcB, floor, k)
+
+		peers := make([]float64, rng.Intn(k))
+		for i := range peers {
+			peers[i] = floor + (1-floor)*rng.Float64()
+		}
+		if got := oracle.Availability(rf, own, &oracle.Pool{Rc: rcB, Peers: peers}); got < priced-1e-12 {
+			t.Fatalf("trial %d: rf=%v rcA=%v rcB=%v floor=%v k=%d peers %v: enumerated %v below the floor price %v",
+				trial, rf, own[0].Rc, rcB, floor, k, peers, got, priced)
+		}
+		full := oracle.Availability(rf, own, &oracle.Pool{Rc: rcB, Peers: oracle.Peers(floor, k-1)})
+		if !FloatEqTol(full, priced, 1e-12) {
+			t.Fatalf("trial %d: rf=%v rcA=%v rcB=%v floor=%v k=%d: %d peers at the floor enumerate to %v, closed form %v",
+				trial, rf, own[0].Rc, rcB, floor, k, k-1, full, priced)
 		}
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"revnf/internal/core"
 	"revnf/internal/mip"
+	"revnf/internal/oracle"
 	"revnf/internal/timeslot"
 	"revnf/internal/workload"
 )
@@ -26,13 +26,13 @@ func bruteForceOffsite(t *testing.T, inst *workload.Instance) float64 {
 	for i, req := range inst.Trace {
 		rf := inst.Network.Catalog[req.VNF].Reliability
 		for mask := 1; mask < 1<<m; mask++ {
-			var rcs []float64
+			var sites []oracle.Site
 			for j := 0; j < m; j++ {
 				if mask&(1<<j) != 0 {
-					rcs = append(rcs, inst.Network.Cloudlets[j].Reliability)
+					sites = append(sites, oracle.Site{Rc: inst.Network.Cloudlets[j].Reliability, N: 1})
 				}
 			}
-			if core.OffsiteReliability(rf, rcs)+1e-12 >= req.Reliability {
+			if oracle.Availability(rf, sites, nil)+1e-12 >= req.Reliability {
 				subsets[i] = append(subsets[i], mask)
 			}
 		}

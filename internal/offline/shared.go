@@ -42,16 +42,12 @@ func buildShared(inst *workload.Instance, poolSize int) (*sharedModel, error) {
 	if poolSize < 1 {
 		return nil, fmt.Errorf("%w: pool size %d", ErrBadInstance, poolSize)
 	}
-	rel, err := core.NewReliabilityTable(inst.Network)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInstance, err)
-	}
-	m := len(inst.Network.Cloudlets)
+	pairs := core.NewSharedPairs(inst.Network, poolSize)
 	var triples []sharedTriple
 	for _, req := range inst.Trace {
-		for a := 0; a < m; a++ {
-			for b := 0; b < m; b++ {
-				if rel.SharedFeasible(req.VNF, a, b, poolSize, req.Reliability) {
+		for a := range inst.Network.Cloudlets {
+			for b, bound := range pairs.Row(req.VNF, a, req.Reliability) {
+				if bound >= req.Reliability {
 					triples = append(triples, sharedTriple{request: req.ID, primary: a, backup: b})
 				}
 			}
@@ -100,7 +96,7 @@ func buildShared(inst *workload.Instance, poolSize int) (*sharedModel, error) {
 			}
 		}
 	}
-	for j := 0; j < m; j++ {
+	for j := range inst.Network.Cloudlets {
 		for t := 1; t <= inst.Horizon; t++ {
 			row, ok := capRows[[2]int{j, t}]
 			if !ok {

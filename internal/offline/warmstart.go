@@ -138,11 +138,11 @@ func offsiteWarmStart(inst *workload.Instance, model *offsiteModel) ([]float64, 
 			}
 			chosen = append(chosen, j)
 			totalWeight += core.OffsiteWeight(vnf.Reliability, inst.Network.Cloudlets[j].Reliability)
-			if core.WeightsSatisfy(totalWeight, needWeight) {
+			if core.MeetsRequirement(totalWeight, needWeight) {
 				break
 			}
 		}
-		if !core.WeightsSatisfy(totalWeight, needWeight) {
+		if !core.MeetsRequirement(totalWeight, needWeight) {
 			continue
 		}
 		for _, j := range chosen {

@@ -312,11 +312,11 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 			cands[c.cloudlet].Instances = 1
 			cands[c.cloudlet].Chosen = true
 		}
-		if core.WeightsSatisfy(totalWeight, needWeight) {
+		if core.MeetsRequirement(totalWeight, needWeight) {
 			break
 		}
 	}
-	admit := core.WeightsSatisfy(totalWeight, needWeight)
+	admit := core.MeetsRequirement(totalWeight, needWeight)
 	if tracing {
 		s.recordPropose(req, cands, candidates[:chosen], needWeight, totalWeight, admit)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"revnf/internal/core"
+	"revnf/internal/oracle"
 	"revnf/internal/timeslot"
 )
 
@@ -182,7 +183,7 @@ func TestDecideUnattainableRequirement(t *testing.T) {
 	}
 	view := newLedger(t, n, 5)
 	// Even all three cloudlets: 1-(1-.95*.99)(1-.95*.97)(1-.95*.95) ≈ 0.9997.
-	all := core.OffsiteReliability(0.95, []float64{0.99, 0.97, 0.95})
+	all := oracle.Availability(0.95, []oracle.Site{{Rc: 0.99, N: 1}, {Rc: 0.97, N: 1}, {Rc: 0.95, N: 1}}, nil)
 	req := core.Request{ID: 0, VNF: 0, Reliability: all + (1-all)/2, Arrival: 1, Duration: 1, Payment: 100}
 	if _, ok := s.Decide(req, view); ok {
 		t.Error("unattainable requirement admitted")

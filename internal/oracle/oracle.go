@@ -14,12 +14,12 @@ type Site struct {
 }
 
 // Pool is a pooled backup instance in a cloudlet up with probability Rc. A
-// request that lost its own instances claims it, as does each of the Peers
-// other members whose active path — up with probability PeerRel — is down;
-// a uniform draw among the claimants grants it.
+// request that lost its own instances claims it, as does each other member
+// whose active path — up with probability Peers[i], one rate per peer — is
+// down; a uniform draw among the claimants grants it.
 type Pool struct {
-	Rc, PeerRel float64
-	Peers       int
+	Rc    float64
+	Peers []float64
 }
 
 // Availability returns the probability that the request is served: by one
@@ -39,8 +39,8 @@ func Availability(rf float64, sites []Site, pool *Pool) float64 {
 	backup := len(p) // the pool's cloudlet coin, its instance's, then the peers'
 	if pool != nil {
 		p, host = append(p, pool.Rc, rf), append(host, -1, -1)
-		for i := 0; i < pool.Peers; i++ {
-			p, host = append(p, pool.PeerRel), append(host, -1)
+		for _, rate := range pool.Peers {
+			p, host = append(p, rate), append(host, -1)
 		}
 	}
 	total := 0.0
@@ -66,4 +66,14 @@ func Availability(rf float64, sites []Site, pool *Pool) float64 {
 		}
 	}
 	return total
+}
+
+// Peers returns n peer rates all equal to rate: a pool whose peers sit at
+// one contention floor.
+func Peers(rate float64, n int) []float64 {
+	peers := make([]float64, n)
+	for i := range peers {
+		peers[i] = rate
+	}
+	return peers
 }

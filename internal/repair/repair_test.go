@@ -189,7 +189,7 @@ func TestMeetsPlacementSharedFootprints(t *testing.T) {
 	// which the enumeration plays out peer by peer.
 	alive := []core.Assignment{{Cloudlet: 0, Instances: 1}, {Cloudlet: 1, Instances: 1}}
 	got, ok := MeetsPlacement(n, req, p, alive)
-	pool := &oracle.Pool{Rc: 0.95, PeerRel: floor, Peers: 1}
+	pool := &oracle.Pool{Rc: 0.95, Peers: []float64{floor}}
 	want := oracle.Availability(rf, []oracle.Site{{Rc: 0.99, N: 1}}, pool)
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("both alive: availability = %v, want %v", got, want)

@@ -144,10 +144,6 @@ func NewScheduler(network *core.Network, horizon int, opts ...Option) (*Schedule
 	if horizon < 1 {
 		return nil, fmt.Errorf("%w: %d", ErrBadHorizon, horizon)
 	}
-	rel, err := core.NewReliabilityTable(network)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadNetwork, err)
-	}
 	s := &Scheduler{
 		network:   network,
 		poolSize:  core.DefaultSharedPoolSize,
@@ -166,7 +162,7 @@ func NewScheduler(network *core.Network, horizon int, opts ...Option) (*Schedule
 		// The upper bound is the width of a group's refcount cell.
 		return nil, fmt.Errorf("%w: %d", ErrBadPoolSize, s.poolSize)
 	}
-	s.pairs = rel.SharedPairs(s.poolSize)
+	s.pairs = core.NewSharedPairs(network, s.poolSize)
 	return s, nil
 }
 

@@ -35,7 +35,6 @@ type refGroup struct {
 
 type refScheduler struct {
 	net              *core.Network
-	rel              *core.ReliabilityTable
 	k, horizon, base int
 	lambda           []map[int]float64
 	groups           []*refGroup // ascending ID
@@ -43,8 +42,7 @@ type refScheduler struct {
 }
 
 func newRef(net *core.Network, horizon, k int) *refScheduler {
-	rel, _ := core.NewReliabilityTable(net)
-	r := &refScheduler{net: net, rel: rel, k: k, horizon: horizon, base: 1, next: 1}
+	r := &refScheduler{net: net, k: k, horizon: horizon, base: 1, next: 1}
 	for range net.Cloudlets {
 		r.lambda = append(r.lambda, map[int]float64{})
 	}
@@ -113,6 +111,8 @@ func (r *refScheduler) decide(req core.Request, view core.CapacityView) (primary
 		return 0, 0, 0, false
 	}
 	demand := r.net.Catalog[req.VNF].Demand
+	rf := r.net.Catalog[req.VNF].Reliability
+	floor := core.SharedContentionFloor(rf, r.net.Cloudlets)
 	var best pairCandidate
 	var bestGroup *refGroup
 	found := false
@@ -125,7 +125,8 @@ func (r *refScheduler) decide(req core.Request, view core.CapacityView) (primary
 			sum += r.lambda[a][t]
 		}
 		for b := range r.net.Cloudlets {
-			if !r.rel.SharedFeasible(req.VNF, a, b, r.k, req.Reliability) {
+			avail := core.SharedReliabilityK(rf, r.net.Cloudlets[a].Reliability, r.net.Cloudlets[b].Reliability, floor, r.k)
+			if a == b || !core.MeetsRequirement(avail, req.Reliability) {
 				continue
 			}
 			g, uncovered, ok := r.join(b, req, view, demand)

@@ -7,6 +7,7 @@ import (
 
 	"revnf/internal/baseline"
 	"revnf/internal/core"
+	"revnf/internal/oracle"
 )
 
 func TestEstimateAvailabilityMatchesAnalytical(t *testing.T) {
@@ -59,7 +60,7 @@ func TestEstimateAvailabilityOffsite(t *testing.T) {
 		t.Fatalf("EstimateAvailability: %v", err)
 	}
 	ra := rep.PerRequest[0]
-	want := core.OffsiteReliability(0.95, []float64{0.99, 0.999})
+	want := oracle.Availability(0.95, []oracle.Site{{Rc: 0.99, N: 1}, {Rc: 0.999, N: 1}}, nil)
 	if math.Abs(ra.Empirical-want) > 0.006 {
 		t.Errorf("Empirical = %v too far from analytical %v", ra.Empirical, want)
 	}

@@ -85,7 +85,8 @@ fi
 # Raised by 75: the ledger's row stamps and the view's refresh (copyRow, TakeRefreshes), less the candidate sort.
 # Raised by 39: the arrival ordering (workload.ByArrival) and the draw loops split from it.
 # Lowered by 53: the ledger alone bounds the rolling window (the book's start counts, the engine's pin and ErrNotDrained went).
-ceiling=22301
+# Lowered by 169: the reliability math stated once (the on-site ladder, the shared caches and core's test-only references went).
+ceiling=22132
 lines=$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)
 echo "==> non-test Go outside benchmark/: $lines lines (ceiling $ceiling)"
 if [ "$lines" -gt "$ceiling" ]; then
