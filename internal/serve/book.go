@@ -4,8 +4,10 @@ import (
 	"cmp"
 	"encoding/binary"
 	"math"
+	"os"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"unsafe"
 
 	"revnf/internal/core"
@@ -66,9 +68,8 @@ const (
 // newest entry always mirrors the live record and expiry never touches the
 // history. late maps a late ID to the block of its newest entry; every
 // other ID has one entry, in the block its hi names. Nothing in
-// it holds a pointer: it costs memory (about 26 B an on-site admission, for
-// as long as the daemon runs) but no collector time, and it grows a chunk
-// at a time without copying.
+// it holds a pointer, so it costs no collector time, and it grows a chunk
+// at a time without copying; spillOld moves the older chunks to a file.
 //
 // The book has no lock: the Engine field holding it is guarded by mu, and
 // no pointer to a live record may outlive the critical section that read
@@ -79,10 +80,16 @@ type placementBook struct {
 	expired []*PlacementRecord            // expire's result, reused call after call
 	free    []*PlacementRecord
 
-	chunks [][]byte
-	blocks []historyBlock
-	late   map[int]int // late ID → block of its newest entry
-	filed  int         // admissions in the history
+	chunks      [][]byte     // nil once spilled
+	chunkEnds   []int        // per chunk: the latest last slot of a window filed in it
+	chunkSize   int          // a new chunk's size; 0 means historyChunk
+	spill       *os.File     // nil before the first spill; never closed, its finalizer does
+	spillAt     []int        // where each spilled chunk starts in spill: they spill in order
+	spilled     int          // spill's size
+	spillErrors atomic.Int64 // failed spills and cold reads: a cold read runs without mu
+	blocks      []historyBlock
+	late        map[int]int // late ID → block of its newest entry
+	filed       int         // admissions in the history
 	// The open block's encoder state: the previous ID and the bases its
 	// entries' arrivals and groups are relative to.
 	prevID, arrivalBase, groupBase int
@@ -147,9 +154,10 @@ func (b *placementBook) retire(rec *PlacementRecord) {
 }
 
 // liveRecord returns the live record for id, nil when id was never
-// admitted or has expired.
+// admitted or has expired. It reads no file: a spilled block holds no live
+// record's newest entry.
 func (b *placementBook) liveRecord(id int) *PlacementRecord {
-	if f, ok := b.find(id); ok {
+	if f, cold, ok := b.find(id); ok && cold == nil {
 		return b.liveOf(f)
 	}
 	return nil
@@ -183,14 +191,15 @@ func (b *placementBook) refile(rec *PlacementRecord) {
 // as of slot, or else the filed one, which has expired. A filed copy shares
 // no memory with the book; a live copy shares the scheduler's assignments
 // with the live record, which replaces them on repair and never writes them.
-func (b *placementBook) lookup(id, slot int) (PlacementRecord, bool) {
-	f, ok := b.find(id)
-	if !ok {
-		return PlacementRecord{}, false
+// A spilled entry it leaves to cold, which needs no lock.
+func (b *placementBook) lookup(id, slot int) (PlacementRecord, coldRead, bool) {
+	f, cold, ok := b.find(id)
+	if !ok || cold != nil {
+		return PlacementRecord{}, cold, ok
 	}
 	rec := b.liveOf(f)
 	if rec == nil {
-		return f.unpack(), true
+		return f.unpack(), nil, true
 	}
 	out := *rec
 	if out.State != StateDegraded {
@@ -200,11 +209,11 @@ func (b *placementBook) lookup(id, slot int) (PlacementRecord, bool) {
 			out.State = StateActive
 		}
 	}
-	return out, true
+	return out, nil, true
 }
 
-// bytes returns the memory the history holds: its chunks, counted whole,
-// and the block table.
+// bytes returns the memory the history holds: its chunks in memory,
+// counted whole, and the block table.
 func (b *placementBook) bytes() int {
 	n := cap(b.blocks) * int(unsafe.Sizeof(historyBlock{}))
 	for _, c := range b.chunks {
@@ -225,6 +234,7 @@ func (b *placementBook) file(rec *PlacementRecord, refile bool) {
 	}
 	c := len(b.chunks) - 1
 	b.chunks[c] = append(b.appendPrefix(b.chunks[c], rec.ID), b.body...)
+	b.chunkEnds[c] = max(b.chunkEnds[c], rec.Request.End())
 	blk := &b.blocks[k]
 	blk.n++
 	b.prevID = rec.ID
@@ -257,7 +267,9 @@ func (b *placementBook) openBlock(rec *PlacementRecord) {
 	var buf [2 * binary.MaxVarintLen64]byte
 	head := binary.AppendVarint(binary.AppendVarint(buf[:0], int64(b.arrivalBase)), int64(b.groupBase))
 	if need := len(head) + b.encode(rec); len(b.chunks) == 0 || !b.fits(need) {
-		b.chunks = append(b.chunks, make([]byte, 0, max(historyChunk, need)))
+		b.chunks = append(b.chunks, make([]byte, 0, max(cmp.Or(b.chunkSize, historyChunk), need)))
+		b.chunkEnds = append(b.chunkEnds, math.MinInt)
+		b.spillOld()
 	}
 	blk := historyBlock{lo: math.MaxInt, hi: math.MinInt, chunk: len(b.chunks) - 1}
 	if k := len(b.blocks); k > 0 {
@@ -266,6 +278,28 @@ func (b *placementBook) openBlock(rec *PlacementRecord) {
 	blk.off = len(b.chunks[blk.chunk])
 	b.chunks[blk.chunk] = append(b.chunks[blk.chunk], head...)
 	b.blocks = append(b.blocks, blk)
+}
+
+// spillOld writes the chunks behind the newest, which never change again,
+// to a temporary file and drops them, oldest first, up to the first one a
+// live window may still end in (every live window ends at or after the
+// ring's front). A failure keeps the chunk until the next chunk opens.
+func (b *placementBook) spillOld() {
+	for c := len(b.spillAt); c < len(b.chunks)-1 && (b.active == 0 || b.chunkEnds[c] < b.ends.lo); c++ {
+		if b.spill == nil { // unlinked at once; nil on a failure, which WriteAt counts
+			if f, err := os.CreateTemp("", "revnfd-history-*"); err == nil && os.Remove(f.Name()) == nil {
+				b.spill = f
+			} else if err == nil {
+				f.Close()
+			}
+		}
+		if _, err := b.spill.WriteAt(b.chunks[c], int64(b.spilled)); err != nil {
+			b.spillErrors.Add(1)
+			return
+		}
+		b.spillAt, b.spilled = append(b.spillAt, b.spilled), b.spilled+len(b.chunks[c])
+		b.chunks[c] = nil
+	}
 }
 
 // appendPrefix appends the prefix of the entry encode last wrote for id:
@@ -332,29 +366,56 @@ type filedEntry struct {
 	body                       entryReader
 }
 
+// coldRead reads a spilled entry back into a fresh buffer and unpacks it;
+// false when the read fails, which counts, or the block has no entry for
+// the ID. It touches nothing mu guards: spilled bytes never change.
+type coldRead func() (PlacementRecord, bool)
+
 // find returns the newest history entry for id, false when id was never
 // admitted: the late map or a binary search of the block table names the
-// block, and a walk over its prefixes the entry — an own ID's one entry, or
-// a late ID's last one in the block.
-func (b *placementBook) find(id int) (filedEntry, bool) {
+// block. A block in memory find walks; for a spilled one, which holds no
+// live record's entry, it returns the read instead, and true.
+func (b *placementBook) find(id int) (filedEntry, coldRead, bool) {
 	k, late := b.late[id]
 	if !late {
 		k = sort.Search(len(b.blocks), func(i int) bool { return b.blocks[i].hi >= id })
 		if k == len(b.blocks) || b.blocks[k].lo > id {
-			return filedEntry{}, false
+			return filedEntry{}, nil, false
 		}
 	}
-	blk := &b.blocks[k]
-	r := entryReader(b.chunks[blk.chunk][blk.off:])
+	blk := b.blocks[k]
+	if c := b.chunks[blk.chunk]; c != nil {
+		f, ok := walkBlock(c[blk.off:], blk.n, id, late)
+		return f, nil, ok
+	}
+	// Chunks spill back to back, so the block ends where the next one starts
+	// if that has spilled too, else at the file's end.
+	file, at, end := b.spill, b.spillAt[blk.chunk]+blk.off, b.spilled
+	if next := b.blocks[k+1]; next.chunk < len(b.spillAt) {
+		end = b.spillAt[next.chunk] + next.off
+	}
+	return filedEntry{}, func() (PlacementRecord, bool) {
+		buf := make([]byte, end-at)
+		if _, err := file.ReadAt(buf, int64(at)); err != nil {
+			b.spillErrors.Add(1)
+		} else if f, ok := walkBlock(buf, blk.n, id, late); ok {
+			return f.unpack(), true
+		}
+		return PlacementRecord{}, false
+	}, true
+}
+
+// walkBlock walks the prefixes of the block r starts with to id's newest
+// entry: an own ID's one entry, or a late ID's last one in the block.
+func walkBlock(r entryReader, entries, id int, late bool) (filedEntry, bool) {
 	f := filedEntry{id: id, arrivalBase: r.int(), groupBase: r.int()}
 	found := false
-	for i, prev := 0, 0; i < blk.n; i++ {
+	for i, prev := 0, 0; i < entries; i++ {
 		var d, n uint64
 		if r[0]|r[1] < 0x80 { // a one-byte delta and length: nearly every prefix
 			d, n, r = uint64(r[0]), uint64(r[1]), r[2:]
 		} else {
-			d = r.uint()
-			n = r.uint()
+			d, n = r.uint(), r.uint()
 		}
 		prev += int(d>>1) ^ -int(d&1)
 		if prev == id {

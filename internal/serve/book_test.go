@@ -4,13 +4,18 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"revnf/internal/core"
 	"revnf/internal/onsite"
@@ -39,16 +44,19 @@ func pointerFree(t reflect.Type) bool {
 
 // TestBookHistoryIsPointerFree walks the types the history is made of —
 // the block table's element, a chunk's element, the late map's key and
-// value: a pointer, slice, string or interface among them would put the
-// history back on the collector's mark list.
+// value, the spill file's chunk offsets, the chunks' window ends: a
+// pointer, slice, string or interface among them would put the history
+// back on the collector's mark list.
 func TestBookHistoryIsPointerFree(t *testing.T) {
 	var b placementBook
 	late := reflect.TypeOf(b.late)
 	for name, typ := range map[string]reflect.Type{
-		"block":     reflect.TypeOf(b.blocks).Elem(),
-		"chunk":     reflect.TypeOf(b.chunks).Elem().Elem(),
-		"late key":  late.Key(),
-		"late elem": late.Elem(),
+		"block":        reflect.TypeOf(b.blocks).Elem(),
+		"chunk":        reflect.TypeOf(b.chunks).Elem().Elem(),
+		"late key":     late.Key(),
+		"late elem":    late.Elem(),
+		"spill offset": reflect.TypeOf(b.spillAt).Elem(),
+		"chunk end":    reflect.TypeOf(b.chunkEnds).Elem(),
 	} {
 		if !pointerFree(typ) {
 			t.Errorf("%s type %v holds a pointer", name, typ)
@@ -124,6 +132,33 @@ func sameRecord(a, b PlacementRecord) bool {
 		a.State == b.State && a.ReservedFrom == b.ReservedFrom && samePlacement(a.Placement, b.Placement)
 }
 
+// spillingBook returns an empty book of chunk-byte chunks, so that it
+// spills within a few thousand entries; the test's end closes its spill
+// file rather than leave that to the file's finalizer.
+func spillingBook(t testing.TB, chunk int) *placementBook {
+	b := &placementBook{chunkSize: chunk}
+	t.Cleanup(func() { b.spill.Close() })
+	return b
+}
+
+// lookup is Engine.Placement on a bare book: a spilled entry is read back.
+func lookup(b *placementBook, id, slot int) (PlacementRecord, bool) {
+	rec, cold, ok := b.lookup(id, slot)
+	if cold != nil {
+		return cold()
+	}
+	return rec, ok
+}
+
+// requireSpilled fails the test unless at least n of b's chunks spilled.
+func requireSpilled(t testing.TB, b *placementBook, n int) {
+	t.Helper()
+	if len(b.spillAt) < n || b.spillErrors.Load() != 0 {
+		t.Fatalf("%d of %d chunks spilled, %d errors: want at least %d spilled and none failed",
+			len(b.spillAt), len(b.chunks), b.spillErrors.Load(), n)
+	}
+}
+
 // liveRecords counts the records filed in the book's expiry ring, bucket by
 // bucket.
 func liveRecords(b *placementBook) int {
@@ -137,14 +172,18 @@ func liveRecords(b *placementBook) int {
 // TestBookAgainstMapOracle drives the book the way the engine does — admit
 // with IDs out of order by a bounded displacement, repairs and degraded
 // marks on live records, expiry by ticking the clock — against a map of
-// plain records, over enough admissions to cross a chunk boundary and, at
-// the larger displacements, to file IDs late. Every tick's expiry must be
-// exactly the records whose window ended, in ID order.
+// plain records, over enough admissions to spill most chunks to the file
+// and, at the larger displacements, to file IDs late. Every tick's expiry
+// must be exactly the records whose window ended, in ID order, and every
+// live record must be found without the file: none of its chunks spilled.
 func TestBookAgainstMapOracle(t *testing.T) {
-	const admissions = 40_000 // two history chunks
+	const (
+		admissions = 40_000
+		chunk      = 16 << 10 // about 100 chunks
+	)
 	for seed, displacement := range []int{0, 1, 7, 64, DefaultQueueSize + 4} {
 		rng := rand.New(rand.NewSource(int64(seed + 1)))
-		var b placementBook
+		b := spillingBook(t, chunk)
 		oracle := make(map[int]PlacementRecord, admissions)
 		rejected := make([]int, 0, admissions)
 
@@ -176,9 +215,12 @@ func TestBookAgainstMapOracle(t *testing.T) {
 					want.State = StateScheduled
 				}
 			}
-			got, found := b.lookup(id, slot)
+			got, found := lookup(b, id, slot)
 			if found != ok {
 				t.Fatalf("seed %d: lookup(%d) found=%v, want %v", seed, id, found, ok)
+			}
+			if live[id] && b.liveRecord(id) == nil {
+				t.Fatalf("seed %d: live record %d not found in memory", seed, id)
 			}
 			if !sameRecord(got, want) {
 				t.Fatalf("seed %d: lookup(%d)\n got %+v\nwant %+v", seed, id, got, want)
@@ -258,14 +300,14 @@ func TestBookAgainstMapOracle(t *testing.T) {
 		if got := b.filed; got != admissions {
 			t.Fatalf("seed %d: %d placements filed, want %d", seed, got, admissions)
 		}
-		if got := liveRecords(&b); got != len(live) || b.active != len(live) {
+		if got := liveRecords(b); got != len(live) || b.active != len(live) {
 			t.Fatalf("seed %d: the ring holds %d records and counts %d, %d placements are live", seed, got, b.active, len(live))
 		}
 		for id := range oracle {
 			check(id)
 		}
 		for _, id := range append(rejected, 0, -1, math.MinInt, next+1, math.MaxInt) {
-			if _, found := b.lookup(id, slot); found {
+			if _, found := lookup(b, id, slot); found {
 				t.Fatalf("seed %d: lookup(%d) found an ID that was never admitted", seed, id)
 			}
 		}
@@ -276,20 +318,20 @@ func TestBookAgainstMapOracle(t *testing.T) {
 			if live[id] {
 				continue
 			}
-			got, _ := b.lookup(id, slot)
+			got, _ := lookup(b, id, slot)
 			for i := range got.Placement.Assignments {
 				got.Placement.Assignments[i] = core.Assignment{Cloudlet: -7, Instances: -7}
 			}
 			if got.Placement.Backup != nil {
 				*got.Placement.Backup = core.SharedBackup{}
 			}
-			if again, _ := b.lookup(id, slot); !sameRecord(again, want) {
+			if again, _ := lookup(b, id, slot); !sameRecord(again, want) {
 				t.Fatalf("seed %d: record %d changed through a copy handed out earlier", seed, id)
 			}
 		}
-		if len(b.chunks) < 2 || b.bytes() <= len(b.chunks)*historyChunk {
-			t.Errorf("seed %d: %d chunks, bytes() = %d: the history did not cross a chunk or bytes() misses the index",
-				seed, len(b.chunks), b.bytes())
+		requireSpilled(t, b, 3)
+		if kept := len(b.chunks) - len(b.spillAt); kept > 4 {
+			t.Errorf("seed %d: %d chunks in memory, want the newest and the few a live window ends in", seed, kept)
 		}
 		if displacement > historyBlockEntries && len(b.late) == 0 {
 			t.Errorf("seed %d: displacement %d filed no ID late", seed, displacement)
@@ -364,7 +406,7 @@ func TestBookRebaseKeepsWindow(t *testing.T) {
 	rec := b.liveRecord(3)
 	rec.ReservedFrom = 4
 	b.refile(rec)
-	if got, ok := b.lookup(3, 4); !ok || got.State != StateActive || got.ReservedFrom != 4 || got.Request.End() != 4 {
+	if got, ok := lookup(&b, 3, 4); !ok || got.State != StateActive || got.ReservedFrom != 4 || got.Request.End() != 4 {
 		t.Fatalf("lookup(3) after the re-base = %+v, %v, want live, reserved from 4, ending at 4", got, ok)
 	}
 	if got := expireIDs(&b, 4); len(got) != 0 {
@@ -376,7 +418,7 @@ func TestBookRebaseKeepsWindow(t *testing.T) {
 	if b.liveRecord(3) != nil {
 		t.Fatal("record 3 still live after its expiry")
 	}
-	if got, ok := b.lookup(3, 5); !ok || got.State != StateExpired || got.ReservedFrom != 4 {
+	if got, ok := lookup(&b, 3, 5); !ok || got.State != StateExpired || got.ReservedFrom != 4 {
 		t.Fatalf("lookup(3) after expiry = %+v, %v, want expired, reserved from 4", got, ok)
 	}
 	b.liveRecord(1).ReservedFrom = 5
@@ -398,7 +440,7 @@ func TestBookStragglerExpires(t *testing.T) {
 		t.Fatalf("expire(11) = %v", got)
 	}
 	admitWindow(&b, 2, 7, 8)
-	if rec, ok := b.lookup(2, 11); !ok || rec.State != StateActive {
+	if rec, ok := lookup(&b, 2, 11); !ok || rec.State != StateActive {
 		t.Fatalf("lookup(2) = %+v, %v, want the live straggler", rec, ok)
 	}
 	if got := expireIDs(&b, 12); !slices.Equal(got, []int{2}) {
@@ -496,16 +538,18 @@ func TestBookSteadyStateAllocations(t *testing.T) {
 }
 
 // TestBookOversizeRun files a placement whose entry is longer than a
-// history chunk, between two ordinary ones: it gets a chunk of its own size,
-// and the entry after it a new chunk.
+// history chunk, between ordinary ones: it gets a chunk of its own size,
+// the entry after it a new chunk, and once its window has ended and another
+// chunk has opened the oversize one spills whole and reads back.
 func TestBookOversizeRun(t *testing.T) {
-	var b placementBook
+	const chunk = 4 << 10
+	b := spillingBook(t, chunk)
 	rng := rand.New(rand.NewSource(1))
 	var want []PlacementRecord
-	for id := 1; id <= 3; id++ {
-		rec := randomRecord(rng, id, 1)
+	for id := 1; len(b.spillAt) < 3; id++ {
+		rec := randomRecord(rng, id, id)
 		if id == 2 {
-			rec.Placement.Assignments = make([]core.Assignment, historyChunk/3) // ≈ 4 B each
+			rec.Placement.Assignments = make([]core.Assignment, chunk/2) // ≈ 3 B each
 			for i := range rec.Placement.Assignments {
 				rec.Placement.Assignments[i] = core.Assignment{Cloudlet: i, Instances: 1 + i%5}
 			}
@@ -518,13 +562,14 @@ func TestBookOversizeRun(t *testing.T) {
 		want = append(want, rec)
 	}
 	for _, w := range want {
-		if got, ok := b.lookup(w.ID, 1); !ok || !sameRecord(got, w) {
+		if got, ok := lookup(b, w.ID, 0); !ok || !sameRecord(got, w) {
 			t.Fatalf("lookup(%d) after an oversize run: found=%v, %d assignments, want %d",
 				w.ID, ok, len(got.Placement.Assignments), len(w.Placement.Assignments))
 		}
 	}
-	if len(b.chunks) != 3 || cap(b.chunks[1]) <= historyChunk {
-		t.Errorf("%d chunks: want the oversize entry alone in a second chunk of its size", len(b.chunks))
+	if n := b.spillAt[2] - b.spillAt[1]; n <= chunk || b.blocks[1].chunk != 1 || b.blocks[2].chunk != 2 {
+		t.Errorf("a second chunk of %d B, blocks 1 and 2 in chunks %d and %d: want the oversize entry alone in a chunk of its size",
+			n, b.blocks[1].chunk, b.blocks[2].chunk)
 	}
 }
 
@@ -555,9 +600,10 @@ func filedAs(rec PlacementRecord) PlacementRecord {
 // field: IDs, slots and groups at math.MinInt and math.MaxInt, negative
 // deltas, IDs out of order, a decision slot after the arrival, 0, 1 and
 // 1000 assignments — the last filed where it does not fit what is left of
-// a chunk — with and without a backup, degraded and re-based.
+// a chunk — with and without a backup, degraded and re-based; with nothing
+// live, all but the newest chunk read back from the spill file.
 func TestHistoryRoundTrip(t *testing.T) {
-	var b placementBook
+	b := spillingBook(t, 8<<10)
 	var want []PlacementRecord
 	file := func(rec PlacementRecord) {
 		b.file(&rec, false)
@@ -618,8 +664,9 @@ func TestHistoryRoundTrip(t *testing.T) {
 	file(PlacementRecord{ID: math.MaxInt, DecidedSlot: math.MinInt, ReservedFrom: math.MinInt,
 		Request:   core.Request{ID: math.MaxInt, Arrival: math.MaxInt, Duration: 1},
 		Placement: core.Placement{Request: math.MaxInt, Scheme: core.OnSite, Assignments: []core.Assignment{{}}}})
+	requireSpilled(t, b, 3)
 	for _, w := range want {
-		got, ok := b.lookup(w.ID, 0)
+		got, ok := lookup(b, w.ID, 0)
 		if !ok || !sameBits(got, w) {
 			t.Fatalf("lookup(%d) = %v\n got %+v\nwant %+v", w.ID, ok, got, w)
 		}
@@ -628,7 +675,9 @@ func TestHistoryRoundTrip(t *testing.T) {
 
 // FuzzHistoryEntry is TestHistoryRoundTrip's round trip on fuzzed field
 // values. The entry is the second of a block whose bases come from a block
-// of neighbours before it, so its arrival and group are differences too.
+// of neighbours before it, all in the first chunk, so its arrival and group
+// are differences too; neighbours after it fill three more chunks, so it
+// reads back from the spill file.
 func FuzzHistoryEntry(f *testing.F) {
 	f.Add(1000, 5, 4, 5, 3, 0, 1, uint8(1), 2, 1, 7, true, false, math.Float64bits(0.95), math.Float64bits(40))
 	f.Add(math.MinInt, math.MaxInt, math.MinInt, math.MaxInt, -1, -1, -1, uint8(0), math.MinInt, math.MaxInt,
@@ -637,12 +686,15 @@ func FuzzHistoryEntry(f *testing.F) {
 		math.MaxInt, math.MinInt, math.MaxInt, true, true, math.Float64bits(math.NaN()), math.Float64bits(math.Inf(1)))
 	f.Fuzz(func(t *testing.T, id, arrival, decided, reserved, duration, vnf, scheme int, n uint8,
 		cloudlet, instances, group int, backup, degraded bool, r, pay uint64) {
-		var b placementBook
-		for k := historyBlockEntries + 1; k > 0; k-- {
+		b := spillingBook(t, 8<<10)
+		neighbour := func(k int) {
 			nb := PlacementRecord{ID: id - k, DecidedSlot: arrival - 3*k, ReservedFrom: arrival - 3*k,
 				Request:   core.Request{ID: id - k, Arrival: arrival - 3*k, Duration: 1},
 				Placement: core.Placement{Request: id - k, Scheme: core.Shared, Backup: &core.SharedBackup{Group: group - k}}}
 			b.file(&nb, false)
+		}
+		for k := historyBlockEntries + 1; k > 0; k-- {
+			neighbour(k)
 		}
 		rec := PlacementRecord{ID: id, DecidedSlot: decided, State: StateScheduled, ReservedFrom: reserved,
 			Request: core.Request{ID: id, VNF: vnf, Reliability: math.Float64frombits(r), Arrival: arrival,
@@ -658,7 +710,15 @@ func FuzzHistoryEntry(f *testing.F) {
 			rec.Placement.Backup = &core.SharedBackup{Group: group, Cloudlet: cloudlet, PoolSize: instances}
 		}
 		b.file(&rec, false)
-		if got, ok := b.lookup(id, 0); !ok || !sameBits(got, filedAs(rec)) {
+		if len(b.blocks) != 2 || b.blocks[1].n != 2 || b.blocks[1].chunk != 0 {
+			t.Fatalf("%d blocks, the last of %d entries in chunk %d: want the entry second in block 1, in chunk 0",
+				len(b.blocks), b.blocks[1].n, b.blocks[1].chunk)
+		}
+		for k := -1; len(b.spillAt) < 3; k-- {
+			neighbour(k)
+		}
+		requireSpilled(t, b, 3)
+		if got, ok := lookup(b, id, 0); !ok || !sameBits(got, filedAs(rec)) {
 			t.Fatalf("lookup(%d) = %v\n got %+v\nwant %+v", id, ok, got, filedAs(rec))
 		}
 	})
@@ -672,16 +732,25 @@ func drain(b *placementBook) {
 }
 
 // TestBookLateStraggler files an ID after more than a block of newer ones
-// — a decision preempted across a whole block. It is late, found through
-// the late map, and the IDs around it through the block table.
+// — a decision preempted across a whole block, for a window the clock has
+// passed. It is late, found through the late map, and the IDs around it
+// through the block table, once the clock has expired it and more entries
+// have spilled its block too.
 func TestBookLateStraggler(t *testing.T) {
-	var b placementBook
+	b := spillingBook(t, 1<<10)
 	rng := rand.New(rand.NewSource(3))
 	want := map[int]PlacementRecord{}
+	slot := 1
 	admit := func(id int) {
-		rec := randomRecord(rng, id, 1)
+		rec := randomRecord(rng, id, 1+id/8)
 		b.admit(rec.Request, rec.Placement, rec.DecidedSlot)
 		want[id] = filedAs(rec)
+		if slot < 1+id/8 {
+			slot = 1 + id/8
+			for _, r := range b.expire(slot) {
+				b.retire(r)
+			}
+		}
 	}
 	for id := 1; id <= 2*historyBlockEntries+10; id++ {
 		if id != 7 {
@@ -689,25 +758,41 @@ func TestBookLateStraggler(t *testing.T) {
 		}
 	}
 	admit(7)
-	if k, late := b.late[7]; !late || k != 2 || len(b.late) != 1 {
-		t.Fatalf("late = %v, want only the straggler 7, in block 2", b.late)
+	if k, late := b.late[7]; !late || k != len(b.blocks)-1 || len(b.late) != 1 {
+		t.Fatalf("late = %v, want only the straggler 7, in block %d", b.late, len(b.blocks)-1)
 	}
-	drain(&b)
+	for id := 2*historyBlockEntries + 11; b.chunks[b.blocks[b.late[7]].chunk] != nil; id++ {
+		admit(id)
+	}
+	requireSpilled(t, b, 3)
+	drain(b)
 	for id, w := range want {
-		if got, ok := b.lookup(id, 1); !ok || !sameRecord(got, w) {
+		if got, ok := lookup(b, id, 1); !ok || !sameRecord(got, w) {
 			t.Fatalf("lookup(%d) = %v\n got %+v\nwant %+v", id, ok, got, w)
 		}
 	}
 }
 
 // TestBookRefileSealedBlock repairs and then degrades a live record whose
-// entry is in a sealed block: both newer entries are late, and lookup
-// returns the newest, live and once expired.
+// entry is in a sealed block of an older chunk: both newer entries are
+// late, and lookup returns the newest, live and once expired, also once
+// the chunks of its entries have spilled. While it is live, its window
+// keeps its chunk, and so every newer one, in memory.
 func TestBookRefileSealedBlock(t *testing.T) {
-	var b placementBook
-	admitWindow(&b, 1, 1, 50)
+	const chunk = 512
+	b := spillingBook(t, chunk)
+	admitWindow(b, 1, 1, 50)
 	for id := 2; id <= historyBlockEntries+1; id++ {
-		admitWindow(&b, id, 1, 1)
+		admitWindow(b, id, 1, 1)
+	}
+	tick := func(now int) {
+		for _, rec := range b.expire(now) {
+			b.retire(rec)
+		}
+	}
+	tick(2)
+	if len(b.chunks) < 3 || len(b.spillAt) != 0 || b.spillErrors.Load() != 0 {
+		t.Fatalf("%d of %d chunks spilled while record 1 is live: want at least 3, none spilled", len(b.spillAt), len(b.chunks))
 	}
 	rec := b.liveRecord(1)
 	rec.Placement = core.Placement{Request: 1, Scheme: core.OffSite,
@@ -716,15 +801,20 @@ func TestBookRefileSealedBlock(t *testing.T) {
 	b.refile(rec)
 	rec.State = StateDegraded
 	b.refile(rec)
-	if k, late := b.late[1]; !late || k != 1 || len(b.blocks) != 2 {
-		t.Fatalf("late[1] = %d, %v with %d blocks, want block 1 of 2", k, late, len(b.blocks))
+	if k, late := b.late[1]; !late || k != len(b.blocks)-1 || b.blocks[k].chunk == 0 {
+		t.Fatalf("late[1] = %d, %v with %d blocks, want the last block, in a newer chunk", k, late, len(b.blocks))
 	}
 	want := oracleCopy(*rec)
 	for _, slot := range []int{5, 60} {
-		if slot == 60 {
-			drain(&b)
+		if slot == 60 { // record 1 expires, and the chunks of both its entries spill
+			tick(51)
+			for id := historyBlockEntries + 2; b.chunks[b.blocks[b.late[1]].chunk] != nil; id++ {
+				admitWindow(b, id, id, id)
+				tick(id + 1)
+			}
+			requireSpilled(t, b, 3)
 		}
-		if got, ok := b.lookup(1, slot); !ok || !sameRecord(got, want) {
+		if got, ok := lookup(b, 1, slot); !ok || !sameRecord(got, want) {
 			t.Fatalf("slot %d: lookup(1) = %v\n got %+v\nwant %+v", slot, ok, got, want)
 		}
 	}
@@ -747,33 +837,114 @@ func TestBookRefilesInOpenBlock(t *testing.T) {
 	}
 	want := filedAs(*rec)
 	drain(&b)
-	if got, ok := b.lookup(1, 4); !ok || !sameRecord(got, want) {
+	if got, ok := lookup(&b, 1, 4); !ok || !sameRecord(got, want) {
 		t.Fatalf("lookup(1) = %v\n got %+v\nwant %+v", ok, got, want)
 	}
-	if got, ok := b.lookup(2, 4); !ok || got.State != StateExpired || len(got.Placement.Assignments) != 0 {
+	if got, ok := lookup(&b, 2, 4); !ok || got.State != StateExpired || len(got.Placement.Assignments) != 0 {
 		t.Fatalf("lookup(2) = %+v, %v, want the bare expired record", got, ok)
 	}
 }
 
 // TestBookLookupGaps looks up IDs that were never admitted — before the
 // first block, in the gaps inside a block, between two blocks, past the
-// last — among every even ID of four blocks.
+// last — among every even ID of four blocks' worth, in chunks that cut
+// the blocks short and, each window ending before the next, mostly spilled.
 func TestBookLookupGaps(t *testing.T) {
-	var b placementBook
+	b := spillingBook(t, 2<<10)
 	const last = 8 * historyBlockEntries
 	for id := 2; id <= last; id += 2 {
-		admitWindow(&b, id, 1, 1)
+		admitWindow(b, id, id, id)
+		drain(b)
 	}
-	if len(b.blocks) != 4 || b.blocks[1].lo != b.blocks[0].hi+2 {
-		t.Fatalf("%d blocks, block 1 from %d after block 0 to %d: want 4 with a gap between", len(b.blocks), b.blocks[1].lo, b.blocks[0].hi)
+	requireSpilled(t, b, 3)
+	if len(b.blocks) < 4 || b.blocks[1].lo != b.blocks[0].hi+2 {
+		t.Fatalf("%d blocks, block 1 from %d after block 0 to %d: want 4 or more with a gap between", len(b.blocks), b.blocks[1].lo, b.blocks[0].hi)
 	}
-	for _, id := range []int{math.MinInt, -2, 0, 1, 3, 2 * historyBlockEntries, 2*historyBlockEntries + 1,
-		2*historyBlockEntries + 3, last - 1, last + 1, last + 2, math.MaxInt} {
-		_, found := b.lookup(id, 2)
+	probes := []int{math.MinInt, -2, 0, 1, 3, 2 * historyBlockEntries, 2*historyBlockEntries + 1,
+		2*historyBlockEntries + 3, last - 1, last + 1, last + 2, math.MaxInt}
+	for _, blk := range b.blocks {
+		probes = append(probes, blk.lo-1, blk.lo, blk.hi, blk.hi+1)
+	}
+	for _, id := range probes {
+		_, found := lookup(b, id, 2)
 		if want := id > 0 && id%2 == 0 && id <= last; found != want {
 			t.Errorf("lookup(%d) found = %v, want %v", id, found, want)
 		}
 	}
+}
+
+// TestBookSpillFailures pins what a spill or a cold read that fails costs:
+// nothing but the count. While the spill file cannot be created ($TMPDIR
+// names a regular file) every chunk stays in memory, every lookup answers
+// as before and each chunk boundary counts one failed attempt; the next
+// boundary with a usable $TMPDIR spills them all. Once the file is closed
+// under the book, a lookup of a spilled entry reports not found and
+// counts, a chunk boundary's write fails and counts, and the chunks in
+// memory still answer.
+func TestBookSpillFailures(t *testing.T) {
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("TMPDIR", notDir)
+	b := spillingBook(t, 1<<10)
+	rng := rand.New(rand.NewSource(5))
+	want := map[int]PlacementRecord{}
+	chunkOf := map[int]int{}
+	fileUntil := func(chunks int) {
+		for id := len(want) + 1; len(b.chunks) < chunks; id++ {
+			rec := randomRecord(rng, id, 1)
+			b.file(&rec, false)
+			want[id], chunkOf[id] = filedAs(rec), len(b.chunks)-1
+		}
+	}
+	// check looks every entry up; a spilled one must be found unless the
+	// file is closed, and then it must not.
+	closed := false
+	check := func(stage string) {
+		t.Helper()
+		for id, w := range want {
+			got, ok := lookup(b, id, 0)
+			if closed && b.chunks[chunkOf[id]] == nil {
+				if ok {
+					t.Fatalf("%s: lookup(%d) found a spilled entry", stage, id)
+				}
+			} else if !ok || !sameRecord(got, w) {
+				t.Fatalf("%s: lookup(%d) = %v\n got %+v\nwant %+v", stage, id, ok, got, w)
+			}
+		}
+	}
+	errorsWant := int64(0)
+	expect := func(stage string, spilled int) {
+		t.Helper()
+		if len(b.spillAt) != spilled || b.spillErrors.Load() != errorsWant {
+			t.Fatalf("%s: %d chunks spilled, %d errors, want %d and %d", stage, len(b.spillAt), b.spillErrors.Load(), spilled, errorsWant)
+		}
+	}
+
+	fileUntil(6) // nothing is live: chunks 1 to 5 opened, five attempts
+	errorsWant = 5
+	expect("no spill file", 0)
+	check("no spill file")
+
+	t.Setenv("TMPDIR", t.TempDir())
+	fileUntil(7)
+	expect("spill file", 6)
+	check("spill file")
+
+	b.spill.Close()
+	closed = true
+	for id := range want {
+		if b.chunks[chunkOf[id]] == nil {
+			errorsWant++
+		}
+	}
+	check("closed")
+	expect("closed", 6)
+	fileUntil(8) // chunk 6 cannot spill
+	errorsWant++
+	expect("closed", 6)
+	check("closed, one more chunk")
 }
 
 // retentionNetwork is wide enough that pd-onsite admits about half of eight
@@ -795,14 +966,18 @@ func retentionNetwork() *core.Network {
 // TestEngineRetainsBoundedState is the retention pin: 200k requests on a
 // ticking clock (8 per slot, durations 1–10, pd-onsite, rolling 64). The
 // live index never outgrows the window, a lap of admissions and expiries
-// allocates nothing but the scheduler's placements, and what the daemon
-// keeps per admission is the history entry, not a heap record.
+// allocates nothing but the scheduler's placements, and the history keeps
+// two chunks and its block table on the heap while it files many more
+// chunks' worth: the rest is in the spill file. Two, because a chunk holds
+// far more admissions than the live windows span, so the one before the
+// newest is the most a live window ends in.
 func TestEngineRetainsBoundedState(t *testing.T) {
 	const (
 		perSlot  = 8
 		window   = 64
 		baseline = 1_000
 		total    = 200_000
+		chunk    = 64 << 10 // about 2.5 Ki admissions
 	)
 	n := retentionNetwork()
 	sched, err := onsite.NewScheduler(n, window, onsite.WithCapacityEnforcement())
@@ -814,6 +989,7 @@ func TestEngineRetainsBoundedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { shutdownEngine(t, e) })
+	e.book.chunkSize = chunk
 
 	rng := rand.New(rand.NewSource(15))
 	peak, admitted := 0, 0
@@ -869,16 +1045,22 @@ func TestEngineRetainsBoundedState(t *testing.T) {
 	})
 	perLap := float64(admitted-admittedBefore) / runs
 
+	tableBytes := func() int { return cap(e.book.blocks) * int(unsafe.Sizeof(historyBlock{})) }
 	for done := baseline + (runs+1)*8*perSlot; done < total; done += perSlot {
 		slotOfRequests()
+		e.mu.Lock()
+		if n, table := e.book.bytes(), tableBytes(); n > 2*chunk+table {
+			t.Fatalf("the history holds %d B on the heap, more than two chunks and its %d B block table", n, table)
+		}
+		e.mu.Unlock()
 	}
 	grown := admitted - admittedBase
 	if grown < 50_000 {
 		t.Fatalf("only %d admissions after the baseline: too few to measure retention", grown)
 	}
 	perAdmission := (float64(heap()) - float64(heapBase)) / float64(grown)
-	if perAdmission > 32 {
-		t.Errorf("the daemon retains %.1f B of heap per admission, want ≤ 32", perAdmission)
+	if perAdmission > 4 {
+		t.Errorf("the daemon retains %.1f B of heap per admission, want ≤ 4", perAdmission)
 	}
 	// Ticking with nothing to decide allocates nothing (the rolling ledger's
 	// Advance is one lock round, no defer per row), so what a lap allocates is
@@ -910,13 +1092,30 @@ func TestEngineRetainsBoundedState(t *testing.T) {
 	if filed != admitted {
 		t.Errorf("history holds %d entries, %d placements were admitted", filed, admitted)
 	}
+	st := e.Stats()
+	if st.SpilledBytes < 2*chunk || st.SpillErrors != 0 || st.BookBytes > 2*chunk+tableBytes() {
+		t.Errorf("%d B spilled with %d errors and %d B on the heap: want four chunks' worth filed, at most two of them in memory",
+			st.SpilledBytes, st.SpillErrors, st.BookBytes)
+	}
+	var metrics strings.Builder
+	if err := e.WriteMetrics(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"revnfd_placement_history_spilled_bytes " + strconv.FormatFloat(float64(st.SpilledBytes), 'g', -1, 64) + "\n",
+		"revnfd_placement_history_spill_errors_total 0\n",
+	} {
+		if !strings.Contains(metrics.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
 }
 
 // TestBookUnderConcurrentAdmission runs four sharded workers, half on
 // Submit and half on SubmitBatch, ticking the clock between them, against
-// readers that look up admitted IDs while the run is on. Every ID stays
-// retrievable, and a placement's state only moves scheduled → active →
-// expired.
+// readers that look up admitted IDs while the run is on and the history
+// spills. Every ID stays retrievable, and a placement's state only moves
+// scheduled → active → expired.
 func TestBookUnderConcurrentAdmission(t *testing.T) {
 	const (
 		workers   = 4
@@ -938,6 +1137,7 @@ func TestBookUnderConcurrentAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { shutdownEngine(t, e) })
+	e.book.chunkSize = 4 << 10
 	if e.Workers() != workers {
 		t.Fatalf("engine runs %d workers, want %d (sharded)", e.Workers(), workers)
 	}
@@ -1065,19 +1265,22 @@ func TestBookUnderConcurrentAdmission(t *testing.T) {
 	if st.FiledPlacements != len(admitted) || st.ActivePlacements != 0 {
 		t.Fatalf("stats filed/active = %d/%d, want %d/0", st.FiledPlacements, st.ActivePlacements, len(admitted))
 	}
+	if st.SpilledBytes < 3<<12 || st.SpillErrors != 0 {
+		t.Fatalf("%d B spilled with %d errors, want three 4 KiB chunks or more and none", st.SpilledBytes, st.SpillErrors)
+	}
 }
 
 // BenchmarkBookAdmit books admissions of 1–8 assignments on a clock that
 // expires them, as the engine does, and reports what the history keeps per
-// entry. Past the warm-up an admission allocates nothing but the history's
-// growth, which rounds to 0 per admission.
+// entry, in memory and spilled. Past the warm-up an admission allocates
+// nothing but the history's growth, which rounds to 0 per admission.
 func BenchmarkBookAdmit(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	recs := make([]PlacementRecord, 4096)
 	for i := range recs {
 		recs[i] = randomRecord(rng, 0, 0)
 	}
-	var book placementBook
+	book := spillingBook(b, 0)
 	slot := 1
 	admit := func(id int) {
 		rec := &recs[id%len(recs)]
@@ -1107,15 +1310,17 @@ func BenchmarkBookAdmit(b *testing.B) {
 	if n := (after.Mallocs - before.Mallocs) / uint64(b.N); n != 0 {
 		b.Errorf("an admission allocates %d times, want 0", n)
 	}
-	b.ReportMetric(float64(book.bytes())/float64(book.filed), "B/entry")
+	b.ReportMetric((float64(book.bytes())+float64(book.spilled))/float64(book.filed), "B/entry")
 }
 
 // BenchmarkBookLookup looks up expired placements, at random, among 1 Mi
-// filed ones of 1–8 assignments.
+// filed ones of 1–8 assignments: /hot among those in the chunks still in
+// memory, and /cold among the older ones, read back from the spill file
+// (from the page cache, as a recent spill is).
 func BenchmarkBookLookup(b *testing.B) {
 	const filed = 1 << 20
 	rng := rand.New(rand.NewSource(1))
-	var book placementBook
+	book := spillingBook(b, 0)
 	for id := 1; id <= filed; id++ {
 		rec := randomRecord(rng, id, 1+id/8)
 		book.admit(rec.Request, rec.Placement, rec.DecidedSlot)
@@ -1128,16 +1333,28 @@ func BenchmarkBookLookup(b *testing.B) {
 	for _, r := range book.expire(math.MaxInt) {
 		book.retire(r)
 	}
-	ids := make([]int, 4096)
-	for i := range ids {
-		ids[i] = 1 + rng.Intn(filed)
+	// IDs are filed in order, so the first block in memory splits them.
+	k := sort.Search(len(book.blocks), func(k int) bool { return book.chunks[book.blocks[k].chunk] != nil })
+	hot := book.blocks[k].lo
+	if len(book.spillAt) == 0 || hot == 1 {
+		b.Fatalf("%d chunks spilled: nothing to read back", len(book.spillAt))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := ids[i%len(ids)]
-		if rec, ok := book.lookup(id, math.MaxInt); !ok || rec.ID != id || rec.State != StateExpired {
-			b.Fatalf("lookup(%d) = %+v, %v", id, rec, ok)
+	for _, c := range []struct {
+		name   string
+		lo, hi int
+	}{{"hot", hot, filed}, {"cold", 1, hot - 1}} {
+		ids := make([]int, 4096)
+		for i := range ids {
+			ids[i] = c.lo + rng.Intn(c.hi-c.lo+1)
 		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				id := ids[i%len(ids)]
+				if rec, ok := lookup(book, id, math.MaxInt); !ok || rec.ID != id || rec.State != StateExpired {
+					b.Fatalf("lookup(%d) = %+v, %v", id, rec, ok)
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"fmt"
+	"log"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,8 +139,9 @@ type Stats struct {
 	// BackupGroups counts the shared-backup groups holding ledger capacity.
 	BackupGroups int
 	// FiledPlacements counts the placements in the history (every admission
-	// is retained) and BookBytes the memory its chunks and block table hold.
-	FiledPlacements, BookBytes int
+	// is retained), BookBytes the memory its chunks and block table hold,
+	// SpilledBytes those in its spill file, SpillErrors its failed spills and reads.
+	FiledPlacements, BookBytes, SpilledBytes, SpillErrors int
 	// CloudletUsed and CloudletCapacity give per-cloudlet units in use at
 	// the current slot (zero usage once the slot passes the horizon).
 	CloudletUsed, CloudletCapacity []int
@@ -248,8 +251,9 @@ type Engine struct {
 	lastID atomic.Int64
 	// waiting counts submissions accepted but not yet decided.
 	waiting atomic.Int64
-	// conflicts counts ledger reservation refusals lost to a race.
-	conflicts atomic.Uint64
+	// conflicts counts ledger reservation refusals lost to a race, and
+	// clockPanics the real-time clock's ticks that panicked.
+	conflicts, clockPanics atomic.Uint64
 	// viewLoads, viewRefreshes and viewCopies sum the views' load counts;
 	// leave adds them.
 	viewLoads, viewRefreshes, viewCopies atomic.Uint64
@@ -757,11 +761,22 @@ func (e *Engine) runClock(d time.Duration) {
 	for {
 		select {
 		case <-ticker.C:
-			e.Tick()
+			e.clockTick()
 		case <-e.quit:
 			return
 		}
 	}
+}
+
+// clockTick is a Tick whose panic, logged and counted, costs the tick only.
+func (e *Engine) clockTick() {
+	defer func() {
+		if p := recover(); p != nil {
+			e.clockPanics.Add(1)
+			log.Printf("serve: clock: panic in tick: %v\n%s", p, debug.Stack())
+		}
+	}()
+	e.Tick()
 }
 
 // Slot returns the current slot.
@@ -788,13 +803,18 @@ func (e *Engine) Traces() *trace.Store { return e.traces }
 func (e *Engine) Network() *core.Network { return e.network }
 
 // Placement returns the record for an admitted request ID. Every ID ever
-// admitted stays retrievable for the life of the engine: from the live
-// index until its window ends, from the history afterwards. The returned
-// copy's State reflects the current slot.
+// admitted stays retrievable for the life of the engine, but for a failed
+// read of the history's spill file: from the live index until its window
+// ends, from the history afterwards. The returned copy's State reflects the
+// current slot.
 func (e *Engine) Placement(id int) (PlacementRecord, bool) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.book.lookup(id, e.slot)
+	rec, cold, ok := e.book.lookup(id, e.slot)
+	e.mu.Unlock()
+	if cold != nil {
+		return cold()
+	}
+	return rec, ok
 }
 
 // CloudletStatus is one cloudlet's residual capacity over the remaining
@@ -867,6 +887,8 @@ func (e *Engine) Stats() Stats {
 		BackupGroups:     e.pool.Groups(),
 		FiledPlacements:  e.book.filed,
 		BookBytes:        e.book.bytes(),
+		SpilledBytes:     e.book.spilled,
+		SpillErrors:      int(e.book.spillErrors.Load()),
 		CloudletUsed:     make([]int, len(e.network.Cloudlets)),
 		CloudletCapacity: make([]int, len(e.network.Cloudlets)),
 		QueueDepth:       int(e.waiting.Load()),

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -274,6 +276,49 @@ func TestEngineRealTimeClock(t *testing.T) {
 			t.Fatalf("clock did not advance past slot %d", e.Slot())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// panickyAdvancer is pd-onsite whose first window advance panics.
+type panickyAdvancer struct {
+	*onsite.Scheduler
+	panicked atomic.Bool
+}
+
+func (s *panickyAdvancer) AdvanceWindow(base int) {
+	if s.panicked.CompareAndSwap(false, true) {
+		panic("advance window")
+	}
+	s.Scheduler.AdvanceWindow(base)
+}
+
+// TestEngineClockRecoversPanickingTick runs the real-time clock over a
+// window advance that panics once: the tick is logged and counted, and the
+// clock keeps ticking and the engine deciding.
+func TestEngineClockRecoversPanickingTick(t *testing.T) {
+	n := testNetwork()
+	sched := &panickyAdvancer{Scheduler: newOnsiteScheduler(t, n, 8)}
+	e, err := New(Config{Network: n, Scheduler: sched, Horizon: 8, Rolling: true, SlotDuration: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownEngine(t, e)
+	deadline := time.Now().Add(2 * time.Second)
+	for !sched.panicked.Load() || e.Slot() < 5 {
+		if time.Now().After(deadline) {
+			t.Fatalf("clock stopped at slot %d (panicked: %v)", e.Slot(), sched.panicked.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var metrics strings.Builder
+	if err := e.WriteMetrics(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(metrics.String(), "revnfd_clock_panics_total 1\n") {
+		t.Error("metrics missing revnfd_clock_panics_total 1")
+	}
+	if res := submit(t, e, AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 2, Payment: 100}); !res.Admitted {
+		t.Errorf("a request after the panicking tick: %+v, want admitted", res)
 	}
 }
 

@@ -208,6 +208,10 @@ func TestHTTPMetricsScrape(t *testing.T) {
 		// One admission opens one history chunk and a one-block table.
 		"revnfd_placement_book_bytes " + strconv.FormatFloat(
 			float64(historyChunk+unsafe.Sizeof(historyBlock{})), 'g', -1, 64) + "\n",
+		// Nothing spills before a second chunk opens, and the clock is frozen.
+		"revnfd_placement_history_spilled_bytes 0\n",
+		"revnfd_placement_history_spill_errors_total 0\n",
+		"revnfd_clock_panics_total 0\n",
 		`revnfd_cloudlet_utilization{cloudlet="0"}`,
 		// Submit times one submission in latencySampleRate: of these two,
 		// the first.

@@ -30,7 +30,13 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 		metrics.Gauge("revnfd_placements_filed",
 			"Entries of the placement history: every admission stays retrievable.", float64(s.FiledPlacements)),
 		metrics.Gauge("revnfd_placement_book_bytes",
-			"Memory held by the placement history's chunks, assignments included.", float64(s.BookBytes)),
+			"Memory held by the placement history: its chunks in memory and its block table.", float64(s.BookBytes)),
+		metrics.Gauge("revnfd_placement_history_spilled_bytes",
+			"Older placement-history chunks in its unlinked spill file under $TMPDIR.", float64(s.SpilledBytes)),
+		metrics.Counter("revnfd_placement_history_spill_errors_total",
+			"Failed spills (the chunk stayed in memory) and cold reads (not found) of the placement history.", float64(s.SpillErrors)),
+		metrics.Counter("revnfd_clock_panics_total",
+			"Ticks of the real-time slot clock that panicked; the clock kept going.", float64(e.clockPanics.Load())),
 		metrics.Gauge("revnfd_current_slot",
 			"Current time slot of the slot clock.", float64(s.Slot)),
 		metrics.Gauge("revnfd_horizon_slots",

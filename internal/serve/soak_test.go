@@ -53,6 +53,21 @@ func soakRates(n *core.Network) []float64 {
 // unbalancing the ledger, and the online rate estimates must converge on
 // the injector's true rates.
 func TestSoakFailureRuntime(t *testing.T) {
+	soakFailureRuntime(t, 0)
+}
+
+// TestSoakFailureRuntimeSpilling is the soak on 1 KiB history chunks, so
+// the history spills dozens of them while the runtime reads every live
+// record each slot: each one is found in memory, and nothing is read back.
+func TestSoakFailureRuntimeSpilling(t *testing.T) {
+	soakFailureRuntime(t, 1<<10)
+}
+
+// soakFailureRuntime runs the acceptance soak on history chunks of chunk
+// bytes (0: the default). With chunk set it also checks, slot by slot,
+// that every live placement's record is found without the spill file, and
+// at the end that at least three chunks spilled.
+func soakFailureRuntime(t *testing.T, chunk int) {
 	const (
 		horizon     = 160
 		submitSlots = 150
@@ -79,9 +94,26 @@ func TestSoakFailureRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shutdownEngine(t, e)
+	e.book.chunkSize = chunk
 
 	var admitted []int
+	ends := map[int]int{} // admitted ID → the last slot of its window
 	for slot := 1; slot <= submitSlots; slot = e.Tick().Slot {
+		if chunk != 0 {
+			missing := 0
+			e.mu.Lock()
+			for id, end := range ends {
+				if end < slot {
+					delete(ends, id)
+				} else if e.book.liveRecord(id) == nil {
+					missing++
+				}
+			}
+			e.mu.Unlock()
+			if missing != 0 {
+				t.Fatalf("slot %d: %d live placements not found in memory", slot, missing)
+			}
+		}
 		for i := 0; i < perSlot; i++ {
 			res := submit(t, e, AdmissionRequest{
 				VNF:         0,
@@ -91,6 +123,7 @@ func TestSoakFailureRuntime(t *testing.T) {
 			})
 			if res.Admitted {
 				admitted = append(admitted, res.ID)
+				ends[res.ID] = slot + (slot+i)%5
 			}
 		}
 		// Ledger invariant under live repairs: residuals stay within
@@ -108,6 +141,9 @@ func TestSoakFailureRuntime(t *testing.T) {
 
 	if len(admitted) < 500 {
 		t.Fatalf("admitted %d placements, want ≥ 500 for a meaningful soak", len(admitted))
+	}
+	if st := e.Stats(); chunk != 0 && (st.SpilledBytes < 3*chunk || st.SpillErrors != 0) {
+		t.Fatalf("%d B spilled with %d errors, want three chunks or more and none", st.SpilledBytes, st.SpillErrors)
 	}
 
 	// Acceptance: every placement met its SLO or is explicitly degraded,

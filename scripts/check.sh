@@ -54,6 +54,11 @@ go test ./internal/wire -run '^$' -fuzz 'FuzzDecimal' -fuzztime "$fuzztime"
 echo "==> on-site step-table fuzz smoke (1s)"
 go test ./internal/core -run '^$' -fuzz 'FuzzOnsiteInstancesOK' -fuzztime 1s
 
+# The placement history's codec round trip, with the entry read back from
+# the history's spill file: the history has an I/O path.
+echo "==> placement history fuzz smoke (1s)"
+go test ./internal/serve -run '^$' -fuzz 'FuzzHistoryEntry' -fuzztime 1s
+
 echo "==> daemon smoke test (tracing + pprof enabled)"
 go test ./cmd/revnfd -run 'TestDaemonTraceSmoke|TestDaemonPprofOffByDefault' -count=1
 
@@ -86,7 +91,8 @@ fi
 # Raised by 39: the arrival ordering (workload.ByArrival) and the draw loops split from it.
 # Lowered by 53: the ledger alone bounds the rolling window (the book's start counts, the engine's pin and ErrNotDrained went).
 # Lowered by 169: the reliability math stated once (the on-site ladder, the shared caches and core's test-only references went).
-ceiling=22132
+# Raised by 89: the placement history spills chunks no live window ends in to an unlinked temp file (spill, cold read outside the engine mutex), and the clock recovers a panicking tick.
+ceiling=22221
 lines=$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)
 echo "==> non-test Go outside benchmark/: $lines lines (ceiling $ceiling)"
 if [ "$lines" -gt "$ceiling" ]; then
