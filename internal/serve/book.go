@@ -13,25 +13,29 @@ import (
 	"revnf/internal/core"
 )
 
-// The history's geometry. A block holds at most historyBlockEntries
-// entries, so a lookup steps over at most that many; a chunk is
-// historyChunk bytes (about 40 Ki on-site entries), small enough that
-// opening one under the engine mutex costs nothing a decision would notice.
+// The history's geometry: a lookup steps over at most a block's entries,
+// and a chunk holds about 2.5 Ki on-site entries and their rows.
 const (
 	historyBlockEntries = 128
-	historyChunk        = 1 << 20
+	historyChunk        = 64 << 10
+	rowSize             = int(unsafe.Sizeof(historyBlock{}))
 )
 
-// historyBlock indexes one block of the history stream. Its entries start
-// at byte off of chunk, after the block's header: varint(arrival base),
-// varint(group base). lo and hi bound the block's own IDs — every ID it
-// holds but the late ones — and hi is a running maximum over the blocks
-// before it too, so the table is sorted by hi and a binary search names the
-// one block an ID can be in. A block without own IDs has lo math.MaxInt.
+// historyBlock is a block's row. Its entries start at byte off of its
+// chunk, after the block's header: varint(arrival base), varint(group
+// base). hi is the largest own ID — every ID it holds but the late ones —
+// of the block and those before it, so a binary search of the rows by hi
+// names the one block an ID can be in.
 type historyBlock struct {
-	lo, hi     int
-	chunk, off int
-	n          int // entries, late ones and refiles included
+	hi, off int
+	n       int // entries, late ones and refiles included
+}
+
+// historySpan is a chunk's first block and row count, its last block's
+// hi, the latest last slot of a window filed in it and, once spilled, the
+// offset and length of its bytes in the spill file, rows behind them.
+type historySpan struct {
+	first, rows, hi, end, at, size int
 }
 
 // An entry's flags byte.
@@ -57,7 +61,7 @@ const (
 //
 // The history holds every placement ever admitted, as an append-only byte
 // stream of varint-coded entries (encode has the layout) cut into blocks of
-// at most historyBlockEntries and indexed by the block table. An entry is
+// at most historyBlockEntries, each with a row. An entry is
 // prefixed by zigzag(ID − the previous ID in its block) and its body's
 // length, so a lookup decodes one block's prefixes and only the body it
 // wants. IDs arrive out of order by up to workers − 1 positions (an ID is
@@ -67,9 +71,10 @@ const (
 // runtime refiles a record it changed by appending a newer entry, so the
 // newest entry always mirrors the live record and expiry never touches the
 // history. late maps a late ID to the block of its newest entry; every
-// other ID has one entry, in the block its hi names. Nothing in
-// it holds a pointer, so it costs no collector time, and it grows a chunk
-// at a time without copying; spillOld moves the older chunks to a file.
+// other ID has one entry, in the block its hi names. Nothing in it but
+// slice headers holds a pointer, so it costs no collector time, and it
+// grows a chunk at a time; spillOld moves older chunks and their rows to a
+// file, and their spans find them.
 //
 // The book has no lock: the Engine field holding it is guarded by mu, and
 // no pointer to a live record may outlive the critical section that read
@@ -80,21 +85,22 @@ type placementBook struct {
 	expired []*PlacementRecord            // expire's result, reused call after call
 	free    []*PlacementRecord
 
-	chunks      [][]byte     // nil once spilled
-	chunkEnds   []int        // per chunk: the latest last slot of a window filed in it
-	chunkSize   int          // a new chunk's size; 0 means historyChunk
-	spill       *os.File     // nil before the first spill; never closed, its finalizer does
-	spillAt     []int        // where each spilled chunk starts in spill: they spill in order
-	spilled     int          // spill's size
-	spillErrors atomic.Int64 // failed spills and cold reads: a cold read runs without mu
-	blocks      []historyBlock
-	late        map[int]int // late ID → block of its newest entry
-	filed       int         // admissions in the history
-	// The open block's encoder state: the previous ID and the bases its
-	// entries' arrivals and groups are relative to.
-	prevID, arrivalBase, groupBase int
-	lastGroup                      int    // the newest backup group filed: the next block's group base
-	body                           []byte // encode's scratch
+	spans       []historySpan  // every chunk, oldest first; the spilled ones lie back to back in spill
+	chunks      [][]byte       // the bytes of the chunks after the spilled ones; the last is open
+	rows        []historyBlock // the rows of their blocks; the last is the open block's
+	spare       []byte         // the buffer of the chunk spilled last: the next chunk opens in it
+	chunkSize   int            // a new chunk's size; 0 means historyChunk
+	spill       *os.File       // nil before the first spill; never closed, its finalizer does
+	spilled     int            // spill's size
+	spillErrors atomic.Int64   // failed spills and cold reads: a cold read runs without mu
+	blocks      int            // blocks opened; the open one is blocks − 1
+	late        map[int]int    // late ID → block of its newest entry
+	filed       int            // admissions in the history
+	// The open block's encoder state: the previous ID, the bases of its
+	// entries' arrivals and groups, and the hi of the block before it.
+	prevID, arrivalBase, groupBase, sealedHi int
+	lastGroup                                int    // the newest backup group filed: the next block's group base
+	body                                     []byte // encode's scratch
 }
 
 // admit books one admission: a live record (recycled when one is free),
@@ -212,10 +218,10 @@ func (b *placementBook) lookup(id, slot int) (PlacementRecord, coldRead, bool) {
 	return out, nil, true
 }
 
-// bytes returns the memory the history holds: its chunks in memory,
-// counted whole, and the block table.
+// bytes returns the memory the history holds: its chunks in memory and the
+// spare, counted whole, their rows, and the chunks' spans.
 func (b *placementBook) bytes() int {
-	n := cap(b.blocks) * int(unsafe.Sizeof(historyBlock{}))
+	n := cap(b.spans)*int(unsafe.Sizeof(historySpan{})) + cap(b.rows)*rowSize + cap(b.spare)
 	for _, c := range b.chunks {
 		n += cap(c)
 	}
@@ -227,65 +233,74 @@ func (b *placementBook) bytes() int {
 // of its chunk. A refile is late, and so is an ID a sealed block already
 // covers: a block's own IDs have one entry each.
 func (b *placementBook) file(rec *PlacementRecord, refile bool) {
-	k := len(b.blocks) - 1
-	if k < 0 || b.blocks[k].n == historyBlockEntries || !b.fits(b.encode(rec)) {
+	if b.blocks == 0 || b.rows[len(b.rows)-1].n == historyBlockEntries || !b.fits(b.encode(rec)) {
 		b.openBlock(rec)
-		k++
 	}
-	c := len(b.chunks) - 1
-	b.chunks[c] = append(b.appendPrefix(b.chunks[c], rec.ID), b.body...)
-	b.chunkEnds[c] = max(b.chunkEnds[c], rec.Request.End())
-	blk := &b.blocks[k]
+	c, span, blk := &b.chunks[len(b.chunks)-1], &b.spans[len(b.spans)-1], &b.rows[len(b.rows)-1]
+	*c = append(b.appendPrefix(*c, rec.ID), b.body...)
+	span.end = max(span.end, rec.Request.End())
 	blk.n++
 	b.prevID = rec.ID
 	if bk := rec.Placement.Backup; bk != nil {
 		b.lastGroup = bk.Group
 	}
-	if !refile && (k == 0 || rec.ID > b.blocks[k-1].hi) {
-		blk.lo, blk.hi = min(blk.lo, rec.ID), max(blk.hi, rec.ID)
+	if !refile && (b.blocks == 1 || rec.ID > b.sealedHi) {
+		blk.hi = max(blk.hi, rec.ID)
+		span.hi = blk.hi
 		return
 	}
 	if b.late == nil {
 		b.late = make(map[int]int)
 	}
-	b.late[rec.ID] = k
+	b.late[rec.ID] = b.blocks - 1
 }
 
-// fits reports whether n more bytes fit the last chunk.
+// fits reports whether n more bytes fit the last chunk beside its rows.
 func (b *placementBook) fits(n int) bool {
 	c := b.chunks[len(b.chunks)-1]
-	return cap(c)-len(c) >= n
+	return cap(c)-len(c)-rowSize*b.spans[len(b.spans)-1].rows >= n
 }
 
 // openBlock seals the open block and opens the next with rec as its first
 // entry: the bases are rec's arrival and the newest group filed, and the
-// block starts a new chunk when its header and rec's entry do not fit the
-// last one. A new chunk is historyChunk bytes, or the two's size if that
-// is more, so neither a block nor an entry ever straddles two chunks.
+// block starts a new chunk, in the spare if it is large enough, when its
+// header, rec's entry and its row do not fit the last one. A new buffer is
+// historyChunk bytes, or the three's size if that is more, so neither a
+// block nor an entry ever straddles two chunks.
 func (b *placementBook) openBlock(rec *PlacementRecord) {
+	b.sealedHi = math.MinInt
+	if b.blocks > 0 {
+		b.sealedHi = b.spans[len(b.spans)-1].hi
+	}
 	b.prevID, b.arrivalBase, b.groupBase = 0, rec.Request.Arrival, b.lastGroup
 	var buf [2 * binary.MaxVarintLen64]byte
 	head := binary.AppendVarint(binary.AppendVarint(buf[:0], int64(b.arrivalBase)), int64(b.groupBase))
-	if need := len(head) + b.encode(rec); len(b.chunks) == 0 || !b.fits(need) {
-		b.chunks = append(b.chunks, make([]byte, 0, max(cmp.Or(b.chunkSize, historyChunk), need)))
-		b.chunkEnds = append(b.chunkEnds, math.MinInt)
+	if need := len(head) + b.encode(rec) + rowSize; b.blocks == 0 || !b.fits(need) {
 		b.spillOld()
+		if cap(b.spare) < need {
+			b.spare = make([]byte, 0, max(cmp.Or(b.chunkSize, historyChunk), need))
+		}
+		b.chunks, b.spare = append(b.chunks, b.spare), nil
+		b.spans = append(b.spans, historySpan{first: b.blocks, hi: b.sealedHi, end: math.MinInt})
 	}
-	blk := historyBlock{lo: math.MaxInt, hi: math.MinInt, chunk: len(b.chunks) - 1}
-	if k := len(b.blocks); k > 0 {
-		blk.hi = b.blocks[k-1].hi
-	}
-	blk.off = len(b.chunks[blk.chunk])
-	b.chunks[blk.chunk] = append(b.chunks[blk.chunk], head...)
-	b.blocks = append(b.blocks, blk)
+	c := &b.chunks[len(b.chunks)-1]
+	b.rows = append(b.rows, historyBlock{hi: b.sealedHi, off: len(*c)})
+	*c = append(*c, head...)
+	b.spans[len(b.spans)-1].rows++
+	b.blocks++
 }
 
-// spillOld writes the chunks behind the newest, which never change again,
-// to a temporary file and drops them, oldest first, up to the first one a
-// live window may still end in (every live window ends at or after the
-// ring's front). A failure keeps the chunk until the next chunk opens.
+// spillOld writes the chunks in memory, which never change once the next
+// opens, to a temporary file, bytes then rows, and drops them, oldest
+// first, up to the first one a live window may still end in (every live
+// window ends at or after the ring's front); the last one's buffer becomes
+// the spare. A failure keeps the chunk until the next chunk opens.
 func (b *placementBook) spillOld() {
-	for c := len(b.spillAt); c < len(b.chunks)-1 && (b.active == 0 || b.chunkEnds[c] < b.ends.lo); c++ {
+	for len(b.chunks) > 0 {
+		c, span := b.chunks[0], &b.spans[len(b.spans)-len(b.chunks)]
+		if b.active > 0 && span.end >= b.ends.lo {
+			return
+		}
 		if b.spill == nil { // unlinked at once; nil on a failure, which WriteAt counts
 			if f, err := os.CreateTemp("", "revnfd-history-*"); err == nil && os.Remove(f.Name()) == nil {
 				b.spill = f
@@ -293,12 +308,13 @@ func (b *placementBook) spillOld() {
 				f.Close()
 			}
 		}
-		if _, err := b.spill.WriteAt(b.chunks[c], int64(b.spilled)); err != nil {
+		out := append(c, rowBytes(b.rows[:span.rows])...)
+		if _, err := b.spill.WriteAt(out, int64(b.spilled)); err != nil {
 			b.spillErrors.Add(1)
 			return
 		}
-		b.spillAt, b.spilled = append(b.spillAt, b.spilled), b.spilled+len(b.chunks[c])
-		b.chunks[c] = nil
+		span.at, span.size, b.spilled = b.spilled, len(c), b.spilled+len(out)
+		b.chunks, b.rows, b.spare = slices.Delete(b.chunks, 0, 1), slices.Delete(b.rows, 0, span.rows), c[:0]
 	}
 }
 
@@ -366,43 +382,63 @@ type filedEntry struct {
 	body                       entryReader
 }
 
-// coldRead reads a spilled entry back into a fresh buffer and unpacks it;
-// false when the read fails, which counts, or the block has no entry for
-// the ID. It touches nothing mu guards: spilled bytes never change.
+// coldRead reads a spilled entry back, its chunk's rows and then its
+// block, and unpacks it; false when a read fails, which counts, or the
+// block has no entry for the ID. Spilled bytes never change: it needs no mu.
 type coldRead func() (PlacementRecord, bool)
 
 // find returns the newest history entry for id, false when id was never
-// admitted: the late map or a binary search of the block table names the
-// block. A block in memory find walks; for a spilled one, which holds no
-// live record's entry, it returns the read instead, and true.
+// admitted: the late map or a search by hi, of the spans and then the
+// rows, names the block. A block in memory find walks; for a spilled one,
+// which holds no live record's entry, it returns the read instead, and true.
 func (b *placementBook) find(id int) (filedEntry, coldRead, bool) {
 	k, late := b.late[id]
-	if !late {
-		k = sort.Search(len(b.blocks), func(i int) bool { return b.blocks[i].hi >= id })
-		if k == len(b.blocks) || b.blocks[k].lo > id {
-			return filedEntry{}, nil, false
-		}
+	c := sort.Search(len(b.spans), func(i int) bool {
+		return late && b.spans[i].first > k || !late && b.spans[i].hi >= id
+	})
+	if late {
+		c--
+	} else if c == len(b.spans) {
+		return filedEntry{}, nil, false
 	}
-	blk := b.blocks[k]
-	if c := b.chunks[blk.chunk]; c != nil {
-		f, ok := walkBlock(c[blk.off:], blk.n, id, late)
+	span, spilled := b.spans[c], len(b.spans)-len(b.chunks)
+	if c >= spilled {
+		rows := b.rows[span.first-b.spans[spilled].first:]
+		blk := rows[blockOf(rows, span.first, k, id, late)]
+		f, ok := walkBlock(b.chunks[c-spilled][blk.off:], blk.n, id, late)
 		return f, nil, ok
 	}
-	// Chunks spill back to back, so the block ends where the next one starts
-	// if that has spilled too, else at the file's end.
-	file, at, end := b.spill, b.spillAt[blk.chunk]+blk.off, b.spilled
-	if next := b.blocks[k+1]; next.chunk < len(b.spillAt) {
-		end = b.spillAt[next.chunk] + next.off
-	}
+	file := b.spill
 	return filedEntry{}, func() (PlacementRecord, bool) {
-		buf := make([]byte, end-at)
-		if _, err := file.ReadAt(buf, int64(at)); err != nil {
+		rows := make([]historyBlock, span.rows, span.rows+1)
+		if _, err := file.ReadAt(rowBytes(rows), int64(span.at+span.size)); err != nil {
 			b.spillErrors.Add(1)
-		} else if f, ok := walkBlock(buf, blk.n, id, late); ok {
+			return PlacementRecord{}, false
+		}
+		i := blockOf(rows, span.first, k, id, late)
+		rows = append(rows, historyBlock{off: span.size}) // where the last block ends
+		buf := make([]byte, rows[i+1].off-rows[i].off)
+		if _, err := file.ReadAt(buf, int64(span.at+rows[i].off)); err != nil {
+			b.spillErrors.Add(1)
+		} else if f, ok := walkBlock(buf, rows[i].n, id, late); ok {
 			return f.unpack(), true
 		}
 		return PlacementRecord{}, false
 	}, true
+}
+
+// blockOf returns which of rows, a chunk's from its block first on, holds
+// id's newest entry: block k for a late ID, else the first with hi ≥ id.
+func blockOf(rows []historyBlock, first, k, id int, late bool) int {
+	if late {
+		return k - first
+	}
+	return sort.Search(len(rows), func(i int) bool { return rows[i].hi >= id })
+}
+
+// rowBytes views rows as bytes: the spill file is the process's own.
+func rowBytes(rows []historyBlock) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(rows))), len(rows)*rowSize)
 }
 
 // walkBlock walks the prefixes of the block r starts with to id's newest

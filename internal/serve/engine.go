@@ -138,10 +138,11 @@ type Stats struct {
 	ActivePlacements int
 	// BackupGroups counts the shared-backup groups holding ledger capacity.
 	BackupGroups int
-	// FiledPlacements counts the placements in the history (every admission
-	// is retained), BookBytes the memory its chunks and block table hold,
-	// SpilledBytes those in its spill file, SpillErrors its failed spills and reads.
-	FiledPlacements, BookBytes, SpilledBytes, SpillErrors int
+	// FiledPlacements counts the history's placements (every admission),
+	// BookBytes its heap (chunks in memory, whole, their rows and every
+	// chunk's span), SpilledBytes its spill file, SpillErrors its failed
+	// spills and reads, LateIDs the IDs in its late map (refiled ones too).
+	FiledPlacements, BookBytes, SpilledBytes, SpillErrors, LateIDs int
 	// CloudletUsed and CloudletCapacity give per-cloudlet units in use at
 	// the current slot (zero usage once the slot passes the horizon).
 	CloudletUsed, CloudletCapacity []int
@@ -889,6 +890,7 @@ func (e *Engine) Stats() Stats {
 		BookBytes:        e.book.bytes(),
 		SpilledBytes:     e.book.spilled,
 		SpillErrors:      int(e.book.spillErrors.Load()),
+		LateIDs:          len(e.book.late),
 		CloudletUsed:     make([]int, len(e.network.Cloudlets)),
 		CloudletCapacity: make([]int, len(e.network.Cloudlets)),
 		QueueDepth:       int(e.waiting.Load()),

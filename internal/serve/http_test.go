@@ -205,12 +205,14 @@ func TestHTTPMetricsScrape(t *testing.T) {
 		"revnfd_current_slot 1\n",
 		"revnfd_active_placements 1\n",
 		"revnfd_placements_filed 1\n",
-		// One admission opens one history chunk and a one-block table.
+		// One admission opens one history chunk with one block's row.
 		"revnfd_placement_book_bytes " + strconv.FormatFloat(
-			float64(historyChunk+unsafe.Sizeof(historyBlock{})), 'g', -1, 64) + "\n",
+			float64(historyChunk+unsafe.Sizeof(historyBlock{})+unsafe.Sizeof(historySpan{})), 'g', -1, 64) + "\n",
 		// Nothing spills before a second chunk opens, and the clock is frozen.
 		"revnfd_placement_history_spilled_bytes 0\n",
 		"revnfd_placement_history_spill_errors_total 0\n",
+		// Nothing is refiled or filed behind a sealed block.
+		"revnfd_placement_history_late_ids 0\n",
 		"revnfd_clock_panics_total 0\n",
 		`revnfd_cloudlet_utilization{cloudlet="0"}`,
 		// Submit times one submission in latencySampleRate: of these two,

@@ -30,11 +30,13 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 		metrics.Gauge("revnfd_placements_filed",
 			"Entries of the placement history: every admission stays retrievable.", float64(s.FiledPlacements)),
 		metrics.Gauge("revnfd_placement_book_bytes",
-			"Memory held by the placement history: its chunks in memory and its block table.", float64(s.BookBytes)),
+			"Heap held by the placement history: its chunks in memory, counted whole, their block rows, and every chunk's span.", float64(s.BookBytes)),
 		metrics.Gauge("revnfd_placement_history_spilled_bytes",
 			"Older placement-history chunks in its unlinked spill file under $TMPDIR.", float64(s.SpilledBytes)),
 		metrics.Counter("revnfd_placement_history_spill_errors_total",
 			"Failed spills (the chunk stayed in memory) and cold reads (not found) of the placement history.", float64(s.SpillErrors)),
+		metrics.Gauge("revnfd_placement_history_late_ids",
+			"Placement-history IDs in its late map (refiled by the failure runtime, or filed past a sealed block): heap that grows with the run.", float64(s.LateIDs)),
 		metrics.Counter("revnfd_clock_panics_total",
 			"Ticks of the real-time slot clock that panicked; the clock kept going.", float64(e.clockPanics.Load())),
 		metrics.Gauge("revnfd_current_slot",

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -336,6 +337,16 @@ func TestRuntimeDegradedReleasesOnceThenHistory(t *testing.T) {
 	if st.ActivePlacements != 0 || st.Expired != uint64(len(admitted)) || st.FiledPlacements != len(admitted) {
 		t.Fatalf("after expiry active/expired/filed = %d/%d/%d, want 0/%d/%d",
 			st.ActivePlacements, st.Expired, st.FiledPlacements, len(admitted), len(admitted))
+	}
+	// A degraded mark refiles its record, late: the late map holds every
+	// refiled ID, and /metrics says how many.
+	var metrics strings.Builder
+	if err := e.WriteMetrics(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if gauge := "revnfd_placement_history_late_ids " + strconv.Itoa(st.LateIDs) + "\n"; st.LateIDs < len(degraded) ||
+		st.LateIDs > len(admitted) || !strings.Contains(metrics.String(), gauge) {
+		t.Errorf("%d late IDs for %d degraded of %d admitted, or metrics missing %q", st.LateIDs, len(degraded), len(admitted), gauge)
 	}
 	for j := range n.Cloudlets {
 		for slot := 1; slot <= horizon; slot++ {

@@ -92,7 +92,8 @@ fi
 # Lowered by 53: the ledger alone bounds the rolling window (the book's start counts, the engine's pin and ErrNotDrained went).
 # Lowered by 169: the reliability math stated once (the on-site ladder, the shared caches and core's test-only references went).
 # Raised by 89: the placement history spills chunks no live window ends in to an unlinked temp file (spill, cold read outside the engine mutex), and the clock recovers a panicking tick.
-ceiling=22221
+# Raised by 40: the history's chunks keep their own rows, spilled with them, and a spilled chunk's buffer is reused.
+ceiling=22261
 lines=$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)
 echo "==> non-test Go outside benchmark/: $lines lines (ceiling $ceiling)"
 if [ "$lines" -gt "$ceiling" ]; then
