@@ -93,7 +93,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("unknown -horizon-mode %q (want fixed|rolling)", *horizonMode)
 	}
 
-	inst, err := loadNetwork(*instance, *topo, *cloudlets, *horizon, *seed)
+	// The daemon serves the network alone: one request is the generator's
+	// minimum, and the network does not depend on the request count.
+	inst, err := experiments.LoadOrGenerate(*instance, *topo, *cloudlets, 1, *horizon, *seed)
 	if err != nil {
 		return err
 	}
@@ -207,37 +209,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "revnfd: served %d admissions, %d rejections, revenue %.2f\n",
 		s.Admitted, s.RejectedTotal(), s.Revenue)
 	return nil
-}
-
-// loadNetwork builds the served network: either the one stored in an
-// instance file or a freshly generated one. Generation draws cloudlets
-// before any trace, so the same -topology/-cloudlets/-seed flags yield
-// the same network in revnfd and revnfload regardless of request count.
-func loadNetwork(path, topo string, cloudlets, horizon int, seed int64) (*workload.Instance, error) {
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("open instance: %w", err)
-		}
-		defer func() {
-			_ = f.Close() // read-only descriptor; nothing to report
-		}()
-		return workload.LoadInstance(f)
-	}
-	setup := experiments.DefaultSetup()
-	if topo != "" {
-		setup.Topology = topo
-	}
-	if cloudlets > 0 {
-		setup.Cloudlets = cloudlets
-	}
-	if horizon > 0 {
-		setup.Horizon = horizon
-	}
-	// The generator requires at least one request; the daemon only uses
-	// the network and horizon, and the cloudlet draw precedes the trace
-	// draw, so the request count does not perturb the network.
-	return setup.Instance(1, setup.H, setup.K, seed)
 }
 
 // buildScheduler maps the -algorithm/-scheme flags onto the public

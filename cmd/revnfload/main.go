@@ -35,7 +35,6 @@ import (
 
 	"revnf/internal/experiments"
 	"revnf/internal/wire"
-	"revnf/internal/workload"
 )
 
 func main() {
@@ -101,7 +100,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("unknown -proto %q (want json|ndjson|frame)", *proto)
 	}
 
-	inst, err := loadTrace(*instance, *topo, *cloudlets, *requests, *horizon, *seed)
+	inst, err := experiments.LoadOrGenerate(*instance, *topo, *cloudlets, *requests, *horizon, *seed)
 	if err != nil {
 		return err
 	}
@@ -575,28 +574,4 @@ func reasonList(reasons map[string]int) string {
 	}
 	b.WriteString(")")
 	return b.String()
-}
-
-func loadTrace(path, topo string, cloudlets, requests, horizon int, seed int64) (*workload.Instance, error) {
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("open instance: %w", err)
-		}
-		defer func() {
-			_ = f.Close() // read-only descriptor; nothing to report
-		}()
-		return workload.LoadInstance(f)
-	}
-	setup := experiments.DefaultSetup()
-	if topo != "" {
-		setup.Topology = topo
-	}
-	if cloudlets > 0 {
-		setup.Cloudlets = cloudlets
-	}
-	if horizon > 0 {
-		setup.Horizon = horizon
-	}
-	return setup.Instance(requests, setup.H, setup.K, seed)
 }

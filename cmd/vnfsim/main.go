@@ -138,29 +138,8 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-func loadOrGenerate(path, topo string, cloudlets, requests, horizon int, seed int64) (*workload.Instance, error) {
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("open instance: %w", err)
-		}
-		defer func() {
-			_ = f.Close() // read-only descriptor; nothing to report
-		}()
-		return workload.LoadInstance(f)
-	}
-	setup := experiments.DefaultSetup()
-	if topo != "" {
-		setup.Topology = topo
-	}
-	if cloudlets > 0 {
-		setup.Cloudlets = cloudlets
-	}
-	if horizon > 0 {
-		setup.Horizon = horizon
-	}
-	return setup.Instance(requests, setup.H, setup.K, seed)
-}
+// loadOrGenerate loads -instance or generates one from the generator flags.
+var loadOrGenerate = experiments.LoadOrGenerate
 
 // buildScheduler maps the flags onto the public functional-options
 // constructor; the scheme arrives already parsed by core.ParseScheme.

@@ -94,11 +94,7 @@ func Run(inst *Instance, sched Scheduler) (*Result, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	caps := make([]int, len(inst.Network.Cloudlets))
-	for j, cl := range inst.Network.Cloudlets {
-		caps[j] = cl.Capacity
-	}
-	ledger, err := timeslot.New(caps, inst.Horizon)
+	ledger, err := timeslot.New(inst.Network.Capacities(), inst.Horizon)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInstance, err)
 	}

@@ -114,6 +114,16 @@ type Network struct {
 	Cloudlets []Cloudlet
 }
 
+// Capacities returns each cloudlet's capacity, indexed by cloudlet ID: the
+// vector a timeslot ledger is built from.
+func (n *Network) Capacities() []int {
+	caps := make([]int, len(n.Cloudlets))
+	for j, cl := range n.Cloudlets {
+		caps[j] = cl.Capacity
+	}
+	return caps
+}
+
 // Validation errors returned by Network.Validate and Request checks.
 var (
 	ErrEmptyCatalog     = errors.New("core: empty VNF catalog")

@@ -9,6 +9,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 
 	"revnf/internal/baseline"
@@ -161,6 +162,35 @@ func (s Setup) Instance(requests int, h, k float64, seed int64) (*workload.Insta
 		},
 	}
 	return workload.NewInstance(cfg, seed)
+}
+
+// LoadOrGenerate is the commands' instance source: the instance stored at
+// path, or, when path is empty, one generated from DefaultSetup with the
+// non-zero topology, cloudlet-count and horizon overrides. Generation
+// draws the cloudlets before the trace, so the same overrides and seed
+// yield the same network whatever the request count.
+func LoadOrGenerate(path, topo string, cloudlets, requests, horizon int, seed int64) (*workload.Instance, error) {
+	if path != "" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, fmt.Errorf("open instance: %w", err)
+		}
+		defer func() {
+			_ = f.Close() // read-only descriptor; nothing to report
+		}()
+		return workload.LoadInstance(f)
+	}
+	setup := DefaultSetup()
+	if topo != "" {
+		setup.Topology = topo
+	}
+	if cloudlets > 0 {
+		setup.Cloudlets = cloudlets
+	}
+	if horizon > 0 {
+		setup.Horizon = horizon
+	}
+	return setup.Instance(requests, setup.H, setup.K, seed)
 }
 
 // schedulerFactory builds a fresh scheduler per instance (dual state must

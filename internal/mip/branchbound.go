@@ -314,10 +314,18 @@ func Solve(base *lp.Problem, binaries []int, cfg Config) (*Result, error) {
 	return result, nil
 }
 
+// applyFixes adds the fixings in ascending variable order: the simplex's
+// anti-degeneracy perturbation is indexed by row, so map order would make
+// the pivots, and with them the search, differ from run to run.
 func applyFixes(p *lp.Problem, fixes map[int]int) error {
-	for v, val := range fixes {
+	vars := make([]int, 0, len(fixes))
+	for v := range fixes {
+		vars = append(vars, v)
+	}
+	sort.Ints(vars)
+	for _, v := range vars {
 		rel, rhs := lp.LE, 0.0
-		if val == 1 {
+		if fixes[v] == 1 {
 			rel, rhs = lp.GE, 1.0
 		}
 		if _, err := p.AddConstraint(map[int]float64{v: 1}, rel, rhs); err != nil {

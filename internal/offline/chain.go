@@ -9,18 +9,15 @@ import (
 	"revnf/internal/mip"
 )
 
-// Chain offline comparator: the on-site chain problem has the same ILP
-// shape as the single-VNF problem (Eqs. 4–8) once each (request, cloudlet)
-// pair's footprint is fixed by the greedy redundancy allocation — one
-// binary per feasible pair, per-request selection rows, per-(cloudlet,
-// slot) capacity rows.
+// Chain offline comparator: the on-site chain problem is the single-VNF
+// packing program (Eqs. 4–8) once each (request, cloudlet) pair's
+// footprint is fixed by the greedy redundancy allocation.
 
 // chainPair is one feasible (chain request, cloudlet) placement with its
 // allocation.
 type chainPair struct {
 	request, cloudlet int
 	alloc             chain.Allocation
-	units             int
 }
 
 type chainModel struct {
@@ -30,122 +27,42 @@ type chainModel struct {
 
 func buildChainOnsite(inst *chain.Instance) (*chainModel, error) {
 	var pairs []chainPair
+	var cols []column
 	for _, req := range inst.Trace {
 		for j, cl := range inst.Network.Cloudlets {
 			alloc, err := chain.OnsiteAllocation(inst.Network.Catalog, req.VNFs, cl.Reliability, req.Reliability)
 			if err != nil {
 				continue
 			}
-			pairs = append(pairs, chainPair{
-				request:  req.ID,
-				cloudlet: j,
-				alloc:    alloc,
-				units:    alloc.Units(inst.Network.Catalog, req.VNFs),
-			})
+			pairs = append(pairs, chainPair{request: req.ID, cloudlet: j, alloc: alloc})
+			cols = append(cols, column{request: req.ID, payment: req.Payment, arrival: req.Arrival, end: req.End(),
+				loads: []load{{j, float64(alloc.Units(inst.Network.Catalog, req.VNFs))}}})
 		}
 	}
-	if len(pairs) == 0 {
-		return nil, fmt.Errorf("%w: no feasible chain/cloudlet pair", ErrBadInstance)
-	}
-	prob, err := lp.NewProblem(lp.Maximize, len(pairs))
+	prob, err := buildPacking(inst.Network, inst.Horizon, cols)
 	if err != nil {
-		return nil, fmt.Errorf("offline: %w", err)
-	}
-	perRequest := make(map[int]map[int]float64, len(inst.Trace))
-	for k, p := range pairs {
-		if err := prob.SetObjectiveCoeff(k, inst.Trace[p.request].Payment); err != nil {
-			return nil, fmt.Errorf("offline: %w", err)
-		}
-		row, ok := perRequest[p.request]
-		if !ok {
-			row = map[int]float64{}
-			perRequest[p.request] = row
-		}
-		row[k] = 1
-	}
-	for _, req := range inst.Trace {
-		if row, ok := perRequest[req.ID]; ok {
-			if _, err := prob.AddConstraint(row, lp.LE, 1); err != nil {
-				return nil, fmt.Errorf("offline: %w", err)
-			}
-		}
-	}
-	capRows := make(map[[2]int]map[int]float64)
-	for k, p := range pairs {
-		req := inst.Trace[p.request]
-		for t := req.Arrival; t <= req.End(); t++ {
-			key := [2]int{p.cloudlet, t}
-			row, ok := capRows[key]
-			if !ok {
-				row = map[int]float64{}
-				capRows[key] = row
-			}
-			row[k] = float64(p.units)
-		}
-	}
-	for j := range inst.Network.Cloudlets {
-		for t := 1; t <= inst.Horizon; t++ {
-			if row, ok := capRows[[2]int{j, t}]; ok {
-				if _, err := prob.AddConstraint(row, lp.LE, float64(inst.Network.Cloudlets[j].Capacity)); err != nil {
-					return nil, fmt.Errorf("offline: %w", err)
-				}
-			}
-		}
+		return nil, err
 	}
 	return &chainModel{prob: prob, vars: pairs}, nil
-}
-
-// ChainSolution is the offline chain schedule with optimality
-// certificates, mirroring Solution for the single-VNF problems.
-type ChainSolution struct {
-	// Status, Revenue, UpperBound and Nodes mirror Solution.
-	Status     mip.Status
-	Revenue    float64
-	UpperBound float64
-	Nodes      int
-	// Admitted flags each chain in trace order; Placements hold the
-	// admitted chains' footprints.
-	Admitted   []bool
-	Placements []chain.Placement
 }
 
 // SolveChainOnsite computes the offline on-site chain schedule by branch
 // and bound, with the fixed greedy allocation per (request, cloudlet)
 // pair.
 func SolveChainOnsite(inst *chain.Instance, cfg mip.Config) (*ChainSolution, error) {
-	if inst == nil {
-		return nil, fmt.Errorf("%w: nil", ErrBadInstance)
-	}
-	if err := inst.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInstance, err)
-	}
-	if len(inst.Trace) == 0 {
-		return nil, fmt.Errorf("%w: empty trace", ErrBadInstance)
+	if err := checkChainInstance(inst); err != nil {
+		return nil, err
 	}
 	model, err := buildChainOnsite(inst)
 	if err != nil {
 		return nil, err
 	}
-	binaries := make([]int, len(model.vars))
-	for k := range binaries {
-		binaries[k] = k
+	sol, x, err := solve[chain.Placement]("chain", model.prob, len(inst.Trace), cfg)
+	if x == nil {
+		return sol, err
 	}
-	res, err := mip.Solve(model.prob, binaries, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("offline: chain solve: %w", err)
-	}
-	sol := &ChainSolution{
-		Status:     res.Status,
-		UpperBound: res.Bound,
-		Nodes:      res.Nodes,
-		Admitted:   make([]bool, len(inst.Trace)),
-	}
-	if res.Status == mip.Infeasible || res.Status == mip.NoIncumbent {
-		return sol, nil
-	}
-	sol.Revenue = res.Objective
 	for k, p := range model.vars {
-		if res.X[k] <= 0.5 {
+		if x[k] <= 0.5 {
 			continue
 		}
 		sol.Admitted[p.request] = true
@@ -169,25 +86,25 @@ func SolveChainOnsite(inst *chain.Instance, cfg mip.Config) (*ChainSolution, err
 // LPBoundChainOnsite returns the LP-relaxation upper bound on offline
 // on-site chain revenue.
 func LPBoundChainOnsite(inst *chain.Instance) (float64, error) {
-	if inst == nil {
-		return 0, fmt.Errorf("%w: nil", ErrBadInstance)
-	}
-	if err := inst.Validate(); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadInstance, err)
-	}
-	if len(inst.Trace) == 0 {
-		return 0, fmt.Errorf("%w: empty trace", ErrBadInstance)
+	if err := checkChainInstance(inst); err != nil {
+		return 0, err
 	}
 	model, err := buildChainOnsite(inst)
 	if err != nil {
 		return 0, err
 	}
-	sol, err := model.prob.Solve()
-	if err != nil {
-		return 0, fmt.Errorf("offline: %w", err)
+	return lpBound(model.prob)
+}
+
+func checkChainInstance(inst *chain.Instance) error {
+	if inst == nil {
+		return fmt.Errorf("%w: nil", ErrBadInstance)
 	}
-	if sol.Status != lp.Optimal {
-		return 0, fmt.Errorf("%w: relaxation status %v", ErrBadInstance, sol.Status)
+	if err := inst.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadInstance, err)
 	}
-	return sol.Objective, nil
+	if len(inst.Trace) == 0 {
+		return fmt.Errorf("%w: empty trace", ErrBadInstance)
+	}
+	return nil
 }

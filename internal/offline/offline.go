@@ -6,12 +6,18 @@
 // budget, otherwise reporting the best incumbent together with the
 // relaxation upper bound so experiments can bracket the true optimum. The
 // pure LP relaxation bounds are also exposed for cheap upper-bound curves.
+//
+// The on-site, shared and chain programs are one set-packing program over
+// different columns (buildPacking); the off-site program ties a
+// placement's cloudlets together in its reliability rows and has its own
+// builder.
 package offline
 
 import (
 	"errors"
 	"fmt"
 
+	"revnf/internal/chain"
 	"revnf/internal/core"
 	"revnf/internal/lp"
 	"revnf/internal/mip"
@@ -23,8 +29,9 @@ var (
 	ErrBadInstance = errors.New("offline: invalid instance")
 )
 
-// Solution is an offline schedule with its optimality certificate.
-type Solution struct {
+// Schedule is an offline schedule with its optimality certificate; P is
+// the placement type of the problem solved.
+type Schedule[P any] struct {
 	// Status is the branch-and-bound outcome.
 	Status mip.Status
 	// Revenue is the incumbent's objective: a feasible offline revenue.
@@ -35,13 +42,19 @@ type Solution struct {
 	// Admitted flags each request in trace order.
 	Admitted []bool
 	// Placements holds one placement per admitted request.
-	Placements []core.Placement
+	Placements []P
 	// Nodes is the number of branch-and-bound nodes explored.
 	Nodes int
 }
 
+// Solution is an offline schedule of single-VNF requests.
+type Solution = Schedule[core.Placement]
+
+// ChainSolution is an offline schedule of chain requests.
+type ChainSolution = Schedule[chain.Placement]
+
 // Gap returns the relative optimality gap of the solution.
-func (s *Solution) Gap() float64 {
+func (s *Schedule[P]) Gap() float64 {
 	// The incumbent revenue is a sum of payments, so "empty incumbent" is
 	// a tolerance check, not exact zero (revnfvet: floateq).
 	if core.FloatEq(s.Revenue, 0) {
@@ -53,21 +66,136 @@ func (s *Solution) Gap() float64 {
 	return (s.UpperBound - s.Revenue) / s.Revenue
 }
 
-// onsiteModel maps (request, cloudlet) pairs to ILP variables.
-type onsiteModel struct {
-	prob *lp.Problem
-	// vars[k] identifies variable k; index maps pairs back to k.
-	vars []onsitePair
+// load is the units a column holds on one cloudlet in every slot of its
+// request's window.
+type load struct {
+	cloudlet int
+	units    float64
 }
 
+// column is one candidate placement of a request: one program variable.
+type column struct {
+	request      int
+	payment      float64
+	arrival, end int
+	loads        []load
+}
+
+// buildPacking builds the set-packing relaxation the on-site, shared and
+// chain programs share, one variable per column:
+//
+//	max Σ_k payment_k·x_k
+//	Σ_{k of request i} x_k ≤ 1                       (5), (21)
+//	Σ_{k active at t} units_kj·x_k ≤ cap_j           (4), per cloudlet and slot
+//
+// The columns must come grouped by request, in request order.
+func buildPacking(network *core.Network, horizon int, cols []column) (*lp.Problem, error) {
+	if len(cols) == 0 {
+		return nil, fmt.Errorf("%w: no request has a feasible placement", ErrBadInstance)
+	}
+	prob, err := lp.NewProblem(lp.Maximize, len(cols))
+	if err != nil {
+		return nil, fmt.Errorf("offline: %w", err)
+	}
+	for k := 0; k < len(cols); {
+		row := map[int]float64{}
+		for i := cols[k].request; k < len(cols) && cols[k].request == i; k++ {
+			if err := prob.SetObjectiveCoeff(k, cols[k].payment); err != nil {
+				return nil, fmt.Errorf("offline: %w", err)
+			}
+			row[k] = 1
+		}
+		if _, err := prob.AddConstraint(row, lp.LE, 1); err != nil {
+			return nil, fmt.Errorf("offline: %w", err)
+		}
+	}
+	if err := addCapacityRows(prob, network, horizon, cols); err != nil {
+		return nil, err
+	}
+	return prob, nil
+}
+
+// addCapacityRows adds one ≤ cap_j row per (cloudlet, slot) some column
+// loads, cloudlet by cloudlet and slots ascending; column k is variable k.
+func addCapacityRows(prob *lp.Problem, network *core.Network, horizon int, cols []column) error {
+	rows := make(map[[2]int]map[int]float64)
+	for k, c := range cols {
+		for _, l := range c.loads {
+			for t := c.arrival; t <= c.end; t++ {
+				key := [2]int{l.cloudlet, t}
+				if rows[key] == nil {
+					rows[key] = map[int]float64{}
+				}
+				rows[key][k] += l.units
+			}
+		}
+	}
+	for j, cl := range network.Cloudlets {
+		for t := 1; t <= horizon; t++ {
+			if row, ok := rows[[2]int{j, t}]; ok {
+				if _, err := prob.AddConstraint(row, lp.LE, float64(cl.Capacity)); err != nil {
+					return fmt.Errorf("offline: %w", err)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// solve runs branch and bound with every variable binary and returns the
+// certificate of a schedule over the given number of requests, with the
+// incumbent point for the caller to decode — nil when there is none.
+func solve[P any](scheme string, prob *lp.Problem, requests int, cfg mip.Config) (*Schedule[P], []float64, error) {
+	binaries := make([]int, prob.NumVars())
+	for k := range binaries {
+		binaries[k] = k
+	}
+	res, err := mip.Solve(prob, binaries, cfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("offline: %s solve: %w", scheme, err)
+	}
+	sol := &Schedule[P]{
+		Status:     res.Status,
+		UpperBound: res.Bound,
+		Admitted:   make([]bool, requests),
+		Nodes:      res.Nodes,
+	}
+	if res.Status == mip.Infeasible || res.Status == mip.NoIncumbent {
+		return sol, nil, nil
+	}
+	sol.Revenue = res.Objective
+	return sol, res.X, nil
+}
+
+// lpBound returns the optimum of the relaxation prob.
+func lpBound(prob *lp.Problem) (float64, error) {
+	sol, err := prob.Solve()
+	if err != nil {
+		return 0, fmt.Errorf("offline: %w", err)
+	}
+	if sol.Status != lp.Optimal {
+		return 0, fmt.Errorf("%w: relaxation status %v", ErrBadInstance, sol.Status)
+	}
+	return sol.Objective, nil
+}
+
+// onsitePair is one on-site column: the request's instances all in one
+// cloudlet.
 type onsitePair struct {
 	request, cloudlet, instances int
+}
+
+// onsiteModel is the on-site program: variable k places vars[k].
+type onsiteModel struct {
+	prob *lp.Problem
+	vars []onsitePair
 }
 
 // buildOnsite constructs the LP relaxation of the on-site ILP (Eqs. 4–8)
 // with X_i eliminated through X_i = Σ_j Y_ij.
 func buildOnsite(inst *workload.Instance) (*onsiteModel, error) {
 	var pairs []onsitePair
+	var cols []column
 	for _, req := range inst.Trace {
 		vnf := inst.Network.Catalog[req.VNF]
 		for j, cl := range inst.Network.Cloudlets {
@@ -76,60 +204,13 @@ func buildOnsite(inst *workload.Instance) (*onsiteModel, error) {
 				continue
 			}
 			pairs = append(pairs, onsitePair{request: req.ID, cloudlet: j, instances: n})
+			cols = append(cols, column{request: req.ID, payment: req.Payment, arrival: req.Arrival, end: req.End(),
+				loads: []load{{j, float64(n * vnf.Demand)}}})
 		}
 	}
-	if len(pairs) == 0 {
-		return nil, fmt.Errorf("%w: no feasible request/cloudlet pair", ErrBadInstance)
-	}
-	prob, err := lp.NewProblem(lp.Maximize, len(pairs))
+	prob, err := buildPacking(inst.Network, inst.Horizon, cols)
 	if err != nil {
-		return nil, fmt.Errorf("offline: %w", err)
-	}
-	// Objective and per-request selection constraints (5), (21).
-	perRequest := make(map[int]map[int]float64, len(inst.Trace))
-	for k, p := range pairs {
-		if err := prob.SetObjectiveCoeff(k, inst.Trace[p.request].Payment); err != nil {
-			return nil, fmt.Errorf("offline: %w", err)
-		}
-		row, ok := perRequest[p.request]
-		if !ok {
-			row = map[int]float64{}
-			perRequest[p.request] = row
-		}
-		row[k] = 1
-	}
-	for _, req := range inst.Trace {
-		if row, ok := perRequest[req.ID]; ok {
-			if _, err := prob.AddConstraint(row, lp.LE, 1); err != nil {
-				return nil, fmt.Errorf("offline: %w", err)
-			}
-		}
-	}
-	// Capacity constraints (4) per (cloudlet, slot) with active load.
-	capRows := make(map[[2]int]map[int]float64)
-	for k, p := range pairs {
-		req := inst.Trace[p.request]
-		units := float64(p.instances * inst.Network.Catalog[req.VNF].Demand)
-		for t := req.Arrival; t <= req.End(); t++ {
-			key := [2]int{p.cloudlet, t}
-			row, ok := capRows[key]
-			if !ok {
-				row = map[int]float64{}
-				capRows[key] = row
-			}
-			row[k] = units
-		}
-	}
-	for j := range inst.Network.Cloudlets {
-		for t := 1; t <= inst.Horizon; t++ {
-			row, ok := capRows[[2]int{j, t}]
-			if !ok {
-				continue
-			}
-			if _, err := prob.AddConstraint(row, lp.LE, float64(inst.Network.Cloudlets[j].Capacity)); err != nil {
-				return nil, fmt.Errorf("offline: %w", err)
-			}
-		}
+		return nil, err
 	}
 	return &onsiteModel{prob: prob, vars: pairs}, nil
 }
@@ -143,10 +224,6 @@ func SolveOnsite(inst *workload.Instance, cfg mip.Config) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	binaries := make([]int, len(model.vars))
-	for k := range binaries {
-		binaries[k] = k
-	}
 	if cfg.WarmStart == nil {
 		warm, err := onsiteWarmStart(inst, model)
 		if err != nil {
@@ -154,22 +231,12 @@ func SolveOnsite(inst *workload.Instance, cfg mip.Config) (*Solution, error) {
 		}
 		cfg.WarmStart = warm
 	}
-	res, err := mip.Solve(model.prob, binaries, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("offline: on-site solve: %w", err)
+	sol, x, err := solve[core.Placement]("on-site", model.prob, len(inst.Trace), cfg)
+	if x == nil {
+		return sol, err
 	}
-	sol := &Solution{
-		Status:     res.Status,
-		UpperBound: res.Bound,
-		Admitted:   make([]bool, len(inst.Trace)),
-		Nodes:      res.Nodes,
-	}
-	if res.Status == mip.Infeasible || res.Status == mip.NoIncumbent {
-		return sol, nil
-	}
-	sol.Revenue = res.Objective
 	for k, p := range model.vars {
-		if res.X[k] > 0.5 {
+		if x[k] > 0.5 {
 			sol.Admitted[p.request] = true
 			sol.Placements = append(sol.Placements, core.Placement{
 				Request:     p.request,
@@ -191,14 +258,7 @@ func LPBoundOnsite(inst *workload.Instance) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	sol, err := model.prob.Solve()
-	if err != nil {
-		return 0, fmt.Errorf("offline: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return 0, fmt.Errorf("%w: relaxation status %v", ErrBadInstance, sol.Status)
-	}
-	return sol.Objective, nil
+	return lpBound(model.prob)
 }
 
 func checkInstance(inst *workload.Instance) error {

@@ -41,6 +41,9 @@ func buildOffsite(inst *workload.Instance, withBoxes bool) (*offsiteModel, error
 		return nil, fmt.Errorf("offline: %w", err)
 	}
 	model.prob = prob
+	// Column yVar(i, j) loads c(f_i) on cloudlet j; the X_i columns load
+	// nothing.
+	cols := make([]column, n+n*m)
 	for _, req := range inst.Trace {
 		i := req.ID
 		if err := prob.SetObjectiveCoeff(model.xVar(i), req.Payment); err != nil {
@@ -65,6 +68,7 @@ func buildOffsite(inst *workload.Instance, withBoxes bool) (*offsiteModel, error
 					return nil, fmt.Errorf("offline: %w", err)
 				}
 			}
+			cols[model.yVar(i, j)] = column{arrival: req.Arrival, end: req.End(), loads: []load{{j, float64(vnf.Demand)}}}
 		}
 		upper[model.xVar(i)] = -totalWeight
 		if _, err := prob.AddConstraint(lower, lp.GE, 0); err != nil {
@@ -75,31 +79,8 @@ func buildOffsite(inst *workload.Instance, withBoxes bool) (*offsiteModel, error
 		}
 	}
 	// Capacity constraints (49) per (cloudlet, slot) with active load.
-	capRows := make(map[[2]int]map[int]float64)
-	for _, req := range inst.Trace {
-		units := float64(inst.Network.Catalog[req.VNF].Demand)
-		for j := 0; j < m; j++ {
-			for t := req.Arrival; t <= req.End(); t++ {
-				key := [2]int{j, t}
-				row, ok := capRows[key]
-				if !ok {
-					row = map[int]float64{}
-					capRows[key] = row
-				}
-				row[model.yVar(req.ID, j)] = units
-			}
-		}
-	}
-	for j := 0; j < m; j++ {
-		for t := 1; t <= inst.Horizon; t++ {
-			row, ok := capRows[[2]int{j, t}]
-			if !ok {
-				continue
-			}
-			if _, err := prob.AddConstraint(row, lp.LE, float64(inst.Network.Cloudlets[j].Capacity)); err != nil {
-				return nil, fmt.Errorf("offline: %w", err)
-			}
-		}
+	if err := addCapacityRows(prob, inst.Network, inst.Horizon, cols); err != nil {
+		return nil, err
 	}
 	return model, nil
 }
@@ -114,10 +95,6 @@ func SolveOffsite(inst *workload.Instance, cfg mip.Config) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	binaries := make([]int, model.n+model.n*model.m)
-	for k := range binaries {
-		binaries[k] = k
-	}
 	if cfg.WarmStart == nil {
 		warm, err := offsiteWarmStart(inst, model)
 		if err != nil {
@@ -125,29 +102,19 @@ func SolveOffsite(inst *workload.Instance, cfg mip.Config) (*Solution, error) {
 		}
 		cfg.WarmStart = warm
 	}
-	res, err := mip.Solve(model.prob, binaries, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("offline: off-site solve: %w", err)
+	sol, x, err := solve[core.Placement]("off-site", model.prob, len(inst.Trace), cfg)
+	if x == nil {
+		return sol, err
 	}
-	sol := &Solution{
-		Status:     res.Status,
-		UpperBound: res.Bound,
-		Admitted:   make([]bool, len(inst.Trace)),
-		Nodes:      res.Nodes,
-	}
-	if res.Status == mip.Infeasible || res.Status == mip.NoIncumbent {
-		return sol, nil
-	}
-	sol.Revenue = res.Objective
 	for _, req := range inst.Trace {
 		i := req.ID
-		if res.X[model.xVar(i)] <= 0.5 {
+		if x[model.xVar(i)] <= 0.5 {
 			continue
 		}
 		sol.Admitted[i] = true
 		p := core.Placement{Request: i, Scheme: core.OffSite}
 		for j := 0; j < model.m; j++ {
-			if res.X[model.yVar(i, j)] > 0.5 {
+			if x[model.yVar(i, j)] > 0.5 {
 				p.Assignments = append(p.Assignments, core.Assignment{Cloudlet: j, Instances: 1})
 			}
 		}
@@ -166,12 +133,5 @@ func LPBoundOffsite(inst *workload.Instance) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	sol, err := model.prob.Solve()
-	if err != nil {
-		return 0, fmt.Errorf("offline: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return 0, fmt.Errorf("%w: relaxation status %v", ErrBadInstance, sol.Status)
-	}
-	return sol.Objective, nil
+	return lpBound(model.prob)
 }

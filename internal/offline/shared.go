@@ -2,7 +2,6 @@ package offline
 
 import (
 	"fmt"
-	"sort"
 
 	"revnf/internal/core"
 	"revnf/internal/lp"
@@ -17,95 +16,45 @@ type sharedTriple struct {
 	request, primary, backup int
 }
 
-// sharedModel maps the feasible (request, primary, backup) triples to ILP
-// variables, mirroring the sparse on-site model.
+// sharedModel is the amortized shared program: variable v places vars[v].
 type sharedModel struct {
 	prob *lp.Problem
 	vars []sharedTriple
 }
 
-// buildShared constructs the amortized shared-backup program. One 0/1
-// variable Z_iab per reliability-feasible triple (feasibility checked at
-// full pool capacity k, exactly the online admission predicate), with
+// buildShared constructs the amortized shared-backup program: one column
+// per reliability-feasible triple (feasibility checked at full pool
+// capacity k, exactly the online admission predicate), loading c(f) on
+// the primary and c(f)/k on the backup cloudlet.
 //
-//	Σ_ab Z_iab ≤ 1                                  (one placement per request)
-//	Σ primary load + Σ backup load / k ≤ cap_j      (per cloudlet and slot)
-//
-// The backup column charges c(f)/k per member — a pool of g ≤ k
-// concurrent members truly costs one instance (c(f) units), and the
-// amortized charge g·c(f)/k never exceeds that, so every truly-feasible
-// shared schedule is feasible here and the program's bound is a valid
-// upper bound on the true shared optimum (column generation over pairs
-// stays exhaustive for the same reason: dropping a feasible pair would
-// forfeit that guarantee).
+// A pool of g ≤ k concurrent members truly costs one instance (c(f)
+// units), and the amortized charge g·c(f)/k never exceeds that, so every
+// truly-feasible shared schedule is feasible here and the program's bound
+// is a valid upper bound on the true shared optimum (column generation
+// over pairs stays exhaustive for the same reason: dropping a feasible
+// pair would forfeit that guarantee).
 func buildShared(inst *workload.Instance, poolSize int) (*sharedModel, error) {
 	if poolSize < 1 {
 		return nil, fmt.Errorf("%w: pool size %d", ErrBadInstance, poolSize)
 	}
 	pairs := core.NewSharedPairs(inst.Network, poolSize)
 	var triples []sharedTriple
+	var cols []column
 	for _, req := range inst.Trace {
+		units := float64(inst.Network.Catalog[req.VNF].Demand)
 		for a := range inst.Network.Cloudlets {
 			for b, bound := range pairs.Row(req.VNF, a, req.Reliability) {
 				if bound >= req.Reliability {
 					triples = append(triples, sharedTriple{request: req.ID, primary: a, backup: b})
+					cols = append(cols, column{request: req.ID, payment: req.Payment, arrival: req.Arrival, end: req.End(),
+						loads: []load{{a, units}, {b, units / float64(poolSize)}}})
 				}
 			}
 		}
 	}
-	if len(triples) == 0 {
-		return nil, fmt.Errorf("%w: no feasible request/pair triple", ErrBadInstance)
-	}
-	prob, err := lp.NewProblem(lp.Maximize, len(triples))
+	prob, err := buildPacking(inst.Network, inst.Horizon, cols)
 	if err != nil {
-		return nil, fmt.Errorf("offline: %w", err)
-	}
-	perRequest := make(map[int]map[int]float64, len(inst.Trace))
-	capRows := make(map[[2]int]map[int]float64)
-	for v, tr := range triples {
-		req := inst.Trace[tr.request]
-		if err := prob.SetObjectiveCoeff(v, req.Payment); err != nil {
-			return nil, fmt.Errorf("offline: %w", err)
-		}
-		row, ok := perRequest[tr.request]
-		if !ok {
-			row = map[int]float64{}
-			perRequest[tr.request] = row
-		}
-		row[v] = 1
-		units := float64(inst.Network.Catalog[req.VNF].Demand)
-		for t := req.Arrival; t <= req.End(); t++ {
-			for _, load := range []struct {
-				cloudlet int
-				units    float64
-			}{{tr.primary, units}, {tr.backup, units / float64(poolSize)}} {
-				key := [2]int{load.cloudlet, t}
-				capRow, ok := capRows[key]
-				if !ok {
-					capRow = map[int]float64{}
-					capRows[key] = capRow
-				}
-				capRow[v] += load.units
-			}
-		}
-	}
-	for _, req := range inst.Trace {
-		if row, ok := perRequest[req.ID]; ok {
-			if _, err := prob.AddConstraint(row, lp.LE, 1); err != nil {
-				return nil, fmt.Errorf("offline: %w", err)
-			}
-		}
-	}
-	for j := range inst.Network.Cloudlets {
-		for t := 1; t <= inst.Horizon; t++ {
-			row, ok := capRows[[2]int{j, t}]
-			if !ok {
-				continue
-			}
-			if _, err := prob.AddConstraint(row, lp.LE, float64(inst.Network.Cloudlets[j].Capacity)); err != nil {
-				return nil, fmt.Errorf("offline: %w", err)
-			}
-		}
+		return nil, err
 	}
 	return &sharedModel{prob: prob, vars: triples}, nil
 }
@@ -173,10 +122,6 @@ func SolveShared(inst *workload.Instance, poolSize int, cfg mip.Config) (*Soluti
 	if err != nil {
 		return nil, err
 	}
-	binaries := make([]int, len(model.vars))
-	for k := range binaries {
-		binaries[k] = k
-	}
 	if cfg.WarmStart == nil {
 		warm, err := sharedWarmStart(inst, model, poolSize)
 		if err != nil {
@@ -184,45 +129,25 @@ func SolveShared(inst *workload.Instance, poolSize int, cfg mip.Config) (*Soluti
 		}
 		cfg.WarmStart = warm
 	}
-	res, err := mip.Solve(model.prob, binaries, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("offline: shared solve: %w", err)
+	sol, x, err := solve[core.Placement]("shared", model.prob, len(inst.Trace), cfg)
+	if x == nil {
+		return sol, err
 	}
-	sol := &Solution{
-		Status:     res.Status,
-		UpperBound: res.Bound,
-		Admitted:   make([]bool, len(inst.Trace)),
-		Nodes:      res.Nodes,
-	}
-	if res.Status == mip.Infeasible || res.Status == mip.NoIncumbent {
-		return sol, nil
-	}
-	sol.Revenue = res.Objective
-	// Group admitted triples in request order so the assignment is
-	// deterministic.
+	// The variables come in request order, so the groups are assigned in
+	// request order too.
 	grouper := newSharedGrouper(poolSize)
-	chosen := make(map[int]sharedTriple)
 	for v, tr := range model.vars {
-		if res.X[v] > 0.5 {
-			chosen[tr.request] = tr
+		if x[v] <= 0.5 {
+			continue
 		}
-	}
-	ids := make([]int, 0, len(chosen))
-	for id := range chosen {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		tr := chosen[id]
-		req := inst.Trace[id]
-		sol.Admitted[id] = true
-		gid := grouper.place([2]int{tr.backup, req.VNF}, req.Arrival, req.End())
+		req := inst.Trace[tr.request]
+		sol.Admitted[tr.request] = true
 		sol.Placements = append(sol.Placements, core.Placement{
-			Request:     id,
+			Request:     tr.request,
 			Scheme:      core.Shared,
 			Assignments: []core.Assignment{{Cloudlet: tr.primary, Instances: 1}},
 			Backup: &core.SharedBackup{
-				Group:    gid,
+				Group:    grouper.place([2]int{tr.backup, req.VNF}, req.Arrival, req.End()),
 				Cloudlet: tr.backup,
 				PoolSize: poolSize,
 			},
@@ -241,14 +166,7 @@ func LPBoundShared(inst *workload.Instance, poolSize int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	sol, err := model.prob.Solve()
-	if err != nil {
-		return 0, fmt.Errorf("offline: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return 0, fmt.Errorf("%w: relaxation status %v", ErrBadInstance, sol.Status)
-	}
-	return sol.Objective, nil
+	return lpBound(model.prob)
 }
 
 // sharedWarmStart builds a feasible point for the amortized model by
@@ -257,11 +175,7 @@ func LPBoundShared(inst *workload.Instance, poolSize int) (float64, error) {
 // truly-feasible points are amortized-feasible, so the incumbent seeds
 // branch and bound with honest revenue.
 func sharedWarmStart(inst *workload.Instance, model *sharedModel, poolSize int) ([]float64, error) {
-	caps := make([]int, len(inst.Network.Cloudlets))
-	for j, cl := range inst.Network.Cloudlets {
-		caps[j] = cl.Capacity
-	}
-	ledger, err := timeslot.New(caps, inst.Horizon)
+	ledger, err := timeslot.New(inst.Network.Capacities(), inst.Horizon)
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +186,6 @@ func sharedWarmStart(inst *workload.Instance, model *sharedModel, poolSize int) 
 		byRequest[tr.request] = append(byRequest[tr.request], v)
 	}
 	grouper := newSharedGrouper(poolSize)
-	keyGroups := make(map[[2]int][]int)
 	x := make([]float64, model.prob.NumVars())
 	for _, i := range paymentDensityOrder(inst) {
 		req := inst.Trace[i]
@@ -282,7 +195,7 @@ func sharedWarmStart(inst *workload.Instance, model *sharedModel, poolSize int) 
 			if !ledger.CanReserve(tr.primary, req.Arrival, req.Duration, demand) {
 				continue
 			}
-			gid, ok := reserveSharedJoin(pool, grouper, keyGroups, tr, req, demand, poolSize)
+			gid, ok := reserveSharedJoin(pool, grouper, tr, req, demand)
 			if !ok {
 				continue
 			}
@@ -305,14 +218,14 @@ func sharedWarmStart(inst *workload.Instance, model *sharedModel, poolSize int) 
 
 // reserveSharedJoin tries to join (or open) a backup group for the
 // triple, holding pooled capacity on success. The group refcount check
-// and the ledger reservation are both enforced by the pool.
-func reserveSharedJoin(pool *timeslot.Pool, grouper *sharedGrouper, keyGroups map[[2]int][]int,
-	tr sharedTriple, req core.Request, demand, poolSize int) (int, bool) {
+// and the ledger reservation are both enforced by the pool; the grouper
+// only lists the groups per key and numbers new ones.
+func reserveSharedJoin(pool *timeslot.Pool, grouper *sharedGrouper, tr sharedTriple, req core.Request, demand int) (int, bool) {
 	key := [2]int{tr.backup, req.VNF}
-	for _, gid := range keyGroups[key] {
+	for _, gid := range grouper.byKey[key] {
 		fits := true
 		for t := req.Arrival; t <= req.End() && fits; t++ {
-			if pool.Refs(gid, t) >= poolSize {
+			if pool.Refs(gid, t) >= grouper.poolSize {
 				fits = false
 			}
 		}
@@ -328,6 +241,6 @@ func reserveSharedJoin(pool *timeslot.Pool, grouper *sharedGrouper, keyGroups ma
 		return 0, false
 	}
 	grouper.next++
-	keyGroups[key] = append(keyGroups[key], gid)
+	grouper.byKey[key] = append(grouper.byKey[key], gid)
 	return gid, true
 }

@@ -47,11 +47,7 @@ func onsiteWarmStart(inst *workload.Instance, model *onsiteModel) ([]float64, er
 // smallestFootprint it places each in the cheapest-footprint feasible
 // cloudlet; otherwise in the most reliable feasible one.
 func onsiteGreedy(inst *workload.Instance, model *onsiteModel, smallestFootprint bool) ([]float64, error) {
-	caps := make([]int, len(inst.Network.Cloudlets))
-	for j, cl := range inst.Network.Cloudlets {
-		caps[j] = cl.Capacity
-	}
-	ledger, err := timeslot.New(caps, inst.Horizon)
+	ledger, err := timeslot.New(inst.Network.Capacities(), inst.Horizon)
 	if err != nil {
 		return nil, err
 	}
@@ -105,11 +101,7 @@ func onsiteGreedy(inst *workload.Instance, model *onsiteModel, smallestFootprint
 // requests in payment-density order, cloudlets accumulated most reliable
 // first (mirroring the greedy baseline) until the weight target is met.
 func offsiteWarmStart(inst *workload.Instance, model *offsiteModel) ([]float64, error) {
-	caps := make([]int, len(inst.Network.Cloudlets))
-	for j, cl := range inst.Network.Cloudlets {
-		caps[j] = cl.Capacity
-	}
-	ledger, err := timeslot.New(caps, inst.Horizon)
+	ledger, err := timeslot.New(inst.Network.Capacities(), inst.Horizon)
 	if err != nil {
 		return nil, err
 	}

@@ -319,10 +319,7 @@ func New(cfg Config) (*Engine, error) {
 		// The one token is the serialization of its Propose→Commit pairs.
 		workers = 1
 	}
-	caps := make([]int, len(cfg.Network.Cloudlets))
-	for j, cl := range cfg.Network.Cloudlets {
-		caps[j] = cl.Capacity
-	}
+	caps := cfg.Network.Capacities()
 	var ledger *timeslot.Ledger
 	var err error
 	if cfg.Rolling {

@@ -95,11 +95,7 @@ func Run(inst *workload.Instance, sched core.Scheduler, opts ...Option) (*Result
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	caps := make([]int, len(inst.Network.Cloudlets))
-	for j, cl := range inst.Network.Cloudlets {
-		caps[j] = cl.Capacity
-	}
-	ledger, err := timeslot.New(caps, inst.Horizon)
+	ledger, err := timeslot.New(inst.Network.Capacities(), inst.Horizon)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInstance, err)
 	}
