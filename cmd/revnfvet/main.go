@@ -4,11 +4,21 @@
 // finding. A non-empty finding set exits 1, so scripts/check.sh and CI can
 // gate on it.
 //
+// The suite has three passes, floateq, guardedby and lockorder: the rules
+// no toolchain check or test holds. The other determinism and atomicity
+// rules are held by checks the repository runs anyway: no global
+// math/rand by TestNoGlobalRand, no wall-clock read in the deterministic
+// packages by TestNoWallClock and no sync/atomic package function by
+// TestNoAtomicFunctions (invariants_test.go at the module root), no copy
+// of an atomic value by go vet's copylocks check, and a side-effect-free
+// Propose by TestProposeIsPure (lockstep_test.go). DESIGN.md §7 says
+// which check holds which rule.
+//
 // Usage:
 //
 //	go run ./cmd/revnfvet ./...          # whole tree (what check.sh runs)
 //	go run ./cmd/revnfvet -list          # show registered analyzers
-//	go run ./cmd/revnfvet -run floateq,walltime ./internal/...
+//	go run ./cmd/revnfvet -run floateq,lockorder ./internal/...
 //	go run ./cmd/revnfvet -json ./...    # findings as a JSON array
 //
 // -json prints the findings as one JSON array of

@@ -12,7 +12,12 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("run(-list) = %d, stderr: %s", code, errOut.String())
 	}
-	for _, name := range []string{"atomicword", "floateq", "guardedby", "lockorder", "norand", "purepropose", "walltime"} {
+	names := []string{"floateq", "guardedby", "lockorder"}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != len(names) {
+		t.Errorf("-list printed %d analyzers, want %d:\n%s", len(lines), len(names), out.String())
+	}
+	for _, name := range names {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out.String())
 		}
@@ -34,8 +39,8 @@ func TestCleanPackages(t *testing.T) {
 
 func TestRunSubset(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-run", "floateq,walltime", "revnf/internal/core"}, &out, &errOut); code != 0 {
-		t.Fatalf("run(-run floateq,walltime) = %d, stderr: %s", code, errOut.String())
+	if code := run([]string{"-run", "floateq,lockorder", "revnf/internal/core"}, &out, &errOut); code != 0 {
+		t.Fatalf("run(-run floateq,lockorder) = %d, stderr: %s", code, errOut.String())
 	}
 }
 

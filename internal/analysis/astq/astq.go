@@ -89,14 +89,3 @@ func MethodCallee(info *types.Info, call *ast.CallExpr) (*types.Func, ast.Expr) 
 	}
 	return fn, sel.X
 }
-
-// ImportedPackage returns the directly imported package with the given
-// path, or nil.
-func ImportedPackage(pkg *types.Package, path string) *types.Package {
-	for _, imp := range pkg.Imports() {
-		if imp.Path() == path {
-			return imp
-		}
-	}
-	return nil
-}

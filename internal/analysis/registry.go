@@ -1,30 +1,23 @@
 // Package analysis registers the revnfvet invariant suite: the analyzers
-// that mechanically enforce the contracts PRs 1–2 established in prose.
-// See DESIGN.md "Enforced invariants" for the invariant each pass protects
-// and why it matters to the paper's guarantees.
+// that mechanically enforce the contracts PRs 1–2 established in prose
+// and that no toolchain check or test holds. See DESIGN.md "Enforced
+// invariants" for the invariant each pass protects, and for the checks
+// that hold the rules of the passes that went.
 package analysis
 
 import (
-	"revnf/internal/analysis/atomicword"
 	"revnf/internal/analysis/floateq"
 	"revnf/internal/analysis/framework"
 	"revnf/internal/analysis/guardedby"
 	"revnf/internal/analysis/lockorder"
-	"revnf/internal/analysis/norand"
-	"revnf/internal/analysis/purepropose"
-	"revnf/internal/analysis/walltime"
 )
 
 // All returns every registered analyzer, in stable order.
 func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
-		atomicword.Analyzer,
 		floateq.Analyzer,
 		guardedby.Analyzer,
 		lockorder.Analyzer,
-		norand.Analyzer,
-		purepropose.Analyzer,
-		walltime.Analyzer,
 	}
 }
 

@@ -91,9 +91,11 @@ type Scheduler interface {
 // Observability carve-out: emitting a decision trace from Propose into an
 // injected trace.Recorder is NOT state mutation under this contract.
 // Traces never feed back into any admission decision, so recording keeps
-// Propose semantically pure; the purepropose analyzer encodes the same
-// allowance. Recorder implementations must be safe for concurrent use so
-// concurrent proposals may emit without coordination.
+// Propose semantically pure. TestProposeIsPure (lockstep_test.go) holds
+// every scheduler but random to the rule: extra proposals before each
+// decision change no decision and no λ bit. Recorder
+// implementations must be safe for concurrent use so concurrent proposals
+// may emit without coordination.
 type TwoPhaseScheduler interface {
 	Scheduler
 	// Propose computes the placement the scheduler would admit for req

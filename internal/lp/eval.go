@@ -1,6 +1,9 @@
 package lp
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Sense returns the problem's optimization direction.
 func (p *Problem) Sense() Sense { return p.sense }
@@ -35,7 +38,9 @@ func (p *Problem) Objective(x []float64) (float64, error) {
 }
 
 // Feasible reports whether x satisfies every constraint and the
-// non-negativity bounds within tolerance tol.
+// non-negativity bounds within tolerance tol. Each row is summed in
+// ascending variable order: in map order, terms that cancel could round
+// differently on each call, and the same point pass once and fail the next.
 func (p *Problem) Feasible(x []float64, tol float64) bool {
 	if len(x) != p.nvars {
 		return false
@@ -45,10 +50,16 @@ func (p *Problem) Feasible(x []float64, tol float64) bool {
 			return false
 		}
 	}
+	var vars []int
 	for _, c := range p.cons {
+		vars = vars[:0]
+		for i := range c.Coeffs {
+			vars = append(vars, i)
+		}
+		sort.Ints(vars)
 		dot := 0.0
-		for i, v := range c.Coeffs {
-			dot += v * x[i]
+		for _, i := range vars {
+			dot += c.Coeffs[i] * x[i]
 		}
 		switch c.Rel {
 		case LE:

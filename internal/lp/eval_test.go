@@ -87,6 +87,25 @@ func TestFeasible(t *testing.T) {
 	}
 }
 
+// TestFeasibleIsDeterministic checks a row whose terms cancel: summed in
+// variable order it is 1e16+1−1e16 = 0 (the 1 rounds away), summed with
+// the 1 last it is 1, so a sum in map order answers differently from call
+// to call.
+func TestFeasibleIsDeterministic(t *testing.T) {
+	p := mustProblem(t, Maximize, 3)
+	mustConstraint(t, p, map[int]float64{0: 1e16, 1: 1, 2: -1e16}, LE, 0.5)
+	x := []float64{1, 1, 1}
+	want := p.Feasible(x, 0)
+	for i := 0; i < 200; i++ {
+		if got := p.Feasible(x, 0); got != want {
+			t.Fatalf("call %d: Feasible = %v, the first call said %v", i, got, want)
+		}
+	}
+	if !want {
+		t.Errorf("Feasible = false, want true (the row summed in variable order is 0)")
+	}
+}
+
 // A problem that needs several GE rows exercises phase 1's drive-out when
 // an artificial stays basic on a redundant row.
 func TestSolveRedundantGERows(t *testing.T) {

@@ -14,8 +14,8 @@
 //     and skip reason; per Propose attempt the argmin cloudlet and the
 //     payment test; and the final engine outcome;
 //   - Recorder: the pluggable sink schedulers emit traces into. Recording
-//     is observability, not scheduler-state mutation: the purepropose
-//     invariant explicitly blesses Recorder calls from Propose;
+//     is observability, not scheduler-state mutation: the two-phase
+//     contract explicitly blesses Recorder calls from Propose;
 //   - Nop, NewSampling, and the ring-buffer Store (ring.go): the no-op
 //     default, a deterministic 1-in-N sampler, and a bounded race-safe
 //     store the serve layer exposes over HTTP.
@@ -271,8 +271,8 @@ func (t *DecisionTrace) FinalReason() Reason {
 // calls (and hence Sample/Record pairs) concurrently.
 //
 // Recording is not scheduler-state mutation: the core.TwoPhaseScheduler
-// contract and the purepropose analyzer both bless Recorder emission from
-// Propose, because a trace never feeds back into any admission decision.
+// contract blesses Recorder emission from Propose, because a trace never
+// feeds back into any admission decision.
 type Recorder interface {
 	// Sample reports whether this request's decision should be traced.
 	// It must be deterministic per request ID, so the scheduler layer and

@@ -1,0 +1,171 @@
+package revnf_test
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"revnf"
+	"revnf/internal/baseline"
+	"revnf/internal/chain"
+	"revnf/internal/core"
+	"revnf/internal/offsite"
+	"revnf/internal/onsite"
+	"revnf/internal/shared"
+	"revnf/internal/simulate"
+)
+
+// stepper is the Propose of one copy in TestProposeIsPure: with rng set it
+// proposes 1–3 extra times, against the same view, before the proposal
+// that counts; with lambda set it records λ as each step left it.
+type stepper[R, P any] struct {
+	rng                *rand.Rand
+	lambda             core.LambdaReader
+	cloudlets, horizon int
+	lambdas            []uint64
+}
+
+func (s *stepper[R, P]) propose(propose func(R, core.CapacityView) (P, bool), req R, view core.CapacityView) (P, bool) {
+	s.mark()
+	if s.rng != nil {
+		for n := 1 + s.rng.Intn(3); n > 0; n-- {
+			propose(req, view)
+		}
+	}
+	return propose(req, view)
+}
+
+// mark appends a hash of every λ bit pattern.
+func (s *stepper[R, P]) mark() {
+	if s.lambda == nil {
+		return
+	}
+	h := uint64(14695981039346656037)
+	for j := 0; j < s.cloudlets; j++ {
+		for t := 0; t <= s.horizon; t++ {
+			h = (h ^ math.Float64bits(s.lambda.Lambda(j, t))) * 1099511628211
+		}
+	}
+	s.lambdas = append(s.lambdas, h)
+}
+
+type coreCopy struct {
+	core.TwoPhaseScheduler
+	step stepper[core.Request, core.Placement]
+}
+
+func (c *coreCopy) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
+	return c.step.propose(c.TwoPhaseScheduler.Propose, req, view)
+}
+
+type chainCopy struct {
+	chain.TwoPhaseScheduler
+	step stepper[chain.Request, chain.Placement]
+}
+
+func (c *chainCopy) Propose(req chain.Request, view core.CapacityView) (chain.Placement, bool) {
+	return c.step.propose(c.TwoPhaseScheduler.Propose, req, view)
+}
+
+// TestProposeIsPure holds the two-phase contract's "Propose mutates no
+// scheduler state" as a property: two copies of each scheduler, each with
+// its own ledger and no recorder, run one seeded trace, and before every
+// decision one copy proposes 1–3 extra times. Every step must make the
+// same decision with the same placement, and leave λ (where the scheduler
+// exposes it) the same bit for bit. random-onsite is left out by its
+// contract: its generator's draws are the one state Propose may change.
+func TestProposeIsPure(t *testing.T) {
+	inst, err := revnf.NewInstance(revnf.DefaultInstanceConfig(300), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, h := inst.Network, inst.Horizon
+	for _, c := range []struct {
+		name  string
+		opts  []simulate.Option // raw Algorithm 1 may overbook
+		build func() (core.TwoPhaseScheduler, error)
+	}{
+		{"pd-onsite-raw", []simulate.Option{simulate.AllowViolations()}, func() (core.TwoPhaseScheduler, error) { return onsite.NewScheduler(n, h) }},
+		{"pd-onsite", nil, func() (core.TwoPhaseScheduler, error) {
+			return onsite.NewScheduler(n, h, onsite.WithCapacityEnforcement())
+		}},
+		{"pd-offsite", nil, func() (core.TwoPhaseScheduler, error) { return offsite.NewScheduler(n, h) }},
+		{"pd-shared-k1", nil, func() (core.TwoPhaseScheduler, error) { return shared.NewScheduler(n, h, shared.WithPoolSize(1)) }},
+		{"pd-shared-k2", nil, func() (core.TwoPhaseScheduler, error) { return shared.NewScheduler(n, h, shared.WithPoolSize(2)) }},
+		{"pd-shared-k3", nil, func() (core.TwoPhaseScheduler, error) { return shared.NewScheduler(n, h, shared.WithPoolSize(3)) }},
+		{"greedy-onsite", nil, func() (core.TwoPhaseScheduler, error) { return baseline.NewGreedyOnsite(n) }},
+		{"greedy-offsite", nil, func() (core.TwoPhaseScheduler, error) { return baseline.NewGreedyOffsite(n) }},
+		{"firstfit-onsite", nil, func() (core.TwoPhaseScheduler, error) { return baseline.NewFirstFitOnsite(n) }},
+		{"reject-all", nil, func() (core.TwoPhaseScheduler, error) { return baseline.NewRejectAll(core.OnSite) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(rng *rand.Rand) ([]simulate.Decision, []uint64) {
+				s, err := c.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cp := &coreCopy{TwoPhaseScheduler: s, step: stepper[core.Request, core.Placement]{rng: rng, cloudlets: len(n.Cloudlets), horizon: h}}
+				cp.step.lambda, _ = s.(core.LambdaReader)
+				res, err := simulate.Run(inst, cp, c.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cp.step.mark()
+				return res.Decisions, cp.step.lambdas
+			}
+			sameSteps(t, run, rand.New(rand.NewSource(1)))
+		})
+	}
+
+	trace, err := chain.GenerateTrace(chain.TraceConfig{
+		Requests: 200, Horizon: h, MinLength: 1, MaxLength: 3, MinDuration: 1, MaxDuration: 8,
+		MinRequirement: 0.85, MaxRequirement: 0.93, MaxPaymentRate: 10, H: 6,
+	}, n.Catalog, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chains := &chain.Instance{Network: n, Horizon: h, Trace: trace}
+	for name, build := range map[string]func() (chain.TwoPhaseScheduler, error){
+		"pd-chain-onsite":      func() (chain.TwoPhaseScheduler, error) { return chain.NewOnsiteScheduler(n, h) },
+		"pd-chain-offsite":     func() (chain.TwoPhaseScheduler, error) { return chain.NewOffsiteScheduler(n, h) },
+		"greedy-chain-onsite":  func() (chain.TwoPhaseScheduler, error) { return chain.NewGreedyOnsite(n, h) },
+		"greedy-chain-offsite": func() (chain.TwoPhaseScheduler, error) { return chain.NewGreedyOffsite(n, h) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			run := func(rng *rand.Rand) ([]chain.Decision, []uint64) {
+				s, err := build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := chain.Run(chains, &chainCopy{TwoPhaseScheduler: s, step: stepper[chain.Request, chain.Placement]{rng: rng}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Decisions, nil
+			}
+			sameSteps(t, run, rand.New(rand.NewSource(1)))
+		})
+	}
+}
+
+// sameSteps runs the copy that proposes once and the one that proposes
+// extra, and requires the same decisions and the same λ after every step.
+func sameSteps[D any](t *testing.T, run func(*rand.Rand) ([]D, []uint64), rng *rand.Rand) {
+	t.Helper()
+	once, onceLam := run(nil)
+	extra, extraLam := run(rng)
+	if len(once) != len(extra) || len(onceLam) != len(extraLam) {
+		t.Fatalf("%d decisions and %d λ marks against %d and %d", len(once), len(onceLam), len(extra), len(extraLam))
+	}
+	for i := range once {
+		if !reflect.DeepEqual(once[i], extra[i]) {
+			t.Fatalf("request %d: decided %+v, after extra proposals %+v", i, once[i], extra[i])
+		}
+	}
+	for i := range onceLam {
+		if onceLam[i] != extraLam[i] {
+			t.Fatalf("λ differs after %d requests: the extra proposals changed it", i)
+		}
+	}
+}

@@ -16,6 +16,11 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
+# benchmark/ is its own module, which the line above does not reach; vet's
+# copylocks check is what keeps an atomic value from being copied there.
+echo "==> go vet (benchmark module)"
+(cd benchmark && go vet ./...)
+
 echo "==> go build ./..."
 go build ./...
 
@@ -94,7 +99,8 @@ fi
 # Raised by 89: the placement history spills chunks no live window ends in to an unlinked temp file (spill, cold read outside the engine mutex), and the clock recovers a panicking tick.
 # Raised by 40: the history's chunks keep their own rows, spilled with them, and a spilled chunk's buffer is reused.
 # Lowered by 196: the offline on-site, shared and chain programs come from one packing builder, one solve and one LP bound, and the commands share one instance loader.
-ceiling=22065
+# Lowered by 649: the norand, walltime, atomicword and purepropose passes went; a parser test, go vet and a lockstep test hold their rules.
+ceiling=21416
 lines=$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)
 echo "==> non-test Go outside benchmark/: $lines lines (ceiling $ceiling)"
 if [ "$lines" -gt "$ceiling" ]; then
