@@ -9,6 +9,7 @@ import (
 	"log"
 	"net"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"revnf/internal/wire"
@@ -22,12 +23,13 @@ import (
 //
 // # Pipeline
 //
-// Each connection is one goroutine that reads a batch, decides it, writes
-// the decisions and flushes, in a loop. A batch closes at maxStreamBatch
-// requests or as soon as the socket has no more buffered bytes, so batch
-// size adapts to the offered load (1 at low rate, large under saturation)
-// without a flush timer; Engine.SubmitBatch decides it under one worker
-// token.
+// Each connection is one goroutine that reads a batch, decides it and
+// writes its decisions with one conn.Write (there is no write buffer), in
+// a loop. A batch closes at maxStreamBatch requests or as soon as the read
+// buffer runs dry, so batch size adapts to the offered load (1 at low
+// rate, large under saturation) without a flush timer; Engine.SubmitBatch
+// decides it under one worker token. The batch's arrays grow to the
+// largest batch the connection has seen.
 //
 // # Ordering and backpressure
 //
@@ -36,10 +38,11 @@ import (
 // over NDJSON, binary frames, or individual HTTP posts yields
 // bit-identical decisions (the golden cross-protocol test pins this).
 // Backpressure is the unread socket: while a batch is being decided
-// nothing is read, and the kernel closes the TCP window. Engine-level
-// overload surfaces as per-request queue-full decisions; engine shutdown
-// as a terminal error record (ReasonClosed) after which the connection
-// closes.
+// nothing is read, and the kernel closes the TCP window. A client that
+// does not read its decisions blocks only its own connection's Write,
+// which holds no worker token. Engine-level overload surfaces as
+// per-request queue-full decisions; engine shutdown as a terminal error
+// record (ReasonClosed) after which the connection closes.
 type StreamServer struct {
 	e *Engine
 
@@ -55,8 +58,9 @@ const (
 	// engine synchronization well past the point of diminishing returns
 	// while keeping a batch's decisions well under a socket buffer.
 	maxStreamBatch = 256
-	// streamBufSize sizes the per-connection read and write buffers.
-	streamBufSize = 64 << 10
+	// streamBufSize sizes the per-connection read buffer and so the longest
+	// NDJSON request line; a batch of 256 frames is 256 × 34 B ≈ 8.7 KB.
+	streamBufSize = 16 << 10
 )
 
 // NewStreamServer returns a StreamServer over e.
@@ -137,7 +141,6 @@ func (s *StreamServer) Close() error {
 func (s *StreamServer) ServeConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, streamBufSize)
-	bw := bufio.NewWriterSize(conn, streamBufSize)
 	first, err := br.Peek(1)
 	if err != nil {
 		return
@@ -145,16 +148,14 @@ func (s *StreamServer) ServeConn(conn net.Conn) {
 	if first[0] == wire.Magic[0] {
 		if err := wire.ReadPreamble(br); err != nil {
 			s.e.ingest.streamErrors.Add(1)
-			buf := wire.AppendErrorFrame(nil, 400, wire.ReasonInvalid, err.Error())
-			bw.Write(buf)
-			bw.Flush()
+			conn.Write(wire.AppendErrorFrame(nil, 400, wire.ReasonInvalid, err.Error()))
 			return
 		}
 		s.e.ingest.frameConns.Add(1)
-		s.serveConn(br, bw, frameCodec{})
+		s.serveConn(conn, br, frameCodec{})
 	} else {
 		s.e.ingest.ndjsonConns.Add(1)
-		s.serveConn(br, bw, ndjsonCodec{})
+		s.serveConn(conn, br, ndjsonCodec{})
 	}
 }
 
@@ -186,10 +187,10 @@ type streamCodec interface {
 }
 
 // serveConn runs the read, decide, write loop over one connection.
-func (s *StreamServer) serveConn(br *bufio.Reader, bw *bufio.Writer, codec streamCodec) {
-	reqs := make([]AdmissionRequest, 0, maxStreamBatch)
-	out := make([]AdmissionResult, maxStreamBatch)
-	buf := make([]byte, 0, 4096)
+func (s *StreamServer) serveConn(conn net.Conn, br *bufio.Reader, codec streamCodec) {
+	var reqs []AdmissionRequest
+	var out []AdmissionResult
+	var buf []byte
 	var wr wire.Request
 	// A panicking decision ends its connection, not the daemon: SubmitBatch
 	// returned the token on the way up, the log gets value and stack as
@@ -198,8 +199,7 @@ func (s *StreamServer) serveConn(br *bufio.Reader, bw *bufio.Writer, codec strea
 		if p := recover(); p != nil {
 			s.e.ingest.streamPanics.Add(1)
 			log.Printf("serve: stream: panic deciding a batch: %v\n%s", p, debug.Stack())
-			bw.Write(codec.appendError(nil, &streamError{code: 500, reason: wire.ReasonInternal, detail: "a decision panicked"}))
-			bw.Flush()
+			conn.Write(codec.appendError(nil, &streamError{code: 500, reason: wire.ReasonInternal, detail: "a decision panicked"}))
 		}
 	}()
 	for {
@@ -209,14 +209,7 @@ func (s *StreamServer) serveConn(br *bufio.Reader, bw *bufio.Writer, codec strea
 		var err error
 		for err == nil && len(reqs) < maxStreamBatch && (len(reqs) == 0 || br.Buffered() > 0) {
 			if err = codec.readRequest(br, &wr); err == nil {
-				reqs = append(reqs, AdmissionRequest{
-					VNF:         wr.VNF,
-					Reliability: wr.Reliability,
-					Arrival:     wr.Arrival,
-					Duration:    wr.Duration,
-					Payment:     wr.Payment,
-					Scheme:      wr.Scheme,
-				})
+				reqs = append(reqs, AdmissionRequest(wr))
 			}
 		}
 		// A protocol violation is answered after the batch's decisions; a
@@ -227,6 +220,7 @@ func (s *StreamServer) serveConn(br *bufio.Reader, bw *bufio.Writer, codec strea
 		if len(reqs) > 0 {
 			codec.countRequests(s.e, len(reqs))
 			s.e.ingest.observeBatch(len(reqs))
+			out = slices.Grow(out[:0], len(reqs))
 			res := out[:len(reqs)]
 			if serr := s.e.SubmitBatch(context.Background(), reqs, res); serr != nil {
 				// ErrClosed (shutdown) is the only error SubmitBatch can
@@ -245,15 +239,14 @@ func (s *StreamServer) serveConn(br *bufio.Reader, bw *bufio.Writer, codec strea
 						Reason:   wire.CodeForReason(res[i].Reason),
 					})
 				}
-				if _, werr := bw.Write(buf); werr != nil || bw.Flush() != nil {
+				if _, werr := conn.Write(buf); werr != nil {
 					return
 				}
 			}
 		}
 		if term != nil {
 			s.e.ingest.streamErrors.Add(1)
-			bw.Write(codec.appendError(buf[:0], term))
-			bw.Flush()
+			conn.Write(codec.appendError(buf[:0], term))
 			return
 		}
 		if err != nil {

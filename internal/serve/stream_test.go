@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -14,6 +16,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"revnf/internal/core"
 	"revnf/internal/onsite"
@@ -511,6 +514,56 @@ func TestStreamErrorEnvelopes(t *testing.T) {
 		}
 	})
 
+	// The NDJSON line limit is the 16 KiB read buffer: a line of exactly
+	// that length, newline included, is decided, and one byte more is a
+	// terminal 400 after the decisions owed. A frame header announcing more
+	// than any request frame holds is refused without waiting for the rest.
+	good := AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 3, Payment: 10}
+	padded := func(n int) []byte {
+		line := ndjsonStreamBody([]AdmissionRequest{good})
+		return append(append(line[:len(line)-1], bytes.Repeat([]byte{' '}, n-len(line))...), '\n')
+	}
+	for _, tc := range []struct {
+		name   string
+		frame  bool
+		tail   []byte
+		detail string // of the terminal error; "" when the tail is decided
+	}{
+		{"ndjson line the size of the buffer", false, padded(16 << 10), ""},
+		{"ndjson line over the buffer", false, padded(16<<10 + 1), "request line exceeds buffer"},
+		{"frame longer than any request", true,
+			append(binary.LittleEndian.AppendUint32(nil, wire.MaxRequestFrame), wire.FrameRequest), "bad frame length"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestEngine(t, 20)
+			ln := listenLoopback(t)
+			serveStream(t, e, ln)
+			c := dialStream(t, ln.Addr().String(), tc.frame)
+			c.conn.SetReadDeadline(time.Now().Add(10 * time.Second)) // no half-close: a server that waits fails
+			c.send(good)
+			c.conn.Write(tc.tail)
+			if d, code, _, err := c.next(); err != nil || code != 0 || !d.Admitted {
+				t.Fatalf("first record = (%+v, %d, %v), want the admitted decision", d, code, err)
+			}
+			_, code, reason, err := c.next()
+			if tc.detail == "" {
+				if err != nil || code != 0 {
+					t.Fatalf("second record = (%d, %q, %v), want a decision", code, c.detail, err)
+				}
+				return
+			}
+			if err != nil || code != 400 || reason != ReasonInvalid || c.detail != tc.detail {
+				t.Fatalf("second record = (%d, %q, %q, %v), want (400, invalid, %q)", code, reason, c.detail, err, tc.detail)
+			}
+			if _, _, _, err := c.next(); err == nil {
+				t.Fatal("a record after the terminal error, want the connection closed")
+			}
+			if got := e.ingest.streamErrors.Load(); got != 1 {
+				t.Fatalf("stream_errors_total = %d, want 1", got)
+			}
+		})
+	}
+
 	t.Run("engine closed", func(t *testing.T) {
 		e := newTestEngine(t, 20)
 		shutdownEngine(t, e)
@@ -546,19 +599,8 @@ func TestStreamConcurrentConnections(t *testing.T) {
 		c.Workers = 4
 		c.QueueSize = 4096
 	})
-	s := NewStreamServer(e)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.Serve(ln) }()
-	t.Cleanup(func() {
-		s.Close()
-		if err := <-serveDone; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
+	ln := listenLoopback(t)
+	serveStream(t, e, ln)
 
 	const conns, perConn = 4, 200
 	var wg sync.WaitGroup
@@ -665,11 +707,37 @@ func (p markedPanicScheduler) Propose(req core.Request, view core.CapacityView) 
 
 // streamClient is one test connection to a StreamServer in either protocol.
 type streamClient struct {
-	t     *testing.T
-	frame bool
-	conn  net.Conn
-	fr    *wire.FrameReader
-	sc    *bufio.Scanner
+	t      *testing.T
+	frame  bool
+	conn   net.Conn
+	fr     *wire.FrameReader
+	sc     *bufio.Scanner
+	detail string // of the last terminal error record read
+}
+
+// serveStream serves e on ln until the test ends, then closes the server
+// and checks that Serve returned cleanly.
+func serveStream(t *testing.T, e *Engine, ln net.Listener) *StreamServer {
+	t.Helper()
+	s := NewStreamServer(e)
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- s.Serve(ln) }()
+	t.Cleanup(func() {
+		s.Close()
+		if err := <-serveDone; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	})
+	return s
+}
+
+func listenLoopback(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
 }
 
 func dialStream(t *testing.T, addr string, frame bool) *streamClient {
@@ -711,7 +779,8 @@ func (c *streamClient) next() (d wire.Decision, code int, reason string, err err
 			return d, 0, "", err
 		}
 		if typ == wire.FrameError {
-			code, rc, _, err := wire.DecodeError(payload)
+			code, rc, detail, err := wire.DecodeError(payload)
+			c.detail = string(detail)
 			return d, code, rc.Reason(), err
 		}
 		return d, 0, "", wire.DecodeDecision(payload, &d)
@@ -723,12 +792,14 @@ func (c *streamClient) next() (d wire.Decision, code int, reason string, err err
 		Error *struct {
 			Code   int    `json:"code"`
 			Reason string `json:"reason"`
+			Detail string `json:"detail"`
 		} `json:"error"`
 	}
 	if err := json.Unmarshal(c.sc.Bytes(), &env); err != nil {
 		return d, 0, "", err
 	}
 	if env.Error != nil {
+		c.detail = env.Error.Detail
 		return d, env.Error.Code, env.Error.Reason, nil
 	}
 	return d, 0, "", wire.DecodeNDJSONDecision(c.sc.Bytes(), &d)
@@ -760,19 +831,8 @@ func TestStreamPanicClosesConnectionNotDaemon(t *testing.T) {
 				c.Scheduler = markedPanicScheduler{inner}
 				c.Workers = 2
 			})
-			s := NewStreamServer(e)
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			serveDone := make(chan error, 1)
-			go func() { serveDone <- s.Serve(ln) }()
-			t.Cleanup(func() {
-				s.Close()
-				if err := <-serveDone; err != nil {
-					t.Errorf("Serve: %v", err)
-				}
-			})
+			ln := listenLoopback(t)
+			serveStream(t, e, ln)
 			victim, other := dialStream(t, ln.Addr().String(), frame), dialStream(t, ln.Addr().String(), !frame)
 			other.send(good)
 			if d, code, _, err := other.next(); err != nil || code != 0 || !d.Admitted {
@@ -920,6 +980,111 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 			client.CloseWrite()
 			<-done
 		})
+	}
+}
+
+// smallBufListener gives every accepted connection 4 KiB socket buffers,
+// so a client that stops reading fills them within a few batches.
+type smallBufListener struct{ *net.TCPListener }
+
+func (l smallBufListener) Accept() (net.Conn, error) {
+	c, err := l.AcceptTCP()
+	if err != nil {
+		return nil, err
+	}
+	c.SetReadBuffer(4 << 10)
+	c.SetWriteBuffer(4 << 10)
+	return c, nil
+}
+
+// TestStreamStalledReader: a client that sends requests and never reads
+// its replies fills the socket, the only buffer between the decisions and
+// it, and its connection blocks writing them. That blocks nothing else: a
+// second connection on the same engine is still decided, and Close, which
+// closes the stalled connection under its blocked write, returns.
+func TestStreamStalledReader(t *testing.T) {
+	e := newTestEngine(t, 20)
+	ln := listenLoopback(t)
+	s := serveStream(t, e, smallBufListener{ln.(*net.TCPListener)})
+	stalled := dialStream(t, ln.Addr().String(), true)
+	stalled.conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+	// The server reads until its write blocks; then the requests back up
+	// until the client's own write stops moving.
+	body := declinedStream(t, 1024, true)
+	for sent := 0; ; sent++ {
+		stalled.conn.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
+		if _, err := stalled.conn.Write(body); errors.Is(err, os.ErrDeadlineExceeded) {
+			break
+		} else if err != nil || sent == 1000 {
+			t.Fatalf("after %d writes of %d requests: %v, want a client write that stalls", sent, 1024, err)
+		}
+	}
+	if st := e.Stats(); len(e.sem) != e.Workers() || st.InFlight != 0 {
+		t.Errorf("%d of %d tokens idle, InFlight %d behind a stalled reader, want all idle and 0",
+			len(e.sem), e.Workers(), st.InFlight)
+	}
+	other := dialStream(t, ln.Addr().String(), false)
+	for i := 0; i < 3; i++ {
+		other.send(AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 1, Payment: 10})
+		if d, code, _, err := other.next(); err != nil || code != 0 || d.ID == 0 {
+			t.Fatalf("the other connection's decision %d = (%+v, %d, %v), want a decision", i, d, code, err)
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return with a stalled reader connected")
+	}
+}
+
+// TestStreamConnectionFootprint bounds what a stream connection holds
+// between batches: the heap (read buffer, batch arrays, socket) and the
+// goroutine stack, server and client side together, measured over 32
+// loopback frame connections after one 64-request batch each.
+func TestStreamConnectionFootprint(t *testing.T) {
+	const conns, batch, bound = 32, 64, 48 << 10
+	e := newTestEngine(t, 20)
+	ln := listenLoopback(t)
+	serveStream(t, e, ln)
+	body := append(wire.AppendPreamble(nil), declinedStream(t, batch, true)...)
+	readBuf := make([]byte, 64<<10)
+	clients := make([]net.Conn, 0, conns+1)
+	defer func() {
+		for _, c := range clients {
+			c.Close()
+		}
+	}()
+	open := func() {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, c)
+		c.Write(body)
+		if got := drainDecisions(c, batch, true, readBuf); got != batch {
+			t.Fatalf("connection %d: %d/%d decisions", len(clients), got, batch)
+		}
+	}
+	open() // the engine's first decision allocates what every later one reuses
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < conns; i++ {
+		open()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	stack := int64(after.StackInuse) - int64(before.StackInuse)
+	per := (heap + stack) / conns
+	t.Logf("per connection: %d B heap + %d B stack = %.1f KiB", heap/conns, stack/conns, float64(per)/1024)
+	if per > bound {
+		t.Errorf("a stream connection holds %.1f KiB, want ≤ %d KiB", float64(per)/1024, bound>>10)
 	}
 }
 

@@ -29,15 +29,15 @@ package wire
 
 import "revnf/internal/trace"
 
-// Request is one admission request on the wire. It mirrors the serve
-// layer's AdmissionRequest field-for-field (the serve layer converts with
-// a struct copy), so streamed and HTTP-posted requests decode to the same
-// values.
+// Request is one admission request on the wire. It has the serve layer's
+// AdmissionRequest fields in the same order, so the serve layer converts
+// one to the other (AdmissionRequest(r)) and streamed and HTTP-posted
+// requests decode to the same values.
 type Request struct {
 	VNF         int
+	Reliability float64
 	Arrival     int
 	Duration    int
-	Reliability float64
 	Payment     float64
 	// Scheme optionally pins the redundancy scheme the request demands
 	// (canonical flag spelling, e.g. "shared"); empty accepts whatever the

@@ -100,7 +100,8 @@ fi
 # Raised by 40: the history's chunks keep their own rows, spilled with them, and a spilled chunk's buffer is reused.
 # Lowered by 196: the offline on-site, shared and chain programs come from one packing builder, one solve and one LP bound, and the commands share one instance loader.
 # Lowered by 649: the norand, walltime, atomicword and purepropose passes went; a parser test, go vet and a lockstep test hold their rules.
-ceiling=21416
+# Lowered by 7: a stream connection writes each batch with one conn.Write (its bufio.Writer went) and converts wire.Request with one conversion.
+ceiling=21409
 lines=$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)
 echo "==> non-test Go outside benchmark/: $lines lines (ceiling $ceiling)"
 if [ "$lines" -gt "$ceiling" ]; then
