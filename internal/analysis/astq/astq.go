@@ -1,5 +1,5 @@
-// Package astq holds small AST/type query helpers shared by the revnfvet
-// analyzers.
+// Package astq holds small AST/type query helpers shared by the guardedby
+// and lockorder analyzers.
 package astq
 
 import (

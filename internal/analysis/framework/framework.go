@@ -8,13 +8,11 @@
 //
 // Differences from upstream, all deliberate simplifications:
 //
-//   - no Requires/ResultOf fact plumbing — the five revnfvet analyzers are
-//     independent single-package passes;
-//   - no SuggestedFixes — revnfvet only reports;
-//   - a built-in, uniform escape hatch: a "//lint:allow <name>" comment on
-//     the flagged line, or on the line directly above it, suppresses that
-//     analyzer's diagnostics for the line (upstream leaves suppression to
-//     drivers).
+//   - no Requires/ResultOf fact plumbing — the guardedby and lockorder
+//     analyzers are independent single-package passes;
+//   - no SuggestedFixes — the root TestLockDiscipline only reports;
+//   - no suppression comments — a finding is fixed, or the code is
+//     restructured so the analyzer can see why it is safe.
 package framework
 
 import (
@@ -22,15 +20,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"sort"
 	"strings"
 )
 
 // Analyzer describes one invariant checker.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in lint:allow
-	// comments. It must be a valid identifier.
+	// Name identifies the analyzer in diagnostics. It must be a valid
+	// identifier.
 	Name string
 	// Doc is the help text: first line is a one-line summary.
 	Doc string
@@ -97,50 +94,13 @@ type Unit struct {
 	Info *types.Info
 }
 
-var allowRe = regexp.MustCompile(`//\s*lint:allow\s+([A-Za-z0-9_,\s]+)`)
-
-// allowedLines maps "file:line" to the set of analyzer names suppressed on
-// that line (a comment suppresses its own line and the next).
-func allowedLines(fset *token.FileSet, files []*ast.File) map[string]map[string]bool {
-	out := make(map[string]map[string]bool)
-	add := func(pos token.Position, names []string) {
-		key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-		set := out[key]
-		if set == nil {
-			set = make(map[string]bool)
-			out[key] = set
-		}
-		for _, n := range names {
-			if n = strings.TrimSpace(n); n != "" {
-				set[n] = true
-			}
-		}
-	}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := allowRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				names := strings.Split(strings.ReplaceAll(m[1], ",", " "), " ")
-				pos := fset.Position(c.Pos())
-				add(pos, names)
-				add(token.Position{Filename: pos.Filename, Line: pos.Line + 1}, names)
-			}
-		}
-	}
-	return out
-}
-
-// Run applies every analyzer to every unit, filters lint:allow-suppressed
-// findings, and returns the rest sorted by position. The error aggregates
-// analyzer-internal failures; findings alone never produce an error.
+// Run applies every analyzer to every unit and returns the findings sorted
+// by position. The error aggregates analyzer-internal failures; findings
+// alone never produce an error.
 func Run(units []*Unit, analyzers []*Analyzer) ([]Finding, error) {
 	var findings []Finding
 	var errs []string
 	for _, u := range units {
-		allowed := allowedLines(u.Fset, u.Files)
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:  a,
@@ -150,12 +110,7 @@ func Run(units []*Unit, analyzers []*Analyzer) ([]Finding, error) {
 				TypesInfo: u.Info,
 			}
 			pass.Report = func(d Diagnostic) {
-				pos := u.Fset.Position(d.Pos)
-				key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-				if allowed[key][a.Name] {
-					return
-				}
-				findings = append(findings, Finding{Position: pos, Message: d.Message, Analyzer: a.Name})
+				findings = append(findings, Finding{Position: u.Fset.Position(d.Pos), Message: d.Message, Analyzer: a.Name})
 			}
 			if err := a.Run(pass); err != nil {
 				errs = append(errs, fmt.Sprintf("%s on %s: %v", a.Name, u.Pkg.Path(), err))

@@ -1,4 +1,4 @@
-// Package load type-checks Go packages for the revnfvet analyzers without
+// Package load type-checks Go packages for the lock analyzers without
 // depending on golang.org/x/tools/go/packages (unavailable in this
 // hermetic build). It shells out to `go list -export -deps -json`, which
 // compiles every dependency into the build cache and reports the export
@@ -6,8 +6,8 @@
 // type-checks them with go/types using a gc-export-data importer — the
 // same layering go/packages uses in LoadTypes mode.
 //
-// Only non-test files (GoFiles) are loaded: the revnfvet invariants govern
-// library code, and tests are exempt from all of them by design.
+// Only non-test files (GoFiles) are loaded: the lock invariants govern
+// library code, and tests are exempt from them by design.
 package load
 
 import (

@@ -8,7 +8,7 @@ import "math"
 // a few ulps per operation; 1e-9 absorbs any realistic accumulation over
 // the admission pipeline (millions of additions of O(1) payments) while
 // staying far below the smallest meaningful payment or probability
-// difference in the paper's workloads. The floateq analyzer (revnfvet)
+// difference in the paper's workloads. The root TestNoFloatEquality
 // steers every ==/!= on such values here.
 const FloatEqTolerance = 1e-9
 

@@ -56,7 +56,7 @@ type ChainSolution = Schedule[chain.Placement]
 // Gap returns the relative optimality gap of the solution.
 func (s *Schedule[P]) Gap() float64 {
 	// The incumbent revenue is a sum of payments, so "empty incumbent" is
-	// a tolerance check, not exact zero (revnfvet: floateq).
+	// a tolerance check, not exact zero (TestNoFloatEquality).
 	if core.FloatEq(s.Revenue, 0) {
 		if core.FloatEq(s.UpperBound, 0) {
 			return 0

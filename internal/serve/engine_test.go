@@ -811,7 +811,7 @@ func TestEngineOneTokenMatchesSimulator(t *testing.T) {
 // requests a slot the ledger is full and almost nothing writes between two
 // loads, which is what the cached view is for: at least 0.8 there. At 8 a
 // slot about half the requests are admitted and most loads follow a write;
-// that ratio is logged, not asserted (DESIGN.md §5 records it).
+// that ratio is logged, not asserted (DESIGN.md §5, "Ledger views", records it).
 func TestViewHitRatioSaturated(t *testing.T) {
 	setup := experiments.DefaultSetup()
 	setup.Horizon = 64

@@ -88,15 +88,19 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 				"Capacity of the decision-trace ring store.", float64(st.Capacity)),
 		)
 	}
-	if e.runtime != nil {
-		families = append(families, e.runtimeFamilies()...)
-	}
 	if lr, ok := e.sched.(core.LambdaReader); ok {
 		maxSlot := s.WindowBase + e.horizon - 1
 		if !s.Rolling {
 			maxSlot = e.horizon
 		}
 		families = append(families, lambdaFamily(lr, len(e.network.Cloudlets), s.Slot, maxSlot))
+	}
+	// The failure runtime renders last, and reads the estimator's size once:
+	// no lock this scrape takes after the estimator's reads can order them
+	// before the next tick's writes, so a -race run sees an unguarded read
+	// (TestSoakFailureRuntimeSharded polls this).
+	if e.runtime != nil {
+		families = append(families, e.runtimeFamilies()...)
 	}
 	return metrics.WriteProm(w, families)
 }
@@ -112,7 +116,7 @@ func (e *Engine) runtimeFamilies() []metrics.PromMetric {
 		Help: "Online Beta-posterior estimate of each cloudlet's availability r(c_j).",
 		Type: "gauge",
 	}
-	for j := 0; j < rt.est.Cloudlets(); j++ {
+	for j, n := 0, rt.est.Cloudlets(); j < n; j++ {
 		est.Samples = append(est.Samples, metrics.PromSample{
 			Labels: []metrics.LabelPair{{Name: "cloudlet", Value: strconv.Itoa(j)}},
 			Value:  rt.est.CloudletReliability(j),

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -214,13 +215,15 @@ func soakFailureRuntime(t *testing.T, chunk int) {
 	}
 }
 
-// TestSoakFailureRuntimeSharded races concurrent submissions against the
-// ticking failure runtime; under -race this is the subsystem's data-race
-// check, and the post-drain invariants must hold exactly as in the serial
-// soak. The pd-shared leg decides with one token, which the repairs of a
-// Tick take too: it is the executable guard of the order "worker token,
-// then Engine.mu" — a Tick that took them the other way round would
-// deadlock here against a decision holding the token and waiting to book.
+// TestSoakFailureRuntimeSharded races concurrent submissions and a poller
+// of the read side (metrics, cloudlets, stats, placement lookups) against
+// the ticking failure runtime; under -race this is the subsystem's
+// data-race check, and the post-drain invariants must hold exactly as in
+// the serial soak. The pd-shared leg decides with one token, which the
+// repairs of a Tick take too: it is the executable guard of the order
+// "worker token, then Engine.mu" — a Tick that took them the other way
+// round would deadlock here against a decision holding the token and
+// waiting to book.
 func TestSoakFailureRuntimeSharded(t *testing.T) {
 	t.Run("onsite", func(t *testing.T) {
 		soakConcurrent(t, 4, func(n *core.Network, horizon int) core.Scheduler {
@@ -291,6 +294,32 @@ func soakConcurrent(t *testing.T, tokens int, newScheduler func(*core.Network, i
 			}
 		}(w)
 	}
+	// The read side an operator polls: each call must take the locks the
+	// ticks and the submitters write under.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := e.WriteMetrics(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+			e.Cloudlets()
+			e.Stats()
+			mu.Lock()
+			id := len(admitted)
+			if id > 0 {
+				id = admitted[id-1]
+			}
+			mu.Unlock()
+			e.Placement(id)
+		}
+	}()
 	// Tick the failure runtime concurrently with the submitters, pacing
 	// the clock so each slot sees real submission traffic.
 	for slot := 1; slot < horizon-4; slot = e.Tick().Slot {

@@ -161,9 +161,11 @@ func (s *Store) Len() int {
 }
 
 // Capacity returns the ring size.
-//
-//lint:allow guardedby // len of the ring header only: the slice is allocated once in NewStore and never reassigned, so the header is immutable and safe to read unlocked.
-func (s *Store) Capacity() int { return len(s.ring) }
+func (s *Store) Capacity() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.ring)
+}
 
 // Stats snapshots the store's counters.
 func (s *Store) Stats() StoreStats {

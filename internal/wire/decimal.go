@@ -110,7 +110,8 @@ func eightDigits(v uint64) (uint64, bool) {
 // do so exactly: m the whole significand and |e10| ≤ 27, so that 5^|e10|
 // fits a uint64. It declines the rest, which strconv.ParseFloat takes; that
 // rounds correctly too, so the two give the same bits. Integer arithmetic
-// only: no floating-point rounding for the compiler to fuse (DESIGN.md §5).
+// only: no floating-point rounding for the compiler to fuse (DESIGN.md §5,
+// "Rounding that does not depend on the architecture").
 func (d *decimal) float() (float64, bool) {
 	var f uint64 // the result's bits, but for the sign
 	if d.m != 0 {

@@ -9,9 +9,15 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"revnf/internal/analysis/framework"
+	"revnf/internal/analysis/guardedby"
+	"revnf/internal/analysis/load"
+	"revnf/internal/analysis/lockorder"
 )
 
 // deterministicPkgs are the packages, by directory, in which slot time is
@@ -41,14 +47,34 @@ var atomicTypes = map[string]bool{
 	"Uintptr": true, "Pointer": true, "Value": true,
 }
 
-// sourceViolations returns one line per break of rule ("rand", "walltime"
-// or "atomic") in file name, a slash path from the module root. Commands,
-// examples and test data own their seeds and clocks and are exempt. A
-// package qualifier is an identifier go/parser leaves unresolved, so a
-// local variable named like an import is not mistaken for it.
+// floatNames are the value names whose floats accumulate rounding error
+// along the admission pipeline: revenue sums, reliability products and
+// payments. Two mathematically equal revenues can differ in the last ulp
+// by summation order, so they compare through core.FloatEq or an explicit
+// tolerance, never ==/!=.
+var floatNames = regexp.MustCompile(`(?i)revenue|reliab|payment`)
+
+// floatName returns the first identifier in e that floatNames matches, or "".
+func floatName(e ast.Expr) string {
+	var found string
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && found == "" && floatNames.MatchString(id.Name) {
+			found = id.Name
+		}
+		return found == ""
+	})
+	return found
+}
+
+// sourceViolations returns one line per break of rule ("rand", "walltime",
+// "atomic" or "float") in file name, a slash path from the module root.
+// Commands, examples and test data own their seeds and clocks and are
+// exempt from every rule but "float". A package qualifier is an
+// identifier go/parser leaves unresolved, so a local variable named like
+// an import is not mistaken for it.
 func sourceViolations(fset *token.FileSet, name string, f *ast.File, rule string) []string {
-	if strings.HasPrefix(name, "cmd/") || strings.HasPrefix(name, "examples/") ||
-		strings.HasPrefix(name, "testdata/") || strings.Contains(name, "/testdata/") {
+	if rule != "float" && (strings.HasPrefix(name, "cmd/") || strings.HasPrefix(name, "examples/") ||
+		strings.HasPrefix(name, "testdata/") || strings.Contains(name, "/testdata/")) {
 		return nil
 	}
 	dir := path.Dir(name)
@@ -78,6 +104,16 @@ func sourceViolations(fset *token.FileSet, name string, f *ast.File, rule string
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				id := floatName(n.X)
+				if id == "" {
+					id = floatName(n.Y)
+				}
+				if id != "" {
+					report("float", n, "exact comparison (%s) on %s; compare through core.FloatEq or a tolerance", n.Op, id)
+				}
+			}
 		case *ast.SelectorExpr:
 			switch sel := n.Sel.Name; qualifier(n.X) {
 			case "math/rand", "math/rand/v2":
@@ -111,8 +147,8 @@ func sourceViolations(fset *token.FileSet, name string, f *ast.File, rule string
 	return out
 }
 
-// checkModule holds every non-test file of the module outside cmd/,
-// examples/ and testdata/ to rule and returns the directories it walked.
+// checkModule holds every non-test file of the module outside testdata/
+// to rule and returns the directories it walked.
 func checkModule(t *testing.T, rule string) map[string]bool {
 	fset := token.NewFileSet()
 	seen := make(map[string]bool)
@@ -168,6 +204,36 @@ func TestNoWallClock(t *testing.T) {
 // reset; go vet's copylocks check keeps an atomic value from being copied.
 func TestNoAtomicFunctions(t *testing.T) { checkModule(t, "atomic") }
 
+// TestNoFloatEquality: no ==/!= on a revenue, reliability or payment
+// value, commands and examples included.
+func TestNoFloatEquality(t *testing.T) { checkModule(t, "float") }
+
+// TestLockDiscipline type-checks every package of the module and runs the
+// two lock analyzers over it: guardedby (a field annotated "guarded by mu"
+// is touched only with mu held) and lockorder (nested acquisitions follow
+// the canonical order of DESIGN.md §12.3). Both see every path, where a
+// -race run sees only the interleavings it samples.
+func TestLockDiscipline(t *testing.T) {
+	pkgs, err := load.Packages(".", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) < 30 {
+		t.Fatalf("loaded %d packages; is the test running from the module root?", len(pkgs))
+	}
+	units := make([]*framework.Unit, 0, len(pkgs))
+	for _, p := range pkgs {
+		units = append(units, &framework.Unit{Fset: p.Fset, Files: p.Files, Pkg: p.Types, Info: p.Info})
+	}
+	findings, err := framework.Run(units, []*framework.Analyzer{guardedby.Analyzer, lockorder.Analyzer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Error(f)
+	}
+}
+
 func TestSourceViolationsRules(t *testing.T) {
 	for _, tc := range []struct{ name, file, src, rule string }{ // rule "" is a clean file
 		{"aliased global rand", "internal/onsite/a.go",
@@ -189,6 +255,12 @@ func TestSourceViolationsRules(t *testing.T) {
 			func f(d time.Duration) int { time := clock{}; return time.Now() + int(d) }`, ""},
 		{"wall clock in serve", "internal/serve/a.go",
 			`import "time"; func f() time.Time { return time.Now() }`, ""},
+		{"revenue equality", "internal/offline/a.go",
+			`type s struct{ Revenue, UpperBound float64 }; func f(x *s) float64 { if x.Revenue == 0 { return 0 }; return x.UpperBound }`, "float"},
+		{"payment in a command", "cmd/revnfload/a.go",
+			`func f(payment float64) bool { return payment != 0 }`, "float"},
+		{"reliability tolerance", "examples/failover/a.go",
+			`import "math"; func f(reliab, want float64) bool { return math.Abs(reliab-want) <= 1e-9 }`, ""},
 		{"commands exempt", "cmd/revnfd/a.go",
 			`import ("math/rand"; "sync/atomic"; "time"); var n int64
 			func f() { _ = rand.Intn(3); atomic.AddInt64(&n, 1); _ = time.Now() }`, ""},
@@ -199,7 +271,7 @@ func TestSourceViolationsRules(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, rule := range []string{"rand", "walltime", "atomic"} {
+			for _, rule := range []string{"rand", "walltime", "atomic", "float"} {
 				if got := sourceViolations(fset, tc.file, f, rule); (len(got) > 0) != (rule == tc.rule) {
 					t.Errorf("rule %s: flagged %q, want flagged = %v", rule, got, rule == tc.rule)
 				}

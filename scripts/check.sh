@@ -24,16 +24,17 @@ echo "==> go vet (benchmark module)"
 echo "==> go build ./..."
 go build ./...
 
-echo "==> revnfvet ./... (invariant suite)"
-go run ./cmd/revnfvet ./...
-
+# The lock checks (guardedby, lockorder) and the source rules (no global
+# rand, no wall clock in the deterministic packages, no atomic functions,
+# no exact float comparison on revenue, reliability or payment) run here,
+# as TestLockDiscipline and the other tests of invariants_test.go.
 echo "==> go test -race ./..."
 go test -race ./...
 
 # benchmark/ is its own module, so the line above does not reach it. Its
 # smoke runs every workload for a fraction of a second and fails on any
 # failed operation — the only check that noticed a reservation leaked by a
-# seeded bug in the engine's rollback (DESIGN.md §5 "PR 22").
+# seeded bug in the engine's rollback (DESIGN.md §5, "One reservation").
 echo "==> benchmark smoke (cd benchmark && go test ./...)"
 (cd benchmark && go test ./...)
 
@@ -101,7 +102,8 @@ fi
 # Lowered by 196: the offline on-site, shared and chain programs come from one packing builder, one solve and one LP bound, and the commands share one instance loader.
 # Lowered by 649: the norand, walltime, atomicword and purepropose passes went; a parser test, go vet and a lockstep test hold their rules.
 # Lowered by 7: a stream connection writes each batch with one conn.Write (its bufio.Writer went) and converts wire.Request with one conversion.
-ceiling=21409
+# Lowered by 316: cmd/revnfvet, the analyzer registry, the floateq pass and the lint:allow escape hatch went; root tests run the lock passes and the float rule.
+ceiling=21093
 lines=$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)
 echo "==> non-test Go outside benchmark/: $lines lines (ceiling $ceiling)"
 if [ "$lines" -gt "$ceiling" ]; then
