@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"revnf/internal/core"
 	"revnf/internal/experiments"
 	"revnf/internal/lp"
 	"revnf/internal/mip"
@@ -346,11 +347,13 @@ func BenchmarkSimulationEngine(b *testing.B) {
 	}
 }
 
-type rejectAll struct{}
+type rejectAll struct {
+	core.Stateless[Request, Placement]
+}
 
 func (rejectAll) Name() string   { return "reject-all" }
 func (rejectAll) Scheme() Scheme { return OnSite }
-func (rejectAll) Decide(Request, CapacityView) (Placement, bool) {
+func (rejectAll) Propose(Request, CapacityView) (Placement, bool) {
 	return Placement{}, false
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"revnf/internal/chain"
 	"revnf/internal/core"
+	"revnf/internal/simulate"
 )
 
 // Service-function-chain extension: multi-VNF requests whose whole chain
@@ -17,10 +18,11 @@ type (
 	ChainPlacement = chain.Placement
 	// ChainInstance bundles a chain simulation input.
 	ChainInstance = chain.Instance
-	// ChainScheduler is an online chain admission algorithm.
-	ChainScheduler = chain.Scheduler
+	// ChainScheduler is an online chain admission algorithm: the two-phase
+	// contract of Scheduler for chain requests and placements.
+	ChainScheduler = core.TwoPhase[chain.Request, chain.Placement]
 	// ChainResult is an audited chain simulation outcome.
-	ChainResult = chain.Result
+	ChainResult = simulate.Result[chain.Placement]
 	// ChainTraceConfig configures the chain trace generator.
 	ChainTraceConfig = chain.TraceConfig
 	// ChainAllocation is the per-stage instance-count split.
@@ -54,7 +56,7 @@ func NewGreedyChainOffsite(n *Network, horizon int) (ChainScheduler, error) {
 // RunChains simulates a chain scheduler over the instance's trace with
 // capacity and availability auditing.
 func RunChains(inst *ChainInstance, sched ChainScheduler) (*ChainResult, error) {
-	return chain.Run(inst, sched)
+	return simulate.RunChains(inst, sched)
 }
 
 // GenerateChainTrace draws a reproducible chain request trace.

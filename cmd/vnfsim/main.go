@@ -71,7 +71,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var res *simulate.Result
+	var res *simulate.Result[core.Placement]
 	if allowViolations {
 		res, err = simulate.Run(inst, sched, simulate.AllowViolations())
 	} else {

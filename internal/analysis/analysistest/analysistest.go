@@ -16,7 +16,7 @@
 // Fixture packages may import each other by the path of their directory
 // under testdata/src — including stub packages that impersonate real
 // repository packages (for example a stub "revnf/internal/core" declaring
-// just the TwoPhaseScheduler interface) — and may import anything else
+// just the TwoPhase interface) — and may import anything else
 // resolvable by the module's go tool (the standard library, or real
 // repository packages). testdata/src takes precedence, exactly like the
 // GOPATH the upstream harness fabricates.

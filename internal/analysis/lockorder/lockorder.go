@@ -120,17 +120,17 @@ var rank = func() map[lockset.Class]int {
 // the classes the callee may acquire. Interface entries union over their
 // repository implementations.
 var summary = map[string][]lockset.Class{
-	"revnf/internal/timeslot.Ledger":        {ledgerMu},
-	"revnf/internal/timeslot.Reader":        {ledgerMu},
-	"revnf/internal/timeslot.Pool":          {ledgerMu},
-	"revnf/internal/core.CapacityView":      {ledgerMu},
-	"revnf/internal/core.TwoPhaseScheduler": {schedMu, ledgerMu, "revnf/internal/trace.Store.mu"},
-	"revnf/internal/core.WindowAdvancer":    {schedMu},
-	"revnf/internal/shared.Scheduler":       {schedMu, ledgerMu},
-	"revnf/internal/trace.Recorder":         {"revnf/internal/trace.Store.mu"},
-	"revnf/internal/slo.Tracker":            {"revnf/internal/slo.Tracker.mu"},
-	"revnf/internal/slo.RateEstimator":      {"revnf/internal/slo.RateEstimator.mu"},
-	"revnf/internal/repair.Controller":      {"revnf/internal/repair.Controller.mu"},
+	"revnf/internal/timeslot.Ledger":     {ledgerMu},
+	"revnf/internal/timeslot.Reader":     {ledgerMu},
+	"revnf/internal/timeslot.Pool":       {ledgerMu},
+	"revnf/internal/core.CapacityView":   {ledgerMu},
+	"revnf/internal/core.TwoPhase":       {schedMu, ledgerMu, "revnf/internal/trace.Store.mu"},
+	"revnf/internal/core.WindowAdvancer": {schedMu},
+	"revnf/internal/shared.Scheduler":    {schedMu, ledgerMu},
+	"revnf/internal/trace.Recorder":      {"revnf/internal/trace.Store.mu"},
+	"revnf/internal/slo.Tracker":         {"revnf/internal/slo.Tracker.mu"},
+	"revnf/internal/slo.RateEstimator":   {"revnf/internal/slo.RateEstimator.mu"},
+	"revnf/internal/repair.Controller":   {"revnf/internal/repair.Controller.mu"},
 }
 
 // fold applies the alias map.

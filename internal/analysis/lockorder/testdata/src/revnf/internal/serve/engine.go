@@ -6,6 +6,7 @@ package serve
 import (
 	"sync"
 
+	"revnf/internal/core"
 	"revnf/internal/shared"
 	"revnf/internal/timeslot"
 )
@@ -56,4 +57,12 @@ func (s *StreamServer) BadAdvance(sched *shared.Scheduler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sched.AdvanceWindow(2) // want `acquires sched\.mu while holding serve\.StreamServer\.mu` `acquires timeslot\.Ledger\.mu while holding serve\.StreamServer\.mu`
+}
+
+// BadCommit commits through an instantiated TwoPhase under the leaf lock:
+// every class the summary keys to the generic contract ranks before it.
+func (s *StreamServer) BadCommit(sched core.TwoPhase[int, string]) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sched.Commit(1, "p") // want `acquires sched\.mu while holding serve\.StreamServer\.mu` `acquires timeslot\.Ledger\.mu while holding serve\.StreamServer\.mu` `acquires trace\.Store\.mu while holding serve\.StreamServer\.mu`
 }

@@ -5,7 +5,7 @@
 // (Section VI-A); it never reasons about opportunity cost, which is
 // exactly what the primal-dual algorithms add.
 //
-// Every baseline implements core.TwoPhaseScheduler by embedding
+// Every baseline implements core.Scheduler by embedding
 // core.Stateless: their Propose methods are pure functions of (request,
 // capacity view) — no dual prices, no learned state — so Commit and Abort
 // are no-ops and concurrent Propose is trivially safe. The one exception is
@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"revnf/internal/core"
@@ -60,7 +59,7 @@ func applyOptions(opts []Option) options {
 // GreedyOnsite admits every request it can, choosing the most reliable
 // cloudlet with sufficient residual capacity (on-site scheme).
 type GreedyOnsite struct {
-	core.Stateless
+	core.Stateless[core.Request, core.Placement]
 	network *core.Network
 	rel     *core.ReliabilityTable
 	// order is the cloudlet IDs sorted by reliability descending.
@@ -75,7 +74,7 @@ func NewGreedyOnsite(network *core.Network, opts ...Option) (*GreedyOnsite, erro
 		return nil, err
 	}
 	o := applyOptions(opts)
-	return &GreedyOnsite{network: network, rel: rel, order: byReliability(network), rec: o.rec}, nil
+	return &GreedyOnsite{network: network, rel: rel, order: network.ByReliability(), rec: o.rec}, nil
 }
 
 // Name implements core.Scheduler.
@@ -84,12 +83,7 @@ func (g *GreedyOnsite) Name() string { return "greedy-onsite" }
 // Scheme implements core.Scheduler.
 func (g *GreedyOnsite) Scheme() core.Scheme { return core.OnSite }
 
-// Decide implements core.Scheduler.
-func (g *GreedyOnsite) Decide(req core.Request, view core.CapacityView) (core.Placement, bool) {
-	return g.Propose(req, view)
-}
-
-// Propose implements core.TwoPhaseScheduler; it is a pure function of the
+// Propose implements core.Scheduler; it is a pure function of the
 // request and the view.
 func (g *GreedyOnsite) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
 	tracing := g.rec.Sample(req.ID)
@@ -135,7 +129,7 @@ func (g *GreedyOnsite) Propose(req core.Request, view core.CapacityView) (core.P
 // reliable cloudlets with space until the reliability requirement is met
 // (off-site scheme).
 type GreedyOffsite struct {
-	core.Stateless
+	core.Stateless[core.Request, core.Placement]
 	network *core.Network
 	rel     *core.ReliabilityTable
 	order   []int
@@ -149,7 +143,7 @@ func NewGreedyOffsite(network *core.Network, opts ...Option) (*GreedyOffsite, er
 		return nil, err
 	}
 	o := applyOptions(opts)
-	return &GreedyOffsite{network: network, rel: rel, order: byReliability(network), rec: o.rec}, nil
+	return &GreedyOffsite{network: network, rel: rel, order: network.ByReliability(), rec: o.rec}, nil
 }
 
 // Name implements core.Scheduler.
@@ -158,12 +152,7 @@ func (g *GreedyOffsite) Name() string { return "greedy-offsite" }
 // Scheme implements core.Scheduler.
 func (g *GreedyOffsite) Scheme() core.Scheme { return core.OffSite }
 
-// Decide implements core.Scheduler.
-func (g *GreedyOffsite) Decide(req core.Request, view core.CapacityView) (core.Placement, bool) {
-	return g.Propose(req, view)
-}
-
-// Propose implements core.TwoPhaseScheduler; it is a pure function of the
+// Propose implements core.Scheduler; it is a pure function of the
 // request and the view.
 func (g *GreedyOffsite) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
 	tracing := g.rec.Sample(req.ID)
@@ -213,7 +202,7 @@ func (g *GreedyOffsite) Propose(req core.Request, view core.CapacityView) (core.
 // It ignores reliability ordering entirely and serves as an ablation
 // baseline isolating the value of reliability awareness.
 type FirstFitOnsite struct {
-	core.Stateless
+	core.Stateless[core.Request, core.Placement]
 	network *core.Network
 	rel     *core.ReliabilityTable
 	rec     trace.Recorder
@@ -235,12 +224,7 @@ func (f *FirstFitOnsite) Name() string { return "firstfit-onsite" }
 // Scheme implements core.Scheduler.
 func (f *FirstFitOnsite) Scheme() core.Scheme { return core.OnSite }
 
-// Decide implements core.Scheduler.
-func (f *FirstFitOnsite) Decide(req core.Request, view core.CapacityView) (core.Placement, bool) {
-	return f.Propose(req, view)
-}
-
-// Propose implements core.TwoPhaseScheduler; it is a pure function of the
+// Propose implements core.Scheduler; it is a pure function of the
 // request and the view.
 func (f *FirstFitOnsite) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
 	tracing := f.rec.Sample(req.ID)
@@ -284,7 +268,7 @@ func (f *FirstFitOnsite) Propose(req core.Request, view core.CapacityView) (core
 // RandomOnsite places each request in a uniformly random feasible
 // cloudlet. It lower-bounds what any sensible on-site policy should earn.
 type RandomOnsite struct {
-	core.Stateless
+	core.Stateless[core.Request, core.Placement]
 	network *core.Network
 	rel     *core.ReliabilityTable
 	// mu keeps a misused concurrent Propose race-free, but the scheduler
@@ -316,12 +300,7 @@ func (r *RandomOnsite) Name() string { return "random-onsite" }
 // Scheme implements core.Scheduler.
 func (r *RandomOnsite) Scheme() core.Scheme { return core.OnSite }
 
-// Decide implements core.Scheduler.
-func (r *RandomOnsite) Decide(req core.Request, view core.CapacityView) (core.Placement, bool) {
-	return r.Propose(req, view)
-}
-
-// Propose implements core.TwoPhaseScheduler. The RNG draw happens under
+// Propose implements core.Scheduler. The RNG draw happens under
 // the scheduler's mutex; everything else is pure.
 func (r *RandomOnsite) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
 	tracing := r.rec.Sample(req.ID)
@@ -385,7 +364,7 @@ func (r *RandomOnsite) ConcurrentPropose() bool { return false }
 // RejectAll rejects everything; it anchors the revenue floor in sanity
 // checks.
 type RejectAll struct {
-	core.Stateless
+	core.Stateless[core.Request, core.Placement]
 	scheme core.Scheme
 }
 
@@ -403,12 +382,7 @@ func (r *RejectAll) Name() string { return "reject-all" }
 // Scheme implements core.Scheduler.
 func (r *RejectAll) Scheme() core.Scheme { return r.scheme }
 
-// Decide implements core.Scheduler.
-func (r *RejectAll) Decide(core.Request, core.CapacityView) (core.Placement, bool) {
-	return core.Placement{}, false
-}
-
-// Propose implements core.TwoPhaseScheduler.
+// Propose implements core.Scheduler.
 func (r *RejectAll) Propose(core.Request, core.CapacityView) (core.Placement, bool) {
 	return core.Placement{}, false
 }
@@ -483,22 +457,4 @@ func buildTable(network *core.Network) (*core.ReliabilityTable, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadNetwork, err)
 	}
 	return rel, nil
-}
-
-// byReliability returns cloudlet IDs ordered by reliability descending,
-// ties by ascending ID.
-func byReliability(network *core.Network) []int {
-	order := make([]int, len(network.Cloudlets))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ra := network.Cloudlets[order[a]].Reliability
-		rb := network.Cloudlets[order[b]].Reliability
-		if ra != rb {
-			return ra > rb
-		}
-		return order[a] < order[b]
-	})
-	return order
 }

@@ -71,7 +71,7 @@ func TestGreedyOnsitePrefersReliability(t *testing.T) {
 	}
 	view := newLedger(t, n, 5)
 	req := core.Request{ID: 0, VNF: 0, Reliability: 0.9, Arrival: 1, Duration: 2, Payment: 5}
-	p, ok := g.Decide(req, view)
+	p, ok := core.Decide(g, req, view)
 	if !ok {
 		t.Fatal("rejected")
 	}
@@ -94,7 +94,7 @@ func TestGreedyOnsiteFallsBackWhenFull(t *testing.T) {
 		t.Fatalf("Reserve: %v", err)
 	}
 	req := core.Request{ID: 0, VNF: 0, Reliability: 0.9, Arrival: 1, Duration: 2, Payment: 5}
-	p, ok := g.Decide(req, view)
+	p, ok := core.Decide(g, req, view)
 	if !ok {
 		t.Fatal("rejected despite space elsewhere")
 	}
@@ -109,7 +109,7 @@ func TestGreedyOnsiteRejects(t *testing.T) {
 	view := newLedger(t, n, 5)
 	// Unattainable requirement.
 	req := core.Request{ID: 0, VNF: 0, Reliability: 0.9999, Arrival: 1, Duration: 1, Payment: 5}
-	if _, ok := g.Decide(req, view); ok {
+	if _, ok := core.Decide(g, req, view); ok {
 		t.Error("unattainable requirement admitted")
 	}
 	// Full network.
@@ -119,7 +119,7 @@ func TestGreedyOnsiteRejects(t *testing.T) {
 		}
 	}
 	req = core.Request{ID: 0, VNF: 0, Reliability: 0.9, Arrival: 1, Duration: 1, Payment: 5}
-	if _, ok := g.Decide(req, view); ok {
+	if _, ok := core.Decide(g, req, view); ok {
 		t.Error("admitted into full network")
 	}
 }
@@ -136,7 +136,7 @@ func TestGreedyOffsite(t *testing.T) {
 	view := newLedger(t, n, 5)
 	// Require two cloudlets: best single is 0.95·0.999 ≈ 0.949.
 	req := core.Request{ID: 0, VNF: 0, Reliability: 0.99, Arrival: 1, Duration: 2, Payment: 5}
-	p, ok := g.Decide(req, view)
+	p, ok := core.Decide(g, req, view)
 	if !ok {
 		t.Fatal("rejected")
 	}
@@ -155,7 +155,7 @@ func TestGreedyOffsiteRejectsUnattainable(t *testing.T) {
 	view := newLedger(t, n, 5)
 	all := oracle.Availability(0.95, []oracle.Site{{Rc: 0.97, N: 1}, {Rc: 0.999, N: 1}, {Rc: 0.95, N: 1}}, nil)
 	req := core.Request{ID: 0, VNF: 0, Reliability: all + (1-all)/2, Arrival: 1, Duration: 1, Payment: 5}
-	if _, ok := g.Decide(req, view); ok {
+	if _, ok := core.Decide(g, req, view); ok {
 		t.Error("unattainable requirement admitted")
 	}
 }
@@ -171,7 +171,7 @@ func TestFirstFitOnsite(t *testing.T) {
 	}
 	view := newLedger(t, n, 5)
 	req := core.Request{ID: 0, VNF: 0, Reliability: 0.9, Arrival: 1, Duration: 2, Payment: 5}
-	p, ok := f.Decide(req, view)
+	p, ok := core.Decide(f, req, view)
 	if !ok {
 		t.Fatal("rejected")
 	}
@@ -181,7 +181,7 @@ func TestFirstFitOnsite(t *testing.T) {
 	// Requirement above cloudlet 0's reliability (0.97) but below
 	// cloudlet 1's: first-fit must skip to cloudlet 1.
 	req = core.Request{ID: 1, VNF: 0, Reliability: 0.98, Arrival: 1, Duration: 2, Payment: 5}
-	p, ok = f.Decide(req, view)
+	p, ok = core.Decide(f, req, view)
 	if !ok {
 		t.Fatal("rejected")
 	}
@@ -203,7 +203,7 @@ func TestRandomOnsite(t *testing.T) {
 	seen := map[int]bool{}
 	for i := 0; i < 50; i++ {
 		req := core.Request{ID: i, VNF: 0, Reliability: 0.9, Arrival: 1, Duration: 1, Payment: 5}
-		p, ok := r.Decide(req, view)
+		p, ok := core.Decide(r, req, view)
 		if !ok {
 			continue
 		}
@@ -223,7 +223,7 @@ func TestRandomOnsite(t *testing.T) {
 		}
 	}
 	req := core.Request{ID: 99, VNF: 0, Reliability: 0.9, Arrival: 1, Duration: 1, Payment: 5}
-	if _, ok := r.Decide(req, full); ok {
+	if _, ok := core.Decide(r, req, full); ok {
 		t.Error("admitted into full network")
 	}
 }
@@ -238,7 +238,7 @@ func TestRejectAll(t *testing.T) {
 	}
 	view := newLedger(t, testNetwork(), 5)
 	req := core.Request{ID: 0, VNF: 0, Reliability: 0.9, Arrival: 1, Duration: 1, Payment: 5}
-	if _, ok := r.Decide(req, view); ok {
+	if _, ok := core.Decide(r, req, view); ok {
 		t.Error("RejectAll admitted a request")
 	}
 }

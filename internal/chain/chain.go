@@ -11,8 +11,11 @@
 // algorithm that decides how many backups each stage gets (a greedy
 // marginal-gain-per-unit rule on the log-availability), chain variants of
 // the paper's primal-dual and greedy schedulers for both redundancy
-// schemes, a trace generator, and a simulation runner that audits capacity
-// and chain availability.
+// schemes, and a trace generator. The schedulers implement core.TwoPhase
+// for the chain request and placement types — the contract of the
+// single-VNF schedulers — and simulate.RunChains, the single-VNF
+// simulator's admission loop, audits their capacity and chain
+// availability.
 package chain
 
 import (
@@ -21,6 +24,7 @@ import (
 	"math"
 
 	"revnf/internal/core"
+	"revnf/internal/timeslot"
 )
 
 // Errors returned by the chain model.
@@ -96,17 +100,17 @@ type Placement struct {
 	Stages []StagePlacement
 }
 
-// UnitsPerCloudlet accumulates the computing units the placement consumes
-// in each cloudlet per slot.
-func (p Placement) UnitsPerCloudlet(catalog []core.VNF) map[int]int {
-	units := make(map[int]int)
+// Footprint appends to buf what the placement asks of the ledger in each
+// slot of its window — one claim per stage assignment; claims naming one
+// cloudlet twice are booked as their sum — and returns it.
+func (p Placement) Footprint(buf []timeslot.Claim, catalog []core.VNF) []timeslot.Claim {
 	for _, st := range p.Stages {
 		demand := catalog[st.VNF].Demand
 		for _, a := range st.Assignments {
-			units[a.Cloudlet] += a.Units(demand)
+			buf = append(buf, timeslot.Claim{Cloudlet: a.Cloudlet, Units: a.Units(demand)})
 		}
 	}
-	return units
+	return buf
 }
 
 // StageAvailability returns the probability that stage st has at least one

@@ -346,8 +346,11 @@ func TestUnitsPerCloudlet(t *testing.T) {
 			{VNF: 1, Assignments: []core.Assignment{{Cloudlet: 0, Instances: 1}}},
 		},
 	}
-	units := p.UnitsPerCloudlet(n.Catalog)
+	units := map[int]int{}
+	for _, c := range p.Footprint(nil, n.Catalog) {
+		units[c.Cloudlet] += c.Units
+	}
 	if units[0] != 3 || units[1] != 1 { // cloudlet 0: fw(1)+dpi(2), cloudlet 1: fw(1)
-		t.Errorf("UnitsPerCloudlet = %v", units)
+		t.Errorf("Footprint per cloudlet = %v", units)
 	}
 }

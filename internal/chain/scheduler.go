@@ -9,57 +9,6 @@ import (
 	"revnf/internal/dual"
 )
 
-// Scheduler is an online admission algorithm for chain requests,
-// structurally parallel to core.Scheduler. The same concurrency contract
-// applies: Decide couples decision and state update and must be
-// serialized by the caller.
-type Scheduler interface {
-	// Name identifies the algorithm in results.
-	Name() string
-	// Scheme returns the redundancy scheme.
-	Scheme() core.Scheme
-	// Decide makes the online admission decision for one chain request.
-	Decide(req Request, view core.CapacityView) (Placement, bool)
-}
-
-// TwoPhaseScheduler is the chain analogue of core.TwoPhaseScheduler: a
-// side-effect-free Propose plus a state-mutating Commit/Abort, under the
-// same concurrency rule (concurrent Propose when ConcurrentPropose reports
-// true; Commit internally serialized, defining the state history). Every
-// chain scheduler here implements it: the primal-dual pair guards λ with a
-// reader/writer lock, the greedy pair is stateless.
-type TwoPhaseScheduler interface {
-	Scheduler
-	// Propose computes the placement without mutating scheduler state.
-	Propose(req Request, view core.CapacityView) (Placement, bool)
-	// Commit applies the state update for an admitted proposal.
-	Commit(req Request, p Placement)
-	// Abort discards a proposal that could not be admitted.
-	Abort(req Request, p Placement)
-	// ConcurrentPropose reports whether Propose may run concurrently.
-	ConcurrentPropose() bool
-}
-
-// decide is core.Decide for the chain request and placement types: the
-// body of the stateful chain schedulers' Decide.
-func decide(s TwoPhaseScheduler, req Request, view core.CapacityView) (Placement, bool) {
-	p, ok := s.Propose(req, view)
-	if !ok {
-		return Placement{}, false
-	}
-	s.Commit(req, p)
-	return p, true
-}
-
-// stateless is core.Stateless for the chain placement types: the Commit,
-// Abort and ConcurrentPropose of a scheduler whose Propose is a pure
-// function of the request and the view.
-type stateless struct{}
-
-func (stateless) Commit(Request, Placement) {}
-func (stateless) Abort(Request, Placement)  {}
-func (stateless) ConcurrentPropose() bool   { return true }
-
 // OnsiteScheduler is the chain generalization of Algorithm 1: one dual
 // price per (slot, cloudlet), an admission test comparing payment against
 // the cheapest cloudlet's dual cost for the whole chain allocation, and
@@ -84,18 +33,13 @@ func NewOnsiteScheduler(network *core.Network, horizon int) (*OnsiteScheduler, e
 	}, nil
 }
 
-// Name implements Scheduler.
+// Name implements core.TwoPhase.
 func (s *OnsiteScheduler) Name() string { return "pd-chain-onsite" }
 
-// Scheme implements Scheduler.
+// Scheme implements core.TwoPhase.
 func (s *OnsiteScheduler) Scheme() core.Scheme { return core.OnSite }
 
-// Decide implements Scheduler: Propose immediately followed by Commit.
-func (s *OnsiteScheduler) Decide(req Request, view core.CapacityView) (Placement, bool) {
-	return decide(s, req, view)
-}
-
-// Propose implements TwoPhaseScheduler: the argmin over cloudlets and the
+// Propose implements core.TwoPhase: the argmin over cloudlets and the
 // payment test, reading λ under the read lock.
 func (s *OnsiteScheduler) Propose(req Request, view core.CapacityView) (Placement, bool) {
 	if len(req.VNFs) == 0 {
@@ -137,7 +81,7 @@ func (s *OnsiteScheduler) Propose(req Request, view core.CapacityView) (Placemen
 	return Placement{Request: req.ID, Scheme: core.OnSite, Stages: stages}, true
 }
 
-// Commit implements TwoPhaseScheduler: the Eq. (34) update with the
+// Commit implements core.TwoPhase: the Eq. (34) update with the
 // chain's total footprint, under the write lock.
 func (s *OnsiteScheduler) Commit(req Request, p Placement) {
 	if len(p.Stages) == 0 {
@@ -158,11 +102,18 @@ func (s *OnsiteScheduler) Commit(req Request, p Placement) {
 	s.mu.Unlock()
 }
 
-// Abort implements TwoPhaseScheduler; Propose acquires nothing.
+// Abort implements core.TwoPhase; Propose acquires nothing.
 func (s *OnsiteScheduler) Abort(Request, Placement) {}
 
-// ConcurrentPropose implements TwoPhaseScheduler.
+// ConcurrentPropose implements core.TwoPhase.
 func (s *OnsiteScheduler) ConcurrentPropose() bool { return true }
+
+// Lambda implements core.LambdaReader: the current dual price λ_{tj}.
+func (s *OnsiteScheduler) Lambda(cloudlet, slot int) float64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.prices.At(cloudlet, slot)
+}
 
 // OffsiteScheduler is the chain generalization of Algorithm 2: the chain
 // requirement is split into per-stage targets R^{1/K}, and each stage runs
@@ -186,18 +137,13 @@ func NewOffsiteScheduler(network *core.Network, horizon int) (*OffsiteScheduler,
 	}, nil
 }
 
-// Name implements Scheduler.
+// Name implements core.TwoPhase.
 func (s *OffsiteScheduler) Name() string { return "pd-chain-offsite" }
 
-// Scheme implements Scheduler.
+// Scheme implements core.TwoPhase.
 func (s *OffsiteScheduler) Scheme() core.Scheme { return core.OffSite }
 
-// Decide implements Scheduler: Propose immediately followed by Commit.
-func (s *OffsiteScheduler) Decide(req Request, view core.CapacityView) (Placement, bool) {
-	return decide(s, req, view)
-}
-
-// Propose implements TwoPhaseScheduler: the staged dual-price accumulation
+// Propose implements core.TwoPhase: the staged dual-price accumulation
 // without the updates, reading λ under the read lock.
 func (s *OffsiteScheduler) Propose(req Request, view core.CapacityView) (Placement, bool) {
 	if len(req.VNFs) == 0 {
@@ -233,7 +179,7 @@ func (s *OffsiteScheduler) Propose(req Request, view core.CapacityView) (Placeme
 	return Placement{Request: req.ID, Scheme: core.OffSite, Stages: stages}, true
 }
 
-// Commit implements TwoPhaseScheduler: the per-stage Eq. (67) updates,
+// Commit implements core.TwoPhase: the per-stage Eq. (67) updates,
 // under the write lock (a rejected chain leaves no trace because Propose
 // never updates).
 func (s *OffsiteScheduler) Commit(req Request, p Placement) {
@@ -252,11 +198,18 @@ func (s *OffsiteScheduler) Commit(req Request, p Placement) {
 	}
 }
 
-// Abort implements TwoPhaseScheduler; Propose acquires nothing.
+// Abort implements core.TwoPhase; Propose acquires nothing.
 func (s *OffsiteScheduler) Abort(Request, Placement) {}
 
-// ConcurrentPropose implements TwoPhaseScheduler.
+// ConcurrentPropose implements core.TwoPhase.
 func (s *OffsiteScheduler) ConcurrentPropose() bool { return true }
+
+// Lambda implements core.LambdaReader: the current dual price λ_{tj}.
+func (s *OffsiteScheduler) Lambda(cloudlet, slot int) float64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.prices.At(cloudlet, slot)
+}
 
 // placeStage runs one stage's Algorithm 2 accumulation. The caller must
 // hold s.mu (either side) for the λ reads.
@@ -319,7 +272,7 @@ func (s *OffsiteScheduler) updateDuals(req Request, st StagePlacement, target, s
 // GreedyOnsite is the chain version of the paper's greedy baseline: admit
 // everything possible, preferring reliable cloudlets.
 type GreedyOnsite struct {
-	stateless
+	core.Stateless[Request, Placement]
 	network *core.Network
 	order   []int
 }
@@ -329,21 +282,16 @@ func NewGreedyOnsite(network *core.Network, horizon int) (*GreedyOnsite, error) 
 	if err := checkNetwork(network, horizon); err != nil {
 		return nil, err
 	}
-	return &GreedyOnsite{network: network, order: byReliability(network)}, nil
+	return &GreedyOnsite{network: network, order: network.ByReliability()}, nil
 }
 
-// Name implements Scheduler.
+// Name implements core.TwoPhase.
 func (g *GreedyOnsite) Name() string { return "greedy-chain-onsite" }
 
-// Scheme implements Scheduler.
+// Scheme implements core.TwoPhase.
 func (g *GreedyOnsite) Scheme() core.Scheme { return core.OnSite }
 
-// Decide implements Scheduler.
-func (g *GreedyOnsite) Decide(req Request, view core.CapacityView) (Placement, bool) {
-	return g.Propose(req, view)
-}
-
-// Propose implements TwoPhaseScheduler; it is a pure function of the
+// Propose implements core.TwoPhase; it is a pure function of the
 // request and the view.
 func (g *GreedyOnsite) Propose(req Request, view core.CapacityView) (Placement, bool) {
 	if len(req.VNFs) == 0 {
@@ -374,7 +322,7 @@ func (g *GreedyOnsite) Propose(req Request, view core.CapacityView) (Placement, 
 // GreedyOffsite is the greedy off-site chain baseline: per-stage targets
 // R^{1/K}, most reliable cloudlets first.
 type GreedyOffsite struct {
-	stateless
+	core.Stateless[Request, Placement]
 	network *core.Network
 	order   []int
 }
@@ -384,21 +332,16 @@ func NewGreedyOffsite(network *core.Network, horizon int) (*GreedyOffsite, error
 	if err := checkNetwork(network, horizon); err != nil {
 		return nil, err
 	}
-	return &GreedyOffsite{network: network, order: byReliability(network)}, nil
+	return &GreedyOffsite{network: network, order: network.ByReliability()}, nil
 }
 
-// Name implements Scheduler.
+// Name implements core.TwoPhase.
 func (g *GreedyOffsite) Name() string { return "greedy-chain-offsite" }
 
-// Scheme implements Scheduler.
+// Scheme implements core.TwoPhase.
 func (g *GreedyOffsite) Scheme() core.Scheme { return core.OffSite }
 
-// Decide implements Scheduler.
-func (g *GreedyOffsite) Decide(req Request, view core.CapacityView) (Placement, bool) {
-	return g.Propose(req, view)
-}
-
-// Propose implements TwoPhaseScheduler; it is a pure function of the
+// Propose implements core.TwoPhase; it is a pure function of the
 // request and the view.
 func (g *GreedyOffsite) Propose(req Request, view core.CapacityView) (Placement, bool) {
 	if len(req.VNFs) == 0 {
@@ -451,20 +394,4 @@ func checkNetwork(network *core.Network, horizon int) error {
 		return fmt.Errorf("%w: horizon %d", ErrBadChain, horizon)
 	}
 	return nil
-}
-
-func byReliability(network *core.Network) []int {
-	order := make([]int, len(network.Cloudlets))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ra := network.Cloudlets[order[a]].Reliability
-		rb := network.Cloudlets[order[b]].Reliability
-		if ra != rb {
-			return ra > rb
-		}
-		return order[a] < order[b]
-	})
-	return order
 }

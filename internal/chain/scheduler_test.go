@@ -51,7 +51,7 @@ func TestOnsiteSchedulerAdmits(t *testing.T) {
 	}
 	view := newLedger(t, n, 10)
 	req := chainRequest(0, []int{0, 1, 2}, 0.92, 20)
-	p, ok := s.Decide(req, view)
+	p, ok := core.Decide(s, req, view)
 	if !ok {
 		t.Fatal("chain rejected with empty duals")
 	}
@@ -77,11 +77,9 @@ func TestOnsiteSchedulerPricesOut(t *testing.T) {
 	admitted := 0
 	for i := 0; i < 100; i++ {
 		req := Request{ID: i, VNFs: []int{0, 1}, Reliability: 0.9, Arrival: 1, Duration: 5, Payment: 15}
-		if p, ok := s.Decide(req, view); ok {
-			for cl, units := range p.UnitsPerCloudlet(n.Catalog) {
-				if err := view.Reserve(cl, 1, 5, units); err != nil {
-					t.Fatalf("scheduler overbooked: %v", err)
-				}
+		if p, ok := core.Decide(s, req, view); ok {
+			if ok, err := view.ReserveAll(1, 5, p.Footprint(nil, n.Catalog), false); !ok || err != nil {
+				t.Fatalf("scheduler overbooked: %v", err)
 			}
 			admitted++
 		}
@@ -90,7 +88,7 @@ func TestOnsiteSchedulerPricesOut(t *testing.T) {
 		t.Fatalf("admitted %d of 100; expected pricing to engage", admitted)
 	}
 	cheap := Request{ID: 999, VNFs: []int{0}, Reliability: 0.9, Arrival: 1, Duration: 5, Payment: 1e-9}
-	if _, ok := s.Decide(cheap, view); ok {
+	if _, ok := core.Decide(s, cheap, view); ok {
 		t.Error("cheap request admitted against saturated duals")
 	}
 }
@@ -101,17 +99,17 @@ func TestOnsiteSchedulerRejectsInfeasible(t *testing.T) {
 	view := newLedger(t, n, 5)
 	// Requirement above all cloudlet reliabilities.
 	req := chainRequest(0, []int{0}, 0.9999, 100)
-	if _, ok := s.Decide(req, view); ok {
+	if _, ok := core.Decide(s, req, view); ok {
 		t.Error("unattainable chain admitted")
 	}
 	// Out of horizon.
 	bad := Request{ID: 1, VNFs: []int{0}, Reliability: 0.9, Arrival: 5, Duration: 3, Payment: 5}
-	if _, ok := s.Decide(bad, view); ok {
+	if _, ok := core.Decide(s, bad, view); ok {
 		t.Error("out-of-horizon chain admitted")
 	}
 	// Empty chain.
 	empty := Request{ID: 2, Reliability: 0.9, Arrival: 1, Duration: 1, Payment: 5}
-	if _, ok := s.Decide(empty, view); ok {
+	if _, ok := core.Decide(s, empty, view); ok {
 		t.Error("empty chain admitted")
 	}
 }
@@ -127,7 +125,7 @@ func TestOffsiteSchedulerAdmitsDisjointStages(t *testing.T) {
 	}
 	view := newLedger(t, n, 10)
 	req := chainRequest(0, []int{0, 2}, 0.9, 20)
-	p, ok := s.Decide(req, view)
+	p, ok := core.Decide(s, req, view)
 	if !ok {
 		t.Fatal("chain rejected with empty duals")
 	}
@@ -159,7 +157,7 @@ func TestOffsiteSchedulerRejectsWhenStagesCannotFit(t *testing.T) {
 		}
 	}
 	req := chainRequest(0, []int{0, 1}, 0.97, 50)
-	if _, ok := s.Decide(req, view); ok {
+	if _, ok := core.Decide(s, req, view); ok {
 		t.Error("chain admitted without room for disjoint stages")
 	}
 }
@@ -175,7 +173,7 @@ func TestGreedyOnsiteChain(t *testing.T) {
 	}
 	view := newLedger(t, n, 10)
 	req := chainRequest(0, []int{0, 1}, 0.9, 10)
-	p, ok := g.Decide(req, view)
+	p, ok := core.Decide(g, req, view)
 	if !ok {
 		t.Fatal("greedy rejected an easy chain")
 	}
@@ -186,7 +184,7 @@ func TestGreedyOnsiteChain(t *testing.T) {
 	if err := p.Validate(n, req); err != nil {
 		t.Fatalf("placement invalid: %v", err)
 	}
-	if _, ok := g.Decide(Request{ID: 1, Reliability: 0.9, Arrival: 1, Duration: 1}, view); ok {
+	if _, ok := core.Decide(g, Request{ID: 1, Reliability: 0.9, Arrival: 1, Duration: 1}, view); ok {
 		t.Error("empty chain admitted")
 	}
 }
@@ -202,7 +200,7 @@ func TestGreedyOffsiteChain(t *testing.T) {
 	}
 	view := newLedger(t, n, 10)
 	req := chainRequest(0, []int{0, 2}, 0.9, 10)
-	p, ok := g.Decide(req, view)
+	p, ok := core.Decide(g, req, view)
 	if !ok {
 		t.Fatal("greedy rejected an easy chain")
 	}
@@ -220,7 +218,7 @@ func TestGreedyOffsiteChain(t *testing.T) {
 	}
 	// Unattainable chain.
 	hard := chainRequest(1, []int{0, 1, 2}, 0.999, 100)
-	if _, ok := g.Decide(hard, view); ok {
+	if _, ok := core.Decide(g, hard, view); ok {
 		t.Error("unattainable chain admitted")
 	}
 }

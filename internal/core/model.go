@@ -12,8 +12,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Scheme selects the redundancy scheme used to satisfy a request's
@@ -122,6 +124,19 @@ func (n *Network) Capacities() []int {
 		caps[j] = cl.Capacity
 	}
 	return caps
+}
+
+// ByReliability returns the cloudlet IDs ordered by reliability
+// descending, ties by ascending ID: the greedy baselines' preference.
+func (n *Network) ByReliability() []int {
+	order := make([]int, len(n.Cloudlets))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(n.Cloudlets[b].Reliability, n.Cloudlets[a].Reliability), cmp.Compare(a, b))
+	})
+	return order
 }
 
 // Validation errors returned by Network.Validate and Request checks.

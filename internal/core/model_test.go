@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -170,5 +171,14 @@ func TestMaxCloudletReliability(t *testing.T) {
 	empty := &Network{}
 	if got := empty.MaxCloudletReliability(); got != 0 {
 		t.Fatalf("MaxCloudletReliability(empty) = %v, want 0", got)
+	}
+}
+
+func TestByReliability(t *testing.T) {
+	n := &Network{Cloudlets: []Cloudlet{
+		{ID: 0, Reliability: 0.95}, {ID: 1, Reliability: 0.99}, {ID: 2, Reliability: 0.95}, {ID: 3, Reliability: 0.97},
+	}}
+	if got, want := n.ByReliability(), []int{1, 3, 0, 2}; !slices.Equal(got, want) {
+		t.Fatalf("ByReliability() = %v, want %v (ties by ascending ID)", got, want)
 	}
 }

@@ -21,42 +21,22 @@ type CapacityView interface {
 	ResidualWindow(cloudlet, start, duration int) int
 }
 
-// Scheduler is an online admission algorithm. Decide is called once per
-// request, in arrival order, and must not assume knowledge of future
-// requests. It returns the placement and true to admit, or a zero placement
-// and false to reject.
-//
-// Concurrency contract: Decide couples the placement choice and the
-// scheduler's internal state update in one call and is therefore NOT safe
-// for concurrent use. Callers must serialize Decide calls — at most one in
-// flight at a time, each starting after the previous one returned (a
-// single goroutine, or external mutual exclusion with happens-before edges
-// between calls). The batch simulator (internal/simulate) satisfies this
-// by construction; the admission daemon (internal/serve) never calls
-// Decide: it requires a TwoPhaseScheduler and drives the propose/commit
-// protocol below, concurrently when the scheduler allows it. Name and
-// Scheme must be safe to call concurrently with Decide; they are expected
-// to return constants.
-type Scheduler interface {
-	// Name identifies the algorithm in metrics and experiment tables.
-	Name() string
-	// Scheme returns the redundancy scheme the scheduler operates under.
-	Scheme() Scheme
-	// Decide makes the online admission decision for one request.
-	Decide(req Request, view CapacityView) (Placement, bool)
-}
-
-// TwoPhaseScheduler splits the admission decision into a side-effect-free
-// Propose and a state-mutating Commit/Abort, so that capacity arbitration
-// can live in the ledger instead of in the scheduler:
+// TwoPhase is an online admission algorithm for requests of type R with
+// placements of type P: core's Request and Placement for a single VNF
+// (Scheduler), internal/chain's for a service function chain. It splits
+// the admission decision into a side-effect-free Propose and a
+// state-mutating Commit/Abort, so that capacity arbitration can live in
+// the ledger instead of in the scheduler:
 //
 //	p, ok := s.Propose(req, view)   // pure: reads prices, reads view
 //	... engine reserves p's footprint atomically in the ledger ...
 //	s.Commit(req, p)                // applies dual/heuristic state updates
 //
-// Every stateful scheduler in this repository implements Decide as a call
-// to core.Decide — Propose followed immediately by Commit — so the two
-// interfaces agree decision-for-decision when driven serially.
+// Proposals are made in arrival order and must not assume knowledge of
+// future requests. The batch simulator (internal/simulate) drives every
+// scheduler through this protocol one request at a time; the admission
+// daemon (internal/serve) drives it concurrently when the scheduler
+// allows it. Decide is the protocol's serialized form.
 //
 // Concurrency rule: Propose must not mutate scheduler state observable by
 // other calls; when ConcurrentPropose reports true, any number of Propose
@@ -66,7 +46,9 @@ type Scheduler interface {
 // the scheduler's state history. For the primal-dual algorithms this keeps
 // the λ updates of Eqs. (34)/(67) sequentially consistent in Commit order
 // — exactly the per-request update order the competitive analysis assumes
-// — while Propose reads a recent price snapshot under a read lock.
+// — while Propose reads a recent price snapshot under a read lock. Name
+// and Scheme must be safe to call concurrently with everything; they are
+// expected to return constants.
 //
 // Which schedulers support concurrent Propose:
 //
@@ -96,21 +78,24 @@ type Scheduler interface {
 // decision change no decision and no λ bit. Recorder
 // implementations must be safe for concurrent use so concurrent proposals
 // may emit without coordination.
-type TwoPhaseScheduler interface {
-	Scheduler
+type TwoPhase[R, P any] interface {
+	// Name identifies the algorithm in metrics and experiment tables.
+	Name() string
+	// Scheme returns the redundancy scheme the scheduler operates under.
+	Scheme() Scheme
 	// Propose computes the placement the scheduler would admit for req
 	// given the capacity view, without mutating scheduler state. It
 	// returns false to reject (priced out or infeasible).
-	Propose(req Request, view CapacityView) (Placement, bool)
+	Propose(req R, view CapacityView) (P, bool)
 	// Commit applies the scheduler's internal state update for a proposal
 	// the engine decided to admit. It must be called at most once per
 	// Propose, after the engine has secured the placement's capacity.
-	Commit(req Request, p Placement)
+	Commit(req R, p P)
 	// Abort discards a proposal the engine could not admit (for example
 	// when the ledger refused the footprint after a concurrent commit
 	// consumed the capacity; the refusal booked nothing). It must leave
 	// scheduler state exactly as if the Propose had never happened.
-	Abort(req Request, p Placement)
+	Abort(req R, p P)
 	// ConcurrentPropose reports whether Propose may be invoked
 	// concurrently. Engines must treat false as "serialize everything":
 	// one Propose→Commit/Abort pair at a time (internal/serve decides with
@@ -118,12 +103,27 @@ type TwoPhaseScheduler interface {
 	ConcurrentPropose() bool
 }
 
+// Scheduler is the two-phase contract for single-VNF requests, the one the
+// batch simulator, the admission daemon and the public API take.
+type Scheduler = TwoPhase[Request, Placement]
+
+// TwoPhaseScheduler is a Scheduler that also offers Decide, the
+// serialized form of the protocol, as a method. Only the three
+// primal-dual schedulers implement it, and only TestGoldenDecide calls it:
+// the benchmark's timing decorator forwards Decide, so the method stays
+// until that decorator drops it. New code takes a Scheduler and calls
+// core.Decide.
+type TwoPhaseScheduler interface {
+	Scheduler
+	// Decide is Decide(s, req, view) for this scheduler.
+	Decide(req Request, view CapacityView) (Placement, bool)
+}
+
 // LambdaReader is implemented by the primal-dual schedulers (Algorithm 1
-// on-site, Algorithm 2 off-site, and their variants), exposing the
-// current dual price λ_{tj} for observability: the serve layer exports
-// λ summary gauges, and the experiment harness plots dual trajectories.
-// Lambda must be safe to call concurrently with Decide/Propose/Commit and
-// must return 0 for out-of-range indices.
+// on-site, Algorithm 2 off-site, and their shared and chain variants),
+// exposing the current dual price λ_{tj} for observability: the serve
+// layer exports λ summary gauges. Lambda must be safe to call concurrently
+// with Propose/Commit and must return 0 for out-of-range indices.
 type LambdaReader interface {
 	// Lambda returns the dual price λ_{tj} for (slot t, cloudlet j).
 	Lambda(cloudlet, slot int) float64
@@ -148,13 +148,14 @@ type WindowAdvancer interface {
 	AdvanceWindow(base int)
 }
 
-// Decide is the serialized form of the two-phase protocol, and the body of
-// every stateful scheduler's Decide method: Propose immediately followed
-// by Commit. Like any Decide it is not safe for concurrent use.
-func Decide(s TwoPhaseScheduler, req Request, view CapacityView) (Placement, bool) {
+// Decide is the serialized form of the two-phase protocol: Propose
+// immediately followed by Commit. Like any serialized call it is not safe
+// for concurrent use.
+func Decide[R, P any](s TwoPhase[R, P], req R, view CapacityView) (P, bool) {
 	p, ok := s.Propose(req, view)
 	if !ok {
-		return Placement{}, false
+		var zero P
+		return zero, false
 	}
 	s.Commit(req, p)
 	return p, true
@@ -163,13 +164,13 @@ func Decide(s TwoPhaseScheduler, req Request, view CapacityView) (Placement, boo
 // Stateless is embedded by schedulers whose Propose is a pure function of
 // the request and the capacity view: with no state to update or release,
 // Commit and Abort are no-ops and proposals may run concurrently.
-type Stateless struct{}
+type Stateless[R, P any] struct{}
 
-// Commit implements TwoPhaseScheduler.
-func (Stateless) Commit(Request, Placement) {}
+// Commit implements TwoPhase.
+func (Stateless[R, P]) Commit(R, P) {}
 
-// Abort implements TwoPhaseScheduler.
-func (Stateless) Abort(Request, Placement) {}
+// Abort implements TwoPhase.
+func (Stateless[R, P]) Abort(R, P) {}
 
-// ConcurrentPropose implements TwoPhaseScheduler.
-func (Stateless) ConcurrentPropose() bool { return true }
+// ConcurrentPropose implements TwoPhase.
+func (Stateless[R, P]) ConcurrentPropose() bool { return true }

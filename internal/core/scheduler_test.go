@@ -7,17 +7,13 @@ import "testing"
 // admitted, the rest rejected. Abort and ConcurrentPropose come from
 // Stateless; Commit is its own, like a primal-dual scheduler's.
 type countingTwoPhase struct {
-	Stateless
+	Stateless[Request, Placement]
 	proposes, commits int
 	admitEvery        int
 }
 
 func (c *countingTwoPhase) Name() string   { return "counting" }
 func (c *countingTwoPhase) Scheme() Scheme { return OnSite }
-
-func (c *countingTwoPhase) Decide(req Request, view CapacityView) (Placement, bool) {
-	return Decide(c, req, view)
-}
 
 func (c *countingTwoPhase) Propose(req Request, _ CapacityView) (Placement, bool) {
 	c.proposes++
@@ -35,15 +31,15 @@ func (c *countingTwoPhase) Commit(Request, Placement) { c.commits++ }
 // rejected one is not committed and yields the zero placement.
 func TestDecidePairsProposeCommit(t *testing.T) {
 	fake := &countingTwoPhase{admitEvery: 2}
-	var s TwoPhaseScheduler = fake
+	var s Scheduler = fake
 	if !s.ConcurrentPropose() {
 		t.Fatal("Stateless.ConcurrentPropose() = false, want true")
 	}
-	p, ok := s.Decide(Request{ID: 2}, nil)
+	p, ok := Decide(s, Request{ID: 2}, nil)
 	if !ok || p.Request != 2 || len(p.Assignments) != 1 {
 		t.Fatalf("Decide(ID=2) = %+v, %v; fake admits even IDs", p, ok)
 	}
-	p, ok = s.Decide(Request{ID: 3}, nil)
+	p, ok = Decide(s, Request{ID: 3}, nil)
 	if ok || p.Request != 0 || p.Assignments != nil {
 		t.Fatalf("Decide(ID=3) = %+v, %v; fake rejects odd IDs", p, ok)
 	}

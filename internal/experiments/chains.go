@@ -10,6 +10,7 @@ import (
 	"revnf/internal/metrics"
 	"revnf/internal/mip"
 	"revnf/internal/offline"
+	"revnf/internal/simulate"
 	"revnf/internal/topology"
 	"revnf/internal/workload"
 )
@@ -36,18 +37,19 @@ func (s Setup) ChainComparison(requestCounts []int) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			builds := []func() (chain.Scheduler, error){
-				func() (chain.Scheduler, error) { return chain.NewOnsiteScheduler(inst.Network, inst.Horizon) },
-				func() (chain.Scheduler, error) { return chain.NewGreedyOnsite(inst.Network, inst.Horizon) },
-				func() (chain.Scheduler, error) { return chain.NewOffsiteScheduler(inst.Network, inst.Horizon) },
-				func() (chain.Scheduler, error) { return chain.NewGreedyOffsite(inst.Network, inst.Horizon) },
+			type scheduler = core.TwoPhase[chain.Request, chain.Placement]
+			builds := []func() (scheduler, error){
+				func() (scheduler, error) { return chain.NewOnsiteScheduler(inst.Network, inst.Horizon) },
+				func() (scheduler, error) { return chain.NewGreedyOnsite(inst.Network, inst.Horizon) },
+				func() (scheduler, error) { return chain.NewOffsiteScheduler(inst.Network, inst.Horizon) },
+				func() (scheduler, error) { return chain.NewGreedyOffsite(inst.Network, inst.Horizon) },
 			}
 			for _, build := range builds {
 				sched, err := build()
 				if err != nil {
 					return nil, fmt.Errorf("experiments: %w", err)
 				}
-				res, err := chain.Run(inst, sched)
+				res, err := simulate.RunChains(inst, sched)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: %w", err)
 				}

@@ -9,6 +9,7 @@ import (
 	"revnf/internal/chain"
 	"revnf/internal/core"
 	"revnf/internal/mip"
+	"revnf/internal/simulate"
 	"revnf/internal/timeslot"
 )
 
@@ -139,10 +140,8 @@ func TestSolveChainOnsitePlacementsValid(t *testing.T) {
 		if err := p.Validate(inst.Network, req); err != nil {
 			t.Errorf("placement for chain %d invalid: %v", p.Request, err)
 		}
-		for cl, units := range p.UnitsPerCloudlet(inst.Network.Catalog) {
-			if err := ledger.Reserve(cl, req.Arrival, req.Duration, units); err != nil {
-				t.Errorf("chain %d overbooks: %v", p.Request, err)
-			}
+		if ok, err := ledger.ReserveAll(req.Arrival, req.Duration, p.Footprint(nil, inst.Network.Catalog), false); !ok || err != nil {
+			t.Errorf("chain %d overbooks: %v", p.Request, err)
 		}
 		revenue += req.Payment
 	}
@@ -169,9 +168,9 @@ func TestLPBoundChainOnsiteDominates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewOnsiteScheduler: %v", err)
 	}
-	res, err := chain.Run(inst, sched)
+	res, err := simulate.RunChains(inst, sched)
 	if err != nil {
-		t.Fatalf("chain.Run: %v", err)
+		t.Fatalf("RunChains: %v", err)
 	}
 	if bound < res.Revenue-1e-6 {
 		t.Errorf("LP bound %v below online revenue %v", bound, res.Revenue)

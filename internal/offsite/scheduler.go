@@ -32,11 +32,11 @@ var (
 	ErrBadHorizon = errors.New("offsite: invalid horizon")
 )
 
-// Scheduler is the Algorithm 2 implementation. It implements both the
-// serialized Decide contract and core.TwoPhaseScheduler: Propose reads the
-// dual prices under the read side of a reader/writer lock and may run
-// concurrently; Commit applies the Eq. (67) updates under the write side,
-// keeping the λ trajectory sequentially consistent in Commit order.
+// Scheduler is the Algorithm 2 implementation. It implements
+// core.Scheduler: Propose reads the dual prices under the read side of a
+// reader/writer lock and may run concurrently; Commit applies the Eq. (67)
+// updates under the write side, keeping the λ trajectory sequentially
+// consistent in Commit order.
 type Scheduler struct {
 	network *core.Network
 	// rel caches the per-(VNF, cloudlet) off-site weights.
@@ -145,8 +145,8 @@ func (s *Scheduler) Name() string { return s.name }
 // Scheme implements core.Scheduler.
 func (s *Scheduler) Scheme() core.Scheme { return core.OffSite }
 
-// Lambda returns the current dual price λ_{tj}, or 0 for a slot outside
-// the live window; exported for tests and diagnostics.
+// Lambda implements core.LambdaReader: the current dual price λ_{tj}, or
+// 0 for a slot outside the live window.
 func (s *Scheduler) Lambda(cloudlet, slot int) float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -220,13 +220,13 @@ func (s *Scheduler) keyCandidates(candidates []candidate, req core.Request, view
 	}
 }
 
-// Decide implements core.Scheduler: the serialized form of lines 3–23 of
-// Algorithm 2.
+// Decide implements core.TwoPhaseScheduler: the serialized form of lines
+// 3–23 of Algorithm 2.
 func (s *Scheduler) Decide(req core.Request, view core.CapacityView) (core.Placement, bool) {
 	return core.Decide(s, req, view)
 }
 
-// Propose implements core.TwoPhaseScheduler: the payment filter, candidate
+// Propose implements core.Scheduler: the payment filter, candidate
 // ordering, and greedy weight accumulation of Algorithm 2, reading the
 // dual prices under the read lock and leaving scheduler state untouched.
 // Its working set lives on its own stack (networks of up to stackCloudlets
@@ -382,7 +382,7 @@ func anySurvived(cands []trace.Candidate) bool {
 	return false
 }
 
-// Commit implements core.TwoPhaseScheduler: it applies the Eq. (67) dual
+// Commit implements core.Scheduler: it applies the Eq. (67) dual
 // update to every cloudlet of the admitted proposal under the write lock.
 // With W = -ln(1-R) and w_j = -ln(1 - r(f)·r(c_j)), recomputed from the
 // reliability table so Commit needs only the placement, the update is
@@ -399,10 +399,10 @@ func (s *Scheduler) Commit(req core.Request, p core.Placement) {
 	}
 }
 
-// Abort implements core.TwoPhaseScheduler. Propose acquires nothing, so
+// Abort implements core.Scheduler. Propose acquires nothing, so
 // aborting a proposal is a no-op.
 func (s *Scheduler) Abort(core.Request, core.Placement) {}
 
-// ConcurrentPropose implements core.TwoPhaseScheduler: proposals only read
+// ConcurrentPropose implements core.Scheduler: proposals only read
 // λ under the read lock and may run concurrently.
 func (s *Scheduler) ConcurrentPropose() bool { return true }

@@ -37,13 +37,13 @@ var (
 	ErrBadScale   = errors.New("onsite: scale factor below 1")
 )
 
-// Scheduler is the Algorithm 1 implementation. It implements both the
-// serialized Decide contract and the two-phase propose/commit contract of
-// core.TwoPhaseScheduler: Propose reads the dual prices under the read
-// side of a reader/writer lock and is safe to run concurrently; Commit
-// applies the λ update of Eq. (34) under the write side, so the dual
-// trajectory is sequentially consistent in Commit order — the per-request
-// update order the competitive analysis of Theorem 1 assumes.
+// Scheduler is the Algorithm 1 implementation. It implements the
+// two-phase propose/commit contract of core.Scheduler: Propose reads the
+// dual prices under the read side of a reader/writer lock and is safe to
+// run concurrently; Commit applies the λ update of Eq. (34) under the
+// write side, so the dual trajectory is sequentially consistent in Commit
+// order — the per-request update order the competitive analysis of
+// Theorem 1 assumes.
 type Scheduler struct {
 	network *core.Network
 	// rel caches the per-(VNF, cloudlet) instance-count math.
@@ -61,7 +61,7 @@ type Scheduler struct {
 	name     string
 	// rec receives decision traces from Propose; trace.Nop by default, so
 	// the hot path pays one interface call when tracing is off. Recording
-	// is observability, not state mutation (see the TwoPhaseScheduler
+	// is observability, not state mutation (see the core.TwoPhase
 	// contract's carve-out).
 	rec trace.Recorder
 }
@@ -153,9 +153,8 @@ func (s *Scheduler) Name() string { return s.name }
 // Scheme implements core.Scheduler.
 func (s *Scheduler) Scheme() core.Scheme { return core.OnSite }
 
-// Lambda returns the current dual price λ_{tj}, or 0 for a slot outside
-// the live window; it is exported for tests and the experiment harness's
-// dual-trajectory diagnostics.
+// Lambda implements core.LambdaReader: the current dual price λ_{tj}, or
+// 0 for a slot outside the live window.
 func (s *Scheduler) Lambda(cloudlet, slot int) float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -183,13 +182,13 @@ func (s *Scheduler) AdvanceWindow(base int) {
 	s.mu.Unlock()
 }
 
-// Decide implements core.Scheduler: the serialized form of lines 3–15 of
-// Algorithm 1.
+// Decide implements core.TwoPhaseScheduler: the serialized form of lines
+// 3–15 of Algorithm 1.
 func (s *Scheduler) Decide(req core.Request, view core.CapacityView) (core.Placement, bool) {
 	return core.Decide(s, req, view)
 }
 
-// Propose implements core.TwoPhaseScheduler: the argmin over cloudlets and
+// Propose implements core.Scheduler: the argmin over cloudlets and
 // the payment test of Algorithm 1, reading the dual prices under the read
 // lock and leaving all scheduler state untouched. When the recorder
 // samples the request, Propose additionally assembles a decision trace —
@@ -306,7 +305,7 @@ func (s *Scheduler) recordPropose(req core.Request, cands []trace.Candidate,
 	s.rec.Record(dt)
 }
 
-// Commit implements core.TwoPhaseScheduler: it applies the Eq. (34) dual
+// Commit implements core.Scheduler: it applies the Eq. (34) dual
 // update, λ := λ·(1 + u/cap) + u·pay/(d·cap) with u the scaled units, to
 // the admitted proposal's cloudlet under the write lock.
 func (s *Scheduler) Commit(req core.Request, p core.Placement) {
@@ -326,10 +325,10 @@ func (s *Scheduler) Commit(req core.Request, p core.Placement) {
 	s.mu.Unlock()
 }
 
-// Abort implements core.TwoPhaseScheduler. Propose acquires nothing, so
+// Abort implements core.Scheduler. Propose acquires nothing, so
 // aborting a proposal is a no-op.
 func (s *Scheduler) Abort(core.Request, core.Placement) {}
 
-// ConcurrentPropose implements core.TwoPhaseScheduler: proposals only read
+// ConcurrentPropose implements core.Scheduler: proposals only read
 // λ under the read lock and may run concurrently.
 func (s *Scheduler) ConcurrentPropose() bool { return true }

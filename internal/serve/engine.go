@@ -211,7 +211,7 @@ type Engine struct {
 	// counters and the streaming batch-size distribution.
 	ingest *ingestStats
 
-	sched  core.TwoPhaseScheduler
+	sched  core.Scheduler
 	ledger *timeslot.Ledger
 
 	mu sync.Mutex
@@ -291,10 +291,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Scheduler == nil {
 		return nil, fmt.Errorf("%w: nil scheduler", ErrBadConfig)
 	}
-	sched, ok := cfg.Scheduler.(core.TwoPhaseScheduler)
-	if !ok {
-		return nil, fmt.Errorf("%w: %T is not a two-phase scheduler (decisions and repairs go through propose/commit)", ErrBadConfig, cfg.Scheduler)
-	}
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("%w: nil network", ErrBadConfig)
 	}
@@ -315,7 +311,7 @@ func New(cfg Config) (*Engine, error) {
 		queueSize = DefaultQueueSize
 	}
 	workers := max(cfg.Workers, 1)
-	if !sched.ConcurrentPropose() {
+	if !cfg.Scheduler.ConcurrentPropose() {
 		// The one token is the serialization of its Propose→Commit pairs.
 		workers = 1
 	}
@@ -370,7 +366,7 @@ func New(cfg Config) (*Engine, error) {
 		now:      nowFn,
 		rolling:  cfg.Rolling,
 		advancer: advancer,
-		sched:    sched,
+		sched:    cfg.Scheduler,
 		rec:      rec,
 		traces:   cfg.Traces,
 		runtime:  runtime,

@@ -15,25 +15,11 @@ import (
 	"revnf/internal/shared"
 )
 
-// plainScheduler implements only the serialized core.Scheduler contract,
-// not core.TwoPhaseScheduler.
-type plainScheduler struct{}
-
-func (plainScheduler) Name() string        { return "plain" }
-func (plainScheduler) Scheme() core.Scheme { return core.OnSite }
-func (plainScheduler) Decide(core.Request, core.CapacityView) (core.Placement, bool) {
-	return core.Placement{}, false
-}
-
-// TestShardedDegradesToSerial checks what New makes of a scheduler that
-// cannot run the concurrent protocol: one without propose/commit is a
-// configuration error, and one whose proposals may not interleave decides
-// with one worker token whatever Workers asks, and reports it.
+// TestShardedDegradesToSerial checks what New makes of a scheduler whose
+// proposals may not interleave: it decides with one worker token whatever
+// Workers asks, and reports it.
 func TestShardedDegradesToSerial(t *testing.T) {
 	n := testNetwork()
-	if _, err := New(Config{Network: n, Scheduler: plainScheduler{}, Horizon: 10, Workers: 4}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("plain scheduler: err = %v, want ErrBadConfig", err)
-	}
 	pooled, err := shared.NewScheduler(n, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +28,7 @@ func TestShardedDegradesToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []core.TwoPhaseScheduler{pooled, random} {
+	for _, sched := range []core.Scheduler{pooled, random} {
 		if sched.ConcurrentPropose() {
 			t.Fatalf("%s reports ConcurrentPropose() = true", sched.Name())
 		}
@@ -67,13 +53,12 @@ func TestShardedDegradesToSerial(t *testing.T) {
 // blindScheduler is a two-phase scheduler that always proposes the full
 // capacity of cloudlet 0 without consulting the view, so a second
 // overlapping admission is guaranteed to be refused by the ledger.
-type blindScheduler struct{ core.Stateless }
+type blindScheduler struct {
+	core.Stateless[core.Request, core.Placement]
+}
 
 func (blindScheduler) Name() string        { return "blind" }
 func (blindScheduler) Scheme() core.Scheme { return core.OnSite }
-func (s blindScheduler) Decide(req core.Request, view core.CapacityView) (core.Placement, bool) {
-	return core.Decide(s, req, view)
-}
 func (blindScheduler) Propose(req core.Request, _ core.CapacityView) (core.Placement, bool) {
 	return core.Placement{
 		Request:     req.ID,
@@ -382,7 +367,7 @@ func stressEngine(t *testing.T, newScheduler func(*core.Network, int) (core.Sche
 	}
 	t.Cleanup(func() { shutdownEngine(t, e) })
 	want := 1
-	if sched.(core.TwoPhaseScheduler).ConcurrentPropose() {
+	if sched.ConcurrentPropose() {
 		want = workers
 	}
 	if e.Workers() != want {

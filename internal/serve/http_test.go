@@ -614,7 +614,7 @@ func TestHTTPTransportErrorEnvelopes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gate := &gatedScheduler{TwoPhaseScheduler: inner,
+		gate := &gatedScheduler{Scheduler: inner,
 			entered: make(chan struct{}, 4), release: make(chan struct{})}
 		e, err := New(Config{Network: n, Scheduler: gate, Horizon: 20, QueueSize: 1})
 		if err != nil {
@@ -660,7 +660,7 @@ func TestHTTPTransportErrorEnvelopes(t *testing.T) {
 
 // panickyScheduler panics inside its first Propose.
 type panickyScheduler struct {
-	core.TwoPhaseScheduler
+	core.Scheduler
 	panicked bool
 }
 
@@ -669,7 +669,7 @@ func (p *panickyScheduler) Propose(req core.Request, view core.CapacityView) (co
 		p.panicked = true
 		panic("scheduler bug")
 	}
-	return p.TwoPhaseScheduler.Propose(req, view)
+	return p.Scheduler.Propose(req, view)
 }
 
 // TestHTTPPanicReleasesToken: net/http recovers a handler's panic, so a
@@ -683,7 +683,7 @@ func TestHTTPPanicReleasesToken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Config{Network: n, Scheduler: &panickyScheduler{TwoPhaseScheduler: inner}, Horizon: 20})
+	e, err := New(Config{Network: n, Scheduler: &panickyScheduler{Scheduler: inner}, Horizon: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -714,7 +714,7 @@ func TestHTTPPanicReleasesToken(t *testing.T) {
 // gatedScheduler blocks every Propose until release is closed, signaling
 // each entry on entered; it makes queue-depth scenarios deterministic.
 type gatedScheduler struct {
-	core.TwoPhaseScheduler
+	core.Scheduler
 	entered chan struct{}
 	release chan struct{}
 }
@@ -722,7 +722,7 @@ type gatedScheduler struct {
 func (g *gatedScheduler) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
 	g.entered <- struct{}{}
 	<-g.release
-	return g.TwoPhaseScheduler.Propose(req, view)
+	return g.Scheduler.Propose(req, view)
 }
 
 // waitForQueueDepth polls the engine's waiting count — submissions past the

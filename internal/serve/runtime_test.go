@@ -51,13 +51,6 @@ func testInjector(t *testing.T, n *core.Network, rates []float64, seed int64) *c
 
 func TestChaosConfigValidation(t *testing.T) {
 	n := testNetwork()
-	inj := testInjector(t, n, nil, 1)
-
-	// A scheduler without propose/commit cannot run repairs.
-	_, err := New(Config{Network: n, Scheduler: plainScheduler{}, Horizon: 10, Chaos: inj})
-	if !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("plain scheduler with chaos: err = %v, want ErrBadConfig", err)
-	}
 
 	// Cloudlet-count mismatch between injector and served network.
 	small := &core.Network{
@@ -66,7 +59,7 @@ func TestChaosConfigValidation(t *testing.T) {
 	}
 	smallInj := testInjector(t, small, nil, 1)
 	sched := newOnsiteScheduler(t, n, 10)
-	_, err = New(Config{Network: n, Scheduler: sched, Horizon: 10, Chaos: smallInj})
+	_, err := New(Config{Network: n, Scheduler: sched, Horizon: 10, Chaos: smallInj})
 	if !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("mismatched injector: err = %v, want ErrBadConfig", err)
 	}

@@ -50,10 +50,9 @@ var (
 type Config struct {
 	// Network is the cloudlet fleet and VNF catalog served.
 	Network *core.Network
-	// Scheduler makes the admission decisions. It must implement
-	// core.TwoPhaseScheduler (New reports ErrBadConfig otherwise): the
-	// engine owns it exclusively from New onward and drives it through
-	// Propose and Commit, never Decide.
+	// Scheduler makes the admission decisions. The engine owns it
+	// exclusively from New onward and drives it through Propose and
+	// Commit or Abort.
 	Scheduler core.Scheduler
 	// Horizon is the number of time slots the daemon serves. In fixed mode
 	// (the default) it is the paper's horizon T: the clock can run past it,
@@ -73,7 +72,7 @@ type Config struct {
 	QueueSize int
 	// Workers is the number of worker tokens (0 selects 1): that many
 	// decisions execute concurrently using the propose/commit protocol of
-	// core.TwoPhaseScheduler with the ledger arbitrating capacity. If the
+	// core.Scheduler with the ledger arbitrating capacity. If the
 	// scheduler does not support concurrent proposals the engine decides
 	// with one token whatever this asks; Engine.Workers reports the
 	// effective value.
@@ -103,8 +102,7 @@ type Config struct {
 	// placements are re-placed through the propose/commit pipeline, SLO
 	// delivery is accounted per request (GET /v1/placements/{id}/health
 	// and /metrics), and per-cloudlet failure rates are estimated online.
-	// Requires a Scheduler implementing core.TwoPhaseScheduler and an
-	// injector built over the same cloudlet fleet.
+	// Requires an injector built over the same cloudlet fleet.
 	Chaos *chaos.Injector
 	// RepairAttempts bounds re-placement attempts per failure episode
 	// before a placement is marked degraded; 0 selects

@@ -694,7 +694,7 @@ func TestStreamConcurrentConnections(t *testing.T) {
 
 // markedPanicScheduler panics in the Propose of a request lasting
 // panicDuration slots, every time.
-type markedPanicScheduler struct{ core.TwoPhaseScheduler }
+type markedPanicScheduler struct{ core.Scheduler }
 
 const panicDuration = 7
 
@@ -702,7 +702,7 @@ func (p markedPanicScheduler) Propose(req core.Request, view core.CapacityView) 
 	if req.Duration == panicDuration {
 		panic("scheduler bug")
 	}
-	return p.TwoPhaseScheduler.Propose(req, view)
+	return p.Scheduler.Propose(req, view)
 }
 
 // streamClient is one test connection to a StreamServer in either protocol.

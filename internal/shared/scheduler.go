@@ -64,7 +64,7 @@ type group struct {
 const stackCloudlets = 32
 
 // Scheduler is the shared-scheme primal-dual scheduler. It implements
-// core.TwoPhaseScheduler: Propose reads dual prices and group state under
+// core.Scheduler: Propose reads dual prices and group state under
 // the read lock without mutating anything (its scratch lives on its own
 // stack); Commit applies the dual updates and the group join under the
 // write lock. ConcurrentPropose reports false — a proposal carries a
@@ -260,12 +260,12 @@ type backupSide struct {
 // is nextGroup whatever the backup cloudlet.
 const newGroup = -1
 
-// Decide implements core.Scheduler.
+// Decide implements core.TwoPhaseScheduler.
 func (s *Scheduler) Decide(req core.Request, view core.CapacityView) (core.Placement, bool) {
 	return core.Decide(s, req, view)
 }
 
-// Propose implements core.TwoPhaseScheduler: it scans every (primary,
+// Propose implements core.Scheduler: it scans every (primary,
 // backup) cloudlet pair that meets the requirement at full pool capacity,
 // prices each at full primary demand plus the backup's MARGINAL footprint
 // — dual prices only on the slots a joinable group does not already
@@ -472,7 +472,7 @@ func (s *Scheduler) recordPropose(req core.Request, cands []trace.Candidate, pri
 	s.rec.Record(dt)
 }
 
-// Commit implements core.TwoPhaseScheduler: it joins (or creates) the
+// Commit implements core.Scheduler: it joins (or creates) the
 // proposal's backup group and applies the amortized dual updates under
 // the write lock. The update is the Eq. (34) form with units = c(f) on
 // the primary over the whole window, and units = c(f)/k on the backup
@@ -560,11 +560,11 @@ func (s *Scheduler) groupLocked(key, gid, hi int) *group {
 	return g
 }
 
-// Abort implements core.TwoPhaseScheduler. Propose acquires nothing, so
+// Abort implements core.Scheduler. Propose acquires nothing, so
 // aborting a proposal is a no-op.
 func (s *Scheduler) Abort(core.Request, core.Placement) {}
 
-// ConcurrentPropose implements core.TwoPhaseScheduler: false — proposals
+// ConcurrentPropose implements core.Scheduler: false — proposals
 // carry tentative group IDs whose uniqueness requires the Propose→Commit
 // pairs to be serialized, so engines must drive this scheduler with one
 // worker token: its holder is the only one between a Propose and its Commit.

@@ -1,22 +1,24 @@
-// Package simulate drives online schedulers over request traces and audits
-// every decision: placements are validated against the reliability
-// requirement, reservations recorded in the authoritative time-slot ledger,
-// and revenue, utilization and capacity violations measured. It also
-// provides a Monte-Carlo failure injector that empirically verifies the
-// availability of admitted placements by sampling cloudlet and instance
-// failures.
+// Package simulate drives online schedulers over request traces — single
+// VNFs (Run) and service function chains (RunChains), through one
+// admission loop — and audits every decision: placements are validated
+// against the reliability requirement, reservations recorded in the
+// authoritative time-slot ledger, and revenue, utilization and capacity
+// violations measured. It also provides a Monte-Carlo failure injector
+// that empirically verifies the availability of admitted placements by
+// sampling cloudlet and instance failures.
 package simulate
 
 import (
 	"errors"
 	"fmt"
 
+	"revnf/internal/chain"
 	"revnf/internal/core"
 	"revnf/internal/timeslot"
 	"revnf/internal/workload"
 )
 
-// Errors returned by Run.
+// Errors returned by Run and RunChains.
 var (
 	ErrBadInstance  = errors.New("simulate: invalid instance")
 	ErrBadScheduler = errors.New("simulate: nil scheduler")
@@ -26,17 +28,17 @@ var (
 )
 
 // Decision records one online admission outcome.
-type Decision struct {
+type Decision[P any] struct {
 	// Request is the request ID.
 	Request int
 	// Admitted reports the outcome.
 	Admitted bool
 	// Placement is the resource footprint when admitted.
-	Placement core.Placement
+	Placement P
 }
 
 // Result summarizes one simulation run.
-type Result struct {
+type Result[P any] struct {
 	// Algorithm and Scheme identify the scheduler.
 	Algorithm string
 	Scheme    core.Scheme
@@ -45,7 +47,7 @@ type Result struct {
 	// Admitted and Rejected count decisions.
 	Admitted, Rejected int
 	// Decisions is the per-request audit trail in arrival order.
-	Decisions []Decision
+	Decisions []Decision[P]
 	// Utilization is the mean used/capacity over all (cloudlet, slot)
 	// cells at the end of the run.
 	Utilization float64
@@ -57,7 +59,7 @@ type Result struct {
 }
 
 // AdmissionRate returns admitted / total, or 0 for an empty trace.
-func (r *Result) AdmissionRate() float64 {
+func (r *Result[P]) AdmissionRate() float64 {
 	total := r.Admitted + r.Rejected
 	if total == 0 {
 		return 0
@@ -81,7 +83,7 @@ func AllowViolations() Option {
 
 // Run feeds the instance's trace to the scheduler in arrival order and
 // returns the audited result.
-func Run(inst *workload.Instance, sched core.Scheduler, opts ...Option) (*Result, error) {
+func Run(inst *workload.Instance, sched core.Scheduler, opts ...Option) (*Result[core.Placement], error) {
 	if sched == nil {
 		return nil, ErrBadScheduler
 	}
@@ -95,58 +97,82 @@ func Run(inst *workload.Instance, sched core.Scheduler, opts ...Option) (*Result
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	ledger, err := timeslot.New(inst.Network.Capacities(), inst.Horizon)
+	footprint := func(buf []timeslot.Claim, r core.Request, p core.Placement) ([]timeslot.Claim, timeslot.Pooled) {
+		return Footprint(buf, p, inst.Network.Catalog[r.VNF].Demand)
+	}
+	return run(inst.Network, inst.Horizon, inst.Trace, inst.Trace, sched, cfg.allowViolations, footprint)
+}
+
+// RunChains is Run for service function chains: it feeds the chain trace
+// to the scheduler in arrival order, validating every placement's
+// structure, scheme shape and whole-chain availability. Chain schedulers
+// have no violation licence: an overbooked placement is an error. An
+// instance failing its Validate is ErrBadInstance and chain.ErrBadInstance.
+func RunChains(inst *chain.Instance, sched core.TwoPhase[chain.Request, chain.Placement]) (*Result[chain.Placement], error) {
+	if sched == nil {
+		return nil, ErrBadScheduler
+	}
+	if err := inst.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadInstance, err)
+	}
+	heads := make([]core.Request, len(inst.Trace))
+	for i, r := range inst.Trace {
+		heads[i] = core.Request{ID: r.ID, Arrival: r.Arrival, Duration: r.Duration, Payment: r.Payment}
+	}
+	footprint := func(buf []timeslot.Claim, _ chain.Request, p chain.Placement) ([]timeslot.Claim, timeslot.Pooled) {
+		return p.Footprint(buf, inst.Network.Catalog), timeslot.Pooled{}
+	}
+	return run(inst.Network, inst.Horizon, inst.Trace, heads, sched, false, footprint)
+}
+
+// run is the admission loop of both request kinds, the protocol the
+// concurrent serve engine drives: Propose → validate → reserve the
+// footprint atomically → Commit, one request at a time. heads[i] carries
+// trace[i]'s ID, window and payment; footprint appends what a placement
+// asks of the ledger to buf and returns it with its pooled backup row.
+func run[R any, P interface{ Validate(*core.Network, R) error }](
+	network *core.Network, horizon int, trace []R, heads []core.Request, sched core.TwoPhase[R, P], allowViolations bool,
+	footprint func(buf []timeslot.Claim, req R, p P) ([]timeslot.Claim, timeslot.Pooled),
+) (*Result[P], error) {
+	ledger, err := timeslot.New(network.Capacities(), horizon)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInstance, err)
 	}
 	// Shared-scheme backup groups hold pooled, refcounted capacity: the
 	// pool reserves a group's row once per slot regardless of membership.
+	// Without a pooled row a pool reservation is the ledger's own.
 	pool := timeslot.NewPool(ledger)
-	result := &Result{
+	result := &Result[P]{
 		Algorithm: sched.Name(),
 		Scheme:    sched.Scheme(),
-		Decisions: make([]Decision, 0, len(inst.Trace)),
+		Decisions: make([]Decision[P], 0, len(trace)),
 	}
-	// Two-phase schedulers are driven through Propose → validate → reserve
-	// → Commit, so the dual update happens only after the ledger accepted
-	// the footprint. Both orders are decision-identical for this serial
-	// loop (every error path aborts the whole run), but the two-phase order
-	// is the one the concurrent serve engine relies on, so the batch
-	// simulator exercises the same protocol.
-	twoPhase, _ := sched.(core.TwoPhaseScheduler)
 	var claims []timeslot.Claim
-	for _, req := range inst.Trace {
-		var placement core.Placement
-		var admitted bool
-		if twoPhase != nil {
-			placement, admitted = twoPhase.Propose(req, ledger)
-		} else {
-			placement, admitted = sched.Decide(req, ledger)
-		}
+	for i, req := range trace {
+		head := heads[i]
+		placement, admitted := sched.Propose(req, ledger)
 		if !admitted {
 			result.Rejected++
-			result.Decisions = append(result.Decisions, Decision{Request: req.ID})
+			result.Decisions = append(result.Decisions, Decision[P]{Request: head.ID})
 			continue
 		}
-		if err := placement.Validate(inst.Network, req); err != nil {
-			return nil, fmt.Errorf("simulate: scheduler %q request %d: %w", sched.Name(), req.ID, err)
+		if err := placement.Validate(network, req); err != nil {
+			return nil, fmt.Errorf("simulate: scheduler %q request %d: %w", sched.Name(), head.ID, err)
 		}
 		var pooled timeslot.Pooled
-		claims, pooled = Footprint(claims[:0], placement, inst.Network.Catalog[req.VNF].Demand)
-		ok, err := pool.ReserveAll(req.Arrival, req.Duration, claims, pooled, cfg.allowViolations)
+		claims, pooled = footprint(claims[:0], req, placement)
+		ok, err := pool.ReserveAll(head.Arrival, head.Duration, claims, pooled, allowViolations)
 		if err != nil {
-			return nil, fmt.Errorf("simulate: reserve for request %d: %w", req.ID, err)
+			return nil, fmt.Errorf("simulate: reserve for request %d: %w", head.ID, err)
 		}
 		if !ok {
 			return nil, fmt.Errorf("%w: %q request %d footprint %v backup %+v",
-				ErrSchedulerOverbooked, sched.Name(), req.ID, claims, pooled)
+				ErrSchedulerOverbooked, sched.Name(), head.ID, claims, pooled)
 		}
-		if twoPhase != nil {
-			twoPhase.Commit(req, placement)
-		}
+		sched.Commit(req, placement)
 		result.Admitted++
-		result.Revenue += req.Payment
-		result.Decisions = append(result.Decisions, Decision{Request: req.ID, Admitted: true, Placement: placement})
+		result.Revenue += head.Payment
+		result.Decisions = append(result.Decisions, Decision[P]{Request: head.ID, Admitted: true, Placement: placement})
 	}
 	result.Utilization = ledger.Utilization()
 	result.Violations = ledger.Violations()
@@ -170,8 +196,8 @@ func Footprint(buf []timeslot.Claim, p core.Placement, demand int) ([]timeslot.C
 
 // AdmittedPlacements extracts the placements of admitted requests, in
 // arrival order, for downstream analysis such as failure injection.
-func (r *Result) AdmittedPlacements() []core.Placement {
-	out := make([]core.Placement, 0, r.Admitted)
+func (r *Result[P]) AdmittedPlacements() []P {
+	out := make([]P, 0, r.Admitted)
 	for _, d := range r.Decisions {
 		if d.Admitted {
 			out = append(out, d.Placement)

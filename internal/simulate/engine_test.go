@@ -131,11 +131,13 @@ func TestRunValidatesPlacements(t *testing.T) {
 
 // badScheduler claims placements that do not meet the reliability
 // requirement.
-type badScheduler struct{}
+type badScheduler struct {
+	core.Stateless[core.Request, core.Placement]
+}
 
 func (b *badScheduler) Name() string        { return "bad" }
 func (b *badScheduler) Scheme() core.Scheme { return core.OnSite }
-func (b *badScheduler) Decide(req core.Request, _ core.CapacityView) (core.Placement, bool) {
+func (b *badScheduler) Propose(req core.Request, _ core.CapacityView) (core.Placement, bool) {
 	return core.Placement{
 		Request:     req.ID,
 		Scheme:      core.OnSite,
@@ -160,7 +162,7 @@ func TestRunInputErrors(t *testing.T) {
 }
 
 func TestAdmissionRateEmpty(t *testing.T) {
-	r := &Result{}
+	r := &Result[core.Placement]{}
 	if r.AdmissionRate() != 0 {
 		t.Errorf("empty AdmissionRate = %v, want 0", r.AdmissionRate())
 	}

@@ -212,11 +212,6 @@ func build(capacities []int, window int, rolling bool) (*Ledger, error) {
 	return l, nil
 }
 
-// Horizon returns the number of live slots: T for a fixed ledger, the
-// window length W for a rolling one. Alias of Window, kept for the many
-// fixed-horizon callers.
-func (l *Ledger) Horizon() int { return l.window }
-
 // Window returns the number of live slots (T fixed, W rolling).
 func (l *Ledger) Window() int { return l.window }
 

@@ -31,8 +31,8 @@ func TestNewErrors(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	l := newTestLedger(t)
-	if l.Horizon() != 8 || l.Cloudlets() != 2 {
-		t.Fatalf("Horizon/Cloudlets = %d/%d, want 8/2", l.Horizon(), l.Cloudlets())
+	if l.Window() != 8 || l.Cloudlets() != 2 {
+		t.Fatalf("Window/Cloudlets = %d/%d, want 8/2", l.Window(), l.Cloudlets())
 	}
 	if l.Capacity(0) != 10 || l.Capacity(1) != 5 || l.Capacity(2) != 0 || l.Capacity(-1) != 0 {
 		t.Error("Capacity accessor wrong")

@@ -15,9 +15,9 @@ func TestNewRollingBasics(t *testing.T) {
 	if !l.Rolling() {
 		t.Fatal("Rolling() = false")
 	}
-	if l.Base() != 1 || l.Window() != 8 || l.MaxSlot() != 8 || l.Horizon() != 8 {
-		t.Fatalf("geometry = base %d window %d max %d horizon %d, want 1 8 8 8",
-			l.Base(), l.Window(), l.MaxSlot(), l.Horizon())
+	if l.Base() != 1 || l.Window() != 8 || l.MaxSlot() != 8 {
+		t.Fatalf("geometry = base %d window %d max %d, want 1 8 8",
+			l.Base(), l.Window(), l.MaxSlot())
 	}
 	fixed, err := New([]int{4}, 5)
 	if err != nil {

@@ -270,7 +270,7 @@ func (t *DecisionTrace) FinalReason() Reason {
 // concurrent use — the serve engine runs any number of Propose
 // calls (and hence Sample/Record pairs) concurrently.
 //
-// Recording is not scheduler-state mutation: the core.TwoPhaseScheduler
+// Recording is not scheduler-state mutation: the core.TwoPhase
 // contract blesses Recorder emission from Propose, because a trace never
 // feeds back into any admission decision.
 type Recorder interface {

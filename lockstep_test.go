@@ -50,22 +50,15 @@ func (s *stepper[R, P]) mark() {
 	s.lambdas = append(s.lambdas, h)
 }
 
-type coreCopy struct {
-	core.TwoPhaseScheduler
-	step stepper[core.Request, core.Placement]
+// proposeCopy is one copy of a scheduler in TestProposeIsPure, its
+// Propose made by step.
+type proposeCopy[R, P any] struct {
+	core.TwoPhase[R, P]
+	step stepper[R, P]
 }
 
-func (c *coreCopy) Propose(req core.Request, view core.CapacityView) (core.Placement, bool) {
-	return c.step.propose(c.TwoPhaseScheduler.Propose, req, view)
-}
-
-type chainCopy struct {
-	chain.TwoPhaseScheduler
-	step stepper[chain.Request, chain.Placement]
-}
-
-func (c *chainCopy) Propose(req chain.Request, view core.CapacityView) (chain.Placement, bool) {
-	return c.step.propose(c.TwoPhaseScheduler.Propose, req, view)
+func (c *proposeCopy[R, P]) Propose(req R, view core.CapacityView) (P, bool) {
+	return c.step.propose(c.TwoPhase.Propose, req, view)
 }
 
 // TestProposeIsPure holds the two-phase contract's "Propose mutates no
@@ -84,29 +77,28 @@ func TestProposeIsPure(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		opts  []simulate.Option // raw Algorithm 1 may overbook
-		build func() (core.TwoPhaseScheduler, error)
+		build func() (core.Scheduler, error)
 	}{
-		{"pd-onsite-raw", []simulate.Option{simulate.AllowViolations()}, func() (core.TwoPhaseScheduler, error) { return onsite.NewScheduler(n, h) }},
-		{"pd-onsite", nil, func() (core.TwoPhaseScheduler, error) {
+		{"pd-onsite-raw", []simulate.Option{simulate.AllowViolations()}, func() (core.Scheduler, error) { return onsite.NewScheduler(n, h) }},
+		{"pd-onsite", nil, func() (core.Scheduler, error) {
 			return onsite.NewScheduler(n, h, onsite.WithCapacityEnforcement())
 		}},
-		{"pd-offsite", nil, func() (core.TwoPhaseScheduler, error) { return offsite.NewScheduler(n, h) }},
-		{"pd-shared-k1", nil, func() (core.TwoPhaseScheduler, error) { return shared.NewScheduler(n, h, shared.WithPoolSize(1)) }},
-		{"pd-shared-k2", nil, func() (core.TwoPhaseScheduler, error) { return shared.NewScheduler(n, h, shared.WithPoolSize(2)) }},
-		{"pd-shared-k3", nil, func() (core.TwoPhaseScheduler, error) { return shared.NewScheduler(n, h, shared.WithPoolSize(3)) }},
-		{"greedy-onsite", nil, func() (core.TwoPhaseScheduler, error) { return baseline.NewGreedyOnsite(n) }},
-		{"greedy-offsite", nil, func() (core.TwoPhaseScheduler, error) { return baseline.NewGreedyOffsite(n) }},
-		{"firstfit-onsite", nil, func() (core.TwoPhaseScheduler, error) { return baseline.NewFirstFitOnsite(n) }},
-		{"reject-all", nil, func() (core.TwoPhaseScheduler, error) { return baseline.NewRejectAll(core.OnSite) }},
+		{"pd-offsite", nil, func() (core.Scheduler, error) { return offsite.NewScheduler(n, h) }},
+		{"pd-shared-k1", nil, func() (core.Scheduler, error) { return shared.NewScheduler(n, h, shared.WithPoolSize(1)) }},
+		{"pd-shared-k2", nil, func() (core.Scheduler, error) { return shared.NewScheduler(n, h, shared.WithPoolSize(2)) }},
+		{"pd-shared-k3", nil, func() (core.Scheduler, error) { return shared.NewScheduler(n, h, shared.WithPoolSize(3)) }},
+		{"greedy-onsite", nil, func() (core.Scheduler, error) { return baseline.NewGreedyOnsite(n) }},
+		{"greedy-offsite", nil, func() (core.Scheduler, error) { return baseline.NewGreedyOffsite(n) }},
+		{"firstfit-onsite", nil, func() (core.Scheduler, error) { return baseline.NewFirstFitOnsite(n) }},
+		{"reject-all", nil, func() (core.Scheduler, error) { return baseline.NewRejectAll(core.OnSite) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			run := func(rng *rand.Rand) ([]simulate.Decision, []uint64) {
+			run := func(rng *rand.Rand) ([]simulate.Decision[core.Placement], []uint64) {
 				s, err := c.build()
 				if err != nil {
 					t.Fatal(err)
 				}
-				cp := &coreCopy{TwoPhaseScheduler: s, step: stepper[core.Request, core.Placement]{rng: rng, cloudlets: len(n.Cloudlets), horizon: h}}
-				cp.step.lambda, _ = s.(core.LambdaReader)
+				cp := newCopy(s, rng, len(n.Cloudlets), h)
 				res, err := simulate.Run(inst, cp, c.opts...)
 				if err != nil {
 					t.Fatal(err)
@@ -126,27 +118,35 @@ func TestProposeIsPure(t *testing.T) {
 		t.Fatal(err)
 	}
 	chains := &chain.Instance{Network: n, Horizon: h, Trace: trace}
-	for name, build := range map[string]func() (chain.TwoPhaseScheduler, error){
-		"pd-chain-onsite":      func() (chain.TwoPhaseScheduler, error) { return chain.NewOnsiteScheduler(n, h) },
-		"pd-chain-offsite":     func() (chain.TwoPhaseScheduler, error) { return chain.NewOffsiteScheduler(n, h) },
-		"greedy-chain-onsite":  func() (chain.TwoPhaseScheduler, error) { return chain.NewGreedyOnsite(n, h) },
-		"greedy-chain-offsite": func() (chain.TwoPhaseScheduler, error) { return chain.NewGreedyOffsite(n, h) },
+	for name, build := range map[string]func() (revnf.ChainScheduler, error){
+		"pd-chain-onsite":      func() (revnf.ChainScheduler, error) { return chain.NewOnsiteScheduler(n, h) },
+		"pd-chain-offsite":     func() (revnf.ChainScheduler, error) { return chain.NewOffsiteScheduler(n, h) },
+		"greedy-chain-onsite":  func() (revnf.ChainScheduler, error) { return chain.NewGreedyOnsite(n, h) },
+		"greedy-chain-offsite": func() (revnf.ChainScheduler, error) { return chain.NewGreedyOffsite(n, h) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			run := func(rng *rand.Rand) ([]chain.Decision, []uint64) {
+			run := func(rng *rand.Rand) ([]simulate.Decision[chain.Placement], []uint64) {
 				s, err := build()
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := chain.Run(chains, &chainCopy{TwoPhaseScheduler: s, step: stepper[chain.Request, chain.Placement]{rng: rng}})
+				cp := newCopy(s, rng, len(n.Cloudlets), h)
+				res, err := simulate.RunChains(chains, cp)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res.Decisions, nil
+				cp.step.mark()
+				return res.Decisions, cp.step.lambdas
 			}
 			sameSteps(t, run, rand.New(rand.NewSource(1)))
 		})
 	}
+}
+
+// newCopy wraps s for one run; λ is marked when s exposes it.
+func newCopy[R, P any](s core.TwoPhase[R, P], rng *rand.Rand, cloudlets, horizon int) *proposeCopy[R, P] {
+	lambda, _ := s.(core.LambdaReader)
+	return &proposeCopy[R, P]{TwoPhase: s, step: stepper[R, P]{rng: rng, lambda: lambda, cloudlets: cloudlets, horizon: horizon}}
 }
 
 // sameSteps runs the copy that proposes once and the one that proposes

@@ -110,9 +110,9 @@ type (
 // Simulation types.
 type (
 	// SimResult is an audited simulation outcome.
-	SimResult = simulate.Result
+	SimResult = simulate.Result[core.Placement]
 	// Decision is one per-request admission record.
-	Decision = simulate.Decision
+	Decision = simulate.Decision[core.Placement]
 	// AvailabilityReport is a Monte-Carlo failure-injection summary.
 	AvailabilityReport = simulate.AvailabilityReport
 	// OfflineSolution is the offline comparator's schedule and bounds.
