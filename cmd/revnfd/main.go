@@ -105,7 +105,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		store = trace.NewStore(*traceCap)
 		rec = trace.NewSampling(store, *traceSample)
 	}
-	sched, allowViolations, err := buildScheduler(*algorithm, *scheme, *poolSize, inst, *seed, rec)
+	sched, err := buildScheduler(*algorithm, *scheme, *poolSize, inst, *seed, rec)
 	if err != nil {
 		return err
 	}
@@ -128,18 +128,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 	engine, err := serve.New(serve.Config{
-		Network:         inst.Network,
-		Scheduler:       sched,
-		Horizon:         inst.Horizon,
-		Rolling:         rolling,
-		QueueSize:       *queue,
-		Workers:         *workers,
-		SlotDuration:    *slot,
-		AllowViolations: allowViolations,
-		Traces:          store,
-		Recorder:        rec,
-		Chaos:           inj,
-		RepairAttempts:  *repairTries,
+		Network:        inst.Network,
+		Scheduler:      sched,
+		Horizon:        inst.Horizon,
+		Rolling:        rolling,
+		QueueSize:      *queue,
+		Workers:        *workers,
+		SlotDuration:   *slot,
+		Traces:         store,
+		Recorder:       rec,
+		Chaos:          inj,
+		RepairAttempts: *repairTries,
 	})
 	if err != nil {
 		return err
@@ -215,17 +214,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // functional-options constructor. The scheme spelling is whatever
 // core.ParseScheme accepts (one parser for flags, JSON, and wire bytes);
 // the algorithm values are the revnf.Algorithm constants verbatim.
-func buildScheduler(algorithm, scheme string, poolSize int, inst *workload.Instance, seed int64, rec trace.Recorder) (core.Scheduler, bool, error) {
+func buildScheduler(algorithm, scheme string, poolSize int, inst *workload.Instance, seed int64, rec trace.Recorder) (core.Scheduler, error) {
 	sch, err := core.ParseScheme(scheme)
 	if err != nil {
-		return nil, false, fmt.Errorf("-scheme: %w", err)
+		return nil, fmt.Errorf("-scheme: %w", err)
 	}
 	alg := revnf.Algorithm(algorithm)
 	if !alg.Valid() {
-		return nil, false, fmt.Errorf("unknown -algorithm %q (want pd|raw|greedy|firstfit|random)", algorithm)
+		return nil, fmt.Errorf("unknown -algorithm %q (want pd|raw|greedy|firstfit|random)", algorithm)
 	}
 	if poolSize < 0 {
-		return nil, false, fmt.Errorf("-pool-size %d: want a positive pool size, or 0 for the default", poolSize)
+		return nil, fmt.Errorf("-pool-size %d: want a positive pool size, or 0 for the default", poolSize)
 	}
 	opts := []revnf.SchedulerOption{
 		revnf.WithAlgorithm(alg),
@@ -234,11 +233,7 @@ func buildScheduler(algorithm, scheme string, poolSize int, inst *workload.Insta
 		revnf.WithRNG(rand.New(rand.NewSource(seed))),
 		revnf.WithSharedPoolSize(poolSize), // 0 keeps the default
 	}
-	s, err := revnf.NewScheduler(inst.Network, sch, opts...)
-	if err != nil {
-		return nil, false, err
-	}
-	return s, alg.AllowsViolations(), nil
+	return revnf.NewScheduler(inst.Network, sch, opts...)
 }
 
 // withPprof mounts the net/http/pprof handlers beside the API mux. Opt-in

@@ -66,17 +66,12 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	sched, allowViolations, err := buildScheduler(*algorithm, sch, *poolSize, inst, *seed)
+	sched, err := buildScheduler(*algorithm, sch, *poolSize, inst, *seed)
 	if err != nil {
 		return err
 	}
 
-	var res *simulate.Result[core.Placement]
-	if allowViolations {
-		res, err = simulate.Run(inst, sched, simulate.AllowViolations())
-	} else {
-		res, err = simulate.Run(inst, sched)
-	}
+	res, err := simulate.Run(inst, sched)
 	if err != nil {
 		return err
 	}
@@ -143,13 +138,13 @@ var loadOrGenerate = experiments.LoadOrGenerate
 
 // buildScheduler maps the flags onto the public functional-options
 // constructor; the scheme arrives already parsed by core.ParseScheme.
-func buildScheduler(algorithm string, scheme core.Scheme, poolSize int, inst *workload.Instance, seed int64) (core.Scheduler, bool, error) {
+func buildScheduler(algorithm string, scheme core.Scheme, poolSize int, inst *workload.Instance, seed int64) (core.Scheduler, error) {
 	alg := revnf.Algorithm(algorithm)
 	if !alg.Valid() {
-		return nil, false, fmt.Errorf("unknown -algorithm %q (want pd|raw|greedy|firstfit|random)", algorithm)
+		return nil, fmt.Errorf("unknown -algorithm %q (want pd|raw|greedy|firstfit|random)", algorithm)
 	}
 	if poolSize < 0 {
-		return nil, false, fmt.Errorf("-pool-size %d: want a positive pool size, or 0 for the default", poolSize)
+		return nil, fmt.Errorf("-pool-size %d: want a positive pool size, or 0 for the default", poolSize)
 	}
 	opts := []revnf.SchedulerOption{
 		revnf.WithAlgorithm(alg),
@@ -157,9 +152,5 @@ func buildScheduler(algorithm string, scheme core.Scheme, poolSize int, inst *wo
 		revnf.WithRNG(rand.New(rand.NewSource(seed))),
 		revnf.WithSharedPoolSize(poolSize), // 0 keeps the default
 	}
-	s, err := revnf.NewScheduler(inst.Network, scheme, opts...)
-	if err != nil {
-		return nil, false, err
-	}
-	return s, alg.AllowsViolations(), nil
+	return revnf.NewScheduler(inst.Network, scheme, opts...)
 }

@@ -20,7 +20,6 @@ import (
 // checksum over every placement's (cloudlet, instances) pairs.
 type goldenEntry struct {
 	name     string
-	allow    bool // run with AllowViolations (raw Algorithm 1)
 	make     func(*workload.Instance) (core.Scheduler, error)
 	admitted int
 	revenue  float64
@@ -70,8 +69,7 @@ func goldenEntries() []goldenEntry {
 			decisions:    "11111111111111111111110011000011010000000001100001110100000000111000111111011011010100100111101000000110010111000010110010000001111110011000110101110100001110010000110000101010100110010101111001011101100011010001010111111010110010000100010011111000000111011000100100001010111001100000001000010000001000111101111000010001000101100001111011000110110000001000101000010111000000111011000111100001011011011100011111000110010111000110110110010100100100100000001001011110000000010101000000001001100011000100",
 		},
 		{
-			name:  "pd-onsite-raw",
-			allow: true,
+			name: "pd-onsite-raw",
 			make: func(i *workload.Instance) (core.Scheduler, error) {
 				return onsite.NewScheduler(i.Network, i.Horizon)
 			},
@@ -145,11 +143,7 @@ func goldenEntries() []goldenEntry {
 
 // check runs sched over the golden instance and requires e's constants.
 func (e goldenEntry) check(t *testing.T, inst *workload.Instance, sched core.Scheduler) {
-	var opts []simulate.Option
-	if e.allow {
-		opts = append(opts, simulate.AllowViolations())
-	}
-	res, err := simulate.Run(inst, sched, opts...)
+	res, err := simulate.Run(inst, sched)
 	if err != nil {
 		t.Fatal(err)
 	}

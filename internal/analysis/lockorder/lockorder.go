@@ -126,7 +126,6 @@ var summary = map[string][]lockset.Class{
 	"revnf/internal/core.CapacityView":   {ledgerMu},
 	"revnf/internal/core.TwoPhase":       {schedMu, ledgerMu, "revnf/internal/trace.Store.mu"},
 	"revnf/internal/core.WindowAdvancer": {schedMu},
-	"revnf/internal/shared.Scheduler":    {schedMu, ledgerMu},
 	"revnf/internal/trace.Recorder":      {"revnf/internal/trace.Store.mu"},
 	"revnf/internal/slo.Tracker":         {"revnf/internal/slo.Tracker.mu"},
 	"revnf/internal/slo.RateEstimator":   {"revnf/internal/slo.RateEstimator.mu"},

@@ -1,6 +1,7 @@
 package lockorder
 
 import (
+	"go/ast"
 	"go/types"
 	"testing"
 
@@ -10,17 +11,36 @@ import (
 )
 
 // TestTablesNameTheTree holds the hand-kept tables to the module: every
-// summary key names a type, and every aliased or canonical class but the
-// abstract sched.mu names a sync.Mutex or sync.RWMutex field. A renamed
-// type or mutex otherwise leaves a row that silently matches nothing.
+// summary key names a type that some call from outside the type's package
+// resolves to — the only calls the analyzer reads a summary row for — and
+// every aliased or canonical class but the abstract sched.mu names a
+// sync.Mutex or sync.RWMutex field. A renamed type or mutex, or a row
+// keyed to a type calls no longer resolve to, otherwise leaves a row that
+// silently matches nothing.
 func TestTablesNameTheTree(t *testing.T) {
 	pkgs, err := load.Packages("../../..", "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
 	typeNames := make(map[string]bool)
+	calls := make(map[string]int) // by receiver type, cross-package calls only
 	mutexes := make(map[lockset.Class]bool)
 	for _, p := range pkgs {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if fn := lockset.CalleeOf(p.Info, call); fn != nil {
+					if named := lockset.ReceiverNamed(fn); named != nil && named.Obj().Pkg() != nil &&
+						named.Obj().Pkg().Path() != p.Path {
+						calls[named.Obj().Pkg().Path()+"."+named.Obj().Name()]++
+					}
+				}
+				return true
+			})
+		}
 		scope := p.Types.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
@@ -45,8 +65,11 @@ func TestTablesNameTheTree(t *testing.T) {
 		t.Fatal("loaded no types; is the module root ../../..?")
 	}
 	for key := range summary {
-		if !typeNames[key] {
+		switch {
+		case !typeNames[key]:
 			t.Errorf("summary key %s names no type in the module", key)
+		case calls[key] == 0:
+			t.Errorf("summary key %s matches no call from outside its package", key)
 		}
 	}
 	for class := range aliases {

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"revnf/internal/core"
-	"revnf/internal/shared"
 	"revnf/internal/timeslot"
 )
 
@@ -49,14 +48,6 @@ func (s *StreamServer) Bad() {
 	defer s.mu.Unlock()
 	s.e.ledger.Advance() // want `acquires timeslot\.Ledger\.mu while holding serve\.StreamServer\.mu`
 	s.e.reader.Load()    // want `acquires timeslot\.Ledger\.mu while holding serve\.StreamServer\.mu`
-}
-
-// BadAdvance advances a pd-shared scheduler under the leaf lock: the
-// summary attributes sched.mu to the call, which ranks before it.
-func (s *StreamServer) BadAdvance(sched *shared.Scheduler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sched.AdvanceWindow(2) // want `acquires sched\.mu while holding serve\.StreamServer\.mu` `acquires timeslot\.Ledger\.mu while holding serve\.StreamServer\.mu`
 }
 
 // BadCommit commits through an instantiated TwoPhase under the leaf lock:

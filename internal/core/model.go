@@ -91,21 +91,6 @@ func (r Request) End() int {
 	return r.Arrival + r.Duration - 1
 }
 
-// Covers reports whether the request's execution window includes slot t.
-// It corresponds to the indicator V_i[t] of the paper.
-func (r Request) Covers(t int) bool {
-	return t >= r.Arrival && t <= r.End()
-}
-
-// Slots returns the request's execution slots in increasing order.
-func (r Request) Slots() []int {
-	slots := make([]int, 0, r.Duration)
-	for t := r.Arrival; t <= r.End(); t++ {
-		slots = append(slots, t)
-	}
-	return slots
-}
-
 // Network bundles the static side of a problem instance: the VNF catalog and
 // the cloudlets. The time horizon and the request trace are supplied
 // separately so the same network can serve many workloads.
@@ -151,7 +136,6 @@ var (
 	ErrBadWindow        = errors.New("core: request window invalid")
 	ErrBadPayment       = errors.New("core: negative payment")
 	ErrInfeasible       = errors.New("core: reliability requirement unattainable")
-	ErrSchemeMismatch   = errors.New("core: placement scheme mismatch")
 	ErrBadPlacement     = errors.New("core: malformed placement")
 	ErrBelowRequirement = errors.New("core: placement reliability below requirement")
 )
@@ -220,27 +204,6 @@ func (n *Network) ValidateTrace(trace []Request, horizon int) error {
 		}
 	}
 	return nil
-}
-
-// TotalCapacity returns the sum of cloudlet capacities (one slot).
-func (n *Network) TotalCapacity() int {
-	total := 0
-	for _, c := range n.Cloudlets {
-		total += c.Capacity
-	}
-	return total
-}
-
-// MaxCloudletReliability returns the largest cloudlet reliability, or 0 when
-// there are no cloudlets.
-func (n *Network) MaxCloudletReliability() float64 {
-	best := 0.0
-	for _, c := range n.Cloudlets {
-		if c.Reliability > best {
-			best = c.Reliability
-		}
-	}
-	return best
 }
 
 func validProbability(p float64) bool {

@@ -52,22 +52,6 @@ func TestRequestWindow(t *testing.T) {
 	if got := r.End(); got != 6 {
 		t.Fatalf("End() = %d, want 6", got)
 	}
-	wantSlots := []int{3, 4, 5, 6}
-	slots := r.Slots()
-	if len(slots) != len(wantSlots) {
-		t.Fatalf("Slots() = %v, want %v", slots, wantSlots)
-	}
-	for i, s := range wantSlots {
-		if slots[i] != s {
-			t.Fatalf("Slots() = %v, want %v", slots, wantSlots)
-		}
-	}
-	for t0 := 1; t0 <= 8; t0++ {
-		want := t0 >= 3 && t0 <= 6
-		if got := r.Covers(t0); got != want {
-			t.Errorf("Covers(%d) = %v, want %v", t0, got, want)
-		}
-	}
 }
 
 func TestNetworkValidateOK(t *testing.T) {
@@ -153,24 +137,6 @@ func TestValidateTrace(t *testing.T) {
 	trace[0].Duration = 99
 	if err := n.ValidateTrace(trace, 5); !errors.Is(err, ErrBadWindow) {
 		t.Fatalf("ValidateTrace(bad window) = %v, want ErrBadWindow", err)
-	}
-}
-
-func TestTotalCapacity(t *testing.T) {
-	n := testNetwork()
-	if got := n.TotalCapacity(); got != 45 {
-		t.Fatalf("TotalCapacity() = %d, want 45", got)
-	}
-}
-
-func TestMaxCloudletReliability(t *testing.T) {
-	n := testNetwork()
-	if got := n.MaxCloudletReliability(); got != 0.999 {
-		t.Fatalf("MaxCloudletReliability() = %v, want 0.999", got)
-	}
-	empty := &Network{}
-	if got := empty.MaxCloudletReliability(); got != 0 {
-		t.Fatalf("MaxCloudletReliability(empty) = %v, want 0", got)
 	}
 }
 

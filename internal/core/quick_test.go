@@ -68,23 +68,3 @@ func TestOffsiteReliabilityMonotoneQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property (testing/quick): Request.Covers agrees with the slot list.
-func TestRequestCoversQuick(t *testing.T) {
-	f := func(arrSeed, durSeed, probeSeed uint8) bool {
-		r := Request{Arrival: 1 + int(arrSeed)%50, Duration: 1 + int(durSeed)%20}
-		slots := r.Slots()
-		if len(slots) != r.Duration {
-			return false
-		}
-		inList := make(map[int]bool, len(slots))
-		for _, s := range slots {
-			inList[s] = true
-		}
-		probe := 1 + int(probeSeed)%80
-		return r.Covers(probe) == inList[probe]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}

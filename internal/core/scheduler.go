@@ -148,6 +148,16 @@ type WindowAdvancer interface {
 	AdvanceWindow(base int)
 }
 
+// ViolationLicensee is implemented by schedulers that may propose a
+// placement the ledger cannot hold: the raw Algorithm 1, whose Lemma 8
+// bounds its capacity violation without preventing it. Drivers
+// force-reserve such a scheduler's placements, recording the
+// overcommitment, when AllowsViolations is true; for every other
+// scheduler an overbooked placement is refused.
+type ViolationLicensee interface {
+	AllowsViolations() bool
+}
+
 // Decide is the serialized form of the two-phase protocol: Propose
 // immediately followed by Commit. Like any serialized call it is not safe
 // for concurrent use.

@@ -6,89 +6,24 @@
 // scheduler computes the (growth, additive) pair, so the pair is the
 // interface and the formulas stay with the schedulers.
 //
-// Per-slot state is a ring over the live window (DESIGN.md §10): Window is
-// that geometry — which slots are live, which ring cell a slot owns, which
-// cells a window advance retires — and Table is a λ ring per cloudlet on
-// it. State that must age in lockstep with the prices (pd-shared's group
-// refcounts) indexes through the same Window and clears the range Advance
-// returns with ClearRing.
+// Per-slot state is a ring over the live window (DESIGN.md §10): Table is
+// a λ ring per cloudlet on a timeslot.Window, the geometry the slot ledger
+// stands on too. State that must age in lockstep with the prices
+// (pd-shared's group refcounts) indexes through the same Window and clears
+// the range Advance returns with timeslot.ClearRing.
 //
 // Nothing here locks: a Table is plain data guarded by its owner's mutex.
 package dual
 
-// Window maps the live slots [Base, Base+Len-1] onto a ring of Len cells.
-// The zero value is not usable; a Table supplies one.
-type Window struct {
-	base  int // first live slot
-	start int // ring index of base
-	n     int // ring length
-}
+import "revnf/internal/timeslot"
 
-// Base returns the first slot of the live window (1 until Advance).
-func (w Window) Base() int { return w.base }
-
-// Len returns the number of live slots, which is the ring length.
-func (w Window) Len() int { return w.n }
-
-// Contains reports whether every slot of [lo, hi] is live.
-func (w Window) Contains(lo, hi int) bool {
-	return lo >= w.base && hi <= w.base+w.n-1
-}
-
-// Clamp intersects [lo, hi] with the live window; ok is false when the
-// intersection is empty.
-func (w Window) Clamp(lo, hi int) (clo, chi int, ok bool) {
-	if lo < w.base {
-		lo = w.base
-	}
-	if last := w.base + w.n - 1; hi > last {
-		hi = last
-	}
-	return lo, hi, lo <= hi
-}
-
-// Index returns the ring cell of a live slot; successive slots own
-// successive cells, wrapping at Len. With Base still 1 the index is
-// slot-1, the layout of a fixed horizon.
-func (w Window) Index(slot int) int {
-	i := w.start + (slot - w.base)
-	if i >= w.n {
-		i -= w.n
-	}
-	return i
-}
-
-// Advance moves the window forward so it starts at base and returns the
-// ring range it retired: the n ≤ Len cells from start on, wrapping, which
-// now belong to the slots entering at the far edge and must be cleared by
-// every ring on this geometry. Moving backward or not at all retires
-// nothing (n = 0).
-func (w *Window) Advance(base int) (start, n int) {
-	if base <= w.base {
-		return w.start, 0
-	}
-	retired := base - w.base
-	start, n = w.start, min(retired, w.n)
-	w.start = (w.start + retired%w.n) % w.n
-	w.base = base
-	return start, n
-}
-
-// ClearRing zeroes the n ≤ len(ring) cells from index start on, wrapping:
-// the range a Window.Advance returned.
-func ClearRing[T any](ring []T, start, n int) {
-	k := min(n, len(ring)-start)
-	clear(ring[start : start+k])
-	clear(ring[:n-k])
-}
-
-// Table is the dual prices of a set of cloudlets over one Window. Prices
+// Table is the dual prices of a set of cloudlets over one window. Prices
 // start at zero, and a slot entering the window starts at zero again
 // rather than inheriting the retired slot's accumulated price; prices of
 // slots that stay live are never touched by Advance, which is what keeps
 // rolling-window decisions bit-identical to fixed-horizon ones.
 type Table struct {
-	Window
+	timeslot.Window
 	rows [][]float64 // rows[j] is cloudlet j's ring
 }
 
@@ -98,7 +33,7 @@ func NewTable(cloudlets, horizon int) Table {
 	for j := range rows {
 		rows[j] = make([]float64, horizon)
 	}
-	return Table{Window: Window{base: 1, n: horizon}, rows: rows}
+	return Table{Window: timeslot.NewWindow(horizon), rows: rows}
 }
 
 // At returns λ_{slot,j}, or 0 for an unknown cloudlet or a slot that is not
@@ -164,12 +99,12 @@ func (t *Table) Update(j, lo, hi int, growth, additive float64) {
 }
 
 // Advance moves the window to start at base, zeroes the retired prices and
-// returns the retired ring range as Window.Advance does.
+// returns the retired ring range as timeslot.Window.Advance does.
 func (t *Table) Advance(base int) (start, n int) {
 	start, n = t.Window.Advance(base)
 	if n > 0 {
 		for _, row := range t.rows {
-			ClearRing(row, start, n)
+			timeslot.ClearRing(row, start, n)
 		}
 	}
 	return start, n

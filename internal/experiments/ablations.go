@@ -42,7 +42,7 @@ func (s Setup) AblationScale(scales []float64) (*metrics.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %w", err)
 			}
-			rawRes, err := simulate.Run(inst, raw, simulate.AllowViolations())
+			rawRes, err := simulate.Run(inst, raw)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %w", err)
 			}

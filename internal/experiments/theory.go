@@ -46,7 +46,7 @@ func (s Setup) ViolationStudy(requestCounts []int) (*metrics.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %w", err)
 			}
-			res, err := simulate.Run(inst, raw, simulate.AllowViolations())
+			res, err := simulate.Run(inst, raw)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %w", err)
 			}

@@ -201,28 +201,6 @@ func (h *Histogram) Count() uint64 { return h.count }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return h.sum }
 
-// Quantile returns an upper-bound estimate of the q-quantile (0 < q ≤ 1):
-// the smallest bucket bound whose cumulative count covers q of the
-// observations, +Inf when only the overflow bucket does, and 0 for an
-// empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(h.count)))
-	cum := uint64(0)
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			if i == len(h.bounds) {
-				return math.Inf(1)
-			}
-			return h.bounds[i]
-		}
-	}
-	return math.Inf(1)
-}
-
 // Clone returns an independent copy, letting callers snapshot under a lock
 // and render outside it.
 func (h *Histogram) Clone() *Histogram {

@@ -109,32 +109,6 @@ func TestHistogramBoundaryIsInclusive(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h, err := NewHistogram(1, 10, 100)
-	if err != nil {
-		t.Fatalf("NewHistogram: %v", err)
-	}
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("empty Quantile = %v, want 0", got)
-	}
-	for i := 0; i < 90; i++ {
-		h.Observe(0.5)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(50)
-	}
-	if got := h.Quantile(0.5); got != 1 {
-		t.Errorf("p50 = %v, want 1", got)
-	}
-	if got := h.Quantile(0.99); got != 100 {
-		t.Errorf("p99 = %v, want 100", got)
-	}
-	h.Observe(1e6)
-	if got := h.Quantile(1); !math.IsInf(got, 1) {
-		t.Errorf("p100 with overflow = %v, want +Inf", got)
-	}
-}
-
 func TestHistogramClone(t *testing.T) {
 	h, err := NewHistogram(1, 2)
 	if err != nil {

@@ -79,11 +79,6 @@ const (
 // Option configures the scheduler.
 type Option func(*Scheduler)
 
-// WithName overrides the reported algorithm name.
-func WithName(name string) Option {
-	return func(s *Scheduler) { s.name = name }
-}
-
 // WithRecorder injects the decision-trace sink Propose emits into. A nil
 // recorder keeps the no-op default. Tracing never changes decisions.
 func WithRecorder(r trace.Recorder) Option {

@@ -58,13 +58,6 @@ func TestSchedulerIdentity(t *testing.T) {
 	if s.Name() != "pd-offsite" || s.Scheme() != core.OffSite {
 		t.Errorf("identity = %q/%v", s.Name(), s.Scheme())
 	}
-	named, err := NewScheduler(testNetwork(), 5, WithName("x"))
-	if err != nil {
-		t.Fatalf("NewScheduler: %v", err)
-	}
-	if named.Name() != "x" {
-		t.Errorf("custom name = %q", named.Name())
-	}
 }
 
 func TestDecideAdmitsAndMeetsReliability(t *testing.T) {

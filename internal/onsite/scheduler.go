@@ -153,6 +153,11 @@ func (s *Scheduler) Name() string { return s.name }
 // Scheme implements core.Scheduler.
 func (s *Scheduler) Scheme() core.Scheme { return core.OnSite }
 
+// AllowsViolations implements core.ViolationLicensee: the raw variant,
+// which never inspects residual capacity, may overcommit within the bound
+// ξ of Lemma 8.
+func (s *Scheduler) AllowsViolations() bool { return !s.enforce }
+
 // Lambda implements core.LambdaReader: the current dual price λ_{tj}, or
 // 0 for a slot outside the live window.
 func (s *Scheduler) Lambda(cloudlet, slot int) float64 {

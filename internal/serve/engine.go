@@ -191,6 +191,10 @@ type Engine struct {
 	// ledger is a circular window of horizon slots whose base Tick
 	// advances with the clock, up to the first row still holding units.
 	rolling bool
+	// allowViolations force-reserves what the ledger cannot hold: set when
+	// the scheduler is licensed to overcommit (core.ViolationLicensee, the
+	// raw Algorithm 1), whose overcommitment Lemma 8 bounds.
+	allowViolations bool
 	// advancer is the scheduler's window-aging hook (non-nil when the
 	// scheduler implements core.WindowAdvancer); called after every ledger
 	// advance that moved the base, so dual prices retire with their slots.
@@ -380,6 +384,9 @@ func New(cfg Config) (*Engine, error) {
 		quit:     make(chan struct{}),
 	}
 	e.slotNow.Store(1)
+	if lic, ok := cfg.Scheduler.(core.ViolationLicensee); ok {
+		e.allowViolations = lic.AllowsViolations()
+	}
 	for i := 0; i < workers; i++ {
 		h, err := metrics.NewHistogram(latencyBounds...)
 		if err != nil {
@@ -652,7 +659,7 @@ func (e *Engine) overbooks(view *timeslot.Reader, req core.Request, placement co
 func (e *Engine) reserveAll(req core.Request, placement core.Placement, demand int) bool {
 	var buf [footprintClaims]timeslot.Claim
 	claims, pooled := simulate.Footprint(buf[:0], placement, demand)
-	ok, err := e.pool.ReserveAll(req.Arrival, req.Duration, claims, pooled, e.cfg.AllowViolations)
+	ok, err := e.pool.ReserveAll(req.Arrival, req.Duration, claims, pooled, e.allowViolations)
 	return ok && err == nil
 }
 

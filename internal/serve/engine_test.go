@@ -435,8 +435,8 @@ func TestEngineQueueFullBackpressure(t *testing.T) {
 }
 
 func TestEngineOverbookRollback(t *testing.T) {
-	// An unenforced (raw) scheduler will overcommit; without the
-	// violation licence the engine must refuse and roll back cleanly —
+	// An unenforced (raw) scheduler will overcommit; stripped of its
+	// violation licence it must be refused and rolled back cleanly —
 	// as overbooked at every worker count: the view showed the cloudlet
 	// full, so the refusal is no lost race and nothing is retried.
 	for _, workers := range []int{1, 4} {
@@ -445,7 +445,7 @@ func TestEngineOverbookRollback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := New(Config{Network: n, Scheduler: sched, Horizon: 10, Workers: workers})
+		e, err := New(Config{Network: n, Scheduler: unlicensed{sched}, Horizon: 10, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,13 +491,18 @@ func TestEngineOverbookRollback(t *testing.T) {
 	}
 }
 
+// unlicensed forwards a scheduler's two-phase contract but not its
+// violation licence, which makes the raw Algorithm 1 an overbooking
+// scheduler.
+type unlicensed struct{ core.Scheduler }
+
 func TestEngineAllowViolations(t *testing.T) {
 	n := testNetwork()
 	sched, err := onsite.NewScheduler(n, 10) // raw variant
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Config{Network: n, Scheduler: sched, Horizon: 10, AllowViolations: true})
+	e, err := New(Config{Network: n, Scheduler: sched, Horizon: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -744,17 +749,16 @@ func TestEngineOneTokenMatchesSimulator(t *testing.T) {
 	}
 	n, T := inst.Network, inst.Horizon
 	for _, tc := range []struct {
-		name  string
-		allow bool // AllowViolations: the raw Algorithm 1
-		make  func() (core.Scheduler, error)
+		name string
+		make func() (core.Scheduler, error)
 	}{
-		{"pd-onsite", false, func() (core.Scheduler, error) {
+		{"pd-onsite", func() (core.Scheduler, error) {
 			return onsite.NewScheduler(n, T, onsite.WithCapacityEnforcement())
 		}},
-		{"pd-onsite-raw", true, func() (core.Scheduler, error) { return onsite.NewScheduler(n, T) }},
-		{"pd-offsite", false, func() (core.Scheduler, error) { return offsite.NewScheduler(n, T) }},
-		{"pd-shared-k2", false, func() (core.Scheduler, error) { return shared.NewScheduler(n, T, shared.WithPoolSize(2)) }},
-		{"pd-shared-k4", false, func() (core.Scheduler, error) { return shared.NewScheduler(n, T, shared.WithPoolSize(4)) }},
+		{"pd-onsite-raw", func() (core.Scheduler, error) { return onsite.NewScheduler(n, T) }},
+		{"pd-offsite", func() (core.Scheduler, error) { return offsite.NewScheduler(n, T) }},
+		{"pd-shared-k2", func() (core.Scheduler, error) { return shared.NewScheduler(n, T, shared.WithPoolSize(2)) }},
+		{"pd-shared-k4", func() (core.Scheduler, error) { return shared.NewScheduler(n, T, shared.WithPoolSize(4)) }},
 	} {
 		for _, rolling := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/rolling=%v", tc.name, rolling), func(t *testing.T) {
@@ -762,11 +766,7 @@ func TestEngineOneTokenMatchesSimulator(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var opts []simulate.Option
-				if tc.allow {
-					opts = append(opts, simulate.AllowViolations())
-				}
-				want, err := simulate.Run(inst, oracle, opts...)
+				want, err := simulate.Run(inst, oracle)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -774,7 +774,7 @@ func TestEngineOneTokenMatchesSimulator(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e, err := New(Config{Network: n, Scheduler: sched, Horizon: T, Rolling: rolling, AllowViolations: tc.allow})
+				e, err := New(Config{Network: n, Scheduler: sched, Horizon: T, Rolling: rolling})
 				if err != nil {
 					t.Fatal(err)
 				}

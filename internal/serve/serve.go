@@ -81,10 +81,6 @@ type Config struct {
 	// disables the real-time clock: the slot advances only on manual Tick
 	// calls, which is the deterministic mode tests use.
 	SlotDuration time.Duration
-	// AllowViolations force-reserves capacity the ledger does not have,
-	// for the raw Algorithm 1 whose analysis bounds (but does not
-	// prevent) violations. Feasible schedulers leave it false.
-	AllowViolations bool
 	// Now overrides the clock used for latency measurement (tests).
 	Now func() time.Time
 	// Traces, when non-nil, stores decision traces and enables the

@@ -34,6 +34,7 @@ import (
 
 	"revnf/internal/core"
 	"revnf/internal/dual"
+	"revnf/internal/timeslot"
 	"revnf/internal/trace"
 )
 
@@ -72,7 +73,7 @@ const stackCloudlets = 32
 // serialized — so engines decide with one worker token. All state
 // keyed by slot is a ring over the live window (DESIGN.md §10): λ, the
 // groups' refcounts and the end-slot cells retirement goes by share one
-// dual.Window, and AdvanceWindow is the one place a retired cell is cleared.
+// timeslot.Window, and AdvanceWindow is the one place a retired cell is cleared.
 type Scheduler struct {
 	network  *core.Network
 	poolSize int
@@ -110,11 +111,6 @@ type Scheduler struct {
 
 // Option configures the scheduler.
 type Option func(*Scheduler)
-
-// WithName overrides the reported algorithm name.
-func WithName(name string) Option {
-	return func(s *Scheduler) { s.name = name }
-}
 
 // WithRecorder injects the decision-trace sink Propose emits into. A nil
 // recorder keeps the no-op default. Tracing never changes decisions.
@@ -172,9 +168,6 @@ func (s *Scheduler) Name() string { return s.name }
 // Scheme implements core.Scheduler.
 func (s *Scheduler) Scheme() core.Scheme { return core.Shared }
 
-// PoolSize returns the pool capacity k the scheduler admits against.
-func (s *Scheduler) PoolSize() int { return s.poolSize }
-
 // Lambda implements core.LambdaReader: the current dual price λ_{tj}, or
 // 0 for a slot outside the live window.
 func (s *Scheduler) Lambda(cloudlet, slot int) float64 {
@@ -201,7 +194,7 @@ func (s *Scheduler) AdvanceWindow(base int) {
 	}
 	for _, groups := range s.open {
 		for _, g := range groups {
-			dual.ClearRing(g.ref, start, n)
+			timeslot.ClearRing(g.ref, start, n)
 		}
 	}
 }

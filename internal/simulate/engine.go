@@ -22,8 +22,8 @@ import (
 var (
 	ErrBadInstance  = errors.New("simulate: invalid instance")
 	ErrBadScheduler = errors.New("simulate: nil scheduler")
-	// ErrSchedulerOverbooked reports a scheduler that claimed a placement
-	// the ledger cannot hold while violations are disallowed.
+	// ErrSchedulerOverbooked reports a scheduler without the violation
+	// licence that claimed a placement the ledger cannot hold.
 	ErrSchedulerOverbooked = errors.New("simulate: scheduler exceeded capacity without violation licence")
 )
 
@@ -52,7 +52,7 @@ type Result[P any] struct {
 	// cells at the end of the run.
 	Utilization float64
 	// Violations lists every overcommitted (cloudlet, slot) cell; empty
-	// unless the run allowed violations.
+	// unless the scheduler is licensed to overcommit.
 	Violations []timeslot.Violation
 	// MaxViolationRatio is the worst used/capacity cell ratio.
 	MaxViolationRatio float64
@@ -67,23 +67,12 @@ func (r *Result[P]) AdmissionRate() float64 {
 	return float64(r.Admitted) / float64(total)
 }
 
-// Option configures a run.
-type Option func(*config)
-
-type config struct {
-	allowViolations bool
-}
-
-// AllowViolations lets the run force-reserve capacity the ledger does not
-// have, recording the overcommitment instead of failing. Use it for the
-// raw Algorithm 1 whose analysis bounds (but does not prevent) violations.
-func AllowViolations() Option {
-	return func(c *config) { c.allowViolations = true }
-}
-
 // Run feeds the instance's trace to the scheduler in arrival order and
-// returns the audited result.
-func Run(inst *workload.Instance, sched core.Scheduler, opts ...Option) (*Result[core.Placement], error) {
+// returns the audited result. A scheduler licensed to overcommit
+// (core.ViolationLicensee, the raw Algorithm 1) has its placements
+// force-reserved and the overcommitment recorded; any other scheduler's
+// overbooked placement is ErrSchedulerOverbooked.
+func Run(inst *workload.Instance, sched core.Scheduler) (*Result[core.Placement], error) {
 	if sched == nil {
 		return nil, ErrBadScheduler
 	}
@@ -93,14 +82,12 @@ func Run(inst *workload.Instance, sched core.Scheduler, opts ...Option) (*Result
 	if err := inst.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInstance, err)
 	}
-	var cfg config
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+	lic, ok := sched.(core.ViolationLicensee)
+	allowViolations := ok && lic.AllowsViolations()
 	footprint := func(buf []timeslot.Claim, r core.Request, p core.Placement) ([]timeslot.Claim, timeslot.Pooled) {
 		return Footprint(buf, p, inst.Network.Catalog[r.VNF].Demand)
 	}
-	return run(inst.Network, inst.Horizon, inst.Trace, inst.Trace, sched, cfg.allowViolations, footprint)
+	return run(inst.Network, inst.Horizon, inst.Trace, inst.Trace, sched, allowViolations, footprint)
 }
 
 // RunChains is Run for service function chains: it feeds the chain trace

@@ -90,7 +90,7 @@ func TestRunRawOnsiteAllowsViolations(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewScheduler: %v", err)
 	}
-	res, err := Run(inst, s, AllowViolations())
+	res, err := Run(inst, s)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -112,7 +112,7 @@ func TestRunRejectsOverbookingScheduler(t *testing.T) {
 	}
 	// Raw scheduler without the violation licence must trip the engine's
 	// overbooking guard once capacity runs out (if it ever violates).
-	_, err = Run(inst, s)
+	_, err = Run(inst, unlicensed{s})
 	if err != nil && !errors.Is(err, ErrSchedulerOverbooked) {
 		t.Fatalf("Run err = %v, want ErrSchedulerOverbooked or nil", err)
 	}
@@ -120,6 +120,11 @@ func TestRunRejectsOverbookingScheduler(t *testing.T) {
 		t.Skip("raw scheduler happened to stay within capacity on this trace")
 	}
 }
+
+// unlicensed forwards a scheduler's two-phase contract but not its
+// violation licence, which makes the raw Algorithm 1 an overbooking
+// scheduler.
+type unlicensed struct{ core.Scheduler }
 
 func TestRunValidatesPlacements(t *testing.T) {
 	inst := testInstance(t, 5)

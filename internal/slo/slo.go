@@ -194,17 +194,6 @@ func (t *Tracker) Get(id int) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Finalized returns all closed accounts (order unspecified).
-func (t *Tracker) Finalized() []Entry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Entry, 0, len(t.finalized))
-	for _, e := range t.finalized {
-		out = append(out, *e)
-	}
-	return out
-}
-
 // RepairLatency returns a snapshot of the repair-latency histogram
 // (slots per episode).
 func (t *Tracker) RepairLatency() *metrics.Histogram {

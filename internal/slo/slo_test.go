@@ -72,9 +72,6 @@ func TestTrackerLifecycle(t *testing.T) {
 	if h := tr.RepairLatency(); h.Count() != 1 || h.Sum() != 1 {
 		t.Fatalf("latency histogram = count %d sum %v", h.Count(), h.Sum())
 	}
-	if len(tr.Finalized()) != 1 {
-		t.Fatalf("Finalized() len = %d", len(tr.Finalized()))
-	}
 }
 
 func TestTrackerMetEntryStaysUndegraded(t *testing.T) {

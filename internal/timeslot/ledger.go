@@ -64,8 +64,8 @@
 // Utilization, Clone, ...) are point-in-time snapshots. The critical
 // sections are tens of nanoseconds; striping the lock per cloudlet bought
 // nothing, because every admission decision reads every cloudlet's row.
-// The geometry (base and ring origin) is additionally one packed atomic
-// word, written under the lock, so Base stays lock-free.
+// The base is additionally mirrored in one atomic word, written under the
+// lock, so Base stays lock-free.
 //
 // A Reader (NewReader) is how one goroutine reads many cells for at most
 // one lock round: Load copies the residuals of a window, for every
@@ -90,7 +90,7 @@
 //
 // # Out-of-range reads
 //
-// The read accessors (Used, Residual, ResidualWindow, Capacity, PeakUsage)
+// The read accessors (Used, Residual, ResidualWindow, Capacity)
 // return 0 for an unknown cloudlet, a slot outside the live window, or a
 // window leaving it, rather than panicking or returning an error. The
 // sentinel is deliberately fail-safe in both directions:
@@ -140,12 +140,10 @@ type Ledger struct {
 	rolling bool // circular-window mode; a fixed ledger's geometry never moves
 
 	used [][]int // used[cloudlet][ring index]; guarded by mu
-	// geom packs the window geometry into one word: the base slot in the
-	// high 48 bits, the ring origin (the index base is stored at) in the
-	// low 16. Advance stores it with mu held, so an operation holding mu
-	// reads a pinned (base, origin) pair; it is atomic only so that Base
-	// needs no lock.
-	geom atomic.Uint64
+	win  Window  // the live window's geometry; guarded by mu
+	// base mirrors win.Base(): Advance stores it with mu held, and it is
+	// atomic only so that Base needs no lock.
+	base atomic.Int64
 	// epoch counts the mutations of cells and geometry: bumped with mu
 	// held, before the mutation's first write (see "Concurrency").
 	epoch atomic.Uint64
@@ -155,25 +153,9 @@ type Ledger struct {
 	// steady-state churn allocates nothing (pool.go).
 	groups map[int]*poolGroup // guarded by mu
 	free   []*poolGroup       // guarded by mu
-	// mu comes last, so that no cache line holds both it and geom or epoch:
+	// mu comes last, so that no cache line holds both it and base or epoch:
 	// every lock round writes it, and a Reader's hits load those two.
 	mu sync.Mutex
-}
-
-// maxRollingWindow bounds a rolling window so the ring origin fits the 16
-// geometry bits. 65536 slots is orders of magnitude beyond any served
-// window; fixed ledgers (origin pinned at 0) have no such bound.
-const maxRollingWindow = 1 << 16
-
-// packGeom packs a (base, origin) pair into the geometry word.
-func packGeom(base, origin int) uint64 {
-	return uint64(base)<<16 | uint64(origin)
-}
-
-// geometry unpacks the current (base slot, ring origin) pair.
-func (l *Ledger) geometry() (base, origin int) {
-	g := l.geom.Load()
-	return int(g >> 16), int(g & 0xffff)
 }
 
 // New creates a fixed-horizon ledger for the given per-cloudlet capacities
@@ -192,9 +174,6 @@ func build(capacities []int, window int, rolling bool) (*Ledger, error) {
 	if window < 1 {
 		return nil, fmt.Errorf("%w: window %d", ErrBadSlot, window)
 	}
-	if rolling && window > maxRollingWindow {
-		return nil, fmt.Errorf("%w: rolling window %d exceeds %d", ErrBadSlot, window, maxRollingWindow)
-	}
 	if len(capacities) == 0 {
 		return nil, fmt.Errorf("%w: no capacities", ErrBadCloudlet)
 	}
@@ -207,8 +186,9 @@ func build(capacities []int, window int, rolling bool) (*Ledger, error) {
 		caps[j] = c
 		used[j] = make([]int, window)
 	}
-	l := &Ledger{window: window, caps: caps, used: used, rolling: rolling, stamp: make([]uint64, len(caps))}
-	l.geom.Store(packGeom(1, 0))
+	l := &Ledger{window: window, caps: caps, used: used, win: NewWindow(window), rolling: rolling,
+		stamp: make([]uint64, len(caps))}
+	l.base.Store(1)
 	return l, nil
 }
 
@@ -220,10 +200,7 @@ func (l *Ledger) Rolling() bool { return l.rolling }
 
 // Base returns the first slot of the live window: always 1 for a fixed
 // ledger, the current anchor for a rolling one. Lock-free.
-func (l *Ledger) Base() int {
-	base, _ := l.geometry()
-	return base
-}
+func (l *Ledger) Base() int { return int(l.base.Load()) }
 
 // MaxSlot returns the last slot of the live window (Base + Window - 1).
 func (l *Ledger) MaxSlot() int {
@@ -233,22 +210,12 @@ func (l *Ledger) MaxSlot() int {
 // Cloudlets returns the number of cloudlets tracked.
 func (l *Ledger) Cloudlets() int { return len(l.caps) }
 
-// idxAt maps an absolute in-window slot onto its ring index under the
-// given geometry. Callers must have range-checked slot against base.
-func (l *Ledger) idxAt(slot, base, origin int) int {
-	i := origin + (slot - base)
-	if i >= l.window {
-		i -= l.window
-	}
-	return i
-}
-
-// inRangeAt is the range check under an already-read geometry.
+// inRangeAt is the range check against an already-read base.
 func (l *Ledger) inRangeAt(cloudlet, slot, base int) bool {
 	return cloudlet >= 0 && cloudlet < len(l.caps) && slot >= base && slot <= base+l.window-1
 }
 
-// windowInRangeAt is the window range check under an already-read geometry.
+// windowInRangeAt is the window range check against an already-read base.
 func (l *Ledger) windowInRangeAt(cloudlet, start, duration, base int) bool {
 	return cloudlet >= 0 && cloudlet < len(l.caps) &&
 		start >= base && duration >= 1 && start+duration-1 <= base+l.window-1
@@ -259,15 +226,13 @@ func (l *Ledger) windowInRangeAt(cloudlet, start, duration, base int) bool {
 // range, slots entering the window come into it. The answer is advisory
 // under concurrency — a concurrent Advance may move the base right after.
 func (l *Ledger) InRange(cloudlet, slot int) bool {
-	base, _ := l.geometry()
-	return l.inRangeAt(cloudlet, slot, base)
+	return l.inRangeAt(cloudlet, slot, l.Base())
 }
 
 // WindowInRange reports whether the window [start, start+duration-1] of the
 // cloudlet lies fully inside the live window.
 func (l *Ledger) WindowInRange(cloudlet, start, duration int) bool {
-	base, _ := l.geometry()
-	return l.windowInRangeAt(cloudlet, start, duration, base)
+	return l.windowInRangeAt(cloudlet, start, duration, l.Base())
 }
 
 // Capacity returns cap_j for cloudlet j, or 0 for an unknown cloudlet.
@@ -283,8 +248,8 @@ func (l *Ledger) Capacity(cloudlet int) int {
 func (l *Ledger) Used(cloudlet, slot int) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if base, origin := l.geometry(); l.inRangeAt(cloudlet, slot, base) {
-		return l.used[cloudlet][l.idxAt(slot, base, origin)]
+	if l.inRangeAt(cloudlet, slot, l.win.Base()) {
+		return l.used[cloudlet][l.win.Index(slot)]
 	}
 	return 0
 }
@@ -296,8 +261,8 @@ func (l *Ledger) Used(cloudlet, slot int) int {
 func (l *Ledger) Residual(cloudlet, slot int) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if base, origin := l.geometry(); l.inRangeAt(cloudlet, slot, base) {
-		return l.caps[cloudlet] - l.used[cloudlet][l.idxAt(slot, base, origin)]
+	if l.inRangeAt(cloudlet, slot, l.win.Base()) {
+		return l.caps[cloudlet] - l.used[cloudlet][l.win.Index(slot)]
 	}
 	return 0
 }
@@ -310,17 +275,17 @@ func (l *Ledger) Residual(cloudlet, slot int) int {
 func (l *Ledger) ResidualWindow(cloudlet, start, duration int) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if base, origin := l.geometry(); l.windowInRangeAt(cloudlet, start, duration, base) {
-		return l.residualWindowLocked(cloudlet, start, duration, base, origin)
+	if l.windowInRangeAt(cloudlet, start, duration, l.win.Base()) {
+		return l.residualWindowLocked(cloudlet, start, duration)
 	}
 	return 0
 }
 
 // residualWindowLocked computes the window minimum with mu held (which
-// pins the given geometry; see the package comment).
-func (l *Ledger) residualWindowLocked(cloudlet, start, duration, base, origin int) int {
+// pins the window; see the package comment).
+func (l *Ledger) residualWindowLocked(cloudlet, start, duration int) int {
 	row, capacity := l.used[cloudlet], l.caps[cloudlet]
-	i := l.idxAt(start, base, origin)
+	i := l.win.Index(start)
 	minFree := capacity - row[i]
 	for t := 1; t < duration; t++ {
 		if i++; i == len(row) {
@@ -387,11 +352,10 @@ func (l *Ledger) book(start, duration int, claims []Claim, pooled *Pooled, sign 
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	base, origin := l.geometry()
 	var g *poolGroup
 	if pooled != nil {
 		var err error
-		if g, err = l.groupLocked(pooled, start, duration, sign, base, origin); err != nil {
+		if g, err = l.groupLocked(pooled, start, duration, sign); err != nil {
 			return false, err
 		}
 	}
@@ -399,11 +363,11 @@ func (l *Ledger) book(start, duration int, claims []Claim, pooled *Pooled, sign 
 		if c.Cloudlet < 0 || c.Cloudlet >= len(l.caps) {
 			return false, fmt.Errorf("%w: %d", ErrBadCloudlet, c.Cloudlet)
 		}
-		if err := l.checkArgsAt(start, duration, c.Units, base); err != nil {
+		if err := l.checkArgsLocked(start, duration, c.Units); err != nil {
 			return false, err
 		}
 	}
-	first := l.idxAt(start, base, origin)
+	first := l.win.Index(start)
 	for k, c := range claims {
 		// What the cloudlet must have: this claim on top of the earlier
 		// claims against the same cloudlet.
@@ -416,7 +380,7 @@ func (l *Ledger) book(start, duration int, claims []Claim, pooled *Pooled, sign 
 		switch {
 		case force: // licensed to overbook: written untested
 		case sign > 0:
-			if l.residualWindowLocked(c.Cloudlet, start, duration, base, origin) < need {
+			if l.residualWindowLocked(c.Cloudlet, start, duration) < need {
 				return false, nil
 			}
 		default:
@@ -511,12 +475,12 @@ func (l *Ledger) Advance(base int) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	cur, origin := l.geometry()
+	cur := l.win.Base()
 	if base < cur {
 		return fmt.Errorf("%w: advance to %d behind base %d", ErrBadSlot, base, cur)
 	}
 	retire := 0
-	for i := origin; retire < base-cur && retire < l.window && l.drainedLocked(i); retire++ {
+	for i := l.win.Index(cur); retire < base-cur && retire < l.window && l.drainedLocked(i); retire++ {
 		if i++; i == l.window {
 			i = 0
 		}
@@ -530,7 +494,8 @@ func (l *Ledger) Advance(base int) error {
 	// Retired rows are zero, so the slots entering the window reuse them
 	// as-is: re-basing is pure geometry.
 	l.epoch.Add(1)
-	l.geom.Store(packGeom(cur+retire, (origin+retire%l.window)%l.window))
+	l.win.Advance(cur + retire)
+	l.base.Store(int64(cur + retire))
 	return nil
 }
 
@@ -545,10 +510,11 @@ func (l *Ledger) drainedLocked(i int) bool {
 	return true
 }
 
-// checkArgsAt validates mutating-call arguments against an already-read
-// geometry base (the ledger's own callers hold mu, which pins it).
-func (l *Ledger) checkArgsAt(start, duration, units, base int) error {
-	if start < base || duration < 1 || start+duration-1 > base+l.window-1 {
+// checkArgsLocked validates mutating-call arguments against the live
+// window. Caller holds mu.
+func (l *Ledger) checkArgsLocked(start, duration, units int) error {
+	if duration < 1 || !l.win.Contains(start, start+duration-1) {
+		base := l.win.Base()
 		return fmt.Errorf("%w: window [%d,%d] live window [%d,%d]",
 			ErrBadSlot, start, start+duration-1, base, base+l.window-1)
 	}
@@ -566,21 +532,15 @@ type Violation struct {
 	Used, Capacity int
 }
 
-// Excess returns Used - Capacity.
-func (v Violation) Excess() int { return v.Used - v.Capacity }
-
-// Ratio returns Used / Capacity, the multiplicative overcommitment.
-func (v Violation) Ratio() float64 { return float64(v.Used) / float64(v.Capacity) }
-
 // Violations returns every overcommitted live cell in cloudlet-then-slot
 // order.
 func (l *Ledger) Violations() []Violation {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	base, origin := l.geometry()
+	base := l.win.Base()
 	var out []Violation
 	for j := range l.caps {
-		i := origin
+		i := l.win.Index(base)
 		for t := base; t <= base+l.window-1; t++ {
 			if u := l.used[j][i]; u > l.caps[j] {
 				out = append(out, Violation{Cloudlet: j, Slot: t, Used: u, Capacity: l.caps[j]})
@@ -626,23 +586,6 @@ func (l *Ledger) Utilization() float64 {
 	return total / float64(len(l.caps)*l.window)
 }
 
-// PeakUsage returns the maximum units in use in cloudlet j across the live
-// window, or 0 for an unknown cloudlet.
-func (l *Ledger) PeakUsage(cloudlet int) int {
-	if cloudlet < 0 || cloudlet >= len(l.caps) {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	peak := 0
-	for _, u := range l.used[cloudlet] {
-		if u > peak {
-			peak = u
-		}
-	}
-	return peak
-}
-
 // Clone returns an independent deep copy of the ledger's cells (same mode,
 // same window position), used by solvers that explore hypothetical
 // schedules. Backup groups are not copied: the clone has none.
@@ -653,8 +596,8 @@ func (l *Ledger) Clone() *Ledger {
 	for j, row := range l.used {
 		used[j] = append([]int(nil), row...)
 	}
-	c := &Ledger{window: l.window, caps: append([]int(nil), l.caps...), used: used, rolling: l.rolling,
+	c := &Ledger{window: l.window, caps: append([]int(nil), l.caps...), used: used, win: l.win, rolling: l.rolling,
 		stamp: make([]uint64, len(l.caps))}
-	c.geom.Store(l.geom.Load())
+	c.base.Store(l.base.Load())
 	return c
 }

@@ -114,12 +114,6 @@ func TestForceReserveAndViolations(t *testing.T) {
 	if v.Cloudlet != 1 || v.Slot != 2 || v.Used != 8 || v.Capacity != 5 {
 		t.Errorf("violation = %+v", v)
 	}
-	if v.Excess() != 3 {
-		t.Errorf("Excess() = %d, want 3", v.Excess())
-	}
-	if !core.FloatEqTol(v.Ratio(), 1.6, 1e-12) {
-		t.Errorf("Ratio() = %v, want 1.6", v.Ratio())
-	}
 	if got := l.MaxViolationRatio(); !core.FloatEqTol(got, 1.6, 1e-12) {
 		t.Errorf("MaxViolationRatio() = %v, want 1.6", got)
 	}
@@ -180,15 +174,6 @@ func TestUtilizationAndPeak(t *testing.T) {
 	}
 	if got := l.Utilization(); !core.FloatEqTol(got, 0.25, 1e-12) {
 		t.Errorf("Utilization = %v, want 0.25", got)
-	}
-	if got := l.PeakUsage(0); got != 5 {
-		t.Errorf("PeakUsage(0) = %d, want 5", got)
-	}
-	if got := l.PeakUsage(1); got != 0 {
-		t.Errorf("PeakUsage(1) = %d, want 0", got)
-	}
-	if got := l.PeakUsage(9); got != 0 {
-		t.Errorf("PeakUsage(9) = %d, want 0", got)
 	}
 }
 

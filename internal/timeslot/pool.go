@@ -121,12 +121,6 @@ func (p *Pool) Release(group, start, duration int) error {
 	return err
 }
 
-// Covered reports whether the group holds the slot for at least one
-// member (and therefore holds ledger capacity there).
-func (p *Pool) Covered(group, slot int) bool {
-	return p.Refs(group, slot) > 0
-}
-
 // Refs returns the member refcount of the group at the slot (0 when the
 // group or slot is unknown). Tests use it to audit conservation.
 func (p *Pool) Refs(group, slot int) int {
@@ -134,11 +128,10 @@ func (p *Pool) Refs(group, slot int) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	g, ok := l.groups[group]
-	base, origin := l.geometry()
-	if !ok || slot < base || slot >= base+l.window {
+	if !ok || !l.win.Contains(slot, slot) {
 		return 0
 	}
-	return int(g.ref[l.idxAt(slot, base, origin)])
+	return int(g.ref[l.win.Index(slot)])
 }
 
 // Groups returns the number of groups currently holding capacity.
@@ -153,13 +146,13 @@ func (p *Pool) Groups() int {
 // row needs a known cloudlet, positive units and a live window, and a group
 // it joins must be of that cloudlet and those units; a release needs a
 // group that covers every slot of the window. Caller holds mu.
-func (l *Ledger) groupLocked(m *Pooled, start, duration, sign, base, origin int) (*poolGroup, error) {
+func (l *Ledger) groupLocked(m *Pooled, start, duration, sign int) (*poolGroup, error) {
 	g := l.groups[m.Group]
 	if sign > 0 {
 		if m.Cloudlet < 0 || m.Cloudlet >= len(l.caps) {
 			return nil, fmt.Errorf("%w: %d", ErrBadCloudlet, m.Cloudlet)
 		}
-		if err := l.checkArgsAt(start, duration, m.Units, base); err != nil {
+		if err := l.checkArgsLocked(start, duration, m.Units); err != nil {
 			return nil, err
 		}
 		if g != nil && (g.cloudlet != m.Cloudlet || g.units != m.Units) {
@@ -175,7 +168,7 @@ func (l *Ledger) groupLocked(m *Pooled, start, duration, sign, base, origin int)
 		return nil, fmt.Errorf("%w: %d", ErrUnknownGroup, m.Group)
 	}
 	for t := start; t < start+duration; t++ {
-		if t < base || t >= base+l.window || g.ref[l.idxAt(t, base, origin)] < 1 {
+		if !l.win.Contains(t, t) || g.ref[l.win.Index(t)] < 1 {
 			return nil, fmt.Errorf("%w: group %d slot %d", ErrNotCovered, m.Group, t)
 		}
 	}

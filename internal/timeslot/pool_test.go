@@ -266,7 +266,7 @@ func TestPoolSharing(t *testing.T) {
 			t.Fatalf("slot %d: used %d, want 3 (one pooled instance)", slot, got)
 		}
 	}
-	if !pool.Covered(1, 5) || pool.Covered(1, 15) {
+	if pool.Refs(1, 5) == 0 || pool.Refs(1, 15) != 0 {
 		t.Fatal("coverage bounds wrong")
 	}
 	// First member leaves: [1,4] drains, overlap stays.

@@ -71,13 +71,13 @@ func (r *Reader) Load(start, duration int) {
 		r.free, r.pmin = make([]int, need), make([]int, need)
 	}
 	l.mu.Lock()
-	base, origin := l.geometry()
+	base := l.win.Base()
 	switch {
 	case inside && r.start >= base:
 		// The copy's window is still live: only the rows written since the
 		// copy differ from what copying it again would produce.
 		r.refreshes++
-		i := l.idxAt(r.start, base, origin)
+		i := l.win.Index(r.start)
 		for j, stamp := range l.stamp {
 			if stamp > r.epoch {
 				r.copyRow(j, i)
@@ -85,7 +85,7 @@ func (r *Reader) Load(start, duration int) {
 		}
 	case l.windowInRangeAt(0, start, duration, base):
 		r.start, r.duration = start, duration
-		i := l.idxAt(start, base, origin)
+		i := l.win.Index(start)
 		for j := range l.used {
 			r.copyRow(j, i)
 		}

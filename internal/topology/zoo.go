@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // The embedded topologies below stand in for the Internet Topology Zoo
@@ -141,52 +140,4 @@ func PlaceCloudletsByDegree(g *Graph, k int) ([]int, error) {
 		return nil, fmt.Errorf("%w: k=%d with %d nodes", ErrBadNode, k, g.Nodes())
 	}
 	return g.NodesByDegree()[:k], nil
-}
-
-// PlaceCloudletsRandom returns k distinct random nodes as cloudlet sites.
-func PlaceCloudletsRandom(g *Graph, k int, rng *rand.Rand) ([]int, error) {
-	if k < 1 || k > g.Nodes() {
-		return nil, fmt.Errorf("%w: k=%d with %d nodes", ErrBadNode, k, g.Nodes())
-	}
-	perm := rng.Perm(g.Nodes())
-	sites := append([]int(nil), perm[:k]...)
-	sort.Ints(sites)
-	return sites, nil
-}
-
-// PlaceCloudletsKCenter greedily picks k sites that are far apart
-// (farthest-point heuristic for the k-center problem), minimizing the worst
-// access latency from any AP to its nearest cloudlet.
-func PlaceCloudletsKCenter(g *Graph, k int) ([]int, error) {
-	if k < 1 || k > g.Nodes() {
-		return nil, fmt.Errorf("%w: k=%d with %d nodes", ErrBadNode, k, g.Nodes())
-	}
-	// Start from the highest-degree node for determinism.
-	first := g.NodesByDegree()[0]
-	sites := []int{first}
-	minDist, err := g.ShortestLatencies(first)
-	if err != nil {
-		return nil, err
-	}
-	for len(sites) < k {
-		// Pick the node farthest from all current sites.
-		far, farDist := -1, -1.0
-		for v := 0; v < g.Nodes(); v++ {
-			if minDist[v] > farDist {
-				far, farDist = v, minDist[v]
-			}
-		}
-		sites = append(sites, far)
-		dist, err := g.ShortestLatencies(far)
-		if err != nil {
-			return nil, err
-		}
-		for v := range minDist {
-			if dist[v] < minDist[v] {
-				minDist[v] = dist[v]
-			}
-		}
-	}
-	sort.Ints(sites)
-	return sites, nil
 }

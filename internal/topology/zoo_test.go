@@ -2,7 +2,6 @@ package topology
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 )
 
@@ -83,51 +82,5 @@ func TestPlaceCloudletsByDegree(t *testing.T) {
 	}
 	if _, err := PlaceCloudletsByDegree(g, 99); !errors.Is(err, ErrBadNode) {
 		t.Errorf("k too large err = %v, want ErrBadNode", err)
-	}
-}
-
-func TestPlaceCloudletsRandom(t *testing.T) {
-	g := MustLoad(Abilene)
-	rng := rand.New(rand.NewSource(7))
-	sites, err := PlaceCloudletsRandom(g, 4, rng)
-	if err != nil {
-		t.Fatalf("PlaceCloudletsRandom: %v", err)
-	}
-	seen := map[int]bool{}
-	for _, s := range sites {
-		if s < 0 || s >= g.Nodes() {
-			t.Errorf("site %d out of range", s)
-		}
-		if seen[s] {
-			t.Errorf("duplicate site %d", s)
-		}
-		seen[s] = true
-	}
-	if _, err := PlaceCloudletsRandom(g, 0, rng); !errors.Is(err, ErrBadNode) {
-		t.Errorf("k=0 err = %v, want ErrBadNode", err)
-	}
-}
-
-func TestPlaceCloudletsKCenter(t *testing.T) {
-	g := pathGraph(t, 10)
-	sites, err := PlaceCloudletsKCenter(g, 2)
-	if err != nil {
-		t.Fatalf("PlaceCloudletsKCenter: %v", err)
-	}
-	if len(sites) != 2 {
-		t.Fatalf("got %d sites, want 2", len(sites))
-	}
-	// On a path the two centers must include both ends' neighborhoods:
-	// they should be far apart (at least half the diameter).
-	d, _ := g.Diameter()
-	lat, err := g.PathLatency(sites[0], sites[1])
-	if err != nil {
-		t.Fatalf("PathLatency: %v", err)
-	}
-	if lat < d/2 {
-		t.Errorf("k-center sites %v too close: %v < %v", sites, lat, d/2)
-	}
-	if _, err := PlaceCloudletsKCenter(g, 0); !errors.Is(err, ErrBadNode) {
-		t.Errorf("k=0 err = %v, want ErrBadNode", err)
 	}
 }

@@ -160,13 +160,6 @@ func (s *Store) Len() int {
 	return s.count
 }
 
-// Capacity returns the ring size.
-func (s *Store) Capacity() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.ring)
-}
-
 // Stats snapshots the store's counters.
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()

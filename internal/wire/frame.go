@@ -25,26 +25,22 @@ import (
 //
 //	FrameRequest  (client→server): u32 vnf, u32 arrival, u32 duration,
 //	                               f64 reliability, f64 payment,
-//	                               u8 scheme (v2)     (28 or 29 bytes)
+//	                               u8 scheme                    (29 bytes)
 //	FrameDecision (server→client): u64 id, u32 slot, u8 flags (bit0 =
 //	                               admitted), u8 reason code    (14 bytes)
 //	FrameError    (server→client): u16 status code, u8 reason code,
 //	                               u16 detail length, detail bytes
 //
-// Protocol v2 appended a trailing scheme byte to FrameRequest: the
-// core.Scheme value the request pins, 0 for no preference. Decoders
-// accept both payload sizes, so v1 senders keep working against v2
-// servers (their requests simply carry no scheme pin).
+// A FrameRequest's trailing scheme byte is the core.Scheme value the
+// request pins, 0 for no preference.
 //
 // A FrameError is terminal: the server sends one and closes the
 // connection.
 const (
 	// Magic opens every binary-framed connection.
 	Magic = "RVNF"
-	// Version is the current protocol version carried after the magic.
-	// Version 1 preambles are still accepted: the only v2 change is the
-	// optional request scheme byte, which the request decoder detects by
-	// payload size.
+	// Version is the protocol version carried after the magic, the only
+	// one a preamble may name.
 	Version = 2
 
 	// FrameRequest carries one admission request.
@@ -60,12 +56,11 @@ const (
 	// header included: a receiver of requests need wait for no more.
 	MaxRequestFrame = headerSize + requestPayloadSize
 
-	preambleSize         = 5
-	headerSize           = 5 // u32 length + u8 type
-	requestPayloadSizeV1 = 28
-	requestPayloadSize   = 29 // v1 payload + u8 scheme
-	decisionPayloadSize  = 14
-	errorHeaderSize      = 5 // u16 code + u8 reason + u16 detail length
+	preambleSize        = 5
+	headerSize          = 5 // u32 length + u8 type
+	requestPayloadSize  = 29
+	decisionPayloadSize = 14
+	errorHeaderSize     = 5 // u16 code + u8 reason + u16 detail length
 )
 
 // maxFrameInt bounds the integer request fields a frame can carry.
@@ -82,8 +77,6 @@ var (
 	ErrBadFrame = errors.New("wire: bad frame length")
 	// ErrShortFrame reports bytes that end before the frame they open does.
 	ErrShortFrame = errors.New("wire: incomplete frame")
-	// ErrBadType reports an unknown frame type.
-	ErrBadType = errors.New("wire: unknown frame type")
 	// ErrBadPayload reports a payload whose size or contents do not match
 	// its frame type.
 	ErrBadPayload = errors.New("wire: bad frame payload")
@@ -105,9 +98,7 @@ func ReadPreamble(r io.Reader) error {
 	if string(p[:4]) != Magic {
 		return ErrBadMagic
 	}
-	// v1 connections are accepted unchanged: every v1 frame is also a
-	// valid v2 frame (the request scheme byte is optional).
-	if p[4] != Version && p[4] != 1 {
+	if p[4] != Version {
 		return fmt.Errorf("%w: %d", ErrBadVersion, p[4])
 	}
 	return nil
@@ -175,14 +166,13 @@ func (fr *FrameReader) Next() (frameType byte, payload []byte, err error) {
 	return frameType, payload, nil
 }
 
-// DecodeRequest decodes a FrameRequest payload into req, accepting both
-// the 28-byte v1 layout (no scheme pin) and the 29-byte v2 layout whose
+// DecodeRequest decodes a 29-byte FrameRequest payload into req; its
 // trailing byte is the pinned core.Scheme value (0 for none). Zero heap
 // allocations.
 func DecodeRequest(payload []byte, req *Request) error {
-	if len(payload) != requestPayloadSizeV1 && len(payload) != requestPayloadSize {
-		return fmt.Errorf("%w: request payload %d bytes, want %d or %d",
-			ErrBadPayload, len(payload), requestPayloadSizeV1, requestPayloadSize)
+	if len(payload) != requestPayloadSize {
+		return fmt.Errorf("%w: request payload %d bytes, want %d",
+			ErrBadPayload, len(payload), requestPayloadSize)
 	}
 	req.VNF = int(binary.LittleEndian.Uint32(payload[0:4]))
 	req.Arrival = int(binary.LittleEndian.Uint32(payload[4:8]))
@@ -190,7 +180,7 @@ func DecodeRequest(payload []byte, req *Request) error {
 	req.Reliability = math.Float64frombits(binary.LittleEndian.Uint64(payload[12:20]))
 	req.Payment = math.Float64frombits(binary.LittleEndian.Uint64(payload[20:28]))
 	req.Scheme = ""
-	if len(payload) == requestPayloadSize && payload[28] != 0 {
+	if payload[28] != 0 {
 		s := core.Scheme(payload[28])
 		if !s.Valid() {
 			return fmt.Errorf("%w: scheme byte %d", ErrBadPayload, payload[28])

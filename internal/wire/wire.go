@@ -42,7 +42,7 @@ type Request struct {
 	// Scheme optionally pins the redundancy scheme the request demands
 	// (canonical flag spelling, e.g. "shared"); empty accepts whatever the
 	// daemon runs. On the binary framing it travels as a one-byte
-	// core.Scheme value (protocol v2); v1 frames leave it empty.
+	// core.Scheme value.
 	Scheme string
 }
 
@@ -74,7 +74,7 @@ const (
 	ReasonNotFound   ReasonCode = 10
 	ReasonInternal   ReasonCode = 11
 	// ReasonSchemeUnavailable marks requests pinning a scheme the daemon
-	// does not run (protocol v2; v1 receivers see it as an unknown code).
+	// does not run.
 	ReasonSchemeUnavailable ReasonCode = 12
 	// ReasonUnknown transports a reason string minted after this protocol
 	// revision; receivers should treat it as an unspecified rejection.

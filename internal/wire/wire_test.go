@@ -439,9 +439,13 @@ func TestFrameRequestSchemeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameRequestV1Compat ensures a v1 peer's 28-byte request payload
-// still decodes (empty scheme), and a corrupt scheme byte is rejected.
+// TestFrameRequestV1Compat ensures a v1 peer is refused — its preamble
+// and its 28-byte request payload, which has no scheme byte — and a
+// corrupt scheme byte is rejected.
 func TestFrameRequestV1Compat(t *testing.T) {
+	if err := ReadPreamble(strings.NewReader(Magic + "\x01")); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("v1 preamble err = %v, want ErrBadVersion", err)
+	}
 	full := Request{VNF: 1, Arrival: 2, Duration: 3, Reliability: 0.5, Payment: 6, Scheme: "shared"}
 	buf, err := AppendRequestFrame(nil, &full)
 	if err != nil {
@@ -450,13 +454,8 @@ func TestFrameRequestV1Compat(t *testing.T) {
 	payload := buf[headerSize:]
 
 	var got Request
-	if err := DecodeRequest(payload[:requestPayloadSizeV1], &got); err != nil {
-		t.Fatalf("v1 payload: %v", err)
-	}
-	want := full
-	want.Scheme = ""
-	if got != want {
-		t.Fatalf("v1 decode = %+v, want %+v", got, want)
+	if err := DecodeRequest(payload[:requestPayloadSize-1], &got); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("v1 payload err = %v, want ErrBadPayload", err)
 	}
 
 	payload[28] = 99

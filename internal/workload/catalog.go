@@ -38,48 +38,6 @@ func DefaultCatalog() []core.VNF {
 	}
 }
 
-// CatalogConfig controls RandomCatalog.
-type CatalogConfig struct {
-	// Types is the number of VNF types to generate.
-	Types int
-	// MinDemand and MaxDemand bound the per-instance computing demand.
-	MinDemand, MaxDemand int
-	// MinReliability and MaxReliability bound r(f), each in (0,1).
-	MinReliability, MaxReliability float64
-}
-
-// Validate checks the configuration ranges.
-func (c CatalogConfig) Validate() error {
-	if c.Types < 1 {
-		return fmt.Errorf("%w: %d VNF types", ErrBadConfig, c.Types)
-	}
-	if c.MinDemand < 1 || c.MaxDemand < c.MinDemand {
-		return fmt.Errorf("%w: demand range [%d,%d]", ErrBadConfig, c.MinDemand, c.MaxDemand)
-	}
-	if c.MinReliability <= 0 || c.MaxReliability >= 1 || c.MaxReliability < c.MinReliability {
-		return fmt.Errorf("%w: reliability range [%v,%v]", ErrBadConfig, c.MinReliability, c.MaxReliability)
-	}
-	return nil
-}
-
-// RandomCatalog generates a catalog with uniformly distributed demands and
-// reliabilities within the configured ranges.
-func RandomCatalog(cfg CatalogConfig, rng *rand.Rand) ([]core.VNF, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]core.VNF, cfg.Types)
-	for i := range out {
-		out[i] = core.VNF{
-			ID:          i,
-			Name:        fmt.Sprintf("vnf-%02d", i),
-			Demand:      cfg.MinDemand + rng.Intn(cfg.MaxDemand-cfg.MinDemand+1),
-			Reliability: uniform(rng, cfg.MinReliability, cfg.MaxReliability),
-		}
-	}
-	return out, nil
-}
-
 // CloudletConfig controls RandomCloudlets. The reliability spread is
 // expressed through the paper's K knob: reliabilities are uniform over
 // [MaxReliability/K, MaxReliability].

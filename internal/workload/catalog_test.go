@@ -27,55 +27,6 @@ func TestDefaultCatalog(t *testing.T) {
 	}
 }
 
-func TestRandomCatalog(t *testing.T) {
-	cfg := CatalogConfig{Types: 20, MinDemand: 2, MaxDemand: 5, MinReliability: 0.8, MaxReliability: 0.99}
-	cat, err := RandomCatalog(cfg, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatalf("RandomCatalog: %v", err)
-	}
-	if len(cat) != 20 {
-		t.Fatalf("size = %d, want 20", len(cat))
-	}
-	for i, f := range cat {
-		if f.ID != i {
-			t.Errorf("VNF %d has ID %d", i, f.ID)
-		}
-		if f.Demand < 2 || f.Demand > 5 {
-			t.Errorf("demand %d out of range", f.Demand)
-		}
-		if f.Reliability < 0.8 || f.Reliability > 0.99 {
-			t.Errorf("reliability %v out of range", f.Reliability)
-		}
-	}
-}
-
-func TestCatalogConfigValidate(t *testing.T) {
-	good := CatalogConfig{Types: 5, MinDemand: 1, MaxDemand: 3, MinReliability: 0.9, MaxReliability: 0.99}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
-	tests := []struct {
-		name   string
-		mutate func(*CatalogConfig)
-	}{
-		{"zero types", func(c *CatalogConfig) { c.Types = 0 }},
-		{"zero min demand", func(c *CatalogConfig) { c.MinDemand = 0 }},
-		{"inverted demand", func(c *CatalogConfig) { c.MaxDemand = 0 }},
-		{"reliability 0", func(c *CatalogConfig) { c.MinReliability = 0 }},
-		{"reliability 1", func(c *CatalogConfig) { c.MaxReliability = 1 }},
-		{"inverted reliability", func(c *CatalogConfig) { c.MaxReliability = 0.5 }},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			cfg := good
-			tt.mutate(&cfg)
-			if err := cfg.Validate(); !errors.Is(err, ErrBadConfig) {
-				t.Errorf("Validate() = %v, want ErrBadConfig", err)
-			}
-		})
-	}
-}
-
 func TestRandomCloudlets(t *testing.T) {
 	cfg := CloudletConfig{Count: 10, MinCapacity: 50, MaxCapacity: 100, MaxReliability: 0.999, K: 1.05}
 	cls, err := RandomCloudlets(cfg, rand.New(rand.NewSource(2)))

@@ -61,6 +61,13 @@ func (c *proposeCopy[R, P]) Propose(req R, view core.CapacityView) (P, bool) {
 	return c.step.propose(c.TwoPhase.Propose, req, view)
 }
 
+// AllowsViolations forwards the copied scheduler's violation licence, so
+// the raw Algorithm 1 may overbook in its copies as it does alone.
+func (c *proposeCopy[R, P]) AllowsViolations() bool {
+	lic, ok := c.TwoPhase.(core.ViolationLicensee)
+	return ok && lic.AllowsViolations()
+}
+
 // TestProposeIsPure holds the two-phase contract's "Propose mutates no
 // scheduler state" as a property: two copies of each scheduler, each with
 // its own ledger and no recorder, run one seeded trace, and before every
@@ -76,21 +83,20 @@ func TestProposeIsPure(t *testing.T) {
 	n, h := inst.Network, inst.Horizon
 	for _, c := range []struct {
 		name  string
-		opts  []simulate.Option // raw Algorithm 1 may overbook
 		build func() (core.Scheduler, error)
 	}{
-		{"pd-onsite-raw", []simulate.Option{simulate.AllowViolations()}, func() (core.Scheduler, error) { return onsite.NewScheduler(n, h) }},
-		{"pd-onsite", nil, func() (core.Scheduler, error) {
+		{"pd-onsite-raw", func() (core.Scheduler, error) { return onsite.NewScheduler(n, h) }},
+		{"pd-onsite", func() (core.Scheduler, error) {
 			return onsite.NewScheduler(n, h, onsite.WithCapacityEnforcement())
 		}},
-		{"pd-offsite", nil, func() (core.Scheduler, error) { return offsite.NewScheduler(n, h) }},
-		{"pd-shared-k1", nil, func() (core.Scheduler, error) { return shared.NewScheduler(n, h, shared.WithPoolSize(1)) }},
-		{"pd-shared-k2", nil, func() (core.Scheduler, error) { return shared.NewScheduler(n, h, shared.WithPoolSize(2)) }},
-		{"pd-shared-k3", nil, func() (core.Scheduler, error) { return shared.NewScheduler(n, h, shared.WithPoolSize(3)) }},
-		{"greedy-onsite", nil, func() (core.Scheduler, error) { return baseline.NewGreedyOnsite(n) }},
-		{"greedy-offsite", nil, func() (core.Scheduler, error) { return baseline.NewGreedyOffsite(n) }},
-		{"firstfit-onsite", nil, func() (core.Scheduler, error) { return baseline.NewFirstFitOnsite(n) }},
-		{"reject-all", nil, func() (core.Scheduler, error) { return baseline.NewRejectAll(core.OnSite) }},
+		{"pd-offsite", func() (core.Scheduler, error) { return offsite.NewScheduler(n, h) }},
+		{"pd-shared-k1", func() (core.Scheduler, error) { return shared.NewScheduler(n, h, shared.WithPoolSize(1)) }},
+		{"pd-shared-k2", func() (core.Scheduler, error) { return shared.NewScheduler(n, h, shared.WithPoolSize(2)) }},
+		{"pd-shared-k3", func() (core.Scheduler, error) { return shared.NewScheduler(n, h, shared.WithPoolSize(3)) }},
+		{"greedy-onsite", func() (core.Scheduler, error) { return baseline.NewGreedyOnsite(n) }},
+		{"greedy-offsite", func() (core.Scheduler, error) { return baseline.NewGreedyOffsite(n) }},
+		{"firstfit-onsite", func() (core.Scheduler, error) { return baseline.NewFirstFitOnsite(n) }},
+		{"reject-all", func() (core.Scheduler, error) { return baseline.NewRejectAll(core.OnSite) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			run := func(rng *rand.Rand) ([]simulate.Decision[core.Placement], []uint64) {
@@ -99,7 +105,7 @@ func TestProposeIsPure(t *testing.T) {
 					t.Fatal(err)
 				}
 				cp := newCopy(s, rng, len(n.Cloudlets), h)
-				res, err := simulate.Run(inst, cp, c.opts...)
+				res, err := simulate.Run(inst, cp)
 				if err != nil {
 					t.Fatal(err)
 				}

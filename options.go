@@ -29,8 +29,9 @@ const (
 	PrimalDual Algorithm = "pd"
 	// RawPrimalDual is the theory-faithful Algorithm 1 (OnSite only): it
 	// achieves the (1+a_max) competitive ratio but may overcommit cloudlets
-	// within the bound of Lemma 8 — run it with RunAllowingViolations or
-	// serve.Config.AllowViolations. Requires WithHorizon.
+	// within the bound of Lemma 8. The scheduler carries that licence
+	// itself (core.ViolationLicensee), so Run and the serve engine record
+	// its overcommitment rather than refuse it. Requires WithHorizon.
 	RawPrimalDual Algorithm = "raw"
 	// Greedy is the paper's comparison baseline: most reliable cloudlets
 	// first, no opportunity-cost reasoning. Available under both schemes.
@@ -212,11 +213,6 @@ func newSharedScheduler(n *Network, cfg schedulerConfig) (Scheduler, error) {
 		return nil, fmt.Errorf("%w: unknown algorithm %q", ErrBadScheduler, cfg.algorithm)
 	}
 }
-
-// AllowsViolations reports whether the algorithm may overcommit capacity
-// and therefore needs RunAllowingViolations / serve.Config.AllowViolations.
-// Only RawPrimalDual does.
-func (a Algorithm) AllowsViolations() bool { return a == RawPrimalDual }
 
 // Valid reports whether a names a known algorithm.
 func (a Algorithm) Valid() bool {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"revnf/internal/core"
 )
 
 // TestNewSchedulerHappyPaths builds every (scheme, algorithm) pair the
@@ -78,14 +80,25 @@ func TestNewSchedulerErrors(t *testing.T) {
 	}
 }
 
-// TestAlgorithmPredicates pins Valid and AllowsViolations — revnfd keys its
-// flag validation and -allow-violations default off them.
+// TestAlgorithmPredicates pins Valid — revnfd keys its flag validation off
+// it — and that of the on-site schedulers only RawPrimalDual's carries the
+// violation licence Run and the serve engine read off the scheduler.
 func TestAlgorithmPredicates(t *testing.T) {
+	inst, err := NewInstance(DefaultInstanceConfig(10), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, a := range []Algorithm{PrimalDual, RawPrimalDual, Greedy, FirstFit, Random} {
 		if !a.Valid() {
 			t.Errorf("%q should be valid", a)
 		}
-		if got, want := a.AllowsViolations(), a == RawPrimalDual; got != want {
+		s, err := NewScheduler(inst.Network, OnSite, WithAlgorithm(a), WithHorizon(inst.Horizon),
+			WithRNG(rand.New(rand.NewSource(1))))
+		if err != nil {
+			t.Fatalf("%q: %v", a, err)
+		}
+		lic, ok := s.(core.ViolationLicensee)
+		if got, want := ok && lic.AllowsViolations(), a == RawPrimalDual; got != want {
 			t.Errorf("%q AllowsViolations = %v, want %v", a, got, want)
 		}
 	}

@@ -103,8 +103,6 @@ type (
 	CloudletConfig = workload.CloudletConfig
 	// TraceConfig configures random request traces (H knob).
 	TraceConfig = workload.TraceConfig
-	// CatalogConfig configures random VNF catalogs.
-	CatalogConfig = workload.CatalogConfig
 )
 
 // Simulation types.
@@ -164,16 +162,11 @@ func NewInstance(cfg InstanceConfig, seed int64) (*Instance, error) {
 }
 
 // Run simulates the scheduler over the instance's trace with full
-// capacity and reliability auditing.
+// capacity and reliability auditing. The raw Algorithm 1 (RawPrimalDual)
+// is licensed to overcommit capacity: its overcommitment is recorded in
+// the result rather than refused.
 func Run(inst *Instance, sched Scheduler) (*SimResult, error) {
 	return simulate.Run(inst, sched)
-}
-
-// RunAllowingViolations simulates a scheduler that is licensed to
-// overcommit capacity (the raw Algorithm 1); overcommitment is recorded in
-// the result.
-func RunAllowingViolations(inst *Instance, sched Scheduler) (*SimResult, error) {
-	return simulate.Run(inst, sched, simulate.AllowViolations())
 }
 
 // SolveOffline computes the offline comparator schedule for the scheme.

@@ -76,15 +76,15 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Raw Algorithm 1 with the violation licence: revenue must be within
-	// the competitive ratio of the offline bound.
+	// Raw Algorithm 1, which carries the violation licence: revenue must be
+	// within the competitive ratio of the offline bound.
 	raw, err := NewScheduler(inst.Network, OnSite, WithAlgorithm(RawPrimalDual), WithHorizon(inst.Horizon))
 	if err != nil {
 		t.Fatalf("NewScheduler: %v", err)
 	}
-	rawRes, err := RunAllowingViolations(inst, raw)
+	rawRes, err := Run(inst, raw)
 	if err != nil {
-		t.Fatalf("RunAllowingViolations: %v", err)
+		t.Fatalf("Run(raw): %v", err)
 	}
 	analysis, err := AnalyzeOnsite(inst.Network, inst.Trace)
 	if err != nil {

@@ -104,7 +104,8 @@ fi
 # Lowered by 7: a stream connection writes each batch with one conn.Write (its bufio.Writer went) and converts wire.Request with one conversion.
 # Lowered by 316: cmd/revnfvet, the analyzer registry, the floateq pass and the lint:allow escape hatch went; root tests run the lock passes and the float rule.
 # Lowered by 185: one generic two-phase contract and one simulator loop for single VNFs and chains (chain's contract, chain.Run and nine Decide methods went).
-ceiling=20908
+# Lowered by 267: exports only their own tests called, wire v1's payload, the restated violation licence and the ledger's packed geometry word went.
+ceiling=20641
 lines=$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)
 echo "==> non-test Go outside benchmark/: $lines lines (ceiling $ceiling)"
 if [ "$lines" -gt "$ceiling" ]; then
