@@ -45,6 +45,11 @@ import (
 	"revnf/internal/workload"
 )
 
+// readHeaderTimeout bounds how long a client may take over its request
+// headers: without it, one that never finishes them holds a connection and
+// a goroutine for good.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -155,7 +160,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *pprofOn {
 		handler = withPprof(handler)
 	}
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 	mode := ""
 	if inj != nil {
 		mode = ", chaos on"

@@ -1297,8 +1297,8 @@ func TestBookUnderConcurrentAdmission(t *testing.T) {
 				for i := 0; i < perWorker; i++ {
 					// A stale arrival (the clock ticked past it) is an
 					// ordinary rejection here.
-					if res, err := e.Submit(ctx, draw(rng)); err != nil {
-						t.Errorf("Submit: %v", err)
+					if res, err := submitOne(ctx, e, draw(rng)); err != nil {
+						t.Errorf("submit: %v", err)
 						return
 					} else {
 						record(res)

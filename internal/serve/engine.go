@@ -147,10 +147,9 @@ type Stats struct {
 	// the current slot (zero usage once the slot passes the horizon).
 	CloudletUsed, CloudletCapacity []int
 	// Latency is a snapshot of the admission latency histogram (seconds,
-	// submission to decision). Submit samples one submission in
-	// latencySampleRate and SubmitBatch observes once per batch, so Count
-	// is a fraction of the decisions made but the quantiles estimate the
-	// same distribution.
+	// submission to decision). SubmitBatch observes once per call, so Count
+	// is the number of calls (one per HTTP POST, one per streamed batch),
+	// not of decisions.
 	Latency *metrics.Histogram
 }
 
@@ -407,47 +406,16 @@ func New(cfg Config) (*Engine, error) {
 // configured count, or 1 for a scheduler without concurrent proposals.
 func (e *Engine) Workers() int { return e.workers }
 
-// Submit decides one admission request on the caller's goroutine. It fails
-// fast with ErrQueueFull when the engine is at capacity and with ErrClosed
-// after Shutdown began. A context that has ended before a worker token was
-// acquired abandons the submission undecided (counted as ReasonCanceled),
-// as does one that ends between retry attempts.
-func (e *Engine) Submit(ctx context.Context, req AdmissionRequest) (AdmissionResult, error) {
-	// Latency is sampled: two clock reads per decision were the largest
-	// single cost on the hot path, and a sampled histogram estimates the
-	// same quantiles. The ID allocator doubles as the sampling counter, read
-	// before the wait for a token so the sample covers it.
-	sampled := e.lastID.Load()&(latencySampleRate-1) == 0
-	var enqueued time.Time
-	if sampled {
-		enqueued = e.now()
-	}
-	token, err := e.enter(ctx, 1)
-	if err != nil {
-		return AdmissionResult{}, err
-	}
-	defer e.leave(token, 1)
-	res, err := e.decide(ctx, token, req)
-	if sampled && err == nil {
-		e.observe(token, enqueued)
-	}
-	return res, err
-}
-
-// latencySampleRate is Submit's latency sampling interval; it must be a
-// power of two.
-const latencySampleRate = 8
-
-// enter is the admission gate in front of decide, shared by Submit and
-// SubmitBatch: it admits n submissions against the backpressure bound — at
-// most queueCap may wait for a token beyond the workers deciding — and
-// returns the worker token they decide under. A refusal is counted n times
-// under its reason; a success must be paired with leave.
+// enter is SubmitBatch's admission gate in front of decide: it admits n
+// submissions against the backpressure bound — at most queueCap may wait
+// for a token beyond the workers deciding — and returns the worker token
+// they decide under. A refusal is counted n times under its reason; a
+// success must be paired with leave.
 func (e *Engine) enter(ctx context.Context, n int) (int, error) {
 	if int(e.waiting.Add(int64(n))) > e.queueCap+e.workers {
 		e.waiting.Add(int64(-n))
 		e.rejections[rejQueueFull].Add(uint64(n))
-		return 0, ErrQueueFull
+		return 0, errQueueFull
 	}
 	// Registering in inflight before checking closedFlag closes the race
 	// with Shutdown: either this increment is visible to the drain loop
@@ -481,8 +449,8 @@ func (e *Engine) enter(ctx context.Context, n int) (int, error) {
 }
 
 // leave returns what enter took, and counts the view's loads once per
-// call. Submit and SubmitBatch defer it, so a panicking decision does not
-// keep its token.
+// call. SubmitBatch defers it, so a panicking decision does not keep its
+// token.
 func (e *Engine) leave(token, n int) {
 	view := e.views[token]
 	loads, misses := view.TakeLoads()

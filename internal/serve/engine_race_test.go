@@ -257,7 +257,7 @@ func TestShardedConflictExhaustion(t *testing.T) {
 		}
 		cancel()
 	}
-	_, err := e.Submit(ctx, AdmissionRequest{VNF: 0, Reliability: 0.9, Arrival: 5, Duration: 2, Payment: 7})
+	_, err := submitOne(ctx, e, AdmissionRequest{VNF: 0, Reliability: 0.9, Arrival: 5, Duration: 2, Payment: 7})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("submission canceled after its first attempt: err = %v, want context.Canceled", err)
 	}
@@ -376,7 +376,7 @@ func stressEngine(t *testing.T, newScheduler func(*core.Network, int) (core.Sche
 
 	type admitted struct {
 		arrival, duration int
-		// after is the clock once Submit had returned: no earlier than the
+		// after is the clock once the submission had returned: no earlier than the
 		// slot the footprint was booked at.
 		after     int
 		payment   float64
@@ -412,11 +412,11 @@ func stressEngine(t *testing.T, newScheduler func(*core.Network, int) (core.Sche
 					Duration:    duration,
 					Payment:     20 + 80*rng.Float64(),
 				}
-				res, err := e.Submit(ctx, ar)
+				res, err := submitOne(ctx, e, ar)
 				after := e.Slot()
 				mu.Lock()
 				if err != nil {
-					submitErr++ // ErrQueueFull under burst is legitimate
+					submitErr++ // a queue-full refusal under burst is a result, not an error
 				} else {
 					decided++
 					if res.Admitted {
@@ -436,7 +436,7 @@ func stressEngine(t *testing.T, newScheduler func(*core.Network, int) (core.Sche
 
 	// Audit 1: rebuild per-(cloudlet, slot) usage from the admitted
 	// placements. A window counts from the slot the clock showed once its
-	// Submit had returned: everything booked on slot s while the clock was
+	// submission had returned: everything booked on slot s while the clock was
 	// at s or before is still held when the tick to s+1 begins, so those
 	// footprints must fit the cloudlet together. (Earlier slots do not
 	// count because the clock can overtake a decision — stale is tested

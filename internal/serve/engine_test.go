@@ -57,13 +57,22 @@ func newTestEngine(t *testing.T, horizon int, opts ...func(*Config)) *Engine {
 	return e
 }
 
+// submit decides one request through SubmitBatch and fails the test on an
+// error; submitOne returns the error, for the closed and canceled cases and
+// for submitters on goroutines of their own.
 func submit(t *testing.T, e *Engine, ar AdmissionRequest) AdmissionResult {
 	t.Helper()
-	res, err := e.Submit(context.Background(), ar)
+	res, err := submitOne(context.Background(), e, ar)
 	if err != nil {
-		t.Fatalf("Submit(%+v): %v", ar, err)
+		t.Fatalf("submit(%+v): %v", ar, err)
 	}
 	return res
+}
+
+func submitOne(ctx context.Context, e *Engine, ar AdmissionRequest) (AdmissionResult, error) {
+	var out [1]AdmissionResult
+	err := e.SubmitBatch(ctx, []AdmissionRequest{ar}, out[:])
+	return out[0], err
 }
 
 func TestEngineAdmitAndReject(t *testing.T) {
@@ -213,10 +222,10 @@ func TestEngineManualTickDeterminism(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				res, err := e.Submit(context.Background(),
+				res, err := submitOne(context.Background(), e,
 					AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 1 + i%5, Payment: 3})
 				if err != nil {
-					t.Errorf("Submit: %v", err)
+					t.Errorf("submit: %v", err)
 					return
 				}
 				if res.Admitted {
@@ -292,17 +301,33 @@ func (s *panickyAdvancer) AdvanceWindow(base int) {
 	s.Scheduler.AdvanceWindow(base)
 }
 
-// TestEngineClockRecoversPanickingTick runs the real-time clock over a
-// window advance that panics once: the tick is logged and counted, and the
-// clock keeps ticking and the engine deciding.
+// TestEngineClockRecoversPanickingTick: a window advance that panics once
+// costs its tick only. On the real-time clock the panic is counted and the
+// clock keeps ticking; on a manual clock, where no tick can retire the
+// arrival slot mid-decision, a recovered tick leaves the engine admitting.
 func TestEngineClockRecoversPanickingTick(t *testing.T) {
 	n := testNetwork()
-	sched := &panickyAdvancer{Scheduler: newOnsiteScheduler(t, n, 8)}
-	e, err := New(Config{Network: n, Scheduler: sched, Horizon: 8, Rolling: true, SlotDuration: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	newEngine := func(slot time.Duration) (*Engine, *panickyAdvancer) {
+		sched := &panickyAdvancer{Scheduler: newOnsiteScheduler(t, n, 8)}
+		e, err := New(Config{Network: n, Scheduler: sched, Horizon: 8, Rolling: true, SlotDuration: slot})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { shutdownEngine(t, e) })
+		return e, sched
 	}
-	defer shutdownEngine(t, e)
+	panicsCounted := func(e *Engine) {
+		t.Helper()
+		var metrics strings.Builder
+		if err := e.WriteMetrics(&metrics); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(metrics.String(), "revnfd_clock_panics_total 1\n") {
+			t.Error("metrics missing revnfd_clock_panics_total 1")
+		}
+	}
+
+	e, sched := newEngine(time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
 	for !sched.panicked.Load() || e.Slot() < 5 {
 		if time.Now().After(deadline) {
@@ -310,13 +335,15 @@ func TestEngineClockRecoversPanickingTick(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	var metrics strings.Builder
-	if err := e.WriteMetrics(&metrics); err != nil {
-		t.Fatal(err)
+	panicsCounted(e)
+
+	e, sched = newEngine(0)
+	e.clockTick()
+	if !sched.panicked.Load() {
+		t.Fatal("the manual clock's first tick did not advance the window")
 	}
-	if !strings.Contains(metrics.String(), "revnfd_clock_panics_total 1\n") {
-		t.Error("metrics missing revnfd_clock_panics_total 1")
-	}
+	panicsCounted(e)
+	e.Tick()
 	if res := submit(t, e, AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 2, Payment: 100}); !res.Admitted {
 		t.Errorf("a request after the panicking tick: %+v, want admitted", res)
 	}
@@ -335,8 +362,8 @@ func TestEngineShutdown(t *testing.T) {
 	if !e.Closed() {
 		t.Error("Closed() = false after Shutdown")
 	}
-	if _, err := e.Submit(context.Background(), AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 1, Payment: 1}); !errors.Is(err, ErrClosed) {
-		t.Errorf("Submit after shutdown: err = %v, want ErrClosed", err)
+	if _, err := submitOne(context.Background(), e, AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 1, Payment: 1}); !errors.Is(err, ErrClosed) {
+		t.Errorf("submit after shutdown: err = %v, want ErrClosed", err)
 	}
 	if got := e.Stats().Rejections[ReasonClosed]; got != 1 {
 		t.Errorf("closed rejections = %d, want 1", got)
@@ -354,7 +381,7 @@ func TestEngineShutdownDrains(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := e.Submit(context.Background(),
+			_, err := submitOne(context.Background(), e,
 				AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 1, Payment: 1})
 			results <- err
 		}()
@@ -402,8 +429,8 @@ func TestEngineQueueFullBackpressure(t *testing.T) {
 		defer cancel()
 		_ = e.Shutdown(ctx)
 	}()
-	// With a queue of 1, flooding concurrently must produce at least one
-	// ErrQueueFull and no other failure mode.
+	// With a queue of 1, flooding concurrently must produce decisions and
+	// queue-full rejections only, never an error.
 	var wg sync.WaitGroup
 	var full, ok int64
 	var mu sync.Mutex
@@ -411,17 +438,17 @@ func TestEngineQueueFullBackpressure(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := e.Submit(context.Background(),
+			res, err := submitOne(context.Background(), e,
 				AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 1, Payment: 1})
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
-			case err == nil:
-				ok++
-			case errors.Is(err, ErrQueueFull):
+			case err != nil:
+				t.Errorf("unexpected error: %v", err)
+			case res.Reason == ReasonQueueFull:
 				full++
 			default:
-				t.Errorf("unexpected error: %v", err)
+				ok++
 			}
 		}()
 	}
@@ -461,11 +488,7 @@ func TestEngineOverbookRollback(t *testing.T) {
 		pay := 1000.0
 		for i := 0; i < 50 && !overbooked; i++ {
 			before := lambda()
-			res, err := e.Submit(context.Background(),
-				AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 10, Payment: pay})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := submit(t, e, AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 10, Payment: pay})
 			pay *= 3
 			if res.Reason == ReasonOverbooked {
 				overbooked = true
@@ -514,10 +537,7 @@ func TestEngineAllowViolations(t *testing.T) {
 	sawNegative := false
 	pay := 1000.0
 	for i := 0; i < 50; i++ {
-		if _, err := e.Submit(context.Background(),
-			AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 10, Payment: pay}); err != nil {
-			t.Fatal(err)
-		}
+		submit(t, e, AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 10, Payment: pay})
 		pay *= 3
 	}
 	for _, cl := range e.Cloudlets() {
@@ -536,24 +556,19 @@ func TestEngineAllowViolations(t *testing.T) {
 }
 
 // TestEngineLatencySampling pins what the latency histogram counts at every
-// worker count: one Submit in latencySampleRate, and one observation per
-// SubmitBatch whatever its size.
+// worker count: one observation per SubmitBatch call whatever its size.
 func TestEngineLatencySampling(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		e := newTestEngine(t, 10, func(c *Config) { c.Workers = workers })
 		ar := AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 1, Payment: 1}
-		for i := 0; i < 4*latencySampleRate; i++ {
-			submit(t, e, ar)
-		}
-		if got := e.Stats().Latency.Count(); got != 4 {
-			t.Errorf("workers=%d: %d latency samples after %d submissions, want 4", workers, got, 4*latencySampleRate)
-		}
 		reqs, out := []AdmissionRequest{ar, ar, ar, ar, ar}, make([]AdmissionResult, 5)
-		if err := e.SubmitBatch(context.Background(), reqs, out); err != nil {
-			t.Fatal(err)
-		}
-		if got := e.Stats().Latency.Count(); got != 5 {
-			t.Errorf("workers=%d: %d latency samples after a batch of 5, want one more than 4", workers, got)
+		for call := uint64(1); call <= 3; call++ {
+			if err := e.SubmitBatch(context.Background(), reqs[:call], out[:call]); err != nil {
+				t.Fatal(err)
+			}
+			if got := e.Stats().Latency.Count(); got != call {
+				t.Errorf("workers=%d: %d latency samples after %d calls, want %d", workers, got, call, call)
+			}
 		}
 	}
 }
@@ -584,7 +599,7 @@ func TestEngineSubmitContextCancel(t *testing.T) {
 	cancel()
 	// A decision and context.Canceled are both acceptable; anything else is
 	// not.
-	_, err := e.Submit(ctx, AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 1, Payment: 1})
+	_, err := submitOne(ctx, e, AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 1, Payment: 1})
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want nil or context.Canceled", err)
 	}
@@ -610,7 +625,7 @@ func TestEngineCanceledJobSkipped(t *testing.T) {
 	e := newTestEngine(t, 10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := e.Submit(ctx, AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 1, Payment: 5})
+	_, err := submitOne(ctx, e, AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 1, Payment: 5})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -130,24 +130,33 @@ func NewHandler(e *Engine) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/requests", func(w http.ResponseWriter, r *http.Request) {
 		var ar AdmissionRequest
-		dec := json.NewDecoder(r.Body)
+		// The stream path's line bound holds here too: json.Decoder buffers
+		// a whole value, so an unbounded body is held in memory entire.
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, streamBufSize))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&ar); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				writeError(w, http.StatusRequestEntityTooLarge, ReasonInvalid, fmt.Sprintf("request body over %d bytes", tooLarge.Limit))
+				return
+			}
 			writeError(w, http.StatusBadRequest, ReasonInvalid, fmt.Sprintf("decode request: %v", err))
 			return
 		}
 		e.ingest.jsonReqs.Add(1)
-		res, err := e.Submit(r.Context(), ar)
+		var decided [1]AdmissionResult
+		err := e.SubmitBatch(r.Context(), []AdmissionRequest{ar}, decided[:])
+		res := decided[0]
 		switch {
-		case errors.Is(err, ErrQueueFull):
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, ReasonQueueFull, "ingest queue at capacity")
-			return
 		case errors.Is(err, ErrClosed):
 			writeError(w, http.StatusServiceUnavailable, ReasonClosed, "engine shutting down")
 			return
 		case err != nil: // context cancellation: the client went away
 			writeError(w, http.StatusServiceUnavailable, ReasonCanceled, err.Error())
+			return
+		case res.Reason == ReasonQueueFull:
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusServiceUnavailable, ReasonQueueFull, "ingest queue at capacity")
 			return
 		}
 		out := decisionDTO{ID: res.ID, Admitted: res.Admitted, Reason: res.Reason, Slot: res.Slot}

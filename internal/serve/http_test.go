@@ -80,6 +80,47 @@ func TestHTTPBadRequestBody(t *testing.T) {
 	}
 }
 
+// TestHTTPBodyBound: a body over the stream path's line bound is refused
+// with 413 and the invalid envelope before it reaches the engine, and a
+// valid request padded to just under the bound is still decided. It drives
+// the handler directly: over a socket the server waits half a second before
+// closing the connection of a refused body.
+func TestHTTPBodyBound(t *testing.T) {
+	e := newTestEngine(t, 20)
+	h := NewHandler(e)
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/requests", strings.NewReader(body)))
+		return rec
+	}
+	decisions := func() uint64 { s := e.Stats(); return s.Admitted + s.RejectedTotal() }
+
+	rec := post("1" + strings.Repeat("0", 1<<20))
+	var env errorDTO
+	if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge || env.Code != rec.Code || env.Reason != ReasonInvalid || env.Detail == "" {
+		t.Errorf("1 MiB body: status %d envelope %+v, want 413/invalid with detail", rec.Code, env)
+	}
+	if got := decisions(); got != 0 {
+		t.Errorf("1 MiB body: %d decisions counted, want 0", got)
+	}
+
+	body := `{"vnf":0,"reliability":0.9,"duration":3,"payment":12.5}`
+	rec = post(strings.Repeat(" ", streamBufSize-len(body)-1) + body)
+	var dec decisionDTO
+	if err := json.NewDecoder(rec.Body).Decode(&dec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusOK || !dec.Admitted {
+		t.Errorf("padded request: status %d decision %+v, want 200/admitted", rec.Code, dec)
+	}
+	if got := decisions(); got != 1 {
+		t.Errorf("padded request: %d decisions counted, want 1", got)
+	}
+}
+
 func TestHTTPPlacementLookup(t *testing.T) {
 	_, srv := newTestServer(t, 20)
 	_, dec := postRequest(t, srv.URL, `{"vnf":0,"reliability":0.9,"duration":4,"payment":7}`)
@@ -215,9 +256,8 @@ func TestHTTPMetricsScrape(t *testing.T) {
 		"revnfd_placement_history_late_ids 0\n",
 		"revnfd_clock_panics_total 0\n",
 		`revnfd_cloudlet_utilization{cloudlet="0"}`,
-		// Submit times one submission in latencySampleRate: of these two,
-		// the first.
-		"revnfd_admission_latency_seconds_count 1\n",
+		// One observation per SubmitBatch call: both POSTs.
+		"revnfd_admission_latency_seconds_count 2\n",
 		"revnfd_queue_capacity 256\n",
 		"revnfd_backup_groups 0\n",
 	} {

@@ -72,7 +72,7 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 		},
 		utilizationFamily(s),
 		s.Latency.Metric("revnfd_admission_latency_seconds",
-			"Latency from submission to admission decision: one POST in 8 sampled, one observation per streamed batch."),
+			"Latency from submission to admission decision: one observation per POST and per streamed batch."),
 	}
 	families = append(families, e.ingestFamilies()...)
 	if e.traces != nil {

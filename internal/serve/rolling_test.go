@@ -352,7 +352,7 @@ func TestSoakRollingHorizonSharded(t *testing.T) {
 					return
 				default:
 				}
-				res, err := e.Submit(context.Background(), AdmissionRequest{
+				res, err := submitOne(context.Background(), e, AdmissionRequest{
 					VNF: 0, Reliability: 0.9, Duration: 1 + (w+i)%4, Payment: 100,
 				})
 				if err != nil {

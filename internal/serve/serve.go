@@ -39,11 +39,11 @@ import (
 // Errors returned by the engine.
 var (
 	ErrBadConfig = errors.New("serve: invalid config")
-	// ErrQueueFull reports that the bounded ingest queue is at capacity;
-	// the HTTP layer maps it to 503 so callers can back off.
-	ErrQueueFull = errors.New("serve: ingest queue full")
 	// ErrClosed reports a submission after Shutdown began.
 	ErrClosed = errors.New("serve: engine closed")
+	// errQueueFull is the gate's refusal at the waiting bound, which
+	// SubmitBatch answers with ReasonQueueFull results.
+	errQueueFull = errors.New("serve: ingest queue full")
 )
 
 // Config assembles an Engine.

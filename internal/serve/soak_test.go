@@ -280,7 +280,7 @@ func soakConcurrent(t *testing.T, tokens int, newScheduler func(*core.Network, i
 					return
 				default:
 				}
-				res, err := e.Submit(context.Background(), AdmissionRequest{
+				res, err := submitOne(context.Background(), e, AdmissionRequest{
 					VNF: 0, Reliability: 0.9, Duration: 1 + (w+i)%4, Payment: 100,
 				})
 				if err != nil {

@@ -59,7 +59,8 @@ const (
 	// while keeping a batch's decisions well under a socket buffer.
 	maxStreamBatch = 256
 	// streamBufSize sizes the per-connection read buffer and so the longest
-	// NDJSON request line; a batch of 256 frames is 256 × 34 B ≈ 8.7 KB.
+	// NDJSON request line, and bounds an HTTP request body too; a batch of
+	// 256 frames is 256 × 34 B ≈ 8.7 KB.
 	streamBufSize = 16 << 10
 )
 

@@ -291,8 +291,8 @@ func TestStreamCrossProtocolGolden(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchMatchesSubmit pins the batch path to the one-at-a-time
-// path: the same requests in the same order yield identical results.
+// TestSubmitBatchMatchesSubmit pins one batch to the same requests
+// submitted one per call, in the same order: identical results.
 func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -304,7 +304,7 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range reqs {
-				want, err := single.Submit(context.Background(), reqs[i])
+				want, err := submitOne(context.Background(), single, reqs[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -343,8 +343,7 @@ func newGoldenWorkersEngine(t *testing.T, horizon, workers int) *Engine {
 
 // TestSubmitBatchQueueFull: a batch beyond the waiting bound is rejected
 // per request with queue-full results, not an error, so a streaming
-// connection keeps its request/response pairing — at every worker count:
-// a batch passes the gate a Submit passes.
+// connection keeps its request/response pairing — at every worker count.
 func TestSubmitBatchQueueFull(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		e := newTestEngine(t, 20, func(c *Config) {

@@ -14,10 +14,7 @@ import (
 	"strings"
 	"testing"
 
-	"revnf/internal/analysis/framework"
-	"revnf/internal/analysis/guardedby"
-	"revnf/internal/analysis/load"
-	"revnf/internal/analysis/lockorder"
+	"revnf/internal/analysis"
 )
 
 // deterministicPkgs are the packages, by directory, in which slot time is
@@ -209,23 +206,12 @@ func TestNoAtomicFunctions(t *testing.T) { checkModule(t, "atomic") }
 func TestNoFloatEquality(t *testing.T) { checkModule(t, "float") }
 
 // TestLockDiscipline type-checks every package of the module and runs the
-// two lock analyzers over it: guardedby (a field annotated "guarded by mu"
+// two lock checks over it: guardedby (a field annotated "guarded by mu"
 // is touched only with mu held) and lockorder (nested acquisitions follow
 // the canonical order of DESIGN.md §12.3). Both see every path, where a
 // -race run sees only the interleavings it samples.
 func TestLockDiscipline(t *testing.T) {
-	pkgs, err := load.Packages(".", "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) < 30 {
-		t.Fatalf("loaded %d packages; is the test running from the module root?", len(pkgs))
-	}
-	units := make([]*framework.Unit, 0, len(pkgs))
-	for _, p := range pkgs {
-		units = append(units, &framework.Unit{Fset: p.Fset, Files: p.Files, Pkg: p.Types, Info: p.Info})
-	}
-	findings, err := framework.Run(units, []*framework.Analyzer{guardedby.Analyzer, lockorder.Analyzer})
+	findings, err := analysis.LockDiscipline(".")
 	if err != nil {
 		t.Fatal(err)
 	}

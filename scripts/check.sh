@@ -105,7 +105,8 @@ fi
 # Lowered by 316: cmd/revnfvet, the analyzer registry, the floateq pass and the lint:allow escape hatch went; root tests run the lock passes and the float rule.
 # Lowered by 185: one generic two-phase contract and one simulator loop for single VNFs and chains (chain's contract, chain.Run and nine Decide methods went).
 # Lowered by 267: exports only their own tests called, wire v1's payload, the restated violation licence and the ledger's packed geometry word went.
-ceiling=20641
+# Lowered by 191: the lock checks became one package of two functions (the go/analysis look-alike and astq went) and Engine.Submit went for a one-request SubmitBatch.
+ceiling=20450
 lines=$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)
 echo "==> non-test Go outside benchmark/: $lines lines (ceiling $ceiling)"
 if [ "$lines" -gt "$ceiling" ]; then
