@@ -131,19 +131,17 @@ func (g *GreedyOnsite) Propose(req core.Request, view core.CapacityView) (core.P
 type GreedyOffsite struct {
 	core.Stateless[core.Request, core.Placement]
 	network *core.Network
-	rel     *core.ReliabilityTable
 	order   []int
 	rec     trace.Recorder
 }
 
 // NewGreedyOffsite creates the paper's greedy off-site baseline.
 func NewGreedyOffsite(network *core.Network, opts ...Option) (*GreedyOffsite, error) {
-	rel, err := buildTable(network)
-	if err != nil {
+	if err := validate(network); err != nil {
 		return nil, err
 	}
 	o := applyOptions(opts)
-	return &GreedyOffsite{network: network, rel: rel, order: network.ByReliability(), rec: o.rec}, nil
+	return &GreedyOffsite{network: network, order: network.ByReliability(), rec: o.rec}, nil
 }
 
 // Name implements core.Scheduler.
@@ -162,20 +160,20 @@ func (g *GreedyOffsite) Propose(req core.Request, view core.CapacityView) (core.
 	totalWeight := 0.0
 	var assignments []core.Assignment
 	for _, j := range g.order {
+		w := core.OffsiteWeight(vnf.Reliability, g.network.Cloudlets[j].Reliability)
 		resid := view.ResidualWindow(j, req.Arrival, req.Duration)
 		if resid < vnf.Demand {
 			if tracing {
 				cands = append(cands, trace.Candidate{Cloudlet: j,
-					Weight: g.rel.OffsiteWeight(req.VNF, j), Residual: resid,
-					Skip: trace.SkipCapacity})
+					Weight: w, Residual: resid, Skip: trace.SkipCapacity})
 			}
 			continue
 		}
 		assignments = append(assignments, core.Assignment{Cloudlet: j, Instances: 1})
-		totalWeight += g.rel.OffsiteWeight(req.VNF, j)
+		totalWeight += w
 		if tracing {
 			cands = append(cands, trace.Candidate{Cloudlet: j, Instances: 1,
-				Weight: g.rel.OffsiteWeight(req.VNF, j), Residual: resid, Chosen: true})
+				Weight: w, Residual: resid, Chosen: true})
 		}
 		if core.MeetsRequirement(totalWeight, needWeight) {
 			if tracing {

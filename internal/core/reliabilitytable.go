@@ -11,22 +11,18 @@ import (
 // closed form.
 const maxThresholds = 64
 
-// ReliabilityTable caches the reliability math on the admission hot path.
-// Schedulers need ceil(log(1-R/rc)/log(1-rf)) and -log(1-rf·rc) for every
-// cloudlet on every Decide; this table precomputes, per (VNF, cloudlet)
-// pair,
-//
-//   - the requirement steps of the minimum on-site instance count of
-//     Eqs. (2)-(3): N is a non-decreasing step function of the request's
-//     requirement R, so steps[n-1] holds the largest R answered with at
-//     most n instances and a lookup is a scan of loads and compares — no
-//     logarithm. Requirements past the last step take OnsiteInstances
-//     itself, and
-//   - the off-site log-domain weight -ln(1 - rf·rc) of Section V.
+// ReliabilityTable caches the on-site reliability math on the admission
+// hot path. On-site schedulers need ceil(log(1-R/rc)/log(1-rf)) for every
+// cloudlet on every Propose; this table precomputes, per (VNF, cloudlet)
+// pair, the requirement steps of the minimum on-site instance count of
+// Eqs. (2)-(3): N is a non-decreasing step function of the request's
+// requirement R, so steps[n-1] holds the largest R answered with at most n
+// instances and a lookup is a scan of loads and compares — no logarithm.
+// Requirements past the last step take OnsiteInstances itself.
 //
 // Every lookup returns bit-identical results to the package-level
-// OnsiteInstances and OffsiteWeight functions, so cached and uncached
-// schedulers make identical decisions.
+// OnsiteInstances, so cached and uncached schedulers make identical
+// decisions.
 //
 // The table is immutable after construction and safe for concurrent use.
 // It snapshots the network's catalog and cloudlet reliabilities: if the
@@ -40,8 +36,6 @@ type ReliabilityTable struct {
 	// steps[f·m+j][n-1] is the largest requirement for which the pair
 	// needs at most n instances (onsiteSteps); m = len(rcs).
 	steps [][]float64
-	// weight[f][j] is -ln(1 - rf·rc), the off-site weight.
-	weight [][]float64
 }
 
 // NewReliabilityTable precomputes the reliability tables for the network.
@@ -55,10 +49,9 @@ func NewReliabilityTable(n *Network) (*ReliabilityTable, error) {
 		return nil, err
 	}
 	t := &ReliabilityTable{
-		rfs:    make([]float64, len(n.Catalog)),
-		rcs:    make([]float64, len(n.Cloudlets)),
-		weight: make([][]float64, len(n.Catalog)),
-		steps:  make([][]float64, len(n.Catalog)*len(n.Cloudlets)),
+		rfs:   make([]float64, len(n.Catalog)),
+		rcs:   make([]float64, len(n.Cloudlets)),
+		steps: make([][]float64, len(n.Catalog)*len(n.Cloudlets)),
 	}
 	for j, c := range n.Cloudlets {
 		t.rcs[j] = c.Reliability
@@ -66,9 +59,7 @@ func NewReliabilityTable(n *Network) (*ReliabilityTable, error) {
 	for f, v := range n.Catalog {
 		rf := v.Reliability
 		t.rfs[f] = rf
-		t.weight[f] = make([]float64, len(n.Cloudlets))
 		for j, rc := range t.rcs {
-			t.weight[f][j] = OffsiteWeight(rf, rc)
 			t.steps[f*len(t.rcs)+j] = onsiteSteps(rf, rc)
 		}
 	}
@@ -150,11 +141,6 @@ func onsiteSteps(rf, rc float64) []float64 {
 		steps = append(steps, lo)
 	}
 	return steps
-}
-
-// OffsiteWeight returns the cached -ln(1 - rf·rc) for the pair.
-func (t *ReliabilityTable) OffsiteWeight(vnf, cloudlet int) float64 {
-	return t.weight[vnf][cloudlet]
 }
 
 // SharedPairs tabulates, for one pool size k, which (VNF, primary, backup)

@@ -39,8 +39,8 @@ var (
 // consistent in Commit order.
 type Scheduler struct {
 	network *core.Network
-	// rel caches the per-(VNF, cloudlet) off-site weights.
-	rel *core.ReliabilityTable
+	// weight[f][j] caches the off-site weight -ln(1 - r(f)·r(c_j)).
+	weight [][]float64
 	// mu guards prices: Propose reads, Commit and AdvanceWindow write.
 	mu sync.RWMutex
 	// prices holds λ_{tj} over the live window, which stays [1, horizon]
@@ -113,13 +113,16 @@ func NewScheduler(network *core.Network, horizon int, opts ...Option) (*Schedule
 	if horizon < 1 {
 		return nil, fmt.Errorf("%w: %d", ErrBadHorizon, horizon)
 	}
-	rel, err := core.NewReliabilityTable(network)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadNetwork, err)
+	weight := make([][]float64, len(network.Catalog))
+	for f, v := range network.Catalog {
+		weight[f] = make([]float64, len(network.Cloudlets))
+		for j, c := range network.Cloudlets {
+			weight[f][j] = core.OffsiteWeight(v.Reliability, c.Reliability)
+		}
 	}
 	s := &Scheduler{
 		network: network,
-		rel:     rel,
+		weight:  weight,
 		prices:  dual.NewTable(len(network.Cloudlets), horizon),
 		sortKey: SortByPrice,
 		name:    "pd-offsite",
@@ -258,7 +261,7 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 		return core.Placement{}, false
 	}
 	for j := range s.network.Cloudlets {
-		w := s.rel.OffsiteWeight(req.VNF, j)
+		w := s.weight[req.VNF][j]
 		price := s.prices.Sum(j, req.Arrival, req.End(), 1) / w
 		if tracing {
 			cands[j] = trace.Candidate{Cloudlet: j, Weight: w, DualCost: price}
@@ -302,7 +305,7 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 		}
 		candidates[chosen] = c
 		chosen++
-		totalWeight += s.rel.OffsiteWeight(req.VNF, c.cloudlet)
+		totalWeight += s.weight[req.VNF][c.cloudlet]
 		if tracing {
 			cands[c.cloudlet].Instances = 1
 			cands[c.cloudlet].Chosen = true
@@ -380,7 +383,7 @@ func anySurvived(cands []trace.Candidate) bool {
 // Commit implements core.Scheduler: it applies the Eq. (67) dual
 // update to every cloudlet of the admitted proposal under the write lock.
 // With W = -ln(1-R) and w_j = -ln(1 - r(f)·r(c_j)), recomputed from the
-// reliability table so Commit needs only the placement, the update is
+// scheduler's weights so Commit needs only the placement, the update is
 // λ := λ·(1 + W·c(f)/(w_j·cap_j)) + W·c(f)·pay/(w_j·d·cap_j).
 func (s *Scheduler) Commit(req core.Request, p core.Placement) {
 	needWeight := core.RequirementWeight(req.Reliability)
@@ -389,7 +392,7 @@ func (s *Scheduler) Commit(req core.Request, p core.Placement) {
 	defer s.mu.Unlock()
 	for _, a := range p.Assignments {
 		capj := float64(s.network.Cloudlets[a.Cloudlet].Capacity)
-		ratio := needWeight * demand / (s.rel.OffsiteWeight(req.VNF, a.Cloudlet) * capj)
+		ratio := needWeight * demand / (s.weight[req.VNF][a.Cloudlet] * capj)
 		s.prices.Update(a.Cloudlet, req.Arrival, req.End(), 1+ratio, ratio*req.Payment/float64(req.Duration))
 	}
 }

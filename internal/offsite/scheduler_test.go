@@ -2,6 +2,7 @@ package offsite
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"revnf/internal/core"
@@ -141,6 +142,31 @@ func TestDecideDualUpdateFormula(t *testing.T) {
 	for slot := 1; slot <= 2; slot++ {
 		if got := s.Lambda(j, slot); !core.FloatEqTol(got, want, 1e-12) {
 			t.Errorf("Lambda(%d,%d) = %v, want %v", j, slot, got, want)
+		}
+	}
+}
+
+// TestWeightsMatchClosedForm: the scheduler's cached off-site weights are
+// bit-identical to the closed form on random reliabilities, so caching
+// them changes no decision.
+func TestWeightsMatchClosedForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	n := &core.Network{}
+	for f := 0; f < 8; f++ {
+		n.Catalog = append(n.Catalog, core.VNF{ID: f, Name: "f", Demand: 1, Reliability: 0.5 + 0.4999*rng.Float64()})
+	}
+	for j := 0; j < 12; j++ {
+		n.Cloudlets = append(n.Cloudlets, core.Cloudlet{ID: j, Node: -1, Capacity: 10, Reliability: 0.5 + 0.4999*rng.Float64()})
+	}
+	s, err := NewScheduler(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f, v := range n.Catalog {
+		for j, c := range n.Cloudlets {
+			if w, cw := s.weight[f][j], core.OffsiteWeight(v.Reliability, c.Reliability); w != cw {
+				t.Fatalf("weight[%d][%d] = %v, closed form %v", f, j, w, cw)
+			}
 		}
 	}
 }

@@ -220,9 +220,9 @@ func DecodeError(payload []byte) (code int, reason ReasonCode, detail []byte, er
 	return code, reason, payload[errorHeaderSize:], nil
 }
 
-// AppendRequestFrame appends a complete v2 FrameRequest (header +
-// payload). Integer fields must fit uint32 and be non-negative, and a
-// non-empty Scheme must parse (ErrRange otherwise).
+// AppendRequestFrame appends a complete v2 FrameRequest (header + payload),
+// growing buf at most once. Integer fields must fit uint32 and be
+// non-negative, and a non-empty Scheme must parse (ErrRange, buf unchanged).
 func AppendRequestFrame(buf []byte, req *Request) ([]byte, error) {
 	if req.VNF < 0 || int64(req.VNF) > maxFrameInt ||
 		req.Arrival < 0 || int64(req.Arrival) > maxFrameInt ||
@@ -237,6 +237,9 @@ func AppendRequestFrame(buf []byte, req *Request) ([]byte, error) {
 			return buf, fmt.Errorf("%w: scheme %q", ErrRange, req.Scheme)
 		}
 		scheme = byte(s)
+	}
+	if cap(buf)-len(buf) < MaxRequestFrame {
+		buf = append(make([]byte, 0, len(buf)+MaxRequestFrame), buf...)
 	}
 	buf = appendHeader(buf, FrameRequest, requestPayloadSize)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(req.VNF))

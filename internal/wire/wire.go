@@ -13,7 +13,7 @@
 //   - DecodeRequest (binary frame) and DecodeNDJSONRequest perform zero
 //     heap allocations per request;
 //   - the Append* encoders write into caller-provided buffers and
-//     allocate only to grow them.
+//     allocate only to grow them, the request encoders at most once.
 //
 // Allocation budgets are enforced by testing.AllocsPerRun regression
 // tests, and both decoders are fuzzed: malformed input must yield a typed

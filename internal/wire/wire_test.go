@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -54,6 +55,15 @@ func TestFrameRequestRange(t *testing.T) {
 	} {
 		if _, err := AppendRequestFrame(nil, &bad); !errors.Is(err, ErrRange) {
 			t.Fatalf("AppendRequestFrame(%+v) err = %v, want ErrRange", bad, err)
+		}
+		// The refusal comes before the encoder reserves its room: the
+		// caller's buffer comes back as it went in.
+		if got, _ := AppendRequestFrame(nil, &bad); got != nil {
+			t.Fatalf("AppendRequestFrame(nil, %+v) = %v on ErrRange, want nil", bad, got)
+		}
+		buf := append(make([]byte, 0, 8), "keep"...)
+		if got, _ := AppendRequestFrame(buf, &bad); string(got) != "keep" || cap(got) != 8 || &got[0] != &buf[0] {
+			t.Fatalf("AppendRequestFrame(buf, %+v) = %q (cap %d) on ErrRange, want buf unchanged", bad, got, cap(got))
 		}
 	}
 }
@@ -154,6 +164,33 @@ func TestNDJSONRequestRoundTrip(t *testing.T) {
 		if got != want {
 			t.Fatalf("round trip = %+v, want %+v", got, want)
 		}
+	}
+}
+
+// TestNDJSONRequestPastHint round-trips a line longer than the room the
+// encoder reserves: integers at the decoder's bound (as many digits as
+// uint32's maximum, which is over it), floats at 17 significant digits and
+// a scheme pin. The reservation is a hint, never a cap.
+func TestNDJSONRequestPastHint(t *testing.T) {
+	want := Request{VNF: maxWireInt, Arrival: maxWireInt, Duration: maxWireInt,
+		Reliability: 0.30000000000000004, Payment: math.Nextafter(1e6, 2e6), Scheme: "offsite"}
+	for _, f := range []float64{want.Reliability, want.Payment} {
+		m, _, _ := strings.Cut(strconv.FormatFloat(f, 'e', -1, 64), "e")
+		if digits := len(m) - strings.Count(m, "."); digits != 17 {
+			t.Fatalf("%v has %d significant digits, want 17", f, digits)
+		}
+	}
+	line := AppendNDJSONRequest(nil, &want)
+	if len(line) <= ndjsonRequestHint {
+		t.Fatalf("line %q is %d B, want longer than the %d B reserved", line, len(line), ndjsonRequestHint)
+	}
+	var got Request
+	if err := DecodeNDJSONRequest(line, &got); err != nil {
+		t.Fatalf("DecodeNDJSONRequest(%q): %v", line, err)
+	}
+	if got != want || math.Float64bits(got.Reliability) != math.Float64bits(want.Reliability) ||
+		math.Float64bits(got.Payment) != math.Float64bits(want.Payment) {
+		t.Fatalf("round trip = %+v, want %+v", got, want)
 	}
 }
 
@@ -381,6 +418,34 @@ func TestDecodeAllocs(t *testing.T) {
 	}
 }
 
+// TestEncodeRequestAllocs pins the request encoders' one-growth contract:
+// from a nil buffer each allocates once, whatever the line's length within
+// the reserved room, and into a buffer with room not at all.
+func TestEncodeRequestAllocs(t *testing.T) {
+	pool := poolRequests(t, 1, 1)[0]
+	room := make([]byte, 0, 256)
+	for _, r := range []Request{testRequests[0], pool} {
+		for _, c := range []struct {
+			name string
+			buf  []byte
+			want float64
+		}{{"nil buffer", nil, 1}, {"buffer with room", room, 0}} {
+			if n := testing.AllocsPerRun(1000, func() {
+				if _, err := AppendRequestFrame(c.buf, &r); err != nil {
+					t.Fatal(err)
+				}
+			}); n != c.want {
+				t.Errorf("AppendRequestFrame(%s, %+v) allocates %.1f/op, want %v", c.name, r, n, c.want)
+			}
+			if n := testing.AllocsPerRun(1000, func() {
+				_ = AppendNDJSONRequest(c.buf, &r)
+			}); n != c.want {
+				t.Errorf("AppendNDJSONRequest(%s, %+v) allocates %.1f/op, want %v", c.name, r, n, c.want)
+			}
+		}
+	}
+}
+
 // TestFrameReaderReusesBuffer pins the zero-copy contract: consecutive
 // frames that fit the existing buffer must return the same backing array.
 func TestFrameReaderReusesBuffer(t *testing.T) {
@@ -485,6 +550,32 @@ func TestNDJSONRequestScheme(t *testing.T) {
 		t.Fatalf("unknown scheme decode err = %v, want ErrBadJSON", err)
 	}
 }
+
+// BenchmarkAppendRequest encodes requests drawn as the benchmark's pool is
+// into a nil buffer, as the pool's pre-encoding does: the per-request
+// set-up cost of each codec, allocation included.
+func BenchmarkAppendRequest(b *testing.B) {
+	const n = 1024
+	reqs := poolRequests(b, n, 1)
+	b.Run("frame", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if benchLine, err = AppendRequestFrame(nil, &reqs[i%n]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ndjson", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchLine = AppendNDJSONRequest(nil, &reqs[i%n])
+		}
+	})
+}
+
+// benchLine keeps BenchmarkAppendRequest's output live.
+var benchLine []byte
 
 // BenchmarkDecodeNDJSONRequest decodes lines shaped like the benchmark
 // pool's: AppendNDJSONRequest of requests drawn as the pool draws them,

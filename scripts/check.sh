@@ -38,10 +38,12 @@ go test -race ./...
 echo "==> benchmark smoke (cd benchmark && go test ./...)"
 (cd benchmark && go test ./...)
 
-# The arrival ordering's micro-benchmark, once, at the benchmark pool's
-# shape: it must still build and run.
+# The arrival ordering's and the request encoders' micro-benchmarks, once,
+# at the benchmark pool's shape: they must still build and run.
 echo "==> trace generation benchmark smoke (1 iteration)"
 go test -run '^$' -bench GenerateTrace -benchtime 1x ./internal/workload
+echo "==> request encode benchmark smoke (1 iteration)"
+go test -run '^$' -bench AppendRequest -benchtime 1x ./internal/wire
 
 # Short coverage-guided fuzz of the wire decoders: the streaming ingest
 # path feeds them raw network bytes, so they must only ever return the
@@ -106,7 +108,8 @@ fi
 # Lowered by 185: one generic two-phase contract and one simulator loop for single VNFs and chains (chain's contract, chain.Run and nine Decide methods went).
 # Lowered by 267: exports only their own tests called, wire v1's payload, the restated violation licence and the ledger's packed geometry word went.
 # Lowered by 191: the lock checks became one package of two functions (the go/analysis look-alike and astq went) and Engine.Submit went for a one-request SubmitBatch.
-ceiling=20450
+# Lowered by 3: pd-offsite keeps its own off-site weights and the reliability table only the on-site steps, less the request encoders' one reservation each.
+ceiling=20447
 lines=$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)
 echo "==> non-test Go outside benchmark/: $lines lines (ceiling $ceiling)"
 if [ "$lines" -gt "$ceiling" ]; then
