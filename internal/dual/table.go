@@ -7,55 +7,31 @@
 // interface and the formulas stay with the schedulers.
 //
 // Per-slot state is a ring over the live window (DESIGN.md §10): Table is
-// a λ ring per cloudlet on a timeslot.Window, the geometry the slot ledger
-// stands on too. State that must age in lockstep with the prices
-// (pd-shared's group refcounts) indexes through the same Window and clears
-// the range Advance returns with timeslot.ClearRing.
+// the λ instance of timeslot.Ring, the type the slot ledger's units are the
+// other instance of, so the geometry (Base, Index, Contains, Clamp), the
+// reads (At, Row, Span) and the aging Advance are the ring's. State that
+// must age in lockstep with the prices (pd-shared's group refcounts)
+// indexes through the same Window and clears the range Advance returns with
+// timeslot.ClearRing.
 //
 // Nothing here locks: a Table is plain data guarded by its owner's mutex.
 package dual
 
 import "revnf/internal/timeslot"
 
-// Table is the dual prices of a set of cloudlets over one window. Prices
-// start at zero, and a slot entering the window starts at zero again
-// rather than inheriting the retired slot's accumulated price; prices of
-// slots that stay live are never touched by Advance, which is what keeps
-// rolling-window decisions bit-identical to fixed-horizon ones.
+// Table is the dual prices of a set of cloudlets over one window, a row per
+// cloudlet. Prices start at zero, and a slot entering the window starts at
+// zero again rather than inheriting the retired slot's accumulated price
+// (Advance zeroes the retired cells); prices of slots that stay live are
+// never touched by Advance, which is what keeps rolling-window decisions
+// bit-identical to fixed-horizon ones.
 type Table struct {
-	timeslot.Window
-	rows [][]float64 // rows[j] is cloudlet j's ring
+	timeslot.Ring[float64]
 }
 
 // NewTable returns an all-zero table for the window [1, horizon].
 func NewTable(cloudlets, horizon int) Table {
-	rows := make([][]float64, cloudlets)
-	for j := range rows {
-		rows[j] = make([]float64, horizon)
-	}
-	return Table{Window: timeslot.NewWindow(horizon), rows: rows}
-}
-
-// At returns λ_{slot,j}, or 0 for an unknown cloudlet or a slot that is not
-// live.
-func (t *Table) At(j, slot int) float64 {
-	if j < 0 || j >= len(t.rows) || !t.Contains(slot, slot) {
-		return 0
-	}
-	return t.rows[j][t.Index(slot)]
-}
-
-// Row returns cloudlet j's ring, cell Index(slot) holding λ_{slot,j}, for
-// a walk that moves over the prices and another ring in lockstep.
-func (t *Table) Row(j int) []float64 { return t.rows[j] }
-
-// span returns row j's cells for the live slots [lo, hi] in slot order, as
-// the ring's two contiguous runs.
-func (t *Table) span(j, lo, hi int) (head, tail []float64) {
-	row := t.rows[j]
-	i, n := t.Index(lo), max(hi-lo+1, 0)
-	k := min(n, len(row)-i)
-	return row[i : i+k], row[:n-k]
+	return Table{timeslot.NewRing[float64](cloudlets, horizon)}
 }
 
 // Sum returns Σ_{t=lo..hi} weight·λ_{tj}, accumulated in ascending slot
@@ -69,7 +45,7 @@ func (t *Table) span(j, lo, hi int) (head, tail []float64) {
 // and under GOAMD64=v3), and prices, and through cost ties decisions, would
 // depend on the architecture.
 func (t *Table) Sum(j, lo, hi int, weight float64) float64 {
-	head, tail := t.span(j, lo, hi)
+	head, tail := t.Span(j, lo, hi)
 	sum := 0.0
 	for _, v := range head {
 		sum += float64(weight * v)
@@ -89,23 +65,11 @@ func (t *Table) Update(j, lo, hi int, growth, additive float64) {
 	if !ok {
 		return
 	}
-	head, tail := t.span(j, lo, hi)
+	head, tail := t.Span(j, lo, hi)
 	for i := range head {
 		head[i] = float64(head[i]*growth) + additive // rounded twice: see Sum
 	}
 	for i := range tail {
 		tail[i] = float64(tail[i]*growth) + additive
 	}
-}
-
-// Advance moves the window to start at base, zeroes the retired prices and
-// returns the retired ring range as timeslot.Window.Advance does.
-func (t *Table) Advance(base int) (start, n int) {
-	start, n = t.Window.Advance(base)
-	if n > 0 {
-		for _, row := range t.rows {
-			timeslot.ClearRing(row, start, n)
-		}
-	}
-	return start, n
 }

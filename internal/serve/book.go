@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"revnf/internal/core"
+	"revnf/internal/timeslot"
 )
 
 // The history's geometry: a lookup steps over at most a block's entries,
@@ -49,13 +50,13 @@ const (
 // placementBook is the engine's ID-keyed state, in two parts.
 //
 // The live records — admitted and not yet expired: what Tick releases and
-// what the failure runtime repairs — are filed in the expiry ring itself: a
-// deque of per-slot buckets holding each record under the last slot of its
-// window. The front follows the clock, so expiry pops whole buckets and
-// gets the records back, and the ring's memory follows the span of slots
-// between the oldest and the newest live window, which the horizon bounds.
+// what the failure runtime repairs — are filed in the expiry ring itself: an
+// end-slot index holding each record under the last slot of its window. The
+// front follows the clock, so expiry pops whole cells and gets the records
+// back, and the ring's memory follows the span of slots between the oldest
+// and the newest live window, which the horizon bounds.
 // There is no per-ID table: a live record is found by ID through its
-// history entry, whose window names the bucket to scan. A record enters at
+// history entry, whose window names the cell to scan. A record enters at
 // admission and leaves at expiry, when it goes back on the free list, so a
 // steady-state admission allocates no record.
 //
@@ -80,9 +81,9 @@ const (
 // no pointer to a live record may outlive the critical section that read
 // it, because retire recycles the record.
 type placementBook struct {
-	ends    slotDeque[[]*PlacementRecord] // live records by the last slot of their window
-	active  int                           // live records
-	expired []*PlacementRecord            // expire's result, reused call after call
+	ends    timeslot.Ends[*PlacementRecord] // live records by the last slot of their window
+	active  int                             // live records
+	expired []*PlacementRecord              // expire's result, reused call after call
 	free    []*PlacementRecord
 
 	spans       []historySpan  // every chunk, oldest first; the spilled ones lie back to back in spill
@@ -114,13 +115,7 @@ func (b *placementBook) admit(req core.Request, placement core.Placement, slot i
 	}
 	rec.ID, rec.Request, rec.Placement = req.ID, req, placement
 	rec.DecidedSlot, rec.State, rec.ReservedFrom = slot, StateScheduled, req.Arrival
-	if b.active == 0 {
-		// Every bucket is empty: restart the range at this window rather
-		// than stretch it from wherever the last one drained.
-		b.ends.n = 0
-	}
-	bucket := b.ends.at(req.End())
-	*bucket = append(*bucket, rec)
+	b.ends.File(req.End(), rec)
 	b.active++
 	b.filed++
 	b.file(rec, false)
@@ -135,14 +130,9 @@ func (b *placementBook) admit(req core.Request, placement core.Placement, slot i
 // until the next expire.
 func (b *placementBook) expire(now int) []*PlacementRecord {
 	b.expired = b.expired[:0]
-	for b.ends.n > 0 && b.ends.lo < now {
-		bucket := b.ends.front()
-		b.expired = append(b.expired, *bucket...)
-		*bucket = (*bucket)[:0]
-		b.ends.popFront()
-	}
+	b.ends.Pop(now, func(rec *PlacementRecord) { b.expired = append(b.expired, rec) })
 	b.active -= len(b.expired)
-	// Buckets pop in slot order and fill in decision order, which is ID
+	// Cells pop in slot order and fill in decision order, which is ID
 	// order at one token; sort only a batch that is not.
 	byID := func(x, y *PlacementRecord) int { return cmp.Compare(x.ID, y.ID) }
 	if !slices.IsSortedFunc(b.expired, byID) {
@@ -170,16 +160,13 @@ func (b *placementBook) liveRecord(id int) *PlacementRecord {
 }
 
 // liveOf returns the live record of a history entry, nil once it has
-// expired: a scan of the bucket of the window's last slot.
+// expired: a scan of the cell of the window's last slot.
 func (b *placementBook) liveOf(f filedEntry) *PlacementRecord {
 	r := f.body
 	arrival := f.arrivalBase + r.int()
 	r.int() // arrival − decided slot
 	end := arrival + r.int() - 1
-	if end < b.ends.lo || end >= b.ends.lo+b.ends.n {
-		return nil
-	}
-	for _, rec := range *b.ends.at(end) {
+	for _, rec := range b.ends.Cell(end) {
 		if rec.ID == f.id {
 			return rec
 		}
@@ -298,7 +285,7 @@ func (b *placementBook) openBlock(rec *PlacementRecord) {
 func (b *placementBook) spillOld() {
 	for len(b.chunks) > 0 {
 		c, span := b.chunks[0], &b.spans[len(b.spans)-len(b.chunks)]
-		if b.active > 0 && span.end >= b.ends.lo {
+		if b.active > 0 && span.end >= b.ends.Base() {
 			return
 		}
 		if b.spill == nil { // unlinked at once; nil on a failure, which WriteAt counts
@@ -517,66 +504,4 @@ func (r *entryReader) uint() uint64 {
 	v, n := binary.Uvarint(*r)
 	*r = (*r)[n:]
 	return v
-}
-
-// slotDeque holds one cell per slot of a contiguous slot range
-// [lo, lo+n-1] in a ring buffer, so that state keyed by slot costs an
-// index rather than a hash and its storage is reused lap after lap. Cells
-// outside the range are in their empty state (the zero value, or what
-// popFront's caller reset them to), so the range grows over them as-is.
-type slotDeque[T any] struct {
-	cells []T // ring; the cell of slot lo sits at index head
-	head  int
-	n     int // slots in range
-	lo    int // first slot in range; meaningless while n == 0
-}
-
-// at returns the cell of slot, growing the range (at either end) to
-// include it.
-func (d *slotDeque[T]) at(slot int) *T {
-	switch {
-	case d.n == 0:
-		d.reserve(1)
-		d.lo, d.n = slot, 1
-	case slot < d.lo:
-		grow := d.lo - slot
-		d.reserve(d.n + grow)
-		if d.head -= grow; d.head < 0 {
-			d.head += len(d.cells)
-		}
-		d.lo, d.n = slot, d.n+grow
-	case slot >= d.lo+d.n:
-		d.reserve(slot - d.lo + 1)
-		d.n = slot - d.lo + 1
-	}
-	i := d.head + slot - d.lo
-	if i >= len(d.cells) {
-		i -= len(d.cells)
-	}
-	return &d.cells[i]
-}
-
-// reserve makes room for n cells, keeping every cell (the empty ones too:
-// their backing arrays are what the ring recycles).
-func (d *slotDeque[T]) reserve(n int) {
-	if n <= len(d.cells) {
-		return
-	}
-	cells := make([]T, max(n, 2*len(d.cells), 8))
-	k := copy(cells, d.cells[d.head:])
-	copy(cells[k:], d.cells[:d.head])
-	d.cells, d.head = cells, 0
-}
-
-// front returns the cell of slot lo; the range must not be empty.
-func (d *slotDeque[T]) front() *T { return &d.cells[d.head] }
-
-// popFront drops slot lo from the range. The caller has already returned
-// its cell to the empty state.
-func (d *slotDeque[T]) popFront() {
-	if d.head++; d.head == len(d.cells) {
-		d.head = 0
-	}
-	d.lo++
-	d.n--
 }

@@ -210,12 +210,12 @@ func historyRows(t testing.TB, b *placementBook) []historyBlock {
 	return append(rows, b.rows...)
 }
 
-// liveRecords counts the records filed in the book's expiry ring, bucket by
-// bucket.
+// liveRecords counts the records filed in the book's expiry ring, cell by
+// cell.
 func liveRecords(b *placementBook) int {
 	n := 0
-	for slot := b.ends.lo; slot < b.ends.lo+b.ends.n; slot++ {
-		n += len(*b.ends.at(slot))
+	for slot := b.ends.Base(); slot <= b.ends.Last(); slot++ {
+		n += len(b.ends.Cell(slot))
 	}
 	return n
 }

@@ -280,7 +280,7 @@ func (m *keyScan) retire(limit int) {
 // ring — and after every call demands the join index the full key scan
 // leaves: the same groups under every key in the same order (so the same
 // set retired by that call), with every open group filed under exactly one
-// end-slot cell between minEnd and its end.
+// end-slot cell between the index's base and its end.
 func TestRetirementMatchesKeyScan(t *testing.T) {
 	const window = 12
 	for seed := int64(1); seed <= 5; seed++ {
@@ -303,8 +303,8 @@ func TestRetirementMatchesKeyScan(t *testing.T) {
 					if g.key != key {
 						t.Fatalf("seed %d step %d %s: group %d under key %d records key %d", seed, step, call, g.id, key, g.key)
 					}
-					if g.end < s.minEnd {
-						t.Fatalf("seed %d step %d %s: group %d ends at %d, before minEnd %d", seed, step, call, g.id, g.end, s.minEnd)
+					if g.end < s.ends.Base() {
+						t.Fatalf("seed %d step %d %s: group %d ends at %d, before the index's base %d", seed, step, call, g.id, g.end, s.ends.Base())
 					}
 				}
 				if !slices.Equal(got, model.open[key]) {
@@ -313,11 +313,11 @@ func TestRetirementMatchesKeyScan(t *testing.T) {
 			}
 			filed := 0
 			for ts := base; ts < base+window; ts++ {
-				for g := s.byEnd[s.prices.Index(ts)]; g != nil; g = g.next {
+				for _, g := range s.ends.Cell(ts) {
 					filed++
-					if !open[g] || ts < s.minEnd || ts > g.end {
-						t.Fatalf("seed %d step %d %s: group %d (open %v, end %d) filed under slot %d, minEnd %d",
-							seed, step, call, g.id, open[g], g.end, ts, s.minEnd)
+					if !open[g] || ts < s.ends.Base() || ts > g.end {
+						t.Fatalf("seed %d step %d %s: group %d (open %v, end %d) filed under slot %d, index base %d",
+							seed, step, call, g.id, open[g], g.end, ts, s.ends.Base())
 					}
 				}
 			}

@@ -56,8 +56,6 @@ type group struct {
 	// it keeps being joined. Protected by Scheduler.mu.
 	ref []uint16
 	end int // max covered slot; stale groups (end < arrival) are retired
-	// next chains the groups filed under one cell of Scheduler.byEnd.
-	next *group
 }
 
 // stackCloudlets is the network size up to which Propose keeps its
@@ -71,9 +69,9 @@ const stackCloudlets = 32
 // write lock. ConcurrentPropose reports false — a proposal carries a
 // tentative group ID whose uniqueness needs the Propose→Commit pairs
 // serialized — so engines decide with one worker token. All state
-// keyed by slot is a ring over the live window (DESIGN.md §10): λ, the
-// groups' refcounts and the end-slot cells retirement goes by share one
-// timeslot.Window, and AdvanceWindow is the one place a retired cell is cleared.
+// keyed by slot is a ring (DESIGN.md §10): λ and the groups' refcounts
+// share one timeslot.Window, and AdvanceWindow is the one place a retired
+// cell of theirs is cleared; the groups retire through an end-slot index.
 type Scheduler struct {
 	network  *core.Network
 	poolSize int
@@ -95,14 +93,11 @@ type Scheduler struct {
 	// on the primary too would fragment the m·|F| keys into m²·|F|.
 	open      [][]*group // guarded by mu
 	nextGroup int        // guarded by mu
-	// byEnd files every open group under the ring cell of the slot its
-	// coverage ended at when it was filed: end itself, or an earlier slot
-	// once joins have extended it (retireLocked re-files those when it gets
-	// there). Retirement so visits the groups that may retire, not every key.
-	byEnd []*group // guarded by mu
-	// minEnd is a lower bound on the slots with a group filed under them
-	// (math.MaxInt before the first group): retireLocked starts there.
-	minEnd int // guarded by mu
+	// ends files every open group under the slot its coverage ended at
+	// when it was filed: end itself, or an earlier slot once joins have
+	// extended it (retireLocked re-files those when it gets there).
+	// Retirement so visits the groups that may retire, not every key.
+	ends timeslot.Ends[*group] // guarded by mu
 	// free holds retired groups, rings zeroed, for the next new group.
 	free []*group // guarded by mu
 	name string
@@ -145,9 +140,7 @@ func NewScheduler(network *core.Network, horizon int, opts ...Option) (*Schedule
 		poolSize:  core.DefaultSharedPoolSize,
 		prices:    dual.NewTable(len(network.Cloudlets), horizon),
 		open:      make([][]*group, len(network.Cloudlets)*len(network.Catalog)),
-		byEnd:     make([]*group, horizon),
 		nextGroup: 1,
-		minEnd:    math.MaxInt,
 		name:      "pd-shared",
 		rec:       trace.Nop,
 	}
@@ -185,8 +178,6 @@ func (s *Scheduler) Lambda(cloudlet, slot int) float64 {
 func (s *Scheduler) AdvanceWindow(base int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Retirement comes first: it addresses the end-slot cells of the slots
-	// about to retire through the geometry the advance moves.
 	s.retireLocked(base)
 	start, n := s.prices.Advance(base)
 	if n == 0 {
@@ -200,41 +191,22 @@ func (s *Scheduler) AdvanceWindow(base int) {
 }
 
 // retireLocked drops the groups whose last covered slot is before limit
-// from the join index, recycling them: it empties the end-slot cells of
-// [minEnd, limit), re-filing the groups a join has extended to limit or
-// later, so it costs what retires. No group ends past the live window, so
-// the walk stops there. Caller holds the write lock.
+// from the join index, recycling them: it pops the end-slot cells before
+// limit, re-filing the groups a join has extended to limit or later, so it
+// costs what retires. Caller holds the write lock.
 func (s *Scheduler) retireLocked(limit int) {
-	for t, stop := s.minEnd, min(limit, s.prices.Base()+s.prices.Len()); t < stop; t++ {
-		cell := &s.byEnd[s.prices.Index(t)]
-		g := *cell
-		*cell = nil
-		for g != nil {
-			next := g.next
-			if g.end >= limit {
-				s.fileLocked(g)
-			} else {
-				// Deleting in place keeps the key's ascending ID order.
-				open := s.open[g.key]
-				at := slices.Index(open, g)
-				s.open[g.key] = slices.Delete(open, at, at+1)
-				clear(g.ref)
-				g.next = nil
-				s.free = append(s.free, g)
-			}
-			g = next
+	s.ends.Pop(limit, func(g *group) {
+		if g.end >= limit {
+			s.ends.File(g.end, g)
+			return
 		}
-	}
-	if s.minEnd < limit {
-		s.minEnd = limit
-	}
-}
-
-// fileLocked files the group under the cell of its end slot. Caller holds
-// the write lock.
-func (s *Scheduler) fileLocked(g *group) {
-	cell := &s.byEnd[s.prices.Index(g.end)]
-	g.next, *cell = *cell, g
+		// Deleting in place keeps the key's ascending ID order.
+		open := s.open[g.key]
+		at := slices.Index(open, g)
+		s.open[g.key] = slices.Delete(open, at, at+1)
+		clear(g.ref)
+		s.free = append(s.free, g)
+	})
 }
 
 // backupSide is the half of a pair that depends only on the backup
@@ -400,7 +372,7 @@ func (s *Scheduler) openKey(backup, vnf int) int {
 // footprint wins. Caller holds mu (read side).
 func (s *Scheduler) joinableLocked(backup int, req core.Request, view core.CapacityView, demand int, windowSum float64) backupSide {
 	gid, uncovered := newGroup, windowSum
-	row, ring := s.prices.Row(backup), s.prices.Len()
+	row, w := s.prices.Row(backup), s.prices.Window
 	for _, g := range s.open[s.openKey(backup, req.VNF)] {
 		if g.end < req.Arrival {
 			// Stale group: never joinable by an in-order arrival stream;
@@ -409,9 +381,8 @@ func (s *Scheduler) joinableLocked(backup int, req core.Request, view core.Capac
 		}
 		fits := true
 		sum := 0.0
-		i := s.prices.Index(req.Arrival)
 		for t := req.Arrival; t <= req.End() && fits; t++ {
-			switch {
+			switch i := w.Index(t); {
 			case int(g.ref[i]) >= s.poolSize:
 				fits = false
 			case g.ref[i] == 0:
@@ -419,9 +390,6 @@ func (s *Scheduler) joinableLocked(backup int, req core.Request, view core.Capac
 					fits = false
 				}
 				sum += row[i]
-			}
-			if i++; i == ring {
-				i = 0
 			}
 		}
 		if fits && (gid == newGroup || sum < uncovered) {
@@ -496,18 +464,15 @@ func (s *Scheduler) Commit(req core.Request, p core.Placement) {
 	// The join and the backup's update are one walk over the group's
 	// refcounts and the backup's prices in lockstep.
 	growth, additive = s.eq34(backup, demand/float64(s.poolSize), req)
-	row, ring := s.prices.Row(backup), s.prices.Len()
-	i := s.prices.Index(lo)
+	row, w := s.prices.Row(backup), s.prices.Window
 	for t := lo; t <= hi; t++ {
+		i := w.Index(t)
 		if g.ref[i] == 0 {
 			// Rounded as dual.Table.Update rounds, for the same reason.
 			row[i] = float64(row[i]*growth) + additive
 		}
 		if g.ref[i] < math.MaxUint16 {
 			g.ref[i]++
-		}
-		if i++; i == ring {
-			i = 0
 		}
 	}
 }
@@ -548,8 +513,7 @@ func (s *Scheduler) groupLocked(key, gid, hi int) *group {
 	// The new ID is the largest issued, so appending keeps the key's
 	// groups in ascending ID order.
 	s.open[key] = append(s.open[key], g)
-	s.fileLocked(g)
-	s.minEnd = min(s.minEnd, hi)
+	s.ends.File(hi, g)
 	return g
 }
 

@@ -113,6 +113,7 @@ package timeslot
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -139,9 +140,8 @@ type Ledger struct {
 	caps    []int
 	rolling bool // circular-window mode; a fixed ledger's geometry never moves
 
-	used [][]int // used[cloudlet][ring index]; guarded by mu
-	win  Window  // the live window's geometry; guarded by mu
-	// base mirrors win.Base(): Advance stores it with mu held, and it is
+	used Ring[int] // units in use per cloudlet and live slot, and the window's geometry; guarded by mu
+	// base mirrors used.Base(): Advance stores it with mu held, and it is
 	// atomic only so that Base needs no lock.
 	base atomic.Int64
 	// epoch counts the mutations of cells and geometry: bumped with mu
@@ -177,17 +177,13 @@ func build(capacities []int, window int, rolling bool) (*Ledger, error) {
 	if len(capacities) == 0 {
 		return nil, fmt.Errorf("%w: no capacities", ErrBadCloudlet)
 	}
-	caps := make([]int, len(capacities))
-	used := make([][]int, len(capacities))
 	for j, c := range capacities {
 		if c <= 0 {
 			return nil, fmt.Errorf("%w: cloudlet %d capacity %d", ErrBadUnits, j, c)
 		}
-		caps[j] = c
-		used[j] = make([]int, window)
 	}
-	l := &Ledger{window: window, caps: caps, used: used, win: NewWindow(window), rolling: rolling,
-		stamp: make([]uint64, len(caps))}
+	l := &Ledger{window: window, caps: append([]int(nil), capacities...), used: NewRing[int](len(capacities), window),
+		rolling: rolling, stamp: make([]uint64, len(capacities))}
 	l.base.Store(1)
 	return l, nil
 }
@@ -248,10 +244,7 @@ func (l *Ledger) Capacity(cloudlet int) int {
 func (l *Ledger) Used(cloudlet, slot int) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.inRangeAt(cloudlet, slot, l.win.Base()) {
-		return l.used[cloudlet][l.win.Index(slot)]
-	}
-	return 0
+	return l.used.At(cloudlet, slot)
 }
 
 // Residual returns the free units of cloudlet j at slot t. It can be
@@ -261,8 +254,8 @@ func (l *Ledger) Used(cloudlet, slot int) int {
 func (l *Ledger) Residual(cloudlet, slot int) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.inRangeAt(cloudlet, slot, l.win.Base()) {
-		return l.caps[cloudlet] - l.used[cloudlet][l.win.Index(slot)]
+	if l.inRangeAt(cloudlet, slot, l.used.Base()) {
+		return l.caps[cloudlet] - l.used.At(cloudlet, slot)
 	}
 	return 0
 }
@@ -275,7 +268,7 @@ func (l *Ledger) Residual(cloudlet, slot int) int {
 func (l *Ledger) ResidualWindow(cloudlet, start, duration int) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.windowInRangeAt(cloudlet, start, duration, l.win.Base()) {
+	if l.windowInRangeAt(cloudlet, start, duration, l.used.Base()) {
 		return l.residualWindowLocked(cloudlet, start, duration)
 	}
 	return 0
@@ -284,18 +277,12 @@ func (l *Ledger) ResidualWindow(cloudlet, start, duration int) int {
 // residualWindowLocked computes the window minimum with mu held (which
 // pins the window; see the package comment).
 func (l *Ledger) residualWindowLocked(cloudlet, start, duration int) int {
-	row, capacity := l.used[cloudlet], l.caps[cloudlet]
-	i := l.win.Index(start)
-	minFree := capacity - row[i]
-	for t := 1; t < duration; t++ {
-		if i++; i == len(row) {
-			i = 0
-		}
-		if free := capacity - row[i]; free < minFree {
-			minFree = free
-		}
+	head, tail := l.used.Span(cloudlet, start, start+duration-1)
+	used := slices.Max(head)
+	if len(tail) > 0 {
+		used = max(used, slices.Max(tail))
 	}
-	return minFree
+	return l.caps[cloudlet] - used
 }
 
 // CanReserve reports whether units fit in cloudlet j over the window
@@ -367,7 +354,6 @@ func (l *Ledger) book(start, duration int, claims []Claim, pooled *Pooled, sign 
 			return false, err
 		}
 	}
-	first := l.win.Index(start)
 	for k, c := range claims {
 		// What the cloudlet must have: this claim on top of the earlier
 		// claims against the same cloudlet.
@@ -384,31 +370,27 @@ func (l *Ledger) book(start, duration int, claims []Claim, pooled *Pooled, sign 
 				return false, nil
 			}
 		default:
-			row, i := l.used[c.Cloudlet], first
+			row, w := l.used.Row(c.Cloudlet), l.used.Window
 			for t := start; t < start+duration; t++ {
-				if row[i] < need {
+				if u := row[w.Index(t)]; u < need {
 					return false, fmt.Errorf("%w: cloudlet %d slot %d used %d release %d",
-						ErrUnderflow, c.Cloudlet, t, row[i], need)
-				}
-				if i++; i == l.window {
-					i = 0
+						ErrUnderflow, c.Cloudlet, t, u, need)
 				}
 			}
 		}
 	}
 	if pooled != nil {
-		if ok, err := l.rowFitsLocked(g, pooled, claims, start, duration, first, sign); !ok {
+		if ok, err := l.rowFitsLocked(g, pooled, claims, start, duration, sign); !ok {
 			return false, err
 		}
 	}
 	epoch := l.epoch.Add(1)
 	for _, c := range claims {
 		l.stamp[c.Cloudlet] = epoch
-		row, i := l.used[c.Cloudlet], first
-		for t := 0; t < duration; t++ {
-			row[i] += sign * c.Units
-			if i++; i == l.window {
-				i = 0
+		head, tail := l.used.Span(c.Cloudlet, start, start+duration-1)
+		for _, run := range [2][]int{head, tail} {
+			for i := range run {
+				run[i] += sign * c.Units
 			}
 		}
 	}
@@ -419,7 +401,7 @@ func (l *Ledger) book(start, duration int, claims []Claim, pooled *Pooled, sign 
 		} else {
 			l.stamp[pooled.Cloudlet] = epoch
 		}
-		l.writeRowLocked(g, pooled, duration, first, sign)
+		l.writeRowLocked(g, pooled, start, duration, sign)
 	}
 	return true, nil
 }
@@ -475,15 +457,13 @@ func (l *Ledger) Advance(base int) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	cur := l.win.Base()
+	cur := l.used.Base()
 	if base < cur {
 		return fmt.Errorf("%w: advance to %d behind base %d", ErrBadSlot, base, cur)
 	}
 	retire := 0
-	for i := l.win.Index(cur); retire < base-cur && retire < l.window && l.drainedLocked(i); retire++ {
-		if i++; i == l.window {
-			i = 0
-		}
+	for retire < base-cur && retire < l.window && l.drainedLocked(l.used.Index(cur+retire)) {
+		retire++
 	}
 	if retire == l.window {
 		retire = base - cur
@@ -494,7 +474,7 @@ func (l *Ledger) Advance(base int) error {
 	// Retired rows are zero, so the slots entering the window reuse them
 	// as-is: re-basing is pure geometry.
 	l.epoch.Add(1)
-	l.win.Advance(cur + retire)
+	l.used.Window.Advance(cur + retire)
 	l.base.Store(int64(cur + retire))
 	return nil
 }
@@ -502,8 +482,8 @@ func (l *Ledger) Advance(base int) error {
 // drainedLocked reports whether every cloudlet's row at ring index i is
 // zero. Caller holds mu.
 func (l *Ledger) drainedLocked(i int) bool {
-	for j := range l.caps {
-		if l.used[j][i] != 0 {
+	for _, row := range l.used.rows {
+		if row[i] != 0 {
 			return false
 		}
 	}
@@ -513,8 +493,8 @@ func (l *Ledger) drainedLocked(i int) bool {
 // checkArgsLocked validates mutating-call arguments against the live
 // window. Caller holds mu.
 func (l *Ledger) checkArgsLocked(start, duration, units int) error {
-	if duration < 1 || !l.win.Contains(start, start+duration-1) {
-		base := l.win.Base()
+	if duration < 1 || !l.used.Contains(start, start+duration-1) {
+		base := l.used.Base()
 		return fmt.Errorf("%w: window [%d,%d] live window [%d,%d]",
 			ErrBadSlot, start, start+duration-1, base, base+l.window-1)
 	}
@@ -537,16 +517,12 @@ type Violation struct {
 func (l *Ledger) Violations() []Violation {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	base := l.win.Base()
+	base := l.used.Base()
 	var out []Violation
 	for j := range l.caps {
-		i := l.win.Index(base)
 		for t := base; t <= base+l.window-1; t++ {
-			if u := l.used[j][i]; u > l.caps[j] {
+			if u := l.used.At(j, t); u > l.caps[j] {
 				out = append(out, Violation{Cloudlet: j, Slot: t, Used: u, Capacity: l.caps[j]})
-			}
-			if i++; i == l.window {
-				i = 0
 			}
 		}
 	}
@@ -559,9 +535,9 @@ func (l *Ledger) MaxViolationRatio() float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	maxRatio := 0.0
-	for j := range l.caps {
-		for t := 0; t < l.window; t++ {
-			if r := float64(l.used[j][t]) / float64(l.caps[j]); r > maxRatio {
+	for j, row := range l.used.rows {
+		for _, u := range row {
+			if r := float64(u) / float64(l.caps[j]); r > maxRatio {
 				maxRatio = r
 			}
 		}
@@ -578,9 +554,9 @@ func (l *Ledger) Utilization() float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	total := 0.0
-	for j := range l.caps {
-		for t := 0; t < l.window; t++ {
-			total += float64(l.used[j][t]) / float64(l.caps[j])
+	for j, row := range l.used.rows {
+		for _, u := range row {
+			total += float64(u) / float64(l.caps[j])
 		}
 	}
 	return total / float64(len(l.caps)*l.window)
@@ -592,11 +568,12 @@ func (l *Ledger) Utilization() float64 {
 func (l *Ledger) Clone() *Ledger {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	used := make([][]int, len(l.used))
-	for j, row := range l.used {
-		used[j] = append([]int(nil), row...)
+	used := l.used
+	used.rows = make([][]int, len(l.used.rows))
+	for j, row := range l.used.rows {
+		used.rows[j] = append([]int(nil), row...)
 	}
-	c := &Ledger{window: l.window, caps: append([]int(nil), l.caps...), used: used, win: l.win, rolling: l.rolling,
+	c := &Ledger{window: l.window, caps: append([]int(nil), l.caps...), used: used, rolling: l.rolling,
 		stamp: make([]uint64, len(l.caps))}
 	c.base.Store(l.base.Load())
 	return c

@@ -128,10 +128,10 @@ func (p *Pool) Refs(group, slot int) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	g, ok := l.groups[group]
-	if !ok || !l.win.Contains(slot, slot) {
+	if !ok || !l.used.Contains(slot, slot) {
 		return 0
 	}
-	return int(g.ref[l.win.Index(slot)])
+	return int(g.ref[l.used.Index(slot)])
 }
 
 // Groups returns the number of groups currently holding capacity.
@@ -168,7 +168,7 @@ func (l *Ledger) groupLocked(m *Pooled, start, duration, sign int) (*poolGroup, 
 		return nil, fmt.Errorf("%w: %d", ErrUnknownGroup, m.Group)
 	}
 	for t := start; t < start+duration; t++ {
-		if !l.win.Contains(t, t) || g.ref[l.win.Index(t)] < 1 {
+		if !l.used.Contains(t, t) || g.ref[l.used.Index(t)] < 1 {
 			return nil, fmt.Errorf("%w: group %d slot %d", ErrNotCovered, m.Group, t)
 		}
 	}
@@ -178,9 +178,9 @@ func (l *Ledger) groupLocked(m *Pooled, start, duration, sign int) (*poolGroup, 
 // rowFitsLocked tests the pooled row against the cells the claims leave:
 // a reservation must find room for the row's units on top of the claims'
 // in every cell no member covers yet, a release must find both in every
-// cell whose last member leaves. g is nil for a group being opened; first
-// is the window's first ring index. Caller holds mu.
-func (l *Ledger) rowFitsLocked(g *poolGroup, m *Pooled, claims []Claim, start, duration, first, sign int) (bool, error) {
+// cell whose last member leaves. g is nil for a group being opened. Caller
+// holds mu.
+func (l *Ledger) rowFitsLocked(g *poolGroup, m *Pooled, claims []Claim, start, duration, sign int) (bool, error) {
 	cloudlet, units, edge := m.Cloudlet, m.Units, int32(0)
 	if g != nil {
 		cloudlet, units = g.cloudlet, g.units
@@ -194,9 +194,9 @@ func (l *Ledger) rowFitsLocked(g *poolGroup, m *Pooled, claims []Claim, start, d
 			need += c.Units
 		}
 	}
-	row, i := l.used[cloudlet], first
+	row, w := l.used.Row(cloudlet), l.used.Window
 	for t := start; t < start+duration; t++ {
-		if g == nil || g.ref[i] == edge {
+		if i := w.Index(t); g == nil || g.ref[i] == edge {
 			switch {
 			case sign > 0 && l.caps[cloudlet]-row[i] < need:
 				return false, nil
@@ -204,9 +204,6 @@ func (l *Ledger) rowFitsLocked(g *poolGroup, m *Pooled, claims []Claim, start, d
 				return false, fmt.Errorf("%w: group %d cloudlet %d slot %d used %d release %d",
 					ErrUnderflow, m.Group, cloudlet, t, row[i], need)
 			}
-		}
-		if i++; i == l.window {
-			i = 0
 		}
 	}
 	return true, nil
@@ -216,7 +213,7 @@ func (l *Ledger) rowFitsLocked(g *poolGroup, m *Pooled, claims []Claim, start, d
 // units on every cell whose count leaves or reaches zero, opening the group
 // (g nil) or dropping it when its last cell empties. Caller holds mu, and
 // has tested the row.
-func (l *Ledger) writeRowLocked(g *poolGroup, m *Pooled, duration, first, sign int) {
+func (l *Ledger) writeRowLocked(g *poolGroup, m *Pooled, start, duration, sign int) {
 	if g == nil {
 		if n := len(l.free); n > 0 {
 			g, l.free = l.free[n-1], l.free[:n-1]
@@ -229,8 +226,9 @@ func (l *Ledger) writeRowLocked(g *poolGroup, m *Pooled, duration, first, sign i
 		}
 		l.groups[m.Group] = g
 	}
-	row, i := l.used[g.cloudlet], first
-	for t := 0; t < duration; t++ {
+	row, w := l.used.Row(g.cloudlet), l.used.Window
+	for t := start; t < start+duration; t++ {
+		i := w.Index(t)
 		if sign > 0 && g.ref[i] == 0 {
 			g.held++
 			row[i] += g.units
@@ -238,9 +236,6 @@ func (l *Ledger) writeRowLocked(g *poolGroup, m *Pooled, duration, first, sign i
 		if g.ref[i] += int32(sign); sign < 0 && g.ref[i] == 0 {
 			g.held--
 			row[i] -= g.units
-		}
-		if i++; i == l.window {
-			i = 0
 		}
 	}
 	if g.held == 0 {

@@ -71,23 +71,21 @@ func (r *Reader) Load(start, duration int) {
 		r.free, r.pmin = make([]int, need), make([]int, need)
 	}
 	l.mu.Lock()
-	base := l.win.Base()
+	base := l.used.Base()
 	switch {
 	case inside && r.start >= base:
 		// The copy's window is still live: only the rows written since the
 		// copy differ from what copying it again would produce.
 		r.refreshes++
-		i := l.win.Index(r.start)
 		for j, stamp := range l.stamp {
 			if stamp > r.epoch {
-				r.copyRow(j, i)
+				r.copyRow(j)
 			}
 		}
 	case l.windowInRangeAt(0, start, duration, base):
 		r.start, r.duration = start, duration
-		i := l.win.Index(start)
-		for j := range l.used {
-			r.copyRow(j, i)
+		for j := range l.caps {
+			r.copyRow(j)
 		}
 	default:
 		r.duration = 0
@@ -98,19 +96,16 @@ func (r *Reader) Load(start, duration int) {
 	l.mu.Unlock()
 }
 
-// copyRow copies the cloudlet's residuals over the copy's window, whose
-// first slot sits at ring index i, and their prefix minima. The window is at
-// most two contiguous runs of the ring. Caller holds the ledger's mu.
-func (r *Reader) copyRow(cloudlet, i int) {
+// copyRow copies the cloudlet's residuals over the copy's window, the
+// ring's two runs of it, and their prefix minima. Caller holds the ledger's
+// mu.
+func (r *Reader) copyRow(cloudlet int) {
 	l, duration := r.l, r.duration
-	row, capacity := l.used[cloudlet], l.caps[cloudlet]
-	at := cloudlet * duration
+	head, tail := l.used.Span(cloudlet, r.start, r.start+duration-1)
+	capacity, at := l.caps[cloudlet], cloudlet*duration
 	free, pmin := r.free[at:at+duration], r.pmin[at:at+duration]
-	head := min(duration, l.window-i)
-	low := copyFree(free[:head], pmin, row[i:i+head], capacity, capacity)
-	if head < duration {
-		copyFree(free[head:], pmin[head:], row[:duration-head], capacity, low)
-	}
+	low := copyFree(free, pmin, head, capacity, capacity)
+	copyFree(free[len(head):], pmin[len(head):], tail, capacity, low)
 }
 
 // copyFree writes capacity-used[k] into free[k] and the smallest value

@@ -265,7 +265,7 @@ func stateOf(l *Ledger) ledgerState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := ledgerState{stamp: append([]uint64(nil), l.stamp...), epoch: l.epoch.Load()}
-	for _, row := range l.used {
+	for _, row := range l.used.rows {
 		st.used = append(st.used, append([]int(nil), row...))
 	}
 	return st

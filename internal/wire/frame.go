@@ -63,9 +63,6 @@ const (
 	errorHeaderSize     = 5 // u16 code + u8 reason + u16 detail length
 )
 
-// maxFrameInt bounds the integer request fields a frame can carry.
-const maxFrameInt int64 = math.MaxUint32
-
 // Typed framing errors. Decoders return these (possibly wrapped with
 // detail) for malformed input; they never panic.
 var (
@@ -221,12 +218,13 @@ func DecodeError(payload []byte) (code int, reason ReasonCode, detail []byte, er
 }
 
 // AppendRequestFrame appends a complete v2 FrameRequest (header + payload),
-// growing buf at most once. Integer fields must fit uint32 and be
-// non-negative, and a non-empty Scheme must parse (ErrRange, buf unchanged).
+// growing buf at most once. Integer fields must lie in [0, maxWireInt], the
+// range both decoders take, and a non-empty Scheme must parse (ErrRange, buf
+// unchanged).
 func AppendRequestFrame(buf []byte, req *Request) ([]byte, error) {
-	if req.VNF < 0 || int64(req.VNF) > maxFrameInt ||
-		req.Arrival < 0 || int64(req.Arrival) > maxFrameInt ||
-		req.Duration < 0 || int64(req.Duration) > maxFrameInt {
+	if req.VNF < 0 || req.VNF > maxWireInt ||
+		req.Arrival < 0 || req.Arrival > maxWireInt ||
+		req.Duration < 0 || req.Duration > maxWireInt {
 		return buf, fmt.Errorf("%w: vnf %d arrival %d duration %d",
 			ErrRange, req.VNF, req.Arrival, req.Duration)
 	}
@@ -258,8 +256,8 @@ func AppendDecisionFrame(buf []byte, d *Decision) []byte {
 	slot := int64(d.Slot)
 	if slot < 0 {
 		slot = 0
-	} else if slot > maxFrameInt {
-		slot = maxFrameInt
+	} else if slot > maxWireInt {
+		slot = maxWireInt
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(slot))
 	var flags byte

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"testing"
+
+	"revnf/internal/core"
 )
 
 // splitAgreesWithReader checks SplitFrame against FrameReader.Next on the
@@ -135,6 +138,40 @@ func FuzzDecodeNDJSON(f *testing.F) {
 			if !errors.Is(err, ErrBadJSON) && !errors.Is(err, ErrUnknownField) {
 				t.Fatalf("DecodeNDJSONDecision: untyped error %v", err)
 			}
+		}
+	})
+}
+
+// FuzzRequestRoundTrip holds the two codecs to one request: any request
+// AppendRequestFrame accepts, with finite floats, decodes to the same fields
+// — floats by bit pattern, the scheme in its flag spelling — from its frame
+// and from its NDJSON line.
+func FuzzRequestRoundTrip(f *testing.F) {
+	f.Add(3, 0, 5, 0.95, 12.5, "")
+	f.Add(1<<31+1, 1<<32-1, 0, -0.0, 5e-324, "on-site")
+	f.Add(0, 1, 1, 0.30000000000000004, 1.7976931348623157e308, "shared")
+	f.Fuzz(func(t *testing.T, vnf, arrival, duration int, reliability, payment float64, scheme string) {
+		req := Request{VNF: vnf, Arrival: arrival, Duration: duration, Reliability: reliability, Payment: payment, Scheme: scheme}
+		frame, err := AppendRequestFrame(nil, &req)
+		if err != nil || math.IsInf(reliability, 0) || math.IsNaN(reliability) || math.IsInf(payment, 0) || math.IsNaN(payment) {
+			return
+		}
+		if scheme != "" {
+			s, _ := core.ParseScheme(scheme)
+			req.Scheme = s.Flag()
+		}
+		var fromFrame, fromLine Request
+		_, payload, _, err := SplitFrame(frame)
+		if err == nil {
+			err = DecodeRequest(payload, &fromFrame)
+		}
+		if err != nil || !sameRequest(fromFrame, req) {
+			t.Fatalf("%+v: frame decodes to %+v, %v", req, fromFrame, err)
+		}
+		line := AppendNDJSONRequest(nil, &Request{VNF: vnf, Arrival: arrival, Duration: duration,
+			Reliability: reliability, Payment: payment, Scheme: scheme})
+		if err := DecodeNDJSONRequest(line, &fromLine); err != nil || !sameRequest(fromLine, req) {
+			t.Fatalf("%+v: NDJSON line %q decodes to %+v, %v", req, line, fromLine, err)
 		}
 	})
 }

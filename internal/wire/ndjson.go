@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"strconv"
 
@@ -26,11 +27,11 @@ import (
 
 // Typed NDJSON errors.
 var (
-	// ErrBadJSON reports a request line that is not a flat JSON object of
-	// number fields.
-	ErrBadJSON = errors.New("wire: malformed request line")
-	// ErrUnknownField reports a request field outside the schema.
-	ErrUnknownField = errors.New("wire: unknown request field")
+	// ErrBadJSON reports a request or decision line that is not a flat JSON
+	// object of the schema's fields.
+	ErrBadJSON = errors.New("wire: malformed NDJSON line")
+	// ErrUnknownField reports a field outside the line's schema.
+	ErrUnknownField = errors.New("wire: unknown NDJSON field")
 )
 
 // DecodeNDJSONRequest parses one request line (with or without trailing
@@ -74,7 +75,7 @@ func DecodeNDJSONDecision(line []byte, d *Decision) error {
 	for o.open(); o.field(); {
 		switch string(o.key) {
 		case "id":
-			d.ID = uint64(o.integer())
+			d.ID = o.id()
 		case "slot":
 			d.Slot = o.integer()
 		case "admitted":
@@ -184,20 +185,36 @@ func (o *object) text() (s []byte) {
 	return nil
 }
 
-// maxWireInt bounds parsed integer fields, far above any served horizon
-// or catalog size but comfortably inside int range.
-const maxWireInt = 1 << 31
-
 // integer reads a non-negative integer of at most maxWireInt (a longer one
 // has 19 digits in m, already above): stricter than JSON, which allows a
 // sign, a fraction and an exponent.
 func (o *object) integer() int {
 	start := o.p
 	if o.number(); o.num.neg || !o.num.integral || o.num.m > maxWireInt {
-		o.bad("%q is not an integer in [0, 2^31]", o.b[start:o.p])
+		o.bad("%q is not an integer in [0, 2^32)", o.b[start:o.p])
 		return 0
 	}
 	return int(o.num.m)
+}
+
+// id reads a decision ID, an integer in [0, 2^64), from its digits: 2^64−1
+// has 20, one more than the decimal kernel keeps.
+func (o *object) id() uint64 {
+	start := o.p
+	if o.number(); o.num.neg || !o.num.integral {
+		o.bad("%q is not an integer in [0, 2^64)", o.b[start:o.p])
+		return 0
+	}
+	var id uint64
+	for _, c := range o.b[start:o.p] {
+		d := uint64(c - '0')
+		if id > (math.MaxUint64-d)/10 {
+			o.bad("%q is not an integer in [0, 2^64)", o.b[start:o.p])
+			return 0
+		}
+		id = id*10 + d
+	}
+	return id
 }
 
 // float reads a number as the float64 nearest it, ties to even: the
@@ -230,7 +247,10 @@ const ndjsonRequestHint = 112 // the benchmark pool's lines are 92–99 B
 
 // AppendNDJSONRequest appends one request line, newline-terminated. It grows
 // buf once for a line of up to ndjsonRequestHint bytes (no scheme, integers
-// under 10⁵, 17-digit floats in [0.1, 10⁴)), and once more past it.
+// under 10⁵, 17-digit floats in [0.1, 10⁴)), and once more past it. It
+// checks nothing: an integer field outside [0, maxWireInt], which
+// AppendRequestFrame refuses with ErrRange, gives a line DecodeNDJSONRequest
+// refuses with ErrBadJSON.
 func AppendNDJSONRequest(buf []byte, req *Request) []byte {
 	if cap(buf)-len(buf) < ndjsonRequestHint {
 		buf = append(make([]byte, 0, len(buf)+ndjsonRequestHint), buf...)

@@ -27,7 +27,17 @@
 // per decision. CodeForReason / ReasonCode.Reason convert at the edges.
 package wire
 
-import "revnf/internal/trace"
+import (
+	"math"
+
+	"revnf/internal/trace"
+)
+
+// maxWireInt bounds a request's integer fields (VNF, arrival, duration) on
+// both protocols: a frame carries each as a u32, and the NDJSON decoder
+// refuses anything larger or negative, so a request one encoder takes
+// decodes to the same fields from either encoding.
+const maxWireInt = math.MaxUint32
 
 // Request is one admission request on the wire. It has the serve layer's
 // AdmissionRequest fields in the same order, so the serve layer converts

@@ -331,6 +331,66 @@ func TestNDJSONDecisionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNDJSONDecisionIDRange round-trips decision IDs over the whole uint64
+// range a frame decision carries, 2^64−1's twenty digits included, and
+// refuses 2^64, in a message that does not call the line a request.
+func TestNDJSONDecisionIDRange(t *testing.T) {
+	for _, id := range []uint64{0, 1 << 31, 1<<31 + 1, 1<<53 + 1, math.MaxUint64} {
+		want := Decision{ID: id, Slot: 4, Admitted: true}
+		line := AppendNDJSONDecision(nil, &want)
+		var got Decision
+		if err := DecodeNDJSONDecision(line, &got); err != nil || got != want {
+			t.Fatalf("DecodeNDJSONDecision(%q) = %+v, %v; want %+v", line, got, err, want)
+		}
+	}
+	for _, line := range []string{
+		`{"id":18446744073709551616,"admitted":true,"slot":1}`,
+		`{"id":99999999999999999999,"admitted":true,"slot":1}`,
+		`{"id":-1,"admitted":true,"slot":1}`,
+		`{"id":1e3,"admitted":true,"slot":1}`,
+	} {
+		var d Decision
+		err := DecodeNDJSONDecision([]byte(line), &d)
+		if !errors.Is(err, ErrBadJSON) || strings.Contains(err.Error(), "request") {
+			t.Fatalf("DecodeNDJSONDecision(%q) err = %v, want ErrBadJSON naming no request", line, err)
+		}
+	}
+}
+
+// TestRequestRangeAgrees holds the two codecs to one integer range: a
+// request with each integer field at a boundary of [0, 2^32) decodes to the
+// same Request from its frame and from its NDJSON line, and 2^32 is
+// refused by both — the frame encoder with ErrRange, the NDJSON decoder
+// with ErrBadJSON.
+func TestRequestRangeAgrees(t *testing.T) {
+	for _, v := range []int{0, 1 << 31, 1<<31 + 1, 1<<32 - 1, 1 << 32} {
+		for field := 0; field < 3; field++ {
+			want := Request{VNF: 2, Arrival: 3, Duration: 4, Reliability: 0.9, Payment: 7.5}
+			*[]*int{&want.VNF, &want.Arrival, &want.Duration}[field] = v
+			frame, ferr := AppendRequestFrame(nil, &want)
+			var fromLine Request
+			lerr := DecodeNDJSONRequest(AppendNDJSONRequest(nil, &want), &fromLine)
+			if v == 1<<32 {
+				if !errors.Is(ferr, ErrRange) || !errors.Is(lerr, ErrBadJSON) {
+					t.Fatalf("%+v: frame err %v, NDJSON err %v; want ErrRange and ErrBadJSON", want, ferr, lerr)
+				}
+				continue
+			}
+			if ferr != nil || lerr != nil {
+				t.Fatalf("%+v: frame err %v, NDJSON err %v", want, ferr, lerr)
+			}
+			_, payload, _, err := SplitFrame(frame)
+			var fromFrame Request
+			if err == nil {
+				err = DecodeRequest(payload, &fromFrame)
+			}
+			if err != nil || fromFrame != want || fromLine != want {
+				t.Fatalf("%+v: frame decodes to %+v (%v), NDJSON line to %+v", want, fromFrame, err, fromLine)
+			}
+		}
+	}
+}
+
 func TestNDJSONErrorLine(t *testing.T) {
 	buf := AppendNDJSONError(nil, 503, ReasonQueueFull, "admission queue full")
 	var js struct {
