@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -61,7 +62,7 @@ func ndjsonStreamBody(reqs []AdmissionRequest) []byte {
 	return buf
 }
 
-func frameStreamBody(t *testing.T, reqs []AdmissionRequest) []byte {
+func frameStreamBody(t testing.TB, reqs []AdmissionRequest) []byte {
 	t.Helper()
 	buf := wire.AppendPreamble(nil)
 	for i := range reqs {
@@ -1147,4 +1148,132 @@ func benchmarkStream(b *testing.B, frame bool) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/req")
 	client.(*net.TCPConn).CloseWrite()
 	<-done
+}
+
+// pipeConn is the server's end of a connection made of two net.Pipes, one
+// each way: a net.Pipe has no half-close, and a client that has sent its
+// last byte must still read the replies.
+type pipeConn struct {
+	net.Conn          // the replies' pipe
+	in       net.Conn // the requests' pipe
+}
+
+func (c pipeConn) Read(p []byte) (int, error) { return c.in.Read(p) }
+func (c pipeConn) Close() error               { c.in.Close(); return c.Conn.Close() }
+
+// checkReplies requires out to be what a stream connection may send in its
+// protocol: decisions, then at most one terminal error, then nothing.
+func checkReplies(t *testing.T, out []byte, frame bool) {
+	t.Helper()
+	for len(out) > 0 {
+		var d wire.Decision
+		terminal := false
+		if frame {
+			typ, payload, n, err := wire.SplitFrame(out)
+			switch {
+			case err != nil:
+				t.Fatalf("reply %q: %v", out, err)
+			case typ == wire.FrameDecision:
+				err = wire.DecodeDecision(payload, &d)
+			case typ == wire.FrameError:
+				_, _, _, err = wire.DecodeError(payload)
+				terminal = true
+			default:
+				err = fmt.Errorf("frame type %#x", typ)
+			}
+			if err != nil {
+				t.Fatalf("reply frame %q: %v", out[:n], err)
+			}
+			out = out[n:]
+		} else {
+			line, rest, ok := bytes.Cut(out, []byte("\n"))
+			if !ok {
+				t.Fatalf("reply %q has no newline", out)
+			}
+			if wire.DecodeNDJSONDecision(line, &d) != nil {
+				var env struct {
+					Error struct{ Code int } `json:"error"`
+				}
+				if err := json.Unmarshal(line, &env); err != nil || env.Error.Code == 0 {
+					t.Fatalf("reply line %q is neither a decision nor an error: %v", line, err)
+				}
+				terminal = true
+			}
+			out = rest
+		}
+		if terminal && len(out) > 0 {
+			t.Fatalf("%q after the terminal error", out)
+		}
+	}
+}
+
+// FuzzServeConn feeds arbitrary bytes, in writes of chunk+1 bytes (which
+// set where the batches close), to ServeConn over net.Pipes. Nothing may
+// panic, every reply must parse in the connection's protocol, and once the
+// horizon has passed the ledger must hold no units.
+func FuzzServeConn(f *testing.F) {
+	const horizon = 8
+	reqs := []AdmissionRequest{
+		{VNF: 0, Reliability: 0.9, Duration: 3, Payment: 40},
+		{VNF: 0, Reliability: 0.9, Arrival: 5, Duration: 4, Payment: 40},
+		{VNF: 0, Reliability: 0.9, Duration: horizon, Payment: 0.25},
+		{VNF: 0, Reliability: 0.995, Duration: 2, Payment: 40},
+	}
+	ndjson := ndjsonStreamBody(reqs)
+	frames := frameStreamBody(f, reqs)
+	preamble := len(wire.AppendPreamble(nil))
+	for _, seed := range [][]byte{
+		ndjson, frames,
+		ndjson[:len(ndjson)-7], frames[:len(frames)-5], frames[:preamble+3],
+		append(slices.Clone(frames[:preamble]), 0xff, 0xff, 0xff, 0x7f, wire.FrameRequest),
+		append(slices.Clone(frames), 4, 0, 0, 0, wire.FrameRequest, 1, 2, 3),
+		append(slices.Clone(frames), 2, 0, 0, 0, wire.FrameDecision, 0),
+		[]byte("RVNX\x02"),
+		append([]byte("\n \n"), ndjson...),
+		append(slices.Clone(ndjson), "{\"vnf\":0,\"reliability\":0.9\n"...),
+		append(slices.Clone(ndjson), "{\"vnf\":0,\"duration\":2,\"payment\":9e999}\n"...),
+		{},
+	} {
+		f.Add(seed, uint8(255))
+		f.Add(seed, uint8(6))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+		e := newTestEngine(t, horizon)
+		client, server := net.Pipe()
+		replies, serverOut := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			NewStreamServer(e).ServeConn(pipeConn{Conn: serverOut, in: server})
+		}()
+		go func() {
+			defer client.Close()
+			for rest := data; len(rest) > 0; {
+				n := min(len(rest), int(chunk)+1)
+				if _, err := client.Write(rest[:n]); err != nil {
+					return // the server has closed: a terminal error
+				}
+				rest = rest[n:]
+			}
+		}()
+		out, err := io.ReadAll(replies)
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.ingest.streamPanics.Load(); got != 0 {
+			t.Fatalf("%d decisions panicked", got)
+		}
+		checkReplies(t, out, len(data) > 0 && data[0] == wire.Magic[0])
+		for i := 0; i < horizon; i++ {
+			e.Tick()
+		}
+		for j := range e.network.Cloudlets {
+			for slot := 1; slot <= horizon; slot++ {
+				if used := e.ledger.Used(j, slot); used != 0 {
+					t.Fatalf("cloudlet %d slot %d holds %d units after the horizon", j, slot, used)
+				}
+			}
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"strconv"
 )
 
 // decimal is a JSON number as the NDJSON decoders scan it, in one pass over
@@ -147,4 +148,47 @@ func (d *decimal) float() (float64, bool) {
 		f |= 1 << 63
 	}
 	return math.Float64frombits(f), true
+}
+
+// appendShortest appends x as strconv.AppendFloat(buf, x, 'g', -1, 64) does:
+// the shortest decimal that reads back as x, the nearest of those, ties to
+// even. On [2^−6, 999 999), where 'g' writes no exponent, it runs Steele &
+// White's free-format digit loop in 64-bit fixed point, integers only like
+// float above; any other x (negative, zero, NaN, ±Inf, past either end) it
+// hands to strconv.
+func appendShortest(buf []byte, x float64) []byte {
+	if !(x >= 0x1p-6 && x < 999_999) {
+		return strconv.AppendFloat(buf, x, 'g', -1, 64)
+	}
+	b := math.Float64bits(x)
+	m, s := b&(1<<52-1)|1<<52, 1075-uint(b>>52) // x = m × 2^−s, 33 ≤ s ≤ 58
+	// In units of 2^−(s+1), half x's gap to its neighbours, one being a unit
+	// in the last place written: r is x's fraction, h the half gap, both ×10
+	// a digit, and x ± h bounds what reads back as x. Those bounds, (2m ± 1)
+	// × 2^−(s+1), have s+1 > 33 decimals, and the loop ends by the k-th, the
+	// first with 10^k > 2^s (h > one/2), k < 0.31·s + 1: no bound is ever
+	// met, so whether m is even (ties to even close the interval) cannot
+	// matter; nor can the narrower gap below a power of two, which here has
+	// at most six decimals and is written exactly.
+	one, h := uint64(1)<<(s+1), uint64(1)
+	r := m << 1 & (one - 1)
+	buf = strconv.AppendUint(buf, m>>s, 10)
+	if r == 0 {
+		return buf // no other integer lies within a gap < 2^−32 of x
+	}
+	buf = append(buf, '.')
+	for {
+		r, h = r*10, h*10
+		buf = append(buf, byte('0'+r>>(s+1)))
+		r &= one - 1
+		// Stop once the digits (low) or they plus a last-place unit (high)
+		// read back as x; write the nearer. A 9 is never rounded up: high
+		// would have held a digit earlier (for the first, at the integer).
+		if low, high := r < h, r+h > one; low || high {
+			if high && (!low || 2*r > one || 2*r == one && buf[len(buf)-1]&1 == 1) {
+				buf[len(buf)-1]++
+			}
+			return buf
+		}
+	}
 }

@@ -203,3 +203,65 @@ func FuzzDecimal(f *testing.F) {
 		}
 	})
 }
+
+// shortestEdges are the floats where appendShortest's range or its digit
+// loop's cases change, each with the floats beside it: the range's ends
+// (and 10⁶, where 'g' turns to an exponent), the powers of two across the
+// range (a narrower gap below), short decimals, and integers, whose float
+// below is where a rounding carry would reach the integer part; and ties
+// between two shortest decimals.
+func shortestEdges() []float64 {
+	xs := []float64{0x1p-6, 999_999, 1e6, 0.1, 0.3, 0.30000000000000004, 0.5, 5, 0.95, 12.5,
+		0.9999999999999999, 1.0000000000000002, 2, 10, 100, 1000, 99_999}
+	for e := -6; e <= 19; e++ {
+		xs = append(xs, math.Ldexp(1, e))
+		// Ties: 2^e + j/2^(k+1), j odd, ends in a 5 one place past the
+		// first k at which the digit loop can stop (10^k > 2^s), so that
+		// both k-digit neighbours may read back as x, equally near it.
+		k := int(math.Ceil(float64(52-e) * math.Log10(2)))
+		for j := 1; j < 20; j += 2 {
+			xs = append(xs, math.Ldexp(1, e)+math.Ldexp(float64(j), -(k+1)))
+		}
+	}
+	var out []float64
+	for _, x := range xs {
+		out = append(out, math.Nextafter(x, 0), x, math.Nextafter(x, math.Inf(1)))
+	}
+	return out
+}
+
+// shortestMatches requires appendShortest to append strconv's bytes for x.
+func shortestMatches(t testing.TB, x float64) {
+	var got, want [32]byte
+	if g, w := appendShortest(got[:0], x), strconv.AppendFloat(want[:0], x, 'g', -1, 64); string(g) != string(w) {
+		t.Fatalf("appendShortest(%#x) = %s, strconv says %s", math.Float64bits(x), g, w)
+	}
+}
+
+func TestAppendShortestMatchesStrconv(t *testing.T) {
+	for _, x := range shortestEdges() {
+		shortestMatches(t, x)
+	}
+	// A million pool-shaped draws — R ∈ [0.9, 0.95], payment rate·d·c(f)·R
+	// with rate ∈ [1, 10], d ∈ [1, 10], c(f) ∈ {1, 2, 3} — and a million bit
+	// patterns, over every float and over the fast range's exponents.
+	rng := rand.New(rand.NewSource(45))
+	for i := 0; i < 500_000; i++ {
+		r := 0.9 + 0.05*rng.Float64()
+		shortestMatches(t, r)
+		shortestMatches(t, (1+9*rng.Float64())*float64((1+rng.Intn(10))*(1+rng.Intn(3)))*r)
+		shortestMatches(t, math.Float64frombits(rng.Uint64()))
+		shortestMatches(t, math.Float64frombits(uint64(1017+rng.Intn(26))<<52|rng.Uint64()&(1<<52-1)))
+	}
+}
+
+// FuzzAppendShortest: for any float64 bit pattern, appendShortest's bytes
+// are strconv's.
+func FuzzAppendShortest(f *testing.F) {
+	for _, x := range shortestEdges() {
+		f.Add(math.Float64bits(x))
+	}
+	f.Fuzz(func(t *testing.T, b uint64) {
+		shortestMatches(t, math.Float64frombits(b))
+	})
+}

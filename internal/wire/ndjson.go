@@ -258,13 +258,13 @@ func AppendNDJSONRequest(buf []byte, req *Request) []byte {
 	buf = append(buf, `{"vnf":`...)
 	buf = strconv.AppendInt(buf, int64(req.VNF), 10)
 	buf = append(buf, `,"reliability":`...)
-	buf = strconv.AppendFloat(buf, req.Reliability, 'g', -1, 64)
+	buf = appendShortest(buf, req.Reliability)
 	buf = append(buf, `,"arrival":`...)
 	buf = strconv.AppendInt(buf, int64(req.Arrival), 10)
 	buf = append(buf, `,"duration":`...)
 	buf = strconv.AppendInt(buf, int64(req.Duration), 10)
 	buf = append(buf, `,"payment":`...)
-	buf = strconv.AppendFloat(buf, req.Payment, 'g', -1, 64)
+	buf = appendShortest(buf, req.Payment)
 	if req.Scheme != "" {
 		buf = append(buf, `,"scheme":"`...)
 		buf = append(buf, req.Scheme...)
@@ -292,14 +292,23 @@ func AppendNDJSONDecision(buf []byte, d *Decision) []byte {
 }
 
 // AppendNDJSONError appends one terminal error line, newline-terminated.
-// The detail must not contain characters needing JSON escaping (the serve
-// layer only passes its own fixed detail strings).
+// The detail is escaped as a JSON string: a decoder's error quotes what it
+// refused.
 func AppendNDJSONError(buf []byte, code int, reason ReasonCode, detail string) []byte {
 	buf = append(buf, `{"error":{"code":`...)
 	buf = strconv.AppendInt(buf, int64(code), 10)
 	buf = append(buf, `,"reason":"`...)
 	buf = append(buf, reason.Reason()...)
 	buf = append(buf, `","detail":"`...)
-	buf = append(buf, detail...)
+	for i := 0; i < len(detail); i++ {
+		switch c := detail[i]; {
+		case c == '"' || c == '\\':
+			buf = append(buf, '\\', c)
+		case c < ' ':
+			buf = append(buf, '\\', 'u', '0', '0', '0'+c>>4, "0123456789abcdef"[c&15])
+		default:
+			buf = append(buf, c)
+		}
+	}
 	return append(buf, '"', '}', '}', '\n')
 }

@@ -408,6 +408,23 @@ func TestNDJSONErrorLine(t *testing.T) {
 	}
 }
 
+// TestNDJSONErrorLineEscapes: a detail quoting refused bytes — quotes,
+// backslashes, control bytes — still gives an error line that is one JSON
+// object carrying the detail.
+func TestNDJSONErrorLineEscapes(t *testing.T) {
+	var req Request
+	detail := DecodeNDJSONRequest([]byte(`{"payment":9e999}`), &req).Error()
+	for _, d := range []string{detail, `unknown field "\x01"`, "tab\tnul\x00us\x1f\"", ""} {
+		buf := AppendNDJSONError(nil, 400, ReasonInvalid, d)
+		var js struct {
+			Error struct{ Detail string } `json:"error"`
+		}
+		if err := json.Unmarshal(buf, &js); err != nil || js.Error.Detail != d || bytes.Count(buf, []byte("\n")) != 1 {
+			t.Fatalf("error line %q for detail %q: %v, read back %q", buf, d, err, js.Error.Detail)
+		}
+	}
+}
+
 func TestReasonCodeTable(t *testing.T) {
 	for _, r := range []trace.Reason{
 		trace.ReasonInvalid, trace.ReasonStale, trace.ReasonHorizon,
@@ -501,6 +518,28 @@ func TestEncodeRequestAllocs(t *testing.T) {
 				_ = AppendNDJSONRequest(c.buf, &r)
 			}); n != c.want {
 				t.Errorf("AppendNDJSONRequest(%s, %+v) allocates %.1f/op, want %v", c.name, r, n, c.want)
+			}
+		}
+	}
+}
+
+// TestNDJSONRequestPoolBytes: on the benchmark's request pools (20 000
+// requests, seeds 1–3) AppendNDJSONRequest writes the bytes of an encoder
+// that formats its floats with strconv.AppendFloat(…, 'g', -1, 64).
+func TestNDJSONRequestPoolBytes(t *testing.T) {
+	ref := func(buf []byte, r *Request) []byte {
+		buf = strconv.AppendInt(append(buf, `{"vnf":`...), int64(r.VNF), 10)
+		buf = strconv.AppendFloat(append(buf, `,"reliability":`...), r.Reliability, 'g', -1, 64)
+		buf = strconv.AppendInt(append(buf, `,"arrival":`...), int64(r.Arrival), 10)
+		buf = strconv.AppendInt(append(buf, `,"duration":`...), int64(r.Duration), 10)
+		buf = strconv.AppendFloat(append(buf, `,"payment":`...), r.Payment, 'g', -1, 64)
+		return append(buf, '}', '\n')
+	}
+	var got, want []byte
+	for seed := int64(1); seed <= 3; seed++ {
+		for i, r := range poolRequests(t, 20_000, seed) {
+			if got, want = AppendNDJSONRequest(got[:0], &r), ref(want[:0], &r); !bytes.Equal(got, want) {
+				t.Fatalf("seed %d, request %d: %q, want %q", seed, i, got, want)
 			}
 		}
 	}

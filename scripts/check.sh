@@ -59,6 +59,9 @@ go test ./internal/wire -run '^$' -fuzz 'FuzzDecimal' -fuzztime "$fuzztime"
 # And the two codecs agree: a request the frame encoder takes decodes to the
 # same fields from its frame and from its NDJSON line.
 go test ./internal/wire -run '^$' -fuzz 'FuzzRequestRoundTrip' -fuzztime "$fuzztime"
+# And the NDJSON encoder's float formatter writes strconv's bytes for any
+# float64.
+go test ./internal/wire -run '^$' -fuzz 'FuzzAppendShortest' -fuzztime "$fuzztime"
 
 # The on-site step tables must answer what the per-request logarithm they
 # replaced answers, on any (r(f), r(c), R).
@@ -69,6 +72,11 @@ go test ./internal/core -run '^$' -fuzz 'FuzzOnsiteInstancesOK' -fuzztime 1s
 # the history's spill file: the history has an I/O path.
 echo "==> placement history fuzz smoke (1s)"
 go test ./internal/serve -run '^$' -fuzz 'FuzzHistoryEntry' -fuzztime 1s
+
+# A stream connection fed arbitrary bytes: no panic, replies that parse in
+# the connection's protocol, and a ledger that drains past the horizon.
+echo "==> stream connection fuzz smoke (1s)"
+go test ./internal/serve -run '^$' -fuzz 'FuzzServeConn' -fuzztime 1s
 
 echo "==> daemon smoke test (tracing + pprof enabled)"
 go test ./cmd/revnfd -run 'TestDaemonTraceSmoke|TestDaemonPprofOffByDefault' -count=1
@@ -113,7 +121,8 @@ fi
 # Lowered by 191: the lock checks became one package of two functions (the go/analysis look-alike and astq went) and Engine.Submit went for a one-request SubmitBatch.
 # Lowered by 3: pd-offsite keeps its own off-site weights and the reliability table only the on-site steps, less the request encoders' one reservation each.
 # Lowered by 12: every per-slot table stands on timeslot.Ring or timeslot.Ends (slotDeque, the byEnd chains and nine hand-rolled ring wraps went), less the NDJSON decision ID's 20-digit path.
-ceiling=20435
+# Raised by 53: the NDJSON encoder's integer-only shortest float formatter (appendShortest), and the NDJSON error line's JSON escaping of its detail.
+ceiling=20488
 lines=$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)
 echo "==> non-test Go outside benchmark/: $lines lines (ceiling $ceiling)"
 if [ "$lines" -gt "$ceiling" ]; then
