@@ -34,9 +34,6 @@ var canonical = []lockClass{
 	schedMu,
 	ledgerMu,
 	"revnf/internal/trace.Store.mu",
-	"revnf/internal/slo.Tracker.mu",
-	"revnf/internal/slo.RateEstimator.mu",
-	"revnf/internal/repair.Controller.mu",
 	"revnf/internal/baseline.RandomOnsite.mu",
 	"revnf/internal/serve.ingestStats.batchMu",
 	"revnf/internal/serve.shardHist.mu",
@@ -64,9 +61,6 @@ var summary = map[string][]lockClass{
 	"revnf/internal/core.TwoPhase":       {schedMu, ledgerMu, "revnf/internal/trace.Store.mu"},
 	"revnf/internal/core.WindowAdvancer": {schedMu},
 	"revnf/internal/trace.Recorder":      {"revnf/internal/trace.Store.mu"},
-	"revnf/internal/slo.Tracker":         {"revnf/internal/slo.Tracker.mu"},
-	"revnf/internal/slo.RateEstimator":   {"revnf/internal/slo.RateEstimator.mu"},
-	"revnf/internal/repair.Controller":   {"revnf/internal/repair.Controller.mu"},
 }
 
 // fold applies the alias map.
@@ -117,9 +111,9 @@ type edge struct {
 //     (memoized over the package call graph);
 //   - cross-package and interface callees contribute a hand-maintained
 //     summary keyed by receiver type (`summary` above) — the check's
-//     model of which locks the ledger, the schedulers, and the runtime
-//     subsystems take. A callee's acquisitions do not persist in the held
-//     set: callees are assumed balanced (they release what they acquire).
+//     model of which locks the ledger, the schedulers and the trace store
+//     take. A callee's acquisitions do not persist in the held set:
+//     callees are assumed balanced (they release what they acquire).
 //
 // # What is flagged
 //

@@ -86,8 +86,7 @@ func (s Setup) AblationDualUpdate(requestCounts []int) (*FigureResult, error) {
 		{
 			name: "pd-onsite-additive",
 			build: func(inst *workload.Instance) (core.Scheduler, error) {
-				return onsite.NewScheduler(inst.Network, inst.Horizon,
-					onsite.WithCapacityEnforcement(), onsite.WithAdditiveDuals(), onsite.WithName("pd-onsite-additive"))
+				return onsite.NewScheduler(inst.Network, inst.Horizon, onsite.WithCapacityEnforcement(), onsite.WithAdditiveDuals())
 			},
 		},
 	}

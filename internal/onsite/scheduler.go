@@ -73,10 +73,7 @@ type Option func(*Scheduler)
 // enough residual capacity, so no violation ever occurs. This is the
 // variant evaluated in the paper's experiments.
 func WithCapacityEnforcement() Option {
-	return func(s *Scheduler) {
-		s.enforce = true
-		s.name = "pd-onsite"
-	}
+	return func(s *Scheduler) { s.enforce = true }
 }
 
 // WithScale multiplies instance demands by scale (≥ 1) inside the dual
@@ -85,11 +82,6 @@ func WithCapacityEnforcement() Option {
 // actual reservation still uses the true demand.
 func WithScale(scale float64) Option {
 	return func(s *Scheduler) { s.scale = scale }
-}
-
-// WithName overrides the reported algorithm name.
-func WithName(name string) Option {
-	return func(s *Scheduler) { s.name = name }
 }
 
 // WithRecorder injects the decision-trace sink Propose emits into. A nil
@@ -108,10 +100,7 @@ func WithRecorder(r trace.Recorder) Option {
 // exponential growth of the multiplicative rule is what yields the
 // competitive ratio, and the additive variant shows how much that matters.
 func WithAdditiveDuals() Option {
-	return func(s *Scheduler) {
-		s.additive = true
-		s.name = s.name + "-additive"
-	}
+	return func(s *Scheduler) { s.additive = true }
 }
 
 // NewScheduler creates an Algorithm 1 scheduler. Without options it is the
@@ -135,11 +124,18 @@ func NewScheduler(network *core.Network, horizon int, opts ...Option) (*Schedule
 		rel:     rel,
 		prices:  dual.NewTable(len(network.Cloudlets), horizon),
 		scale:   1,
-		name:    "pd-onsite-raw",
 		rec:     trace.Nop,
 	}
 	for _, opt := range opts {
 		opt(s)
+	}
+	// The name follows the options whatever their order.
+	s.name = "pd-onsite-raw"
+	if s.enforce {
+		s.name = "pd-onsite"
+	}
+	if s.additive {
+		s.name += "-additive"
 	}
 	if s.scale < 1 {
 		return nil, fmt.Errorf("%w: %v", ErrBadScale, s.scale)

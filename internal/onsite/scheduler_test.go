@@ -66,12 +66,22 @@ func TestSchedulerIdentity(t *testing.T) {
 	if enf.Name() != "pd-onsite" {
 		t.Errorf("enforced name = %q", enf.Name())
 	}
-	named, err := NewScheduler(testNetwork(), 5, WithName("custom"))
-	if err != nil {
-		t.Fatalf("NewScheduler: %v", err)
-	}
-	if named.Name() != "custom" {
-		t.Errorf("custom name = %q", named.Name())
+}
+
+// TestSchedulerNameIgnoresOptionOrder: the additive ablation reports its
+// name whichever of its two options comes first.
+func TestSchedulerNameIgnoresOptionOrder(t *testing.T) {
+	for _, opts := range [][]Option{
+		{WithAdditiveDuals(), WithCapacityEnforcement()},
+		{WithCapacityEnforcement(), WithAdditiveDuals()},
+	} {
+		s, err := NewScheduler(testNetwork(), 5, opts...)
+		if err != nil {
+			t.Fatalf("NewScheduler: %v", err)
+		}
+		if s.Name() != "pd-onsite-additive" {
+			t.Errorf("additive enforced name = %q, want pd-onsite-additive", s.Name())
+		}
 	}
 }
 

@@ -3,55 +3,26 @@
 // re-place one. It is a pure state machine: the engine feeds it one
 // health observation per placement per slot (does the surviving
 // footprint still meet the reliability target?) and executes the repairs
-// it requests through the normal propose/reserve/commit pipeline — the
-// controller itself never touches the ledger or the scheduler.
+// it calls for through the normal propose/reserve/commit pipeline — this
+// package never touches the ledger or the scheduler.
 //
-// Per placement the controller runs episodes. An episode opens when a
-// healthy placement stops meeting its target, stays open while repairs
-// are attempted, and closes when a repair succeeds or the footprint
-// recovers on its own (a cloudlet came back). Repair attempts are
-// bounded per episode: when the budget is exhausted the placement goes
-// Degraded — a sticky terminal state the engine reports but no longer
-// repairs, representing repair capacity exhausted.
+// Per placement the engine runs episodes, one Episode value on the live
+// record. An episode opens when a healthy placement stops meeting its
+// target, stays open while repairs are attempted, and closes when a repair
+// succeeds or the footprint recovers on its own (a cloudlet came back).
+// Repair attempts are bounded per episode: when the budget is exhausted
+// the engine marks the placement degraded — a sticky terminal state it
+// reports but no longer repairs, representing repair capacity exhausted.
 package repair
 
-import (
-	"sync"
-
-	"revnf/internal/core"
-)
-
-// State is a placement's repair state.
-type State string
-
-const (
-	// StateHealthy: the surviving footprint meets the reliability target.
-	StateHealthy State = "healthy"
-	// StateFailed: an episode is open — the footprint is below target and
-	// repair is being attempted.
-	StateFailed State = "failed"
-	// StateDegraded: the episode's repair budget is exhausted; terminal.
-	StateDegraded State = "degraded"
-)
-
-// Action is what the controller asks the engine to do for a placement.
-type Action int
-
-const (
-	// ActionNone: nothing to do this slot.
-	ActionNone Action = iota
-	// ActionRepair: re-place the request through the admission pipeline.
-	ActionRepair
-)
+import "revnf/internal/core"
 
 // DefaultMaxAttempts bounds repair attempts per episode when the
 // configured budget is not positive.
 const DefaultMaxAttempts = 3
 
-// Stats is a snapshot of the controller's counters.
+// Stats counts repair outcomes across placements.
 type Stats struct {
-	// Tracked is the number of placements currently tracked.
-	Tracked int
 	// Episodes counts failure episodes opened.
 	Episodes uint64
 	// Repairs counts episodes closed by a successful repair.
@@ -62,132 +33,54 @@ type Stats struct {
 	Degraded uint64
 }
 
-// Controller is the per-placement repair state machine. It keeps its own
-// mutex: the engine drives it under the engine lock, but stats are read
-// from the metrics and HTTP paths concurrently.
-type Controller struct {
-	mu          sync.Mutex
-	maxAttempts int              // immutable after New
-	placements  map[int]*tracked // guarded by mu
-	stats       Stats            // guarded by mu
-}
-
-// tracked is one placement's episode state.
-type tracked struct {
-	state    State
+// Episode is one placement's repair state: healthy, or failed since
+// failedAt with attempts spent on repairs. The zero value is healthy. It
+// has no lock; its holder serializes the calls.
+type Episode struct {
+	failed   bool
 	failedAt int // slot the open episode started
 	attempts int // repair attempts spent in the open episode
 }
 
-// New builds a controller allowing maxAttempts repair attempts per
-// episode (DefaultMaxAttempts when not positive).
-func New(maxAttempts int) *Controller {
-	if maxAttempts <= 0 {
-		maxAttempts = DefaultMaxAttempts
+// Observe feeds one slot's health verdict. A placement that stops meeting
+// its target opens an episode — opened is true exactly then, so the engine
+// emits one failure trace event per episode rather than one per slot — and
+// one that meets again with the episode open closes it without a repair
+// (a cloudlet or instance came back before a repair landed). The engine
+// repairs every slot the verdict is false.
+func (p *Episode) Observe(slot int, meets bool) (opened bool) {
+	switch {
+	case meets:
+		p.failed = false
+		return false
+	case p.failed:
+		return false
 	}
-	return &Controller{maxAttempts: maxAttempts, placements: make(map[int]*tracked)}
+	*p = Episode{failed: true, failedAt: slot}
+	return true
 }
 
-// MaxAttempts returns the per-episode repair budget.
-func (c *Controller) MaxAttempts() int { return c.maxAttempts }
-
-// Observe feeds one slot's health verdict for a placement and returns
-// the action to take. opened is true exactly when this observation
-// opened a new failure episode — the engine uses it to emit one failure
-// trace event per episode rather than one per slot. A placement that
-// recovers on its own (meets again with an episode open and no repair
-// recorded) closes the episode without counting a repair. Degraded
-// placements always return ActionNone.
-func (c *Controller) Observe(id, slot int, meets bool) (Action, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.placements[id]
-	if !ok {
-		p = &tracked{state: StateHealthy}
-		c.placements[id] = p
-	}
-	switch p.state {
-	case StateDegraded:
-		return ActionNone, false
-	case StateHealthy:
-		if meets {
-			return ActionNone, false
-		}
-		p.state = StateFailed
-		p.failedAt = slot
-		p.attempts = 0
-		c.stats.Episodes++
-		return ActionRepair, true
-	default: // StateFailed
-		if meets {
-			// Self-recovery: a cloudlet or instance came back before a
-			// repair landed.
-			p.state = StateHealthy
-			return ActionNone, false
-		}
-		return ActionRepair, false
-	}
-}
-
-// RepairSucceeded closes the open episode after the engine re-placed the
+// Succeeded closes the open episode after the engine re-placed the
 // request, returning the repair latency in slots (how long the episode
-// was open). Zero when the repair landed in the slot that opened it.
-func (c *Controller) RepairSucceeded(id, slot int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.placements[id]
-	if !ok || p.state != StateFailed {
+// was open): zero when the repair landed in the slot that opened it, and
+// when no episode is open.
+func (p *Episode) Succeeded(slot int) int {
+	if !p.failed {
 		return 0
 	}
-	p.state = StateHealthy
-	c.stats.Repairs++
+	p.failed = false
 	return slot - p.failedAt
 }
 
-// RepairFailed records a repair attempt that could not be placed and
-// returns the resulting state: StateFailed while budget remains,
-// StateDegraded once the episode's attempts are exhausted.
-func (c *Controller) RepairFailed(id, slot int) State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.placements[id]
-	if !ok || p.state != StateFailed {
-		return StateHealthy
+// Failed records a repair attempt that could not be placed and reports
+// whether it exhausted the episode's budget of maxAttempts. Without an
+// open episode it records nothing.
+func (p *Episode) Failed(maxAttempts int) (exhausted bool) {
+	if !p.failed {
+		return false
 	}
 	p.attempts++
-	c.stats.FailedAttempts++
-	if p.attempts >= c.maxAttempts {
-		p.state = StateDegraded
-		c.stats.Degraded++
-	}
-	return p.state
-}
-
-// State returns a placement's current state (StateHealthy when never
-// observed).
-func (c *Controller) State(id int) State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p, ok := c.placements[id]; ok {
-		return p.state
-	}
-	return StateHealthy
-}
-
-// Forget drops a placement whose window expired.
-func (c *Controller) Forget(id int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.placements, id)
-}
-
-// Stats snapshots the controller's counters.
-func (c *Controller) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats
-	s.Tracked = len(c.placements)
-	return s
+	return p.attempts >= maxAttempts
 }
 
 // Meets evaluates a surviving footprint against a request's reliability

@@ -64,112 +64,71 @@ type fixedSource map[int]float64
 func (s fixedSource) CloudletReliability(j int) float64 { return s[j] }
 
 func TestEpisodeLifecycle(t *testing.T) {
-	c := New(0)
-	if c.MaxAttempts() != DefaultMaxAttempts {
-		t.Fatalf("MaxAttempts = %d, want default %d", c.MaxAttempts(), DefaultMaxAttempts)
-	}
+	var p Episode // the zero value is healthy
 
 	// Healthy observations are free.
-	if act, opened := c.Observe(1, 0, true); act != ActionNone || opened {
-		t.Fatalf("healthy observe = (%v, %v)", act, opened)
-	}
-	if c.State(1) != StateHealthy {
-		t.Fatalf("state = %v", c.State(1))
+	if opened := p.Observe(0, true); opened || p.failed {
+		t.Fatalf("healthy observe opened %v, failed %v", opened, p.failed)
 	}
 
 	// Failure opens exactly one episode.
-	if act, opened := c.Observe(1, 3, false); act != ActionRepair || !opened {
-		t.Fatalf("first failing observe = (%v, %v), want (repair, opened)", act, opened)
+	if opened := p.Observe(3, false); !opened {
+		t.Fatal("first failing observe did not open an episode")
 	}
-	if act, opened := c.Observe(1, 4, false); act != ActionRepair || opened {
-		t.Fatalf("second failing observe = (%v, %v), want (repair, !opened)", act, opened)
-	}
-	if c.State(1) != StateFailed {
-		t.Fatalf("state = %v, want failed", c.State(1))
+	if opened := p.Observe(4, false); opened || !p.failed {
+		t.Fatalf("second failing observe opened %v, failed %v; want one open episode", opened, p.failed)
 	}
 
 	// Success closes the episode with the latency since it opened.
-	if lat := c.RepairSucceeded(1, 5); lat != 2 {
+	if lat := p.Succeeded(5); lat != 2 {
 		t.Fatalf("latency = %d, want 2", lat)
 	}
-	if c.State(1) != StateHealthy {
-		t.Fatalf("state after repair = %v", c.State(1))
-	}
-	st := c.Stats()
-	if st.Episodes != 1 || st.Repairs != 1 || st.FailedAttempts != 0 || st.Degraded != 0 {
-		t.Fatalf("stats = %+v", st)
+	if p.failed {
+		t.Fatal("episode still open after a repair")
 	}
 }
 
 func TestSelfRecoveryClosesWithoutRepair(t *testing.T) {
-	c := New(3)
-	c.Observe(7, 2, false)
+	var p Episode
+	p.Observe(2, false)
 	// The cloudlet came back: meets again, no repair recorded.
-	if act, opened := c.Observe(7, 3, true); act != ActionNone || opened {
-		t.Fatalf("recovery observe = (%v, %v)", act, opened)
-	}
-	if c.State(7) != StateHealthy {
-		t.Fatalf("state = %v", c.State(7))
-	}
-	st := c.Stats()
-	if st.Episodes != 1 || st.Repairs != 0 {
-		t.Fatalf("stats = %+v, want one episode, zero repairs", st)
+	if opened := p.Observe(3, true); opened || p.failed {
+		t.Fatalf("recovery observe opened %v, failed %v", opened, p.failed)
 	}
 	// A later failure opens a fresh episode with a fresh budget.
-	if _, opened := c.Observe(7, 5, false); !opened {
-		t.Fatal("second episode did not open")
-	}
-	if st := c.Stats(); st.Episodes != 2 {
-		t.Fatalf("episodes = %d, want 2", st.Episodes)
+	p.attempts = 2
+	if opened := p.Observe(5, false); !opened || p.attempts != 0 || p.failedAt != 5 {
+		t.Fatalf("second episode: opened %v, %+v", opened, p)
 	}
 }
 
 func TestDegradedAfterBudgetExhausted(t *testing.T) {
-	c := New(2)
-	c.Observe(4, 1, false)
-	if s := c.RepairFailed(4, 1); s != StateFailed {
-		t.Fatalf("after 1 failed attempt: %v, want failed", s)
+	var p Episode
+	p.Observe(1, false)
+	if p.Failed(2) {
+		t.Fatal("budget of 2 exhausted after 1 failed attempt")
 	}
-	if s := c.RepairFailed(4, 2); s != StateDegraded {
-		t.Fatalf("after 2 failed attempts: %v, want degraded", s)
+	if !p.Failed(2) {
+		t.Fatal("budget of 2 not exhausted after 2 failed attempts")
 	}
-	// Degraded is sticky: no more repair requests, even when still failing
-	// or when the footprint recovers.
-	if act, opened := c.Observe(4, 3, false); act != ActionNone || opened {
-		t.Fatalf("degraded observe = (%v, %v)", act, opened)
-	}
-	if act, _ := c.Observe(4, 4, true); act != ActionNone {
-		t.Fatalf("degraded observe (meets) = %v", act)
-	}
-	if c.State(4) != StateDegraded {
-		t.Fatalf("state = %v", c.State(4))
-	}
-	st := c.Stats()
-	if st.FailedAttempts != 2 || st.Degraded != 1 || st.Tracked != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-
-	// Forget drops the placement entirely.
-	c.Forget(4)
-	if c.State(4) != StateHealthy {
-		t.Fatal("forgotten placement should read healthy")
-	}
-	if st := c.Stats(); st.Tracked != 0 {
-		t.Fatalf("tracked = %d, want 0", st.Tracked)
+	// The engine stops observing once it marks the placement degraded; the
+	// episode itself stays open.
+	if !p.failed || p.attempts != 2 {
+		t.Fatalf("exhausted episode = %+v", p)
 	}
 }
 
 func TestStrayTransitionsAreNoOps(t *testing.T) {
-	c := New(3)
-	// Success/failure without an open episode must not corrupt counters.
-	if lat := c.RepairSucceeded(9, 4); lat != 0 {
+	var p Episode
+	// Success/failure without an open episode must not move the state.
+	if lat := p.Succeeded(4); lat != 0 {
 		t.Fatalf("stray success latency = %d", lat)
 	}
-	if s := c.RepairFailed(9, 4); s != StateHealthy {
-		t.Fatalf("stray failure state = %v", s)
+	if p.Failed(1) {
+		t.Fatal("stray failure exhausted a budget")
 	}
-	if st := c.Stats(); st.Repairs != 0 || st.FailedAttempts != 0 {
-		t.Fatalf("stats = %+v, want zeros", st)
+	if p != (Episode{}) {
+		t.Fatalf("stray transitions left %+v, want the zero value", p)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"revnf/internal/core"
 	"revnf/internal/metrics"
+	"revnf/internal/repair"
 	"revnf/internal/simulate"
 	"revnf/internal/timeslot"
 	"revnf/internal/trace"
@@ -87,6 +88,9 @@ type PlacementRecord struct {
 	// runtime re-places the request mid-window (the repair reserves
 	// [repair slot, end] and releases the old footprint).
 	ReservedFrom int
+
+	// episode is the failure runtime's repair episode for the live record.
+	episode repair.Episode
 }
 
 // TickReport summarizes one slot advance.
@@ -206,9 +210,10 @@ type Engine struct {
 	rec    trace.Recorder
 	traces *trace.Store
 
-	// runtime is the failure-aware subsystem (chaos injection, repair,
-	// SLO accounting, rate estimation); nil unless Config.Chaos is set.
-	runtime *failureRuntime
+	// chaos is set when Config.Chaos turns the failure runtime on. It never
+	// changes, so Tick reads it without the lock to decide whether to take a
+	// worker token first.
+	chaos bool
 
 	// ingest tracks the wire layer: per-protocol request/connection
 	// counters and the streaming batch-size distribution.
@@ -220,6 +225,10 @@ type Engine struct {
 	mu sync.Mutex
 	// reader is the capacity view the read endpoints snapshot through.
 	reader *timeslot.Reader // guarded by mu
+	// runtime is the failure-aware subsystem (chaos injection, repair
+	// counters, SLO accounting, rate estimation); nil unless chaos is set.
+	// Its state has no lock of its own: readers take mu too.
+	runtime *failureRuntime // guarded by mu
 	// pool books footprints with their shared-backup membership: group
 	// footprints are reserved when the first member joins and released when
 	// the last member expires. Its groups are ledger state, under the
@@ -372,6 +381,7 @@ func New(cfg Config) (*Engine, error) {
 		sched:    cfg.Scheduler,
 		rec:      rec,
 		traces:   cfg.Traces,
+		chaos:    runtime != nil,
 		runtime:  runtime,
 		ingest:   ingest,
 		ledger:   ledger,
@@ -677,7 +687,7 @@ func (e *Engine) observe(token int, enqueued time.Time) {
 // a repair is a decision: it holds a worker token, taken before the engine
 // mutex as every decision takes them.
 func (e *Engine) Tick() TickReport {
-	if e.runtime != nil {
+	if e.chaos {
 		token := <-e.sem
 		defer func() { e.sem <- token }()
 	}
@@ -692,7 +702,7 @@ func (e *Engine) Tick() TickReport {
 		e.releaseFootprint(rec)
 		e.expired++
 		if e.runtime != nil {
-			e.finalizeExpiredLocked(rec.ID)
+			e.finalizeExpiredLocked(rec)
 		}
 		// The history keeps the placement — and its degraded mark, which
 		// outliving the window must not erase; the record is recycled.

@@ -98,6 +98,49 @@ type placementHealthDTO struct {
 	WindowBase int `json:"window_base"`
 }
 
+// placementHealth reads a placement's SLO account, its record and the
+// window base in one critical section, so a tick cannot fall between the
+// reads and pair a record it marked degraded with an account it had not
+// yet scored. A record in the history's spill file is read after the lock
+// is released: its placement has expired, so neither changes again. ok is
+// false when the placement has no account. Chaos must be on.
+func (e *Engine) placementHealth(id int) (placementHealthDTO, bool) {
+	e.mu.Lock()
+	entry, ok := e.runtime.slo.Get(id)
+	rec, cold, found := e.book.lookup(id, e.slot)
+	base := e.ledger.Base()
+	e.mu.Unlock()
+	if !ok {
+		return placementHealthDTO{}, false
+	}
+	if cold != nil {
+		rec, found = cold()
+	}
+	h := placementHealthDTO{
+		ID:                 entry.ID,
+		Required:           entry.Required,
+		Provisioned:        entry.Provisioned,
+		Observed:           entry.Observed(),
+		WindowSlots:        entry.WindowSlots,
+		ObservedSlots:      entry.ObservedSlots,
+		UpSlots:            entry.UpSlots,
+		DownSlots:          entry.DownSlots,
+		Repairs:            entry.Repairs,
+		RepairLatencySlots: entry.RepairLatencySlots,
+		Degraded:           entry.Degraded,
+		SLOMet:             entry.Met(),
+		WindowBase:         base,
+	}
+	if found {
+		h.State = string(rec.State)
+		h.Scheme = rec.Placement.Scheme.String()
+		h.BackupGroup = toBackupGroupDTO(rec.Placement)
+		// An open account leaves the degraded mark to the record.
+		h.Degraded = h.Degraded || rec.State == StateDegraded
+	}
+	return h, true
+}
+
 // errorDTO is the v1 error envelope, used by every endpoint: code repeats
 // the HTTP status, reason is a machine-readable code from the trace.Reason
 // vocabulary (the same enum decision traces and the rejection metrics
@@ -205,42 +248,17 @@ func NewHandler(e *Engine) http.Handler {
 			writeError(w, http.StatusBadRequest, ReasonInvalid, "placement id must be an integer")
 			return
 		}
-		tracker := e.SLO()
-		if tracker == nil {
+		if !e.chaos {
 			writeError(w, http.StatusNotFound, string(trace.ReasonNotFound),
 				"failure runtime is disabled (start revnfd with -chaos)")
 			return
 		}
-		entry, ok := tracker.Get(id)
+		health, ok := e.placementHealth(id)
 		if !ok {
 			writeError(w, http.StatusNotFound, string(trace.ReasonNotFound), fmt.Sprintf("no SLO account for placement %d", id))
 			return
 		}
-		state, scheme := "", ""
-		var group *backupGroupDTO
-		if rec, ok := e.Placement(id); ok {
-			state = string(rec.State)
-			scheme = rec.Placement.Scheme.String()
-			group = toBackupGroupDTO(rec.Placement)
-		}
-		writeJSON(w, http.StatusOK, placementHealthDTO{
-			ID:                 entry.ID,
-			State:              state,
-			Scheme:             scheme,
-			BackupGroup:        group,
-			Required:           entry.Required,
-			Provisioned:        entry.Provisioned,
-			Observed:           entry.Observed(),
-			WindowSlots:        entry.WindowSlots,
-			ObservedSlots:      entry.ObservedSlots,
-			UpSlots:            entry.UpSlots,
-			DownSlots:          entry.DownSlots,
-			Repairs:            entry.Repairs,
-			RepairLatencySlots: entry.RepairLatencySlots,
-			Degraded:           entry.Degraded,
-			SLOMet:             entry.Met(),
-			WindowBase:         e.WindowBase(),
-		})
+		writeJSON(w, http.StatusOK, health)
 	})
 
 	mux.HandleFunc("GET /v1/decisions/{id}/trace", func(w http.ResponseWriter, r *http.Request) {

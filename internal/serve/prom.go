@@ -95,21 +95,20 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 		}
 		families = append(families, lambdaFamily(lr, len(e.network.Cloudlets), s.Slot, maxSlot))
 	}
-	// The failure runtime renders last, and reads the estimator's size once:
-	// no lock this scrape takes after the estimator's reads can order them
-	// before the next tick's writes, so a -race run sees an unguarded read
-	// (TestSoakFailureRuntimeSharded polls this).
-	if e.runtime != nil {
+	if e.chaos {
 		families = append(families, e.runtimeFamilies()...)
 	}
 	return metrics.WriteProm(w, families)
 }
 
-// runtimeFamilies renders the failure runtime: chaos progress, repair
-// outcomes, SLO delivery, and the online reliability estimates.
+// runtimeFamilies renders the failure runtime — chaos progress, repair
+// outcomes, SLO delivery, and the online reliability estimates — from one
+// snapshot under the engine lock. Chaos must be on.
 func (e *Engine) runtimeFamilies() []metrics.PromMetric {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	rt := e.runtime
-	rs := rt.ctrl.Stats()
+	rs := rt.repairs
 	ss := rt.slo.Stats()
 	est := metrics.PromMetric{
 		Name: "revnfd_estimated_reliability",
@@ -124,7 +123,7 @@ func (e *Engine) runtimeFamilies() []metrics.PromMetric {
 	}
 	return []metrics.PromMetric{
 		metrics.Counter("revnfd_chaos_slots_total",
-			"Slots the chaos injector has stepped.", float64(rt.slots.Load())),
+			"Slots the chaos injector has stepped.", float64(rt.slots)),
 		metrics.Counter("revnfd_failure_episodes_total",
 			"Failure episodes opened: placements whose surviving instances dropped below their reliability target.",
 			float64(rs.Episodes)),

@@ -255,13 +255,13 @@ func TestSoakRollingHorizon(t *testing.T) {
 		t.Fatalf("window base %d after drain, want past the submission epoch %d (5x the window)", base, submitSlots)
 	}
 
-	ss := e.SLO().Stats()
+	ss := sloStats(e)
 	if ss.Finalized != len(admitted) || ss.Tracked != 0 {
 		t.Fatalf("SLO accounts: %d finalized, %d open; want %d finalized, 0 open",
 			ss.Finalized, ss.Tracked, len(admitted))
 	}
 	for _, id := range admitted {
-		entry, ok := e.SLO().Get(id)
+		entry, ok := sloAccount(e, id)
 		if !ok || !entry.Finalized {
 			t.Fatalf("placement %d not finalized: %+v %v", id, entry, ok)
 		}
@@ -384,7 +384,7 @@ func TestSoakRollingHorizonSharded(t *testing.T) {
 		t.Fatalf("window base %d after drain, want past %d", base, runSlots-window)
 	}
 	for _, id := range admitted {
-		entry, ok := e.SLO().Get(id)
+		entry, ok := sloAccount(e, id)
 		if !ok {
 			t.Fatalf("placement %d has no SLO account", id)
 		}
@@ -471,7 +471,7 @@ func TestDegradedExpiryPastHorizon(t *testing.T) {
 		t.Fatalf("placement state %q after expiry, want %q (chaos too weak? seed drifted?)",
 			rec.State, StateDegraded)
 	}
-	entry, ok := e.SLO().Get(res.ID)
+	entry, ok := sloAccount(e, res.ID)
 	if !ok || !entry.Finalized || !entry.Degraded {
 		t.Fatalf("SLO account not finalized degraded: %+v %v", entry, ok)
 	}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"revnf/internal/chaos"
 	"revnf/internal/core"
@@ -13,21 +12,22 @@ import (
 
 // failureRuntime bundles the failure-aware subsystem the engine runs when
 // Config.Chaos is set: the chaos injector driving the failure model on
-// the slot clock, the repair controller deciding which placements to
-// re-place, the SLO tracker accounting promise vs delivery, and the
-// online failure-rate estimator learning r(c_j) from the injected slot
-// states. All mutation happens inside Tick, which holds a worker token (a
-// repair proposes and commits like any decision) and the engine mutex; the
-// tracker, controller, and estimator carry their own locks only so the
-// metrics and HTTP paths can read them concurrently.
+// the slot clock, the repair counters (each placement's repair episode
+// rides on its live record), the SLO tracker accounting promise vs
+// delivery, and the online failure-rate estimator learning r(c_j) from the
+// injected slot states. The engine mutex is its only lock: the engine
+// reaches it through Engine.runtime, guarded by mu, and all mutation
+// happens inside Tick, which also holds a worker token (a repair proposes
+// and commits like any decision).
 type failureRuntime struct {
 	injector *chaos.Injector
-	ctrl     *repair.Controller
 	slo      *slo.Tracker
 	est      *slo.RateEstimator
-	// slots counts chaos-stepped slots; atomic because metrics read it
-	// without the engine mutex.
-	slots atomic.Uint64
+	// maxAttempts is the repair budget of one failure episode.
+	maxAttempts int
+	// slots counts chaos-stepped slots; repairs the episodes' outcomes.
+	slots   uint64
+	repairs repair.Stats
 }
 
 // estimatorPriorStrength is the pseudo-slot weight of the catalog prior
@@ -41,38 +41,26 @@ func newFailureRuntime(cfg Config) (*failureRuntime, error) {
 	if got, want := cfg.Chaos.Cloudlets(), len(cfg.Network.Cloudlets); got != want {
 		return nil, fmt.Errorf("%w: chaos injector models %d cloudlets, network has %d", ErrBadConfig, got, want)
 	}
+	maxAttempts := cfg.RepairAttempts
+	if maxAttempts <= 0 {
+		maxAttempts = repair.DefaultMaxAttempts
+	}
 	return &failureRuntime{
-		injector: cfg.Chaos,
-		ctrl:     repair.New(cfg.RepairAttempts),
-		slo:      slo.NewTracker(),
-		est:      slo.NewCatalogEstimator(cfg.Network, estimatorPriorStrength),
+		injector:    cfg.Chaos,
+		slo:         slo.NewTracker(),
+		est:         slo.NewCatalogEstimator(cfg.Network, estimatorPriorStrength),
+		maxAttempts: maxAttempts,
 	}, nil
 }
 
-// SLO returns the engine's SLO tracker, nil when chaos is disabled.
-func (e *Engine) SLO() *slo.Tracker {
-	if e.runtime == nil {
-		return nil
-	}
-	return e.runtime.slo
-}
-
-// Estimator returns the online failure-rate estimator (a
-// core.ReliabilitySource), nil when chaos is disabled.
-func (e *Engine) Estimator() *slo.RateEstimator {
-	if e.runtime == nil {
-		return nil
-	}
-	return e.runtime.est
-}
-
-// RepairStats snapshots the repair controller; zero when chaos is
-// disabled.
+// RepairStats snapshots the repair counters; zero when chaos is disabled.
 func (e *Engine) RepairStats() repair.Stats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.runtime == nil {
 		return repair.Stats{}
 	}
-	return e.runtime.ctrl.Stats()
+	return e.runtime.repairs
 }
 
 // watchAdmissionLocked registers a fresh admission with the failure
@@ -98,23 +86,19 @@ func watchedAssignments(p core.Placement) []core.Assignment {
 	return append(out, core.Assignment{Cloudlet: p.Backup.Cloudlet, Instances: 1})
 }
 
-// finalizeExpiredLocked closes a placement's runtime accounts when its
-// window ends. Caller holds e.mu.
-func (e *Engine) finalizeExpiredLocked(id int) {
+// finalizeExpiredLocked closes an expired placement's runtime accounts.
+// Caller holds e.mu.
+func (e *Engine) finalizeExpiredLocked(rec *PlacementRecord) {
 	rt := e.runtime
-	rt.injector.Unwatch(id)
-	alreadyDegraded := rt.ctrl.State(id) == repair.StateDegraded
-	rt.ctrl.Forget(id)
-	fin, ok := rt.slo.Finalize(id)
-	if !ok {
-		return
-	}
+	rt.injector.Unwatch(rec.ID)
+	degraded := rec.State == StateDegraded
+	fin, ok := rt.slo.Finalize(rec.ID, degraded)
 	// Finalize degrades any account that ended below its requirement, so
 	// every closed window either met its SLO or carries an explicit
-	// degraded mark — and the trace says so, unless the repair controller
-	// already emitted the degraded event for this placement.
-	if fin.Degraded && !alreadyDegraded {
-		e.recordRuntimeEvent(id, e.slot, trace.ReasonDegraded)
+	// degraded mark — and the trace says so, unless the runtime already
+	// emitted the degraded event when the repair budget ran out.
+	if ok && fin.Degraded && !degraded {
+		e.recordRuntimeEvent(rec.ID, e.slot, trace.ReasonDegraded)
 	}
 }
 
@@ -132,7 +116,7 @@ func (e *Engine) runtimeTickLocked() {
 		return
 	}
 	rep := rt.injector.Step(e.slot)
-	rt.slots.Add(1)
+	rt.slots++
 	for j, up := range rep.CloudletUp {
 		rt.est.Observe(j, up)
 	}
@@ -151,20 +135,24 @@ func (e *Engine) runtimeTickLocked() {
 		// estimator's learned rates are exported for observability and for
 		// rebuilding schedulers, not for second-guessing live footprints.)
 		_, meets := repair.MeetsPlacement(e.network, rec.Request, rec.Placement, ph.Alive)
-		act, opened := rt.ctrl.Observe(ph.ID, e.slot, meets)
-		if opened {
+		if rec.episode.Observe(e.slot, meets) {
+			rt.repairs.Episodes++
 			e.recordRuntimeEvent(ph.ID, e.slot, trace.ReasonFailed)
 		}
 		up := ph.Up
-		if act == repair.ActionRepair {
-			if e.repairLocked(rec) {
-				latency := rt.ctrl.RepairSucceeded(ph.ID, e.slot)
-				rt.slo.AddRepair(ph.ID, latency)
-				e.recordRuntimeEvent(ph.ID, e.slot, trace.ReasonRepaired)
-				// The re-placed instances come up within this slot.
-				up = true
-			} else if rt.ctrl.RepairFailed(ph.ID, e.slot) == repair.StateDegraded {
-				rt.slo.MarkDegraded(ph.ID)
+		switch {
+		case meets:
+			// Healthy, or recovered on its own: nothing to repair.
+		case e.repairLocked(rec):
+			rt.repairs.Repairs++
+			rt.slo.AddRepair(ph.ID, rec.episode.Succeeded(e.slot))
+			e.recordRuntimeEvent(ph.ID, e.slot, trace.ReasonRepaired)
+			// The re-placed instances come up within this slot.
+			up = true
+		default:
+			rt.repairs.FailedAttempts++
+			if rec.episode.Failed(rt.maxAttempts) {
+				rt.repairs.Degraded++
 				rec.State = StateDegraded
 				e.book.refile(rec)
 				e.recordRuntimeEvent(ph.ID, e.slot, trace.ReasonDegraded)

@@ -13,6 +13,7 @@ import (
 	"revnf/internal/onsite"
 	"revnf/internal/repair"
 	"revnf/internal/shared"
+	"revnf/internal/slo"
 	"revnf/internal/trace"
 )
 
@@ -49,6 +50,26 @@ func testInjector(t *testing.T, n *core.Network, rates []float64, seed int64) *c
 	return inj
 }
 
+// sloAccount, sloStats and estimate read the failure runtime under the
+// engine lock, as every reader of it does.
+func sloAccount(e *Engine, id int) (slo.Entry, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.runtime.slo.Get(id)
+}
+
+func sloStats(e *Engine) slo.Stats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.runtime.slo.Stats()
+}
+
+func estimate(e *Engine, j int) (reliability, observations float64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.runtime.est.CloudletReliability(j), e.runtime.est.Observations(j)
+}
+
 func TestChaosConfigValidation(t *testing.T) {
 	n := testNetwork()
 
@@ -69,8 +90,11 @@ func TestChaosConfigValidation(t *testing.T) {
 // as absent everywhere.
 func TestRuntimeDisabledAccessors(t *testing.T) {
 	e := newTestEngine(t, 10)
-	if e.SLO() != nil || e.Estimator() != nil {
-		t.Fatal("runtime accessors non-nil without chaos")
+	e.mu.Lock()
+	rt := e.runtime
+	e.mu.Unlock()
+	if rt != nil {
+		t.Fatal("failure runtime built without chaos")
 	}
 	if st := e.RepairStats(); st != (repair.Stats{}) {
 		t.Fatalf("RepairStats = %+v, want zero", st)
@@ -102,7 +126,7 @@ func TestRuntimeLifecycle(t *testing.T) {
 	if !res.Admitted {
 		t.Fatalf("not admitted: %+v", res)
 	}
-	entry, ok := e.SLO().Get(res.ID)
+	entry, ok := sloAccount(e, res.ID)
 	if !ok || entry.Required != 0.9 || entry.WindowSlots != 3 {
 		t.Fatalf("SLO account = %+v, %v", entry, ok)
 	}
@@ -115,17 +139,17 @@ func TestRuntimeLifecycle(t *testing.T) {
 	// only 2 slots are observed).
 	e.Tick()
 	e.Tick()
-	entry, _ = e.SLO().Get(res.ID)
+	entry, _ = sloAccount(e, res.ID)
 	if entry.ObservedSlots != 2 || entry.Finalized {
 		t.Fatalf("mid-window account = %+v", entry)
 	}
 	e.Tick()
-	entry, _ = e.SLO().Get(res.ID)
+	entry, _ = sloAccount(e, res.ID)
 	if !entry.Finalized || !entry.Met() || entry.Degraded {
 		t.Fatalf("finalized account = %+v", entry)
 	}
 	// The rate estimator saw 3 slots per cloudlet on top of the prior.
-	if obs := e.Estimator().Observations(0); obs != 4+3 {
+	if _, obs := estimate(e, 0); obs != 4+3 {
 		t.Fatalf("estimator observations = %v, want prior 4 + 3 slots", obs)
 	}
 	var sb strings.Builder
@@ -176,7 +200,7 @@ func TestRuntimeRepairsThroughPipeline(t *testing.T) {
 			}
 		}
 	}
-	entry, ok := e.SLO().Get(res.ID)
+	entry, ok := sloAccount(e, res.ID)
 	if !ok || !entry.Finalized {
 		t.Fatalf("account not finalized: %+v, %v", entry, ok)
 	}
@@ -244,7 +268,7 @@ func TestRuntimeDegradedState(t *testing.T) {
 	for slot := e.Slot(); slot < 11; slot = e.Tick().Slot {
 	}
 	for _, id := range ids {
-		entry, ok := e.SLO().Get(id)
+		entry, ok := sloAccount(e, id)
 		if !ok {
 			t.Fatalf("no account for %d", id)
 		}
@@ -378,7 +402,7 @@ func TestRuntimeDegradedReleasesOnceThenHistory(t *testing.T) {
 		}
 		// (Finalize may degrade an account the controller never gave up on;
 		// the converse must not happen.)
-		if entry, ok := e.SLO().Get(res.ID); !ok || !entry.Finalized || (isDegraded[res.ID] && !entry.Degraded) {
+		if entry, ok := sloAccount(e, res.ID); !ok || !entry.Finalized || (isDegraded[res.ID] && !entry.Degraded) {
 			t.Errorf("placement %d: SLO account %+v, %v", res.ID, entry, ok)
 		}
 	}

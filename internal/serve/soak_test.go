@@ -149,12 +149,12 @@ func soakFailureRuntime(t *testing.T, chunk int) {
 
 	// Acceptance: every placement met its SLO or is explicitly degraded,
 	// and degraded ones say so in their decision trace.
-	ss := e.SLO().Stats()
+	ss := sloStats(e)
 	if ss.Finalized != len(admitted) || ss.Tracked != 0 {
 		t.Fatalf("SLO accounts: %d finalized, %d open; want %d finalized, 0 open", ss.Finalized, ss.Tracked, len(admitted))
 	}
 	for _, id := range admitted {
-		entry, ok := e.SLO().Get(id)
+		entry, ok := sloAccount(e, id)
 		if !ok || !entry.Finalized {
 			t.Fatalf("placement %d not finalized: %+v %v", id, entry, ok)
 		}
@@ -193,10 +193,9 @@ func soakFailureRuntime(t *testing.T, chunk int) {
 	}
 
 	// Online estimates converge within 10% of the injector's true rates.
-	est := e.Estimator()
 	for j := range n.Cloudlets {
 		truth := inj.TrueRate(j)
-		got := est.CloudletReliability(j)
+		got, _ := estimate(e, j)
 		if math.Abs(got-truth) > 0.10*truth {
 			t.Errorf("cloudlet %d estimate %.4f vs true rate %.4f: off by more than 10%%", j, got, truth)
 		}
@@ -216,7 +215,8 @@ func soakFailureRuntime(t *testing.T, chunk int) {
 }
 
 // TestSoakFailureRuntimeSharded races concurrent submissions and a poller
-// of the read side (metrics, cloudlets, stats, placement lookups) against
+// of the read side (metrics, cloudlets, stats, placement lookups and
+// health, repair counters) against
 // the ticking failure runtime; under -race this is the subsystem's
 // data-race check, and the post-drain invariants must hold exactly as in
 // the serial soak. The pd-shared leg decides with one token, which the
@@ -318,6 +318,8 @@ func soakConcurrent(t *testing.T, tokens int, newScheduler func(*core.Network, i
 			}
 			mu.Unlock()
 			e.Placement(id)
+			e.placementHealth(id)
+			e.RepairStats()
 		}
 	}()
 	// Tick the failure runtime concurrently with the submitters, pacing
@@ -338,7 +340,7 @@ func soakConcurrent(t *testing.T, tokens int, newScheduler func(*core.Network, i
 			len(admitted), e.RepairStats().Repairs)
 	}
 	for _, id := range admitted {
-		entry, ok := e.SLO().Get(id)
+		entry, ok := sloAccount(e, id)
 		if !ok {
 			t.Fatalf("placement %d has no SLO account", id)
 		}

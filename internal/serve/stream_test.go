@@ -1208,9 +1208,12 @@ func checkReplies(t *testing.T, out []byte, frame bool) {
 }
 
 // FuzzServeConn feeds arbitrary bytes, in writes of chunk+1 bytes (which
-// set where the batches close), to ServeConn over net.Pipes. Nothing may
-// panic, every reply must parse in the connection's protocol, and once the
-// horizon has passed the ledger must hold no units.
+// set where the batches close), to ServeConn over net.Pipes, whose client
+// hangs up after reading closeAt reply bytes (255: it reads to the end).
+// Nothing may panic, every reply read to the end must parse in the
+// connection's protocol, no submission may stay queued or hold a worker
+// token once ServeConn returns, and once the horizon has passed the ledger
+// must hold no units.
 func FuzzServeConn(f *testing.F) {
 	const horizon = 8
 	reqs := []AdmissionRequest{
@@ -1234,10 +1237,16 @@ func FuzzServeConn(f *testing.F) {
 		append(slices.Clone(ndjson), "{\"vnf\":0,\"duration\":2,\"payment\":9e999}\n"...),
 		{},
 	} {
-		f.Add(seed, uint8(255))
-		f.Add(seed, uint8(6))
+		f.Add(seed, uint8(255), uint8(255))
+		f.Add(seed, uint8(6), uint8(255))
 	}
-	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+	// The client hangs up before the first reply, and in the middle of a
+	// four-request batch's replies.
+	for _, body := range [][]byte{ndjson, frames} {
+		f.Add(body, uint8(6), uint8(0))
+		f.Add(body, uint8(255), uint8(20))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, chunk, closeAt uint8) {
 		e := newTestEngine(t, horizon)
 		client, server := net.Pipe()
 		replies, serverOut := net.Pipe()
@@ -1256,13 +1265,23 @@ func FuzzServeConn(f *testing.F) {
 				rest = rest[n:]
 			}
 		}()
-		out, err := io.ReadAll(replies)
+		var out []byte
+		var err error
+		if closeAt == 255 {
+			out, err = io.ReadAll(replies)
+		} else {
+			_, err = io.ReadAll(io.LimitReader(replies, int64(closeAt)))
+			replies.Close()
+		}
 		<-done
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := e.ingest.streamPanics.Load(); got != 0 {
 			t.Fatalf("%d decisions panicked", got)
+		}
+		if st := e.Stats(); st.InFlight != 0 || st.QueueDepth != 0 {
+			t.Fatalf("ServeConn returned with %d tokens held and %d submissions queued", st.InFlight, st.QueueDepth)
 		}
 		checkReplies(t, out, len(data) > 0 && data[0] == wire.Magic[0])
 		for i := 0; i < horizon; i++ {

@@ -1,10 +1,6 @@
 package slo
 
-import (
-	"sync"
-
-	"revnf/internal/core"
-)
+import "revnf/internal/core"
 
 // RateEstimator learns per-cloudlet availability r(c_j) online from
 // observed slot states, as a Beta posterior per cloudlet: up slots
@@ -14,15 +10,14 @@ import (
 // centers the prior on the catalog rates so early estimates degrade
 // gracefully toward what the operator declared.
 //
-// The estimator implements core.ReliabilitySource, so the repair
-// controller's health checks (and rebuilt schedulers, via
+// The estimator implements core.ReliabilitySource, so the repair health
+// checks (and rebuilt schedulers, via
 // core.Network.WithReliabilities) can run on learned rates instead of
-// catalog values. It has its own mutex: the engine observes under its
-// lock while the metrics and HTTP paths read concurrently.
+// catalog values. It has no lock: its holder serializes every call,
+// reads included.
 type RateEstimator struct {
-	mu    sync.Mutex
-	alpha []float64 // guarded by mu
-	beta  []float64 // guarded by mu
+	alpha []float64
+	beta  []float64
 }
 
 // NewRateEstimator builds an estimator for n cloudlets with uniform
@@ -60,8 +55,6 @@ func NewCatalogEstimator(network *core.Network, strength float64) *RateEstimator
 
 // Observe records one slot's state for cloudlet j.
 func (e *RateEstimator) Observe(j int, up bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if j < 0 || j >= len(e.alpha) {
 		return
 	}
@@ -75,8 +68,6 @@ func (e *RateEstimator) Observe(j int, up bool) {
 // CloudletReliability implements core.ReliabilitySource: the posterior
 // mean for cloudlet j, or 0 out of range.
 func (e *RateEstimator) CloudletReliability(j int) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if j < 0 || j >= len(e.alpha) {
 		return 0
 	}
@@ -85,8 +76,6 @@ func (e *RateEstimator) CloudletReliability(j int) float64 {
 
 // Cloudlets returns the number of tracked cloudlets.
 func (e *RateEstimator) Cloudlets() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return len(e.alpha)
 }
 
@@ -94,8 +83,6 @@ func (e *RateEstimator) Cloudlets() int {
 // (excluding prior pseudo-counts is not possible once folded in, so this
 // counts alpha+beta; use it for relative maturity only).
 func (e *RateEstimator) Observations(j int) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if j < 0 || j >= len(e.alpha) {
 		return 0
 	}

@@ -12,8 +12,6 @@
 package slo
 
 import (
-	"sync"
-
 	"revnf/internal/core"
 	"revnf/internal/metrics"
 )
@@ -36,8 +34,9 @@ type Entry struct {
 	// Repairs counts successful re-placements; RepairLatencySlots sums
 	// the slots their failure episodes stayed open.
 	Repairs, RepairLatencySlots int
-	// Degraded marks a placement whose repair budget was exhausted or
-	// that ended its window below Required.
+	// Degraded marks a finalized account whose placement exhausted its
+	// repair budget or ended its window below Required. While the window
+	// is open the placement's record says whether its budget ran out.
 	Degraded bool
 	// Finalized is set when the window expired and the account closed.
 	Finalized bool
@@ -72,15 +71,14 @@ type Stats struct {
 	MeanProvisioned, MeanObserved float64
 }
 
-// Tracker is the SLO ledger. It keeps its own mutex: the engine writes
-// under its lock, the metrics and HTTP paths read concurrently.
+// Tracker is the SLO ledger. It has no lock: its holder serializes every
+// call, reads included.
 type Tracker struct {
-	mu        sync.Mutex
-	open      map[int]*Entry     // guarded by mu
-	finalized map[int]*Entry     // guarded by mu
-	latency   *metrics.Histogram // guarded by mu
+	open      map[int]*Entry
+	finalized map[int]*Entry
+	latency   *metrics.Histogram
 
-	// stats aggregates finalized outcomes; guarded by mu.
+	// stats aggregates finalized outcomes.
 	stats struct {
 		met, missed, degraded int
 		downtime, repairs     int
@@ -105,15 +103,11 @@ func NewTracker() *Tracker {
 // Register opens an account for an admitted request. Re-registering an
 // ID resets its account (IDs are unique per daemon run).
 func (t *Tracker) Register(id int, required, provisioned float64, windowSlots int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.open[id] = &Entry{ID: id, Required: required, Provisioned: provisioned, WindowSlots: windowSlots}
 }
 
 // ObserveSlot scores one slot of an open account.
 func (t *Tracker) ObserveSlot(id int, up bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	e, ok := t.open[id]
 	if !ok {
 		return
@@ -129,8 +123,6 @@ func (t *Tracker) ObserveSlot(id int, up bool) {
 
 // AddRepair records a successful re-placement and its episode latency.
 func (t *Tracker) AddRepair(id, latencySlots int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	e, ok := t.open[id]
 	if !ok {
 		return
@@ -141,32 +133,19 @@ func (t *Tracker) AddRepair(id, latencySlots int) {
 	t.latency.Observe(float64(latencySlots))
 }
 
-// MarkDegraded flags an open account (repair budget exhausted).
-func (t *Tracker) MarkDegraded(id int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e, ok := t.open[id]; ok {
-		e.Degraded = true
-	}
-}
-
 // Finalize closes an account when its window expires and returns the
-// final entry. ok is false for unknown IDs. A closed account that missed
-// its SLO without being degraded by the repair controller is degraded
-// here, so every finalized entry either met its requirement or is
+// final entry; degraded says the placement exhausted its repair budget.
+// ok is false for unknown IDs. A closed account that missed its SLO is
+// degraded too, so every finalized entry either met its requirement or is
 // explicitly marked degraded.
-func (t *Tracker) Finalize(id int) (Entry, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+func (t *Tracker) Finalize(id int, degraded bool) (Entry, bool) {
 	e, ok := t.open[id]
 	if !ok {
 		return Entry{}, false
 	}
 	delete(t.open, id)
 	e.Finalized = true
-	if !e.Met() {
-		e.Degraded = true
-	}
+	e.Degraded = degraded || !e.Met()
 	t.finalized[id] = e
 	if e.Met() {
 		t.stats.met++
@@ -183,8 +162,6 @@ func (t *Tracker) Finalize(id int) (Entry, bool) {
 
 // Get returns a request's account, open or finalized.
 func (t *Tracker) Get(id int) (Entry, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if e, ok := t.open[id]; ok {
 		return *e, true
 	}
@@ -197,15 +174,11 @@ func (t *Tracker) Get(id int) (Entry, bool) {
 // RepairLatency returns a snapshot of the repair-latency histogram
 // (slots per episode).
 func (t *Tracker) RepairLatency() *metrics.Histogram {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.latency.Clone()
 }
 
 // Stats snapshots the tracker.
 func (t *Tracker) Stats() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	s := Stats{
 		Tracked:       len(t.open),
 		Finalized:     len(t.finalized),

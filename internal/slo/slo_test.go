@@ -40,7 +40,7 @@ func TestTrackerLifecycle(t *testing.T) {
 		t.Fatal("entry finalized early")
 	}
 
-	fin, ok := tr.Finalize(1)
+	fin, ok := tr.Finalize(1, false)
 	if !ok || !fin.Finalized {
 		t.Fatalf("finalize = %+v, %v", fin, ok)
 	}
@@ -52,10 +52,10 @@ func TestTrackerLifecycle(t *testing.T) {
 	if got, ok := tr.Get(1); !ok || !got.Finalized {
 		t.Fatalf("Get after finalize = %+v, %v", got, ok)
 	}
-	if _, ok := tr.Finalize(1); ok {
+	if _, ok := tr.Finalize(1, false); ok {
 		t.Fatal("double finalize must report unknown")
 	}
-	if _, ok := tr.Finalize(99); ok {
+	if _, ok := tr.Finalize(99, false); ok {
 		t.Fatal("unknown finalize must report unknown")
 	}
 
@@ -79,7 +79,7 @@ func TestTrackerMetEntryStaysUndegraded(t *testing.T) {
 	tr.Register(2, 0.9, 0.95, 2)
 	tr.ObserveSlot(2, true)
 	tr.ObserveSlot(2, true)
-	fin, _ := tr.Finalize(2)
+	fin, _ := tr.Finalize(2, false)
 	if !fin.Met() || fin.Degraded {
 		t.Fatalf("clean entry = %+v", fin)
 	}
@@ -90,9 +90,24 @@ func TestTrackerMetEntryStaysUndegraded(t *testing.T) {
 	// Observations for unknown IDs are ignored.
 	tr.ObserveSlot(2, false)
 	tr.AddRepair(2, 3)
-	tr.MarkDegraded(2)
 	if got, _ := tr.Get(2); got.DownSlots != 0 || got.Repairs != 0 || got.Degraded {
 		t.Fatalf("finalized entry mutated: %+v", got)
+	}
+}
+
+// TestTrackerFinalizeKeepsBudgetMark: a placement whose repair budget ran
+// out closes degraded even when the slots it delivered met its requirement.
+func TestTrackerFinalizeKeepsBudgetMark(t *testing.T) {
+	tr := NewTracker()
+	tr.Register(3, 0.9, 0.95, 2)
+	tr.ObserveSlot(3, true)
+	tr.ObserveSlot(3, true)
+	fin, ok := tr.Finalize(3, true)
+	if !ok || !fin.Met() || !fin.Degraded {
+		t.Fatalf("budget-exhausted entry = %+v, %v; want met and degraded", fin, ok)
+	}
+	if st := tr.Stats(); st.Met != 1 || st.Missed != 0 || st.Degraded != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
