@@ -106,21 +106,17 @@ func (g *GreedyOnsite) Propose(req core.Request, view core.CapacityView) (core.P
 			}
 			continue
 		}
+		assignments := []core.Assignment{{Cloudlet: j, Instances: n}}
 		if tracing {
-			cands = append(cands, trace.Candidate{Cloudlet: j, Instances: n,
-				Residual: resid, Chosen: true})
-			recordBaseline(g.rec, req, g.Name(), core.OnSite, cands, j,
-				[]core.Assignment{{Cloudlet: j, Instances: n}}, trace.ReasonAdmitted)
+			cands = append(cands, trace.Candidate{Cloudlet: j, Instances: n, Residual: resid})
+			trace.RecordAttempt(g.rec, req, trace.ProposeTrace{Scheduler: g.Name(), Scheme: core.OnSite.String(),
+				Candidates: cands, BestCloudlet: j, Admit: true}, assignments)
 		}
-		return core.Placement{
-			Request:     req.ID,
-			Scheme:      core.OnSite,
-			Assignments: []core.Assignment{{Cloudlet: j, Instances: n}},
-		}, true
+		return core.Placement{Request: req.ID, Scheme: core.OnSite, Assignments: assignments}, true
 	}
 	if tracing {
-		recordBaseline(g.rec, req, g.Name(), core.OnSite, cands, -1, nil,
-			trace.ReasonNoFeasibleCloudlet)
+		trace.RecordAttempt(g.rec, req, trace.ProposeTrace{Scheduler: g.Name(), Scheme: core.OnSite.String(),
+			Candidates: cands, BestCloudlet: -1}, nil)
 	}
 	return core.Placement{}, false
 }
@@ -176,24 +172,22 @@ func (g *GreedyOffsite) Propose(req core.Request, view core.CapacityView) (core.
 				Weight: w, Residual: resid, Chosen: true})
 		}
 		if core.MeetsRequirement(totalWeight, needWeight) {
-			if tracing {
-				recordWeighted(g.rec, req, g.Name(), cands, assignments[0].Cloudlet,
-					assignments, needWeight, totalWeight, trace.ReasonAdmitted)
-			}
-			return core.Placement{Request: req.ID, Scheme: core.OffSite, Assignments: assignments}, true
+			break
 		}
 	}
+	admit := core.MeetsRequirement(totalWeight, needWeight)
 	if tracing {
-		reason := trace.ReasonInsufficientWeight
-		best := -1
-		if len(assignments) == 0 {
-			reason = trace.ReasonNoFeasibleCloudlet
-		} else {
-			best = assignments[0].Cloudlet
+		pt := trace.ProposeTrace{Scheduler: g.Name(), Scheme: core.OffSite.String(), Candidates: cands,
+			BestCloudlet: -1, NeedWeight: needWeight, TotalWeight: totalWeight, Admit: admit}
+		if len(assignments) > 0 {
+			pt.BestCloudlet = assignments[0].Cloudlet
 		}
-		recordWeighted(g.rec, req, g.Name(), cands, best, nil, needWeight, totalWeight, reason)
+		trace.RecordAttempt(g.rec, req, pt, assignments)
 	}
-	return core.Placement{}, false
+	if !admit {
+		return core.Placement{}, false
+	}
+	return core.Placement{Request: req.ID, Scheme: core.OffSite, Assignments: assignments}, true
 }
 
 // FirstFitOnsite places each request in the lowest-ID feasible cloudlet.
@@ -244,21 +238,17 @@ func (f *FirstFitOnsite) Propose(req core.Request, view core.CapacityView) (core
 			}
 			continue
 		}
+		assignments := []core.Assignment{{Cloudlet: j, Instances: n}}
 		if tracing {
-			cands = append(cands, trace.Candidate{Cloudlet: j, Instances: n,
-				Residual: resid, Chosen: true})
-			recordBaseline(f.rec, req, f.Name(), core.OnSite, cands, j,
-				[]core.Assignment{{Cloudlet: j, Instances: n}}, trace.ReasonAdmitted)
+			cands = append(cands, trace.Candidate{Cloudlet: j, Instances: n, Residual: resid})
+			trace.RecordAttempt(f.rec, req, trace.ProposeTrace{Scheduler: f.Name(), Scheme: core.OnSite.String(),
+				Candidates: cands, BestCloudlet: j, Admit: true}, assignments)
 		}
-		return core.Placement{
-			Request:     req.ID,
-			Scheme:      core.OnSite,
-			Assignments: []core.Assignment{{Cloudlet: j, Instances: n}},
-		}, true
+		return core.Placement{Request: req.ID, Scheme: core.OnSite, Assignments: assignments}, true
 	}
 	if tracing {
-		recordBaseline(f.rec, req, f.Name(), core.OnSite, cands, -1, nil,
-			trace.ReasonNoFeasibleCloudlet)
+		trace.RecordAttempt(f.rec, req, trace.ProposeTrace{Scheduler: f.Name(), Scheme: core.OnSite.String(),
+			Candidates: cands, BestCloudlet: -1}, nil)
 	}
 	return core.Placement{}, false
 }
@@ -329,29 +319,20 @@ func (r *RandomOnsite) Propose(req core.Request, view core.CapacityView) (core.P
 	}
 	if len(choices) == 0 {
 		if tracing {
-			recordBaseline(r.rec, req, r.Name(), core.OnSite, cands, -1, nil,
-				trace.ReasonNoFeasibleCloudlet)
+			trace.RecordAttempt(r.rec, req, trace.ProposeTrace{Scheduler: r.Name(), Scheme: core.OnSite.String(),
+				Candidates: cands, BestCloudlet: -1}, nil)
 		}
 		return core.Placement{}, false
 	}
 	r.mu.Lock()
 	pick := choices[r.rng.Intn(len(choices))]
 	r.mu.Unlock()
+	assignments := []core.Assignment{{Cloudlet: pick.cloudlet, Instances: pick.instances}}
 	if tracing {
-		for i := range cands {
-			if cands[i].Cloudlet == pick.cloudlet {
-				cands[i].Chosen = true
-			}
-		}
-		recordBaseline(r.rec, req, r.Name(), core.OnSite, cands, pick.cloudlet,
-			[]core.Assignment{{Cloudlet: pick.cloudlet, Instances: pick.instances}},
-			trace.ReasonAdmitted)
+		trace.RecordAttempt(r.rec, req, trace.ProposeTrace{Scheduler: r.Name(), Scheme: core.OnSite.String(),
+			Candidates: cands, BestCloudlet: pick.cloudlet, Admit: true}, assignments)
 	}
-	return core.Placement{
-		Request:     req.ID,
-		Scheme:      core.OnSite,
-		Assignments: []core.Assignment{{Cloudlet: pick.cloudlet, Instances: pick.instances}},
-	}, true
+	return core.Placement{Request: req.ID, Scheme: core.OnSite, Assignments: assignments}, true
 }
 
 // ConcurrentPropose overrides core.Stateless. The draw order of
@@ -383,56 +364,6 @@ func (r *RejectAll) Scheme() core.Scheme { return r.scheme }
 // Propose implements core.Scheduler.
 func (r *RejectAll) Propose(core.Request, core.CapacityView) (core.Placement, bool) {
 	return core.Placement{}, false
-}
-
-// recordBaseline emits one single-attempt decision trace for a baseline
-// scheduler. Baselines carry no dual prices, so BestCost stays zero; the
-// reason ReasonAdmitted marks an admit (the attempt's Reason field is left
-// empty then, matching the primal-dual schedulers).
-func recordBaseline(rec trace.Recorder, req core.Request, name string,
-	scheme core.Scheme, cands []trace.Candidate, best int,
-	assignments []core.Assignment, reason trace.Reason) {
-	admit := reason == trace.ReasonAdmitted
-	pt := trace.ProposeTrace{
-		Scheduler:    name,
-		Scheme:       scheme.String(),
-		Candidates:   cands,
-		BestCloudlet: best,
-		Payment:      req.Payment,
-		Admit:        admit,
-	}
-	if !admit {
-		pt.Reason = reason
-	}
-	dt := trace.NewDecision(req, name, scheme.String())
-	dt.Attempts = []trace.ProposeTrace{pt}
-	dt.Assignments = assignments
-	rec.Record(dt)
-}
-
-// recordWeighted is recordBaseline for the off-site weight-accumulation
-// baselines, carrying the weight target and the weight reached.
-func recordWeighted(rec trace.Recorder, req core.Request, name string,
-	cands []trace.Candidate, best int, assignments []core.Assignment,
-	needWeight, totalWeight float64, reason trace.Reason) {
-	admit := reason == trace.ReasonAdmitted
-	pt := trace.ProposeTrace{
-		Scheduler:    name,
-		Scheme:       core.OffSite.String(),
-		Candidates:   cands,
-		BestCloudlet: best,
-		NeedWeight:   needWeight,
-		TotalWeight:  totalWeight,
-		Payment:      req.Payment,
-		Admit:        admit,
-	}
-	if !admit {
-		pt.Reason = reason
-	}
-	dt := trace.NewDecision(req, name, core.OffSite.String())
-	dt.Attempts = []trace.ProposeTrace{pt}
-	dt.Assignments = assignments
-	rec.Record(dt)
 }
 
 func validate(network *core.Network) error {

@@ -105,18 +105,7 @@ func offsiteWarmStart(inst *workload.Instance, model *offsiteModel) ([]float64, 
 	if err != nil {
 		return nil, err
 	}
-	byReliability := make([]int, len(inst.Network.Cloudlets))
-	for j := range byReliability {
-		byReliability[j] = j
-	}
-	sort.SliceStable(byReliability, func(a, b int) bool {
-		ra := inst.Network.Cloudlets[byReliability[a]].Reliability
-		rb := inst.Network.Cloudlets[byReliability[b]].Reliability
-		if ra != rb {
-			return ra > rb
-		}
-		return byReliability[a] < byReliability[b]
-	})
+	byReliability := inst.Network.ByReliability()
 	x := make([]float64, model.prob.NumVars())
 	for _, i := range paymentDensityOrder(inst) {
 		req := inst.Trace[i]

@@ -315,69 +315,27 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 		}
 	}
 	admit := core.MeetsRequirement(totalWeight, needWeight)
+	var assignments []core.Assignment
+	if admit {
+		assignments = make([]core.Assignment, chosen)
+		for i, c := range candidates[:chosen] {
+			assignments[i] = core.Assignment{Cloudlet: c.cloudlet, Instances: 1}
+		}
+	}
 	if tracing {
-		s.recordPropose(req, cands, candidates[:chosen], needWeight, totalWeight, admit)
+		// The admission test is weight accumulation, not one argmin: the
+		// winner is the first cloudlet of the greedy set.
+		pt := trace.ProposeTrace{Scheduler: s.name, Scheme: core.OffSite.String(), Candidates: cands,
+			BestCloudlet: -1, NeedWeight: needWeight, TotalWeight: totalWeight, Admit: admit}
+		if chosen > 0 {
+			pt.BestCloudlet, pt.BestCost = candidates[0].cloudlet, candidates[0].price
+		}
+		trace.RecordAttempt(s.rec, req, pt, assignments)
 	}
 	if !admit {
 		return core.Placement{}, false
 	}
-	assignments := make([]core.Assignment, chosen)
-	for i, c := range candidates[:chosen] {
-		assignments[i] = core.Assignment{Cloudlet: c.cloudlet, Instances: 1}
-	}
 	return core.Placement{Request: req.ID, Scheme: core.OffSite, Assignments: assignments}, true
-}
-
-// recordPropose emits the trace for one completed Algorithm 2 evaluation.
-// The off-site admission test is weight accumulation, not a single argmin:
-// BestCloudlet is the first cloudlet of the greedy set (-1 when empty) and
-// BestCost its normalized price; Admit ⇔ TotalWeight ≥ NeedWeight.
-func (s *Scheduler) recordPropose(req core.Request, cands []trace.Candidate,
-	chosen []candidate, needWeight, totalWeight float64, admit bool) {
-	pt := trace.ProposeTrace{
-		Scheduler:    s.name,
-		Scheme:       core.OffSite.String(),
-		Candidates:   cands,
-		BestCloudlet: -1,
-		NeedWeight:   needWeight,
-		TotalWeight:  totalWeight,
-		Payment:      req.Payment,
-		Admit:        admit,
-	}
-	if len(chosen) > 0 {
-		pt.BestCloudlet = chosen[0].cloudlet
-		pt.BestCost = chosen[0].price
-	}
-	if !admit {
-		switch {
-		case len(cands) > 0 && !anySurvived(cands):
-			// Every cloudlet fell to the line-5 payment filter.
-			pt.Reason = trace.ReasonPricedOut
-		case len(chosen) == 0:
-			pt.Reason = trace.ReasonNoFeasibleCloudlet
-		default:
-			pt.Reason = trace.ReasonInsufficientWeight
-		}
-	}
-	dt := trace.NewDecision(req, s.name, core.OffSite.String())
-	dt.Attempts = []trace.ProposeTrace{pt}
-	if admit {
-		dt.Assignments = make([]core.Assignment, len(chosen))
-		for i, c := range chosen {
-			dt.Assignments[i] = core.Assignment{Cloudlet: c.cloudlet, Instances: 1}
-		}
-	}
-	s.rec.Record(dt)
-}
-
-// anySurvived reports whether any candidate passed the payment filter.
-func anySurvived(cands []trace.Candidate) bool {
-	for i := range cands {
-		if cands[i].Skip != trace.SkipPricedOut {
-			return true
-		}
-	}
-	return false
 }
 
 // Commit implements core.Scheduler: it applies the Eq. (67) dual

@@ -255,7 +255,9 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 	s.mu.RUnlock()
 	admit := bestCloudlet >= 0 && req.Payment-bestPrice > 0
 	if tracing {
-		s.recordPropose(req, cands, bestCloudlet, bestInstances, bestPrice, admit)
+		trace.RecordAttempt(s.rec, req, trace.ProposeTrace{Scheduler: s.name, Scheme: core.OnSite.String(),
+			Candidates: cands, BestCloudlet: bestCloudlet, BestCost: bestPrice, Admit: admit},
+			[]core.Assignment{{Cloudlet: bestCloudlet, Instances: bestInstances}})
 	}
 	if !admit {
 		return core.Placement{}, false
@@ -272,38 +274,6 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 // has checked the request's window is live.
 func (s *Scheduler) priceLocked(j int, req core.Request, units int) float64 {
 	return s.prices.Sum(j, req.Arrival, req.End(), float64(units)*s.scale)
-}
-
-// recordPropose emits the trace for one completed argmin evaluation.
-func (s *Scheduler) recordPropose(req core.Request, cands []trace.Candidate,
-	best, instances int, bestPrice float64, admit bool) {
-	pt := trace.ProposeTrace{
-		Scheduler:    s.name,
-		Scheme:       core.OnSite.String(),
-		Candidates:   cands,
-		BestCloudlet: best,
-		Payment:      req.Payment,
-		Admit:        admit,
-	}
-	if best >= 0 {
-		pt.BestCost = bestPrice
-		for i := range cands {
-			if cands[i].Cloudlet == best && cands[i].Skip == "" {
-				cands[i].Chosen = admit
-			}
-		}
-		if !admit {
-			pt.Reason = trace.ReasonPricedOut
-		}
-	} else {
-		pt.Reason = trace.ReasonNoFeasibleCloudlet
-	}
-	dt := trace.NewDecision(req, s.name, core.OnSite.String())
-	dt.Attempts = []trace.ProposeTrace{pt}
-	if admit {
-		dt.Assignments = []core.Assignment{{Cloudlet: best, Instances: instances}}
-	}
-	s.rec.Record(dt)
 }
 
 // Commit implements core.Scheduler: it applies the Eq. (34) dual

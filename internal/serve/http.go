@@ -12,29 +12,19 @@ import (
 )
 
 // HTTP wire shapes. Kept separate from the engine types so the JSON field
-// names stay stable independent of Go identifiers.
-
-type assignmentDTO struct {
-	Cloudlet  int `json:"cloudlet"`
-	Instances int `json:"instances"`
-}
+// names stay stable independent of Go identifiers; an assignment and a
+// shared placement's backup group are core's own types, whose JSON tags
+// are the wire's.
 
 type placementDTO struct {
-	Scheme       string          `json:"scheme"`
-	Assignments  []assignmentDTO `json:"assignments"`
-	Availability float64         `json:"availability"`
+	Scheme       string            `json:"scheme"`
+	Assignments  []core.Assignment `json:"assignments"`
+	Availability float64           `json:"availability"`
 	// BackupGroup is present only for shared-scheme placements: the pooled
-	// backup instance this placement joined.
-	BackupGroup *backupGroupDTO `json:"backup_group,omitempty"`
-}
-
-// backupGroupDTO identifies a shared placement's pooled backup: the group
-// id, the cloudlet hosting the pooled instance, and the pool capacity k
-// the availability was validated against.
-type backupGroupDTO struct {
-	Group    int `json:"group"`
-	Cloudlet int `json:"cloudlet"`
-	PoolSize int `json:"pool_size"`
+	// backup instance this placement joined — the group id, the cloudlet
+	// hosting it, and the pool capacity k the availability was validated
+	// against.
+	BackupGroup *core.SharedBackup `json:"backup_group,omitempty"`
 }
 
 type decisionDTO struct {
@@ -71,8 +61,8 @@ type placementHealthDTO struct {
 	// Scheme is the redundancy scheme the placement runs; BackupGroup is
 	// present for shared placements, tying the health account to the pooled
 	// backup whose failures it shares with its group peers.
-	Scheme      string          `json:"scheme,omitempty"`
-	BackupGroup *backupGroupDTO `json:"backup_group,omitempty"`
+	Scheme      string             `json:"scheme,omitempty"`
+	BackupGroup *core.SharedBackup `json:"backup_group,omitempty"`
 	// Required is the request's reliability requirement R; Provisioned the
 	// availability promised at admission; Observed the delivered fraction
 	// of scored slots with live service.
@@ -134,7 +124,7 @@ func (e *Engine) placementHealth(id int) (placementHealthDTO, bool) {
 	if found {
 		h.State = string(rec.State)
 		h.Scheme = rec.Placement.Scheme.String()
-		h.BackupGroup = toBackupGroupDTO(rec.Placement)
+		h.BackupGroup = rec.Placement.Backup
 		// An open account leaves the degraded mark to the record.
 		h.Degraded = h.Degraded || rec.State == StateDegraded
 	}
@@ -325,25 +315,12 @@ func NewHandler(e *Engine) http.Handler {
 }
 
 func toPlacementDTO(n *core.Network, req core.Request, p core.Placement) *placementDTO {
-	dto := &placementDTO{
+	return &placementDTO{
 		Scheme:       p.Scheme.String(),
-		Assignments:  make([]assignmentDTO, len(p.Assignments)),
+		Assignments:  p.Assignments,
 		Availability: p.Availability(n, req),
+		BackupGroup:  p.Backup,
 	}
-	for i, a := range p.Assignments {
-		dto.Assignments[i] = assignmentDTO{Cloudlet: a.Cloudlet, Instances: a.Instances}
-	}
-	dto.BackupGroup = toBackupGroupDTO(p)
-	return dto
-}
-
-// toBackupGroupDTO returns the pooled-backup view of a placement, nil for
-// dedicated schemes.
-func toBackupGroupDTO(p core.Placement) *backupGroupDTO {
-	if p.Backup == nil {
-		return nil
-	}
-	return &backupGroupDTO{Group: p.Backup.Group, Cloudlet: p.Backup.Cloudlet, PoolSize: p.Backup.PoolSize}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

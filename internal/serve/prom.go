@@ -135,7 +135,7 @@ func (e *Engine) runtimeFamilies() []metrics.PromMetric {
 			float64(rs.FailedAttempts)),
 		metrics.Counter("revnfd_degraded_placements_total",
 			"Placements whose repair budget was exhausted or whose window ended below its SLO.",
-			float64(ss.Degraded)),
+			float64(rt.degraded)),
 		metrics.Counter("revnfd_downtime_slots_total",
 			"Placement-slots with no live instance, summed over all tracked placements.",
 			float64(ss.DowntimeSlots)),

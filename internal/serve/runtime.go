@@ -25,9 +25,12 @@ type failureRuntime struct {
 	est      *slo.RateEstimator
 	// maxAttempts is the repair budget of one failure episode.
 	maxAttempts int
-	// slots counts chaos-stepped slots; repairs the episodes' outcomes.
-	slots   uint64
-	repairs repair.Stats
+	// slots counts chaos-stepped slots; repairs the episodes' outcomes;
+	// degraded the placements marked degraded, each once, at the slot its
+	// degraded event is traced.
+	slots    uint64
+	repairs  repair.Stats
+	degraded uint64
 }
 
 // estimatorPriorStrength is the pseudo-slot weight of the catalog prior
@@ -98,7 +101,7 @@ func (e *Engine) finalizeExpiredLocked(rec *PlacementRecord) {
 	// degraded mark — and the trace says so, unless the runtime already
 	// emitted the degraded event when the repair budget ran out.
 	if ok && fin.Degraded && !degraded {
-		e.recordRuntimeEvent(rec.ID, e.slot, trace.ReasonDegraded)
+		e.degradedLocked(rec.ID)
 	}
 }
 
@@ -155,7 +158,7 @@ func (e *Engine) runtimeTickLocked() {
 				rt.repairs.Degraded++
 				rec.State = StateDegraded
 				e.book.refile(rec)
-				e.recordRuntimeEvent(ph.ID, e.slot, trace.ReasonDegraded)
+				e.degradedLocked(ph.ID)
 			}
 		}
 		rt.slo.ObserveSlot(ph.ID, up)
@@ -202,6 +205,13 @@ func (e *Engine) repairLocked(rec *PlacementRecord) bool {
 	e.book.refile(rec)
 	rt.injector.Rewatch(rec.ID, watchedAssignments(placement))
 	return true
+}
+
+// degradedLocked counts a placement degraded and traces the event. Caller
+// holds e.mu.
+func (e *Engine) degradedLocked(id int) {
+	e.runtime.degraded++
+	e.recordRuntimeEvent(id, e.slot, trace.ReasonDegraded)
 }
 
 // recordRuntimeEvent annotates a decision trace with a runtime outcome

@@ -161,7 +161,7 @@ revnfd_repairs_total 28
 revnfd_repair_failures_total 6
 # HELP revnfd_degraded_placements_total Placements whose repair budget was exhausted or whose window ended below its SLO.
 # TYPE revnfd_degraded_placements_total counter
-revnfd_degraded_placements_total 0
+revnfd_degraded_placements_total 1
 # HELP revnfd_downtime_slots_total Placement-slots with no live instance, summed over all tracked placements.
 # TYPE revnfd_downtime_slots_total counter
 revnfd_downtime_slots_total 0

@@ -452,3 +452,98 @@ func TestRuntimeRepairIsFiled(t *testing.T) {
 		t.Fatalf("history serves %+v, the live record last read %+v", filed, last)
 	}
 }
+
+// TestDegradedPlacementsCounter checks that revnfd_degraded_placements_total
+// counts a placement when the runtime marks it degraded, not when its
+// window closes: on the two seeded chaos runs TestRuntimePin pins, the
+// counter is at every slot at least the number of live degraded records,
+// and after the drain it equals the SLO tracker's degraded accounts.
+func TestDegradedPlacementsCounter(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		sched   func(n *core.Network, horizon int) (core.Scheduler, error)
+		horizon int
+		workers int
+		rolling bool
+		seed    int64
+	}{
+		{"onsite-fixed", func(n *core.Network, horizon int) (core.Scheduler, error) {
+			return onsite.NewScheduler(n, horizon, onsite.WithCapacityEnforcement())
+		}, 4 * pinWindow, 2, false, 11},
+		{"shared-rolling", func(n *core.Network, horizon int) (core.Scheduler, error) {
+			return shared.NewScheduler(n, horizon, shared.WithPoolSize(2))
+		}, pinWindow, 1, true, 14},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := pinNetwork()
+			sched, err := tc.sched(n, tc.horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rates := make([]float64, len(n.Cloudlets))
+			for j, cl := range n.Cloudlets {
+				rates[j] = cl.Reliability - 0.1
+			}
+			inj, err := chaos.New(chaos.Config{Network: n, CloudletMTTR: 3, InstanceMTTR: 2, CloudletRates: rates, Seed: tc.seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := New(Config{Network: n, Scheduler: sched, Horizon: tc.horizon, Rolling: tc.rolling,
+				Workers: tc.workers, Chaos: inj, RepairAttempts: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer shutdownEngine(t, e)
+			counter := func() int {
+				var sb strings.Builder
+				if err := e.WriteMetrics(&sb); err != nil {
+					t.Fatal(err)
+				}
+				for _, line := range strings.Split(sb.String(), "\n") {
+					if v, ok := strings.CutPrefix(line, "revnfd_degraded_placements_total "); ok {
+						n, err := strconv.Atoi(v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return n
+					}
+				}
+				t.Fatal("no revnfd_degraded_placements_total sample")
+				return 0
+			}
+			var ids []int
+			maxLive := 0
+			for slot := 1; slot <= 4*pinWindow; slot = e.Tick().Slot {
+				for i := 0; i < 4; i++ {
+					if res := submit(t, e, AdmissionRequest{VNF: 0, Reliability: 0.9, Duration: 1 + (slot+i)%8, Payment: 100}); res.Admitted {
+						ids = append(ids, res.ID)
+					}
+				}
+				e.mu.Lock()
+				live := 0
+				for _, id := range ids {
+					if rec := e.book.liveRecord(id); rec != nil && rec.State == StateDegraded {
+						live++
+					}
+				}
+				e.mu.Unlock()
+				maxLive = max(maxLive, live)
+				if got := counter(); got < live {
+					t.Fatalf("slot %d: revnfd_degraded_placements_total %d, %d live degraded placements", slot, got, live)
+				}
+			}
+			if maxLive == 0 {
+				t.Fatal("no placement was live and degraded: the run does not exercise the counter")
+			}
+			for i := 0; i < pinWindow; i++ {
+				e.Tick()
+			}
+			e.mu.Lock()
+			closed := e.runtime.slo.Stats().Degraded
+			e.mu.Unlock()
+			if got := counter(); got != closed {
+				t.Errorf("after the drain: revnfd_degraded_placements_total %d, SLO tracker %d degraded", got, closed)
+			}
+		})
+	}
+}

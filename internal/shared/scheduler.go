@@ -311,7 +311,9 @@ func (s *Scheduler) Propose(req core.Request, view core.CapacityView) (core.Plac
 	s.mu.RUnlock()
 	admit := primary >= 0 && req.Payment-bestCost > 0
 	if tracing {
-		s.recordPropose(req, cands, primary, bestCost, admit)
+		trace.RecordAttempt(s.rec, req, trace.ProposeTrace{Scheduler: s.name, Scheme: core.Shared.String(),
+			Candidates: cands, BestCloudlet: primary, BestCost: bestCost, Admit: admit},
+			[]core.Assignment{{Cloudlet: primary, Instances: 1}})
 	}
 	if !admit {
 		return core.Placement{}, false
@@ -400,37 +402,6 @@ func (s *Scheduler) joinableLocked(backup int, req core.Request, view core.Capac
 		return backupSide{term: math.Inf(1), gid: newGroup}
 	}
 	return backupSide{term: float64(demand) * uncovered / float64(s.poolSize), gid: gid}
-}
-
-// recordPropose emits the trace for one completed evaluation. Candidates
-// are indexed by primary cloudlet; each carries the cheapest pair cost
-// found for that primary. primary is the cheapest pair's, −1 when no pair
-// survived the filters.
-func (s *Scheduler) recordPropose(req core.Request, cands []trace.Candidate, primary int, cost float64, admit bool) {
-	pt := trace.ProposeTrace{
-		Scheduler:    s.name,
-		Scheme:       core.Shared.String(),
-		Candidates:   cands,
-		BestCloudlet: primary,
-		Payment:      req.Payment,
-		Admit:        admit,
-	}
-	switch {
-	case primary < 0:
-		pt.Reason = trace.ReasonNoFeasibleCloudlet
-	case !admit:
-		pt.BestCost = cost
-		pt.Reason = trace.ReasonPricedOut
-	default:
-		pt.BestCost = cost
-		cands[primary].Chosen = true
-	}
-	dt := trace.NewDecision(req, s.name, core.Shared.String())
-	dt.Attempts = []trace.ProposeTrace{pt}
-	if admit {
-		dt.Assignments = []core.Assignment{{Cloudlet: primary, Instances: 1}}
-	}
-	s.rec.Record(dt)
 }
 
 // Commit implements core.Scheduler: it joins (or creates) the

@@ -16,6 +16,10 @@
 //   - Recorder: the pluggable sink schedulers emit traces into. Recording
 //     is observability, not scheduler-state mutation: the two-phase
 //     contract explicitly blesses Recorder calls from Propose;
+//   - RecordAttempt: the only place a finished Propose attempt becomes a
+//     recorded decision — it derives the payment, the rejection reason,
+//     the zeroed cost without a winner and the chosen marks from the
+//     attempt's own fields, so every scheduler traces by one rule;
 //   - Nop, NewSampling, and the ring-buffer Store (ring.go): the no-op
 //     default, a deterministic 1-in-N sampler, and a bounded race-safe
 //     store the serve layer exposes over HTTP.
@@ -31,7 +35,11 @@
 // envelope.
 package trace
 
-import "revnf/internal/core"
+import (
+	"slices"
+
+	"revnf/internal/core"
+)
 
 // Reason is one machine-readable decision or error code. The same
 // vocabulary flows through DecisionTrace records, the serve engine's
@@ -228,15 +236,59 @@ func NewDecision(req core.Request, scheduler, scheme string) *DecisionTrace {
 	}
 }
 
-// RecordHorizon emits the trace of a request a scheduler rejected before
-// evaluating any candidate: its window does not fit the live window.
-func RecordHorizon(rec Recorder, req core.Request, scheduler string, scheme core.Scheme) {
-	dt := NewDecision(req, scheduler, scheme.String())
-	dt.Attempts = []ProposeTrace{{
-		Scheduler: scheduler, Scheme: scheme.String(),
-		BestCloudlet: -1, Payment: req.Payment, Reason: ReasonHorizon,
-	}}
+// RecordAttempt records one finished Propose attempt as a one-attempt
+// decision: the only place an attempt becomes a DecisionTrace. The
+// scheduler fills in what its scan saw — identity, candidates, the winner
+// (BestCloudlet, -1 for none, and its cost), the off-site weights and the
+// verdict — and the admitted placement's assignments; RecordAttempt derives
+// the rest from those fields:
+//
+//   - Payment is the request's;
+//   - BestCost is 0 without a winner (+Inf is not JSON-encodable);
+//   - on an admit, every unskipped candidate on an assigned cloudlet is
+//     marked chosen (marks set during the scan stay);
+//   - a rejection without a preset Reason gets priced-out when every
+//     candidate fell to the payment filter, no-feasible-cloudlet for any
+//     other attempt without a winner, insufficient-weight for a winner
+//     short of a weight target (NeedWeight > 0), and priced-out for a
+//     winner that failed the payment test.
+//
+// Assignments are kept only on an admit.
+func RecordAttempt(rec Recorder, req core.Request, pt ProposeTrace, assignments []core.Assignment) {
+	pt.Payment = req.Payment
+	if pt.BestCloudlet < 0 {
+		pt.BestCost = 0
+	}
+	dt := NewDecision(req, pt.Scheduler, pt.Scheme)
+	switch {
+	case pt.Admit:
+		for i := range pt.Candidates {
+			c := &pt.Candidates[i]
+			if c.Skip == "" && slices.ContainsFunc(assignments, func(a core.Assignment) bool { return a.Cloudlet == c.Cloudlet }) {
+				c.Chosen = true
+			}
+		}
+		dt.Assignments = assignments
+	case pt.Reason != "":
+		// Preset by the scheduler (the horizon rejection): kept.
+	case pt.BestCloudlet >= 0 && pt.NeedWeight > 0:
+		pt.Reason = ReasonInsufficientWeight
+	case pt.BestCloudlet >= 0,
+		len(pt.Candidates) > 0 && !slices.ContainsFunc(pt.Candidates, func(c Candidate) bool { return c.Skip != SkipPricedOut }):
+		pt.Reason = ReasonPricedOut
+	default:
+		pt.Reason = ReasonNoFeasibleCloudlet
+	}
+	dt.Attempts = []ProposeTrace{pt}
 	rec.Record(dt)
+}
+
+// RecordHorizon records the attempt of a request a scheduler rejected
+// before evaluating any candidate: its window does not fit the live
+// window.
+func RecordHorizon(rec Recorder, req core.Request, scheduler string, scheme core.Scheme) {
+	RecordAttempt(rec, req, ProposeTrace{Scheduler: scheduler, Scheme: scheme.String(),
+		BestCloudlet: -1, Reason: ReasonHorizon}, nil)
 }
 
 // FinalReason returns the decision's effective reason code: the engine
@@ -261,8 +313,8 @@ func (t *DecisionTrace) FinalReason() Reason {
 // make up the protocol:
 //
 //	if rec.Sample(req.ID) {          // once, at the top of Propose
-//	    ... assemble the trace ...
-//	    rec.Record(dt)               // once, before returning
+//	    ... collect the candidates ...
+//	    RecordAttempt(rec, req, pt, assignments) // once, before returning
 //	}
 //
 // Sample gates all trace assembly: a disabled recorder returns false and

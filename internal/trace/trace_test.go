@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -285,5 +287,59 @@ func TestStoreConcurrentWriters(t *testing.T) {
 	}
 	if st.Evicted != writers*perWriter-64 {
 		t.Fatalf("evicted = %d, want %d", st.Evicted, writers*perWriter-64)
+	}
+}
+
+// TestRecordAttemptDerivation checks each rule RecordAttempt derives from
+// an attempt's own fields: the rejection reason, the zeroed cost without a
+// winner, the payment and the chosen marks.
+func TestRecordAttemptDerivation(t *testing.T) {
+	inf := math.Inf(1)
+	priced := Candidate{Cloudlet: 0, Skip: SkipPricedOut}
+	open := func(j int) Candidate { return Candidate{Cloudlet: j} }
+	for _, tc := range []struct {
+		name string
+		pt   ProposeTrace
+		want Reason
+	}{
+		{"all priced out", ProposeTrace{BestCloudlet: -1, BestCost: inf, NeedWeight: 2, Candidates: []Candidate{priced, priced}}, ReasonPricedOut},
+		{"no winner", ProposeTrace{BestCloudlet: -1, BestCost: inf, Candidates: []Candidate{priced, {Cloudlet: 1, Skip: SkipCapacity}}}, ReasonNoFeasibleCloudlet},
+		{"no candidates", ProposeTrace{BestCloudlet: -1, BestCost: inf}, ReasonNoFeasibleCloudlet},
+		{"short of weight", ProposeTrace{BestCloudlet: 1, BestCost: 3, NeedWeight: 2, Candidates: []Candidate{open(1)}}, ReasonInsufficientWeight},
+		{"payment test", ProposeTrace{BestCloudlet: 1, BestCost: 30, Candidates: []Candidate{open(1)}}, ReasonPricedOut},
+		{"preset", ProposeTrace{BestCloudlet: -1, BestCost: inf, Reason: ReasonHorizon}, ReasonHorizon},
+	} {
+		s := NewStore(1)
+		RecordAttempt(s, req(1), tc.pt, []core.Assignment{{Cloudlet: 1, Instances: 1}})
+		dt, _ := s.Get(1)
+		a := dt.Attempts[0]
+		if a.Reason != tc.want || a.Payment != 10 || len(dt.Assignments) != 0 {
+			t.Errorf("%s: reason %q payment %v assignments %v, want %q 10 none", tc.name, a.Reason, a.Payment, dt.Assignments, tc.want)
+		}
+		want := tc.pt.BestCost
+		if tc.pt.BestCloudlet < 0 {
+			want = 0
+		}
+		if a.BestCost != want {
+			t.Errorf("%s: best cost %v, want %v", tc.name, a.BestCost, want)
+		}
+		for _, c := range a.Candidates {
+			if c.Chosen {
+				t.Errorf("%s: rejection marked cloudlet %d chosen", tc.name, c.Cloudlet)
+			}
+		}
+	}
+
+	s := NewStore(1)
+	pt := ProposeTrace{BestCloudlet: 1, BestCost: 3, Admit: true, Candidates: []Candidate{
+		open(0), {Cloudlet: 1, Skip: SkipCapacity}, open(1), open(2), {Cloudlet: 3, Chosen: true}}}
+	RecordAttempt(s, req(1), pt, []core.Assignment{{Cloudlet: 1, Instances: 1}, {Cloudlet: 2, Instances: 1}})
+	dt, _ := s.Get(1)
+	var chosen []bool
+	for _, c := range dt.Attempts[0].Candidates {
+		chosen = append(chosen, c.Chosen)
+	}
+	if want := []bool{false, false, true, true, true}; !slices.Equal(chosen, want) || dt.Attempts[0].Reason != "" || len(dt.Assignments) != 2 {
+		t.Errorf("admit: chosen %v reason %q assignments %v, want %v, no reason, two assignments", chosen, dt.Attempts[0].Reason, dt.Assignments, want)
 	}
 }

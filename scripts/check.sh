@@ -124,7 +124,8 @@ fi
 # Lowered by 12: every per-slot table stands on timeslot.Ring or timeslot.Ends (slotDeque, the byEnd chains and nine hand-rolled ring wraps went), less the NDJSON decision ID's 20-digit path.
 # Raised by 53: the NDJSON encoder's integer-only shortest float formatter (appendShortest), and the NDJSON error line's JSON escaping of its detail.
 # Lowered by 143: the failure runtime has one lock, the engine's (repair episodes ride on the live record; the SLO, estimator and repair mutexes, the controller's ID map and onsite.WithName went).
-ceiling=20345
+# Lowered by 142: trace.RecordAttempt turns every scheduler's attempt into its decision (the five per-scheduler trace assemblers went), and the HTTP copies of core.Assignment and core.SharedBackup and offline's own reliability sort went.
+ceiling=20203
 lines=$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)
 echo "==> non-test Go outside benchmark/: $lines lines (ceiling $ceiling)"
 if [ "$lines" -gt "$ceiling" ]; then
